@@ -21,7 +21,6 @@ from .grid import (  # noqa: E402
     accumulate_canvas,
     assign,
     cluster_average,
-    quantize_nearest,
 )
 from .hierarchy import Hierarchy, build_hierarchy, greedy_pair_step, reindex_hierarchy  # noqa: E402
 from .structcode import decode_structure, encode_structure, stack_hierarchy_embedding  # noqa: E402

@@ -61,9 +61,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
@@ -311,25 +308,6 @@ def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
         a._accum(np.broadcast_to(g / count, a.data.shape).copy())
 
     return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
-
-
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        a._accum(g * out_data)
-
-    return _node(out_data, (a,), bw)
-
-
-def log(a) -> Tensor:
-    a = _wrap(a)
-
-    def bw(g):
-        a._accum(g / a.data)
-
-    return _node(np.log(a.data), (a,), bw)
 
 
 def silu(a) -> Tensor:

@@ -1,5 +1,11 @@
 """Transformer backbone shared by the two generators.
 
+`Generator` is the skeleton both models are built on: class and stage
+embeddings, the block stack, the final modulated rmsnorm and the output head,
+plus parameter access and checkpoint state. `ContentModel` and
+`StructureModel` add only their own input and output parameters and their
+forward methods.
+
 One block = pre-norm with scale/shift/gate modulation, a fused qkv+mlp-in
 projection (7 w^2 weights), attention under structure-aware rotary ids, and a
 fused proj+mlp-out projection (5 w^2), all on a residual stream. With the
@@ -33,6 +39,7 @@ __all__ = [
     "pad_structure_ids",
     "Block",
     "block_forward",
+    "Generator",
     "time_features",
     "gradient_check",
 ]
@@ -64,8 +71,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in ("content", "structure"):
             raise InvariantError(f"unknown model kind {self.kind!r}")
-        if self.depth < 1:
-            raise InvariantError("depth must be positive")
+        if min(self.depth, self.latent_channels, self.codebook_size, self.num_classes) < 1:
+            raise InvariantError("depth, channel, codebook and class counts must be positive")
+        if self.last_stage < 0:
+            raise InvariantError("last_stage must be non-negative")
         if self.kind == "structure" and self.depth % 2:
             raise InvariantError("structure models need an even depth (heads = depth/2)")
         if self.last_stage > STRUCT_SLOTS:
@@ -92,6 +101,11 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return HEAD_DIM
+
+    @property
+    def head_channels(self) -> int:
+        """Output head width: a latent vector or one embedding column per stage."""
+        return self.latent_channels if self.kind == "content" else self.last_stage
 
     @property
     def null_class_id(self) -> int:
@@ -266,6 +280,98 @@ def block_forward(block: Block, tokens: Tensor, ids: list, modulation: Tensor,
     cond = ad.reshape(modulation, (1, block.width))
     out = block.forward(x, cos[None, None], sin[None, None], cond, **kwargs)
     return ad.reshape(out, (length, block.width))
+
+
+class Generator:
+    """Base of both generators: everything but the per-kind adapters.
+
+    A subclass sets `kind` and creates its input and output parameters in
+    `_make_inputs` and `_make_outputs`. Creation order fixes the RNG draw
+    order: embeddings, inputs, blocks, final modulation and head, outputs.
+    """
+
+    kind = ""
+
+    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
+        if config.kind != self.kind:
+            raise InvariantError(f"{type(self).__name__} needs a {self.kind}-kind config")
+        self.config = config
+        self.dtype = dtype
+        self._rng = np.random.default_rng(seed)
+        w = config.width
+        self.class_emb = self._init(config.num_classes + 1, w)   # last row: null condition
+        self.stage_emb = self._init(config.last_stage + 1, w)
+        self._make_inputs()
+        self.blocks = [Block(i, w, config.heads, self._rng, dtype)
+                       for i in range(config.depth)]
+        self.w_final_mod = self._zeros(w, 2 * w)
+        self.w_head = self._init(w, config.head_channels)
+        self.b_head = self._zeros(config.head_channels)
+        self._make_outputs()
+        del self._rng
+
+    def _init(self, *shape) -> Tensor:
+        return Tensor((0.02 * self._rng.standard_normal(shape)).astype(self.dtype),
+                      requires_grad=True)
+
+    def _zeros(self, *shape) -> Tensor:
+        return Tensor(np.zeros(shape, dtype=self.dtype), requires_grad=True)
+
+    def _make_outputs(self):
+        pass
+
+    def params(self) -> dict:
+        """Own tensors in creation order, then each block's."""
+        out = {k: v for k, v in vars(self).items() if isinstance(v, Tensor)}
+        for i, block in enumerate(self.blocks):
+            out.update(block.params(f"block{i}"))
+        return out
+
+    def core_param_count(self) -> int:
+        """Actual block parameter total; must equal param_count(config)."""
+        return sum(block.core_param_count() for block in self.blocks)
+
+    def state_arrays(self) -> dict:
+        return {k: v.data for k, v in self.params().items()}
+
+    def load_state_arrays(self, arrays: dict):
+        params = self.params()
+        if set(arrays) != set(params):
+            raise InvariantError("checkpoint parameter names do not match the model")
+        for k, p in params.items():
+            if arrays[k].shape != p.data.shape:
+                raise InvariantError(f"checkpoint shape mismatch for {k}")
+            p.data = arrays[k].astype(self.dtype)
+
+    def _rope_tables(self, struct_ids: np.ndarray, grid_w: int, runs: int):
+        """cos/sin (B, 1, L, 32) for [class] + `runs` runs of the grid tokens.
+
+        struct_ids is (B, hw, 8); run s has token kind s + 1, and every run
+        repeats the grid's structure and spatial ids.
+        """
+        b_sz, hw, _ = struct_ids.shape
+        yy, xx = np.divmod(np.arange(hw), grid_w)
+        kind = np.concatenate([[0]] + [np.full(hw, s + 1) for s in range(runs)])
+        spatial = np.concatenate([[[0, 0]]] + [np.stack([yy, xx], axis=1)] * runs)
+        class_ids = np.ones((1, STRUCT_SLOTS), dtype=np.int64)
+        cos_list, sin_list = [], []
+        for b in range(b_sz):
+            struct = np.concatenate([class_ids] + [struct_ids[b]] * runs)
+            cos, sin = rope_tables(kind, struct, spatial, dtype=self.dtype)
+            cos_list.append(cos)
+            sin_list.append(sin)
+        return np.stack(cos_list)[:, None], np.stack(sin_list)[:, None]
+
+    def _trunk(self, x: Tensor, cos, sin, cond: Tensor, train: bool,
+               rng: np.random.Generator | None) -> Tensor:
+        """The block stack, then the final rmsnorm modulated by cond."""
+        for block in self.blocks:
+            x = block.forward(x, cos, sin, cond, train=train,
+                              dropout=self.config.dropout, rng=rng)
+        width = self.config.width
+        fmod = ad.reshape(ad.matmul(ad.silu(cond), self.w_final_mod),
+                          (x.shape[0], 1, 2 * width))
+        return ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
 
 
 def gradient_check(loss_fn, params: dict, seed: int = 0, samples: int = 120,

@@ -6,7 +6,7 @@ import numpy as np
 
 from .backbone import ModelConfig
 from .content_model import ContentModel
-from .errors import FormatError
+from .errors import FormatError, InvariantError
 from .io import read_checkpoint, write_checkpoint
 from .quantize import Refiner
 from .structure_model import StructureModel
@@ -16,20 +16,14 @@ __all__ = [
 ]
 
 
-def _config_meta(config: ModelConfig) -> dict:
-    return {
-        "kind": config.kind,
-        "depth": config.depth,
-        "latent_channels": config.latent_channels,
-        "codebook_size": config.codebook_size,
-        "num_classes": config.num_classes,
-        "last_stage": config.last_stage,
-        "norm": config.norm,
-    }
+# model meta fields and their JSON types; bool is rejected where int is due
+_CONFIG_FIELDS = {"kind": str, "depth": int, "latent_channels": int,
+                  "codebook_size": int, "num_classes": int, "last_stage": int,
+                  "norm": str}
 
 
 def save_model(path, model) -> None:
-    meta = {"type": "model", **_config_meta(model.config)}
+    meta = {"type": "model", **{k: getattr(model.config, k) for k in _CONFIG_FIELDS}}
     write_checkpoint(path, meta, model.state_arrays())
 
 
@@ -37,15 +31,14 @@ def load_model(path):
     meta, arrays = read_checkpoint(path)
     if meta.get("type") != "model":
         raise FormatError(f"checkpoint at {path} is not a model")
-    config = ModelConfig(
-        depth=int(meta["depth"]),
-        kind=meta["kind"],
-        latent_channels=int(meta["latent_channels"]),
-        codebook_size=int(meta["codebook_size"]),
-        num_classes=int(meta["num_classes"]),
-        last_stage=int(meta["last_stage"]),
-        norm=meta["norm"],
-    )
+    for name, kind in _CONFIG_FIELDS.items():
+        if type(meta.get(name)) is not kind:
+            raise FormatError(f"model checkpoint at {path} needs a {kind.__name__} "
+                              f"{name!r} in its meta")
+    try:
+        config = ModelConfig(**{k: meta[k] for k in _CONFIG_FIELDS})
+    except InvariantError as exc:
+        raise FormatError(f"model checkpoint at {path} has an invalid config: {exc}") from exc
     cls = ContentModel if config.kind == "content" else StructureModel
     model = cls(config, seed=0)
     model.load_state_arrays(arrays)

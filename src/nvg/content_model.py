@@ -4,6 +4,10 @@ Given the class, the stage and the canvas accumulated so far, the model
 predicts the final canvas. The difference between prediction and input
 canvas, averaged within each cluster of the stage's structure map, feeds a
 linear head that scores every codebook row per cluster.
+
+`ContentModel` is an adapter on `backbone.Generator`, which holds the class
+and stage embeddings, the blocks and the output head. The adapter adds the
+canvas tokens in and the codebook logits out.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import Block, ModelConfig, pad_structure_ids, param_count, rope_tables
+from .backbone import Generator, pad_structure_ids
+# unused here; bound because perfbench's smoke test reads nvg.<model>.rope_tables
+from .backbone import rope_tables  # noqa: F401
 from .errors import InvariantError
 from .grid import StructureMap
 
@@ -64,84 +70,16 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
     return -picked.mean()
 
 
-class ContentModel:
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
-        if config.kind != "content":
-            raise InvariantError("ContentModel needs a content-kind config")
-        self.config = config
-        self.dtype = dtype
-        rng = np.random.default_rng(seed)
-        w = config.width
-        e = config.latent_channels
-        n = config.codebook_size
+class ContentModel(Generator):
+    kind = "content"
 
-        def init(*shape):
-            return Tensor((0.02 * rng.standard_normal(shape)).astype(dtype),
-                          requires_grad=True)
+    def _make_inputs(self):
+        self.w_in = self._init(self.config.latent_channels, self.config.width)
+        self.b_in = self._zeros(self.config.width)
 
-        def zeros(*shape):
-            return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-        self.class_emb = init(config.num_classes + 1, w)   # last row: null condition
-        self.stage_emb = init(config.last_stage + 1, w)
-        self.w_in = init(e, w)
-        self.b_in = zeros(w)
-        self.blocks = [Block(i, w, config.heads, rng, dtype) for i in range(config.depth)]
-        self.w_final_mod = zeros(w, 2 * w)
-        self.w_head = init(w, e)
-        self.b_head = zeros(e)
-        self.w_logit = init(e, n)
-        self.b_logit = zeros(n)
-
-    # -- parameter access ---------------------------------------------------
-
-    def params(self) -> dict:
-        out = {
-            "class_emb": self.class_emb,
-            "stage_emb": self.stage_emb,
-            "w_in": self.w_in,
-            "b_in": self.b_in,
-            "w_final_mod": self.w_final_mod,
-            "w_head": self.w_head,
-            "b_head": self.b_head,
-            "w_logit": self.w_logit,
-            "b_logit": self.b_logit,
-        }
-        for i, block in enumerate(self.blocks):
-            out.update(block.params(f"block{i}"))
-        return out
-
-    def core_param_count(self) -> int:
-        """Actual block parameter total; must equal param_count(config)."""
-        return sum(block.core_param_count() for block in self.blocks)
-
-    def state_arrays(self) -> dict:
-        return {k: v.data for k, v in self.params().items()}
-
-    def load_state_arrays(self, arrays: dict):
-        params = self.params()
-        if set(arrays) != set(params):
-            raise InvariantError("checkpoint parameter names do not match the model")
-        for k, p in params.items():
-            if arrays[k].shape != p.data.shape:
-                raise InvariantError(f"checkpoint shape mismatch for {k}")
-            p.data = arrays[k].astype(self.dtype)
-
-    # -- forward ------------------------------------------------------------
-
-    def _rope_tables(self, struct_ids: np.ndarray, grid_w: int):
-        """cos/sin for [class] + canvas tokens; struct_ids is (B, hw, 8)."""
-        b_sz, hw, _ = struct_ids.shape
-        yy, xx = np.divmod(np.arange(hw), grid_w)
-        kind = np.concatenate([[0], np.ones(hw)])
-        spatial = np.concatenate([[[0, 0]], np.stack([yy, xx], axis=1)])
-        cos_list, sin_list = [], []
-        for b in range(b_sz):
-            struct = np.concatenate([np.ones((1, 8), dtype=np.int64), struct_ids[b]])
-            cos, sin = rope_tables(kind, struct, spatial, dtype=self.dtype)
-            cos_list.append(cos)
-            sin_list.append(sin)
-        return np.stack(cos_list)[:, None], np.stack(sin_list)[:, None]
+    def _make_outputs(self):
+        self.w_logit = self._init(self.config.latent_channels, self.config.codebook_size)
+        self.b_logit = self._zeros(self.config.codebook_size)
 
     def forward_final_canvas(self, class_ids, stages, canvases, struct_embs,
                              train: bool = False,
@@ -164,20 +102,13 @@ class ContentModel:
             raise InvariantError("class id out of range")
         hw = h * w_grid
         struct_ids = pad_structure_ids(struct_embs.reshape(b_sz, hw, -1))
-        cos, sin = self._rope_tables(struct_ids, w_grid)
+        cos, sin = self._rope_tables(struct_ids, w_grid, runs=1)
 
         cls = ad.rows(self.class_emb, class_ids)                       # (B, w)
         cond = cls + ad.rows(self.stage_emb, stages)
         tok = ad.matmul(Tensor(canvases.reshape(b_sz, hw, e)), self.w_in) + self.b_in
         x = ad.concat([ad.reshape(cls, (b_sz, 1, self.config.width)), tok], axis=1)
-        for block in self.blocks:
-            x = block.forward(x, cos, sin, cond, train=train,
-                              dropout=self.config.dropout, rng=rng)
-        fmod = ad.reshape(ad.matmul(ad.silu(cond), self.w_final_mod),
-                          (b_sz, 1, 2 * self.config.width))
-        fscale = fmod[:, :, :self.config.width]
-        fshift = fmod[:, :, self.config.width:]
-        x = ad.rmsnorm(x) * (1.0 + fscale) + fshift
+        x = self._trunk(x, cos, sin, cond, train, rng)
         # residual parameterization: the head emits what is still missing from
         # the input canvas, and the sum is the predicted final canvas
         delta = ad.matmul(x[:, 1:, :], self.w_head) + self.b_head      # (B, hw, e)
@@ -237,19 +168,3 @@ class ContentModel:
         }
         return loss, stats
 
-
-def content_loss(model: ContentModel, batch: list, train: bool = False,
-                 rng: np.random.Generator | None = None):
-    """Module-level alias of ContentModel.loss."""
-    return model.loss(batch, train=train, rng=rng)
-
-
-def build_content_model(depth: int, latent_channels: int, codebook_size: int,
-                        num_classes: int, last_stage: int, seed: int = 0,
-                        dtype=np.float32) -> ContentModel:
-    config = ModelConfig(depth=depth, kind="content", latent_channels=latent_channels,
-                         codebook_size=codebook_size, num_classes=num_classes,
-                         last_stage=last_stage)
-    model = ContentModel(config, seed=seed, dtype=dtype)
-    assert model.core_param_count() == param_count(config)
-    return model

@@ -26,10 +26,11 @@ __all__ = [
     "StructureMap",
     "ContentTokens",
     "VGSequence",
+    "parent_consistent",
+    "check_map_chain",
     "assign",
     "place",
     "cluster_average",
-    "quantize_nearest",
     "quantize_nearest_batch",
     "accumulate_canvas",
 ]
@@ -181,26 +182,10 @@ class VGSequence:
 
     def __post_init__(self):
         stages = tuple(self.stages)
-        if not stages:
-            raise InvariantError("sequence needs at least the single-cluster stage")
-        shape = stages[0][1].labels.shape
-        for i, (tokens, smap) in enumerate(stages):
-            if not isinstance(tokens, ContentTokens) or not isinstance(smap, StructureMap):
-                raise InvariantError("stages must hold (ContentTokens, StructureMap) pairs")
-            if tokens.stage != i or smap.stage != i:
-                raise InvariantError(f"stage {i} entry is tagged ({tokens.stage}, {smap.stage})")
-            if smap.labels.shape != shape:
-                raise InvariantError("all structure maps must share one grid shape")
-        hw = shape[0] * shape[1]
-        if hw != 1 << (len(stages) - 1):
-            raise InvariantError(
-                f"{hw} locations need {hw.bit_length()} stages, got {len(stages)}"
-            )
-        for i in range(len(stages) - 1):
-            parent = stages[i][1].labels
-            child = stages[i + 1][1].labels
-            if not np.array_equal(child >> 1, parent):
-                raise InvariantError(f"stages {i} and {i + 1} are not parent-consistent")
+        for i, (tokens, _) in enumerate(stages):
+            if not isinstance(tokens, ContentTokens) or tokens.stage != i:
+                raise InvariantError(f"stage {i} needs ContentTokens tagged stage {i}")
+        check_map_chain([smap for _, smap in stages])
         object.__setattr__(self, "stages", stages)
 
     @property
@@ -214,6 +199,30 @@ class VGSequence:
     @property
     def w(self) -> int:
         return self.stages[0][1].w
+
+
+def parent_consistent(coarse: StructureMap, fine: StructureMap) -> bool:
+    """True when fine label l lies inside coarse label l >> (stage gap), the
+    canonical 2j/2j+1 nesting applied once per stage between the maps."""
+    return np.array_equal(fine.labels >> (fine.stage - coarse.stage), coarse.labels)
+
+
+def check_map_chain(maps) -> None:
+    """Raise InvariantError unless maps[i] is a stage-i StructureMap, all share
+    one shape with h*w == 2**(len(maps) - 1), and each nests in the one before."""
+    if not maps:
+        raise InvariantError("need at least the single-cluster stage")
+    for i, smap in enumerate(maps):
+        if not isinstance(smap, StructureMap) or smap.stage != i:
+            raise InvariantError(f"map {i} must be a StructureMap tagged stage {i}")
+        if smap.labels.shape != maps[0].labels.shape:
+            raise InvariantError("all structure maps must share one grid shape")
+    hw = maps[0].labels.size
+    if hw != 1 << (len(maps) - 1):
+        raise InvariantError(f"{hw} locations need {hw.bit_length()} stages, got {len(maps)}")
+    for i in range(len(maps) - 1):
+        if not parent_consistent(maps[i], maps[i + 1]):
+            raise InvariantError(f"stages {i} and {i + 1} are not parent-consistent")
 
 
 def place(vectors: np.ndarray, smap: StructureMap) -> np.ndarray:
@@ -250,17 +259,8 @@ def cluster_average(grid, smap: StructureMap) -> np.ndarray:
     return (sums / smap.cluster_size).astype(np.float32)
 
 
-def quantize_nearest(v: np.ndarray, codebook: Codebook) -> int:
-    """Index of the codebook row nearest to v in l2; ties go to the lowest index."""
-    v = np.asarray(v, dtype=np.float32)
-    if v.shape != (codebook.dim,):
-        raise InvariantError(f"vector of dim {v.shape} does not match codebook dim {codebook.dim}")
-    d = codebook.vectors - v
-    return int(np.argmin(np.einsum("ij,ij->i", d, d)))
-
-
 def quantize_nearest_batch(vs: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Row-wise quantize_nearest; identical tie-break (lowest index wins)."""
+    """Per row of vs, the nearest codebook row index in l2; ties go to the lowest."""
     vs = np.asarray(vs, dtype=np.float32)
     if vs.ndim != 2 or vs.shape[1] != codebook.dim:
         raise InvariantError(f"batch of shape {vs.shape} does not match codebook dim {codebook.dim}")

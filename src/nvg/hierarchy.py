@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .grid import LatentGrid, StructureMap
+from .grid import LatentGrid, StructureMap, check_map_chain
 
 __all__ = [
     "MergeRecord",
@@ -47,22 +47,7 @@ class Hierarchy:
 
     def __post_init__(self):
         maps = tuple(self.maps)
-        if not maps:
-            raise InvariantError("hierarchy needs at least the single-cluster stage")
-        shape = maps[0].labels.shape
-        for i, smap in enumerate(maps):
-            if not isinstance(smap, StructureMap):
-                raise InvariantError("hierarchy maps must be StructureMap instances")
-            if smap.stage != i:
-                raise InvariantError(f"map {i} is tagged stage {smap.stage}")
-            if smap.labels.shape != shape:
-                raise InvariantError("hierarchy maps must share one grid shape")
-        hw = shape[0] * shape[1]
-        if hw != 1 << (len(maps) - 1):
-            raise InvariantError(f"{hw} locations need {hw.bit_length()} maps, got {len(maps)}")
-        for i in range(len(maps) - 1):
-            if not np.array_equal(maps[i + 1].labels >> 1, maps[i].labels):
-                raise InvariantError(f"maps {i} and {i + 1} violate the 2j/2j+1 relation")
+        check_map_chain(maps)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "merge_trace", tuple(self.merge_trace))
 
@@ -148,6 +133,25 @@ def build_hierarchy(grid: LatentGrid) -> Hierarchy:
     return reindex_hierarchy(maps, merge_trace=tuple(trace))
 
 
+def _canonical_split(parent: np.ndarray, child: np.ndarray, stage: int):
+    """Canonical child labels under flat canonical stage-`stage` labels.
+
+    child is any flat labeling that splits each parent cluster j into two
+    equal halves; the half holding the smaller row-major location gets 2j,
+    the other 2j+1. Returns None when some cluster does not split that way.
+    """
+    out = np.empty(parent.size, dtype=np.int32)
+    for j in range(1 << stage):
+        locs = np.flatnonzero(parent == j)
+        old = child[locs]
+        in_first = old == old[0]
+        if int(in_first.sum()) * 2 != locs.size or np.unique(old).size != 2:
+            return None
+        out[locs[in_first]] = 2 * j
+        out[locs[~in_first]] = 2 * j + 1
+    return out
+
+
 def reindex_hierarchy(h, merge_trace=None) -> Hierarchy:
     """Rewrite labels top-down into canonical 2j/2j+1 form.
 
@@ -174,25 +178,8 @@ def reindex_hierarchy(h, merge_trace=None) -> Hierarchy:
 
     new_flat = [np.zeros(hw, dtype=np.int32)]
     for i in range(len(maps) - 1):
-        parent = new_flat[i]
-        child_old = maps[i + 1].labels.ravel()
-        child_new = np.empty(hw, dtype=np.int32)
-        half_ok = True
-        for j in range(1 << i):
-            locs = np.flatnonzero(parent == j)
-            old = child_old[locs]
-            first_label = old[0]
-            in_first = old == first_label
-            n_first = int(in_first.sum())
-            if n_first == locs.size or n_first * 2 != locs.size:
-                half_ok = False
-                break
-            if np.unique(old).size != 2:
-                half_ok = False
-                break
-            child_new[locs[in_first]] = 2 * j
-            child_new[locs[~in_first]] = 2 * j + 1
-        if not half_ok:
+        child_new = _canonical_split(new_flat[i], maps[i + 1].labels.ravel(), i)
+        if child_new is None:
             raise InvariantError(
                 f"stage {i + 1} memberships are not parent-consistent with stage {i}"
             )

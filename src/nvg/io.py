@@ -157,6 +157,8 @@ def read_checkpoint(path):
     off = 12
     try:
         meta = json.loads(blob[off:off + meta_len].decode())
+        if not isinstance(meta, dict):
+            raise FormatError("checkpoint meta is not a JSON object")
         off += meta_len
         (count,) = struct.unpack_from("<I", blob, off)
         off += 4

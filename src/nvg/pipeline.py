@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .content_model import ContentModel, cfg_logits
-from .errors import InvariantError
+from .errors import InvariantError, NumericError
 from .grid import (
     Codebook,
     ContentTokens,
@@ -23,7 +23,9 @@ from .grid import (
     StructureMap,
     VGSequence,
     assign,
+    parent_consistent,
 )
+from .hierarchy import _canonical_split
 from .structcode import embed_structure_map
 from .structure_model import StructureModel, flow_sample, gumbel_balanced_split
 
@@ -72,9 +74,8 @@ class GenerationRequest:
         # overridden stages must nest with each other (ancestor labels agree)
         stages = sorted(self.structure_overrides)
         for a, b in zip(stages, stages[1:]):
-            coarse = self.structure_overrides[a].labels
-            fine = self.structure_overrides[b].labels
-            if not np.array_equal(fine >> (b - a), coarse):
+            if not parent_consistent(self.structure_overrides[a],
+                                     self.structure_overrides[b]):
                 raise InvariantError(
                     f"structure overrides at stages {a} and {b} are not nested")
         for stage, tokens in self.content_overrides.items():
@@ -135,6 +136,8 @@ def sample_token(logits: np.ndarray, p: float, rng) -> int:
         raise InvariantError(f"top-p must lie in (0, 1], got {p}")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     logits = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("cannot sample from non-finite logits")
     shifted = logits - logits.max()
     probs = np.exp(shifted)
     probs /= probs.sum()
@@ -156,11 +159,7 @@ def forced_final_split(parent_map: StructureMap) -> StructureMap:
     if parent_map.cluster_size != 2:
         raise InvariantError("forced split needs clusters of exactly two locations")
     parent_flat = parent_map.labels.ravel()
-    child = np.empty_like(parent_flat)
-    for j in range(parent_map.num_clusters):
-        locs = np.flatnonzero(parent_flat == j)
-        child[locs[0]] = 2 * j
-        child[locs[1]] = 2 * j + 1
+    child = _canonical_split(parent_flat, np.arange(parent_flat.size), parent_map.stage)
     return StructureMap(parent_map.stage + 1, child.reshape(parent_map.labels.shape))
 
 
@@ -183,6 +182,12 @@ def generate(req: GenerationRequest, content_model: ContentModel,
         raise InvariantError(f"need {last + 1} refiners, got {len(refiners)}")
     if not 0 <= req.class_id < content_model.config.num_classes:
         raise InvariantError("class id out of range")
+    if structure_model.config.num_classes != content_model.config.num_classes:
+        raise InvariantError("content and structure models disagree on the class count")
+    for model in (content_model, structure_model):
+        if model.config.latent_channels != e:
+            raise InvariantError(f"{model.config.kind} model expects "
+                                 f"{model.config.latent_channels} latent channels, not {e}")
 
     rng = np.random.default_rng(req.seed)
     sched = req.schedule
@@ -200,7 +205,7 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             smap = StructureMap(0, np.zeros((h, w_grid), dtype=np.int32))
         elif k in req.structure_overrides:
             smap = req.structure_overrides[k]
-            if not np.array_equal(smap.labels >> 1, maps[k - 1].labels):
+            if not parent_consistent(maps[k - 1], smap):
                 raise InvariantError(
                     f"structure override at stage {k} is not parent-consistent "
                     f"with the realized stage {k - 1}")
@@ -218,9 +223,8 @@ def generate(req: GenerationRequest, content_model: ContentModel,
                 return out.data[0]
 
             pred = flow_sample(velocity_fn, s_e, stage=k, n_steps=sched.flow_steps,
-                               cfg_scale=scale, rng=rng,
-                               step_hook=lambda: setattr(stats, "flow_steps",
-                                                         stats.flow_steps + 1))
+                               cfg_scale=scale, rng=rng)
+            stats.flow_steps += sched.flow_steps
             smap = gumbel_balanced_split(maps[k - 1], pred[:, :, k - 1], rng)
         if k >= 1:
             s_e[:, :, k - 1] = _realized_bit_column(smap)

@@ -6,6 +6,11 @@ values at every t, so generation is an inpainting problem. The network
 predicts the path velocity (noise - target) and an Euler sampler walks t from
 1 to 0. A Gumbel-perturbed top-half split turns the predicted column into an
 exactly balanced child map.
+
+`StructureModel` is an adapter on `backbone.Generator`, which holds the class
+and stage embeddings, the blocks and the output head. The adapter adds a time
+embedding and two runs of input tokens, canvas then noised embedding; the
+base head reads the velocity off the embedding run.
 """
 
 from __future__ import annotations
@@ -16,19 +21,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import (
-    Block,
-    ModelConfig,
-    pad_structure_ids,
-    param_count,
-    rope_tables,
-    time_features,
-)
+from .backbone import Generator, pad_structure_ids, time_features
+# unused here; bound because perfbench's smoke test reads nvg.<model>.rope_tables
+from .backbone import rope_tables  # noqa: F401
 from .errors import InvariantError
 from .grid import StructureMap
 
 __all__ = ["FlowState", "noised_input", "StructureModel", "flow_sample",
-           "gumbel_balanced_split", "build_structure_model"]
+           "gumbel_balanced_split"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,85 +67,17 @@ def _known_struct_ids(z: np.ndarray, known_stages: int) -> np.ndarray:
     return pad_structure_ids(ids)
 
 
-class StructureModel:
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
-        if config.kind != "structure":
-            raise InvariantError("StructureModel needs a structure-kind config")
-        self.config = config
-        self.dtype = dtype
-        rng = np.random.default_rng(seed)
-        w = config.width
-        e = config.latent_channels
-        k = config.last_stage
+class StructureModel(Generator):
+    kind = "structure"
 
-        def init(*shape):
-            return Tensor((0.02 * rng.standard_normal(shape)).astype(dtype),
-                          requires_grad=True)
-
-        def zeros(*shape):
-            return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-        self.class_emb = init(config.num_classes + 1, w)
-        self.stage_emb = init(config.last_stage + 1, w)
-        self.w_time = init(w, w)
-        self.b_time = zeros(w)
-        self.w_in_canvas = init(e, w)
-        self.b_in_canvas = zeros(w)
-        self.w_in_struct = init(k, w)
-        self.b_in_struct = zeros(w)
-        self.blocks = [Block(i, w, config.heads, rng, dtype) for i in range(config.depth)]
-        self.w_final_mod = zeros(w, 2 * w)
-        self.w_head = init(w, k)
-        self.b_head = zeros(k)
-
-    def params(self) -> dict:
-        out = {
-            "class_emb": self.class_emb,
-            "stage_emb": self.stage_emb,
-            "w_time": self.w_time,
-            "b_time": self.b_time,
-            "w_in_canvas": self.w_in_canvas,
-            "b_in_canvas": self.b_in_canvas,
-            "w_in_struct": self.w_in_struct,
-            "b_in_struct": self.b_in_struct,
-            "w_final_mod": self.w_final_mod,
-            "w_head": self.w_head,
-            "b_head": self.b_head,
-        }
-        for i, block in enumerate(self.blocks):
-            out.update(block.params(f"block{i}"))
-        return out
-
-    def core_param_count(self) -> int:
-        return sum(block.core_param_count() for block in self.blocks)
-
-    def state_arrays(self) -> dict:
-        return {k: v.data for k, v in self.params().items()}
-
-    def load_state_arrays(self, arrays: dict):
-        params = self.params()
-        if set(arrays) != set(params):
-            raise InvariantError("checkpoint parameter names do not match the model")
-        for k, p in params.items():
-            if arrays[k].shape != p.data.shape:
-                raise InvariantError(f"checkpoint shape mismatch for {k}")
-            p.data = arrays[k].astype(self.dtype)
-
-    def _rope_tables(self, struct_ids: np.ndarray, grid_w: int):
-        """cos/sin for [class] + canvas + structure tokens; ids (B, hw, 8)."""
-        b_sz, hw, _ = struct_ids.shape
-        yy, xx = np.divmod(np.arange(hw), grid_w)
-        spatial_grid = np.stack([yy, xx], axis=1)
-        kind = np.concatenate([[0], np.ones(hw), np.full(hw, 2)])
-        spatial = np.concatenate([[[0, 0]], spatial_grid, spatial_grid])
-        cos_list, sin_list = [], []
-        for b in range(b_sz):
-            struct = np.concatenate(
-                [np.ones((1, 8), dtype=np.int64), struct_ids[b], struct_ids[b]])
-            cos, sin = rope_tables(kind, struct, spatial, dtype=self.dtype)
-            cos_list.append(cos)
-            sin_list.append(sin)
-        return np.stack(cos_list)[:, None], np.stack(sin_list)[:, None]
+    def _make_inputs(self):
+        w, e, k = self.config.width, self.config.latent_channels, self.config.last_stage
+        self.w_time = self._init(w, w)
+        self.b_time = self._zeros(w)
+        self.w_in_canvas = self._init(e, w)
+        self.b_in_canvas = self._zeros(w)
+        self.w_in_struct = self._init(k, w)
+        self.b_in_struct = self._zeros(w)
 
     def velocity(self, class_ids, stages, canvases, zs, ts, known_counts,
                  train: bool = False,
@@ -167,7 +99,7 @@ class StructureModel:
         struct_ids = np.stack([
             _known_struct_ids(zs[b], int(known_counts[b])) for b in range(b_sz)
         ])
-        cos, sin = self._rope_tables(struct_ids, w_grid)
+        cos, sin = self._rope_tables(struct_ids, w_grid, runs=2)
 
         cls = ad.rows(self.class_emb, class_ids)
         t_feat = time_features(ts, width).astype(self.dtype)
@@ -178,26 +110,13 @@ class StructureModel:
         struct_tok = ad.matmul(Tensor(zs.reshape(b_sz, hw, k)),
                                self.w_in_struct) + self.b_in_struct
         x = ad.concat([ad.reshape(cls, (b_sz, 1, width)), canvas_tok, struct_tok], axis=1)
-        for block in self.blocks:
-            x = block.forward(x, cos, sin, cond, train=train,
-                              dropout=self.config.dropout, rng=rng)
-        fmod = ad.reshape(ad.matmul(ad.silu(cond), self.w_final_mod), (b_sz, 1, 2 * width))
-        x = ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
+        x = self._trunk(x, cos, sin, cond, train, rng)
         out = ad.matmul(x[:, 1 + hw:, :], self.w_head) + self.b_head
         return ad.reshape(out, (b_sz, h, w_grid, k))
 
-    def velocity_forward(self, class_id: int, canvas: np.ndarray,
-                         state: FlowState) -> np.ndarray:
-        """Single-sample inference wrapper around velocity()."""
-        stage = state.known_stages + 1
-        out = self.velocity(
-            np.array([class_id]), np.array([stage]), canvas[None],
-            state.z[None], np.array([state.t]), np.array([state.known_stages]))
-        return out.data[0]
-
 
 def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int = 25,
-                cfg_scale: float = 1.0, rng=None, step_hook=None) -> np.ndarray:
+                cfg_scale: float = 1.0, rng=None) -> np.ndarray:
     """Euler-integrate the flow from pure noise back to an embedding grid.
 
     velocity_fn(z, t, use_null) -> (h, w, K) velocity; called with use_null
@@ -222,8 +141,6 @@ def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int = 25
             v = v_null + cfg_scale * (v - v_null)
         z = (z - np.float32(dt) * v.astype(np.float32)).astype(np.float32)
         z[..., :known] = s_e[..., :known]
-        if step_hook is not None:
-            step_hook()
     return z
 
 
@@ -251,13 +168,3 @@ def gumbel_balanced_split(parent_map: StructureMap, scores: np.ndarray,
         child[locs[order[half:]]] = 2 * j + 1
     return StructureMap(parent_map.stage + 1, child.reshape(parent_map.labels.shape))
 
-
-def build_structure_model(depth: int, latent_channels: int, num_classes: int,
-                          last_stage: int, seed: int = 0,
-                          dtype=np.float32) -> StructureModel:
-    config = ModelConfig(depth=depth, kind="structure", latent_channels=latent_channels,
-                         codebook_size=1, num_classes=num_classes,
-                         last_stage=last_stage)
-    model = StructureModel(config, seed=seed, dtype=dtype)
-    assert model.core_param_count() == param_count(config)
-    return model

@@ -16,7 +16,6 @@ from .hierarchy import build_hierarchy
 from .quantize import build_contents
 from .structcode import embed_structure_map
 from .structure_model import StructureModel, flow_sample, noised_input
-from .synthetic import SyntheticSpec, make_synthetic_dataset  # noqa: F401  (re-export)
 
 __all__ = [
     "TrainConfig",
@@ -27,8 +26,6 @@ __all__ = [
     "train_content",
     "train_structure",
     "evaluate",
-    "SyntheticSpec",
-    "make_synthetic_dataset",
 ]
 
 

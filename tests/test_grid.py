@@ -12,7 +12,7 @@ from nvg.grid import (
     assign,
     cluster_average,
     place,
-    quantize_nearest,
+    quantize_nearest_batch,
 )
 from nvg.hierarchy import build_hierarchy
 from nvg.quantize import build_contents, identity_refiners
@@ -129,17 +129,17 @@ class TestClusterAverage:
 class TestQuantizeNearest:
     def test_exact_match(self):
         cb = Codebook(np.eye(5, dtype=np.float32))
-        assert quantize_nearest(cb.vectors[3], cb) == 3
+        assert quantize_nearest_batch(cb.vectors[3:4], cb).tolist() == [3]
 
     def test_derived_two_row_case(self):
         cb = Codebook(np.array([[0.0, 0.0], [1.0, 1.0]]))
         # d(v, row0) = 0.02, d(v, row1) = 1.62
-        assert quantize_nearest(np.array([0.1, 0.1]), cb) == 0
+        assert quantize_nearest_batch(np.array([[0.1, 0.1]]), cb).tolist() == [0]
 
     def test_tie_breaks_to_lowest_index(self):
         cb = Codebook(np.array([[9.0], [1.0], [5.0], [9.0], [-1.0]]))
         # rows 1 and 4 both at distance 1 from v = 0
-        assert quantize_nearest(np.array([0.0]), cb) == 1
+        assert quantize_nearest_batch(np.array([[0.0]]), cb).tolist() == [1]
 
 
 class TestAccumulateCanvas:

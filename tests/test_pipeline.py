@@ -3,7 +3,7 @@ import pytest
 
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
-from nvg.errors import InvariantError
+from nvg.errors import InvariantError, NumericError
 from nvg.grid import ContentTokens, StructureMap
 from nvg.hierarchy import build_hierarchy
 from nvg.pipeline import (
@@ -82,6 +82,11 @@ class TestSampleToken:
     def test_invalid_p(self):
         with pytest.raises(InvariantError):
             sample_token(np.zeros(4), 0.0, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_raise_numeric_error(self, bad):
+        with pytest.raises(NumericError):
+            sample_token(np.array([bad, 1.0, 2.0]), 0.9, 0)
 
 
 class TestForcedFinalSplit:
@@ -183,6 +188,20 @@ class TestGenerate:
         with pytest.raises(InvariantError):
             GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
                               structure_overrides={1: a, 2: StructureMap(2, b_labels)})
+
+    def test_structure_model_with_wrong_latent_channels_rejected(self, setup):
+        _, codebook, refiners, content, _ = setup
+        structure = StructureModel(ModelConfig(2, "structure", E + 1, 1, CLASSES, LAST))
+        req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E)
+        with pytest.raises(InvariantError, match="structure model expects"):
+            generate(req, content, structure, codebook, refiners)
+
+    def test_structure_model_with_other_class_count_rejected(self, setup):
+        _, codebook, refiners, content, _ = setup
+        structure = StructureModel(ModelConfig(2, "structure", E, 1, CLASSES + 1, LAST))
+        req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E)
+        with pytest.raises(InvariantError, match="class count"):
+            generate(req, content, structure, codebook, refiners)
 
     def test_schedule_constant_overrides(self, setup):
         _, codebook, refiners, content, structure = setup

@@ -77,8 +77,10 @@ class TestVelocityForward:
         rng = np.random.default_rng(6)
         canvas = rng.normal(size=(4, 4, 3)).astype(np.float32)
         state = FlowState(0.5, rng.normal(size=(4, 4, 4)).astype(np.float32), 1)
-        out = model.velocity_forward(0, canvas, state)
-        assert out.shape == (4, 4, 4)
+        out = model.velocity(np.array([0]), np.array([state.known_stages + 1]),
+                             canvas[None], state.z[None], np.array([state.t]),
+                             np.array([state.known_stages]))
+        assert out.shape == (1, 4, 4, 4)
 
 
 class TestFlowSample:
