@@ -2,16 +2,36 @@
 
 Covers exactly the ops the two generators need. Reductions are plain numpy
 calls in a fixed order, so losses and gradients are bit-reproducible run to
-run. Nodes created from inputs that do not require gradients carry no tape,
-which makes inference-mode forwards cheap.
+run. A node records its parents and a backward closure only when an input
+requires gradients or is itself on the tape. Model parameters always require
+gradients, so every forward builds a tape unless it runs under `no_grad()`,
+where each op returns a bare `Tensor`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
-__all__ = ["Tensor", "Adam", "concat", "matmul", "rows", "rope", "softmax",
+__all__ = ["Tensor", "Adam", "no_grad", "concat", "matmul", "rows", "rope", "softmax",
            "log_softmax", "rmsnorm", "silu"]
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block: op outputs have no parents and no
+    backward closure. The previous mode is restored on exit, also when the
+    block raises, so blocks nest."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -144,7 +164,7 @@ def _wrap_like(x, ref: Tensor) -> Tensor:
 
 def _node(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad or p._backward is not None for p in parents):
+    if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -309,6 +309,7 @@ class Generator:
         self.b_head = self._zeros(config.head_channels)
         self._make_outputs()
         del self._rng
+        self._rope_memo = None      # (key, tables) of the last _rope_tables call
 
     def _init(self, *shape) -> Tensor:
         return Tensor((0.02 * self._rng.standard_normal(shape)).astype(self.dtype),
@@ -347,8 +348,14 @@ class Generator:
         """cos/sin (B, 1, L, 32) for [class] + `runs` runs of the grid tokens.
 
         struct_ids is (B, hw, 8); run s has token kind s + 1, and every run
-        repeats the grid's structure and spatial ids.
+        repeats the grid's structure and spatial ids. The last result is
+        memoized on the exact ids, so the Euler steps of one flow stage, whose
+        known columns do not change, build the tables once. The memoized
+        tables are read-only.
         """
+        key = (struct_ids.dtype.str, struct_ids.shape, struct_ids.tobytes(), grid_w, runs)
+        if self._rope_memo is not None and self._rope_memo[0] == key:
+            return self._rope_memo[1]
         b_sz, hw, _ = struct_ids.shape
         yy, xx = np.divmod(np.arange(hw), grid_w)
         kind = np.concatenate([[0]] + [np.full(hw, s + 1) for s in range(runs)])
@@ -360,7 +367,11 @@ class Generator:
             cos, sin = rope_tables(kind, struct, spatial, dtype=self.dtype)
             cos_list.append(cos)
             sin_list.append(sin)
-        return np.stack(cos_list)[:, None], np.stack(sin_list)[:, None]
+        tables = np.stack(cos_list)[:, None], np.stack(sin_list)[:, None]
+        for table in tables:
+            table.flags.writeable = False
+        self._rope_memo = (key, tables)
+        return tables
 
     def _trunk(self, x: Tensor, cos, sin, cond: Tensor, train: bool,
                rng: np.random.Generator | None) -> Tensor:

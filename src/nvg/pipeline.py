@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import no_grad
 from .content_model import ContentModel, cfg_logits
 from .errors import InvariantError, NumericError
 from .grid import (
@@ -168,10 +169,15 @@ def _realized_bit_column(smap: StructureMap) -> np.ndarray:
     return (2 * (smap.labels & 1)).astype(np.float32)
 
 
+@no_grad()
 def generate(req: GenerationRequest, content_model: ContentModel,
              structure_model: StructureModel, codebook: Codebook,
              refiners) -> GenerationResult:
-    """Run the full staged loop and return (sequence, canvas, step counters)."""
+    """Run the full staged loop and return (sequence, canvas, step counters).
+
+    Runs without a tape. A guided step runs the class and the null condition
+    as one B=2 forward.
+    """
     last = req.last_stage
     h, w_grid, e = req.h, req.w, req.e
     if codebook.dim != e:
@@ -215,12 +221,14 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             scale = sched.cfg_constant if sched.cfg_constant is not None else \
                 cfg_schedule(k, "structure", last, structure_end=sched.cfg_structure_end)
 
-            def velocity_fn(z, t, use_null, _stage=k):
-                state_class = null_id if use_null else req.class_id
+            def velocity_fn(z, t, guided, _stage=k):
+                # guided: the class row and the null row as one B=2 batch
+                classes = [req.class_id, null_id] if guided else [req.class_id]
+                n = len(classes)
                 out = structure_model.velocity(
-                    np.array([state_class]), np.array([_stage]), x[None],
-                    z[None], np.array([t]), np.array([_stage - 1]))
-                return out.data[0]
+                    np.array(classes), np.full(n, _stage), np.repeat(x[None], n, axis=0),
+                    np.repeat(z[None], n, axis=0), np.full(n, t), np.full(n, _stage - 1)).data
+                return (out[0], out[1]) if guided else out[0]
 
             pred = flow_sample(velocity_fn, s_e, stage=k, n_steps=sched.flow_steps,
                                cfg_scale=scale, rng=rng)
@@ -239,22 +247,24 @@ def generate(req: GenerationRequest, content_model: ContentModel,
                 cfg_schedule(k, "content", last, content_end=sched.cfg_content_end)
             p = sched.top_p_constant if sched.top_p_constant is not None else \
                 top_p_schedule(k, last, final_p=sched.top_p_end)
-            pred_c = content_model.forward_final_canvas(
-                np.array([req.class_id]), np.array([k]), x[None], emb[None])
-            logits_c = content_model.token_logits(pred_c[0], x, smap).data
-            if scale != 1.0:
-                pred_u = content_model.forward_final_canvas(
-                    np.array([null_id]), np.array([k]), x[None], emb[None])
-                logits_u = content_model.token_logits(pred_u[0], x, smap).data
-                logits = cfg_logits(logits_c, logits_u, scale)
-            else:
-                logits = logits_c
+            guided = scale != 1.0
+            classes = [req.class_id, null_id] if guided else [req.class_id]
+            n = len(classes)
+            pred = content_model.forward_final_canvas(
+                np.array(classes), np.full(n, k), np.repeat(x[None], n, axis=0),
+                np.repeat(emb[None], n, axis=0))
+            logits = content_model.token_logits(pred[0], x, smap).data
+            if guided:
+                logits_u = content_model.token_logits(pred[1], x, smap).data
+                logits = cfg_logits(logits, logits_u, scale)
             indices = np.array([sample_token(logits[j], p, rng)
                                 for j in range(smap.num_clusters)], dtype=np.int32)
             tokens = ContentTokens(k, indices)
             stats.content_steps += 1
 
         x = x + refiners[k].apply(assign(tokens, smap, codebook).data)
+        if not np.all(np.isfinite(x)):
+            raise NumericError(f"canvas turned non-finite after the stage-{k} refiner")
         stages.append((tokens, smap))
 
     return GenerationResult(VGSequence(tuple(stages)), LatentGrid(x), stats)

@@ -107,7 +107,7 @@ def _check_flow_oracle(seed):
     rng = np.random.default_rng(seed)
     target = (2.0 * rng.integers(0, 2, size=(4, 4, 4))).astype(np.float32)
 
-    def oracle(z, t, use_null):
+    def oracle(z, t, guided):
         return (z - target) / t
 
     out = flow_sample(oracle, target, stage=2, n_steps=25, cfg_scale=1.0, rng=seed)
@@ -115,6 +115,30 @@ def _check_flow_oracle(seed):
     if err > 1e-3:
         return False, f"oracle integration error {err:.2e}"
     return True, "closed-form velocity field integrates back to its target"
+
+
+def _check_guided_flow(seed):
+    # v_cond = (z - a)/t and v_null = (z - b)/t combine to (z - c)/t with
+    # c = b + s (a - b), whose Euler path from t = 1 ends exactly at c
+    rng = np.random.default_rng(seed)
+    a = (2.0 * rng.integers(0, 2, size=(4, 4, 4))).astype(np.float32)
+    b = (2.0 * rng.integers(0, 2, size=(4, 4, 4))).astype(np.float32)
+    scale, stage, n_steps = 2.5, 2, 25
+    calls = []
+
+    def oracle(z, t, guided):
+        calls.append(guided)
+        return (z - a) / t, (z - b) / t
+
+    out = flow_sample(oracle, a, stage=stage, n_steps=n_steps, cfg_scale=scale, rng=seed)
+    if calls != [True] * n_steps:
+        return False, f"{len(calls)} velocity calls for {n_steps} guided steps"
+    want = b + scale * (a - b)
+    want[..., :stage - 1] = a[..., :stage - 1]
+    err = np.abs(out - want).max()
+    if err > 1e-3:
+        return False, f"guided endpoint error {err:.2e}"
+    return True, f"one (cond, null) call per step; {n_steps} steps reach the guided endpoint"
 
 
 def run_selfcheck(seed: int = 0) -> list:
@@ -127,4 +151,5 @@ def run_selfcheck(seed: int = 0) -> list:
         ("schedule-endpoints", *_check_schedules()),
         ("gumbel-balanced-split", *_check_gumbel(seed + 3)),
         ("flow-oracle-integration", *_check_flow_oracle(seed + 4)),
+        ("guided-flow-combination", *_check_guided_flow(seed + 5)),
     ]

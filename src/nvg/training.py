@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Adam, Tensor
+from .autodiff import Adam, Tensor, no_grad
 from .content_model import ContentBatch, ContentModel
 from .errors import InvariantError, NumericError
 from .grid import Codebook, LatentGrid, VGSequence, accumulate_canvas
@@ -212,6 +212,7 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
     return result
 
 
+@no_grad()
 def structure_eval_loss(examples: list, model: StructureModel, seed: int = 0,
                         samples: int = 32) -> float:
     """Masked velocity error on a fixed seeded evaluation batch."""
@@ -237,6 +238,7 @@ def structure_eval_loss(examples: list, model: StructureModel, seed: int = 0,
     return total / weight
 
 
+@no_grad()
 def evaluate(content_model: ContentModel, structure_model: StructureModel,
              examples: list, codebook: Codebook, refiners, seed: int = 0,
              flow_steps: int = 10) -> dict:
@@ -265,7 +267,7 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
     bit_hits = bit_total = 0
     for ex in examples:
         for stage in range(1, last):
-            def velocity_fn(z, t, use_null, _stage=stage, _ex=ex):
+            def velocity_fn(z, t, guided, _stage=stage, _ex=ex):
                 out = structure_model.velocity(
                     np.array([_ex.class_id]), np.array([_stage]),
                     _ex.canvases[_stage][None], z[None], np.array([t]),

@@ -1,0 +1,238 @@
+"""The inference fast path: tape-free forwards under `no_grad`, guided steps as
+one B=2 forward, and rope tables built once per flow stage."""
+
+import numpy as np
+import pytest
+
+from nvg import autodiff as ad
+from nvg import backbone, pipeline
+from nvg.backbone import ModelConfig
+from nvg.content_model import ContentModel
+from nvg.errors import InvariantError
+from nvg.pipeline import GenerationRequest, ScheduleParams, generate
+from nvg.quantize import fit_codebook, identity_refiners
+from nvg.structure_model import StructureModel
+from nvg.synthetic import SyntheticSpec, make_synthetic_dataset
+from nvg.training import TrainConfig, tokenize_dataset, train_content
+
+H = W = 4
+E = 3
+LAST = 4
+CLASSES = 2
+
+
+def content_model(seed=0):
+    return ContentModel(ModelConfig(2, "content", E, 8, CLASSES, LAST), seed=seed)
+
+
+def structure_model(seed=0):
+    return StructureModel(ModelConfig(2, "structure", E, 8, CLASSES, LAST), seed=seed)
+
+
+def content_forward(model, classes, canvas, emb, stage=2):
+    n = len(classes)
+    return model.forward_final_canvas(np.array(classes), np.full(n, stage),
+                                      np.repeat(canvas[None], n, axis=0),
+                                      np.repeat(emb[None], n, axis=0))
+
+
+def velocity(model, classes, canvas, z, t=0.6, stage=2):
+    n = len(classes)
+    return model.velocity(np.array(classes), np.full(n, stage),
+                          np.repeat(canvas[None], n, axis=0), np.repeat(z[None], n, axis=0),
+                          np.full(n, t), np.full(n, stage - 1))
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    rng = np.random.default_rng(0)
+    canvas = rng.standard_normal((H, W, E)).astype(np.float32)
+    emb = rng.integers(0, 3, size=(H, W, LAST))
+    z = rng.standard_normal((H, W, LAST)).astype(np.float32)
+    return canvas, emb, z
+
+
+@pytest.fixture(scope="module")
+def world():
+    data = make_synthetic_dataset(SyntheticSpec(count=4, h=H, w=W, e=E,
+                                                num_classes=CLASSES, seed=11))
+    codebook = fit_codebook([g for _, g in data], 8, seed=0)
+    refiners = identity_refiners(LAST, E)
+    return codebook, refiners, tokenize_dataset(data, codebook, refiners)
+
+
+class TestNoGrad:
+    def test_outputs_carry_no_tape(self, inputs):
+        canvas, emb, _ = inputs
+        model = content_model()
+        with ad.no_grad():
+            out = content_forward(model, [0], canvas, emb)
+        assert out._parents == () and out._backward is None and not out.requires_grad
+        assert all(p.requires_grad for p in model.params().values())
+        assert content_forward(model, [0], canvas, emb)._parents != ()
+
+    def test_nested_blocks_restore_the_outer_mode(self, inputs):
+        canvas, emb, _ = inputs
+        model = content_model()
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert content_forward(model, [0], canvas, emb)._parents == ()
+        assert content_forward(model, [0], canvas, emb)._parents != ()
+
+    def test_mode_restored_after_generate_raises(self, inputs, world):
+        canvas, emb, _ = inputs
+        codebook, refiners, _ = world
+        model = content_model()
+        req = GenerationRequest(class_id=CLASSES, seed=0, h=H, w=W, e=E)
+        with pytest.raises(InvariantError, match="class id"):
+            generate(req, model, structure_model(), codebook, refiners)
+        assert content_forward(model, [0], canvas, emb)._parents != ()
+
+    def test_training_after_generate_still_gets_gradients(self, world):
+        codebook, refiners, examples = world
+        model = content_model()
+        req = GenerationRequest(class_id=0, seed=1, h=H, w=W, e=E,
+                                schedule=ScheduleParams(flow_steps=2))
+        generate(req, model, structure_model(), codebook, refiners)
+        train_content(examples, model, TrainConfig(steps=1, batch_size=2, base_lr=0.064,
+                                                   warmup_steps=0, seed=0))
+        grads = [p.grad for p in model.params().values()]
+        assert all(g is not None for g in grads)
+        assert any(np.any(g != 0) for g in grads)
+
+
+def randomize(model, seed, keep_modulation_zero):
+    """Random weights everywhere, so the class token shapes every output row.
+    Optionally keep the conditioning projections (w_mod, w_final_mod) at zero."""
+    rng = np.random.default_rng(seed)
+    for name, p in model.params().items():
+        if not (keep_modulation_zero and name.endswith("_mod")):
+            p.data = (0.05 * rng.standard_normal(p.data.shape)).astype(np.float32)
+    return model
+
+
+class TestBatchedGuidance:
+    """A guided step runs [class, null] as one B=2 batch.
+
+    Every part of a forward treats batch rows independently and rounds them
+    the same at B=1 and B=2, except the (B, width) conditioning products:
+    numpy computes a one-row product with a matrix-vector BLAS call and a
+    two-row product with a matrix-matrix call, and the two round differently.
+    With the conditioning projections at zero, as a model is built, the rows
+    must therefore equal two B=1 calls bit for bit; with them set, they agree
+    to float32 rounding.
+    """
+
+    @staticmethod
+    def run(kind, model, classes, inputs):
+        canvas, emb, z = inputs
+        if kind == "content":
+            return content_forward(model, classes, canvas, emb).data
+        return velocity(model, classes, canvas, z).data
+
+    @pytest.mark.parametrize("kind", ["content", "structure"])
+    def test_rows_equal_single_calls(self, inputs, kind):
+        model = randomize(content_model() if kind == "content" else structure_model(),
+                          seed=3, keep_modulation_zero=True)
+        with ad.no_grad():
+            pair = self.run(kind, model, [1, CLASSES], inputs)
+            single = [self.run(kind, model, [c], inputs)[0] for c in (1, CLASSES)]
+        assert np.array_equal(pair[0], single[0])
+        assert np.array_equal(pair[1], single[1])
+        assert np.abs(pair[0] - pair[1]).max() > 1e-3      # the class matters
+
+    @pytest.mark.parametrize("kind", ["content", "structure"])
+    def test_rows_match_single_calls_with_modulation_set(self, inputs, kind):
+        model = randomize(content_model() if kind == "content" else structure_model(),
+                          seed=5, keep_modulation_zero=False)
+        with ad.no_grad():
+            pair = self.run(kind, model, [1, CLASSES], inputs)
+            single = np.concatenate([self.run(kind, model, [c], inputs) for c in (1, CLASSES)])
+        assert np.abs(pair[0] - pair[1]).max() > 1e-3
+        np.testing.assert_allclose(pair, single, rtol=0, atol=1e-5)
+
+
+class TestRopeMemo:
+    def test_tables_built_once_while_known_columns_stay(self, inputs, monkeypatch):
+        canvas, _, z = inputs
+        model = structure_model()
+        real = backbone.rope_tables
+        built = []
+        monkeypatch.setattr(backbone, "rope_tables",
+                            lambda *a, **k: built.append(1) or real(*a, **k))
+        with ad.no_grad():
+            for t in (1.0, 0.8, 0.6):          # free columns move, the known one stays
+                z_t = z.copy()
+                z_t[..., 1:] *= t
+                velocity(model, [0, CLASSES], canvas, z_t, t=t)
+        assert len(built) == 2                  # one table per row, at the first step
+        ids = np.ones((2, H * W, 8), dtype=np.int64)
+        first = model._rope_tables(ids, W, runs=2)
+        assert model._rope_tables(ids.copy(), W, runs=2) is first
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+
+    def test_tables_recomputed_when_known_columns_change(self):
+        model = structure_model()
+        ids = np.ones((1, H * W, 8), dtype=np.int64)
+        first = model._rope_tables(ids, W, runs=2)
+        changed = ids.copy()
+        changed[0, :, 0] = np.arange(H * W) % 2 * 2
+        second = model._rope_tables(changed, W, runs=2)
+        assert not np.array_equal(second[0], first[0])
+        fresh = structure_model()._rope_tables(changed, W, runs=2)
+        assert np.array_equal(second[0], fresh[0]) and np.array_equal(second[1], fresh[1])
+        assert np.array_equal(model._rope_tables(ids, W, runs=2)[0], first[0])
+        assert model._rope_tables(changed, W, runs=1)[0].shape != second[0].shape
+
+
+def test_generate_batches_the_class_row_before_the_null_row(world, monkeypatch):
+    """Fake models fill each output row with its class id, so every guided
+    velocity pair and logit pair shows which condition it came from."""
+    codebook, refiners, _ = world
+    calls = {"velocity": [], "content": []}
+
+    def fake_velocity(self, class_ids, stages, canvases, zs, *args, **kwargs):
+        calls["velocity"].append(list(class_ids))
+        return ad.Tensor(np.asarray(class_ids, np.float32)[:, None, None, None]
+                         * np.ones_like(zs))
+
+    def fake_canvas(self, class_ids, stages, canvases, struct_embs, **kwargs):
+        calls["content"].append(list(class_ids))
+        return ad.Tensor(np.asarray(class_ids, np.float32)[:, None, None, None]
+                         * np.ones_like(canvases))
+
+    def fake_logits(self, pred_final, canvas, smap):
+        return ad.Tensor(np.full((smap.num_clusters, 8), pred_final.data.flat[0]))
+
+    pairs = []
+    real_flow, real_cfg = pipeline.flow_sample, pipeline.cfg_logits
+
+    def spy_flow(velocity_fn, *args, **kwargs):
+        def recorded(z, t, guided):
+            out = velocity_fn(z, t, guided)
+            pairs.append(out)
+            return out
+        return real_flow(recorded, *args, **kwargs)
+
+    def spy_cfg(cond, uncond, scale):
+        pairs.append((cond, uncond))
+        return real_cfg(cond, uncond, scale)
+
+    monkeypatch.setattr(StructureModel, "velocity", fake_velocity)
+    monkeypatch.setattr(ContentModel, "forward_final_canvas", fake_canvas)
+    monkeypatch.setattr(ContentModel, "token_logits", fake_logits)
+    monkeypatch.setattr(pipeline, "flow_sample", spy_flow)
+    monkeypatch.setattr(pipeline, "cfg_logits", spy_cfg)
+    req = GenerationRequest(class_id=1, seed=0, h=H, w=W, e=E,
+                            schedule=ScheduleParams(flow_steps=3))
+    generate(req, content_model(), structure_model(), codebook, refiners)
+
+    null = CLASSES
+    # 4x4: flow at stages 1-3 with guidance from stage 2; content at 0-4, guided from 1
+    assert calls["velocity"] == [[1]] * 3 + [[1, null]] * 6
+    assert calls["content"] == [[1]] + [[1, null]] * 4
+    guided = [p for p in pairs if isinstance(p, tuple)]
+    assert len(guided) == 6 + 4
+    for cond, uncond in guided:
+        assert np.all(cond == 1) and np.all(uncond == null)

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nvg
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
 from nvg.errors import InvariantError, NumericError
-from nvg.grid import ContentTokens, StructureMap
+from nvg.checkpoints import save_model, save_refiners
+from nvg.grid import Codebook, ContentTokens, StructureMap
 from nvg.hierarchy import build_hierarchy
 from nvg.pipeline import (
     GenerationRequest,
@@ -15,7 +22,8 @@ from nvg.pipeline import (
     sample_token,
     top_p_schedule,
 )
-from nvg.quantize import build_contents, fit_codebook, identity_refiners, reconstruct
+from nvg.io import write_tensor
+from nvg.quantize import Refiner, build_contents, fit_codebook, identity_refiners, reconstruct
 from nvg.structure_model import StructureModel
 from nvg.synthetic import SyntheticSpec, make_synthetic_dataset
 
@@ -211,3 +219,41 @@ class TestGenerate:
                                                         top_p_constant=0.9))
         result = generate(req, content, structure, codebook, refiners)
         assert result.stats.content_steps == LAST + 1
+
+    def test_nan_structure_head_raises_numeric_error(self, setup):
+        _, codebook, refiners, content, _ = setup
+        structure = StructureModel(ModelConfig(2, "structure", E, 1, CLASSES, LAST), seed=0)
+        structure.w_head.data[0, 0] = np.nan
+        req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
+                                schedule=ScheduleParams(flow_steps=2))
+        with pytest.raises(NumericError, match="flow velocity"):
+            generate(req, content, structure, codebook, refiners)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_canvas_raises_numeric_error(self, setup):
+        _, _, _, content, structure = setup
+        codebook = Codebook(np.full((16, E), 1e20, dtype=np.float32))
+        refiners = identity_refiners(LAST, E)
+        refiners[0] = Refiner(0, 1e20 * refiners[0].weight, refiners[0].bias)
+        req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E)
+        with pytest.raises(NumericError, match="stage-0 refiner"):
+            generate(req, content, structure, codebook, refiners)
+
+
+def test_cli_generate_with_nan_structure_weights_exits_4(tmp_path, setup):
+    _, codebook, refiners, content, _ = setup
+    structure = StructureModel(ModelConfig(2, "structure", E, 1, CLASSES, LAST), seed=0)
+    structure.w_head.data[:] = np.nan
+    save_model(tmp_path / "content.nvgc", content)
+    save_model(tmp_path / "structure.nvgc", structure)
+    write_tensor(tmp_path / "cb.nvgt", codebook.vectors)
+    save_refiners(tmp_path / "ref.nvgc", refiners)
+    env = {**os.environ, "PYTHONPATH": str(Path(nvg.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nvg", "generate", *(str(tmp_path / f) for f in
+         ("content.nvgc", "structure.nvgc", "cb.nvgt", "ref.nvgc")),
+         "--latent", f"{H},{W},{E}", "--steps", "2", "-o", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4
+    assert "code=4 kind=numeric" in proc.stderr
+    assert "Traceback" not in proc.stderr

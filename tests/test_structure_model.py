@@ -3,7 +3,7 @@ import pytest
 
 from nvg.backbone import ModelConfig, gradient_check
 from nvg.autodiff import Tensor
-from nvg.errors import InvariantError
+from nvg.errors import InvariantError, NumericError
 from nvg.grid import StructureMap
 from nvg.structure_model import (
     FlowState,
@@ -88,7 +88,7 @@ class TestFlowSample:
         rng = np.random.default_rng(7)
         target = random_embedding(rng)
 
-        def oracle(z, t, use_null):
+        def oracle(z, t, guided):
             return (z - target) / t
 
         out = flow_sample(oracle, target, stage=2, n_steps=25, cfg_scale=1.0, rng=3)
@@ -99,7 +99,7 @@ class TestFlowSample:
         target = random_embedding(rng)
         seen = []
 
-        def probe(z, t, use_null):
+        def probe(z, t, guided):
             seen.append(z.copy())
             return np.zeros_like(z)
 
@@ -114,13 +114,13 @@ class TestFlowSample:
         target = random_embedding(rng)
         calls = []
 
-        def fn(z, t, use_null):
-            calls.append(use_null)
-            return np.full_like(z, 2.0 if not use_null else 1.0)
+        def fn(z, t, guided):
+            calls.append(guided)
+            return np.full_like(z, 2.0), np.full_like(z, 1.0)   # (v_cond, v_null)
 
         out = flow_sample(fn, target, stage=1, n_steps=1, cfg_scale=3.0, rng=5)
         # v = 1 + 3*(2-1) = 4, one euler step of dt=1 from noise
-        assert calls == [False, True]
+        assert calls == [True]
         noise = np.random.default_rng(5).standard_normal(target.shape).astype(np.float32)
         assert np.allclose(out, noise - 4.0, atol=1e-5)
 
@@ -129,18 +129,43 @@ class TestFlowSample:
         target = random_embedding(rng)
         calls = []
 
-        def fn(z, t, use_null):
-            calls.append(use_null)
+        def fn(z, t, guided):
+            calls.append(guided)
             return np.zeros_like(z)
 
         flow_sample(fn, target, stage=1, n_steps=4, cfg_scale=1.0, rng=6)
         assert calls == [False] * 4
 
+    def test_guided_sampling_makes_one_call_per_step(self):
+        rng = np.random.default_rng(10)
+        target = random_embedding(rng)
+        calls = []
+
+        def fn(z, t, guided):
+            calls.append(guided)
+            return np.zeros_like(z), np.zeros_like(z)
+
+        flow_sample(fn, target, stage=1, n_steps=5, cfg_scale=2.0, rng=6)
+        assert calls == [True] * 5
+
+    @pytest.mark.parametrize("cfg_scale,bad_row", [(1.0, 0), (2.0, 0), (2.0, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_velocity_raises_numeric_error(self, cfg_scale, bad_row, bad):
+        target = random_embedding(np.random.default_rng(12))
+
+        def fn(z, t, guided):
+            rows = [np.zeros_like(z), np.zeros_like(z)]
+            rows[bad_row][1, 2, 3] = bad
+            return tuple(rows) if guided else rows[0]
+
+        with pytest.raises(NumericError):
+            flow_sample(fn, target, stage=2, n_steps=3, cfg_scale=cfg_scale, rng=8)
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(11)
         target = random_embedding(rng)
 
-        def fn(z, t, use_null):
+        def fn(z, t, guided):
             return z - target
 
         a = flow_sample(fn, target, stage=2, n_steps=5, cfg_scale=1.0, rng=7)
