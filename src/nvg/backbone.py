@@ -16,6 +16,9 @@ count exact.
 Rotary ids split the 64-dim head as 8 dims for token-kind, 2 dims for each of
 8 structure levels, and 20 dims per spatial axis. Tokens sharing a cluster at
 some level share that level's id, so attention sees the whole cluster tree.
+There is one rotary path: `rope_tables` turns integer ids into cos/sin
+tables, `Generator._rope_tables` builds them for a whole batch in one call,
+and the tape op `autodiff.rope` rotates the queries and keys with them.
 """
 
 from __future__ import annotations
@@ -32,13 +35,10 @@ __all__ = [
     "HEAD_DIM",
     "STRUCT_SLOTS",
     "ModelConfig",
-    "RopeIds",
     "param_count",
-    "rope_rotate",
     "rope_tables",
     "pad_structure_ids",
     "Block",
-    "block_forward",
     "Generator",
     "time_features",
     "gradient_check",
@@ -117,22 +117,6 @@ def param_count(config: ModelConfig) -> int:
     return 15 * config.depth * config.width ** 2
 
 
-@dataclass(frozen=True)
-class RopeIds:
-    """Integer rotary position ids of one token."""
-
-    kind_id: int
-    structure_ids: tuple   # 8 values from the hierarchical embedding
-    spatial_ids: tuple     # (y, x)
-
-    def __post_init__(self):
-        ids = (self.kind_id, *self.structure_ids, *self.spatial_ids)
-        if len(self.structure_ids) != STRUCT_SLOTS or len(self.spatial_ids) != 2:
-            raise InvariantError("need 8 structure ids and a (y, x) pair")
-        if any(int(i) < 0 for i in ids):
-            raise InvariantError("rotary ids must be non-negative integers")
-
-
 def _sub_freqs(dims: int) -> np.ndarray:
     # standard geometric schedule, applied independently per sub-block
     k = np.arange(dims // 2, dtype=np.float64)
@@ -144,42 +128,19 @@ _STRUCT_FREQS = _sub_freqs(2)            # one rotation plane per level
 _SPATIAL_FREQS = _sub_freqs(SPATIAL_DIMS)
 
 
-def rope_angles(kind_ids: np.ndarray, struct_ids: np.ndarray,
-                spatial_ids: np.ndarray) -> np.ndarray:
-    """Per-pair rotation angles for a batch of tokens, shape (..., 32)."""
+def rope_tables(kind_ids, struct_ids, spatial_ids, dtype=np.float32):
+    """cos/sin tables (..., 32) of a token batch's integer rotary ids, for the
+    tape-level rope op."""
     kind_ids = np.asarray(kind_ids, dtype=np.float64)
     struct_ids = np.asarray(struct_ids, dtype=np.float64)
     spatial_ids = np.asarray(spatial_ids, dtype=np.float64)
-    parts = [
+    angles = np.concatenate([
         kind_ids[..., None] * _KIND_FREQS,
         struct_ids * _STRUCT_FREQS[0],
         spatial_ids[..., 0:1] * _SPATIAL_FREQS,
         spatial_ids[..., 1:2] * _SPATIAL_FREQS,
-    ]
-    return np.concatenate(parts, axis=-1)
-
-
-def rope_tables(kind_ids, struct_ids, spatial_ids, dtype=np.float32):
-    """cos/sin tables for a token batch; feed to the tape-level rope op."""
-    angles = rope_angles(kind_ids, struct_ids, spatial_ids)
+    ], axis=-1)
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
-
-
-def rope_rotate(vec: np.ndarray, ids: RopeIds) -> np.ndarray:
-    """Rotate one 64-dim query/key by its position ids; norm-preserving."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (HEAD_DIM,):
-        raise InvariantError(f"expected a ({HEAD_DIM},) vector, got {vec.shape}")
-    angles = rope_angles(
-        np.array(ids.kind_id),
-        np.array(ids.structure_ids),
-        np.array(ids.spatial_ids, dtype=np.float64),
-    )
-    cos, sin = np.cos(angles), np.sin(angles)
-    out = np.empty_like(vec)
-    out[0::2] = cos * vec[0::2] - sin * vec[1::2]
-    out[1::2] = sin * vec[0::2] + cos * vec[1::2]
-    return out
 
 
 def pad_structure_ids(emb: np.ndarray) -> np.ndarray:
@@ -263,25 +224,6 @@ class Block:
         return x + (1.0 + gate) * out
 
 
-def block_forward(block: Block, tokens: Tensor, ids: list, modulation: Tensor,
-                  **kwargs) -> Tensor:
-    """Run one block over a single unbatched token sequence.
-
-    ids is one RopeIds per token; modulation is a (width,) vector.
-    """
-    length = tokens.shape[0]
-    if len(ids) != length:
-        raise InvariantError("need one RopeIds per token")
-    kind = np.array([i.kind_id for i in ids])
-    struct = np.array([i.structure_ids for i in ids])
-    spatial = np.array([i.spatial_ids for i in ids])
-    cos, sin = rope_tables(kind, struct, spatial, dtype=tokens.data.dtype)
-    x = ad.reshape(tokens, (1, length, block.width))
-    cond = ad.reshape(modulation, (1, block.width))
-    out = block.forward(x, cos[None, None], sin[None, None], cond, **kwargs)
-    return ad.reshape(out, (length, block.width))
-
-
 class Generator:
     """Base of both generators: everything but the per-kind adapters.
 
@@ -348,10 +290,10 @@ class Generator:
         """cos/sin (B, 1, L, 32) for [class] + `runs` runs of the grid tokens.
 
         struct_ids is (B, hw, 8); run s has token kind s + 1, and every run
-        repeats the grid's structure and spatial ids. The last result is
-        memoized on the exact ids, so the Euler steps of one flow stage, whose
-        known columns do not change, build the tables once. The memoized
-        tables are read-only.
+        repeats the grid's structure and spatial ids. One `rope_tables` call
+        covers the whole batch. The last result is memoized on the exact ids,
+        so the Euler steps of one flow stage, whose known columns do not
+        change, build the tables once. The memoized tables are read-only.
         """
         key = (struct_ids.dtype.str, struct_ids.shape, struct_ids.tobytes(), grid_w, runs)
         if self._rope_memo is not None and self._rope_memo[0] == key:
@@ -360,14 +302,12 @@ class Generator:
         yy, xx = np.divmod(np.arange(hw), grid_w)
         kind = np.concatenate([[0]] + [np.full(hw, s + 1) for s in range(runs)])
         spatial = np.concatenate([[[0, 0]]] + [np.stack([yy, xx], axis=1)] * runs)
-        class_ids = np.ones((1, STRUCT_SLOTS), dtype=np.int64)
-        cos_list, sin_list = [], []
-        for b in range(b_sz):
-            struct = np.concatenate([class_ids] + [struct_ids[b]] * runs)
-            cos, sin = rope_tables(kind, struct, spatial, dtype=self.dtype)
-            cos_list.append(cos)
-            sin_list.append(sin)
-        tables = np.stack(cos_list)[:, None], np.stack(sin_list)[:, None]
+        class_ids = np.ones((b_sz, 1, STRUCT_SLOTS), dtype=np.int64)
+        struct = np.concatenate([class_ids] + [struct_ids] * runs, axis=1)
+        cos, sin = rope_tables(np.broadcast_to(kind, (b_sz,) + kind.shape), struct,
+                               np.broadcast_to(spatial, (b_sz,) + spatial.shape),
+                               dtype=self.dtype)
+        tables = cos[:, None], sin[:, None]
         for table in tables:
             table.flags.writeable = False
         self._rope_memo = (key, tables)

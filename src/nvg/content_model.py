@@ -24,7 +24,7 @@ from .backbone import rope_tables  # noqa: F401
 from .errors import InvariantError
 from .grid import StructureMap
 
-__all__ = ["ContentBatch", "ContentModel", "cfg_logits", "cross_entropy_mean",
+__all__ = ["ContentBatch", "ContentModel", "cross_entropy_mean",
            "cluster_mean_matrix"]
 
 
@@ -43,15 +43,6 @@ class ContentBatch:
     smap: StructureMap
     target_canvas: np.ndarray   # (h, w, e)
     target_tokens: np.ndarray   # (2**stage,) codebook indices
-
-
-def cfg_logits(cond_logits: np.ndarray, uncond_logits: np.ndarray, scale: float) -> np.ndarray:
-    """Classifier-free guidance combination: uncond + scale * (cond - uncond)."""
-    cond_logits = np.asarray(cond_logits)
-    uncond_logits = np.asarray(uncond_logits)
-    if cond_logits.shape != uncond_logits.shape:
-        raise InvariantError("conditional/unconditional logits must share a shape")
-    return uncond_logits + scale * (cond_logits - uncond_logits)
 
 
 def cluster_mean_matrix(smap: StructureMap, dtype=np.float32) -> np.ndarray:

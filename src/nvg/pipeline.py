@@ -4,7 +4,8 @@ top-p filtered logits, and add the refined placement onto the canvas.
 
 Guidance and nucleus schedules sharpen over the stages: top-p decays
 log-linearly from 1.0 to 0.5 and the guidance scale grows linearly to 2.5
-(structure) or 3.5 (content). User overrides replace sampling per stage and
+(structure) or 3.5 (content); `cfg_forward` applies guidance to both the flow
+velocity and the token logits. User overrides replace sampling per stage and
 mix freely with generated stages as long as parent-consistency holds.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import no_grad
-from .content_model import ContentModel, cfg_logits
+from .content_model import ContentModel
 from .errors import InvariantError, NumericError
 from .grid import (
     Codebook,
@@ -31,16 +32,17 @@ from .structcode import embed_structure_map
 from .structure_model import StructureModel, flow_sample, gumbel_balanced_split
 
 __all__ = ["ScheduleParams", "GenerationRequest", "GenerationStats",
-           "GenerationResult", "cfg_schedule", "top_p_schedule", "sample_token",
-           "forced_final_split", "generate"]
+           "GenerationResult", "cfg_schedule", "top_p_schedule", "cfg_forward",
+           "sample_token", "forced_final_split", "generate"]
+
+CFG_CONTENT_END = 3.5      # content guidance scale at the last stage
+CFG_STRUCTURE_END = 2.5    # structure guidance scale at the last flow stage
+TOP_P_END = 0.5            # nucleus width at the last stage
 
 
 @dataclass(frozen=True)
 class ScheduleParams:
     flow_steps: int = 25
-    cfg_content_end: float = 3.5
-    cfg_structure_end: float = 2.5
-    top_p_end: float = 0.5
     cfg_constant: float | None = None     # overrides both ramps when set
     top_p_constant: float | None = None
 
@@ -104,30 +106,42 @@ class GenerationResult:
     stats: GenerationStats
 
 
-def cfg_schedule(stage: int, kind: str, last_stage: int,
-                 content_end: float = 3.5, structure_end: float = 2.5) -> float:
+def cfg_schedule(stage: int, kind: str, last_stage: int) -> float:
     """Linearly rising guidance scale over the stages the generator runs."""
     if kind == "content":
         if not 0 <= stage <= last_stage:
             raise InvariantError(f"content runs at stages 0..{last_stage}")
         frac = stage / last_stage if last_stage else 0.0
-        return 1.0 + (content_end - 1.0) * frac
+        return 1.0 + (CFG_CONTENT_END - 1.0) * frac
     if kind == "structure":
         if not 1 <= stage <= last_stage - 1:
             raise InvariantError(f"structure runs at stages 1..{last_stage - 1}")
         span = last_stage - 2
         frac = (stage - 1) / span if span > 0 else 0.0
-        return 1.0 + (structure_end - 1.0) * frac
+        return 1.0 + (CFG_STRUCTURE_END - 1.0) * frac
     raise InvariantError(f"unknown generator kind {kind!r}")
 
 
-def top_p_schedule(stage: int, last_stage: int, final_p: float = 0.5) -> float:
-    """Log-linear nucleus width: 1.0 at stage 0 down to final_p at the end."""
+def top_p_schedule(stage: int, last_stage: int) -> float:
+    """Log-linear nucleus width: 1.0 at stage 0 down to TOP_P_END at the end."""
     if not 0 <= stage <= last_stage:
         raise InvariantError(f"stage {stage} outside [0, {last_stage}]")
     if last_stage == 0:
         return 1.0
-    return float(final_p ** (stage / last_stage))
+    return float(TOP_P_END ** (stage / last_stage))
+
+
+def cfg_forward(forward, class_id: int, null_id: int, scale: float) -> np.ndarray:
+    """Classifier-free guidance: null + scale * (cond - null).
+
+    forward(class_ids) runs one batch and returns its rows in order. Scale 1
+    runs [class_id] alone and returns its row; any other scale runs
+    [class_id, null_id] as one B=2 batch and combines the two rows.
+    """
+    if scale == 1.0:
+        return forward(np.array([class_id]))[0]
+    cond, null = forward(np.array([class_id, null_id]))
+    return null + scale * (cond - null)
 
 
 def sample_token(logits: np.ndarray, p: float, rng) -> int:
@@ -175,8 +189,8 @@ def generate(req: GenerationRequest, content_model: ContentModel,
              refiners) -> GenerationResult:
     """Run the full staged loop and return (sequence, canvas, step counters).
 
-    Runs without a tape. A guided step runs the class and the null condition
-    as one B=2 forward.
+    Runs without a tape. Every flow step and content step goes through
+    `cfg_forward`, so a guided step is one B=2 forward.
     """
     last = req.last_stage
     h, w_grid, e = req.h, req.w, req.e
@@ -219,19 +233,17 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             smap = forced_final_split(maps[k - 1])
         else:
             scale = sched.cfg_constant if sched.cfg_constant is not None else \
-                cfg_schedule(k, "structure", last, structure_end=sched.cfg_structure_end)
+                cfg_schedule(k, "structure", last)
 
-            def velocity_fn(z, t, guided, _stage=k):
-                # guided: the class row and the null row as one B=2 batch
-                classes = [req.class_id, null_id] if guided else [req.class_id]
-                n = len(classes)
-                out = structure_model.velocity(
-                    np.array(classes), np.full(n, _stage), np.repeat(x[None], n, axis=0),
-                    np.repeat(z[None], n, axis=0), np.full(n, t), np.full(n, _stage - 1)).data
-                return (out[0], out[1]) if guided else out[0]
+            def velocity_fn(z, t):
+                def rows(classes):
+                    n = len(classes)
+                    return structure_model.velocity(
+                        classes, np.full(n, k), np.repeat(x[None], n, axis=0),
+                        np.repeat(z[None], n, axis=0), np.full(n, t), np.full(n, k - 1)).data
+                return cfg_forward(rows, req.class_id, null_id, scale)
 
-            pred = flow_sample(velocity_fn, s_e, stage=k, n_steps=sched.flow_steps,
-                               cfg_scale=scale, rng=rng)
+            pred = flow_sample(velocity_fn, s_e, stage=k, n_steps=sched.flow_steps, rng=rng)
             stats.flow_steps += sched.flow_steps
             smap = gumbel_balanced_split(maps[k - 1], pred[:, :, k - 1], rng)
         if k >= 1:
@@ -244,19 +256,18 @@ def generate(req: GenerationRequest, content_model: ContentModel,
         else:
             emb = embed_structure_map(smap, last)
             scale = sched.cfg_constant if sched.cfg_constant is not None else \
-                cfg_schedule(k, "content", last, content_end=sched.cfg_content_end)
+                cfg_schedule(k, "content", last)
             p = sched.top_p_constant if sched.top_p_constant is not None else \
-                top_p_schedule(k, last, final_p=sched.top_p_end)
-            guided = scale != 1.0
-            classes = [req.class_id, null_id] if guided else [req.class_id]
-            n = len(classes)
-            pred = content_model.forward_final_canvas(
-                np.array(classes), np.full(n, k), np.repeat(x[None], n, axis=0),
-                np.repeat(emb[None], n, axis=0))
-            logits = content_model.token_logits(pred[0], x, smap).data
-            if guided:
-                logits_u = content_model.token_logits(pred[1], x, smap).data
-                logits = cfg_logits(logits, logits_u, scale)
+                top_p_schedule(k, last)
+
+            def logit_rows(classes):
+                n = len(classes)
+                pred = content_model.forward_final_canvas(
+                    classes, np.full(n, k), np.repeat(x[None], n, axis=0),
+                    np.repeat(emb[None], n, axis=0))
+                return [content_model.token_logits(pred[b], x, smap).data for b in range(n)]
+
+            logits = cfg_forward(logit_rows, req.class_id, null_id, scale)
             indices = np.array([sample_token(logits[j], p, rng)
                                 for j in range(smap.num_clusters)], dtype=np.int32)
             tokens = ContentTokens(k, indices)

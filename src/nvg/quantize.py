@@ -248,33 +248,37 @@ def train_refiners(grids, hierarchy_builder, codebook: Codebook, steps: int,
     e = grids[0].e
     refiners = identity_refiners(last, e)
 
-    best_loss = final_residual_mse(grids, hierarchies, codebook, refiners)
-    best = [(r.weight.copy(), r.bias.copy()) for r in refiners]
-
-    n_elem = grids[0].h * grids[0].w * e
-    for _ in range(steps):
+    best_loss, best = None, None
+    scale = lr / (len(grids) * grids[0].h * grids[0].w * e)
+    for step in range(steps + 1):
+        if step:        # descend along the previous pass's gradient
+            for i, refiner in enumerate(refiners):
+                with np.errstate(over="ignore"):
+                    w = (refiner.weight.reshape(9 * e, e) - scale * grad_w[i]).astype(np.float32)
+                    b = (refiner.bias - scale * grad_b[i]).astype(np.float32)
+                if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                    raise NumericError("refiner training diverged (non-finite parameters)")
+                refiners[i] = Refiner(i, w.reshape(3, 3, e, e), b)
+        # one pass per refiner set: its loss, then the gradient toward the next set
+        loss = 0.0
         grad_w = [np.zeros((9 * e, e), dtype=np.float64) for _ in range(last + 1)]
         grad_b = [np.zeros(e, dtype=np.float64) for _ in range(last + 1)]
         for grid, hierarchy in zip(grids, hierarchies):
             seq, trace = build_contents(grid, hierarchy, codebook, refiners)
-            final = trace.residuals[-1].data.astype(np.float64).reshape(-1, e)
+            final = trace.residuals[-1].data.astype(np.float64)
+            loss += float(np.mean(final * final))
+            if step == steps:
+                continue
+            final = final.reshape(-1, e)
             for i, (tokens, smap) in enumerate(seq.stages):
                 placed = place(codebook.vectors[tokens.indices], smap)
                 patches = _conv_patches(placed).astype(np.float64)
                 grad_w[i] += -2.0 * (patches.T @ final)
                 grad_b[i] += -2.0 * final.sum(axis=0)
-        scale = lr / (len(grids) * n_elem)
-        for i, refiner in enumerate(refiners):
-            with np.errstate(over="ignore"):
-                w = (refiner.weight.reshape(9 * e, e) - scale * grad_w[i]).astype(np.float32)
-                b = (refiner.bias - scale * grad_b[i]).astype(np.float32)
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise NumericError("refiner training diverged (non-finite parameters)")
-            refiners[i] = Refiner(i, w.reshape(3, 3, e, e), b)
-        loss = final_residual_mse(grids, hierarchies, codebook, refiners)
-        if not np.isfinite(loss):
+        loss /= len(grids)
+        if step and not np.isfinite(loss):
             raise NumericError("refiner training diverged (non-finite loss)")
-        if loss < best_loss:
+        if best is None or loss < best_loss:
             best_loss = loss
             best = [(r.weight.copy(), r.bias.copy()) for r in refiners]
     return [Refiner(i, w, b) for i, (w, b) in enumerate(best)]

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backbone import RopeIds, rope_rotate
+from . import autodiff as ad
+from .backbone import rope_tables
 from .grid import LatentGrid, StructureMap
 from .hierarchy import build_hierarchy
-from .pipeline import cfg_schedule, top_p_schedule
+from .pipeline import cfg_forward, cfg_schedule, top_p_schedule
 from .quantize import identity_refiners, unquantized_residuals
 from .structcode import decode_structure, encode_structure
 from .structure_model import flow_sample, gumbel_balanced_split
@@ -64,14 +65,15 @@ def _check_telescoping(seed):
 
 
 def _check_rope(seed):
+    # the tables and the tape op every forward uses, on 100 random tokens
     rng = np.random.default_rng(seed)
-    for _ in range(100):
-        vec = rng.normal(size=64)
-        ids = RopeIds(int(rng.integers(0, 3)),
-                      tuple(int(v) for v in rng.integers(0, 3, size=8)),
-                      (int(rng.integers(0, 16)), int(rng.integers(0, 16))))
-        if abs(np.linalg.norm(rope_rotate(vec, ids)) - np.linalg.norm(vec)) > 1e-6:
-            return False, "rotation changed the norm"
+    vecs = rng.normal(size=(100, 64))
+    cos, sin = rope_tables(rng.integers(0, 3, size=100), rng.integers(0, 3, size=(100, 8)),
+                           rng.integers(0, 16, size=(100, 2)), dtype=np.float64)
+    out = ad.rope(vecs, cos, sin).data
+    err = np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(vecs, axis=1)).max()
+    if err > 1e-6:
+        return False, f"rotation changed a norm by {err:.2e}"
     return True, "isometry holds on 100 random vectors"
 
 
@@ -107,10 +109,10 @@ def _check_flow_oracle(seed):
     rng = np.random.default_rng(seed)
     target = (2.0 * rng.integers(0, 2, size=(4, 4, 4))).astype(np.float32)
 
-    def oracle(z, t, guided):
+    def oracle(z, t):
         return (z - target) / t
 
-    out = flow_sample(oracle, target, stage=2, n_steps=25, cfg_scale=1.0, rng=seed)
+    out = flow_sample(oracle, target, stage=2, n_steps=25, rng=seed)
     err = np.abs(out - target).max()
     if err > 1e-3:
         return False, f"oracle integration error {err:.2e}"
@@ -121,24 +123,26 @@ def _check_guided_flow(seed):
     # v_cond = (z - a)/t and v_null = (z - b)/t combine to (z - c)/t with
     # c = b + s (a - b), whose Euler path from t = 1 ends exactly at c
     rng = np.random.default_rng(seed)
-    a = (2.0 * rng.integers(0, 2, size=(4, 4, 4))).astype(np.float32)
-    b = (2.0 * rng.integers(0, 2, size=(4, 4, 4))).astype(np.float32)
+    targets = (2.0 * rng.integers(0, 2, size=(2, 4, 4, 4))).astype(np.float32)
+    a, b = targets              # class 0 aims at a, the null class 1 at b
     scale, stage, n_steps = 2.5, 2, 25
     calls = []
 
-    def oracle(z, t, guided):
-        calls.append(guided)
-        return (z - a) / t, (z - b) / t
+    def oracle(z, t):
+        def rows(classes):
+            calls.append(classes.tolist())
+            return (z - targets[classes]) / t
+        return cfg_forward(rows, 0, 1, scale)
 
-    out = flow_sample(oracle, a, stage=stage, n_steps=n_steps, cfg_scale=scale, rng=seed)
-    if calls != [True] * n_steps:
-        return False, f"{len(calls)} velocity calls for {n_steps} guided steps"
+    out = flow_sample(oracle, a, stage=stage, n_steps=n_steps, rng=seed)
+    if calls != [[0, 1]] * n_steps:
+        return False, f"batches {calls[:2]}... for {n_steps} guided steps"
     want = b + scale * (a - b)
     want[..., :stage - 1] = a[..., :stage - 1]
     err = np.abs(out - want).max()
     if err > 1e-3:
         return False, f"guided endpoint error {err:.2e}"
-    return True, f"one (cond, null) call per step; {n_steps} steps reach the guided endpoint"
+    return True, f"one [class, null] batch per step; {n_steps} steps reach the guided endpoint"
 
 
 def run_selfcheck(seed: int = 0) -> list:

@@ -116,16 +116,14 @@ class StructureModel(Generator):
 
 
 def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int = 25,
-                cfg_scale: float = 1.0, rng=None) -> np.ndarray:
+                rng=None) -> np.ndarray:
     """Euler-integrate the flow from pure noise back to an embedding grid.
 
-    velocity_fn(z, t, guided) is called once per step. With guided False
-    (cfg_scale == 1) it returns the conditional (h, w, K) velocity. With
-    guided True it returns the pair (v_cond, v_null) of conditional and
-    null-class velocities, ideally from one batched forward, and the step uses
-    v_null + cfg_scale * (v_cond - v_null). A non-finite velocity raises
-    NumericError. The first stage-1 columns stay clamped to s_e_grid after
-    every step. Returns the predicted full-depth grid.
+    velocity_fn(z, t) is called once per step and returns the (h, w, K)
+    velocity; guidance, if any, is the caller's (see `pipeline.cfg_forward`).
+    A non-finite velocity raises NumericError. The first stage-1 columns stay
+    clamped to s_e_grid after every step. Returns the predicted full-depth
+    grid.
     """
     if n_steps < 1:
         raise InvariantError("need at least one integration step")
@@ -134,21 +132,14 @@ def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int = 25
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     s_e = np.asarray(s_e_grid, dtype=np.float32)
     known = stage - 1
-    guided = cfg_scale != 1.0
     z = rng.standard_normal(s_e.shape).astype(np.float32)
     z[..., :known] = s_e[..., :known]
     dt = 1.0 / n_steps
     for step in range(n_steps):
         t = 1.0 - step * dt
-        if guided:
-            v_cond, v_null = velocity_fn(z, t, True)
-            rows = (v_cond, v_null)
-        else:
-            v_cond = velocity_fn(z, t, False)
-            rows = (v_cond,)
-        if not all(np.all(np.isfinite(r)) for r in rows):
+        v = velocity_fn(z, t)
+        if not np.all(np.isfinite(v)):
             raise NumericError(f"non-finite flow velocity at stage {stage}, t={t:.3f}")
-        v = v_null + cfg_scale * (v_cond - v_null) if guided else v_cond
         z = (z - np.float32(dt) * v.astype(np.float32)).astype(np.float32)
         z[..., :known] = s_e[..., :known]
     return z

@@ -28,6 +28,8 @@ __all__ = [
     "evaluate",
 ]
 
+FINAL_LR_FRACTION = 0.1    # wsd_lr ends at this fraction of the base rate
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -36,7 +38,6 @@ class TrainConfig:
     base_lr: float = 1e-4
     warmup_steps: int = 1000
     decay_start_fraction: float = 0.8
-    final_lr_fraction: float = 0.1
     null_rate: float = 0.10
     seed: int = 0
 
@@ -45,8 +46,6 @@ class TrainConfig:
             raise InvariantError("invalid step/batch configuration")
         if not 0.0 < self.decay_start_fraction <= 1.0:
             raise InvariantError("decay_start_fraction must lie in (0, 1]")
-        if not 0.0 < self.final_lr_fraction <= 1.0:
-            raise InvariantError("final_lr_fraction must lie in (0, 1]")
         if not 0.0 <= self.null_rate < 1.0:
             raise InvariantError("null_rate must lie in [0, 1)")
 
@@ -55,7 +54,7 @@ def wsd_lr(step: int, config: TrainConfig) -> float:
     """Warmup-stable-decay schedule on the base rate.
 
     Linear warmup over warmup_steps, flat at base_lr, then linear decay to
-    base_lr * final_lr_fraction at the last step.
+    base_lr * FINAL_LR_FRACTION at the last step.
     """
     if step < 0:
         raise InvariantError("step must be non-negative")
@@ -68,7 +67,7 @@ def wsd_lr(step: int, config: TrainConfig) -> float:
         return config.base_lr
     frac = (step - decay_start) / (total - 1 - decay_start)
     frac = min(frac, 1.0)
-    return config.base_lr * (1.0 - (1.0 - config.final_lr_fraction) * frac)
+    return config.base_lr * (1.0 - (1.0 - FINAL_LR_FRACTION) * frac)
 
 
 def _batch_lr(step: int, config: TrainConfig) -> float:
@@ -267,15 +266,15 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
     bit_hits = bit_total = 0
     for ex in examples:
         for stage in range(1, last):
-            def velocity_fn(z, t, guided, _stage=stage, _ex=ex):
+            def velocity_fn(z, t):
                 out = structure_model.velocity(
-                    np.array([_ex.class_id]), np.array([_stage]),
-                    _ex.canvases[_stage][None], z[None], np.array([t]),
-                    np.array([_stage - 1]))
+                    np.array([ex.class_id]), np.array([stage]),
+                    ex.canvases[stage][None], z[None], np.array([t]),
+                    np.array([stage - 1]))
                 return out.data[0]
 
             pred = flow_sample(velocity_fn, ex.flow_target, stage,
-                               n_steps=flow_steps, cfg_scale=1.0, rng=rng)
+                               n_steps=flow_steps, rng=rng)
             unknown = slice(stage - 1, None)
             pred_bits = pred[:, :, unknown] > 1.0
             true_bits = ex.flow_target[:, :, unknown] > 1.0

@@ -6,12 +6,10 @@ from nvg.autodiff import Tensor
 from nvg.backbone import (
     Block,
     ModelConfig,
-    RopeIds,
-    block_forward,
     gradient_check,
     pad_structure_ids,
     param_count,
-    rope_rotate,
+    rope_tables,
 )
 from nvg.errors import InvariantError
 
@@ -129,22 +127,25 @@ class TestModelConfig:
                 assert total == param_count(cfg)
 
 
+def rotate(vecs, kind, struct, spatial):
+    """The rotary path every forward runs: rope_tables, then the tape op."""
+    cos, sin = rope_tables(kind, struct, spatial, dtype=np.float64)
+    return ad.rope(np.asarray(vecs, dtype=np.float64), cos, sin).data
+
+
 class TestRope:
     def test_zero_ids_identity(self):
         rng = np.random.default_rng(5)
-        vec = rng.normal(size=64)
-        ids = RopeIds(0, (0,) * 8, (0, 0))
-        assert np.allclose(rope_rotate(vec, ids), vec)
+        vecs = rng.normal(size=(3, 64))
+        out = rotate(vecs, np.zeros(3), np.zeros((3, 8)), np.zeros((3, 2)))
+        assert np.allclose(out, vecs)
 
     def test_isometry(self):
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            vec = rng.normal(size=64)
-            ids = RopeIds(int(rng.integers(0, 3)),
-                          tuple(int(v) for v in rng.integers(0, 3, size=8)),
-                          (int(rng.integers(0, 20)), int(rng.integers(0, 20))))
-            out = rope_rotate(vec, ids)
-            assert abs(np.linalg.norm(out) - np.linalg.norm(vec)) <= 1e-6
+        vecs = rng.normal(size=(200, 64))
+        out = rotate(vecs, rng.integers(0, 3, size=200), rng.integers(0, 3, size=(200, 8)),
+                     rng.integers(0, 20, size=(200, 2)))
+        assert np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(vecs, axis=1)).max() <= 1e-6
 
     def test_relative_position_invariance(self):
         # equal id differences give equal dot products
@@ -157,19 +158,14 @@ class TestRope:
             shift_struct = rng.integers(0, 2, size=8)
             y1, x1, dy, dx, sy, sx = rng.integers(0, 8, size=6)
 
-            def ids(kind, struct, y, x):
-                return RopeIds(int(kind), tuple(int(v) for v in struct), (int(y), int(x)))
+            def rot(vec, struct, y, x):
+                return rotate(vec[None], np.array([1]), struct[None], np.array([[y, x]]))[0]
 
-            d1 = rope_rotate(q, ids(1, base_struct + delta_struct, y1 + dy, x1 + dx)) @ \
-                rope_rotate(k, ids(1, base_struct, y1, x1))
-            d2 = rope_rotate(q, ids(1, base_struct + delta_struct + shift_struct,
-                                    y1 + dy + sy, x1 + dx + sx)) @ \
-                rope_rotate(k, ids(1, base_struct + shift_struct, y1 + sy, x1 + sx))
+            d1 = rot(q, base_struct + delta_struct, y1 + dy, x1 + dx) @ \
+                rot(k, base_struct, y1, x1)
+            d2 = rot(q, base_struct + delta_struct + shift_struct, y1 + dy + sy, x1 + dx + sx) @ \
+                rot(k, base_struct + shift_struct, y1 + sy, x1 + sx)
             assert abs(d1 - d2) <= 1e-4
-
-    def test_wrong_head_dim_rejected(self):
-        with pytest.raises(InvariantError):
-            rope_rotate(np.zeros(32), RopeIds(0, (0,) * 8, (0, 0)))
 
     def test_pad_structure_ids(self):
         emb = np.zeros((2, 2, 6), dtype=np.int64)
@@ -224,14 +220,6 @@ class TestBlock:
 
         err = gradient_check(loss_fn, params, seed=0, samples=90)
         assert err <= 1e-3
-
-    def test_block_forward_single_sequence_wrapper(self):
-        rng = np.random.default_rng(11)
-        block = Block(0, 64, 1, rng)
-        tokens = Tensor(rng.normal(size=(5, 64)).astype(np.float32))
-        ids = [RopeIds(0, (1,) * 8, (0, i)) for i in range(5)]
-        out = block_forward(block, tokens, ids, Tensor(np.zeros(64, dtype=np.float32)))
-        assert out.shape == (5, 64)
 
 
 class TestGradientCheck:

@@ -6,7 +6,6 @@ from nvg.backbone import ModelConfig, gradient_check, param_count
 from nvg.content_model import (
     ContentBatch,
     ContentModel,
-    cfg_logits,
     cluster_mean_matrix,
     cross_entropy_mean,
 )
@@ -127,23 +126,6 @@ class TestLossPieces:
         assert np.isfinite(float(loss.data))
         assert set(stats) == {"mse", "ce", "token_accuracy"}
         assert float(loss.data) == pytest.approx(stats["mse"] + stats["ce"], rel=1e-5)
-
-
-class TestCfgLogits:
-    def test_scale_one_returns_cond(self):
-        rng = np.random.default_rng(3)
-        cond, uncond = rng.normal(size=(2, 16))
-        assert np.allclose(cfg_logits(cond, uncond, 1.0), cond)
-
-    def test_equal_inputs_unchanged_any_scale(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=16)
-        assert np.allclose(cfg_logits(x, x, 3.5), x)
-
-    def test_formula(self):
-        cond = np.array([2.0])
-        uncond = np.array([1.0])
-        assert cfg_logits(cond, uncond, 3.5)[0] == pytest.approx(1.0 + 3.5)
 
 
 def test_full_content_loss_gradient_check(tokenized_example):

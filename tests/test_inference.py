@@ -1,5 +1,5 @@
 """The inference fast path: tape-free forwards under `no_grad`, guided steps as
-one B=2 forward, and rope tables built once per flow stage."""
+one B=2 forward, and rope tables built once per batch and once per flow stage."""
 
 import numpy as np
 import pytest
@@ -166,11 +166,33 @@ class TestRopeMemo:
                 z_t = z.copy()
                 z_t[..., 1:] *= t
                 velocity(model, [0, CLASSES], canvas, z_t, t=t)
-        assert len(built) == 2                  # one table per row, at the first step
+        assert len(built) == 1                  # one build for the batch, at the first step
         ids = np.ones((2, H * W, 8), dtype=np.int64)
         first = model._rope_tables(ids, W, runs=2)
         assert model._rope_tables(ids.copy(), W, runs=2) is first
         assert not first[0].flags.writeable and not first[1].flags.writeable
+
+    @pytest.mark.parametrize("kind,runs", [("content", 1), ("structure", 2)])
+    def test_batched_rows_equal_single_builds(self, kind, runs):
+        model = content_model() if kind == "content" else structure_model()
+        rng = np.random.default_rng(4)
+        ids = np.ones((3, H * W, 8), dtype=np.int64)
+        ids[:, :, :3] = 2 * rng.integers(0, 2, size=(3, H * W, 3))
+        batch = model._rope_tables(ids, W, runs=runs)
+        assert batch[0].shape == (3, 1, 1 + runs * H * W, 32)
+        # the per-row layout, built by hand: the class token, then `runs` runs
+        # of the grid with token kind 1, 2, ...
+        yx = np.stack(np.divmod(np.arange(H * W), W), axis=1)
+        kind_ids = np.concatenate([[0]] + [np.full(H * W, s + 1) for s in range(runs)])
+        spatial = np.concatenate([[[0, 0]]] + [yx] * runs)
+        for b in range(3):
+            single = (content_model() if kind == "content" else structure_model()) \
+                ._rope_tables(ids[b:b + 1], W, runs=runs)
+            struct = np.concatenate([np.ones((1, 8), dtype=np.int64)] + [ids[b]] * runs)
+            by_hand = backbone.rope_tables(kind_ids, struct, spatial)
+            for table, single_table, hand_table in zip(batch, single, by_hand):
+                assert np.array_equal(table[b], single_table[0])
+                assert np.array_equal(table[b, 0], hand_table)
 
     def test_tables_recomputed_when_known_columns_change(self):
         model = structure_model()
@@ -206,24 +228,20 @@ def test_generate_batches_the_class_row_before_the_null_row(world, monkeypatch):
         return ad.Tensor(np.full((smap.num_clusters, 8), pred_final.data.flat[0]))
 
     pairs = []
-    real_flow, real_cfg = pipeline.flow_sample, pipeline.cfg_logits
+    real_cfg = pipeline.cfg_forward
 
-    def spy_flow(velocity_fn, *args, **kwargs):
-        def recorded(z, t, guided):
-            out = velocity_fn(z, t, guided)
-            pairs.append(out)
-            return out
-        return real_flow(recorded, *args, **kwargs)
-
-    def spy_cfg(cond, uncond, scale):
-        pairs.append((cond, uncond))
-        return real_cfg(cond, uncond, scale)
+    def spy_cfg(forward, class_id, null_id, scale):
+        def recorded(classes):
+            rows = forward(classes)
+            if len(rows) == 2:
+                pairs.append((rows[0], rows[1]))
+            return rows
+        return real_cfg(recorded, class_id, null_id, scale)
 
     monkeypatch.setattr(StructureModel, "velocity", fake_velocity)
     monkeypatch.setattr(ContentModel, "forward_final_canvas", fake_canvas)
     monkeypatch.setattr(ContentModel, "token_logits", fake_logits)
-    monkeypatch.setattr(pipeline, "flow_sample", spy_flow)
-    monkeypatch.setattr(pipeline, "cfg_logits", spy_cfg)
+    monkeypatch.setattr(pipeline, "cfg_forward", spy_cfg)
     req = GenerationRequest(class_id=1, seed=0, h=H, w=W, e=E,
                             schedule=ScheduleParams(flow_steps=3))
     generate(req, content_model(), structure_model(), codebook, refiners)
@@ -232,7 +250,6 @@ def test_generate_batches_the_class_row_before_the_null_row(world, monkeypatch):
     # 4x4: flow at stages 1-3 with guidance from stage 2; content at 0-4, guided from 1
     assert calls["velocity"] == [[1]] * 3 + [[1, null]] * 6
     assert calls["content"] == [[1]] + [[1, null]] * 4
-    guided = [p for p in pairs if isinstance(p, tuple)]
-    assert len(guided) == 6 + 4
-    for cond, uncond in guided:
+    assert len(pairs) == 6 + 4
+    for cond, uncond in pairs:
         assert np.all(cond == 1) and np.all(uncond == null)

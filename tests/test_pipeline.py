@@ -16,6 +16,7 @@ from nvg.hierarchy import build_hierarchy
 from nvg.pipeline import (
     GenerationRequest,
     ScheduleParams,
+    cfg_forward,
     cfg_schedule,
     forced_final_split,
     generate,
@@ -65,6 +66,37 @@ class TestSchedules:
         assert top_p_schedule(0, 8) == pytest.approx(1.0)
         assert top_p_schedule(8, 8) == pytest.approx(0.5)
         assert top_p_schedule(4, 8) == pytest.approx(0.7071, abs=1e-4)
+
+
+class TestCfgForward:
+    @staticmethod
+    def rows_of(table, batches):
+        """A forward over class ids whose row for class c is table[c]."""
+        def forward(classes):
+            batches.append(classes.tolist())
+            return np.stack([table[c] for c in classes.tolist()])
+        return forward
+
+    def test_scale_one_returns_cond(self):
+        rng = np.random.default_rng(3)
+        cond, uncond = rng.normal(size=(2, 16))
+        batches = []
+        out = cfg_forward(self.rows_of({0: cond, 5: uncond}, batches), 0, 5, 1.0)
+        assert np.array_equal(out, cond)
+        assert batches == [[0]]                 # the null row is never run
+
+    def test_equal_inputs_unchanged_any_scale(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=16)
+        batches = []
+        assert np.allclose(cfg_forward(self.rows_of({0: x, 5: x}, batches), 0, 5, 3.5), x)
+        assert batches == [[0, 5]]              # class row first, one B=2 batch
+
+    def test_formula(self):
+        cond = np.array([2.0])
+        uncond = np.array([1.0])
+        out = cfg_forward(self.rows_of({0: cond, 5: uncond}, []), 0, 5, 3.5)
+        assert out[0] == pytest.approx(1.0 + 3.5)
 
 
 class TestSampleToken:

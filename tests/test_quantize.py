@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nvg import quantize
 from nvg.errors import InvariantError, NumericError
 from nvg.grid import Codebook, LatentGrid, cluster_average
 from nvg.hierarchy import build_hierarchy
@@ -247,6 +248,24 @@ class TestTrainRefiners:
             return total
 
         assert recon_mse(trained) <= recon_mse(ident)
+
+    def test_one_tokenization_pass_per_refiner_set(self, setup, monkeypatch):
+        # each step's pass gives both the loss of the current refiners and the
+        # gradient toward the next, so 2 steps tokenize 3 sets, each once per grid
+        grids, codebook = setup
+        seen = []
+        real = quantize.build_contents
+
+        def counted(grid, hierarchy, codebook, refiners):
+            seen.append((id(grid), b"".join(r.weight.tobytes() + r.bias.tobytes()
+                                            for r in refiners)))
+            return real(grid, hierarchy, codebook, refiners)
+
+        monkeypatch.setattr(quantize, "build_contents", counted)
+        train_refiners(grids, build_hierarchy, codebook, steps=2, lr=0.05)
+        assert len(seen) == 3 * len(grids)
+        assert len(set(seen)) == len(seen)
+        assert len({key for _, key in seen}) == 3
 
     def test_divergence_is_reported(self, setup):
         grids, codebook = setup

@@ -5,6 +5,7 @@ from nvg.backbone import ModelConfig, gradient_check
 from nvg.autodiff import Tensor
 from nvg.errors import InvariantError, NumericError
 from nvg.grid import StructureMap
+from nvg.pipeline import cfg_forward
 from nvg.structure_model import (
     FlowState,
     StructureModel,
@@ -22,6 +23,18 @@ def small_model(depth=2, e=3, classes=3, last_stage=4, seed=0, dtype=np.float32)
 def random_embedding(rng, h=4, w=4, k=4):
     # a valid full-depth embedding: bits in {0, 2}
     return (2.0 * rng.integers(0, 2, size=(h, w, k))).astype(np.float32)
+
+
+def guided_fn(row_fn, scale, batches):
+    """A velocity_fn(z, t) that guides like `generate`: class 0 against the
+    null class 1 through `cfg_forward`. Every batch of class ids it runs is
+    appended to `batches`; row_fn(z, class_id) gives that class's velocity."""
+    def velocity_fn(z, t):
+        def rows(classes):
+            batches.append(classes.tolist())
+            return np.stack([row_fn(z, c) for c in classes.tolist()])
+        return cfg_forward(rows, 0, 1, scale)
+    return velocity_fn
 
 
 class TestNoisedInput:
@@ -88,10 +101,10 @@ class TestFlowSample:
         rng = np.random.default_rng(7)
         target = random_embedding(rng)
 
-        def oracle(z, t, guided):
+        def oracle(z, t):
             return (z - target) / t
 
-        out = flow_sample(oracle, target, stage=2, n_steps=25, cfg_scale=1.0, rng=3)
+        out = flow_sample(oracle, target, stage=2, n_steps=25, rng=3)
         assert np.allclose(out, target, atol=1e-3)
 
     def test_known_columns_bit_exact_at_every_step(self):
@@ -99,12 +112,12 @@ class TestFlowSample:
         target = random_embedding(rng)
         seen = []
 
-        def probe(z, t, guided):
+        def probe(z, t):
             seen.append(z.copy())
             return np.zeros_like(z)
 
         stage = 3
-        flow_sample(probe, target, stage=stage, n_steps=7, cfg_scale=1.0, rng=4)
+        flow_sample(probe, target, stage=stage, n_steps=7, rng=4)
         assert len(seen) == 7
         for z in seen:
             assert np.array_equal(z[..., :stage - 1], target[..., :stage - 1])
@@ -112,64 +125,60 @@ class TestFlowSample:
     def test_cfg_combination_on_velocities(self):
         rng = np.random.default_rng(9)
         target = random_embedding(rng)
-        calls = []
+        batches = []
+        # v_cond = 2, v_null = 1
+        fn = guided_fn(lambda z, c: np.full_like(z, 2.0 - c), 3.0, batches)
 
-        def fn(z, t, guided):
-            calls.append(guided)
-            return np.full_like(z, 2.0), np.full_like(z, 1.0)   # (v_cond, v_null)
-
-        out = flow_sample(fn, target, stage=1, n_steps=1, cfg_scale=3.0, rng=5)
+        out = flow_sample(fn, target, stage=1, n_steps=1, rng=5)
         # v = 1 + 3*(2-1) = 4, one euler step of dt=1 from noise
-        assert calls == [True]
+        assert batches == [[0, 1]]
         noise = np.random.default_rng(5).standard_normal(target.shape).astype(np.float32)
         assert np.allclose(out, noise - 4.0, atol=1e-5)
 
     def test_scale_one_skips_null_forward(self):
         rng = np.random.default_rng(10)
         target = random_embedding(rng)
-        calls = []
+        batches = []
+        fn = guided_fn(lambda z, c: np.zeros_like(z), 1.0, batches)
 
-        def fn(z, t, guided):
-            calls.append(guided)
-            return np.zeros_like(z)
-
-        flow_sample(fn, target, stage=1, n_steps=4, cfg_scale=1.0, rng=6)
-        assert calls == [False] * 4
+        flow_sample(fn, target, stage=1, n_steps=4, rng=6)
+        assert batches == [[0]] * 4
 
     def test_guided_sampling_makes_one_call_per_step(self):
         rng = np.random.default_rng(10)
         target = random_embedding(rng)
-        calls = []
+        batches = []
+        fn = guided_fn(lambda z, c: np.zeros_like(z), 2.0, batches)
 
-        def fn(z, t, guided):
-            calls.append(guided)
-            return np.zeros_like(z), np.zeros_like(z)
+        flow_sample(fn, target, stage=1, n_steps=5, rng=6)
+        assert batches == [[0, 1]] * 5
 
-        flow_sample(fn, target, stage=1, n_steps=5, cfg_scale=2.0, rng=6)
-        assert calls == [True] * 5
-
+    # NaN or inf in either row also makes numpy warn about an invalid value
+    # (inf - inf) on the way to the raise
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("cfg_scale,bad_row", [(1.0, 0), (2.0, 0), (2.0, 1)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_velocity_raises_numeric_error(self, cfg_scale, bad_row, bad):
         target = random_embedding(np.random.default_rng(12))
 
-        def fn(z, t, guided):
-            rows = [np.zeros_like(z), np.zeros_like(z)]
-            rows[bad_row][1, 2, 3] = bad
-            return tuple(rows) if guided else rows[0]
+        def row(z, class_id):
+            v = np.zeros_like(z)
+            if class_id == bad_row:
+                v[1, 2, 3] = bad
+            return v
 
         with pytest.raises(NumericError):
-            flow_sample(fn, target, stage=2, n_steps=3, cfg_scale=cfg_scale, rng=8)
+            flow_sample(guided_fn(row, cfg_scale, []), target, stage=2, n_steps=3, rng=8)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(11)
         target = random_embedding(rng)
 
-        def fn(z, t, guided):
+        def fn(z, t):
             return z - target
 
-        a = flow_sample(fn, target, stage=2, n_steps=5, cfg_scale=1.0, rng=7)
-        b = flow_sample(fn, target, stage=2, n_steps=5, cfg_scale=1.0, rng=7)
+        a = flow_sample(fn, target, stage=2, n_steps=5, rng=7)
+        b = flow_sample(fn, target, stage=2, n_steps=5, rng=7)
         assert np.array_equal(a, b)
 
 
