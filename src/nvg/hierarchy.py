@@ -4,6 +4,12 @@ The finest stage gives every location its own cluster; each coarser stage
 merges cluster pairs greedily by squared l2 distance between cluster means
 until one cluster covers the grid. Labels are then rewritten into canonical
 parent-child form (label j splits into 2j and 2j+1).
+
+A stage with m clusters costs O(m^2) in practice: the i < j distance matrix
+is built once, in row blocks, and each merge takes the smallest of per-row
+cached minima, rescanning only the rows whose cached partner was just merged.
+Ties break on the smallest (i, j), exactly as a full row-major rescan of the
+matrix per merge would.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, NumericError
 from .grid import LatentGrid, StructureMap, check_map_chain
 
 __all__ = [
@@ -64,36 +70,75 @@ class Hierarchy:
         return self.maps[0].w
 
 
+# Rows of the distance matrix built per block: bounds the (rows, m, e) diff
+# temporary to a few MB at m = 1024.
+_DIST_BLOCK_ROWS = 64
+
+
 def _pairwise_sq_dists(vectors: np.ndarray) -> np.ndarray:
-    diff = vectors[:, None, :] - vectors[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared l2 distances d[i, j] for i < j; every j <= i entry is inf.
+
+    Built in row blocks against the columns from the block's first row on.
+    Each entry is the same einsum reduction over e as a whole-matrix einsum,
+    so the values, and with them every tie, are bit-identical to it.
+    """
+    m = len(vectors)
+    d = np.full((m, m), np.inf)
+    for r0 in range(0, m, _DIST_BLOCK_ROWS):
+        r1 = min(r0 + _DIST_BLOCK_ROWS, m)
+        with np.errstate(over="ignore"):    # reported below as NumericError
+            diff = vectors[r0:r1, None, :] - vectors[None, r0:, :]
+            block = np.einsum("ijk,ijk->ij", diff, diff)
+        if not np.all(np.isfinite(block)):
+            raise NumericError("squared distances overflow to non-finite values")
+        block[:, :r1 - r0][np.tri(r1 - r0, dtype=bool)] = np.inf
+        d[r0:r1, r0:] = block
+    return d
 
 
 def _greedy_pairs(vectors: np.ndarray):
     m = len(vectors)
     if m < 2 or m % 2:
         raise InvariantError(f"greedy pairing needs an even count >= 2, got {m}")
+    if not np.all(np.isfinite(vectors)):
+        raise NumericError("cannot pair non-finite vectors")
     d = _pairwise_sq_dists(vectors)
-    # Only i < j entries compete; row-major argmin over the rest implements the
-    # lexicographic (i, j) tie-break.
-    d[np.tril_indices(m)] = np.inf
+    # Each live row caches its first argmin column over the live columns. The
+    # first row holding the smallest cached minimum, paired with that row's
+    # cached column, is the row-major first minimum of the whole masked matrix:
+    # the lexicographic (i, j) tie-break. Killing a column only raises entries
+    # to inf, so a row's first minimum moves only when its own cached column
+    # dies; those rows alone are rescanned. A merge then costs O(m) per
+    # rescanned row, and about two rows per merge are rescanned on Gaussian
+    # vectors at m = 1024, so the loop is O(m^2) in practice.
+    rows = np.arange(m)
+    live = np.ones(m, dtype=bool)
+    best_j = np.argmin(d, axis=1)
+    best_d = d[rows, best_j]
     pairs = []
     dists = []
     for _ in range(m // 2):
-        flat = int(np.argmin(d))
-        i, j = divmod(flat, m)
+        i = int(np.argmin(best_d))
+        j = int(best_j[i])
         pairs.append((i, j))
-        dists.append(float(d[i, j]))
-        d[i, :] = np.inf
+        dists.append(float(best_d[i]))
+        live[i] = live[j] = False
+        best_d[i] = best_d[j] = np.inf
         d[:, i] = np.inf
-        d[j, :] = np.inf
         d[:, j] = np.inf
+        stale = rows[live & ((best_j == i) | (best_j == j))]
+        if stale.size:
+            best_j[stale] = np.argmin(d[stale], axis=1)
+            best_d[stale] = d[stale, best_j[stale]]
     return pairs, dists
 
 
 def greedy_pair_step(vectors) -> list:
     """Disjoint index pairs chosen by repeatedly taking the globally nearest
-    unpaired pair (squared l2); ties break on the smallest (i, j)."""
+    unpaired pair (squared l2); ties break on the smallest (i, j).
+
+    Raises NumericError on non-finite vectors or squared distances.
+    """
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2:
         raise InvariantError(f"expected (m, e) vectors, got shape {v.shape}")
@@ -140,15 +185,21 @@ def _canonical_split(parent: np.ndarray, child: np.ndarray, stage: int):
     equal halves; the half holding the smaller row-major location gets 2j,
     the other 2j+1. Returns None when some cluster does not split that way.
     """
+    n = 1 << stage
+    size = parent.size // n
+    # parent is a balanced stage-`stage` labeling, so a stable sort lays the
+    # clusters out as n rows of locations in row-major order: column 0 of each
+    # row is the cluster's smallest location.
+    order = np.argsort(parent, kind="stable")
+    old = child[order].reshape(n, size)
+    second = old != old[:, :1]
+    if np.any(second.sum(axis=1) * 2 != size):
+        return None
+    rest = old[second].reshape(n, size // 2)
+    if np.any(rest != rest[:, :1]):
+        return None
     out = np.empty(parent.size, dtype=np.int32)
-    for j in range(1 << stage):
-        locs = np.flatnonzero(parent == j)
-        old = child[locs]
-        in_first = old == old[0]
-        if int(in_first.sum()) * 2 != locs.size or np.unique(old).size != 2:
-            return None
-        out[locs[in_first]] = 2 * j
-        out[locs[~in_first]] = 2 * j + 1
+    out[order] = (2 * np.arange(n)[:, None] + second).ravel()
     return out
 
 

@@ -141,7 +141,10 @@ def cfg_forward(forward, class_id: int, null_id: int, scale: float) -> np.ndarra
     if scale == 1.0:
         return forward(np.array([class_id]))[0]
     cond, null = forward(np.array([class_id, null_id]))
-    return null + scale * (cond - null)
+    # a non-finite row is the caller's to report (as NumericError); numpy's
+    # inf - inf warning would only precede that report
+    with np.errstate(invalid="ignore", over="ignore"):
+        return null + scale * (cond - null)
 
 
 def sample_token(logits: np.ndarray, p: float, rng) -> int:

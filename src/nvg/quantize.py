@@ -35,7 +35,6 @@ __all__ = [
     "reconstruct",
     "fit_codebook",
     "train_refiners",
-    "final_residual_mse",
 ]
 
 
@@ -219,17 +218,6 @@ def fit_codebook(grids, n: int, iterations: int = 25, seed: int = 0) -> Codebook
     if n > len(data):
         raise InvariantError(f"codebook size {n} exceeds {len(data)} training vectors")
     return Codebook(kmeans(data, n, iterations=iterations, seed=seed).astype(np.float32))
-
-
-def final_residual_mse(grids, hierarchies, codebook: Codebook, refiners) -> float:
-    """Mean over grids of the mean squared final residual; the refiner loss."""
-    grids = list(grids)
-    total = 0.0
-    for grid, hierarchy in zip(grids, hierarchies):
-        _, trace = build_contents(grid, hierarchy, codebook, refiners)
-        final = trace.residuals[-1].data.astype(np.float64)
-        total += float(np.mean(final * final))
-    return total / len(grids)
 
 
 def train_refiners(grids, hierarchy_builder, codebook: Codebook, steps: int,

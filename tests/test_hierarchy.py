@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from nvg.errors import InvariantError
+from nvg import hierarchy
+from nvg.errors import InvariantError, NumericError
 from nvg.grid import LatentGrid, StructureMap
 from nvg.hierarchy import Hierarchy, build_hierarchy, greedy_pair_step, reindex_hierarchy
 
@@ -17,6 +18,56 @@ def brute_force_first_merge(vectors):
         if best is None or d < best[0]:
             best = (d, (i, j))
     return best[1]
+
+
+def whole_matrix_sq_dists(vectors):
+    """Every squared distance from one (m, m, e) diff tensor and one einsum."""
+    diff = vectors[:, None, :] - vectors[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def reference_greedy_pairs(vectors):
+    """Full-rescan greedy pairing: m/2 argmins over the whole masked matrix.
+
+    The row-major first minimum of the i < j entries is the lexicographic
+    (i, j) tie-break; hierarchy._greedy_pairs must agree with it exactly.
+    """
+    m = len(vectors)
+    d = whole_matrix_sq_dists(vectors)
+    d[np.tril_indices(m)] = np.inf
+    pairs, dists = [], []
+    for _ in range(m // 2):
+        i, j = divmod(int(np.argmin(d)), m)
+        pairs.append((i, j))
+        dists.append(float(d[i, j]))
+        d[i, :] = d[:, i] = d[j, :] = d[:, j] = np.inf
+    return pairs, dists
+
+
+def oracle_vectors(kind, m, e, rng):
+    if kind == "random":
+        return rng.normal(size=(m, e))
+    if kind == "integer":        # few distinct distances: heavy ties
+        return rng.integers(0, 3, size=(m, e)).astype(np.float64)
+    if kind == "all-equal":
+        return np.full((m, e), 0.7)
+    # "duplicated": every vector twice, shuffled, so many pairs sit at 0
+    return np.repeat(rng.normal(size=(m // 2, e)), 2, axis=0)[rng.permutation(m)]
+
+
+def reference_canonical_split(parent, child, stage):
+    """One flatnonzero scan per parent cluster; hierarchy._canonical_split
+    must agree with it, None included."""
+    out = np.empty(parent.size, dtype=np.int32)
+    for j in range(1 << stage):
+        locs = np.flatnonzero(parent == j)
+        old = child[locs]
+        in_first = old == old[0]
+        if int(in_first.sum()) * 2 != locs.size or np.unique(old).size != 2:
+            return None
+        out[locs[in_first]] = 2 * j
+        out[locs[~in_first]] = 2 * j + 1
+    return out
 
 
 def replay_greedy_oracle(record):
@@ -58,6 +109,17 @@ class TestGreedyPairStep:
         with pytest.raises(InvariantError):
             greedy_pair_step(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("vectors", [
+        [[np.inf], [0.0], [1.0], [2.0]],
+        [[1e308], [-1e308], [0.0], [1.0]],
+        [[np.nan], [0.0], [1.0], [2.0]],
+    ], ids=["inf", "overflow", "nan"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_input_or_distance_raises(self, vectors):
+        # without the check these pair (0, 0) or pair a NaN silently
+        with pytest.raises(NumericError):
+            greedy_pair_step(np.array(vectors))
+
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -66,6 +128,28 @@ class TestGreedyPairStep:
             assert pairs[0] == brute_force_first_merge(vecs)
             flat = sorted(idx for pair in pairs for idx in pair)
             assert flat == list(range(6))
+
+
+class TestGreedyPairsOracle:
+    @pytest.mark.parametrize("kind", ["random", "integer", "all-equal", "duplicated"])
+    @pytest.mark.parametrize("e", [1, 3, 4, 8])
+    @pytest.mark.parametrize("m", [2, 4, 6, 64, 256])
+    def test_equals_full_rescan(self, m, e, kind):
+        vectors = oracle_vectors(kind, m, e, np.random.default_rng(m * 100 + e))
+        assert hierarchy._greedy_pairs(vectors) == reference_greedy_pairs(vectors)
+
+    def test_equals_full_rescan_at_32x32(self):
+        vectors = np.random.default_rng(1024).normal(size=(1024, 4))
+        assert hierarchy._greedy_pairs(vectors) == reference_greedy_pairs(vectors)
+
+    @pytest.mark.parametrize("e", [1, 3, 4, 8])
+    def test_blocked_distances_equal_whole_einsum(self, e):
+        m = 2 * hierarchy._DIST_BLOCK_ROWS + 5
+        vectors = np.random.default_rng(e).normal(size=(m, e)) * 3.0
+        d = hierarchy._pairwise_sq_dists(vectors)
+        upper = np.triu_indices(m, 1)
+        assert np.array_equal(d[upper], whole_matrix_sq_dists(vectors)[upper])
+        assert np.all(d[np.tril_indices(m)] == np.inf)
 
 
 class TestBuildHierarchy:
@@ -171,6 +255,43 @@ class TestReindexHierarchy:
         bad = StructureMap(2, np.array([[0, 1, 0, 2], [1, 3, 2, 3]]))
         with pytest.raises(InvariantError):
             reindex_hierarchy([s0, s1, bad, s3])
+
+    def test_canonical_split_equals_loop_reference(self):
+        rng = np.random.default_rng(9)
+        for trial in range(300):
+            hw = 1 << int(rng.integers(1, 7))
+            stage = int(rng.integers(0, hw.bit_length() - 1))
+            n = 1 << stage
+            parent = rng.permutation(np.repeat(np.arange(n), hw // n))
+            # a nested child under scrambled labels, then maybe a swap or an overwrite
+            child = np.empty(hw, dtype=np.int64)
+            labels = rng.permutation(2 * n)
+            for j in range(n):
+                locs = rng.permutation(np.flatnonzero(parent == j))
+                child[locs[:locs.size // 2]] = labels[2 * j]
+                child[locs[locs.size // 2:]] = labels[2 * j + 1]
+            if trial % 3 == 1:
+                a, b = rng.integers(0, hw, 2)
+                child[[a, b]] = child[[b, a]]
+            elif trial % 3 == 2:
+                child[rng.integers(0, hw)] = rng.integers(0, 2 * n)
+            got = hierarchy._canonical_split(parent, child, stage)
+            want = reference_canonical_split(parent, child, stage)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+
+    @pytest.mark.parametrize("bad_row", [
+        [0, 1, 2, 2, 0, 1, 3, 3],     # first label of cluster 0 holds 1 of its 4
+        [0, 0, 1, 2, 3, 3, 1, 2],     # each cluster: half one label, then two labels
+    ], ids=["uneven", "three-labels"])
+    def test_non_nested_map_rejected(self, bad_row):
+        s0 = StructureMap(0, np.zeros((1, 8), dtype=np.int64))
+        s1 = StructureMap(1, np.array([[0, 0, 0, 0, 1, 1, 1, 1]]))
+        s2 = StructureMap(2, np.array([bad_row]))
+        s3 = StructureMap(3, np.arange(8).reshape(1, 8))
+        with pytest.raises(InvariantError):
+            reindex_hierarchy([s0, s1, s2, s3])
 
     def test_type_enforces_2j_relation(self):
         s0 = StructureMap(0, np.zeros((2, 2), dtype=np.int64))

@@ -9,13 +9,23 @@ from nvg.quantize import (
     kmeans,
     Refiner,
     build_contents,
-    final_residual_mse,
     fit_codebook,
     identity_refiners,
     reconstruct,
     train_refiners,
     unquantized_residuals,
 )
+
+
+def final_residual_mse(grids, hierarchies, codebook, refiners):
+    """Mean over grids of the mean squared final residual: the loss
+    train_refiners minimises, recomputed from build_contents alone."""
+    total = 0.0
+    for grid, hierarchy in zip(grids, hierarchies):
+        _, trace = build_contents(grid, hierarchy, codebook, refiners)
+        final = trace.residuals[-1].data.astype(np.float64)
+        total += float(np.mean(final * final))
+    return total / len(grids)
 
 
 def random_grid(rng, h=8, w=8, e=4):

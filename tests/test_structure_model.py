@@ -153,9 +153,8 @@ class TestFlowSample:
         flow_sample(fn, target, stage=1, n_steps=5, rng=6)
         assert batches == [[0, 1]] * 5
 
-    # NaN or inf in either row also makes numpy warn about an invalid value
-    # (inf - inf) on the way to the raise
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # NumericError must be the only report: no numpy warning on the way to it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("cfg_scale,bad_row", [(1.0, 0), (2.0, 0), (2.0, 1)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_velocity_raises_numeric_error(self, cfg_scale, bad_row, bad):
