@@ -23,6 +23,6 @@ from .grid import (  # noqa: E402
     cluster_average,
 )
 from .hierarchy import Hierarchy, build_hierarchy, greedy_pair_step, reindex_hierarchy  # noqa: E402
-from .structcode import decode_structure, encode_structure, stack_hierarchy_embedding  # noqa: E402
+from .structcode import decode_structure, encode_structure  # noqa: E402
 
 __version__ = "0.1.0"

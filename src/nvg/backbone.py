@@ -99,10 +99,6 @@ class ModelConfig:
         return 0.1 * self.depth / 24.0
 
     @property
-    def head_dim(self) -> int:
-        return HEAD_DIM
-
-    @property
     def head_channels(self) -> int:
         """Output head width: a latent vector or one embedding column per stage."""
         return self.latent_channels if self.kind == "content" else self.last_stage
@@ -167,10 +163,7 @@ def time_features(t: np.ndarray, width: int) -> np.ndarray:
 class Block:
     """One parallel attention+MLP block with modulation; 15 w^2 weights."""
 
-    def __init__(self, index: int, width: int, heads: int, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.index = index
-        self.width = width
+    def __init__(self, width: int, heads: int, rng: np.random.Generator, dtype=np.float32):
         self.heads = heads
         w = width
         init = lambda *shape: (0.02 * rng.standard_normal(shape)).astype(dtype)
@@ -244,8 +237,7 @@ class Generator:
         self.class_emb = self._init(config.num_classes + 1, w)   # last row: null condition
         self.stage_emb = self._init(config.last_stage + 1, w)
         self._make_inputs()
-        self.blocks = [Block(i, w, config.heads, self._rng, dtype)
-                       for i in range(config.depth)]
+        self.blocks = [Block(w, config.heads, self._rng, dtype) for _ in range(config.depth)]
         self.w_final_mod = self._zeros(w, 2 * w)
         self.w_head = self._init(w, config.head_channels)
         self.b_head = self._zeros(config.head_channels)

@@ -3,9 +3,15 @@
 The finest stage gives every location its own cluster; each coarser stage
 merges cluster pairs greedily by squared l2 distance between cluster means
 until one cluster covers the grid. Labels are then rewritten into canonical
-parent-child form (label j splits into 2j and 2j+1).
+parent-child form (label j splits into 2j and 2j+1). A Hierarchy is those
+maps and nothing else; whether a build was greedy can be checked from the
+maps and the grid alone, because each stage's clusters, averaged from the
+grid, must pair up as 2j with 2j+1 under a fresh greedy scan (barring exact
+distance ties, which the scan breaks by label order).
 
-A stage with m clusters costs O(m^2) in practice: the i < j distance matrix
+A stage's members are one (clusters, size) array of grid locations, so its
+labels and cluster means come from one scatter and one gather per stage. A
+stage with m clusters costs O(m^2) in practice: the i < j distance matrix
 is built once, in row blocks, and each merge takes the smallest of per-row
 cached minima, rescanning only the rows whose cached partner was just merged.
 Ties break on the smallest (i, j), exactly as a full row-major rescan of the
@@ -22,7 +28,6 @@ from .errors import InvariantError, NumericError
 from .grid import LatentGrid, StructureMap, check_map_chain
 
 __all__ = [
-    "MergeRecord",
     "Hierarchy",
     "greedy_pair_step",
     "build_hierarchy",
@@ -31,43 +36,19 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class MergeRecord:
-    """One coarsening step, kept so tests can replay and audit the greedy scan.
-
-    representatives holds the pre-merge cluster means (working label order),
-    pairs the merged index pairs in merge order, distances their squared l2
-    distances at merge time.
-    """
-
-    representatives: np.ndarray
-    pairs: tuple
-    distances: tuple
-
-
-@dataclass(frozen=True, eq=False)
 class Hierarchy:
-    """Canonical stage-0..K structure maps plus the merge trace that built them."""
+    """Canonical stage-0..K structure maps, balanced and nested."""
 
     maps: tuple
-    merge_trace: tuple = ()
 
     def __post_init__(self):
         maps = tuple(self.maps)
         check_map_chain(maps)
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "merge_trace", tuple(self.merge_trace))
 
     @property
     def last_stage(self) -> int:
         return len(self.maps) - 1
-
-    @property
-    def h(self) -> int:
-        return self.maps[0].h
-
-    @property
-    def w(self) -> int:
-        return self.maps[0].w
 
 
 # Rows of the distance matrix built per block: bounds the (rows, m, e) diff
@@ -149,9 +130,10 @@ def greedy_pair_step(vectors) -> list:
 def build_hierarchy(grid: LatentGrid) -> Hierarchy:
     """Cluster the grid bottom-up, halving the cluster count per stage.
 
-    The merged pair's representative is the mean of all member grid vectors.
-    Output labels are canonical (see reindex_hierarchy); the merge trace keeps
-    the working-order representatives and pair choices of every step.
+    Each stage keeps its clusters' grid locations as one (clusters, size)
+    array; a merged pair's row is i's members followed by j's, and its
+    representative is the mean of those members' grid vectors, summed in that
+    row order. Output labels are canonical (see reindex_hierarchy).
     """
     h, w = grid.h, grid.w
     hw = h * w
@@ -159,23 +141,18 @@ def build_hierarchy(grid: LatentGrid) -> Hierarchy:
     flat = grid.data.reshape(hw, grid.e).astype(np.float64)
 
     raw_maps = {last: np.arange(hw, dtype=np.int32)}
-    members = [np.array([i]) for i in range(hw)]
-    reps = flat.copy()
-    trace = []
+    members = np.arange(hw)[:, None]
+    reps = flat
     for stage in range(last - 1, -1, -1):
-        pairs, dists = _greedy_pairs(reps)
-        trace.append(MergeRecord(reps.copy(), tuple(pairs), tuple(dists)))
+        pairs, _ = _greedy_pairs(reps)
+        pi, pj = np.array(pairs).T
+        members = np.concatenate([members[pi], members[pj]], axis=1)
         labels = np.empty(hw, dtype=np.int32)
-        new_members = []
-        for p, (i, j) in enumerate(pairs):
-            merged = np.concatenate([members[i], members[j]])
-            labels[merged] = p
-            new_members.append(merged)
-        members = new_members
-        reps = np.stack([flat[mem].mean(axis=0) for mem in members])
+        labels[members] = np.arange(len(members))[:, None]
+        reps = flat[members].mean(axis=1)
         raw_maps[stage] = labels
     maps = [StructureMap(i, raw_maps[i].reshape(h, w)) for i in range(last + 1)]
-    return reindex_hierarchy(maps, merge_trace=tuple(trace))
+    return reindex_hierarchy(maps)
 
 
 def _canonical_split(parent: np.ndarray, child: np.ndarray, stage: int):
@@ -203,7 +180,7 @@ def _canonical_split(parent: np.ndarray, child: np.ndarray, stage: int):
     return out
 
 
-def reindex_hierarchy(h, merge_trace=None) -> Hierarchy:
+def reindex_hierarchy(h) -> Hierarchy:
     """Rewrite labels top-down into canonical 2j/2j+1 form.
 
     Accepts a Hierarchy or a plain sequence of per-stage StructureMaps whose
@@ -211,14 +188,7 @@ def reindex_hierarchy(h, merge_trace=None) -> Hierarchy:
     children of label j, the one containing the smallest row-major location
     gets label 2j. Idempotent on already-canonical hierarchies.
     """
-    if isinstance(h, Hierarchy):
-        maps = h.maps
-        if merge_trace is None:
-            merge_trace = h.merge_trace
-    else:
-        maps = tuple(h)
-        if merge_trace is None:
-            merge_trace = ()
+    maps = h.maps if isinstance(h, Hierarchy) else tuple(h)
     if not maps:
         raise InvariantError("nothing to reindex")
     grid_h, grid_w = maps[0].labels.shape
@@ -238,4 +208,4 @@ def reindex_hierarchy(h, merge_trace=None) -> Hierarchy:
     new_maps = tuple(
         StructureMap(i, flat.reshape(grid_h, grid_w)) for i, flat in enumerate(new_flat)
     )
-    return Hierarchy(new_maps, merge_trace=merge_trace)
+    return Hierarchy(new_maps)

@@ -28,7 +28,6 @@ from .hierarchy import Hierarchy, build_hierarchy
 
 __all__ = [
     "Refiner",
-    "ResidualTrace",
     "identity_refiners",
     "build_contents",
     "unquantized_residuals",
@@ -93,18 +92,6 @@ def identity_refiners(last_stage: int, channels: int) -> list:
     return [Refiner.identity(i, channels) for i in range(last_stage + 1)]
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualTrace:
-    """Residual grids R_0..R_{K+1} of one tokenization; R_0 is the input."""
-
-    residuals: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "residuals", tuple(self.residuals))
-        if not self.residuals:
-            raise InvariantError("residual trace cannot be empty")
-
-
 def _check_tokenize_shapes(grid: LatentGrid, hierarchy: Hierarchy, refiners) -> None:
     if hierarchy.maps[0].labels.shape != (grid.h, grid.w):
         raise InvariantError(
@@ -121,7 +108,7 @@ def build_contents(grid: LatentGrid, hierarchy: Hierarchy, codebook: Codebook,
                    refiners) -> tuple:
     """Tokenize: per stage, quantize residual cluster means, refine and subtract.
 
-    Returns (VGSequence, ResidualTrace).
+    Returns (VGSequence, residual grids R_0..R_{K+1}); R_0 is the input.
     """
     _check_tokenize_shapes(grid, hierarchy, refiners)
     if codebook.dim != grid.e:
@@ -136,13 +123,13 @@ def build_contents(grid: LatentGrid, hierarchy: Hierarchy, codebook: Codebook,
         residual = residual - refiners[i].apply(placed)
         residuals.append(residual)
         stages.append((tokens, smap))
-    return VGSequence(tuple(stages)), ResidualTrace(tuple(LatentGrid(r) for r in residuals))
+    return VGSequence(tuple(stages)), tuple(LatentGrid(r) for r in residuals)
 
 
-def unquantized_residuals(grid: LatentGrid, hierarchy: Hierarchy, refiners) -> ResidualTrace:
+def unquantized_residuals(grid: LatentGrid, hierarchy: Hierarchy, refiners) -> tuple:
     """The same recursion with the quantizer bypassed: cluster means are
-    placed back directly. Used as the telescoping oracle and to harvest
-    codebook training targets."""
+    placed back directly. Returns the residual grids R_0..R_{K+1}. Used as
+    the telescoping oracle and to harvest codebook training targets."""
     _check_tokenize_shapes(grid, hierarchy, refiners)
     residual = grid.data
     residuals = [residual]
@@ -150,7 +137,7 @@ def unquantized_residuals(grid: LatentGrid, hierarchy: Hierarchy, refiners) -> R
         means = cluster_average(residual, smap)
         residual = residual - refiners[i].apply(place(means, smap))
         residuals.append(residual)
-    return ResidualTrace(tuple(LatentGrid(r) for r in residuals))
+    return tuple(LatentGrid(r) for r in residuals)
 
 
 def reconstruct(seq: VGSequence, codebook: Codebook, refiners) -> LatentGrid:
@@ -165,9 +152,9 @@ def _training_vectors(grids, hierarchies) -> np.ndarray:
     for grid, hierarchy in zip(grids, hierarchies):
         chunks.append(grid.data.reshape(-1, grid.e))
         refiners = identity_refiners(hierarchy.last_stage, grid.e)
-        trace = unquantized_residuals(grid, hierarchy, refiners)
+        residuals = unquantized_residuals(grid, hierarchy, refiners)
         for i, smap in enumerate(hierarchy.maps):
-            chunks.append(cluster_average(trace.residuals[i].data, smap))
+            chunks.append(cluster_average(residuals[i].data, smap))
     return np.concatenate(chunks, axis=0).astype(np.float64)
 
 
@@ -252,8 +239,8 @@ def train_refiners(grids, hierarchy_builder, codebook: Codebook, steps: int,
         grad_w = [np.zeros((9 * e, e), dtype=np.float64) for _ in range(last + 1)]
         grad_b = [np.zeros(e, dtype=np.float64) for _ in range(last + 1)]
         for grid, hierarchy in zip(grids, hierarchies):
-            seq, trace = build_contents(grid, hierarchy, codebook, refiners)
-            final = trace.residuals[-1].data.astype(np.float64)
+            seq, residuals = build_contents(grid, hierarchy, codebook, refiners)
+            final = residuals[-1].data.astype(np.float64)
             loss += float(np.mean(final * final))
             if step == steps:
                 continue

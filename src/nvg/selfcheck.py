@@ -30,7 +30,25 @@ def _check_codec():
     return True, "all 511 depth-8 pairs plus smaller depths roundtrip"
 
 
+def _naive_greedy_pairs(vectors):
+    """Full rescan per merge: the row-major first minimum over unpaired i < j."""
+    m = len(vectors)
+    diff = vectors[:, None, :] - vectors[None, :, :]
+    d = (diff * diff).sum(-1)
+    d[np.tril_indices(m)] = np.inf
+    pairs = []
+    for _ in range(m // 2):
+        i, j = divmod(int(np.argmin(d)), m)
+        pairs.append((i, j))
+        d[[i, j], :] = np.inf
+        d[:, [i, j]] = np.inf
+    return pairs
+
+
 def _check_hierarchy(seed):
+    """Balance and nesting of every map, and greediness re-derived from them:
+    per stage s, the float64 means of the stage-(s+1) clusters, averaged from
+    the grid, must pair up as {2j, 2j+1} under a naive full-rescan scan."""
     rng = np.random.default_rng(seed)
     for _ in range(5):
         grid = LatentGrid(rng.normal(size=(8, 8, 4)).astype(np.float32))
@@ -39,16 +57,12 @@ def _check_hierarchy(seed):
             counts = np.bincount(smap.labels.ravel(), minlength=2 ** i)
             if not np.all(counts == 64 // 2 ** i):
                 return False, f"stage {i} imbalance"
-        for record in h.merge_trace:
-            reps = record.representatives
-            alive = np.ones(len(reps), dtype=bool)
-            for (i, j), dist in zip(record.pairs, record.distances):
-                diff = reps[alive][:, None, :] - reps[alive][None, :, :]
-                d2 = (diff * diff).sum(-1)
-                np.fill_diagonal(d2, np.inf)
-                if dist > d2.min() + 1e-12:
-                    return False, "merge not globally minimal"
-                alive[i] = alive[j] = False
+        flat = grid.data.reshape(64, 4).astype(np.float64)
+        for s in range(h.last_stage):
+            order = np.argsort(h.maps[s + 1].labels.ravel(), kind="stable")
+            means = flat[order].reshape(2 ** (s + 1), -1, 4).mean(axis=1)
+            if any(i % 2 or j != i + 1 for i, j in _naive_greedy_pairs(means)):
+                return False, f"stage {s} merges are not globally greedy"
     return True, "balance, nesting and greedy merges verified on 5 grids"
 
 
@@ -57,8 +71,8 @@ def _check_telescoping(seed):
     for _ in range(5):
         grid = LatentGrid(rng.normal(size=(8, 8, 4)).astype(np.float32))
         h = build_hierarchy(grid)
-        trace = unquantized_residuals(grid, h, identity_refiners(6, 4))
-        rel = np.linalg.norm(trace.residuals[-1].data) / np.linalg.norm(grid.data)
+        residuals = unquantized_residuals(grid, h, identity_refiners(6, 4))
+        rel = np.linalg.norm(residuals[-1].data) / np.linalg.norm(grid.data)
         if rel > 1e-5:
             return False, f"final residual relative norm {rel:.2e}"
     return True, "bypassed quantizer telescopes to zero on 5 grids"

@@ -13,13 +13,11 @@ import numpy as np
 
 from .errors import InvariantError
 from .grid import StructureMap
-from .hierarchy import Hierarchy
 
 __all__ = [
     "encode_structure",
     "decode_structure",
     "embed_structure_map",
-    "stack_hierarchy_embedding",
 ]
 
 PAD = 1
@@ -71,10 +69,3 @@ def embed_structure_map(smap: StructureMap, depth: int) -> np.ndarray:
     for j in range(stage):
         out[:, :, j] = 2 * ((labels >> (stage - 1 - j)) & 1)
     return out
-
-
-def stack_hierarchy_embedding(h: Hierarchy, stage: int) -> np.ndarray:
-    """Embedding grid of the hierarchy's stage-`stage` map at full depth."""
-    if not 0 <= stage <= h.last_stage:
-        raise InvariantError(f"stage {stage} outside [0, {h.last_stage}]")
-    return embed_structure_map(h.maps[stage], h.last_stage)

@@ -15,8 +15,6 @@ base head reads the velocity off the embedding run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -27,22 +25,13 @@ from .backbone import rope_tables  # noqa: F401
 from .errors import InvariantError, NumericError
 from .grid import StructureMap
 
-__all__ = ["FlowState", "noised_input", "StructureModel", "flow_sample",
-           "gumbel_balanced_split"]
-
-
-@dataclass(frozen=True, eq=False)
-class FlowState:
-    """Noised embedding grid at time t with its clamped known-column count."""
-
-    t: float
-    z: np.ndarray               # (h, w, K) float
-    known_stages: int
+__all__ = ["noised_input", "StructureModel", "flow_sample", "gumbel_balanced_split"]
 
 
 def noised_input(s_e_grid: np.ndarray, t: float, noise: np.ndarray,
-                 known_stages: int) -> FlowState:
-    """Interpolate toward noise, then clamp the known columns to ground truth."""
+                 known_stages: int) -> np.ndarray:
+    """The noised grid z at time t: interpolate toward noise, then clamp the
+    first known_stages columns to ground truth."""
     if not 0.0 <= t <= 1.0:
         raise InvariantError(f"t must lie in [0, 1], got {t}")
     s_e = np.asarray(s_e_grid, dtype=np.float32)
@@ -53,7 +42,7 @@ def noised_input(s_e_grid: np.ndarray, t: float, noise: np.ndarray,
         raise InvariantError("known column count out of range")
     z = np.float32(t) * noise + np.float32(1.0 - t) * s_e
     z[..., :known_stages] = s_e[..., :known_stages]
-    return FlowState(float(t), z, int(known_stages))
+    return z
 
 
 def _known_struct_ids(z: np.ndarray, known_stages: int) -> np.ndarray:

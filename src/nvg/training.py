@@ -110,7 +110,6 @@ def tokenize_dataset(dataset, codebook: Codebook, refiners) -> list:
 class TrainResult:
     losses: list = field(default_factory=list)
     null_masks: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
 
 
 def train_content(examples: list, model: ContentModel, config: TrainConfig) -> TrainResult:
@@ -189,8 +188,7 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
             ex = examples[int(idx[b])]
             stage = int(stages[b])
             known = stage - 1
-            state = noised_input(ex.flow_target, float(ts[b]), noise[b], known)
-            zs[b] = state.z
+            zs[b] = noised_input(ex.flow_target, float(ts[b]), noise[b], known)
             canvases[b] = ex.canvases[stage]
             targets[b] = noise[b] - ex.flow_target
             mask[b, :, :, known:] = 1.0
@@ -209,32 +207,6 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
         result.losses.append(value)
         result.null_masks.append(null_mask)
     return result
-
-
-@no_grad()
-def structure_eval_loss(examples: list, model: StructureModel, seed: int = 0,
-                        samples: int = 32) -> float:
-    """Masked velocity error on a fixed seeded evaluation batch."""
-    rng = np.random.default_rng(seed)
-    last = examples[0].sequence.last_stage
-    h, w_grid, _ = examples[0].grid.data.shape
-    total = 0.0
-    weight = 0.0
-    for _ in range(samples):
-        ex = examples[int(rng.integers(0, len(examples)))]
-        stage = int(rng.integers(1, last))
-        t = float(rng.random())
-        noise = rng.standard_normal((h, w_grid, last)).astype(np.float32)
-        state = noised_input(ex.flow_target, t, noise, stage - 1)
-        vel = model.velocity(np.array([ex.class_id]), np.array([stage]),
-                             ex.canvases[stage][None], state.z[None],
-                             np.array([t]), np.array([stage - 1]))
-        target = noise - ex.flow_target
-        mask = np.zeros_like(target)
-        mask[:, :, stage - 1:] = 1.0
-        total += float((((vel.data[0] - target) ** 2) * mask).sum())
-        weight += float(mask.sum())
-    return total / weight
 
 
 @no_grad()

@@ -4,6 +4,7 @@ import pytest
 import nvg.autodiff as ad
 from nvg.autodiff import Tensor
 from nvg.backbone import (
+    HEAD_DIM,
     Block,
     ModelConfig,
     gradient_check,
@@ -99,7 +100,8 @@ class TestAutodiffOps:
 class TestModelConfig:
     def test_content_dimensions(self):
         cfg = ModelConfig(16, "content", 4, 64, 4, 6)
-        assert cfg.width == 1024 and cfg.heads == 16 and cfg.head_dim == 64
+        assert cfg.width == 1024 and cfg.heads == 16
+        assert cfg.width // cfg.heads == HEAD_DIM == 64
 
     def test_structure_dimensions(self):
         cfg = ModelConfig(16, "structure", 4, 1, 4, 6)
@@ -122,7 +124,7 @@ class TestModelConfig:
         for depth in (2, 4, 8):
             for kind in ("content", "structure"):
                 cfg = ModelConfig(depth, kind, 4, 8, 4, 6)
-                blocks = [Block(i, cfg.width, cfg.heads, rng) for i in range(depth)]
+                blocks = [Block(cfg.width, cfg.heads, rng) for _ in range(depth)]
                 total = sum(b.core_param_count() for b in blocks)
                 assert total == param_count(cfg)
 
@@ -183,7 +185,7 @@ class TestBlock:
 
     def test_zero_out_projection_gives_identity(self):
         rng = np.random.default_rng(8)
-        block = Block(0, 128, 2, rng, dtype=np.float64)
+        block = Block(128, 2, rng, dtype=np.float64)
         block.w_out.data[:] = 0.0
         block.w_mod.data[:] = rng.normal(size=block.w_mod.data.shape)
         x, cos, sin, cond = self.make_inputs(rng, 128)
@@ -192,17 +194,17 @@ class TestBlock:
 
     def test_fresh_block_is_identity_via_zero_gate(self):
         rng = np.random.default_rng(9)
-        block = Block(0, 128, 2, rng, dtype=np.float64)
+        block = Block(128, 2, rng, dtype=np.float64)
         x, cos, sin, cond = self.make_inputs(rng, 128)
         assert np.array_equal(block.forward(x, cos, sin, cond).data, x.data)
 
     def test_block_param_count_is_15_w_squared(self):
-        block = Block(0, 128, 2, np.random.default_rng(0))
+        block = Block(128, 2, np.random.default_rng(0))
         assert block.core_param_count() == 15 * 128 * 128
 
     def test_block_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
-        block = Block(0, 128, 2, rng, dtype=np.float64)
+        block = Block(128, 2, rng, dtype=np.float64)
         # randomize all weights so every path carries gradient
         for p in (block.w_mod, block.w_fused, block.w_out):
             p.data = 0.05 * rng.standard_normal(p.data.shape)

@@ -70,24 +70,66 @@ def reference_canonical_split(parent, child, stage):
     return out
 
 
-def replay_greedy_oracle(record):
-    """Naive O(m^2) re-scan: each recorded merge must be globally minimal
-    among pairs of still-unpaired items at that moment."""
-    reps = record.representatives
-    m = len(reps)
-    alive = np.ones(m, dtype=bool)
-    for (i, j), dist in zip(record.pairs, record.distances):
-        assert alive[i] and alive[j]
-        for a in range(m):
-            if not alive[a]:
-                continue
-            for b in range(a + 1, m):
-                if not alive[b]:
-                    continue
-                d = float(np.sum((reps[a] - reps[b]) ** 2))
-                assert dist <= d + 1e-12
-        alive[i] = alive[j] = False
-    assert not alive.any()
+def reference_build_hierarchy(grid):
+    """The list-based build: one member array per cluster, concatenated pair
+    by pair (i's members, then j's), and one float64 mean per cluster, paired
+    by the full-rescan reference. Returns the canonical hierarchy and the
+    representatives each stage paired; build_hierarchy must equal both."""
+    h, w = grid.h, grid.w
+    hw = h * w
+    last = grid.last_stage
+    flat = grid.data.reshape(hw, grid.e).astype(np.float64)
+    raw_maps = {last: np.arange(hw, dtype=np.int32)}
+    members = [np.array([i]) for i in range(hw)]
+    reps = flat.copy()
+    paired = []
+    for stage in range(last - 1, -1, -1):
+        paired.append(reps)
+        pairs, _ = reference_greedy_pairs(reps)
+        labels = np.empty(hw, dtype=np.int32)
+        new_members = []
+        for p, (i, j) in enumerate(pairs):
+            merged = np.concatenate([members[i], members[j]])
+            labels[merged] = p
+            new_members.append(merged)
+        members = new_members
+        reps = np.stack([flat[mem].mean(axis=0) for mem in members])
+        raw_maps[stage] = labels
+    maps = [StructureMap(i, raw_maps[i].reshape(h, w)) for i in range(last + 1)]
+    return reindex_hierarchy(maps), paired
+
+
+def grid_cluster_means(grid, smap):
+    """float64 mean grid vector of each cluster of smap, by label."""
+    flat = grid.data.reshape(-1, grid.e).astype(np.float64)
+    sums = np.zeros((smap.num_clusters, grid.e))
+    np.add.at(sums, smap.labels.ravel(), flat)
+    return sums / smap.cluster_size
+
+
+def greedy_audit(grid, h):
+    """Re-derive each merge from the maps alone: per stage s, the grid means
+    of the stage-(s+1) clusters must pair up as {2j, 2j+1} under the naive
+    full-rescan greedy scan. Returns the stages where they do not."""
+    bad = []
+    for s in range(h.last_stage):
+        pairs, _ = reference_greedy_pairs(grid_cluster_means(grid, h.maps[s + 1]))
+        if sorted(pairs) != [(2 * j, 2 * j + 1) for j in range(1 << s)]:
+            bad.append(s)
+    return bad
+
+
+def oracle_grid(kind, h, w, e, rng):
+    if kind == "gaussian":
+        return LatentGrid(rng.normal(size=(h, w, e)).astype(np.float32))
+    if kind == "integer":        # few distinct means: heavy ties at every stage
+        return LatentGrid(rng.integers(0, 3, size=(h, w, e)).astype(np.float32))
+    if kind == "wide":
+        # float32 values of one order of magnitude sum exactly in float64, in
+        # any order; magnitudes 1e-12..1e12 make the member order matter
+        scale = 10.0 ** rng.uniform(-12, 12, size=(h, w, e))
+        return LatentGrid((rng.normal(size=(h, w, e)) * scale).astype(np.float32))
+    return LatentGrid(np.full((h, w, e), 0.7, dtype=np.float32))
 
 
 class TestGreedyPairStep:
@@ -187,13 +229,20 @@ class TestBuildHierarchy:
         for i in range(h.last_stage):
             assert np.array_equal(h.maps[i + 1].labels >> 1, h.maps[i].labels)
 
-    def test_merge_trace_is_globally_greedy(self):
+    def test_hierarchy_is_globally_greedy(self):
         rng = np.random.default_rng(4)
-        g = LatentGrid(rng.normal(size=(4, 4, 3)).astype(np.float32))
-        h = build_hierarchy(g)
-        assert len(h.merge_trace) == h.last_stage
-        for record in h.merge_trace:
-            replay_greedy_oracle(record)
+        grids = [LatentGrid(rng.normal(size=(4, 4, 3)).astype(np.float32))]
+        grids += [LatentGrid(rng.normal(size=(8, 8, 4)).astype(np.float32)) for _ in range(20)]
+        for g in grids:
+            assert greedy_audit(g, build_hierarchy(g)) == []
+
+    def test_greedy_audit_rejects_a_random_nested_hierarchy(self):
+        # nested and balanced, but its merges ignore the grid
+        rng = np.random.default_rng(10)
+        g = LatentGrid(rng.normal(size=(8, 8, 4)).astype(np.float32))
+        order = rng.permutation(64).reshape(8, 8)
+        h = reindex_hierarchy([StructureMap(s, order >> (6 - s)) for s in range(7)])
+        assert greedy_audit(g, h) != []
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -202,6 +251,41 @@ class TestBuildHierarchy:
         h2 = build_hierarchy(LatentGrid(data.copy()))
         for a, b in zip(h1.maps, h2.maps):
             assert np.array_equal(a.labels, b.labels)
+
+
+class TestMemberArrayOracle:
+    """build_hierarchy keeps members as one (clusters, size) array per stage;
+    the list-based loop must give the same maps and the same representatives
+    at every stage, bit for bit."""
+
+    def check(self, grid, monkeypatch):
+        paired = []
+        real = hierarchy._greedy_pairs
+
+        def spy(vectors):
+            paired.append(vectors.copy())
+            return real(vectors)
+
+        monkeypatch.setattr(hierarchy, "_greedy_pairs", spy)
+        got = build_hierarchy(grid)
+        want, want_paired = reference_build_hierarchy(grid)
+        for a, b in zip(got.maps, want.maps, strict=True):
+            assert np.array_equal(a.labels, b.labels) and a.labels.dtype == b.labels.dtype
+        assert len(paired) == len(want_paired)
+        for a, b in zip(paired, want_paired):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "integer", "all-equal", "wide"])
+    @pytest.mark.parametrize("e", [1, 3, 4, 8])
+    @pytest.mark.parametrize("shape", [(1, 2), (4, 8), (8, 8), (16, 16)],
+                             ids=["1x2", "4x8", "8x8", "16x16"])
+    def test_equals_list_build(self, shape, e, kind, monkeypatch):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1] * 10 + e)
+        self.check(oracle_grid(kind, *shape, e, rng), monkeypatch)
+
+    def test_equals_list_build_at_32x32(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        self.check(oracle_grid("gaussian", 32, 32, 4, rng), monkeypatch)
 
 
 class TestReindexHierarchy:

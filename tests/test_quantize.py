@@ -22,8 +22,8 @@ def final_residual_mse(grids, hierarchies, codebook, refiners):
     train_refiners minimises, recomputed from build_contents alone."""
     total = 0.0
     for grid, hierarchy in zip(grids, hierarchies):
-        _, trace = build_contents(grid, hierarchy, codebook, refiners)
-        final = trace.residuals[-1].data.astype(np.float64)
+        _, residuals = build_contents(grid, hierarchy, codebook, refiners)
+        final = residuals[-1].data.astype(np.float64)
         total += float(np.mean(final * final))
     return total / len(grids)
 
@@ -70,9 +70,9 @@ class TestBuildContents:
         hierarchy = build_hierarchy(grid)
         codebook = Codebook(np.stack([np.array([9.0, 9.0], dtype=np.float32), mean]))
         refiners = identity_refiners(2, 2)
-        seq, trace = build_contents(grid, hierarchy, codebook, refiners)
+        seq, residuals = build_contents(grid, hierarchy, codebook, refiners)
         assert seq.stages[0][0].indices.tolist() == [1]
-        means_r1 = cluster_average(trace.residuals[1].data, hierarchy.maps[0])
+        means_r1 = cluster_average(residuals[1].data, hierarchy.maps[0])
         assert np.allclose(means_r1, 0.0, atol=1e-6)
 
     def test_trace_starts_at_input(self):
@@ -80,17 +80,17 @@ class TestBuildContents:
         grid = random_grid(rng, 4, 4, 3)
         hierarchy = build_hierarchy(grid)
         codebook = Codebook(rng.normal(size=(8, 3)).astype(np.float32))
-        seq, trace = build_contents(grid, hierarchy, codebook, identity_refiners(4, 3))
-        assert np.array_equal(trace.residuals[0].data, grid.data)
-        assert len(trace.residuals) == grid.last_stage + 2
+        seq, residuals = build_contents(grid, hierarchy, codebook, identity_refiners(4, 3))
+        assert np.array_equal(residuals[0].data, grid.data)
+        assert len(residuals) == grid.last_stage + 2
 
     def test_telescoping_with_quantizer_bypassed(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             grid = random_grid(rng)
             hierarchy = build_hierarchy(grid)
-            trace = unquantized_residuals(grid, hierarchy, identity_refiners(6, 4))
-            final = trace.residuals[-1].data
+            residuals = unquantized_residuals(grid, hierarchy, identity_refiners(6, 4))
+            final = residuals[-1].data
             rel = np.linalg.norm(final) / np.linalg.norm(grid.data)
             assert rel <= 1e-5
 
@@ -106,8 +106,8 @@ class TestBuildContents:
         good = 0
         for grid in trials_set:
             hierarchy = build_hierarchy(grid)
-            _, trace = build_contents(grid, hierarchy, codebook, refiners)
-            norms = [np.linalg.norm(r.data) for r in trace.residuals[:-1]]
+            _, residuals = build_contents(grid, hierarchy, codebook, refiners)
+            norms = [np.linalg.norm(r.data) for r in residuals[:-1]]
             good += all(b <= a for a, b in zip(norms, norms[1:]))
         assert good / len(trials_set) >= 0.95
 
@@ -130,9 +130,9 @@ class TestReconstruct:
         hierarchy = build_hierarchy(grid)
         codebook = Codebook(rng.normal(size=(32, 4)).astype(np.float32))
         refiners = identity_refiners(6, 4)
-        seq, trace = build_contents(grid, hierarchy, codebook, refiners)
+        seq, residuals = build_contents(grid, hierarchy, codebook, refiners)
         recon = reconstruct(seq, codebook, refiners)
-        expected = grid.data - trace.residuals[-1].data
+        expected = grid.data - residuals[-1].data
         err = np.linalg.norm(recon.data - expected) / max(np.linalg.norm(expected), 1e-9)
         assert err <= 1e-5
 

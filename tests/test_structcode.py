@@ -9,7 +9,6 @@ from nvg.structcode import (
     decode_structure,
     embed_structure_map,
     encode_structure,
-    stack_hierarchy_embedding,
 )
 
 
@@ -101,12 +100,12 @@ class TestStackedEmbedding:
         return build_hierarchy(LatentGrid(rng.normal(size=(4, 4, 3)).astype(np.float32)))
 
     def test_stage0_all_ones(self, hierarchy):
-        emb = stack_hierarchy_embedding(hierarchy, 0)
+        emb = embed_structure_map(hierarchy.maps[0], hierarchy.last_stage)
         assert np.all(emb == 1)
         assert emb.shape == (4, 4, 4)
 
     def test_bijective_stage_all_distinct_no_padding(self, hierarchy):
-        emb = stack_hierarchy_embedding(hierarchy, hierarchy.last_stage)
+        emb = embed_structure_map(hierarchy.maps[hierarchy.last_stage], hierarchy.last_stage)
         assert not np.any(emb == 1)
         flat = {tuple(row) for row in emb.reshape(-1, emb.shape[2])}
         assert len(flat) == 16
@@ -114,7 +113,7 @@ class TestStackedEmbedding:
     def test_matches_per_location_encode(self, hierarchy):
         depth = hierarchy.last_stage
         for stage in range(depth + 1):
-            emb = stack_hierarchy_embedding(hierarchy, stage)
+            emb = embed_structure_map(hierarchy.maps[stage], hierarchy.last_stage)
             labels = hierarchy.maps[stage].labels
             for y in range(4):
                 for x in range(4):
@@ -123,8 +122,8 @@ class TestStackedEmbedding:
 
     def test_prefix_inherited_from_parent(self, hierarchy):
         for stage in range(1, hierarchy.last_stage + 1):
-            child = stack_hierarchy_embedding(hierarchy, stage)
-            parent = stack_hierarchy_embedding(hierarchy, stage - 1)
+            child = embed_structure_map(hierarchy.maps[stage], hierarchy.last_stage)
+            parent = embed_structure_map(hierarchy.maps[stage - 1], hierarchy.last_stage)
             assert np.array_equal(child[:, :, :stage - 1], parent[:, :, :stage - 1])
 
     def test_embed_structure_map_shape(self, hierarchy):

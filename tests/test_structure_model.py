@@ -7,7 +7,6 @@ from nvg.errors import InvariantError, NumericError
 from nvg.grid import StructureMap
 from nvg.pipeline import cfg_forward
 from nvg.structure_model import (
-    FlowState,
     StructureModel,
     flow_sample,
     gumbel_balanced_split,
@@ -41,30 +40,30 @@ class TestNoisedInput:
     def test_t_zero_returns_embedding(self):
         rng = np.random.default_rng(0)
         s_e = random_embedding(rng)
-        state = noised_input(s_e, 0.0, rng.standard_normal(s_e.shape), 0)
-        assert np.allclose(state.z, s_e)
+        z = noised_input(s_e, 0.0, rng.standard_normal(s_e.shape), 0)
+        assert np.allclose(z, s_e)
 
     def test_t_one_returns_noise(self):
         rng = np.random.default_rng(1)
         s_e = random_embedding(rng)
         noise = rng.standard_normal(s_e.shape).astype(np.float32)
-        state = noised_input(s_e, 1.0, noise, 0)
-        assert np.array_equal(state.z, noise)
+        z = noised_input(s_e, 1.0, noise, 0)
+        assert np.array_equal(z, noise)
 
     def test_known_columns_clamped_at_t_one(self):
         rng = np.random.default_rng(2)
         s_e = random_embedding(rng)
         noise = rng.standard_normal(s_e.shape).astype(np.float32)
-        state = noised_input(s_e, 1.0, noise, 3)
-        assert np.array_equal(state.z[..., :3], s_e[..., :3])
-        assert np.array_equal(state.z[..., 3:], noise[..., 3:])
+        z = noised_input(s_e, 1.0, noise, 3)
+        assert np.array_equal(z[..., :3], s_e[..., :3])
+        assert np.array_equal(z[..., 3:], noise[..., 3:])
 
     def test_path_derivative_is_noise_minus_embedding(self):
         rng = np.random.default_rng(3)
         s_e = random_embedding(rng)
         noise = rng.standard_normal(s_e.shape).astype(np.float32)
-        z1 = noised_input(s_e, 0.25, noise, 0).z.astype(np.float64)
-        z2 = noised_input(s_e, 0.75, noise, 0).z.astype(np.float64)
+        z1 = noised_input(s_e, 0.25, noise, 0).astype(np.float64)
+        z2 = noised_input(s_e, 0.75, noise, 0).astype(np.float64)
         derivative = (z2 - z1) / 0.5
         assert np.allclose(derivative, noise - s_e, atol=1e-5)
 
@@ -89,10 +88,9 @@ class TestVelocityForward:
         model = small_model()
         rng = np.random.default_rng(6)
         canvas = rng.normal(size=(4, 4, 3)).astype(np.float32)
-        state = FlowState(0.5, rng.normal(size=(4, 4, 4)).astype(np.float32), 1)
-        out = model.velocity(np.array([0]), np.array([state.known_stages + 1]),
-                             canvas[None], state.z[None], np.array([state.t]),
-                             np.array([state.known_stages]))
+        z = rng.normal(size=(4, 4, 4)).astype(np.float32)
+        out = model.velocity(np.array([0]), np.array([2]), canvas[None], z[None],
+                             np.array([0.5]), np.array([1]))
         assert out.shape == (1, 4, 4, 4)
 
 

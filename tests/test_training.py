@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from nvg.autodiff import no_grad
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
 from nvg.errors import InvariantError
 from nvg.quantize import fit_codebook, identity_refiners
-from nvg.structure_model import StructureModel
+from nvg.structure_model import StructureModel, noised_input
 from nvg.synthetic import SyntheticSpec, class_base_colors, make_synthetic_dataset
 from nvg.training import (
     TrainConfig,
     evaluate,
-    structure_eval_loss,
     tokenize_dataset,
     train_content,
     train_structure,
@@ -18,6 +18,31 @@ from nvg.training import (
 )
 
 LAST = 4  # 4x4 grids keep these tests quick
+
+
+@no_grad()
+def structure_eval_loss(examples, model, seed=0, samples=32):
+    """Masked velocity error on a fixed seeded evaluation batch."""
+    rng = np.random.default_rng(seed)
+    last = examples[0].sequence.last_stage
+    h, w_grid, _ = examples[0].grid.data.shape
+    total = 0.0
+    weight = 0.0
+    for _ in range(samples):
+        ex = examples[int(rng.integers(0, len(examples)))]
+        stage = int(rng.integers(1, last))
+        t = float(rng.random())
+        noise = rng.standard_normal((h, w_grid, last)).astype(np.float32)
+        z = noised_input(ex.flow_target, t, noise, stage - 1)
+        vel = model.velocity(np.array([ex.class_id]), np.array([stage]),
+                             ex.canvases[stage][None], z[None],
+                             np.array([t]), np.array([stage - 1]))
+        target = noise - ex.flow_target
+        mask = np.zeros_like(target)
+        mask[:, :, stage - 1:] = 1.0
+        total += float((((vel.data[0] - target) ** 2) * mask).sum())
+        weight += float(mask.sum())
+    return total / weight
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +219,6 @@ class TestTrainStructure:
                           null_rate=0.0, seed=5)
         result = train_structure(examples, model, cfg)
         rng = np.random.default_rng(5)
-        from nvg.structure_model import noised_input
         idx = rng.integers(0, len(examples), size=4)
         stages = rng.integers(1, LAST, size=4)
         ts = rng.random(4)
@@ -205,9 +229,9 @@ class TestTrainStructure:
         for b in range(4):
             ex = examples[int(idx[b])]
             stage = int(stages[b])
-            state = noised_input(ex.flow_target, float(ts[b]), noise[b], stage - 1)
+            z = noised_input(ex.flow_target, float(ts[b]), noise[b], stage - 1)
             vel = model.velocity(np.array([ex.class_id]), np.array([stage]),
-                                 ex.canvases[stage][None], state.z[None],
+                                 ex.canvases[stage][None], z[None],
                                  np.array([float(ts[b])]), np.array([stage - 1]))
             target = noise[b] - ex.flow_target
             mask = np.zeros_like(target)
