@@ -18,8 +18,8 @@ from .grid import (  # noqa: E402
     LatentGrid,
     StructureMap,
     VGSequence,
-    accumulate_canvas,
     assign,
+    canvas_prefixes,
     cluster_average,
 )
 from .hierarchy import Hierarchy, build_hierarchy, greedy_pair_step, reindex_hierarchy  # noqa: E402

@@ -57,7 +57,8 @@ def load_model(path):
     except InvariantError as exc:
         raise FormatError(f"model checkpoint at {path} has an invalid config: {exc}") from exc
     blocks = {k.split(".", 1)[0] for k in arrays if k.startswith("block")}
-    if blocks != {f"block{i}" for i in range(config.depth)}:
+    # the count first: a meta's depth may be far larger than the file
+    if len(blocks) != config.depth or blocks != {f"block{i}" for i in range(config.depth)}:
         raise FormatError(f"model checkpoint at {path} holds {len(blocks)} blocks, "
                           f"its meta says depth {config.depth}")
     for name, shape in _witness_shapes(config).items():

@@ -2,7 +2,8 @@
 
 Commands: tokenize, reconstruct, train-codebook, train-content,
 train-structure, generate, inspect, selfcheck. Exit codes: 0 success,
-2 parse/format error, 3 domain-invariant violation, 4 numeric failure.
+2 parse/format error, unreadable input or unwritable output, 3
+domain-invariant violation, 4 numeric failure.
 Every command takes all randomness through --seed; NVG_THREADS caps the
 BLAS thread pools.
 """
@@ -167,14 +168,11 @@ def cmd_train_generator(args, kind: str) -> int:
     config = TrainConfig(steps=args.steps, batch_size=args.batch, base_lr=args.lr,
                          warmup_steps=args.warmup,
                          decay_start_fraction=args.decay_start, seed=args.seed)
-    if kind == "content":
-        model = ContentModel(ModelConfig(args.depth, "content", e, codebook.size,
-                                         args.classes, last), seed=args.seed)
-        result = train_content(examples, model, config)
-    else:
-        model = StructureModel(ModelConfig(args.depth, "structure", e, codebook.size,
-                                           args.classes, last), seed=args.seed)
-        result = train_structure(examples, model, config)
+    model_cls, train = {"content": (ContentModel, train_content),
+                        "structure": (StructureModel, train_structure)}[kind]
+    model = model_cls(ModelConfig(args.depth, kind, e, codebook.size, args.classes, last),
+                      seed=args.seed)
+    result = train(examples, model, config)
     checkpoints.save_model(args.output, model)
     print(f"{kind} model trained: final loss {result.losses[-1]:.6f} "
           f"over {len(result.losses)} steps")

@@ -121,11 +121,8 @@ class ContentModel(Generator):
         return ad.matmul(means, self.w_logit) + self.b_logit
 
     def loss(self, batch: list, train: bool = False,
-             rng: np.random.Generator | None = None):
-        """Mean of Eq-style per-sample losses: canvas MSE + token CE.
-
-        Returns (loss Tensor, stats dict).
-        """
+             rng: np.random.Generator | None = None) -> Tensor:
+        """Mean of Eq-style per-sample losses: canvas MSE + token CE."""
         if not batch:
             raise InvariantError("empty batch")
         class_ids = np.array([item.class_id for item in batch])
@@ -138,24 +135,8 @@ class ContentModel(Generator):
                                          train=train, rng=rng)
         err = pred - targets
         mse = (err * err).mean()
-        ce_terms = []
-        correct = 0
-        total = 0
-        for b, item in enumerate(batch):
-            logits = self.token_logits(pred[b], item.canvas, item.smap)
-            ce_terms.append(cross_entropy_mean(logits, item.target_tokens))
-            pred_tok = np.argmax(logits.data, axis=1)
-            correct += int((pred_tok == item.target_tokens).sum())
-            total += len(item.target_tokens)
-        ce = ce_terms[0]
-        for term in ce_terms[1:]:
-            ce = ce + term
-        ce = ce * (1.0 / len(ce_terms))
-        loss = mse + ce
-        stats = {
-            "mse": float(mse.data),
-            "ce": float(ce.data),
-            "token_accuracy": correct / max(total, 1),
-        }
-        return loss, stats
-
+        ce_terms = [cross_entropy_mean(self.token_logits(pred[b], item.canvas, item.smap),
+                                       item.target_tokens)
+                    for b, item in enumerate(batch)]
+        ce = sum(ce_terms[1:], ce_terms[0])     # term 0 + term 1 + ..., in order
+        return mse + ce * (1.0 / len(ce_terms))

@@ -1,5 +1,5 @@
 """Core grid and codebook types plus the placement, averaging, quantization
-and canvas-accumulation primitives shared by the tokenizer and the generators.
+and running-canvas primitives shared by the tokenizer and the generators.
 
 Array conventions used everywhere in this package:
 
@@ -32,7 +32,7 @@ __all__ = [
     "place",
     "cluster_average",
     "quantize_nearest_batch",
-    "accumulate_canvas",
+    "canvas_prefixes",
 ]
 
 
@@ -268,22 +268,20 @@ def quantize_nearest_batch(vs: np.ndarray, codebook: Codebook) -> np.ndarray:
     return np.argmin(np.einsum("mnj,mnj->mn", d, d), axis=1).astype(np.int32)
 
 
-def accumulate_canvas(seq: VGSequence, upto: int, codebook: Codebook, refiners) -> LatentGrid:
-    """Running canvas: sum of refined stage placements for stages 0..upto.
+def canvas_prefixes(seq: VGSequence, codebook: Codebook, refiners) -> tuple:
+    """The K+2 running canvases of a sequence, in one left-to-right pass.
 
-    upto = -1 returns the all-zero grid. Accumulation is strictly left to
-    right so prefix canvases telescope bit-exactly.
+    Entry i is the sum of the refined stage placements of stages < i: entry 0
+    is the all-zero grid and entry K+1 the full reconstruction. Each entry
+    adds one term to the one before, so prefix canvases telescope bit-exactly.
     """
-    if not -1 <= upto <= seq.last_stage:
-        raise InvariantError(f"upto must lie in [-1, {seq.last_stage}], got {upto}")
     if len(refiners) != seq.last_stage + 1:
         raise InvariantError(
             f"need {seq.last_stage + 1} refiners (one per stage), got {len(refiners)}"
         )
-    tokens0, smap0 = seq.stages[0]
-    e = codebook.dim
-    x = np.zeros((smap0.h, smap0.w, e), dtype=np.float32)
-    for j in range(upto + 1):
-        tokens, smap = seq.stages[j]
-        x = x + refiners[j].apply(assign(tokens, smap, codebook).data)
-    return LatentGrid(x)
+    x = np.zeros((seq.h, seq.w, codebook.dim), dtype=np.float32)
+    prefixes = [LatentGrid(x)]
+    for refiner, (tokens, smap) in zip(refiners, seq.stages):
+        x = x + refiner.apply(assign(tokens, smap, codebook).data)
+        prefixes.append(LatentGrid(x))
+    return tuple(prefixes)

@@ -3,7 +3,8 @@ multi-tensor checkpoint container and 8-bit PGM images for structure maps.
 
 All writers emit byte-identical output for identical inputs (sorted JSON
 keys, fixed separators, little-endian payloads), so reproducibility can be
-checked by comparing files.
+checked by comparing files. An unreadable or unwritable path, or bytes
+that do not decode, raise FormatError.
 """
 
 from __future__ import annotations
@@ -29,6 +30,29 @@ CHECKPOINT_MAGIC = b"NVGC"
 FORMAT_VERSION = 1
 
 
+def _read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _write_bytes(path, blob: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _decode_json(blob: bytes, what: str):
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{what} is not valid UTF-8 JSON: {exc}") from exc
+
+
 # -- raw tensors -------------------------------------------------------------
 
 def tensor_bytes(array: np.ndarray) -> bytes:
@@ -40,13 +64,11 @@ def tensor_bytes(array: np.ndarray) -> bytes:
 
 
 def write_tensor(path, array: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_bytes(array))
+    _write_bytes(path, tensor_bytes(array))
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = _read_bytes(path)
     if len(blob) < 12:
         raise FormatError("tensor file truncated")
     magic, version, rank = struct.unpack_from("<4sII", blob)
@@ -88,24 +110,20 @@ def write_sequence(path, seq: VGSequence, codebook: Codebook) -> None:
             for i, (tokens, smap) in enumerate(seq.stages)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_bytes(path, json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+                 + b"\n")
 
 
 def read_sequence(path, codebook: Codebook | None = None) -> VGSequence:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"sequence file is not valid JSON: {exc}") from exc
+    obj = _decode_json(_read_bytes(path), "sequence file")
     try:
         last, h, w, e = int(obj["K"]), int(obj["h"]), int(obj["w"]), int(obj["e"])
         raw_stages = obj["stages"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n_stages = len(raw_stages)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"sequence file misses required fields: {exc}") from exc
-    if len(raw_stages) != last + 1:
-        raise InvariantError(f"expected {last + 1} stages, file holds {len(raw_stages)}")
+    if n_stages != last + 1:
+        raise InvariantError(f"expected {last + 1} stages, file holds {n_stages}")
     if codebook is not None:
         if codebook.dim != e:
             raise InvariantError(f"sequence says e={e}, codebook dim is {codebook.dim}")
@@ -118,7 +136,7 @@ def read_sequence(path, codebook: Codebook | None = None) -> VGSequence:
             stage = int(entry["stage"])
             tokens = np.asarray(entry["tokens"], dtype=np.int64)
             labels = np.asarray(entry["labels"], dtype=np.int64).reshape(h, w)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"stage {i} entry malformed: {exc}") from exc
         if stage != i:
             raise InvariantError(f"stage entry {i} is tagged {stage}")
@@ -142,24 +160,21 @@ def write_checkpoint(path, meta: dict, arrays: dict) -> None:
         out.append(blob)
         out.append(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
         out.append(arr.astype("<f4").tobytes(order="C"))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+    _write_bytes(path, b"".join(out))
 
 
 def read_checkpoint(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = _read_bytes(path)
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError("not a checkpoint file")
     _, version, meta_len = struct.unpack_from("<4sII", blob)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    off = 12
+    meta = _decode_json(blob[12:12 + meta_len], "checkpoint meta")
+    if not isinstance(meta, dict):
+        raise FormatError("checkpoint meta is not a JSON object")
+    off = 12 + meta_len
     try:
-        meta = json.loads(blob[off:off + meta_len].decode())
-        if not isinstance(meta, dict):
-            raise FormatError("checkpoint meta is not a JSON object")
-        off += meta_len
         (count,) = struct.unpack_from("<I", blob, off)
         off += 4
         arrays = {}
@@ -176,7 +191,7 @@ def read_checkpoint(path):
             arrays[name] = np.frombuffer(blob[off:off + 4 * n], dtype="<f4") \
                 .reshape(dims).astype(np.float32)
             off += 4 * n
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
+    except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise FormatError(f"checkpoint file corrupt: {exc}") from exc
     if off != len(blob):
         raise FormatError("checkpoint has trailing bytes")
@@ -190,14 +205,11 @@ def write_pgm(path, gray: np.ndarray) -> None:
     if gray.ndim != 2 or gray.dtype != np.uint8:
         raise InvariantError("PGM writer needs a 2-D uint8 array")
     h, w = gray.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(gray.tobytes(order="C"))
+    _write_bytes(path, f"P5\n{w} {h}\n255\n".encode() + gray.tobytes(order="C"))
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = _read_bytes(path)
     if not blob.startswith(b"P5"):
         raise FormatError("not a binary (P5) PGM file")
     fields = []
@@ -219,6 +231,8 @@ def read_pgm(path) -> np.ndarray:
         raise FormatError(f"PGM header malformed: {exc}") from exc
     if maxval != 255:
         raise FormatError(f"only 8-bit PGM supported, maxval {maxval}")
+    if min(w, h) < 1:
+        raise FormatError(f"PGM dimensions must be positive, got {w}x{h}")
     off += 1  # single whitespace after maxval
     payload = blob[off:off + h * w]
     if len(payload) != h * w:

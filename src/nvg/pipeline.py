@@ -181,11 +181,6 @@ def forced_final_split(parent_map: StructureMap) -> StructureMap:
     return StructureMap(parent_map.stage + 1, child.reshape(parent_map.labels.shape))
 
 
-def _realized_bit_column(smap: StructureMap) -> np.ndarray:
-    # the newest embedding column is twice the child-label parity
-    return (2 * (smap.labels & 1)).astype(np.float32)
-
-
 @no_grad()
 def generate(req: GenerationRequest, content_model: ContentModel,
              structure_model: StructureModel, codebook: Codebook,
@@ -193,7 +188,10 @@ def generate(req: GenerationRequest, content_model: ContentModel,
     """Run the full staged loop and return (sequence, canvas, step counters).
 
     Runs without a tape. Every flow step and content step goes through
-    `cfg_forward`, so a guided step is one B=2 forward.
+    `cfg_forward`, so a guided step is one B=2 forward. The flow at stage k
+    starts from the structure embedding of the realized stage-(k-1) map, the
+    same `embed_structure_map` rule the trainers use; with canonical nesting
+    its column j is 2 * (stage-(j+1) label & 1).
     """
     last = req.last_stage
     h, w_grid, e = req.h, req.w, req.e
@@ -218,7 +216,6 @@ def generate(req: GenerationRequest, content_model: ContentModel,
     stats = GenerationStats()
 
     x = np.zeros((h, w_grid, e), dtype=np.float32)
-    s_e = np.ones((h, w_grid, last), dtype=np.float32)
     maps: list[StructureMap] = []
     stages = []
 
@@ -246,11 +243,10 @@ def generate(req: GenerationRequest, content_model: ContentModel,
                         np.repeat(z[None], n, axis=0), np.full(n, t), np.full(n, k - 1)).data
                 return cfg_forward(rows, req.class_id, null_id, scale)
 
-            pred = flow_sample(velocity_fn, s_e, stage=k, n_steps=sched.flow_steps, rng=rng)
+            known = embed_structure_map(maps[-1], last).astype(np.float32)
+            pred = flow_sample(velocity_fn, known, stage=k, n_steps=sched.flow_steps, rng=rng)
             stats.flow_steps += sched.flow_steps
             smap = gumbel_balanced_split(maps[k - 1], pred[:, :, k - 1], rng)
-        if k >= 1:
-            s_e[:, :, k - 1] = _realized_bit_column(smap)
         maps.append(smap)
 
         # ---- content ----

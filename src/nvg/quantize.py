@@ -19,7 +19,7 @@ from .grid import (
     ContentTokens,
     LatentGrid,
     VGSequence,
-    accumulate_canvas,
+    canvas_prefixes,
     cluster_average,
     place,
     quantize_nearest_batch,
@@ -142,7 +142,7 @@ def unquantized_residuals(grid: LatentGrid, hierarchy: Hierarchy, refiners) -> t
 
 def reconstruct(seq: VGSequence, codebook: Codebook, refiners) -> LatentGrid:
     """Sum of refined stage placements over all stages."""
-    return accumulate_canvas(seq, seq.last_stage, codebook, refiners)
+    return canvas_prefixes(seq, codebook, refiners)[-1]
 
 
 def _training_vectors(grids, hierarchies) -> np.ndarray:

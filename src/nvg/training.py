@@ -1,5 +1,6 @@
 """Training loops for both generators, the warmup-stable-decay learning-rate
-schedule and desk-scale evaluation metrics."""
+schedule and desk-scale evaluation metrics. Both trainers run the one step
+loop `_fit` and differ only in how a step draws its batch and its loss."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 from .autodiff import Adam, Tensor, no_grad
 from .content_model import ContentBatch, ContentModel
 from .errors import InvariantError, NumericError
-from .grid import Codebook, LatentGrid, VGSequence, accumulate_canvas
+from .grid import Codebook, LatentGrid, VGSequence, canvas_prefixes
 from .hierarchy import build_hierarchy
 from .quantize import build_contents
 from .structcode import embed_structure_map
@@ -77,7 +78,8 @@ def _batch_lr(step: int, config: TrainConfig) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TokenizedExample:
-    """One dataset item with everything the trainers need precomputed."""
+    """One dataset item with everything the trainers need precomputed: the
+    running canvases of `grid.canvas_prefixes` and every stage's embedding."""
 
     class_id: int
     grid: LatentGrid
@@ -94,15 +96,11 @@ def tokenize_dataset(dataset, codebook: Codebook, refiners) -> list:
     for class_id, grid in dataset:
         hierarchy = build_hierarchy(grid)
         seq, _ = build_contents(grid, hierarchy, codebook, refiners)
-        last = seq.last_stage
-        canvases = tuple(accumulate_canvas(seq, i - 1, codebook, refiners).data
-                         for i in range(last + 1))
-        target = accumulate_canvas(seq, last, codebook, refiners).data
-        struct_embs = tuple(embed_structure_map(seq.stages[i][1], last)
-                            for i in range(last + 1))
-        flow_target = embed_structure_map(seq.stages[last][1], last).astype(np.float32)
-        out.append(TokenizedExample(class_id, grid, seq, canvases, target,
-                                    struct_embs, flow_target))
+        *canvases, target = (p.data for p in canvas_prefixes(seq, codebook, refiners))
+        struct_embs = tuple(embed_structure_map(smap, seq.last_stage)
+                            for _, smap in seq.stages)
+        out.append(TokenizedExample(class_id, grid, seq, tuple(canvases), target,
+                                    struct_embs, struct_embs[-1].astype(np.float32)))
     return out
 
 
@@ -112,20 +110,41 @@ class TrainResult:
     null_masks: list = field(default_factory=list)
 
 
+def _last_stage(examples: list) -> int:
+    if not examples:
+        raise InvariantError("no training examples")
+    return examples[0].sequence.last_stage
+
+
+def _fit(model, config: TrainConfig, batch_loss) -> TrainResult:
+    """The step loop of both trainers: batch_loss(rng) returns (loss, null
+    mask); a non-finite loss raises NumericError before any parameter moves."""
+    rng = np.random.default_rng(config.seed)
+    opt = Adam(model.params())
+    result = TrainResult()
+    for step in range(config.steps):
+        loss, null_mask = batch_loss(rng)
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise NumericError(f"{model.kind} training diverged at step {step} (loss {value})")
+        opt.zero_grad()
+        loss.backward()
+        opt.step(_batch_lr(step, config))
+        result.losses.append(value)
+        result.null_masks.append(null_mask)
+    return result
+
+
 def train_content(examples: list, model: ContentModel, config: TrainConfig) -> TrainResult:
     """Teacher-forced training of the content generator.
 
     Each step samples examples with replacement and one stage per example;
     the configured fraction of samples swaps in the null class embedding.
     """
-    if not examples:
-        raise InvariantError("no training examples")
-    last = examples[0].sequence.last_stage
+    last = _last_stage(examples)
     null_id = model.config.null_class_id
-    rng = np.random.default_rng(config.seed)
-    opt = Adam(model.params())
-    result = TrainResult()
-    for step in range(config.steps):
+
+    def batch_loss(rng):
         idx = rng.integers(0, len(examples), size=config.batch_size)
         stages = rng.integers(0, last + 1, size=config.batch_size)
         null_mask = rng.random(config.batch_size) < config.null_rate
@@ -143,16 +162,9 @@ def train_content(examples: list, model: ContentModel, config: TrainConfig) -> T
                 target_canvas=ex.target_canvas,
                 target_tokens=tokens.indices,
             ))
-        loss, _ = model.loss(batch, train=True, rng=rng)
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise NumericError(f"content training diverged at step {step} (loss {value})")
-        opt.zero_grad()
-        loss.backward()
-        opt.step(_batch_lr(step, config))
-        result.losses.append(value)
-        result.null_masks.append(null_mask)
-    return result
+        return model.loss(batch, train=True, rng=rng), null_mask
+
+    return _fit(model, config, batch_loss)
 
 
 def train_structure(examples: list, model: StructureModel, config: TrainConfig) -> TrainResult:
@@ -162,17 +174,13 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
     noise, the clamped noised grid, and a squared error on the velocity
     restricted to the unknown columns.
     """
-    if not examples:
-        raise InvariantError("no training examples")
-    last = examples[0].sequence.last_stage
+    last = _last_stage(examples)
     if last < 2:
         raise InvariantError("flow training needs at least two splits")
     h, w_grid, e = examples[0].grid.data.shape
     null_id = model.config.null_class_id
-    rng = np.random.default_rng(config.seed)
-    opt = Adam(model.params())
-    result = TrainResult()
-    for step in range(config.steps):
+
+    def batch_loss(rng):
         idx = rng.integers(0, len(examples), size=config.batch_size)
         stages = rng.integers(1, last, size=config.batch_size)
         ts = rng.random(config.batch_size)
@@ -197,21 +205,14 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
         vel = model.velocity(class_ids, stages, canvases, zs, ts, stages - 1,
                              train=True, rng=rng)
         diff = vel - Tensor(targets)
-        loss = (diff * diff * mask).sum() / float(mask.sum())
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise NumericError(f"structure training diverged at step {step} (loss {value})")
-        opt.zero_grad()
-        loss.backward()
-        opt.step(_batch_lr(step, config))
-        result.losses.append(value)
-        result.null_masks.append(null_mask)
-    return result
+        return (diff * diff * mask).sum() / float(mask.sum()), null_mask
+
+    return _fit(model, config, batch_loss)
 
 
 @no_grad()
 def evaluate(content_model: ContentModel, structure_model: StructureModel,
-             examples: list, codebook: Codebook, refiners, seed: int = 0,
+             examples: list, codebook: Codebook, seed: int = 0,
              flow_steps: int = 10) -> dict:
     """Teacher-forced token accuracy per stage, prefix reconstruction error,
     codebook usage and structure bit agreement on unknown columns."""
@@ -222,6 +223,7 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
     rng = np.random.default_rng(seed)
 
     for ex in examples:
+        prefixes = ex.canvases[1:] + (ex.target_canvas,)   # [i]: stages <= i
         for stage in range(last + 1):
             tokens, smap = ex.sequence.stages[stage]
             used[tokens.indices] = True
@@ -232,8 +234,7 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
             hits = int((np.argmax(logits.data, axis=1) == tokens.indices).sum())
             token_acc[stage][0] += hits
             token_acc[stage][1] += tokens.indices.size
-            prefix = accumulate_canvas(ex.sequence, stage, codebook, refiners).data
-            recon_mse[stage] += float(np.mean((prefix - ex.grid.data) ** 2))
+            recon_mse[stage] += float(np.mean((prefixes[stage] - ex.grid.data) ** 2))
 
     bit_hits = bit_total = 0
     for ex in examples:

@@ -42,6 +42,12 @@ class TestModelMeta:
         with pytest.raises(FormatError):
             load_model(path)
 
+    def test_depth_far_beyond_the_file_fails_before_counting_to_it(self, tmp_path):
+        path = tmp_path / "deep.nvgc"
+        write_checkpoint(path, {**GOOD_META, "depth": 10 ** 12}, {})
+        with pytest.raises(FormatError, match="holds 0 blocks"):
+            load_model(path)
+
     def test_meta_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.nvgc"
         write_checkpoint(path, ["model"], {})

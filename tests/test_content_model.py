@@ -55,7 +55,7 @@ class TestForward:
                               ex.sequence.stages[2][0].indices)]
         opt = Adam(model.params(), lr=1e-2)
         for _ in range(5):
-            loss, _ = model.loss(batch)
+            loss = model.loss(batch)
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -115,17 +115,52 @@ class TestLossPieces:
         ce = cross_entropy_mean(Tensor(logits), targets)
         assert float(ce.data) == pytest.approx(0.0, abs=1e-6)
 
-    def test_loss_runs_and_reports_stats(self, tokenized_example):
+    def test_loss_runs_and_returns_a_tensor(self, tokenized_example):
         examples, codebook = tokenized_example
         model = small_model(e=3, n=codebook.size, classes=2, last_stage=4)
         ex = examples[0]
         batch = [ContentBatch(ex.class_id, s, ex.canvases[s], ex.struct_embs[s],
                               ex.sequence.stages[s][1], ex.target_canvas,
                               ex.sequence.stages[s][0].indices) for s in (0, 3)]
-        loss, stats = model.loss(batch)
+        loss = model.loss(batch)
+        assert isinstance(loss, Tensor)
+        assert loss.shape == ()
         assert np.isfinite(float(loss.data))
-        assert set(stats) == {"mse", "ce", "token_accuracy"}
-        assert float(loss.data) == pytest.approx(stats["mse"] + stats["ce"], rel=1e-5)
+
+    def test_loss_equals_mse_plus_mean_cross_entropy(self, tokenized_example):
+        # float64 oracle: the canvas MSE over the batch plus the mean over
+        # samples of each sample's mean token cross entropy, from numpy alone
+        examples, codebook = tokenized_example
+        model = small_model(e=3, n=codebook.size, classes=2, last_stage=4,
+                            dtype=np.float64)
+        rng = np.random.default_rng(3)
+        for p in model.params().values():
+            p.data = 0.1 * rng.standard_normal(p.data.shape)
+        batch = [ContentBatch(ex.class_id, s, ex.canvases[s], ex.struct_embs[s],
+                              ex.sequence.stages[s][1], ex.target_canvas,
+                              ex.sequence.stages[s][0].indices)
+                 for ex, s in ((examples[0], 0), (examples[1], 2), (examples[0], 4))]
+        pred = model.forward_final_canvas(
+            np.array([item.class_id for item in batch]),
+            np.array([item.stage for item in batch]),
+            np.stack([item.canvas for item in batch]),
+            np.stack([item.struct_emb for item in batch])).data
+        targets = np.stack([item.target_canvas for item in batch]).astype(np.float64)
+        mse = np.mean((pred - targets) ** 2)
+        ces = []
+        for b, item in enumerate(batch):
+            labels = item.smap.labels.ravel()
+            diff = (pred[b] - item.canvas).reshape(labels.size, -1)
+            means = np.zeros((item.smap.num_clusters, diff.shape[1]))
+            np.add.at(means, labels, diff)
+            means /= item.smap.cluster_size
+            logits = means @ model.w_logit.data + model.b_logit.data
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            ces.append(-log_probs[np.arange(labels.max() + 1), item.target_tokens].mean())
+        loss = model.loss(batch)
+        assert loss.data.dtype == np.float64
+        assert float(loss.data) == pytest.approx(mse + np.mean(ces), rel=1e-12, abs=0)
 
 
 def test_full_content_loss_gradient_check(tokenized_example):
@@ -139,9 +174,5 @@ def test_full_content_loss_gradient_check(tokenized_example):
                           ex.sequence.stages[2][1], ex.target_canvas,
                           ex.sequence.stages[2][0].indices)]
 
-    def loss_fn():
-        loss, _ = model.loss(batch)
-        return loss
-
-    err = gradient_check(loss_fn, model.params(), seed=0, samples=60)
+    err = gradient_check(lambda: model.loss(batch), model.params(), seed=0, samples=60)
     assert err <= 1e-3

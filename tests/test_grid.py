@@ -8,8 +8,8 @@ from nvg.grid import (
     LatentGrid,
     StructureMap,
     VGSequence,
-    accumulate_canvas,
     assign,
+    canvas_prefixes,
     cluster_average,
     place,
     quantize_nearest_batch,
@@ -143,6 +143,8 @@ class TestQuantizeNearest:
 
 
 class TestAccumulateCanvas:
+    """The running canvases of `canvas_prefixes`: entry i sums stages < i."""
+
     @pytest.fixture()
     def tokenized(self):
         rng = np.random.default_rng(7)
@@ -155,28 +157,29 @@ class TestAccumulateCanvas:
 
     def test_empty_sum_is_zero(self, tokenized):
         _, seq, cb, refs = tokenized
-        out = accumulate_canvas(seq, -1, cb, refs)
-        assert np.all(out.data == 0.0)
+        prefixes = canvas_prefixes(seq, cb, refs)
+        assert len(prefixes) == seq.last_stage + 2
+        assert all(isinstance(p, LatentGrid) for p in prefixes)
+        assert np.all(prefixes[0].data == 0.0)
 
     def test_single_term(self, tokenized):
         _, seq, cb, refs = tokenized
-        out = accumulate_canvas(seq, 0, cb, refs)
+        out = canvas_prefixes(seq, cb, refs)[1]
         expected = assign(seq.stages[0][0], seq.stages[0][1], cb)
         assert np.array_equal(out.data, expected.data)
 
     def test_prefix_telescopes_bit_exactly(self, tokenized):
         _, seq, cb, refs = tokenized
-        for i in range(seq.last_stage):
-            left = accumulate_canvas(seq, i, cb, refs).data
-            tokens, smap = seq.stages[i + 1]
-            term = refs[i + 1].apply(assign(tokens, smap, cb).data)
-            right = accumulate_canvas(seq, i + 1, cb, refs).data
-            assert np.array_equal(left + term, right)
+        prefixes = canvas_prefixes(seq, cb, refs)
+        for i in range(seq.last_stage + 1):
+            tokens, smap = seq.stages[i]
+            term = refs[i].apply(assign(tokens, smap, cb).data)
+            assert np.array_equal(prefixes[i].data + term, prefixes[i + 1].data)
 
     def test_refiner_count_mismatch(self, tokenized):
         _, seq, cb, refs = tokenized
         with pytest.raises(InvariantError):
-            accumulate_canvas(seq, 1, cb, refs[:-1])
+            canvas_prefixes(seq, cb, refs[:-1])
 
 
 def test_place_then_average_is_identity_on_bijective_stage():

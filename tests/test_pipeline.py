@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nvg
+from nvg import pipeline
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
 from nvg.errors import InvariantError, NumericError
@@ -180,6 +181,37 @@ class TestGenerate:
         for (t1, s1), (t2, s2) in zip(r1.sequence.stages, r2.sequence.stages):
             assert np.array_equal(t1.indices, t2.indices)
             assert np.array_equal(s1.labels, s2.labels)
+
+    @pytest.mark.parametrize("overrides", ["none", "stage1"])
+    def test_flow_input_is_the_incremental_parity_build(self, setup, monkeypatch,
+                                                        overrides):
+        # reference: the embedding grid built one column per realized stage,
+        # column k-1 = 2 * (stage-k label & 1), unknown columns at 1
+        _, codebook, refiners, content, structure = setup
+        seen = []
+        real_flow = pipeline.flow_sample
+
+        def spy(velocity_fn, s_e_grid, stage, **kwargs):
+            seen.append((stage, np.array(s_e_grid)))
+            return real_flow(velocity_fn, s_e_grid, stage, **kwargs)
+
+        monkeypatch.setattr(pipeline, "flow_sample", spy)
+        half = StructureMap(1, np.repeat([0, 1], H * W // 2).reshape(H, W))
+        req = GenerationRequest(class_id=1, seed=4, h=H, w=W, e=E,
+                                structure_overrides={"none": {}, "stage1": {1: half}}[overrides],
+                                schedule=ScheduleParams(flow_steps=2))
+        result = generate(req, content, structure, codebook, refiners)
+        maps = [smap for _, smap in result.sequence.stages]
+        s_e = np.ones((H, W, LAST), dtype=np.float32)
+        expected = []
+        for k in range(1, LAST):
+            if k not in req.structure_overrides:
+                expected.append((k, s_e.copy()))
+            s_e[:, :, k - 1] = (2 * (maps[k].labels & 1)).astype(np.float32)
+        assert [k for k, _ in seen] == [k for k, _ in expected]
+        for (_, got), (_, want) in zip(seen, expected):
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want)
 
     def test_step_accounting(self, setup):
         _, codebook, refiners, content, structure = setup

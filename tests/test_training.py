@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nvg.autodiff import no_grad
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
-from nvg.errors import InvariantError
-from nvg.quantize import fit_codebook, identity_refiners
+from nvg.errors import InvariantError, NumericError
+from nvg.grid import assign
+from nvg.quantize import Refiner, fit_codebook, identity_refiners
+from nvg.structcode import embed_structure_map
 from nvg.structure_model import StructureModel, noised_input
 from nvg.synthetic import SyntheticSpec, class_base_colors, make_synthetic_dataset
 from nvg.training import (
@@ -127,6 +131,60 @@ class TestWsdSchedule:
     def test_negative_step_rejected(self):
         with pytest.raises(InvariantError):
             wsd_lr(-1, self.CFG)
+
+
+def accumulate_canvas(seq, upto, codebook, refiners):
+    """Reference running canvas: re-sum the refined placements of stages
+    0..upto from the zero grid."""
+    x = np.zeros((seq.h, seq.w, codebook.dim), dtype=np.float32)
+    for j in range(upto + 1):
+        tokens, smap = seq.stages[j]
+        x = x + refiners[j].apply(assign(tokens, smap, codebook).data)
+    return x
+
+
+class TestTokenizeDataset:
+    def test_prefixes_equal_a_resummation_from_stage_zero(self, world):
+        data, codebook, _, _ = world
+        rng = np.random.default_rng(8)
+        refiners = [Refiner(i, 0.2 * rng.standard_normal((3, 3, 3, 3)),
+                            0.1 * rng.standard_normal(3)) for i in range(LAST + 1)]
+        for ex in tokenize_dataset(data, codebook, refiners):
+            seq = ex.sequence
+            assert len(ex.canvases) == LAST + 1
+            for i, canvas in enumerate(ex.canvases):
+                assert np.array_equal(canvas, accumulate_canvas(seq, i - 1, codebook, refiners))
+            assert np.array_equal(ex.target_canvas,
+                                  accumulate_canvas(seq, LAST, codebook, refiners))
+
+    def test_flow_target_is_the_last_embedding(self, world):
+        _, _, _, examples = world
+        for ex in examples:
+            expected = embed_structure_map(ex.sequence.stages[LAST][1], LAST)
+            assert ex.flow_target.dtype == np.float32
+            assert np.array_equal(ex.flow_target, expected.astype(np.float32))
+
+    def test_empty_examples_rejected_by_both_trainers(self):
+        cfg = TrainConfig(steps=1, batch_size=1)
+        with pytest.raises(InvariantError, match="no training examples"):
+            train_content([], content_model(), cfg)
+        with pytest.raises(InvariantError, match="no training examples"):
+            train_structure([], structure_model(), cfg)
+
+
+@pytest.mark.parametrize("kind, make, train", [
+    ("content", content_model, train_content),
+    ("structure", structure_model, train_structure),
+], ids=["content", "structure"])
+def test_nan_head_diverges_at_step_zero_without_warning(world, kind, make, train):
+    _, _, _, examples = world
+    model = make()
+    model.w_head.data[...] = np.nan
+    cfg = TrainConfig(steps=3, batch_size=2, base_lr=0.01, warmup_steps=0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match=f"^{kind} training diverged at step 0 "):
+            train(examples, model, cfg)
 
 
 class TestTrainContent:
@@ -252,18 +310,27 @@ class TestTrainStructure:
 
 class TestEvaluate:
     def test_reports_all_metrics_and_is_deterministic(self, world):
-        _, codebook, refiners, examples = world
+        _, codebook, _, examples = world
         c, s = content_model(), structure_model()
-        m1 = evaluate(c, s, examples, codebook, refiners, seed=4, flow_steps=2)
-        m2 = evaluate(c, s, examples, codebook, refiners, seed=4, flow_steps=2)
+        m1 = evaluate(c, s, examples, codebook, seed=4, flow_steps=2)
+        m2 = evaluate(c, s, examples, codebook, seed=4, flow_steps=2)
         assert m1 == m2
         assert set(m1) == {"token_accuracy", "token_accuracy_overall",
                            "reconstruction_mse_by_prefix", "codebook_usage",
                            "structure_bit_accuracy"}
 
-    def test_untrained_accuracy_near_chance(self, world):
+    def test_reconstruction_error_is_per_prefix_through_each_stage(self, world):
         _, codebook, refiners, examples = world
+        metrics = evaluate(content_model(), structure_model(), examples, codebook,
+                           seed=4, flow_steps=1)
+        expected = [np.mean([float(np.mean((accumulate_canvas(ex.sequence, stage, codebook,
+                                                              refiners) - ex.grid.data) ** 2))
+                             for ex in examples]) for stage in range(LAST + 1)]
+        assert metrics["reconstruction_mse_by_prefix"] == pytest.approx(expected, rel=1e-12)
+
+    def test_untrained_accuracy_near_chance(self, world):
+        _, codebook, _, examples = world
         c, s = content_model(seed=11), structure_model(seed=11)
-        metrics = evaluate(c, s, examples, codebook, refiners, seed=4, flow_steps=2)
+        metrics = evaluate(c, s, examples, codebook, seed=4, flow_steps=2)
         # chance level is 1/16 on this codebook; allow generous slack
         assert metrics["token_accuracy_overall"] <= 0.4
