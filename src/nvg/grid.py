@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, NumericError
 
 __all__ = [
     "LatentGrid",
@@ -115,13 +115,14 @@ class StructureMap:
             raise InvariantError(f"structure map must be 2-D, got shape {labels.shape}")
         if not np.issubdtype(labels.dtype, np.integer):
             raise InvariantError("structure map labels must be integers")
-        labels = labels.astype(np.int32)
         hw = labels.size
         m = 1 << self.stage
         if hw % m:
             raise InvariantError(f"{hw} locations cannot split into {m} equal clusters")
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= m:
+        # range-check before the cast, so that no label wraps into range
+        if int(labels.min(initial=0)) < 0 or int(labels.max(initial=0)) >= m:
             raise InvariantError(f"labels must lie in [0, {m}) at stage {self.stage}")
+        labels = labels.astype(np.int32)
         counts = np.bincount(labels.ravel(), minlength=m)
         if not np.all(counts == hw // m):
             raise InvariantError(
@@ -165,8 +166,11 @@ class ContentTokens:
             raise InvariantError(
                 f"stage {self.stage} needs {1 << self.stage} tokens, got {indices.size}"
             )
-        if indices.size and indices.min() < 0:
+        # range-check before the cast, so that no index wraps into range
+        if indices.size and int(indices.min()) < 0:
             raise InvariantError("token indices must be non-negative")
+        if indices.size and int(indices.max()) > np.iinfo(np.int32).max:
+            raise InvariantError("token indices must fit in int32")
         object.__setattr__(self, "indices", indices.astype(np.int32))
 
 
@@ -248,14 +252,23 @@ def assign(tokens: ContentTokens, smap: StructureMap, codebook: Codebook) -> Lat
 
 
 def cluster_average(grid, smap: StructureMap) -> np.ndarray:
-    """Mean grid vector per cluster, indexed by label value; shape (2**i, e)."""
+    """Mean grid vector per cluster, indexed by label value; shape (2**i, e).
+
+    Each channel's float64 sums come from one bincount, which adds the
+    members of a cluster in row-major location order, as np.add.at would.
+    Raises NumericError on non-finite grid values: the sums would carry them
+    on silently.
+    """
     data = grid.data if isinstance(grid, LatentGrid) else np.asarray(grid, dtype=np.float32)
     if data.shape[:2] != smap.labels.shape:
         raise InvariantError(f"grid {data.shape[:2]} and map {smap.labels.shape} disagree")
-    m = smap.num_clusters
     flat = data.reshape(-1, data.shape[2])
-    sums = np.zeros((m, data.shape[2]), dtype=np.float64)
-    np.add.at(sums, smap.labels.ravel(), flat)
+    if not np.all(np.isfinite(flat)):
+        raise NumericError("cannot average non-finite grid values")
+    labels = smap.labels.ravel()
+    sums = np.empty((smap.num_clusters, flat.shape[1]))
+    for c in range(flat.shape[1]):
+        sums[:, c] = np.bincount(labels, weights=flat[:, c], minlength=smap.num_clusters)
     return (sums / smap.cluster_size).astype(np.float32)
 
 

@@ -14,8 +14,10 @@ labels and cluster means come from one scatter and one gather per stage. A
 stage with m clusters costs O(m^2) in practice: the i < j distance matrix
 is built once, in row blocks, and each merge takes the smallest of per-row
 cached minima, rescanning only the rows whose cached partner was just merged.
-Ties break on the smallest (i, j), exactly as a full row-major rescan of the
-matrix per merge would.
+The matrix is never written after it is built: a rescan masks the merged
+(dead) columns in its own copy of the rescanned rows. Ties break on the
+smallest (i, j), exactly as a full row-major rescan of the matrix per merge
+would.
 """
 
 from __future__ import annotations
@@ -60,15 +62,24 @@ def _pairwise_sq_dists(vectors: np.ndarray) -> np.ndarray:
     """Squared l2 distances d[i, j] for i < j; every j <= i entry is inf.
 
     Built in row blocks against the columns from the block's first row on.
-    Each entry is the same einsum reduction over e as a whole-matrix einsum,
-    so the values, and with them every tie, are bit-identical to it.
+    Each block's (rows, columns, e) diff is filled one channel at a time:
+    a broadcast subtract over all channels at once runs numpy's inner loop
+    over only e elements, a per-channel one over a whole row of columns. The
+    block is a contiguous prefix of one flat buffer, so the einsum over e
+    takes the same path, and sums in the same order, as a whole-matrix
+    einsum on a fresh diff array would; the values, and with them every tie,
+    are bit-identical to it. (A strided view of a 3-D buffer would send the
+    einsum down another, slower path.)
     """
-    m = len(vectors)
+    m, e = vectors.shape
     d = np.full((m, m), np.inf)
+    buf = np.empty(min(_DIST_BLOCK_ROWS, m) * m * e)
     for r0 in range(0, m, _DIST_BLOCK_ROWS):
         r1 = min(r0 + _DIST_BLOCK_ROWS, m)
+        diff = buf[:(r1 - r0) * (m - r0) * e].reshape(r1 - r0, m - r0, e)
         with np.errstate(over="ignore"):    # reported below as NumericError
-            diff = vectors[r0:r1, None, :] - vectors[None, r0:, :]
+            for c in range(e):
+                np.subtract(vectors[r0:r1, None, c], vectors[None, r0:, c], out=diff[..., c])
             block = np.einsum("ijk,ijk->ij", diff, diff)
         if not np.all(np.isfinite(block)):
             raise NumericError("squared distances overflow to non-finite values")
@@ -89,9 +100,11 @@ def _greedy_pairs(vectors: np.ndarray):
     # cached column, is the row-major first minimum of the whole masked matrix:
     # the lexicographic (i, j) tie-break. Killing a column only raises entries
     # to inf, so a row's first minimum moves only when its own cached column
-    # dies; those rows alone are rescanned. A merge then costs O(m) per
-    # rescanned row, and about two rows per merge are rescanned on Gaussian
-    # vectors at m = 1024, so the loop is O(m^2) in practice.
+    # dies; those rows alone are rescanned, over a copy with the dead columns
+    # masked to inf. No column of d is ever written: only the rescanned rows
+    # read the dead columns again. A merge then costs O(m) per rescanned row,
+    # and about two rows per merge are rescanned on Gaussian vectors at
+    # m = 1024, so the loop is O(m^2) in practice.
     rows = np.arange(m)
     live = np.ones(m, dtype=bool)
     best_j = np.argmin(d, axis=1)
@@ -105,12 +118,12 @@ def _greedy_pairs(vectors: np.ndarray):
         dists.append(float(best_d[i]))
         live[i] = live[j] = False
         best_d[i] = best_d[j] = np.inf
-        d[:, i] = np.inf
-        d[:, j] = np.inf
         stale = rows[live & ((best_j == i) | (best_j == j))]
         if stale.size:
-            best_j[stale] = np.argmin(d[stale], axis=1)
-            best_d[stale] = d[stale, best_j[stale]]
+            sub = np.where(live, d[stale], np.inf)
+            cols = np.argmin(sub, axis=1)
+            best_j[stale] = cols
+            best_d[stale] = sub[rows[:stale.size], cols]
     return pairs, dists
 
 

@@ -122,6 +122,9 @@ def read_sequence(path, codebook: Codebook | None = None) -> VGSequence:
         n_stages = len(raw_stages)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"sequence file misses required fields: {exc}") from exc
+    if last < 0 or min(h, w, e) < 1:
+        raise FormatError(f"sequence needs K >= 0 and positive h, w, e; got "
+                          f"K={last}, h={h}, w={w}, e={e}")
     if n_stages != last + 1:
         raise InvariantError(f"expected {last + 1} stages, file holds {n_stages}")
     if codebook is not None:

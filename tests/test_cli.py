@@ -4,6 +4,7 @@ every unwritable output exits 2 with a one-line error, never a traceback.
 Commands run in-process through `cli.main`, so an exception that escapes it
 fails the test instead of printing a traceback."""
 
+import json
 import struct
 
 import numpy as np
@@ -150,6 +151,38 @@ def test_inspect_on_a_hostile_sequence_exits_2(files, content, capsys, tmp_path)
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     assert run(["inspect", str(path)], capsys)[0] == 2
+
+
+def _negative_h(obj):
+    obj["h"] = -1
+
+
+def _zero_w(obj):
+    obj["w"] = 0
+
+
+def _wrap_stage_1_label_0(obj):
+    labels = obj["stages"][1]["labels"]
+    obj["stages"][1]["labels"] = [2**32 if v == 0 else v for v in labels]
+
+
+def _wrap_stage_0_token(obj):
+    obj["stages"][0]["tokens"] = [t + 2**32 for t in obj["stages"][0]["tokens"]]
+
+
+@pytest.mark.parametrize("edit, code", [
+    (_negative_h, 2),
+    (_zero_w, 2),
+    (_wrap_stage_1_label_0, 3),
+    (_wrap_stage_0_token, 3),
+], ids=["h-negative", "w-zero", "label-wraps-int32", "token-wraps-int32"])
+def test_inspect_on_an_edited_sequence_fails(files, edit, code, capsys, tmp_path):
+    # h = -1 and the wrapped label or token each loaded as the unedited sequence
+    obj = json.loads((files["root"] / "seq.json").read_text())
+    edit(obj)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    assert run(["inspect", str(path)], capsys)[0] == code
 
 
 def test_generate_on_a_deeply_nested_checkpoint_meta_exits_2(files, capsys, tmp_path):

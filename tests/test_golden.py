@@ -7,17 +7,26 @@ The SHA-256 of every file the run writes is pinned, so a change that keeps
 these hashes keeps initial weights, RNG draw order, training, the checkpoint
 layout and sampling bit-identical. Re-pin only for a change that is meant to
 alter float rounding or draw order, and say so where the change is recorded.
+
+A 4x4 grid pairs 16 vectors in one distance block, so the toy run never
+reaches the blocked, multi-rescan pairing of a full-size grid. Two 32x32x4
+grids are therefore tokenized on their own and their sequence files pinned
+too: a synthetic one, and an integer-valued one whose many exact distance
+ties exercise every tie-break.
 """
 
 import hashlib
 
+import numpy as np
+
 from nvg.backbone import ModelConfig
 from nvg.checkpoints import load_model, save_model
 from nvg.content_model import ContentModel
+from nvg.grid import Codebook, LatentGrid
 from nvg.hierarchy import build_hierarchy
 from nvg.io import write_sequence, write_tensor
 from nvg.pipeline import GenerationRequest, ScheduleParams, generate
-from nvg.quantize import fit_codebook, train_refiners
+from nvg.quantize import build_contents, fit_codebook, identity_refiners, train_refiners
 from nvg.structure_model import StructureModel
 from nvg.synthetic import SyntheticSpec, make_synthetic_dataset
 from nvg.training import TrainConfig, tokenize_dataset, train_content, train_structure
@@ -60,3 +69,31 @@ def run_pipeline(workdir) -> dict:
 
 def test_fixed_seed_pipeline_outputs_are_bit_identical(tmp_path):
     assert run_pipeline(tmp_path) == GOLDEN
+
+
+GOLDEN_32X32 = {
+    "synthetic.sequence.json": "c75e583f7b875e31327b068cbce76476fd2aaaae4f4bc797019188e85dfaf831",
+    "integer.sequence.json": "c0d93874ec6fbae08ec451a54c2b755b7c225c84cb6d201ee2fc90a6f84ef44c",
+}
+
+
+def tokenize_32x32(workdir) -> dict:
+    """Tokenize two seeded 32x32x4 grids; return {file name: sha256 hex}."""
+    (_, synthetic), = make_synthetic_dataset(SyntheticSpec(count=1, h=32, w=32, e=4,
+                                                           num_classes=4, seed=6))
+    integer = np.random.default_rng(7).integers(0, 3, size=(32, 32, 4))
+    grids = {
+        "synthetic.sequence.json": synthetic,
+        "integer.sequence.json": LatentGrid(integer.astype(np.float32)),
+    }
+    codebook = Codebook(np.random.default_rng(8).normal(size=(64, 4)).astype(np.float32))
+    refiners = identity_refiners(synthetic.last_stage, 4)
+    for name, grid in grids.items():
+        seq, _ = build_contents(grid, build_hierarchy(grid), codebook, refiners)
+        write_sequence(workdir / name, seq, codebook)
+    return {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+            for name in GOLDEN_32X32}
+
+
+def test_32x32_tokenization_is_bit_identical(tmp_path):
+    assert tokenize_32x32(tmp_path) == GOLDEN_32X32

@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from nvg.errors import InvariantError
+from nvg.errors import InvariantError, NumericError
 from nvg.grid import (
     Codebook,
     ContentTokens,
@@ -41,6 +43,21 @@ class TestTypes:
     def test_structure_map_label_range(self):
         with pytest.raises(InvariantError):
             StructureMap(1, np.array([[0, 0], [2, 2]]))
+
+    @pytest.mark.parametrize("labels", [[[2**32, 1]], [[0, 2**32 + 1]], [[-(2**32), 1]]])
+    def test_structure_map_labels_do_not_wrap_into_range(self, labels):
+        # cast to int32 first, each of these would load as [[0, 1]]
+        with pytest.raises(InvariantError):
+            StructureMap(1, np.array(labels, dtype=np.int64))
+
+    @pytest.mark.parametrize("index", [2**32, 2**31, np.iinfo(np.uint64).max])
+    def test_content_tokens_do_not_wrap_into_range(self, index):
+        with pytest.raises(InvariantError):
+            ContentTokens(0, np.array([index]))
+
+    def test_content_tokens_accept_int32_max(self):
+        top = np.iinfo(np.int32).max
+        assert ContentTokens(0, np.array([top], dtype=np.int64)).indices.tolist() == [top]
 
     def test_content_tokens_length(self):
         ContentTokens(2, np.array([1, 2, 3, 4]))
@@ -124,6 +141,56 @@ class TestClusterAverage:
             for j in range(smap.num_clusters):
                 mask = smap.labels == j
                 assert np.allclose(centered[mask].sum(axis=0), 0.0, atol=1e-5)
+
+
+def add_at_cluster_average(data, smap):
+    """The np.add.at scatter of float64 sums; cluster_average must equal it
+    bit for bit."""
+    flat = data.reshape(-1, data.shape[2])
+    sums = np.zeros((smap.num_clusters, data.shape[2]))
+    np.add.at(sums, smap.labels.ravel(), flat)
+    return (sums / smap.cluster_size).astype(np.float32)
+
+
+@functools.lru_cache(maxsize=None)
+def greedy_maps(h, w):
+    grid = LatentGrid(np.random.default_rng(h * w).normal(size=(h, w, 4)).astype(np.float32))
+    return build_hierarchy(grid).maps
+
+
+def averaging_grid(kind, h, w, e, rng):
+    if kind == "gaussian":
+        return rng.normal(size=(h, w, e)).astype(np.float32)
+    if kind == "integer":
+        return rng.integers(0, 3, size=(h, w, e)).astype(np.float32)
+    scale = 10.0 ** rng.uniform(-12, 12, size=(h, w, e))
+    wide = (rng.normal(size=(h, w, e)) * scale).astype(np.float32)
+    if kind == "wide":
+        return wide
+    # "cancelling": every wide value also appears negated, so a cluster's
+    # large terms cancel and the rounding left over depends on summation order
+    flat = wide.reshape(-1, e)
+    half = len(flat) // 2
+    flat[half:] = -flat[rng.permutation(half)]
+    return wide
+
+
+class TestClusterAverageOracle:
+    @pytest.mark.parametrize("kind", ["gaussian", "integer", "wide", "cancelling"])
+    @pytest.mark.parametrize("e", [1, 3, 4, 8])
+    @pytest.mark.parametrize("shape", [(1, 2), (8, 8), (32, 32)])
+    def test_equals_add_at_on_every_stage(self, shape, e, kind):
+        data = averaging_grid(kind, *shape, e, np.random.default_rng(e))
+        for smap in greedy_maps(*shape):
+            means = cluster_average(LatentGrid(data), smap)
+            assert means.tobytes() == add_at_cluster_average(data, smap).tobytes()
+
+    @pytest.mark.parametrize("bad", [[np.inf, -np.inf], [np.nan, 0.0], [np.inf, 1.0]],
+                             ids=["inf-minus-inf", "nan", "inf"])
+    def test_non_finite_raw_grid_raises_numeric_error(self, bad):
+        data = np.array([[[bad[0]], [bad[1]]]], dtype=np.float32)
+        with pytest.raises(NumericError):
+            cluster_average(data, StructureMap(0, np.zeros((1, 2), dtype=np.int64)))
 
 
 class TestQuantizeNearest:

@@ -184,14 +184,32 @@ class TestGreedyPairsOracle:
         vectors = np.random.default_rng(1024).normal(size=(1024, 4))
         assert hierarchy._greedy_pairs(vectors) == reference_greedy_pairs(vectors)
 
-    @pytest.mark.parametrize("e", [1, 3, 4, 8])
-    def test_blocked_distances_equal_whole_einsum(self, e):
-        m = 2 * hierarchy._DIST_BLOCK_ROWS + 5
-        vectors = np.random.default_rng(e).normal(size=(m, e)) * 3.0
+    @pytest.mark.parametrize("kind", ["integer", "duplicated"])
+    def test_equals_full_rescan_at_32x32_with_ties(self, kind):
+        # many rows rescanned per merge, across every distance block
+        vectors = oracle_vectors(kind, 1024, 4, np.random.default_rng(1025))
+        assert hierarchy._greedy_pairs(vectors) == reference_greedy_pairs(vectors)
+
+    @staticmethod
+    def check_blocked_distances(vectors):
+        m = len(vectors)
         d = hierarchy._pairwise_sq_dists(vectors)
         upper = np.triu_indices(m, 1)
         assert np.array_equal(d[upper], whole_matrix_sq_dists(vectors)[upper])
         assert np.all(d[np.tril_indices(m)] == np.inf)
+
+    @pytest.mark.parametrize("e", [1, 3, 4, 8, 16])
+    def test_blocked_distances_equal_whole_einsum(self, e):
+        m = 2 * hierarchy._DIST_BLOCK_ROWS + 5
+        self.check_blocked_distances(np.random.default_rng(e).normal(size=(m, e)) * 3.0)
+
+    @pytest.mark.parametrize("e", [1, 4, 16])
+    def test_blocked_distances_equal_whole_einsum_on_wide_range(self, e):
+        # magnitudes 1e-12..1e12 make every rounding of the sum over e visible
+        m = 2 * hierarchy._DIST_BLOCK_ROWS + 5
+        rng = np.random.default_rng(100 + e)
+        scale = 10.0 ** rng.uniform(-12, 12, size=(m, e))
+        self.check_blocked_distances(rng.normal(size=(m, e)) * scale)
 
 
 class TestBuildHierarchy:

@@ -217,6 +217,19 @@ class TestEscapes:
         with pytest.raises(FormatError, match="UTF-8"):
             read_sequence(path)
 
+    @pytest.mark.parametrize("field, value", [("h", -1), ("w", 0), ("e", 0), ("K", -1)])
+    def test_non_positive_dimension_is_format_error(self, tmp_path, seq_and_codebook,
+                                                    field, value):
+        # unchecked, h = -1 made reshape(-1, w) infer the height: a 4x4 sequence
+        seq, codebook = seq_and_codebook
+        path = tmp_path / "seq.json"
+        write_sequence(path, seq, codebook)
+        obj = json.loads(path.read_text())
+        obj[field] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match="positive"):
+            read_sequence(path)
+
     def test_deeply_nested_checkpoint_meta_is_format_error(self, tmp_path):
         path = tmp_path / "deep.nvgc"
         _checkpoint_with_meta(path, b"[" * 100000)
