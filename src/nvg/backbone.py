@@ -2,9 +2,12 @@
 
 `Generator` is the skeleton both models are built on: class and stage
 embeddings, the block stack, the final modulated rmsnorm and the output head,
-plus parameter access and checkpoint state. `ContentModel` and
-`StructureModel` add only their own input and output parameters and their
-forward methods.
+plus parameter access and checkpoint state. It also owns the one forward,
+`Generator._forward`: it checks the class and stage ids, builds the rotary
+tables, conditions on class + stage, prepends the class token to the token
+runs it is given, runs the blocks and returns the head on the last run.
+`ContentModel` and `StructureModel` add only their input and output
+parameters, the token runs they pass in and the reshape of what comes out.
 
 One block = pre-norm with scale/shift/gate modulation, a fused qkv+mlp-in
 projection (7 w^2 weights), attention under structure-aware rotary ids, and a
@@ -220,9 +223,10 @@ class Block:
 class Generator:
     """Base of both generators: everything but the per-kind adapters.
 
-    A subclass sets `kind` and creates its input and output parameters in
-    `_make_inputs` and `_make_outputs`. Creation order fixes the RNG draw
-    order: embeddings, inputs, blocks, final modulation and head, outputs.
+    A subclass sets `kind`, creates its input and output parameters in
+    `_make_inputs` and `_make_outputs`, and feeds its token runs to
+    `_forward`. Creation order fixes the RNG draw order: embeddings, inputs,
+    blocks, final modulation and head, outputs.
     """
 
     kind = ""
@@ -281,15 +285,17 @@ class Generator:
     def _rope_tables(self, struct_ids: np.ndarray, grid_w: int, runs: int):
         """cos/sin (B, 1, L, 32) for [class] + `runs` runs of the grid tokens.
 
-        struct_ids is (B, hw, 8); run s has token kind s + 1, and every run
-        repeats the grid's structure and spatial ids. One `rope_tables` call
-        covers the whole batch. The last result is memoized on the exact ids,
-        so the Euler steps of one flow stage, whose known columns do not
-        change, build the tables once. The memoized tables are read-only.
+        struct_ids is (B, hw, K), padded here to the 8 rotary slots; run s
+        has token kind s + 1, and every run repeats the grid's structure and
+        spatial ids. One `rope_tables` call covers the whole batch. The last
+        result is memoized on the exact ids, so the Euler steps of one flow
+        stage, whose known columns do not change, build the tables once. The
+        memoized tables are read-only.
         """
         key = (struct_ids.dtype.str, struct_ids.shape, struct_ids.tobytes(), grid_w, runs)
         if self._rope_memo is not None and self._rope_memo[0] == key:
             return self._rope_memo[1]
+        struct_ids = pad_structure_ids(struct_ids)
         b_sz, hw, _ = struct_ids.shape
         yy, xx = np.divmod(np.arange(hw), grid_w)
         kind = np.concatenate([[0]] + [np.full(hw, s + 1) for s in range(runs)])
@@ -305,16 +311,44 @@ class Generator:
         self._rope_memo = (key, tables)
         return tables
 
-    def _trunk(self, x: Tensor, cos, sin, cond: Tensor, train: bool,
-               rng: np.random.Generator | None) -> Tensor:
-        """The block stack, then the final rmsnorm modulated by cond."""
+    def _forward(self, class_ids, stages, struct_ids, runs, cond_extra: Tensor | None = None,
+                 train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        """The forward both generators share; returns the head on the last run.
+
+        class_ids, stages: (B,) ints, the null class allowed. struct_ids:
+        (B, h, w, K) integer structure ids of the grid. runs: the token runs
+        after the class token, each an (input (B, h, w, c), weight (c, width),
+        bias) triple. cond_extra is added to the class + stage conditioning.
+        Returns (B, h*w, head_channels).
+        """
+        class_ids, stages = np.asarray(class_ids), np.asarray(stages)
+        b_sz, h, w_grid, _ = struct_ids.shape
+        if class_ids.shape != (b_sz,) or stages.shape != (b_sz,):
+            raise InvariantError(f"need one class id and one stage per row of {b_sz}")
+        if class_ids.min(initial=0) < 0 or class_ids.max(initial=0) > self.config.null_class_id:
+            raise InvariantError(f"class id out of range 0..{self.config.null_class_id}")
+        if stages.min(initial=0) < 0 or stages.max(initial=0) > self.config.last_stage:
+            raise InvariantError(f"stage out of range 0..{self.config.last_stage}")
+        for data, weight, _ in runs:
+            if data.shape != (b_sz, h, w_grid, weight.shape[0]):
+                raise InvariantError(f"input must be {(b_sz, h, w_grid, weight.shape[0])}, "
+                                     f"got {data.shape}")
+        hw, width = h * w_grid, self.config.width
+        cos, sin = self._rope_tables(struct_ids.reshape(b_sz, hw, -1), w_grid, len(runs))
+
+        cls = ad.rows(self.class_emb, class_ids)                       # (B, w)
+        cond = cls + ad.rows(self.stage_emb, stages)
+        if cond_extra is not None:
+            cond = cond + cond_extra
+        tokens = [ad.matmul(Tensor(data.reshape(b_sz, hw, -1)), weight) + bias
+                  for data, weight, bias in runs]
+        x = ad.concat([ad.reshape(cls, (b_sz, 1, width))] + tokens, axis=1)
         for block in self.blocks:
             x = block.forward(x, cos, sin, cond, train=train,
                               dropout=self.config.dropout, rng=rng)
-        width = self.config.width
-        fmod = ad.reshape(ad.matmul(ad.silu(cond), self.w_final_mod),
-                          (x.shape[0], 1, 2 * width))
-        return ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
+        fmod = ad.reshape(ad.matmul(ad.silu(cond), self.w_final_mod), (b_sz, 1, 2 * width))
+        x = ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
+        return ad.matmul(x[:, 1 + (len(runs) - 1) * hw:, :], self.w_head) + self.b_head
 
 
 def gradient_check(loss_fn, params: dict, seed: int = 0, samples: int = 120,

@@ -5,9 +5,10 @@ predicts the final canvas. The difference between prediction and input
 canvas, averaged within each cluster of the stage's structure map, feeds a
 linear head that scores every codebook row per cluster.
 
-`ContentModel` is an adapter on `backbone.Generator`, which holds the class
-and stage embeddings, the blocks and the output head. The adapter adds the
-canvas tokens in and the codebook logits out.
+`ContentModel` is an adapter on `backbone.Generator`, whose one forward does
+the conditioning, the rotary ids, the blocks and the output head. The adapter
+adds one token run, the canvas, and turns the head's output into the
+predicted canvas and the codebook logits.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import Generator, pad_structure_ids
+from .backbone import Generator
 # unused here; bound because perfbench's smoke test reads nvg.<model>.rope_tables
 from .backbone import rope_tables  # noqa: F401
 from .errors import InvariantError
@@ -81,30 +82,12 @@ class ContentModel(Generator):
         canvases: (B, h, w, e); struct_embs: (B, h, w, K) integer embeddings.
         Returns a (B, h, w, e) tensor.
         """
-        class_ids = np.asarray(class_ids)
-        stages = np.asarray(stages)
         canvases = np.asarray(canvases, dtype=self.dtype)
-        struct_embs = np.asarray(struct_embs)
-        b_sz, h, w_grid, e = canvases.shape
-        if e != self.config.latent_channels:
-            raise InvariantError(f"canvas has {e} channels, model expects "
-                                 f"{self.config.latent_channels}")
-        if class_ids.max(initial=0) > self.config.null_class_id:
-            raise InvariantError("class id out of range")
-        hw = h * w_grid
-        struct_ids = pad_structure_ids(struct_embs.reshape(b_sz, hw, -1))
-        cos, sin = self._rope_tables(struct_ids, w_grid, runs=1)
-
-        cls = ad.rows(self.class_emb, class_ids)                       # (B, w)
-        cond = cls + ad.rows(self.stage_emb, stages)
-        tok = ad.matmul(Tensor(canvases.reshape(b_sz, hw, e)), self.w_in) + self.b_in
-        x = ad.concat([ad.reshape(cls, (b_sz, 1, self.config.width)), tok], axis=1)
-        x = self._trunk(x, cos, sin, cond, train, rng)
+        delta = self._forward(class_ids, stages, np.asarray(struct_embs),
+                              [(canvases, self.w_in, self.b_in)], train=train, rng=rng)
         # residual parameterization: the head emits what is still missing from
         # the input canvas, and the sum is the predicted final canvas
-        delta = ad.matmul(x[:, 1:, :], self.w_head) + self.b_head      # (B, hw, e)
-        pred = ad.reshape(delta, (b_sz, h, w_grid, e)) + Tensor(canvases)
-        return pred
+        return ad.reshape(delta, canvases.shape) + Tensor(canvases)
 
     def token_logits(self, pred_final, canvas, smap: StructureMap) -> Tensor:
         """Per-cluster logits over the codebook from one sample's canvases.

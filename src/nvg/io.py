@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -67,6 +68,22 @@ def write_tensor(path, array: np.ndarray) -> None:
     _write_bytes(path, tensor_bytes(array))
 
 
+def _decode_array(blob: bytes, off: int, rank: int, what: str) -> tuple[np.ndarray, int]:
+    """The float32 array whose `rank` uint32 dims and little-endian payload
+    start at blob[off], and the offset just past it."""
+    if rank > 8:
+        raise FormatError(f"implausible {what} rank {rank}")
+    if len(blob) < off + 4 * rank:
+        raise FormatError(f"{what} truncated in dims")
+    dims = struct.unpack_from(f"<{rank}I", blob, off)
+    off += 4 * rank
+    size = 4 * math.prod(dims)      # Python ints: no int64 wrap
+    if len(blob) - off < size:
+        raise FormatError(f"{what} payload holds {len(blob) - off} bytes, dims need {size}")
+    array = np.frombuffer(blob[off:off + size], dtype="<f4").reshape(dims)
+    return array.astype(np.float32), off + size
+
+
 def read_tensor(path) -> np.ndarray:
     blob = _read_bytes(path)
     if len(blob) < 12:
@@ -76,16 +93,10 @@ def read_tensor(path) -> np.ndarray:
         raise FormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported tensor format version {version}")
-    if rank > 8:
-        raise FormatError(f"implausible tensor rank {rank}")
-    if len(blob) < 12 + 4 * rank:
-        raise FormatError("tensor file truncated in dims")
-    dims = struct.unpack_from(f"<{rank}I", blob, 12)
-    count = int(np.prod(dims)) if rank else 1
-    payload = blob[12 + 4 * rank:]
-    if len(payload) != 4 * count:
-        raise FormatError(f"payload holds {len(payload)} bytes, dims need {4 * count}")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+    array, end = _decode_array(blob, 12, rank, "tensor")
+    if end != len(blob):
+        raise FormatError(f"tensor file has {len(blob) - end} trailing bytes")
+    return array
 
 
 def codebook_hash(codebook: Codebook) -> str:
@@ -187,13 +198,7 @@ def read_checkpoint(path):
             name = blob[off:off + name_len].decode()
             off += name_len
             (rank,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            dims = struct.unpack_from(f"<{rank}I", blob, off)
-            off += 4 * rank
-            n = int(np.prod(dims)) if rank else 1
-            arrays[name] = np.frombuffer(blob[off:off + 4 * n], dtype="<f4") \
-                .reshape(dims).astype(np.float32)
-            off += 4 * n
+            arrays[name], off = _decode_array(blob, off + 4, rank, "checkpoint array")
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise FormatError(f"checkpoint file corrupt: {exc}") from exc
     if off != len(blob):

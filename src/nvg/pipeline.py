@@ -152,7 +152,7 @@ def sample_token(logits: np.ndarray, p: float, rng) -> int:
     cumulative mass >= p, renormalize, draw. Ties sort by lowest index."""
     if not 0.0 < p <= 1.0:
         raise InvariantError(f"top-p must lie in (0, 1], got {p}")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise NumericError("cannot sample from non-finite logits")
@@ -240,7 +240,7 @@ def generate(req: GenerationRequest, content_model: ContentModel,
                     n = len(classes)
                     return structure_model.velocity(
                         classes, np.full(n, k), np.repeat(x[None], n, axis=0),
-                        np.repeat(z[None], n, axis=0), np.full(n, t), np.full(n, k - 1)).data
+                        np.repeat(z[None], n, axis=0), np.full(n, t)).data
                 return cfg_forward(rows, req.class_id, null_id, scale)
 
             known = embed_structure_map(maps[-1], last).astype(np.float32)

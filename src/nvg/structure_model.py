@@ -7,10 +7,12 @@ predicts the path velocity (noise - target) and an Euler sampler walks t from
 1 to 0. A Gumbel-perturbed top-half split turns the predicted column into an
 exactly balanced child map.
 
-`StructureModel` is an adapter on `backbone.Generator`, which holds the class
-and stage embeddings, the blocks and the output head. The adapter adds a time
-embedding and two runs of input tokens, canvas then noised embedding; the
-base head reads the velocity off the embedding run.
+`StructureModel` is an adapter on `backbone.Generator`, whose one forward
+does the conditioning, the rotary ids, the blocks and the output head. The
+adapter adds a time term to the conditioning and two token runs, canvas then
+noised embedding. It derives the rotary structure ids from the known columns
+of the noised grid, and the head's output on the embedding run is the
+velocity.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import Generator, pad_structure_ids, time_features
+from .backbone import Generator, time_features
 # unused here; bound because perfbench's smoke test reads nvg.<model>.rope_tables
 from .backbone import rope_tables  # noqa: F401
 from .errors import InvariantError, NumericError
@@ -45,17 +47,6 @@ def noised_input(s_e_grid: np.ndarray, t: float, noise: np.ndarray,
     return z
 
 
-def _known_struct_ids(z: np.ndarray, known_stages: int) -> np.ndarray:
-    """Integer rotary ids from the clamped prefix; later slots read as padding."""
-    hw = z.shape[0] * z.shape[1]
-    k = z.shape[2]
-    ids = np.ones((hw, k), dtype=np.int64)
-    if known_stages:
-        ids[:, :known_stages] = np.rint(
-            z[..., :known_stages].reshape(hw, known_stages)).astype(np.int64)
-    return pad_structure_ids(ids)
-
-
 class StructureModel(Generator):
     kind = "structure"
 
@@ -68,40 +59,29 @@ class StructureModel(Generator):
         self.w_in_struct = self._init(k, w)
         self.b_in_struct = self._zeros(w)
 
-    def velocity(self, class_ids, stages, canvases, zs, ts, known_counts,
-                 train: bool = False,
+    def velocity(self, class_ids, stages, canvases, zs, ts, train: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
-        """Velocity prediction for a batch of flow states, shape (B, h, w, K)."""
-        class_ids = np.asarray(class_ids)
-        stages = np.asarray(stages)
+        """Velocity prediction for a batch of flow states, shape (B, h, w, K).
+
+        At stage s >= 1 the first s - 1 columns of z are known; their rounded
+        values are the rotary structure ids, and the other slots read as 1.
+        """
+        stages, ts = np.asarray(stages), np.asarray(ts, dtype=np.float64)
+        if stages.min(initial=1) < 1:
+            raise InvariantError("velocity needs stages >= 1")
+        if ts.shape != stages.shape:
+            raise InvariantError(f"need one time per stage, got {ts.shape} and {stages.shape}")
         canvases = np.asarray(canvases, dtype=self.dtype)
         zs = np.asarray(zs, dtype=self.dtype)
-        ts = np.asarray(ts, dtype=np.float64)
-        known_counts = np.asarray(known_counts)
-        b_sz, h, w_grid, e = canvases.shape
-        k = self.config.last_stage
-        if zs.shape != (b_sz, h, w_grid, k):
-            raise InvariantError(f"noised grid must be {(b_sz, h, w_grid, k)}, got {zs.shape}")
-        hw = h * w_grid
-        width = self.config.width
-
-        struct_ids = np.stack([
-            _known_struct_ids(zs[b], int(known_counts[b])) for b in range(b_sz)
-        ])
-        cos, sin = self._rope_tables(struct_ids, w_grid, runs=2)
-
-        cls = ad.rows(self.class_emb, class_ids)
-        t_feat = time_features(ts, width).astype(self.dtype)
-        cond = cls + ad.rows(self.stage_emb, stages) \
-            + (ad.matmul(Tensor(t_feat), self.w_time) + self.b_time)
-        canvas_tok = ad.matmul(Tensor(canvases.reshape(b_sz, hw, e)),
-                               self.w_in_canvas) + self.b_in_canvas
-        struct_tok = ad.matmul(Tensor(zs.reshape(b_sz, hw, k)),
-                               self.w_in_struct) + self.b_in_struct
-        x = ad.concat([ad.reshape(cls, (b_sz, 1, width)), canvas_tok, struct_tok], axis=1)
-        x = self._trunk(x, cos, sin, cond, train, rng)
-        out = ad.matmul(x[:, 1 + hw:, :], self.w_head) + self.b_head
-        return ad.reshape(out, (b_sz, h, w_grid, k))
+        known = np.arange(zs.shape[-1]) < (stages - 1).reshape(-1, 1, 1, 1)
+        struct_ids = np.where(known, np.rint(zs), 1.0).astype(np.int64)
+        t_feat = time_features(ts, self.config.width)
+        t_cond = ad.matmul(Tensor(t_feat.astype(self.dtype)), self.w_time) + self.b_time
+        out = self._forward(class_ids, stages, struct_ids,
+                            [(canvases, self.w_in_canvas, self.b_in_canvas),
+                             (zs, self.w_in_struct, self.b_in_struct)],
+                            cond_extra=t_cond, train=train, rng=rng)
+        return ad.reshape(out, zs.shape)
 
 
 def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int = 25,
@@ -118,7 +98,7 @@ def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int = 25
         raise InvariantError("need at least one integration step")
     if stage < 1:
         raise InvariantError("flow sampling starts at stage 1")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     s_e = np.asarray(s_e_grid, dtype=np.float32)
     known = stage - 1
     z = rng.standard_normal(s_e.shape).astype(np.float32)
@@ -141,7 +121,7 @@ def gumbel_balanced_split(parent_map: StructureMap, scores: np.ndarray,
     Per parent label j, the half of its locations with the largest
     score + Gumbel(0, 1) noise gets child label 2j, the rest 2j+1.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != parent_map.labels.shape:
         raise InvariantError("scores grid must match the parent map shape")

@@ -202,8 +202,7 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
             mask[b, :, :, known:] = 1.0
             class_ids[b] = null_id if null_mask[b] else ex.class_id
 
-        vel = model.velocity(class_ids, stages, canvases, zs, ts, stages - 1,
-                             train=True, rng=rng)
+        vel = model.velocity(class_ids, stages, canvases, zs, ts, train=True, rng=rng)
         diff = vel - Tensor(targets)
         return (diff * diff * mask).sum() / float(mask.sum()), null_mask
 
@@ -242,8 +241,7 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
             def velocity_fn(z, t):
                 out = structure_model.velocity(
                     np.array([ex.class_id]), np.array([stage]),
-                    ex.canvases[stage][None], z[None], np.array([t]),
-                    np.array([stage - 1]))
+                    ex.canvases[stage][None], z[None], np.array([t]))
                 return out.data[0]
 
             pred = flow_sample(velocity_fn, ex.flow_target, stage,

@@ -190,3 +190,15 @@ def test_generate_on_a_deeply_nested_checkpoint_meta_exits_2(files, capsys, tmp_
     bad = tmp_path / "deep.nvgc"
     _deep_checkpoint(bad)
     assert run(_swap(argv, inputs[0], bad), capsys)[0] == 2
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_tokenize_on_dims_that_wrap_int64_exits_2(files, which, capsys, tmp_path):
+    # rank 4, dims 65536 each: an int64 product is 2**64 = 0, matching the
+    # empty payload, and reshape used to raise a bare ValueError
+    argv, inputs, _ = commands(files)["tokenize"]
+    bad = tmp_path / "wrap.nvgt"
+    bad.write_bytes(struct.pack("<4sII4I", b"NVGT", 1, 4, *(65536,) * 4))
+    code, err = run(_swap(argv, inputs[which], bad), capsys)
+    assert code == 2
+    assert "dims need" in err

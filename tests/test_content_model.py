@@ -9,6 +9,7 @@ from nvg.content_model import (
     cluster_mean_matrix,
     cross_entropy_mean,
 )
+from nvg.errors import InvariantError
 from nvg.grid import Codebook, StructureMap
 from nvg.hierarchy import build_hierarchy
 from nvg.quantize import build_contents, identity_refiners
@@ -65,6 +66,21 @@ class TestForward:
             np.array([model.config.null_class_id]), np.array([2]),
             ex.canvases[2][None], ex.struct_embs[2][None])
         assert not np.allclose(cond.data, uncond.data)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("class_ids, stages, channels", [
+        ([-1], [2], 3), ([4], [2], 3), ([0], [-1], 3), ([0], [5], 3), ([0], [2], 4),
+        ([0, 1], [2], 3), ([0], [2, 2], 3),
+    ], ids=["class-negative", "class-above-null", "stage-negative", "stage-above-last",
+            "canvas-channels", "two-classes-one-row", "two-stages-one-row"])
+    def test_bad_input_is_invariant_error(self, class_ids, stages, channels):
+        # ids index embedding tables, where row -1 is the null class or last stage
+        model = small_model()           # classes 0..2, null id 3, stages 0..4, e = 3
+        with pytest.raises(InvariantError):
+            model.forward_final_canvas(np.array(class_ids), np.array(stages),
+                                       np.zeros((1, 4, 4, channels), np.float32),
+                                       np.ones((1, 4, 4, 4), np.int64))
 
 
 class TestTokenLogits:

@@ -40,7 +40,7 @@ def velocity(model, classes, canvas, z, t=0.6, stage=2):
     n = len(classes)
     return model.velocity(np.array(classes), np.full(n, stage),
                           np.repeat(canvas[None], n, axis=0), np.repeat(z[None], n, axis=0),
-                          np.full(n, t), np.full(n, stage - 1))
+                          np.full(n, t))
 
 
 @pytest.fixture(scope="module")

@@ -259,6 +259,20 @@ class TestEscapes:
         with pytest.raises(FormatError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("reader", ["tensor", "checkpoint"])
+    def test_dims_whose_product_wraps_int64_are_format_error(self, tmp_path, reader):
+        # 65536**4 = 2**64: an int64 product wraps to 0, so an empty payload
+        # passed read_tensor's length check and reshape raised a bare ValueError
+        dims = struct.pack("<I4I", 4, *(65536,) * 4)
+        path = tmp_path / "wrap.bin"
+        if reader == "tensor":
+            path.write_bytes(struct.pack("<4sI", b"NVGT", 1) + dims)
+        else:
+            path.write_bytes(struct.pack("<4sII", b"NVGC", 1, 2) + b"{}"
+                             + struct.pack("<IH", 1, 1) + b"a" + dims)
+        with pytest.raises(FormatError, match="dims need 73786976294838206464"):
+            (read_tensor if reader == "tensor" else read_checkpoint)(path)
+
 
 # -- JSON-tree fuzz: any JSON value in any field, only package errors escape --
 
@@ -336,5 +350,44 @@ class TestJsonTreeFuzz:
         write_checkpoint(path, value if key is None else {**meta, key: value}, arrays)
         try:
             load(path)
+        except (FormatError, InvariantError):
+            pass
+
+
+# -- byte fuzz: mutated and truncated binary files, only package errors escape --
+
+@pytest.fixture(scope="module")
+def binary_files(tmp_path_factory):
+    """A valid tensor file and a valid refiner checkpoint, as bytes."""
+    root = tmp_path_factory.mktemp("bytes")
+    write_tensor(root / "t.nvgt", np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+    write_checkpoint(root / "c.nvgc", REFINER_META, REFINER_ARRAYS)
+    return {read_tensor: (root / "t.nvgt").read_bytes(),
+            read_checkpoint: (root / "c.nvgc").read_bytes()}
+
+
+# header words worth writing over a dims, rank, count or length field
+WORDS = (st.sampled_from([b"\xff\xff\xff\xff", b"\x00\x00\x01\x00", b"\x00\x00\x00\x00",
+                          b"\x09\x00\x00\x00", b"\x00\x00\x00\x80"])
+         | st.binary(min_size=1, max_size=4))
+
+
+class TestByteFuzz:
+    @pytest.mark.parametrize("reader", [read_tensor, read_checkpoint],
+                             ids=["read_tensor", "read_checkpoint"])
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_or_truncated_file(self, tmp_path, binary_files, reader, data):
+        good = binary_files[reader]
+        blob = bytearray(good)
+        # most edits land in the first 64 bytes, where the headers are
+        positions = st.integers(0, 63) | st.integers(0, len(good) - 1)
+        for pos, word in data.draw(st.lists(st.tuples(positions, WORDS), max_size=3)):
+            blob[pos:pos + len(word)] = word
+        cut = data.draw(st.none() | st.integers(0, len(blob)))
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(bytes(blob[:cut]))
+        try:
+            reader(path)
         except (FormatError, InvariantError):
             pass

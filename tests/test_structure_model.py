@@ -81,7 +81,7 @@ class TestVelocityForward:
         canvas = rng.normal(size=(2, 4, 4, 3)).astype(np.float32)
         zs = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
         out = model.velocity(np.array([0, 1]), np.array([1, 2]), canvas, zs,
-                             np.array([0.3, 0.9]), np.array([0, 1]))
+                             np.array([0.3, 0.9]))
         assert out.shape == (2, 4, 4, 4)
 
     def test_single_sample_wrapper(self):
@@ -90,8 +90,50 @@ class TestVelocityForward:
         canvas = rng.normal(size=(4, 4, 3)).astype(np.float32)
         z = rng.normal(size=(4, 4, 4)).astype(np.float32)
         out = model.velocity(np.array([0]), np.array([2]), canvas[None], z[None],
-                             np.array([0.5]), np.array([1]))
+                             np.array([0.5]))
         assert out.shape == (1, 4, 4, 4)
+
+    def test_rotary_ids_are_each_rows_known_columns(self, monkeypatch):
+        # loop reference: row b keeps its first stage_b - 1 columns, rounded,
+        # and reads 1 in the others
+        model = small_model()
+        rng = np.random.default_rng(17)
+        stages = np.array([1, 2, 4])
+        zs = (2.0 * rng.standard_normal((3, 4, 4, 4))).astype(np.float32)
+        seen = []
+        real = model._rope_tables
+        monkeypatch.setattr(model, "_rope_tables",
+                            lambda ids, *args: seen.append(ids.copy()) or real(ids, *args))
+        model.velocity(np.zeros(3, dtype=np.int64), stages,
+                       np.zeros((3, 4, 4, 3), np.float32), zs, np.full(3, 0.5))
+        want = np.ones((3, 16, 4), dtype=np.int64)
+        for b, stage in enumerate(stages):
+            want[b, :, :stage - 1] = np.rint(zs[b, ..., :stage - 1]).reshape(16, stage - 1)
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("class_ids, stages, channels, depth", [
+        ([-1], [2], 3, 4), ([4], [2], 3, 4), ([0], [-1], 3, 4), ([0], [0], 3, 4),
+        ([0], [5], 3, 4), ([0], [2], 4, 4), ([0], [2], 3, 5), ([0, 1], [2], 3, 4),
+        ([0], [2, 2], 3, 4),
+    ], ids=["class-negative", "class-above-null", "stage-negative", "stage-zero",
+            "stage-above-last", "canvas-channels", "noised-grid-depth",
+            "two-classes-one-row", "two-stages-one-row"])
+    def test_bad_input_is_invariant_error(self, class_ids, stages, channels, depth):
+        # stage 0 has no flow step: the velocity of stage s knows s - 1 columns
+        model = small_model()           # classes 0..2, null id 3, stages 0..4, e = 3
+        with pytest.raises(InvariantError):
+            model.velocity(np.array(class_ids), np.array(stages),
+                           np.zeros((1, 4, 4, channels), np.float32),
+                           np.zeros((1, 4, 4, depth), np.float32), np.array([0.5]))
+
+    def test_needs_one_time_per_row(self):
+        # one time for two rows used to broadcast silently over the batch
+        with pytest.raises(InvariantError):
+            small_model().velocity(np.array([0, 1]), np.array([2, 2]),
+                                   np.zeros((2, 4, 4, 3), np.float32),
+                                   np.zeros((2, 4, 4, 4), np.float32), np.array([0.5]))
 
 
 class TestFlowSample:
@@ -239,7 +281,7 @@ def test_masked_flow_loss_gradient_check():
 
     def loss_fn():
         vel = model.velocity(np.array([0]), np.array([stage]), canvas, z,
-                             np.array([0.4]), np.array([stage - 1]))
+                             np.array([0.4]))
         diff = vel - Tensor(target)
         return (diff * diff * mask).sum() / float(mask.sum())
 

@@ -40,7 +40,7 @@ def structure_eval_loss(examples, model, seed=0, samples=32):
         z = noised_input(ex.flow_target, t, noise, stage - 1)
         vel = model.velocity(np.array([ex.class_id]), np.array([stage]),
                              ex.canvases[stage][None], z[None],
-                             np.array([t]), np.array([stage - 1]))
+                             np.array([t]))
         target = noise - ex.flow_target
         mask = np.zeros_like(target)
         mask[:, :, stage - 1:] = 1.0
@@ -290,7 +290,7 @@ class TestTrainStructure:
             z = noised_input(ex.flow_target, float(ts[b]), noise[b], stage - 1)
             vel = model.velocity(np.array([ex.class_id]), np.array([stage]),
                                  ex.canvases[stage][None], z[None],
-                                 np.array([float(ts[b])]), np.array([stage - 1]))
+                                 np.array([float(ts[b])]))
             target = noise[b] - ex.flow_target
             mask = np.zeros_like(target)
             mask[:, :, stage - 1:] = 1.0
