@@ -2,10 +2,13 @@
 
 Covers exactly the ops the two generators need. Reductions are plain numpy
 calls in a fixed order, so losses and gradients are bit-reproducible run to
-run. A node records its parents and a backward closure only when an input
-requires gradients or is itself on the tape. Model parameters always require
-gradients, so every forward builds a tape unless it runs under `no_grad()`,
-where each op returns a bare `Tensor`.
+run. `sum` and `mean` reduce the whole tensor; `softmax`, `log_softmax`,
+`rmsnorm` and `rope` work on the last axis. A node records its parents and a
+backward closure, and requires gradients, only when an input requires
+gradients. Model parameters always do, so every forward builds a tape unless
+it runs under `no_grad()`, where each op returns a bare `Tensor`. There is no
+training flag: a model forward applies dropout exactly when it is given an
+rng, which only the trainers do.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ import numpy as np
 
 __all__ = ["Tensor", "Adam", "no_grad", "concat", "matmul", "rows", "rope", "softmax",
            "log_softmax", "rmsnorm", "silu"]
+
+ADAM_BETA1 = 0.9        # Adam's fixed moment decays and denominator floor
+ADAM_BETA2 = 0.95
+ADAM_EPS = 1e-8
 
 _grad_enabled = True
 
@@ -62,10 +69,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def _accum(self, g: np.ndarray):
         if self.grad is None:
@@ -114,9 +117,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -140,11 +140,11 @@ class Tensor:
     def transpose(self, axes):
         return transpose(self, axes)
 
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
+    def sum(self):
+        return reduce_sum(self)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
+    def mean(self):
+        return reduce_mean(self)
 
 
 def _wrap(x) -> Tensor:
@@ -164,7 +164,7 @@ def _wrap_like(x, ref: Tensor) -> Tensor:
 
 def _node(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -179,9 +179,9 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
 
     def bw(g):
-        if a.requires_grad or a._backward:
+        if a.requires_grad:
             a._accum(_sum_to_shape(g, a.data.shape))
-        if b.requires_grad or b._backward:
+        if b.requires_grad:
             b._accum(_sum_to_shape(g, b.data.shape))
 
     return _node(a.data + b.data, (a, b), bw)
@@ -195,9 +195,9 @@ def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
 
     def bw(g):
-        if a.requires_grad or a._backward:
+        if a.requires_grad:
             a._accum(_sum_to_shape(g * b.data, a.data.shape))
-        if b.requires_grad or b._backward:
+        if b.requires_grad:
             b._accum(_sum_to_shape(g * a.data, b.data.shape))
 
     return _node(a.data * b.data, (a, b), bw)
@@ -211,9 +211,9 @@ def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
 
     def bw(g):
-        if a.requires_grad or a._backward:
+        if a.requires_grad:
             a._accum(_sum_to_shape(g / b.data, a.data.shape))
-        if b.requires_grad or b._backward:
+        if b.requires_grad:
             b._accum(_sum_to_shape(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(a.data / b.data, (a, b), bw)
@@ -230,7 +230,7 @@ def matmul(a, b) -> Tensor:
         out_data = a.data @ b.data
 
     def bw(g):
-        if a.requires_grad or a._backward:
+        if a.requires_grad:
             if b.data.ndim == 2 and g.ndim > 2:
                 # batched activations against a shared weight: one flat gemm
                 ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.data.shape)
@@ -238,7 +238,7 @@ def matmul(a, b) -> Tensor:
             else:
                 ga = g @ np.swapaxes(b.data, -1, -2)
                 a._accum(_sum_to_shape(ga, a.data.shape))
-        if b.requires_grad or b._backward:
+        if b.requires_grad:
             if b.data.ndim == 2 and a.data.ndim > 2:
                 flat_a = a.data.reshape(-1, a.data.shape[-1])
                 b._accum(flat_a.T @ g.reshape(-1, g.shape[-1]))
@@ -296,38 +296,29 @@ def concat(tensors, axis: int) -> Tensor:
 
     def bw(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad or t._backward:
+            if t.requires_grad:
                 t._accum(piece)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
 
 
-def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
+def reduce_sum(a) -> Tensor:
     a = _wrap(a)
 
     def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         a._accum(np.broadcast_to(g, a.data.shape).copy())
 
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
+    return _node(a.data.sum(), (a,), bw)
 
 
-def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
+def reduce_mean(a) -> Tensor:
     a = _wrap(a)
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.data.shape[ax] for ax in axis]))
-    else:
-        count = a.data.shape[axis]
+    count = a.data.size
 
     def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         a._accum(np.broadcast_to(g / count, a.data.shape).copy())
 
-    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
+    return _node(a.data.mean(), (a,), bw)
 
 
 def silu(a) -> Tensor:
@@ -340,38 +331,38 @@ def silu(a) -> Tensor:
     return _node(a.data * sig, (a,), bw)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a) -> Tensor:
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
         a._accum(out_data * (g - inner))
 
     return _node(out_data, (a,), bw)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
+def log_softmax(a) -> Tensor:
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - log_z
     soft = np.exp(out_data)
 
     def bw(g):
-        a._accum(g - soft * g.sum(axis=axis, keepdims=True))
+        a._accum(g - soft * g.sum(axis=-1, keepdims=True))
 
     return _node(out_data, (a,), bw)
 
 
-def rmsnorm(a, eps: float = 1e-6) -> Tensor:
-    """x / sqrt(mean(x^2) + eps) over the last axis (no learned gain)."""
+def rmsnorm(a) -> Tensor:
+    """x / sqrt(mean(x^2) + 1e-6) over the last axis (no learned gain)."""
     a = _wrap(a)
     d = a.data.shape[-1]
     ms = (a.data * a.data).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + eps)
+    inv = 1.0 / np.sqrt(ms + 1e-6)
 
     def bw(g):
         dot = (g * a.data).sum(axis=-1, keepdims=True)
@@ -417,35 +408,28 @@ def rope(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 class Adam:
     """Standard Adam over a dict of parameter Tensors; deterministic."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.95, eps: float = 1e-8):
+    def __init__(self, params: dict):
         self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
-    def step(self, lr: float | None = None):
-        if lr is None:
-            lr = self.lr
+    def step(self, lr: float):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name in sorted(self.params):
             p = self.params[name]
             if p.grad is None:
                 continue
             g = p.grad
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
             denom = np.sqrt(v / b2c)
-            denom += self.eps
+            denom += ADAM_EPS
             p.data = p.data - (lr / b1c) * (m / denom)
 
     def zero_grad(self):

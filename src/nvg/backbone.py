@@ -187,9 +187,9 @@ class Block:
         return self.w_mod.data.size + self.w_fused.data.size + self.w_out.data.size
 
     def forward(self, x: Tensor, cos: np.ndarray, sin: np.ndarray, cond: Tensor,
-                train: bool = False, dropout: float = 0.0,
-                rng: np.random.Generator | None = None) -> Tensor:
-        """x: (B, L, w); cos/sin: (B, 1, L, 32); cond: (B, w) modulation input."""
+                dropout: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+        """x: (B, L, w); cos/sin: (B, 1, L, 32); cond: (B, w) modulation input.
+        Dropout applies to the block output only when an rng is given."""
         b_sz, length, w = x.shape
         heads = self.heads
         mod = ad.matmul(ad.silu(cond), self.w_mod)          # (B, 3w)
@@ -209,12 +209,12 @@ class Block:
         k = ad.rope(split_heads(k), cos, sin)
         v = split_heads(v)
         scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(HEAD_DIM))
-        attn = ad.matmul(ad.softmax(scores, axis=-1), v)    # (B, H, L, 64)
+        attn = ad.matmul(ad.softmax(scores), v)             # (B, H, L, 64)
         attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (b_sz, length, w))
 
         merged = ad.concat([attn, ad.silu(m)], axis=2)      # (B, L, 5w)
         out = ad.matmul(merged, self.w_out)
-        if train and dropout > 0.0:
+        if rng is not None and dropout > 0.0:
             keep = (rng.random(out.shape, dtype=np.float32) >= dropout)
             out = out * (keep.astype(out.data.dtype) / (1.0 - dropout))
         return x + (1.0 + gate) * out
@@ -312,13 +312,14 @@ class Generator:
         return tables
 
     def _forward(self, class_ids, stages, struct_ids, runs, cond_extra: Tensor | None = None,
-                 train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+                 rng: np.random.Generator | None = None) -> Tensor:
         """The forward both generators share; returns the head on the last run.
 
         class_ids, stages: (B,) ints, the null class allowed. struct_ids:
         (B, h, w, K) integer structure ids of the grid. runs: the token runs
         after the class token, each an (input (B, h, w, c), weight (c, width),
         bias) triple. cond_extra is added to the class + stage conditioning.
+        A given rng is the training switch: the blocks draw dropout from it.
         Returns (B, h*w, head_channels).
         """
         class_ids, stages = np.asarray(class_ids), np.asarray(stages)
@@ -344,8 +345,7 @@ class Generator:
                   for data, weight, bias in runs]
         x = ad.concat([ad.reshape(cls, (b_sz, 1, width))] + tokens, axis=1)
         for block in self.blocks:
-            x = block.forward(x, cos, sin, cond, train=train,
-                              dropout=self.config.dropout, rng=rng)
+            x = block.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng)
         fmod = ad.reshape(ad.matmul(ad.silu(cond), self.w_final_mod), (b_sz, 1, 2 * width))
         x = ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
         return ad.matmul(x[:, 1 + (len(runs) - 1) * hw:, :], self.w_head) + self.b_head

@@ -36,6 +36,8 @@ def _parse_latent(text: str):
         h, w, e = (int(p) for p in text.split(","))
     except ValueError as exc:
         raise FormatError(f"--latent wants h,w,e integers, got {text!r}") from exc
+    if min(h, w, e) < 1:
+        raise FormatError(f"--latent wants positive h,w,e, got {text!r}")
     return h, w, e
 
 
@@ -172,10 +174,10 @@ def cmd_train_generator(args, kind: str) -> int:
                         "structure": (StructureModel, train_structure)}[kind]
     model = model_cls(ModelConfig(args.depth, kind, e, codebook.size, args.classes, last),
                       seed=args.seed)
-    result = train(examples, model, config)
+    losses = train(examples, model, config).losses
     checkpoints.save_model(args.output, model)
-    print(f"{kind} model trained: final loss {result.losses[-1]:.6f} "
-          f"over {len(result.losses)} steps")
+    final = f"final loss {losses[-1]:.6f}" if losses else "no loss"
+    print(f"{kind} model trained: {final} over {len(losses)} steps")
     return 0
 
 
@@ -275,6 +277,9 @@ def main(argv=None) -> int:
         "selfcheck": cmd_selfcheck,
     }
     try:
+        for name in ("seed", "data_seed"):     # numpy seeds must be non-negative
+            if getattr(args, name, 0) < 0:
+                raise FormatError(f"--{name.replace('_', '-')} must be non-negative")
         return handlers[args.command](args)
     except FormatError as exc:
         print(f"nvg: error code=2 kind=format: {exc}", file=sys.stderr)

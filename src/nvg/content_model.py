@@ -57,7 +57,7 @@ def cluster_mean_matrix(smap: StructureMap, dtype=np.float32) -> np.ndarray:
 def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross entropy of (m, n) logits against m integer targets."""
     targets = np.asarray(targets)
-    lsm = ad.log_softmax(logits, axis=-1)
+    lsm = ad.log_softmax(logits)
     picked = lsm[np.arange(targets.size), targets]
     return -picked.mean()
 
@@ -74,17 +74,16 @@ class ContentModel(Generator):
         self.b_logit = self._zeros(self.config.codebook_size)
 
     def forward_final_canvas(self, class_ids, stages, canvases, struct_embs,
-                             train: bool = False,
                              rng: np.random.Generator | None = None) -> Tensor:
         """Predict the final canvas for a batch.
 
         class_ids: (B,) ints (null id allowed); stages: (B,) ints;
         canvases: (B, h, w, e); struct_embs: (B, h, w, K) integer embeddings.
-        Returns a (B, h, w, e) tensor.
+        A given rng turns dropout on (training). Returns a (B, h, w, e) tensor.
         """
         canvases = np.asarray(canvases, dtype=self.dtype)
         delta = self._forward(class_ids, stages, np.asarray(struct_embs),
-                              [(canvases, self.w_in, self.b_in)], train=train, rng=rng)
+                              [(canvases, self.w_in, self.b_in)], rng=rng)
         # residual parameterization: the head emits what is still missing from
         # the input canvas, and the sum is the predicted final canvas
         return ad.reshape(delta, canvases.shape) + Tensor(canvases)
@@ -103,9 +102,9 @@ class ContentModel(Generator):
         means = ad.matmul(Tensor(cluster_mean_matrix(smap, self.dtype)), diff)
         return ad.matmul(means, self.w_logit) + self.b_logit
 
-    def loss(self, batch: list, train: bool = False,
-             rng: np.random.Generator | None = None) -> Tensor:
-        """Mean of Eq-style per-sample losses: canvas MSE + token CE."""
+    def loss(self, batch: list, rng: np.random.Generator | None = None) -> Tensor:
+        """Mean of Eq-style per-sample losses: canvas MSE + token CE. A given
+        rng turns dropout on (training)."""
         if not batch:
             raise InvariantError("empty batch")
         class_ids = np.array([item.class_id for item in batch])
@@ -114,8 +113,7 @@ class ContentModel(Generator):
         struct_embs = np.stack([item.struct_emb for item in batch])
         targets = np.stack([item.target_canvas for item in batch]).astype(self.dtype)
 
-        pred = self.forward_final_canvas(class_ids, stages, canvases, struct_embs,
-                                         train=train, rng=rng)
+        pred = self.forward_final_canvas(class_ids, stages, canvases, struct_embs, rng=rng)
         err = pred - targets
         mse = (err * err).mean()
         ce_terms = [cross_entropy_mean(self.token_logits(pred[b], item.canvas, item.smap),

@@ -110,12 +110,10 @@ def _greedy_pairs(vectors: np.ndarray):
     best_j = np.argmin(d, axis=1)
     best_d = d[rows, best_j]
     pairs = []
-    dists = []
     for _ in range(m // 2):
         i = int(np.argmin(best_d))
         j = int(best_j[i])
         pairs.append((i, j))
-        dists.append(float(best_d[i]))
         live[i] = live[j] = False
         best_d[i] = best_d[j] = np.inf
         stale = rows[live & ((best_j == i) | (best_j == j))]
@@ -124,7 +122,7 @@ def _greedy_pairs(vectors: np.ndarray):
             cols = np.argmin(sub, axis=1)
             best_j[stale] = cols
             best_d[stale] = sub[rows[:stale.size], cols]
-    return pairs, dists
+    return pairs
 
 
 def greedy_pair_step(vectors) -> list:
@@ -136,8 +134,7 @@ def greedy_pair_step(vectors) -> list:
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2:
         raise InvariantError(f"expected (m, e) vectors, got shape {v.shape}")
-    pairs, _ = _greedy_pairs(v)
-    return pairs
+    return _greedy_pairs(v)
 
 
 def build_hierarchy(grid: LatentGrid) -> Hierarchy:
@@ -157,7 +154,7 @@ def build_hierarchy(grid: LatentGrid) -> Hierarchy:
     members = np.arange(hw)[:, None]
     reps = flat
     for stage in range(last - 1, -1, -1):
-        pairs, _ = _greedy_pairs(reps)
+        pairs = _greedy_pairs(reps)
         pi, pj = np.array(pairs).T
         members = np.concatenate([members[pi], members[pj]], axis=1)
         labels = np.empty(hw, dtype=np.int32)

@@ -64,8 +64,8 @@ class GenerationRequest:
 
     def __post_init__(self):
         hw = self.h * self.w
-        if hw < 1 or hw & (hw - 1):
-            raise InvariantError("h*w must be a power of two")
+        if min(self.h, self.w) < 1 or hw & (hw - 1):
+            raise InvariantError("h and w must be positive and h*w a power of two")
         last = hw.bit_length() - 1
         for stage, smap in self.structure_overrides.items():
             if not isinstance(smap, StructureMap) or smap.stage != stage:

@@ -167,6 +167,8 @@ def kmeans(data: np.ndarray, n: int, iterations: int = 25, seed: int = 0) -> np.
     data = np.asarray(data, dtype=np.float64)
     if n < 1:
         raise InvariantError("cluster count must be at least 1")
+    if iterations < 0:
+        raise InvariantError(f"iteration count must be non-negative, got {iterations}")
     if data.ndim != 2 or len(data) == 0:
         raise InvariantError("k-means needs a non-empty (m, e) matrix")
     if n > len(data):

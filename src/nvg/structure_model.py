@@ -59,12 +59,13 @@ class StructureModel(Generator):
         self.w_in_struct = self._init(k, w)
         self.b_in_struct = self._zeros(w)
 
-    def velocity(self, class_ids, stages, canvases, zs, ts, train: bool = False,
+    def velocity(self, class_ids, stages, canvases, zs, ts,
                  rng: np.random.Generator | None = None) -> Tensor:
         """Velocity prediction for a batch of flow states, shape (B, h, w, K).
 
         At stage s >= 1 the first s - 1 columns of z are known; their rounded
         values are the rotary structure ids, and the other slots read as 1.
+        A given rng turns dropout on (training).
         """
         stages, ts = np.asarray(stages), np.asarray(ts, dtype=np.float64)
         if stages.min(initial=1) < 1:
@@ -80,7 +81,7 @@ class StructureModel(Generator):
         out = self._forward(class_ids, stages, struct_ids,
                             [(canvases, self.w_in_canvas, self.b_in_canvas),
                              (zs, self.w_in_struct, self.b_in_struct)],
-                            cond_extra=t_cond, train=train, rng=rng)
+                            cond_extra=t_cond, rng=rng)
         return ad.reshape(out, zs.shape)
 
 
@@ -119,7 +120,8 @@ def gumbel_balanced_split(parent_map: StructureMap, scores: np.ndarray,
     """Split every parent cluster exactly in half by Gumbel-perturbed scores.
 
     Per parent label j, the half of its locations with the largest
-    score + Gumbel(0, 1) noise gets child label 2j, the rest 2j+1.
+    score + Gumbel(0, 1) noise gets child label 2j, the rest 2j+1; equal
+    noisy scores go to the smaller row-major location first.
     """
     rng = np.random.default_rng(rng)
     scores = np.asarray(scores, dtype=np.float64)
@@ -129,12 +131,11 @@ def gumbel_balanced_split(parent_map: StructureMap, scores: np.ndarray,
         raise InvariantError("parent clusters must have even size to split")
     noisy = (scores + rng.gumbel(size=scores.shape)).ravel()
     parent_flat = parent_map.labels.ravel()
+    n, size = parent_map.num_clusters, parent_map.cluster_size
+    # row j holds parent j's locations in row-major order (the map is balanced)
+    locs = np.argsort(parent_flat, kind="stable").reshape(n, size)
+    ranked = np.take_along_axis(locs, np.argsort(-noisy[locs], axis=1, kind="stable"), axis=1)
     child = np.empty_like(parent_flat)
-    half = parent_map.cluster_size // 2
-    for j in range(parent_map.num_clusters):
-        locs = np.flatnonzero(parent_flat == j)
-        order = np.argsort(-noisy[locs], kind="stable")
-        child[locs[order[:half]]] = 2 * j
-        child[locs[order[half:]]] = 2 * j + 1
+    child[ranked] = 2 * np.arange(n)[:, None] + (np.arange(size) >= size // 2)
     return StructureMap(parent_map.stage + 1, child.reshape(parent_map.labels.shape))
 

@@ -1,5 +1,7 @@
 """Seeded synthetic latent dataset: class-colored backgrounds with smooth
-Gaussian blobs plus noise. Stands in for an encoder at desk scale."""
+Gaussian blobs plus noise. Stands in for an encoder at desk scale. The
+module constants below fix the colors, blobs and noise; a `SyntheticSpec`
+picks only the count, the grid shape, the classes and the seed."""
 
 from __future__ import annotations
 
@@ -12,6 +14,12 @@ from .grid import LatentGrid
 
 __all__ = ["SyntheticSpec", "make_synthetic_dataset", "class_base_colors"]
 
+BASE_SCALE = 2.0            # pairwise class-color separation >= this
+BLOBS_MIN, BLOBS_MAX = 1, 3
+BLOB_AMP = 1.5
+BLOB_SIGMA = (1.0, 2.5)
+NOISE_SIGMA = 0.05
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -20,12 +28,6 @@ class SyntheticSpec:
     w: int = 8
     e: int = 4
     num_classes: int = 4
-    base_scale: float = 2.0          # pairwise class-color separation >= this
-    blobs_min: int = 1
-    blobs_max: int = 3
-    blob_amp: float = 1.5
-    blob_sigma: tuple = (1.0, 2.5)
-    noise_sigma: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -35,15 +37,13 @@ class SyntheticSpec:
             raise InvariantError(
                 f"need 1..{2 ** self.e} classes for {self.e} channels, got {self.num_classes}"
             )
-        if self.blobs_min > self.blobs_max or self.blobs_min < 0:
-            raise InvariantError("invalid blob count range")
 
 
 def class_base_colors(spec: SyntheticSpec) -> np.ndarray:
     """Deterministic per-class base colors on hypercube corners, so any two
-    classes sit at least base_scale apart."""
+    classes sit at least BASE_SCALE apart."""
     colors = np.empty((spec.num_classes, spec.e), dtype=np.float64)
-    half = spec.base_scale / 2.0
+    half = BASE_SCALE / 2.0
     for c in range(spec.num_classes):
         colors[c] = [half if (c >> j) & 1 else -half for j in range(spec.e)]
     return colors
@@ -61,14 +61,14 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> list:
     for idx in range(spec.count):
         cls = idx % spec.num_classes
         img = np.tile(colors[cls], (spec.h, spec.w, 1))
-        for _ in range(int(rng.integers(spec.blobs_min, spec.blobs_max + 1))):
+        for _ in range(int(rng.integers(BLOBS_MIN, BLOBS_MAX + 1))):
             cy = rng.uniform(0, spec.h)
             cx = rng.uniform(0, spec.w)
-            sigma = rng.uniform(*spec.blob_sigma)
+            sigma = rng.uniform(*BLOB_SIGMA)
             direction = rng.normal(size=spec.e)
             direction /= max(np.linalg.norm(direction), 1e-12)
             bump = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma ** 2))
-            img += spec.blob_amp * bump[:, :, None] * direction
-        img += spec.noise_sigma * rng.standard_normal(size=img.shape)
+            img += BLOB_AMP * bump[:, :, None] * direction
+        img += NOISE_SIGMA * rng.standard_normal(size=img.shape)
         out.append((cls, LatentGrid(img.astype(np.float32))))
     return out

@@ -43,8 +43,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1:
-            raise InvariantError("invalid step/batch configuration")
+        if self.steps < 0 or self.warmup_steps < 0 or self.batch_size < 1:
+            raise InvariantError("invalid step/warmup/batch configuration")
         if not 0.0 < self.decay_start_fraction <= 1.0:
             raise InvariantError("decay_start_fraction must lie in (0, 1]")
         if not 0.0 <= self.null_rate < 1.0:
@@ -162,7 +162,7 @@ def train_content(examples: list, model: ContentModel, config: TrainConfig) -> T
                 target_canvas=ex.target_canvas,
                 target_tokens=tokens.indices,
             ))
-        return model.loss(batch, train=True, rng=rng), null_mask
+        return model.loss(batch, rng=rng), null_mask
 
     return _fit(model, config, batch_loss)
 
@@ -202,7 +202,7 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
             mask[b, :, :, known:] = 1.0
             class_ids[b] = null_id if null_mask[b] else ex.class_id
 
-        vel = model.velocity(class_ids, stages, canvases, zs, ts, train=True, rng=rng)
+        vel = model.velocity(class_ids, stages, canvases, zs, ts, rng=rng)
         diff = vel - Tensor(targets)
         return (diff * diff * mask).sum() / float(mask.sum()), null_mask
 

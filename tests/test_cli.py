@@ -12,7 +12,7 @@ import pytest
 
 from nvg import cli
 from nvg.backbone import ModelConfig
-from nvg.checkpoints import save_model, save_refiners
+from nvg.checkpoints import load_model, save_model, save_refiners
 from nvg.content_model import ContentModel
 from nvg.grid import LatentGrid, StructureMap
 from nvg.hierarchy import build_hierarchy
@@ -202,3 +202,49 @@ def test_tokenize_on_dims_that_wrap_int64_exits_2(files, which, capsys, tmp_path
     code, err = run(_swap(argv, inputs[which], bad), capsys)
     assert code == 2
     assert "dims need" in err
+
+
+def _without_override(argv):
+    i = argv.index("--override-structure")
+    return argv[:i] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("command, option, code", [
+    ("train-codebook", "--seed=-1", 2),
+    ("train-content", "--seed=-1", 2),
+    ("train-structure", "--seed=-1", 2),
+    ("generate", "--seed=-1", 2),
+    ("train-codebook", "--data-seed=-1", 2),
+    ("train-content", "--data-seed=-1", 2),
+    ("train-codebook", "--latent=-2,-2,3", 2),
+    ("train-content", "--latent=-2,-2,3", 2),
+    ("generate", "--latent=-4,-4,3", 2),
+    ("train-content", "--warmup=-5", 3),
+    ("train-structure", "--warmup=-5", 3),
+    ("train-codebook", "--iters=-1", 3),
+])
+def test_out_of_range_number_exits_nonzero(files, command, option, code, capsys):
+    # -2 * -2 = 4 passes the power-of-two check; the override is dropped so
+    # that its shape check does not mask the negative latent
+    argv, _, _ = commands(files)[command]
+    if command == "generate":
+        argv = _without_override(argv)
+    assert run(argv + [option], capsys)[0] == code
+
+
+def test_selfcheck_with_a_negative_seed_exits_2(capsys):
+    assert run(["selfcheck", "--seed=-1"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("command", ["train-content", "train-structure"])
+def test_zero_training_steps_write_the_untrained_checkpoint(files, command, capsys, tmp_path):
+    argv, _, outputs = commands(files)[command]
+    out = tmp_path / "untrained.nvgc"
+    code = cli.main(_swap(argv, outputs[0], out) + ["--steps=0"])
+    printed = capsys.readouterr()
+    assert code == 0 and "Traceback" not in printed.err
+    assert "no loss over 0 steps" in printed.out
+    model = load_model(str(out))
+    fresh = type(model)(model.config, seed=0)
+    for name, array in fresh.state_arrays().items():
+        assert np.array_equal(model.state_arrays()[name], array)

@@ -10,10 +10,8 @@ from nvg.content_model import (
     cross_entropy_mean,
 )
 from nvg.errors import InvariantError
-from nvg.grid import Codebook, StructureMap
-from nvg.hierarchy import build_hierarchy
-from nvg.quantize import build_contents, identity_refiners
-from nvg.structcode import embed_structure_map
+from nvg.grid import StructureMap
+from nvg.quantize import identity_refiners
 from nvg.synthetic import SyntheticSpec, make_synthetic_dataset
 from nvg.training import tokenize_dataset
 
@@ -54,12 +52,12 @@ class TestForward:
         batch = [ContentBatch(ex.class_id, 2, ex.canvases[2], ex.struct_embs[2],
                               ex.sequence.stages[2][1], ex.target_canvas,
                               ex.sequence.stages[2][0].indices)]
-        opt = Adam(model.params(), lr=1e-2)
+        opt = Adam(model.params())
         for _ in range(5):
             loss = model.loss(batch)
             opt.zero_grad()
             loss.backward()
-            opt.step()
+            opt.step(1e-2)
         cond = model.forward_final_canvas(
             np.array([0]), np.array([2]), ex.canvases[2][None], ex.struct_embs[2][None])
         uncond = model.forward_final_canvas(

@@ -1,5 +1,7 @@
 """Every exported name resolves: a module's `__all__` and the package's own
-imports may not name something that was renamed or deleted."""
+imports may not name something that was renamed or deleted. And every name a
+module imports is read: no linter is a dependency, so an `ast` pass stands in
+for the unused-import check."""
 
 import ast
 import importlib
@@ -36,3 +38,38 @@ def test_package_imports_are_public_names():
         if not hasattr(module, name) or name not in getattr(module, "__all__", [name]):
             stale.append(f"{mod}.{name}")
     assert stale == []
+
+
+SOURCES = sorted(path for root in (Path(nvg.__file__).parent, Path(__file__).parent)
+                 for path in root.glob("*.py") if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names an import binds that the module never reads; an import on a
+    line marked `noqa: F401` and names listed in `__all__` count as read."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names
+                         if "noqa: F401" not in lines[alias.lineno - 1])
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_sees_each_kind_of_import():
+    source = ("import os\nimport numpy as np\nfrom a import b, c as d\n"
+              "from e import f  # noqa: F401\nprint(np, c)\n")
+    assert unused_imports(source) == ["b", "d", "os"]

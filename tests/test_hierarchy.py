@@ -35,13 +35,12 @@ def reference_greedy_pairs(vectors):
     m = len(vectors)
     d = whole_matrix_sq_dists(vectors)
     d[np.tril_indices(m)] = np.inf
-    pairs, dists = [], []
+    pairs = []
     for _ in range(m // 2):
         i, j = divmod(int(np.argmin(d)), m)
         pairs.append((i, j))
-        dists.append(float(d[i, j]))
         d[i, :] = d[:, i] = d[j, :] = d[:, j] = np.inf
-    return pairs, dists
+    return pairs
 
 
 def oracle_vectors(kind, m, e, rng):
@@ -85,7 +84,7 @@ def reference_build_hierarchy(grid):
     paired = []
     for stage in range(last - 1, -1, -1):
         paired.append(reps)
-        pairs, _ = reference_greedy_pairs(reps)
+        pairs = reference_greedy_pairs(reps)
         labels = np.empty(hw, dtype=np.int32)
         new_members = []
         for p, (i, j) in enumerate(pairs):
@@ -113,7 +112,7 @@ def greedy_audit(grid, h):
     full-rescan greedy scan. Returns the stages where they do not."""
     bad = []
     for s in range(h.last_stage):
-        pairs, _ = reference_greedy_pairs(grid_cluster_means(grid, h.maps[s + 1]))
+        pairs = reference_greedy_pairs(grid_cluster_means(grid, h.maps[s + 1]))
         if sorted(pairs) != [(2 * j, 2 * j + 1) for j in range(1 << s)]:
             bad.append(s)
     return bad

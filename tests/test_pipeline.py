@@ -12,7 +12,7 @@ from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
 from nvg.errors import InvariantError, NumericError
 from nvg.checkpoints import save_model, save_refiners
-from nvg.grid import Codebook, ContentTokens, StructureMap
+from nvg.grid import Codebook, StructureMap
 from nvg.hierarchy import build_hierarchy
 from nvg.pipeline import (
     GenerationRequest,
@@ -260,6 +260,11 @@ class TestGenerate:
         with pytest.raises(InvariantError):
             GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
                               structure_overrides={1: a, 2: StructureMap(2, b_labels)})
+
+    @pytest.mark.parametrize("h, w", [(-4, -4), (0, 4), (4, 3)])
+    def test_grid_shape_must_be_positive_with_power_of_two_area(self, h, w):
+        with pytest.raises(InvariantError):
+            GenerationRequest(class_id=0, seed=0, h=h, w=w, e=E)
 
     def test_structure_model_with_wrong_latent_channels_rejected(self, setup):
         _, codebook, refiners, content, _ = setup

@@ -258,6 +258,35 @@ class TestGumbelSplit:
         child = gumbel_balanced_split(parent, rng.normal(size=(2, 4)), rng)
         assert np.array_equal(child.labels >> 1, parent.labels)
 
+    @staticmethod
+    def loop_split(parent_map, scores, seed):
+        """Reference: one stable argsort per parent cluster."""
+        noisy = (scores + np.random.default_rng(seed).gumbel(size=scores.shape)).ravel()
+        parent_flat = parent_map.labels.ravel()
+        child = np.empty_like(parent_flat)
+        half = parent_map.cluster_size // 2
+        for j in range(parent_map.num_clusters):
+            locs = np.flatnonzero(parent_flat == j)
+            order = np.argsort(-noisy[locs], kind="stable")
+            child[locs[order[:half]]] = 2 * j
+            child[locs[order[half:]]] = 2 * j + 1
+        return child.reshape(parent_map.labels.shape)
+
+    @pytest.mark.parametrize("side", [4, 8, 16])
+    @pytest.mark.parametrize("kind", ["gaussian", "zero", "binary"])
+    def test_matches_per_cluster_loop(self, side, kind):
+        rng = np.random.default_rng(side)
+        last = (side * side).bit_length() - 1
+        for trial in range(12):
+            stage = trial % last
+            labels = rng.permutation(np.repeat(np.arange(1 << stage), side * side >> stage))
+            parent = StructureMap(stage, labels.reshape(side, side))
+            scores = {"gaussian": rng.normal(size=(side, side)),
+                      "zero": np.zeros((side, side)),
+                      "binary": rng.integers(0, 2, size=(side, side)).astype(float)}[kind]
+            child = gumbel_balanced_split(parent, scores, trial)
+            assert np.array_equal(child.labels, self.loop_split(parent, scores, trial))
+
     def test_odd_cluster_size_rejected(self):
         parent = StructureMap(1, np.array([[0, 1]]))
         with pytest.raises(InvariantError):

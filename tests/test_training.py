@@ -11,7 +11,7 @@ from nvg.grid import assign
 from nvg.quantize import Refiner, fit_codebook, identity_refiners
 from nvg.structcode import embed_structure_map
 from nvg.structure_model import StructureModel, noised_input
-from nvg.synthetic import SyntheticSpec, class_base_colors, make_synthetic_dataset
+from nvg.synthetic import BASE_SCALE, SyntheticSpec, class_base_colors, make_synthetic_dataset
 from nvg.training import (
     TrainConfig,
     evaluate,
@@ -92,14 +92,14 @@ class TestSyntheticDataset:
             for j in classes:
                 if i < j:
                     dist = np.linalg.norm(centers[i] - centers[j])
-                    assert dist >= spec.base_scale / 2
+                    assert dist >= BASE_SCALE / 2
 
     def test_base_colors_pairwise_distance(self):
-        spec = SyntheticSpec(count=1, num_classes=4, e=4, base_scale=2.0)
+        spec = SyntheticSpec(count=1, num_classes=4, e=4)
         colors = class_base_colors(spec)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert np.linalg.norm(colors[i] - colors[j]) >= 2.0
+                assert np.linalg.norm(colors[i] - colors[j]) >= BASE_SCALE
 
     def test_too_many_classes_rejected(self):
         with pytest.raises(InvariantError):
@@ -212,9 +212,9 @@ class TestTrainContent:
         seen_class_ids = []
         original = model.loss
 
-        def instrumented(batch, train=False, rng=None):
+        def instrumented(batch, rng=None):
             seen_class_ids.append(np.array([item.class_id for item in batch]))
-            return original(batch, train=train, rng=rng)
+            return original(batch, rng=rng)
 
         model.loss = instrumented
         cfg = TrainConfig(steps=4, batch_size=8, base_lr=0.0, warmup_steps=0,
