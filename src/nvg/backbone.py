@@ -14,7 +14,7 @@ projection (7 w^2 weights), attention under structure-aware rotary ids, and a
 fused proj+mlp-out projection (5 w^2), all on a residual stream. With the
 3 w^2 modulation projection a block carries exactly 15 w^2 core weights, so a
 depth-d model has 15 d w^2 of them; block linears are bias-free to keep that
-count exact.
+count exact. The tests check the count from the shapes `params()` returns.
 
 Rotary ids split the 64-dim head as 8 dims for token-kind, 2 dims for each of
 8 structure levels, and 20 dims per spatial axis. Tokens sharing a cluster at
@@ -38,13 +38,10 @@ __all__ = [
     "HEAD_DIM",
     "STRUCT_SLOTS",
     "ModelConfig",
-    "param_count",
     "rope_tables",
-    "pad_structure_ids",
     "Block",
     "Generator",
     "time_features",
-    "gradient_check",
 ]
 
 HEAD_DIM = 64
@@ -111,11 +108,6 @@ class ModelConfig:
         return self.num_classes
 
 
-def param_count(config: ModelConfig) -> int:
-    """Closed-form block-core parameter total: 15 d w^2."""
-    return 15 * config.depth * config.width ** 2
-
-
 def _sub_freqs(dims: int) -> np.ndarray:
     # standard geometric schedule, applied independently per sub-block
     k = np.arange(dims // 2, dtype=np.float64)
@@ -140,18 +132,6 @@ def rope_tables(kind_ids, struct_ids, spatial_ids, dtype=np.float32):
         spatial_ids[..., 1:2] * _SPATIAL_FREQS,
     ], axis=-1)
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
-
-
-def pad_structure_ids(emb: np.ndarray) -> np.ndarray:
-    """Pad (..., K) hierarchical embedding values with 1s out to 8 slots."""
-    emb = np.asarray(emb)
-    k = emb.shape[-1]
-    if k > STRUCT_SLOTS:
-        raise InvariantError(f"embedding depth {k} exceeds {STRUCT_SLOTS} rotary slots")
-    if k == STRUCT_SLOTS:
-        return emb
-    pad = np.ones(emb.shape[:-1] + (STRUCT_SLOTS - k,), dtype=emb.dtype)
-    return np.concatenate([emb, pad], axis=-1)
 
 
 def time_features(t: np.ndarray, width: int) -> np.ndarray:
@@ -182,9 +162,6 @@ class Block:
             f"{prefix}.w_fused": self.w_fused,
             f"{prefix}.w_out": self.w_out,
         }
-
-    def core_param_count(self) -> int:
-        return self.w_mod.data.size + self.w_fused.data.size + self.w_out.data.size
 
     def forward(self, x: Tensor, cos: np.ndarray, sin: np.ndarray, cond: Tensor,
                 dropout: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
@@ -266,10 +243,6 @@ class Generator:
             out.update(block.params(f"block{i}"))
         return out
 
-    def core_param_count(self) -> int:
-        """Actual block parameter total; must equal param_count(config)."""
-        return sum(block.core_param_count() for block in self.blocks)
-
     def state_arrays(self) -> dict:
         return {k: v.data for k, v in self.params().items()}
 
@@ -295,8 +268,9 @@ class Generator:
         key = (struct_ids.dtype.str, struct_ids.shape, struct_ids.tobytes(), grid_w, runs)
         if self._rope_memo is not None and self._rope_memo[0] == key:
             return self._rope_memo[1]
-        struct_ids = pad_structure_ids(struct_ids)
-        b_sz, hw, _ = struct_ids.shape
+        b_sz, hw, k = struct_ids.shape
+        pad = np.ones((b_sz, hw, STRUCT_SLOTS - k), dtype=struct_ids.dtype)
+        struct_ids = np.concatenate([struct_ids, pad], axis=-1)
         yy, xx = np.divmod(np.arange(hw), grid_w)
         kind = np.concatenate([[0]] + [np.full(hw, s + 1) for s in range(runs)])
         spatial = np.concatenate([[[0, 0]]] + [np.stack([yy, xx], axis=1)] * runs)
@@ -316,13 +290,17 @@ class Generator:
         """The forward both generators share; returns the head on the last run.
 
         class_ids, stages: (B,) ints, the null class allowed. struct_ids:
-        (B, h, w, K) integer structure ids of the grid. runs: the token runs
-        after the class token, each an (input (B, h, w, c), weight (c, width),
-        bias) triple. cond_extra is added to the class + stage conditioning.
+        (B, h, w, K) integer structure ids of the grid, K the configured last
+        stage. runs: the token runs after the class token, each an (input
+        (B, h, w, c), weight (c, width), bias) triple. cond_extra is added to
+        the class + stage conditioning.
         A given rng is the training switch: the blocks draw dropout from it.
         Returns (B, h*w, head_channels).
         """
         class_ids, stages = np.asarray(class_ids), np.asarray(stages)
+        if struct_ids.ndim != 4 or struct_ids.shape[-1] != self.config.last_stage:
+            raise InvariantError(f"structure ids must be (B, h, w, {self.config.last_stage}), "
+                                 f"got {struct_ids.shape}")
         b_sz, h, w_grid, _ = struct_ids.shape
         if class_ids.shape != (b_sz,) or stages.shape != (b_sz,):
             raise InvariantError(f"need one class id and one stage per row of {b_sz}")
@@ -350,44 +328,3 @@ class Generator:
         x = ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
         return ad.matmul(x[:, 1 + (len(runs) - 1) * hw:, :], self.w_head) + self.b_head
 
-
-def gradient_check(loss_fn, params: dict, seed: int = 0, samples: int = 120,
-                   step: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    loss_fn() must rebuild the graph from the given parameter tensors each
-    call. Checks a seeded sample of coordinates across all parameters; meant
-    for float64 parameters.
-    """
-    loss = loss_fn()
-    for p in params.values():
-        p.zero_grad()
-    loss.backward()
-    grads = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-             for k, p in params.items()}
-
-    rng = np.random.default_rng(seed)
-    names = sorted(params)
-    sizes = np.array([params[k].data.size for k in names])
-    total = int(sizes.sum())
-    chosen = rng.choice(total, size=min(samples, total), replace=False)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    worst = 0.0
-    for flat_idx in chosen:
-        which = int(np.searchsorted(offsets, flat_idx, side="right") - 1)
-        name = names[which]
-        local = int(flat_idx - offsets[which])
-        p = params[name]
-        flat = p.data.reshape(-1)
-        orig = flat[local]
-        flat[local] = orig + step
-        up = float(loss_fn().data)
-        flat[local] = orig - step
-        down = float(loss_fn().data)
-        flat[local] = orig
-        numeric = (up - down) / (2.0 * step)
-        analytic = float(grads[name].reshape(-1)[local])
-        err = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-6)
-        worst = max(worst, err)
-    return worst

@@ -25,7 +25,7 @@ from .hierarchy import build_hierarchy
 from .pipeline import GenerationRequest, ScheduleParams, generate
 from .quantize import build_contents, fit_codebook, identity_refiners, reconstruct, train_refiners
 from .selfcheck import run_selfcheck
-from .structcode import decode_structure, encode_structure
+from .structcode import bit_rule_holds
 from .structure_model import StructureModel
 from .synthetic import SyntheticSpec, make_synthetic_dataset
 from .training import TrainConfig, tokenize_dataset, train_content, train_structure
@@ -225,14 +225,9 @@ def cmd_inspect(args) -> int:
     last = seq.last_stage
     counts = [int(np.unique(smap.labels).size) for _, smap in seq.stages]
     histogram = {}
-    roundtrip_ok = True
     for i, (_, smap) in enumerate(seq.stages):
         sizes = np.bincount(smap.labels.ravel(), minlength=2 ** i)
         histogram[i] = {int(s): int((sizes == s).sum()) for s in np.unique(sizes)}
-        for label in np.unique(smap.labels):
-            stage, value = decode_structure(encode_structure(int(label), i, last))
-            if (stage, value) != (i, int(label)):
-                roundtrip_ok = False
     report = {
         "K": last,
         "h": seq.h,
@@ -240,7 +235,9 @@ def cmd_inspect(args) -> int:
         "unique_tokens_per_stage": counts,
         "total_unique_tokens": int(sum(t.indices.size for t, _ in seq.stages)),
         "cluster_size_histogram": histogram,
-        "codec_roundtrip": "OK" if roundtrip_ok else "FAIL",
+        # named as before so the report format holds: whether the structure
+        # ids the generators read, embedded from the file's maps, follow the rule
+        "codec_roundtrip": "OK" if bit_rule_holds([m for _, m in seq.stages], last) else "FAIL",
     }
     if args.json:
         print(json.dumps(report, sort_keys=True))

@@ -31,7 +31,6 @@ from .grid import LatentGrid, StructureMap, check_map_chain
 
 __all__ = [
     "Hierarchy",
-    "greedy_pair_step",
     "build_hierarchy",
     "reindex_hierarchy",
 ]
@@ -89,6 +88,9 @@ def _pairwise_sq_dists(vectors: np.ndarray) -> np.ndarray:
 
 
 def _greedy_pairs(vectors: np.ndarray):
+    """Disjoint index pairs of float64 (m, e) vectors, chosen by repeatedly
+    taking the globally nearest unpaired pair (squared l2); ties break on the
+    smallest (i, j). Raises NumericError on non-finite vectors or distances."""
     m = len(vectors)
     if m < 2 or m % 2:
         raise InvariantError(f"greedy pairing needs an even count >= 2, got {m}")
@@ -123,18 +125,6 @@ def _greedy_pairs(vectors: np.ndarray):
             best_j[stale] = cols
             best_d[stale] = sub[rows[:stale.size], cols]
     return pairs
-
-
-def greedy_pair_step(vectors) -> list:
-    """Disjoint index pairs chosen by repeatedly taking the globally nearest
-    unpaired pair (squared l2); ties break on the smallest (i, j).
-
-    Raises NumericError on non-finite vectors or squared distances.
-    """
-    v = np.asarray(vectors, dtype=np.float64)
-    if v.ndim != 2:
-        raise InvariantError(f"expected (m, e) vectors, got shape {v.shape}")
-    return _greedy_pairs(v)
 
 
 def build_hierarchy(grid: LatentGrid) -> Hierarchy:
@@ -190,15 +180,15 @@ def _canonical_split(parent: np.ndarray, child: np.ndarray, stage: int):
     return out
 
 
-def reindex_hierarchy(h) -> Hierarchy:
+def reindex_hierarchy(maps) -> Hierarchy:
     """Rewrite labels top-down into canonical 2j/2j+1 form.
 
-    Accepts a Hierarchy or a plain sequence of per-stage StructureMaps whose
-    cluster memberships are parent-consistent under any labeling. Of the two
-    children of label j, the one containing the smallest row-major location
-    gets label 2j. Idempotent on already-canonical hierarchies.
+    Takes a sequence of per-stage StructureMaps whose cluster memberships are
+    parent-consistent under any labeling. Of the two children of label j, the
+    one containing the smallest row-major location gets label 2j. Idempotent
+    on already-canonical maps.
     """
-    maps = h.maps if isinstance(h, Hierarchy) else tuple(h)
+    maps = tuple(maps)
     if not maps:
         raise InvariantError("nothing to reindex")
     grid_h, grid_w = maps[0].labels.shape

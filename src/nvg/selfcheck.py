@@ -1,8 +1,9 @@
 """Fast self-contained oracle suite behind the `selfcheck` CLI command.
 
-Each check re-derives its expectation independently (exhaustive enumeration,
+Each check re-derives its expectation independently (read-back properties,
 naive rescans, closed-form integrals) rather than trusting the code under
-test.
+test. The structure-id check reads back the ids `embed_structure_map` gives
+built hierarchies, the ids the generators use.
 """
 
 from __future__ import annotations
@@ -15,19 +16,24 @@ from .grid import LatentGrid, StructureMap
 from .hierarchy import build_hierarchy
 from .pipeline import cfg_forward, cfg_schedule, top_p_schedule
 from .quantize import identity_refiners, unquantized_residuals
-from .structcode import decode_structure, encode_structure
+from .structcode import bit_rule_holds, embed_structure_map
 from .structure_model import flow_sample, gumbel_balanced_split
 
 __all__ = ["run_selfcheck"]
 
 
-def _check_codec():
-    for depth in range(9):
-        for stage in range(depth + 1):
-            for label in range(1 << stage):
-                if decode_structure(encode_structure(label, stage, depth)) != (stage, label):
-                    return False, f"roundtrip failed at ({stage}, {label}, depth {depth})"
-    return True, "all 511 depth-8 pairs plus smaller depths roundtrip"
+def _check_structure_embedding(seed):
+    """The ids the generators read, on real hierarchies: per stage the pad
+    count and the parent's prefix, and one distinct id per finest cluster."""
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        h = build_hierarchy(LatentGrid(rng.normal(size=(8, 8, 4)).astype(np.float32)))
+        if not bit_rule_holds(h.maps, h.last_stage):
+            return False, "a pad count or a parent prefix breaks the bit rule"
+        finest = embed_structure_map(h.maps[-1], h.last_stage).reshape(64, -1)
+        if np.unique(finest, axis=0).shape[0] != 64:
+            return False, "two finest-stage locations share an id"
+    return True, "pad counts, parent prefixes and 64 distinct finest ids on 5 grids"
 
 
 def _naive_greedy_pairs(vectors):
@@ -162,7 +168,7 @@ def _check_guided_flow(seed):
 def run_selfcheck(seed: int = 0) -> list:
     """Run all checks; returns a list of (name, ok, detail)."""
     return [
-        ("codec-roundtrip", *_check_codec()),
+        ("structure-embedding", *_check_structure_embedding(seed + 6)),
         ("hierarchy-balance-greedy", *_check_hierarchy(seed)),
         ("residual-telescoping", *_check_telescoping(seed + 1)),
         ("rope-isometry", *_check_rope(seed + 2)),

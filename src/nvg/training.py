@@ -45,6 +45,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0 or self.warmup_steps < 0 or self.batch_size < 1:
             raise InvariantError("invalid step/warmup/batch configuration")
+        if not (math.isfinite(self.base_lr) and self.base_lr >= 0.0):
+            raise InvariantError(f"base_lr must be finite and non-negative, got {self.base_lr}")
         if not 0.0 < self.decay_start_fraction <= 1.0:
             raise InvariantError("decay_start_fraction must lie in (0, 1]")
         if not 0.0 <= self.null_rate < 1.0:
@@ -215,7 +217,7 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
              flow_steps: int = 10) -> dict:
     """Teacher-forced token accuracy per stage, prefix reconstruction error,
     codebook usage and structure bit agreement on unknown columns."""
-    last = examples[0].sequence.last_stage
+    last = _last_stage(examples)
     token_acc = {i: [0, 0] for i in range(last + 1)}
     recon_mse = np.zeros(last + 1, dtype=np.float64)
     used = np.zeros(codebook.size, dtype=bool)

@@ -3,16 +3,9 @@ import pytest
 
 import nvg.autodiff as ad
 from nvg.autodiff import Tensor
-from nvg.backbone import (
-    HEAD_DIM,
-    Block,
-    ModelConfig,
-    gradient_check,
-    pad_structure_ids,
-    param_count,
-    rope_tables,
-)
+from nvg.backbone import HEAD_DIM, Block, ModelConfig, rope_tables
 from nvg.errors import InvariantError
+from oracles import gradient_check
 
 
 def numeric_grad(f, x, step=1e-6):
@@ -108,9 +101,11 @@ class TestModelConfig:
         assert cfg.width == 512 and cfg.heads == 8
 
     def test_param_count_paper_values(self):
-        assert param_count(ModelConfig(16, "content", 4, 64, 4, 6)) == 251_658_240
-        assert param_count(ModelConfig(16, "structure", 4, 1, 4, 6)) == 62_914_560
-        assert param_count(ModelConfig(4, "content", 4, 64, 4, 6)) == 3_932_160
+        def core(cfg):
+            return 15 * cfg.depth * cfg.width ** 2
+        assert core(ModelConfig(16, "content", 4, 64, 4, 6)) == 251_658_240
+        assert core(ModelConfig(16, "structure", 4, 1, 4, 6)) == 62_914_560
+        assert core(ModelConfig(4, "content", 4, 64, 4, 6)) == 3_932_160
 
     def test_dropout_scales_with_depth(self):
         assert ModelConfig(24, "content", 4, 64, 4, 6).dropout == pytest.approx(0.1)
@@ -125,8 +120,8 @@ class TestModelConfig:
             for kind in ("content", "structure"):
                 cfg = ModelConfig(depth, kind, 4, 8, 4, 6)
                 blocks = [Block(cfg.width, cfg.heads, rng) for _ in range(depth)]
-                total = sum(b.core_param_count() for b in blocks)
-                assert total == param_count(cfg)
+                total = sum(p.data.size for b in blocks for p in b.params("b").values())
+                assert total == 15 * depth * cfg.width ** 2
 
 
 def rotate(vecs, kind, struct, spatial):
@@ -169,12 +164,6 @@ class TestRope:
                 rot(k, base_struct + shift_struct, y1 + sy, x1 + sx)
             assert abs(d1 - d2) <= 1e-4
 
-    def test_pad_structure_ids(self):
-        emb = np.zeros((2, 2, 6), dtype=np.int64)
-        padded = pad_structure_ids(emb)
-        assert padded.shape == (2, 2, 8)
-        assert np.all(padded[..., 6:] == 1)
-
 
 class TestBlock:
     def make_inputs(self, rng, width, length=6, batch=2):
@@ -200,7 +189,7 @@ class TestBlock:
 
     def test_block_param_count_is_15_w_squared(self):
         block = Block(128, 2, np.random.default_rng(0))
-        assert block.core_param_count() == 15 * 128 * 128
+        assert sum(p.data.size for p in block.params("b").values()) == 15 * 128 * 128
 
     def test_block_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)

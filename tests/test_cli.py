@@ -6,6 +6,7 @@ fails the test instead of printing a traceback."""
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,25 @@ def test_out_of_range_number_exits_nonzero(files, command, option, code, capsys)
     if command == "generate":
         argv = _without_override(argv)
     assert run(argv + [option], capsys)[0] == code
+
+
+@pytest.mark.parametrize("command", ["train-content", "train-structure"])
+@pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
+def test_bad_learning_rate_exits_3_and_writes_nothing(files, command, lr, capsys, tmp_path):
+    # a NaN or infinite rate used to write an all-NaN checkpoint, and a
+    # negative one to train uphill, both with exit 0
+    argv, _, outputs = commands(files)[command]
+    out = tmp_path / "model.nvgc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = run(_swap(argv, outputs[0], out) + [f"--lr={lr}"], capsys)
+    assert code == 3 and "base_lr" in err
+    assert not out.exists()
+
+
+def test_inspect_json_reads_the_structure_ids_back(files, capsys):
+    assert cli.main(["inspect", "--json", files["seq.json"]]) == 0
+    assert json.loads(capsys.readouterr().out)["codec_roundtrip"] == "OK"
 
 
 def test_selfcheck_with_a_negative_seed_exits_2(capsys):

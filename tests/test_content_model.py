@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nvg.autodiff import Adam, Tensor
-from nvg.backbone import ModelConfig, gradient_check, param_count
+from nvg.backbone import ModelConfig
 from nvg.content_model import (
     ContentBatch,
     ContentModel,
@@ -14,6 +14,7 @@ from nvg.grid import StructureMap
 from nvg.quantize import identity_refiners
 from nvg.synthetic import SyntheticSpec, make_synthetic_dataset
 from nvg.training import tokenize_dataset
+from oracles import gradient_check
 
 
 def small_model(depth=2, e=3, n=8, classes=3, last_stage=4, seed=0, dtype=np.float32):
@@ -43,7 +44,20 @@ class TestForward:
     def test_core_params_equal_formula(self):
         for depth in (2, 4):
             model = small_model(depth=depth)
-            assert model.core_param_count() == param_count(model.config)
+            core = sum(p.data.size for name, p in model.params().items()
+                       if name.startswith("block"))
+            assert core == 15 * depth * model.config.width ** 2
+
+    @pytest.mark.parametrize("shape", [(1, 4, 4, 2), (1, 4, 4, 7), (4, 4, 4)],
+                             ids=["K2", "K7", "no-batch-axis"])
+    def test_structure_ids_need_one_column_per_stage(self, shape):
+        # at last_stage 4, fewer or more columns used to be padded to 8 slots,
+        # and a missing batch axis escaped as a bare ValueError
+        model = small_model()
+        canvas = np.zeros((1, 4, 4, 3), dtype=np.float32)
+        emb = np.ones(shape, dtype=np.int64)
+        with pytest.raises(InvariantError, match="structure ids"):
+            model.forward_final_canvas(np.array([0]), np.array([0]), canvas, emb)
 
     def test_class_conditioning_reaches_output_after_training(self, tokenized_example):
         examples, codebook = tokenized_example

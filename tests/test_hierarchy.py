@@ -6,7 +6,12 @@ import pytest
 from nvg import hierarchy
 from nvg.errors import InvariantError, NumericError
 from nvg.grid import LatentGrid, StructureMap
-from nvg.hierarchy import Hierarchy, build_hierarchy, greedy_pair_step, reindex_hierarchy
+from nvg.hierarchy import Hierarchy, build_hierarchy, reindex_hierarchy
+
+
+def greedy_pair_step(vectors):
+    """hierarchy._greedy_pairs on float64 vectors, as build_hierarchy calls it."""
+    return hierarchy._greedy_pairs(np.asarray(vectors, dtype=np.float64))
 
 
 def brute_force_first_merge(vectors):
@@ -310,7 +315,7 @@ class TestReindexHierarchy:
         rng = np.random.default_rng(6)
         g = LatentGrid(rng.normal(size=(4, 4, 2)).astype(np.float32))
         h = build_hierarchy(g)
-        again = reindex_hierarchy(h)
+        again = reindex_hierarchy(h.maps)
         for a, b in zip(h.maps, again.maps):
             assert np.array_equal(a.labels, b.labels)
 

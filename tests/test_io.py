@@ -358,12 +358,18 @@ class TestJsonTreeFuzz:
 
 @pytest.fixture(scope="module")
 def binary_files(tmp_path_factory):
-    """A valid tensor file and a valid refiner checkpoint, as bytes."""
+    """A valid file for each reader, as bytes."""
     root = tmp_path_factory.mktemp("bytes")
     write_tensor(root / "t.nvgt", np.arange(24, dtype=np.float32).reshape(2, 3, 4))
     write_checkpoint(root / "c.nvgc", REFINER_META, REFINER_ARRAYS)
-    return {read_tensor: (root / "t.nvgt").read_bytes(),
-            read_checkpoint: (root / "c.nvgc").read_bytes()}
+    write_checkpoint(root / "m.nvgc", MODEL_META, MODEL_ARRAYS)
+    write_sequence(root / "s.json", *_sequence_obj())
+    write_pgm(root / "g.pgm", np.arange(16, dtype=np.uint8).reshape(4, 4))
+    refiners = (root / "c.nvgc").read_bytes()
+    return {read_tensor: (root / "t.nvgt").read_bytes(), read_checkpoint: refiners,
+            read_sequence: (root / "s.json").read_bytes(),
+            read_pgm: (root / "g.pgm").read_bytes(),
+            load_model: (root / "m.nvgc").read_bytes(), load_refiners: refiners}
 
 
 # header words worth writing over a dims, rank, count or length field
@@ -372,22 +378,32 @@ WORDS = (st.sampled_from([b"\xff\xff\xff\xff", b"\x00\x00\x01\x00", b"\x00\x00\x
          | st.binary(min_size=1, max_size=4))
 
 
+# the sequence, PGM, model and refiner-stack readers fuzz 50 examples each so
+# that tier-1 stays near 40 s; a 1,500-example probe of each found no escape
+BYTE_FUZZ = [(read_tensor, 200), (read_checkpoint, 200), (read_sequence, 50), (read_pgm, 50),
+             (load_model, 50), (load_refiners, 50)]
+
+
 class TestByteFuzz:
-    @pytest.mark.parametrize("reader", [read_tensor, read_checkpoint],
-                             ids=["read_tensor", "read_checkpoint"])
-    @FUZZ
-    @given(data=st.data())
-    def test_mutated_or_truncated_file(self, tmp_path, binary_files, reader, data):
+    @pytest.mark.parametrize("reader, examples", BYTE_FUZZ,
+                             ids=[reader.__name__ for reader, _ in BYTE_FUZZ])
+    def test_mutated_or_truncated_file(self, tmp_path, binary_files, reader, examples):
         good = binary_files[reader]
-        blob = bytearray(good)
-        # most edits land in the first 64 bytes, where the headers are
-        positions = st.integers(0, 63) | st.integers(0, len(good) - 1)
-        for pos, word in data.draw(st.lists(st.tuples(positions, WORDS), max_size=3)):
-            blob[pos:pos + len(word)] = word
-        cut = data.draw(st.none() | st.integers(0, len(blob)))
-        path = tmp_path / "fuzz.bin"
-        path.write_bytes(bytes(blob[:cut]))
-        try:
-            reader(path)
-        except (FormatError, InvariantError):
-            pass
+
+        @settings(FUZZ, max_examples=examples)
+        @given(data=st.data())
+        def fuzz(data):
+            blob = bytearray(good)
+            # most edits land in the first 64 bytes, where the headers are
+            positions = st.integers(0, 63) | st.integers(0, len(good) - 1)
+            for pos, word in data.draw(st.lists(st.tuples(positions, WORDS), max_size=3)):
+                blob[pos:pos + len(word)] = word
+            cut = data.draw(st.none() | st.integers(0, len(blob)))
+            path = tmp_path / "fuzz.bin"
+            path.write_bytes(bytes(blob[:cut]))
+            try:
+                reader(path)
+            except (FormatError, InvariantError):
+                pass
+
+        fuzz()

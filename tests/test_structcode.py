@@ -1,96 +1,65 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from nvg.errors import InvariantError
-from nvg.grid import LatentGrid
+from nvg.grid import LatentGrid, StructureMap
 from nvg.hierarchy import build_hierarchy
-from nvg.structcode import (
-    decode_structure,
-    embed_structure_map,
-    encode_structure,
-)
+from nvg.structcode import bit_rule_holds, embed_structure_map
+
+
+def encode_structure(label, stage, depth):
+    """Scalar reference of the bit rule: stage bits of label, most
+    significant first, as 0 or 2, then 1s out to depth."""
+    bits = [2 * ((label >> (stage - 1 - j)) & 1) for j in range(stage)]
+    return np.array(bits + [1] * (depth - stage), dtype=np.int64)
+
+
+def stage_ids(stage, depth):
+    """embed_structure_map's ids of labels 0 .. 2**stage - 1, in label order."""
+    smap = StructureMap(stage, np.arange(1 << stage).reshape(1, -1))
+    return embed_structure_map(smap, depth)[0]
+
+
+def embed_at(label, stage, depth):
+    return stage_ids(stage, depth)[label]
 
 
 class TestEncode:
     def test_stage0_is_all_padding(self):
-        assert encode_structure(0, 0, 8).tolist() == [1] * 8
+        assert embed_at(0, 0, 8).tolist() == [1] * 8
 
     def test_stage2_label2(self):
-        assert encode_structure(2, 2, 4).tolist() == [2, 0, 1, 1]
+        assert embed_at(2, 2, 4).tolist() == [2, 0, 1, 1]
 
     def test_stage1_label1(self):
-        assert encode_structure(1, 1, 4).tolist() == [2, 1, 1, 1]
-
-    def test_label_out_of_range(self):
-        with pytest.raises(InvariantError):
-            encode_structure(4, 2, 4)
-        with pytest.raises(InvariantError):
-            encode_structure(-1, 2, 4)
+        assert embed_at(1, 1, 4).tolist() == [2, 1, 1, 1]
 
     def test_stage_out_of_range(self):
         with pytest.raises(InvariantError):
-            encode_structure(0, 5, 4)
-
-
-class TestDecode:
-    def test_all_padding(self):
-        assert decode_structure(np.array([1, 1, 1, 1])) == (0, 0)
-
-    def test_inverse_of_encode_example(self):
-        assert decode_structure(np.array([2, 0, 1, 1])) == (2, 2)
-
-    def test_full_depth(self):
-        assert decode_structure(np.array([2, 2, 2, 2])) == (4, 15)
-
-    def test_rejects_out_of_alphabet(self):
-        with pytest.raises(InvariantError):
-            decode_structure(np.array([2, 3, 1, 1]))
-
-    def test_rejects_bit_after_padding(self):
-        with pytest.raises(InvariantError):
-            decode_structure(np.array([2, 1, 0, 1]))
-
-    def test_rejects_floats(self):
-        with pytest.raises(InvariantError):
-            decode_structure(np.array([1.0, 1.0]))
+            embed_at(0, 5, 4)
 
 
 def test_exhaustive_roundtrip_all_depths_up_to_8():
+    # every id reads back: the stage from its pad count, the label from its bits
     for depth in range(9):
         for stage in range(depth + 1):
-            for label in range(1 << stage):
-                values = encode_structure(label, stage, depth)
-                assert decode_structure(values) == (stage, label)
-
-
-def test_roundtrip_case_count_at_depth_8():
-    cases = sum(1 << stage for stage in range(9))
-    assert cases == 511
-
-
-@given(st.integers(min_value=0, max_value=8).flatmap(
-    lambda stage: st.tuples(st.just(stage), st.integers(0, max(0, (1 << stage) - 1)))
-))
-def test_roundtrip_property(stage_label):
-    stage, label = stage_label
-    assert decode_structure(encode_structure(label, stage, 8)) == (stage, label)
+            ids = stage_ids(stage, depth)
+            assert np.all((ids == 1).sum(axis=1) == depth - stage)
+            labels = (ids[:, :stage] // 2) @ (1 << np.arange(stage)[::-1])
+            assert labels.tolist() == list(range(1 << stage))
 
 
 def test_prefix_property():
+    # children 2j and 2j + 1 extend parent j's bits
     for stage in range(8):
-        for label in range(1 << stage):
-            parent = encode_structure(label, stage, 8)
-            for child in (2 * label, 2 * label + 1):
-                child_emb = encode_structure(child, stage + 1, 8)
-                assert np.array_equal(parent[:stage], child_emb[:stage])
+        parent, child = stage_ids(stage, 8), stage_ids(stage + 1, 8)
+        assert np.array_equal(child[:, :stage], np.repeat(parent[:, :stage], 2, axis=0))
 
 
 def test_values_are_small_non_negative_integers():
     for stage in range(5):
-        for label in range(1 << stage):
-            v = encode_structure(label, stage, 4)
-            assert v.min() >= 0 and v.max() <= 2
+        v = stage_ids(stage, 4)
+        assert v.min() >= 0 and v.max() <= 2
 
 
 class TestStackedEmbedding:
@@ -130,3 +99,16 @@ class TestStackedEmbedding:
         emb = embed_structure_map(hierarchy.maps[2], 6)
         assert emb.shape == (4, 4, 6)
         assert np.all(emb[:, :, 2:] == 1)
+
+    def test_bit_rule_holds_on_a_built_hierarchy(self, hierarchy):
+        assert bit_rule_holds(hierarchy.maps, hierarchy.last_stage)
+        assert bit_rule_holds(hierarchy.maps[:3], 6)
+
+
+def test_bit_rule_fails_when_a_child_leaves_its_parent():
+    # stage 2 swaps labels 1 and 2: locations of parent 0 read prefix 2
+    maps = [StructureMap(0, np.zeros((1, 4), dtype=np.int64)),
+            StructureMap(1, np.array([[0, 0, 1, 1]])),
+            StructureMap(2, np.array([[0, 2, 1, 3]]))]
+    assert bit_rule_holds(maps[:2], 2)
+    assert not bit_rule_holds(maps, 2)

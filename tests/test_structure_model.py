@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nvg.backbone import ModelConfig, gradient_check
+from nvg.backbone import ModelConfig
 from nvg.autodiff import Tensor
 from nvg.errors import InvariantError, NumericError
 from nvg.grid import StructureMap
@@ -12,6 +12,7 @@ from nvg.structure_model import (
     gumbel_balanced_split,
     noised_input,
 )
+from oracles import gradient_check
 
 
 def small_model(depth=2, e=3, classes=3, last_stage=4, seed=0, dtype=np.float32):

@@ -328,6 +328,11 @@ class TestEvaluate:
                              for ex in examples]) for stage in range(LAST + 1)]
         assert metrics["reconstruction_mse_by_prefix"] == pytest.approx(expected, rel=1e-12)
 
+    def test_no_examples_rejected(self, world):
+        _, codebook, _, _ = world
+        with pytest.raises(InvariantError, match="no training examples"):
+            evaluate(content_model(), structure_model(), [], codebook)
+
     def test_untrained_accuracy_near_chance(self, world):
         _, codebook, _, examples = world
         c, s = content_model(seed=11), structure_model(seed=11)
