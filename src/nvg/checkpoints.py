@@ -79,9 +79,9 @@ def save_refiners(path, refiners) -> None:
     meta = {"type": "refiners", "count": len(refiners),
             "channels": refiners[0].channels if refiners else 0}
     arrays = {}
-    for r in refiners:
-        arrays[f"refiner{r.stage}.weight"] = r.weight
-        arrays[f"refiner{r.stage}.bias"] = r.bias
+    for i, r in enumerate(refiners):
+        arrays[f"refiner{i}.weight"] = r.weight
+        arrays[f"refiner{i}.bias"] = r.bias
     write_checkpoint(path, meta, arrays)
 
 
@@ -104,5 +104,5 @@ def load_refiners(path) -> list:
         if weight.shape != (3, 3, e, e):
             raise FormatError(f"refiner {i} at {path} has weight {weight.shape} and "
                               f"bias {bias.shape}; want (3, 3, e, e) and (e,)")
-        out.append(Refiner(i, weight.astype(np.float32), bias.astype(np.float32)))
+        out.append(Refiner(weight.astype(np.float32), bias.astype(np.float32)))
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -277,7 +278,16 @@ def main(argv=None) -> int:
         for name in ("seed", "data_seed"):     # numpy seeds must be non-negative
             if getattr(args, name, 0) < 0:
                 raise FormatError(f"--{name.replace('_', '-')} must be non-negative")
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()      # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError as exc:
+        # fd 1 to devnull, so the interpreter's exit flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        print(f"nvg: error code=2 kind=format: output closed early: {exc}", file=sys.stderr)
+        return 2
     except FormatError as exc:
         print(f"nvg: error code=2 kind=format: {exc}", file=sys.stderr)
         return 2

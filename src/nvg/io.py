@@ -125,14 +125,23 @@ def write_sequence(path, seq: VGSequence, codebook: Codebook) -> None:
                  + b"\n")
 
 
+def _int_list(value) -> bool:
+    # JSON ints only, as the writer emits: bool is an int subclass, and
+    # floats and strings would be coerced silently
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def read_sequence(path, codebook: Codebook | None = None) -> VGSequence:
     obj = _decode_json(_read_bytes(path), "sequence file")
     try:
-        last, h, w, e = int(obj["K"]), int(obj["h"]), int(obj["w"]), int(obj["e"])
+        dims = [obj[k] for k in ("K", "h", "w", "e")]
         raw_stages = obj["stages"]
         n_stages = len(raw_stages)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"sequence file misses required fields: {exc}") from exc
+    if not _int_list(dims):
+        raise FormatError(f"sequence K, h, w and e must be JSON ints, got {dims}")
+    last, h, w, e = dims
     if last < 0 or min(h, w, e) < 1:
         raise FormatError(f"sequence needs K >= 0 and positive h, w, e; got "
                           f"K={last}, h={h}, w={w}, e={e}")
@@ -147,9 +156,11 @@ def read_sequence(path, codebook: Codebook | None = None) -> VGSequence:
     stages = []
     for i, entry in enumerate(raw_stages):
         try:
-            stage = int(entry["stage"])
-            tokens = np.asarray(entry["tokens"], dtype=np.int64)
-            labels = np.asarray(entry["labels"], dtype=np.int64).reshape(h, w)
+            stage, tokens, labels = entry["stage"], entry["tokens"], entry["labels"]
+            if type(stage) is not int or not (_int_list(tokens) and _int_list(labels)):
+                raise TypeError("stage must be an int, tokens and labels lists of ints")
+            tokens = np.asarray(tokens, dtype=np.int64)
+            labels = np.asarray(labels, dtype=np.int64).reshape(h, w)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"stage {i} entry malformed: {exc}") from exc
         if stage != i:

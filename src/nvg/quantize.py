@@ -2,9 +2,10 @@
 
 Stage i quantizes the cluster means of the running residual, places the
 chosen codebook rows back on the grid, refines them with a per-stage 3x3
-convolution and subtracts the result. With identity refiners and the
-quantizer bypassed the residual telescopes to zero, so the system is exact
-before any fitting.
+convolution and subtracts the result; `build_contents` is that recursion.
+`fit_codebook` fits the codebook to the locations and to the cluster means
+of the same recursion with the quantizer bypassed and no refiner: each stage
+subtracts its own placed means.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "Refiner",
     "identity_refiners",
     "build_contents",
-    "unquantized_residuals",
     "reconstruct",
     "fit_codebook",
     "train_refiners",
@@ -54,7 +54,6 @@ def _conv_patches(data: np.ndarray) -> np.ndarray:
 class Refiner:
     """Single 3x3 convolution over the latent channels, identity at init."""
 
-    stage: int
     weight: np.ndarray  # (3, 3, e, e)
     bias: np.ndarray    # (e,)
 
@@ -68,12 +67,6 @@ class Refiner:
             raise InvariantError("refiner must map e channels to e channels")
         if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
             raise InvariantError("refiner parameters must be finite")
-
-    @classmethod
-    def identity(cls, stage: int, channels: int) -> "Refiner":
-        weight = np.zeros((3, 3, channels, channels), dtype=np.float32)
-        weight[1, 1] = np.eye(channels, dtype=np.float32)
-        return cls(stage, weight, np.zeros(channels, dtype=np.float32))
 
     @property
     def channels(self) -> int:
@@ -89,19 +82,10 @@ class Refiner:
 
 
 def identity_refiners(last_stage: int, channels: int) -> list:
-    return [Refiner.identity(i, channels) for i in range(last_stage + 1)]
-
-
-def _check_tokenize_shapes(grid: LatentGrid, hierarchy: Hierarchy, refiners) -> None:
-    if hierarchy.maps[0].labels.shape != (grid.h, grid.w):
-        raise InvariantError(
-            f"hierarchy shape {hierarchy.maps[0].labels.shape} does not match grid "
-            f"{(grid.h, grid.w)}"
-        )
-    if len(refiners) != hierarchy.last_stage + 1:
-        raise InvariantError(
-            f"need {hierarchy.last_stage + 1} refiners, got {len(refiners)}"
-        )
+    """One identity refiner per stage 0..last_stage: centre tap eye(e), no bias."""
+    weight = np.zeros((3, 3, channels, channels), dtype=np.float32)
+    weight[1, 1] = np.eye(channels, dtype=np.float32)
+    return [Refiner(weight.copy(), np.zeros(channels)) for _ in range(last_stage + 1)]
 
 
 def build_contents(grid: LatentGrid, hierarchy: Hierarchy, codebook: Codebook,
@@ -110,7 +94,11 @@ def build_contents(grid: LatentGrid, hierarchy: Hierarchy, codebook: Codebook,
 
     Returns (VGSequence, residual grids R_0..R_{K+1}); R_0 is the input.
     """
-    _check_tokenize_shapes(grid, hierarchy, refiners)
+    if hierarchy.maps[0].labels.shape != (grid.h, grid.w):
+        raise InvariantError(f"hierarchy shape {hierarchy.maps[0].labels.shape} does not "
+                             f"match grid {(grid.h, grid.w)}")
+    if len(refiners) != hierarchy.last_stage + 1:
+        raise InvariantError(f"need {hierarchy.last_stage + 1} refiners, got {len(refiners)}")
     if codebook.dim != grid.e:
         raise InvariantError(f"codebook dim {codebook.dim} != grid channels {grid.e}")
     residual = grid.data
@@ -126,39 +114,12 @@ def build_contents(grid: LatentGrid, hierarchy: Hierarchy, codebook: Codebook,
     return VGSequence(tuple(stages)), tuple(LatentGrid(r) for r in residuals)
 
 
-def unquantized_residuals(grid: LatentGrid, hierarchy: Hierarchy, refiners) -> tuple:
-    """The same recursion with the quantizer bypassed: cluster means are
-    placed back directly. Returns the residual grids R_0..R_{K+1}. Used as
-    the telescoping oracle and to harvest codebook training targets."""
-    _check_tokenize_shapes(grid, hierarchy, refiners)
-    residual = grid.data
-    residuals = [residual]
-    for i, smap in enumerate(hierarchy.maps):
-        means = cluster_average(residual, smap)
-        residual = residual - refiners[i].apply(place(means, smap))
-        residuals.append(residual)
-    return tuple(LatentGrid(r) for r in residuals)
-
-
 def reconstruct(seq: VGSequence, codebook: Codebook, refiners) -> LatentGrid:
     """Sum of refined stage placements over all stages."""
     return canvas_prefixes(seq, codebook, refiners)[-1]
 
 
-def _training_vectors(grids, hierarchies) -> np.ndarray:
-    """Per-location vectors plus every stagewise residual cluster mean from an
-    identity-refiner, quantizer-bypassed pass."""
-    chunks = []
-    for grid, hierarchy in zip(grids, hierarchies):
-        chunks.append(grid.data.reshape(-1, grid.e))
-        refiners = identity_refiners(hierarchy.last_stage, grid.e)
-        residuals = unquantized_residuals(grid, hierarchy, refiners)
-        for i, smap in enumerate(hierarchy.maps):
-            chunks.append(cluster_average(residuals[i].data, smap))
-    return np.concatenate(chunks, axis=0).astype(np.float64)
-
-
-def kmeans(data: np.ndarray, n: int, iterations: int = 25, seed: int = 0) -> np.ndarray:
+def kmeans(data: np.ndarray, n: int, iterations: int, seed: int) -> np.ndarray:
     """Plain Lloyd k-means, deterministic under the seed.
 
     An empty cluster is re-seeded from the point currently farthest from its
@@ -196,14 +157,22 @@ def kmeans(data: np.ndarray, n: int, iterations: int = 25, seed: int = 0) -> np.
 
 
 def fit_codebook(grids, n: int, iterations: int = 25, seed: int = 0) -> Codebook:
-    """k-means codebook over location vectors and residual cluster means."""
+    """k-means codebook over the location vectors and every stage's residual
+    cluster means, from one refiner-free, quantizer-bypassed pass per grid."""
     grids = list(grids)
     if n < 1:
         raise InvariantError("codebook size must be at least 1")
     if not grids:
         raise InvariantError("cannot fit a codebook on an empty grid list")
-    hierarchies = [build_hierarchy(g) for g in grids]
-    data = _training_vectors(grids, hierarchies)
+    chunks = []
+    for grid in grids:
+        residual = grid.data
+        chunks.append(residual.reshape(-1, grid.e))
+        for smap in build_hierarchy(grid).maps:
+            means = cluster_average(residual, smap)
+            chunks.append(means)
+            residual = residual - place(means, smap)
+    data = np.concatenate(chunks, axis=0).astype(np.float64)
     if n > len(data):
         raise InvariantError(f"codebook size {n} exceeds {len(data)} training vectors")
     return Codebook(kmeans(data, n, iterations=iterations, seed=seed).astype(np.float32))
@@ -235,7 +204,7 @@ def train_refiners(grids, hierarchy_builder, codebook: Codebook, steps: int,
                     b = (refiner.bias - scale * grad_b[i]).astype(np.float32)
                 if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                     raise NumericError("refiner training diverged (non-finite parameters)")
-                refiners[i] = Refiner(i, w.reshape(3, 3, e, e), b)
+                refiners[i] = Refiner(w.reshape(3, 3, e, e), b)
         # one pass per refiner set: its loss, then the gradient toward the next set
         loss = 0.0
         grad_w = [np.zeros((9 * e, e), dtype=np.float64) for _ in range(last + 1)]
@@ -258,4 +227,4 @@ def train_refiners(grids, hierarchy_builder, codebook: Codebook, steps: int,
         if best is None or loss < best_loss:
             best_loss = loss
             best = [(r.weight.copy(), r.bias.copy()) for r in refiners]
-    return [Refiner(i, w, b) for i, (w, b) in enumerate(best)]
+    return [Refiner(w, b) for w, b in best]

@@ -3,7 +3,9 @@
 Each check re-derives its expectation independently (read-back properties,
 naive rescans, closed-form integrals) rather than trusting the code under
 test. The structure-id check reads back the ids `embed_structure_map` gives
-built hierarchies, the ids the generators use.
+built hierarchies, the ids the generators use. The tokenize check runs the
+tokenizer and the decoder with random, non-identity refiners, so a stage
+mismatch or a scaled canvas shows.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .backbone import rope_tables
-from .grid import LatentGrid, StructureMap
+from .grid import Codebook, LatentGrid, StructureMap
 from .hierarchy import build_hierarchy
 from .pipeline import cfg_forward, cfg_schedule, top_p_schedule
-from .quantize import identity_refiners, unquantized_residuals
+from .quantize import Refiner, build_contents, identity_refiners, reconstruct
 from .structcode import bit_rule_holds, embed_structure_map
 from .structure_model import flow_sample, gumbel_balanced_split
 
@@ -72,16 +74,22 @@ def _check_hierarchy(seed):
     return True, "balance, nesting and greedy merges verified on 5 grids"
 
 
-def _check_telescoping(seed):
+def _check_tokenize_reconstruct(seed):
+    # decoding sums the refined placements in one pass, tokenizing subtracts
+    # them in another: with a random codebook and refiners the two must meet
     rng = np.random.default_rng(seed)
+    centre = identity_refiners(6, 4)[0].weight
     for _ in range(5):
         grid = LatentGrid(rng.normal(size=(8, 8, 4)).astype(np.float32))
-        h = build_hierarchy(grid)
-        residuals = unquantized_residuals(grid, h, identity_refiners(6, 4))
-        rel = np.linalg.norm(residuals[-1].data) / np.linalg.norm(grid.data)
+        codebook = Codebook(rng.normal(size=(32, 4)).astype(np.float32))
+        refiners = [Refiner(centre + 0.1 * rng.normal(size=centre.shape), 0.1 * rng.normal(size=4))
+                    for _ in range(7)]
+        seq, residuals = build_contents(grid, build_hierarchy(grid), codebook, refiners)
+        back = reconstruct(seq, codebook, refiners).data + residuals[-1].data
+        rel = np.linalg.norm(back - grid.data) / np.linalg.norm(grid.data)
         if rel > 1e-5:
-            return False, f"final residual relative norm {rel:.2e}"
-    return True, "bypassed quantizer telescopes to zero on 5 grids"
+            return False, f"reconstruction plus final residual is off by {rel:.2e} (relative)"
+    return True, "reconstruction plus final residual gives back 5 grids"
 
 
 def _check_rope(seed):
@@ -170,7 +178,7 @@ def run_selfcheck(seed: int = 0) -> list:
     return [
         ("structure-embedding", *_check_structure_embedding(seed + 6)),
         ("hierarchy-balance-greedy", *_check_hierarchy(seed)),
-        ("residual-telescoping", *_check_telescoping(seed + 1)),
+        ("tokenize-reconstruct", *_check_tokenize_reconstruct(seed + 1)),
         ("rope-isometry", *_check_rope(seed + 2)),
         ("schedule-endpoints", *_check_schedules()),
         ("gumbel-balanced-split", *_check_gumbel(seed + 3)),

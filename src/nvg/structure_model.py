@@ -85,8 +85,8 @@ class StructureModel(Generator):
         return ad.reshape(out, zs.shape)
 
 
-def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int = 25,
-                rng=None) -> np.ndarray:
+def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int,
+                rng) -> np.ndarray:
     """Euler-integrate the flow from pure noise back to an embedding grid.
 
     velocity_fn(z, t) is called once per step and returns the (h, w, K)

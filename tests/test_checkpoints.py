@@ -143,11 +143,16 @@ class TestRefinerMeta:
             load_refiners(path)
 
     def test_round_trip(self, tmp_path):
+        # distinct refiners, so a stack read back out of order shows
+        rng = np.random.default_rng(0)
+        refiners = [Refiner(rng.normal(size=(3, 3, 3, 3)), rng.normal(size=3)) for _ in range(3)]
         path = tmp_path / "ref.nvgc"
-        save_refiners(path, identity_refiners(2, 3))
+        save_refiners(path, refiners)
         back = load_refiners(path)
-        assert [r.stage for r in back] == [0, 1, 2]
-        assert all(np.array_equal(r.weight, Refiner.identity(0, 3).weight) for r in back)
+        assert len(back) == 3
+        for want, got in zip(refiners, back):
+            assert np.array_equal(got.weight, want.weight)
+            assert np.array_equal(got.bias, want.bias)
 
 
 def test_cli_generate_on_refiners_without_count_exits_2(tmp_path):

@@ -2,15 +2,21 @@
 every unwritable output exits 2 with a one-line error, never a traceback.
 
 Commands run in-process through `cli.main`, so an exception that escapes it
-fails the test instead of printing a traceback."""
+fails the test instead of printing a traceback. The closed-stdout test runs
+`python -m nvg` as a subprocess, as the interpreter's exit flush is part of it."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvg
 from nvg import cli
 from nvg.backbone import ModelConfig
 from nvg.checkpoints import load_model, save_model, save_refiners
@@ -268,3 +274,21 @@ def test_zero_training_steps_write_the_untrained_checkpoint(files, command, caps
     fresh = type(model)(model.config, seed=0)
     for name, array in fresh.state_arrays().items():
         assert np.array_equal(model.state_arrays()[name], array)
+
+
+@pytest.mark.parametrize("command", ["inspect", "selfcheck"])
+def test_stdout_closed_by_its_reader_exits_2(files, command):
+    # a subprocess, so the interpreter's own exit flush runs too
+    argv = {"inspect": ["inspect", files["seq.json"]], "selfcheck": ["selfcheck"]}[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(nvg.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nvg", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("nvg: error code=2 kind=format:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -73,3 +73,33 @@ def test_unused_import_check_sees_each_kind_of_import():
     source = ("import os\nimport numpy as np\nfrom a import b, c as d\n"
               "from e import f  # noqa: F401\nprint(np, c)\n")
     assert unused_imports(source) == ["b", "d", "os"]
+
+
+PERFBENCH = Path(nvg.__file__).parents[2] / "perfbench"
+# public with no reader yet: ROADMAP item 6's flow-step oracle is to call it
+UNREAD_EXPORTS = {"training.evaluate"}
+
+
+def read_names(source: str) -> set:
+    """Every name a module loads, bare or as an attribute; definitions and
+    `__all__` strings are not reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    # a public name only the tests read is test code living in src/
+    paths = [*Path(nvg.__file__).parent.glob("*.py"), *PERFBENCH.glob("*.py")]
+    read = set().union(*(read_names(path.read_text()) for path in paths))
+    unread = {f"{name}.{export}" for name in MODULES
+              for export in getattr(importlib.import_module(f"nvg.{name}"), "__all__", [])
+              if export not in read}
+    assert unread == UNREAD_EXPORTS
+
+
+def test_read_names_skips_definitions_and_all():
+    source = ('__all__ = ["f", "g"]\ndef f():\n    pass\nclass C:\n    pass\n'
+              'x = 1\ng(m.h, x)\n')
+    assert read_names(source) == {"g", "m", "h", "x"}

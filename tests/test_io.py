@@ -230,6 +230,23 @@ class TestEscapes:
         with pytest.raises(FormatError, match="positive"):
             read_sequence(path)
 
+    @pytest.mark.parametrize("path, value", [
+        (["K"], "2"), (["K"], 2.9), (["h"], 2.5), (["stages", 1, "stage"], 1.0),
+        (["stages", 1, "tokens", 0], 1.7), (["stages", 1, "tokens", 0], "1"),
+        (["stages", 1, "labels"], None),
+    ], ids=["K-string", "K-float", "h-float", "stage-float", "token-float", "token-string",
+            "labels-bool"])
+    def test_field_that_is_not_a_json_int_is_format_error(self, tmp_path, path, value):
+        # each used to be coerced: int("2"), int(2.9), np.asarray(["1"], int64)
+        path_out = tmp_path / "seq.json"
+        write_sequence(path_out, *_sequence_obj())
+        obj = json.loads(path_out.read_text())
+        if value is None:       # the labels as booleans, same truth values
+            value = [bool(x) for x in obj["stages"][1]["labels"]]
+        path_out.write_text(json.dumps(_mutated(obj, path, value)))
+        with pytest.raises(FormatError):
+            read_sequence(path_out)
+
     def test_deeply_nested_checkpoint_meta_is_format_error(self, tmp_path):
         path = tmp_path / "deep.nvgc"
         _checkpoint_with_meta(path, b"[" * 100000)
@@ -311,8 +328,8 @@ MODEL_META = {"type": "model", "kind": "content", "depth": 1, "latent_channels":
               "codebook_size": 4, "num_classes": 2, "last_stage": 2, "norm": "rmsnorm"}
 MODEL_ARRAYS = ContentModel(ModelConfig(1, "content", 2, 4, 2, 2)).state_arrays()
 REFINER_META = {"type": "refiners", "count": 3, "channels": 2}
-REFINER_ARRAYS = {f"refiner{r.stage}.{part}": getattr(r, part)
-                  for r in identity_refiners(2, 2) for part in ("weight", "bias")}
+REFINER_ARRAYS = {f"refiner{i}.{part}": getattr(r, part)
+                  for i, r in enumerate(identity_refiners(2, 2)) for part in ("weight", "bias")}
 
 
 @pytest.fixture(scope="module")
@@ -331,11 +348,18 @@ class TestJsonTreeFuzz:
         good, codebook = good_sequence
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(_mutated(good, path, value)))
+        # an int field holding anything but a JSON int (bools included) is a
+        # format error, however close its value
+        not_an_int = path[-1:] in (["K"], ["h"], ["w"], ["e"], ["stage"]) and type(value) is not int
         for book in (None, codebook):
             try:
                 read_sequence(bad, book)
-            except (FormatError, InvariantError):
+            except FormatError:
                 pass
+            except InvariantError:
+                assert not not_an_int
+            else:
+                assert not not_an_int
 
     @FUZZ
     @given(kind=st.sampled_from(["model", "refiners"]),

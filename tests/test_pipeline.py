@@ -303,7 +303,7 @@ class TestGenerate:
         _, _, _, content, structure = setup
         codebook = Codebook(np.full((16, E), 1e20, dtype=np.float32))
         refiners = identity_refiners(LAST, E)
-        refiners[0] = Refiner(0, 1e20 * refiners[0].weight, refiners[0].bias)
+        refiners[0] = Refiner(1e20 * refiners[0].weight, refiners[0].bias)
         req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E)
         with pytest.raises(NumericError, match="stage-0 refiner"):
             generate(req, content, structure, codebook, refiners)

@@ -3,7 +3,7 @@ import pytest
 
 from nvg import quantize
 from nvg.errors import InvariantError, NumericError
-from nvg.grid import Codebook, LatentGrid, cluster_average
+from nvg.grid import Codebook, LatentGrid, cluster_average, place
 from nvg.hierarchy import build_hierarchy
 from nvg.quantize import (
     kmeans,
@@ -13,7 +13,6 @@ from nvg.quantize import (
     identity_refiners,
     reconstruct,
     train_refiners,
-    unquantized_residuals,
 )
 
 
@@ -32,16 +31,31 @@ def random_grid(rng, h=8, w=8, e=4):
     return LatentGrid(rng.normal(size=(h, w, e)).astype(np.float32))
 
 
+def reference_kmeans_input(grids):
+    """fit_codebook's k-means input as first defined: a quantizer-bypassed
+    pass with identity refiners applied, then each residual averaged again."""
+    chunks = []
+    for grid in grids:
+        hierarchy = build_hierarchy(grid)
+        residual, residuals = grid.data, []
+        for refiner, smap in zip(identity_refiners(hierarchy.last_stage, grid.e), hierarchy.maps):
+            residuals.append(residual)
+            residual = residual - refiner.apply(place(cluster_average(residual, smap), smap))
+        chunks.append(grid.data.reshape(-1, grid.e))
+        chunks += [cluster_average(r, smap) for r, smap in zip(residuals, hierarchy.maps)]
+    return np.concatenate(chunks, axis=0).astype(np.float64)
+
+
 class TestRefiner:
     def test_identity_apply_is_exact(self):
         rng = np.random.default_rng(0)
         data = rng.normal(size=(4, 4, 3)).astype(np.float32)
-        out = Refiner.identity(0, 3).apply(data)
+        out = identity_refiners(0, 3)[0].apply(data)
         assert np.array_equal(out, data)
 
     def test_rejects_non_square_channel_map(self):
         with pytest.raises(InvariantError):
-            Refiner(0, np.zeros((3, 3, 2, 4)), np.zeros(4))
+            Refiner(np.zeros((3, 3, 2, 4)), np.zeros(4))
 
     def test_conv_matches_naive_loops(self):
         rng = np.random.default_rng(1)
@@ -49,7 +63,7 @@ class TestRefiner:
         weight = rng.normal(size=(3, 3, e, e)).astype(np.float32)
         bias = rng.normal(size=e).astype(np.float32)
         data = rng.normal(size=(4, 8, e)).astype(np.float32)
-        got = Refiner(0, weight, bias).apply(data)
+        got = Refiner(weight, bias).apply(data)
         padded = np.zeros((6, 10, e), dtype=np.float32)
         padded[1:-1, 1:-1] = data
         expected = np.zeros_like(data)
@@ -83,16 +97,6 @@ class TestBuildContents:
         seq, residuals = build_contents(grid, hierarchy, codebook, identity_refiners(4, 3))
         assert np.array_equal(residuals[0].data, grid.data)
         assert len(residuals) == grid.last_stage + 2
-
-    def test_telescoping_with_quantizer_bypassed(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            grid = random_grid(rng)
-            hierarchy = build_hierarchy(grid)
-            residuals = unquantized_residuals(grid, hierarchy, identity_refiners(6, 4))
-            final = residuals[-1].data
-            rel = np.linalg.norm(final) / np.linalg.norm(grid.data)
-            assert rel <= 1e-5
 
     def test_residual_norm_shrinks_with_kmeans_codebook(self):
         # statistical oracle on in-distribution grids: a codebook fitted on the
@@ -158,14 +162,14 @@ class TestReconstruct:
 class TestKMeans:
     def test_identical_inputs_single_cluster(self):
         data = np.tile(np.array([1.5, -0.5, 2.0]), (10, 1))
-        centroids = kmeans(data, 1, seed=0)
+        centroids = kmeans(data, 1, iterations=25, seed=0)
         assert np.allclose(centroids[0], [1.5, -0.5, 2.0], atol=1e-12)
 
     def test_two_separated_clouds_hit_cloud_means(self):
         rng = np.random.default_rng(9)
         a = rng.normal(scale=0.01, size=(40, 2)) + np.array([10.0, 0.0])
         b = rng.normal(scale=0.01, size=(40, 2)) + np.array([-10.0, 0.0])
-        centroids = kmeans(np.concatenate([a, b]), 2, seed=1)
+        centroids = kmeans(np.concatenate([a, b]), 2, iterations=25, seed=1)
         centroids = centroids[np.argsort(centroids[:, 0])]
         assert np.allclose(centroids[0], b.mean(axis=0), atol=1e-9)
         assert np.allclose(centroids[1], a.mean(axis=0), atol=1e-9)
@@ -188,6 +192,18 @@ class TestFitCodebook:
         cb = fit_codebook([grid], 2, seed=0)
         rows = sorted(cb.vectors[:, 0].tolist())
         assert np.allclose(rows, [0.0, 1.5], atol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "integer", "32x32"])
+    def test_matches_the_refined_reaveraged_reference(self, kind):
+        # integer grids give exact zero residuals and tied distances
+        rng = np.random.default_rng(13)
+        grids = {"gaussian": lambda: [random_grid(rng) for _ in range(4)],
+                 "integer": lambda: [LatentGrid(rng.integers(-2, 3, size=(8, 8, 4))
+                                                .astype(np.float32)) for _ in range(4)],
+                 "32x32": lambda: [random_grid(rng, 32, 32, 4)]}[kind]()
+        want = kmeans(reference_kmeans_input(grids), 16, iterations=25, seed=7)
+        got = fit_codebook(grids, 16, iterations=25, seed=7)
+        assert got.vectors.tobytes() == want.astype(np.float32).tobytes()
 
     def test_rejects_zero_size(self):
         grid = LatentGrid(np.zeros((2, 2, 1), dtype=np.float32))
@@ -229,8 +245,8 @@ class TestTrainRefiners:
     def test_zero_steps_returns_identity(self, setup):
         grids, codebook = setup
         refiners = train_refiners(grids, build_hierarchy, codebook, steps=0)
-        for r in refiners:
-            ident = Refiner.identity(r.stage, r.channels)
+        assert len(refiners) == 5
+        for r, ident in zip(refiners, identity_refiners(4, 3)):
             assert np.array_equal(r.weight, ident.weight)
             assert np.array_equal(r.bias, ident.bias)
 

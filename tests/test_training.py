@@ -147,8 +147,8 @@ class TestTokenizeDataset:
     def test_prefixes_equal_a_resummation_from_stage_zero(self, world):
         data, codebook, _, _ = world
         rng = np.random.default_rng(8)
-        refiners = [Refiner(i, 0.2 * rng.standard_normal((3, 3, 3, 3)),
-                            0.1 * rng.standard_normal(3)) for i in range(LAST + 1)]
+        refiners = [Refiner(0.2 * rng.standard_normal((3, 3, 3, 3)),
+                            0.1 * rng.standard_normal(3)) for _ in range(LAST + 1)]
         for ex in tokenize_dataset(data, codebook, refiners):
             seq = ex.sequence
             assert len(ex.canvases) == LAST + 1
