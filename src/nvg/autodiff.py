@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["Tensor", "Adam", "no_grad", "concat", "matmul", "rows", "rope", "softmax",
+__all__ = ["Tensor", "Adam", "no_grad", "concat", "matmul", "rope", "softmax",
            "log_softmax", "rmsnorm", "silu"]
 
 ADAM_BETA1 = 0.9        # Adam's fixed moment decays and denominator floor
@@ -81,9 +81,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         return self.grad
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
@@ -128,17 +125,8 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
     def sum(self):
         return reduce_sum(self)
@@ -151,14 +139,15 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
-def _wrap_like(x, ref: Tensor) -> Tensor:
-    """Wrap x, casting bare Python scalars to ref's dtype so float32 graphs
-    are not silently promoted to float64."""
+def _operand(x, other) -> Tensor:
+    """Wrap x, one operand of an elementwise op. A bare scalar takes the dtype
+    of the other operand when that is a Tensor, so float32 graphs are not
+    silently promoted to float64."""
     if isinstance(x, Tensor):
         return x
     arr = np.asarray(x)
-    if arr.ndim == 0 and arr.dtype != ref.data.dtype:
-        arr = arr.astype(ref.data.dtype)
+    if arr.ndim == 0 and isinstance(other, Tensor) and arr.dtype != other.data.dtype:
+        arr = arr.astype(other.data.dtype)
     return Tensor(arr)
 
 
@@ -172,11 +161,7 @@ def _node(data, parents, backward) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    if isinstance(a, Tensor):
-        b = _wrap_like(b, a)
-    elif isinstance(b, Tensor):
-        a = _wrap_like(a, b)
-    a, b = _wrap(a), _wrap(b)
+    a, b = _operand(a, b), _operand(b, a)
 
     def bw(g):
         if a.requires_grad:
@@ -188,11 +173,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    if isinstance(a, Tensor):
-        b = _wrap_like(b, a)
-    elif isinstance(b, Tensor):
-        a = _wrap_like(a, b)
-    a, b = _wrap(a), _wrap(b)
+    a, b = _operand(a, b), _operand(b, a)
 
     def bw(g):
         if a.requires_grad:
@@ -204,11 +185,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    if isinstance(a, Tensor):
-        b = _wrap_like(b, a)
-    elif isinstance(b, Tensor):
-        a = _wrap_like(a, b)
-    a, b = _wrap(a), _wrap(b)
+    a, b = _operand(a, b), _operand(b, a)
 
     def bw(g):
         if a.requires_grad:
@@ -369,17 +346,6 @@ def rmsnorm(a) -> Tensor:
         a._accum(inv * g - (inv ** 3 / d) * a.data * dot)
 
     return _node(a.data * inv, (a,), bw)
-
-
-def rows(table, ids) -> Tensor:
-    """Gather rows of a 2-D table by an integer index array."""
-    table = _wrap(table)
-    ids = np.asarray(ids)
-
-    def bw(g):
-        np.add.at(table._grad_buffer(), ids, g)
-
-    return _node(table.data[ids], (table,), bw)
 
 
 def rope(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:

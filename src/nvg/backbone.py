@@ -57,7 +57,7 @@ class ModelConfig:
 
     kind "content": width 64 d, d heads; kind "structure": width 32 d, d/2
     heads. Either way the per-head dim is 64 and the block-core parameter
-    count is 15 d width^2. norm records the normalizer so runs reproduce.
+    count is 15 d width^2.
     """
 
     depth: int
@@ -66,7 +66,6 @@ class ModelConfig:
     codebook_size: int
     num_classes: int
     last_stage: int
-    norm: str = "rmsnorm"
 
     def __post_init__(self):
         if self.kind not in ("content", "structure"):
@@ -81,8 +80,6 @@ class ModelConfig:
             raise InvariantError(
                 f"rotary layout supports at most {STRUCT_SLOTS} stages, got {self.last_stage}"
             )
-        if self.norm != "rmsnorm":
-            raise InvariantError("only rmsnorm is implemented")
         if self.width % self.heads or self.width // self.heads != HEAD_DIM:
             raise InvariantError("width/heads must give 64-dim heads")
 
@@ -315,8 +312,8 @@ class Generator:
         hw, width = h * w_grid, self.config.width
         cos, sin = self._rope_tables(struct_ids.reshape(b_sz, hw, -1), w_grid, len(runs))
 
-        cls = ad.rows(self.class_emb, class_ids)                       # (B, w)
-        cond = cls + ad.rows(self.stage_emb, stages)
+        cls = self.class_emb[class_ids]                                # (B, w)
+        cond = cls + self.stage_emb[stages]
         if cond_extra is not None:
             cond = cond + cond_extra
         tokens = [ad.matmul(Tensor(data.reshape(b_sz, hw, -1)), weight) + bias

@@ -16,10 +16,10 @@ __all__ = [
 ]
 
 
-# model meta fields and their JSON types; bool is rejected where int is due
+# model meta fields and their JSON types; bool is rejected where int is due.
+# Any other meta key is ignored, such as the "norm" older files carry.
 _CONFIG_FIELDS = {"kind": str, "depth": int, "latent_channels": int,
-                  "codebook_size": int, "num_classes": int, "last_stage": int,
-                  "norm": str}
+                  "codebook_size": int, "num_classes": int, "last_stage": int}
 
 
 def save_model(path, model) -> None:

@@ -24,7 +24,7 @@ from .errors import FormatError, InvariantError, NumericError, NvgError
 from .grid import Codebook, LatentGrid
 from .hierarchy import build_hierarchy
 from .pipeline import GenerationRequest, ScheduleParams, generate
-from .quantize import build_contents, fit_codebook, identity_refiners, reconstruct, train_refiners
+from .quantize import build_contents, fit_codebook, reconstruct, train_refiners
 from .selfcheck import run_selfcheck
 from .structcode import bit_rule_holds
 from .structure_model import StructureModel
@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     _dataset_args(p)
     p.add_argument("--size", type=int, default=64, help="codebook rows")
     p.add_argument("--iters", type=int, default=25, help="k-means iterations")
-    p.add_argument("--refiner-steps", type=int, default=0)
+    p.add_argument("--refiner-steps", type=int, default=0,
+                   help="refiner descent steps; 0 keeps the identity refiners")
     p.add_argument("--refiner-lr", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="codebook tensor path")
@@ -149,14 +150,11 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_train_codebook(args) -> int:
-    dataset, (h, w, e) = _make_dataset(args)
+    dataset, _ = _make_dataset(args)
     grids = [g for _, g in dataset]
     codebook = fit_codebook(grids, args.size, iterations=args.iters, seed=args.seed)
-    if args.refiner_steps > 0:
-        refiners = train_refiners(grids, build_hierarchy, codebook,
-                                  steps=args.refiner_steps, lr=args.refiner_lr)
-    else:
-        refiners = identity_refiners((h * w).bit_length() - 1, e)
+    refiners = train_refiners(grids, build_hierarchy, codebook,
+                              steps=args.refiner_steps, lr=args.refiner_lr)
     io.write_tensor(args.output, codebook.vectors)
     checkpoints.save_refiners(args.refiners_out, refiners)
     return 0
@@ -190,9 +188,6 @@ def cmd_generate(args) -> int:
     codebook = _load_codebook(args.codebook)
     refiners = checkpoints.load_refiners(args.refiners)
     h, w, e = _parse_latent(args.latent)
-    if e != content.config.latent_channels:
-        raise InvariantError(f"--latent says e={e}, content model expects "
-                             f"{content.config.latent_channels}")
     overrides = {}
     for spec_text in args.override_structure:
         try:
@@ -207,8 +202,7 @@ def cmd_generate(args) -> int:
     schedule = ScheduleParams(flow_steps=args.steps,
                               cfg_constant=args.cfg_override,
                               top_p_constant=args.top_p_override)
-    req = GenerationRequest(class_id=args.class_id, seed=args.seed, h=h, w=w,
-                            e=content.config.latent_channels,
+    req = GenerationRequest(class_id=args.class_id, seed=args.seed, h=h, w=w, e=e,
                             structure_overrides=overrides, schedule=schedule)
     result = generate(req, content, structure, codebook, refiners)
     io.write_sequence(f"{args.output}.sequence.json", result.sequence, codebook)

@@ -10,6 +10,7 @@ subtracts its own placed means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,15 +185,21 @@ def train_refiners(grids, hierarchy_builder, codebook: Codebook, steps: int,
 
     Token choices are treated as fixed within each step (recomputed between
     steps). The best-by-loss snapshot is returned, so the final loss never
-    exceeds the identity-refiner starting point.
+    exceeds the identity-refiner starting point; zero steps return the
+    identity refiners without a tokenize pass.
     """
     grids = list(grids)
     if not grids:
         raise InvariantError("cannot train refiners on an empty grid list")
-    hierarchies = [hierarchy_builder(g) for g in grids]
-    last = hierarchies[0].last_stage
-    e = grids[0].e
+    if steps < 0:
+        raise InvariantError(f"refiner steps must be non-negative, got {steps}")
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise InvariantError(f"refiner lr must be finite and non-negative, got {lr}")
+    last, e = grids[0].last_stage, grids[0].e
     refiners = identity_refiners(last, e)
+    if steps == 0:
+        return refiners
+    hierarchies = [hierarchy_builder(g) for g in grids]
 
     best_loss, best = None, None
     scale = lr / (len(grids) * grids[0].h * grids[0].w * e)

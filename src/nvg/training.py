@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 FINAL_LR_FRACTION = 0.1    # wsd_lr ends at this fraction of the base rate
+NULL_RATE = 0.10           # fraction of training samples given the null class
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class TrainConfig:
     base_lr: float = 1e-4
     warmup_steps: int = 1000
     decay_start_fraction: float = 0.8
-    null_rate: float = 0.10
     seed: int = 0
 
     def __post_init__(self):
@@ -49,8 +49,6 @@ class TrainConfig:
             raise InvariantError(f"base_lr must be finite and non-negative, got {self.base_lr}")
         if not 0.0 < self.decay_start_fraction <= 1.0:
             raise InvariantError("decay_start_fraction must lie in (0, 1]")
-        if not 0.0 <= self.null_rate < 1.0:
-            raise InvariantError("null_rate must lie in [0, 1)")
 
 
 def wsd_lr(step: int, config: TrainConfig) -> float:
@@ -109,7 +107,6 @@ def tokenize_dataset(dataset, codebook: Codebook, refiners) -> list:
 @dataclass(eq=False)
 class TrainResult:
     losses: list = field(default_factory=list)
-    null_masks: list = field(default_factory=list)
 
 
 def _last_stage(examples: list) -> int:
@@ -119,13 +116,13 @@ def _last_stage(examples: list) -> int:
 
 
 def _fit(model, config: TrainConfig, batch_loss) -> TrainResult:
-    """The step loop of both trainers: batch_loss(rng) returns (loss, null
-    mask); a non-finite loss raises NumericError before any parameter moves."""
+    """The step loop of both trainers: batch_loss(rng) returns the step's
+    loss; a non-finite loss raises NumericError before any parameter moves."""
     rng = np.random.default_rng(config.seed)
     opt = Adam(model.params())
     result = TrainResult()
     for step in range(config.steps):
-        loss, null_mask = batch_loss(rng)
+        loss = batch_loss(rng)
         value = float(loss.data)
         if not np.isfinite(value):
             raise NumericError(f"{model.kind} training diverged at step {step} (loss {value})")
@@ -133,7 +130,6 @@ def _fit(model, config: TrainConfig, batch_loss) -> TrainResult:
         loss.backward()
         opt.step(_batch_lr(step, config))
         result.losses.append(value)
-        result.null_masks.append(null_mask)
     return result
 
 
@@ -141,7 +137,7 @@ def train_content(examples: list, model: ContentModel, config: TrainConfig) -> T
     """Teacher-forced training of the content generator.
 
     Each step samples examples with replacement and one stage per example;
-    the configured fraction of samples swaps in the null class embedding.
+    a NULL_RATE fraction of samples swaps in the null class embedding.
     """
     last = _last_stage(examples)
     null_id = model.config.null_class_id
@@ -149,7 +145,7 @@ def train_content(examples: list, model: ContentModel, config: TrainConfig) -> T
     def batch_loss(rng):
         idx = rng.integers(0, len(examples), size=config.batch_size)
         stages = rng.integers(0, last + 1, size=config.batch_size)
-        null_mask = rng.random(config.batch_size) < config.null_rate
+        null_mask = rng.random(config.batch_size) < NULL_RATE
         batch = []
         for b in range(config.batch_size):
             ex = examples[int(idx[b])]
@@ -164,7 +160,7 @@ def train_content(examples: list, model: ContentModel, config: TrainConfig) -> T
                 target_canvas=ex.target_canvas,
                 target_tokens=tokens.indices,
             ))
-        return model.loss(batch, rng=rng), null_mask
+        return model.loss(batch, rng=rng)
 
     return _fit(model, config, batch_loss)
 
@@ -186,7 +182,7 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
         idx = rng.integers(0, len(examples), size=config.batch_size)
         stages = rng.integers(1, last, size=config.batch_size)
         ts = rng.random(config.batch_size)
-        null_mask = rng.random(config.batch_size) < config.null_rate
+        null_mask = rng.random(config.batch_size) < NULL_RATE
         noise = rng.standard_normal((config.batch_size, h, w_grid, last)).astype(np.float32)
 
         class_ids = np.empty(config.batch_size, dtype=np.int64)
@@ -206,7 +202,7 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
 
         vel = model.velocity(class_ids, stages, canvases, zs, ts, rng=rng)
         diff = vel - Tensor(targets)
-        return (diff * diff * mask).sum() / float(mask.sum()), null_mask
+        return (diff * diff * mask).sum() / float(mask.sum())
 
     return _fit(model, config, batch_loss)
 

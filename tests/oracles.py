@@ -13,7 +13,7 @@ def gradient_check(loss_fn, params: dict, seed: int = 0, samples: int = 120,
     """
     loss = loss_fn()
     for p in params.values():
-        p.zero_grad()
+        p.grad = None
     loss.backward()
     grads = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
              for k, p in params.items()}

@@ -18,7 +18,7 @@ from nvg.structure_model import StructureModel
 
 # what save_model writes for a depth-1 content model
 GOOD_META = {"type": "model", "kind": "content", "depth": 1, "latent_channels": 2,
-             "codebook_size": 4, "num_classes": 2, "last_stage": 2, "norm": "rmsnorm"}
+             "codebook_size": 4, "num_classes": 2, "last_stage": 2}
 # a depth-4 content model whose arrays the shape tests pair with lying metas
 CONFIG = {"kind": "content", "depth": 4, "latent_channels": 2, "codebook_size": 4,
           "num_classes": 2, "last_stage": 2}
@@ -30,7 +30,7 @@ class TestModelMeta:
         {**GOOD_META, "depth": "x"},                        # ill-typed
         {**GOOD_META, "depth": True},                       # bool is not an int here
         {**GOOD_META, "depth": 1.0},
-        {**GOOD_META, "norm": None},
+        {**GOOD_META, "latent_channels": None},
         {**GOOD_META, "depth": 0},                          # ModelConfig rejects these
         {**GOOD_META, "kind": "texture"},
         {**GOOD_META, "num_classes": -1},
@@ -109,6 +109,17 @@ class TestModelShapes:
         write_checkpoint(path, {**GOOD_META, **CONFIG}, arrays)
         model = load_model(path)
         assert all(np.array_equal(model.state_arrays()[k], v) for k, v in arrays.items())
+
+    def test_meta_with_the_old_norm_key_loads_and_saves_without_it(self, tmp_path, arrays):
+        # every model file written before the key was dropped carries it
+        path = tmp_path / "old.nvgc"
+        write_checkpoint(path, {**GOOD_META, **CONFIG, "norm": "rmsnorm"}, arrays)
+        model = load_model(path)
+        state = model.state_arrays()
+        assert state.keys() == arrays.keys()
+        assert all(np.array_equal(state[k], v) for k, v in arrays.items())
+        save_model(path, model)
+        assert read_checkpoint(path)[0] == {**GOOD_META, **CONFIG}
 
 
 class TestRefinerMeta:

@@ -226,6 +226,7 @@ def _without_override(argv):
     ("train-codebook", "--latent=-2,-2,3", 2),
     ("train-content", "--latent=-2,-2,3", 2),
     ("generate", "--latent=-4,-4,3", 2),
+    ("generate", "--latent=4,4,5", 3),       # the models and codebook have 3 channels
     ("train-content", "--warmup=-5", 3),
     ("train-structure", "--warmup=-5", 3),
     ("train-codebook", "--iters=-1", 3),
@@ -251,6 +252,25 @@ def test_bad_learning_rate_exits_3_and_writes_nothing(files, command, lr, capsys
         code, err = run(_swap(argv, outputs[0], out) + [f"--lr={lr}"], capsys)
     assert code == 3 and "base_lr" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("options", [
+    ["--refiner-steps=-1"],
+    ["--refiner-steps=2", "--refiner-lr=-1"],
+    ["--refiner-steps=2", "--refiner-lr=nan"],
+    ["--refiner-steps=2", "--refiner-lr=inf"],
+])
+def test_bad_refiner_arguments_exit_3_and_write_nothing(files, options, capsys, tmp_path):
+    # negative steps or a negative rate used to write identity refiners with
+    # exit 0, and a NaN or infinite rate to diverge with exit 4
+    argv, _, (codebook, refiners) = commands(files)["train-codebook"]
+    outs = tmp_path / "cb.nvgt", tmp_path / "ref.nvgc"
+    argv = _swap(_swap(argv, codebook, outs[0]), refiners, outs[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = run(argv + options, capsys)
+    assert code == 3 and "refiner" in err
+    assert not any(path.exists() for path in outs)
 
 
 def test_inspect_json_reads_the_structure_ids_back(files, capsys):

@@ -7,6 +7,9 @@ The SHA-256 of every file the run writes is pinned, so a change that keeps
 these hashes keeps initial weights, RNG draw order, training, the checkpoint
 layout and sampling bit-identical. Re-pin only for a change that is meant to
 alter float rounding or draw order, and say so where the change is recorded.
+Each checkpoint's arrays are pinned apart from its file bytes, so a change to
+the checkpoint meta alone re-pins only the file hash, and a weight change
+cannot hide inside a meta re-pin.
 
 A 4x4 grid pairs 16 vectors in one distance block, so the toy run never
 reaches the blocked, multi-rescan pairing of a full-size grid. Two 32x32x4
@@ -24,7 +27,7 @@ from nvg.checkpoints import load_model, save_model
 from nvg.content_model import ContentModel
 from nvg.grid import Codebook, LatentGrid
 from nvg.hierarchy import build_hierarchy
-from nvg.io import write_sequence, write_tensor
+from nvg.io import read_checkpoint, write_sequence, write_tensor
 from nvg.pipeline import GenerationRequest, ScheduleParams, generate
 from nvg.quantize import build_contents, fit_codebook, identity_refiners, train_refiners
 from nvg.structure_model import StructureModel
@@ -32,15 +35,27 @@ from nvg.synthetic import SyntheticSpec, make_synthetic_dataset
 from nvg.training import TrainConfig, tokenize_dataset, train_content, train_structure
 
 GOLDEN = {
-    "content.nvgc": "406a5780f4c45dcb18f636eb9cf017d32bf295eb4ad58322e73e81badb8c88f6",
-    "structure.nvgc": "6234b0a99e370d1414fa6a8dc0873c72751869dd897f2c33102ed6fbc07b48ac",
+    "content.nvgc": "92608b7fe120b34a24f244ed6ef2b5f6e3345c90a9ac267a183bd86d2d0928b8",
+    "structure.nvgc": "2f03b33b9512acfde9169f2b8d889d8731079868ba49c113ce14f4a07f83ba8b",
     "gen.sequence.json": "686fe7d7ded1e77f06beaf3057fa16b9702c0e01f87a5b6b06f1f29535bc5fd0",
     "gen.latent.nvgt": "716261671f87c4c3302f2d1a6ae9318da610fd433fe0a21ece78d3c14407f247",
 }
+GOLDEN_ARRAYS = {
+    "content.nvgc": "36c4320db02aba41a89b73bcbe639c5967672b3d82bca9b90aea5bfac5a76391",
+    "structure.nvgc": "cc4ccf720d21d29ee65aa5d303d2e6e19619625ea4d770fac932c01789299158",
+}
 
 
-def run_pipeline(workdir) -> dict:
-    """Run the toy pipeline in workdir; return {file name: sha256 hex}."""
+def arrays_sha256(path) -> str:
+    """SHA-256 over a checkpoint's arrays, each name then its bytes, by name."""
+    _, arrays = read_checkpoint(path)
+    return hashlib.sha256(b"".join(name.encode() + arrays[name].tobytes()
+                                   for name in sorted(arrays))).hexdigest()
+
+
+def run_pipeline(workdir) -> tuple:
+    """Run the toy pipeline in workdir; return {file name: sha256 hex} of the
+    files and of the checkpoints' arrays."""
     data = make_synthetic_dataset(SyntheticSpec(count=4, h=4, w=4, e=4,
                                                 num_classes=2, seed=5))
     grids = [g for _, g in data]
@@ -63,12 +78,15 @@ def run_pipeline(workdir) -> dict:
     result = generate(req, content, structure, codebook, refiners)
     write_sequence(workdir / "gen.sequence.json", result.sequence, codebook)
     write_tensor(workdir / "gen.latent.nvgt", result.canvas.data)
-    return {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
-            for name in GOLDEN}
+    files = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+             for name in GOLDEN}
+    return files, {name: arrays_sha256(workdir / name) for name in GOLDEN_ARRAYS}
 
 
 def test_fixed_seed_pipeline_outputs_are_bit_identical(tmp_path):
-    assert run_pipeline(tmp_path) == GOLDEN
+    files, arrays = run_pipeline(tmp_path)
+    assert arrays == GOLDEN_ARRAYS
+    assert files == GOLDEN
 
 
 GOLDEN_32X32 = {

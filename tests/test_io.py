@@ -325,7 +325,7 @@ SEQUENCE_PATHS = ([[]] + [[k] for k in ("K", "h", "w", "e", "codebook_hash", "st
 
 # valid starting points the fuzz mutates one entry of
 MODEL_META = {"type": "model", "kind": "content", "depth": 1, "latent_channels": 2,
-              "codebook_size": 4, "num_classes": 2, "last_stage": 2, "norm": "rmsnorm"}
+              "codebook_size": 4, "num_classes": 2, "last_stage": 2}
 MODEL_ARRAYS = ContentModel(ModelConfig(1, "content", 2, 4, 2, 2)).state_arrays()
 REFINER_META = {"type": "refiners", "count": 3, "channels": 2}
 REFINER_ARRAYS = {f"refiner{i}.{part}": getattr(r, part)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nvg import training
 from nvg.autodiff import no_grad
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
@@ -66,6 +67,23 @@ def content_model(seed=0):
 
 def structure_model(seed=0):
     return StructureModel(ModelConfig(2, "structure", 3, 1, 2, LAST), seed=seed)
+
+
+def seen_loss_class_ids(model, states=None) -> list:
+    """Instrument model.loss; the returned list gets each call's class ids,
+    and states, when given, the rng state after each call."""
+    seen = []
+    original = model.loss
+
+    def instrumented(batch, rng=None):
+        seen.append(np.array([item.class_id for item in batch]))
+        loss = original(batch, rng=rng)
+        if states is not None:
+            states.append(rng.bit_generator.state)
+        return loss
+
+    model.loss = instrumented
+    return seen
 
 
 class TestSyntheticDataset:
@@ -205,44 +223,47 @@ class TestTrainContent:
         assert len(result.losses) == 5
         assert all(np.isfinite(v) for v in result.losses)
 
-    def test_exactly_the_dropped_samples_use_the_null_embedding(self, world):
+    def test_exactly_the_dropped_samples_use_the_null_embedding(self, world, monkeypatch):
+        # each step's null draw is replayed from the rng state its step starts
+        # in: the state after the previous step's loss, dropout included
+        monkeypatch.setattr(training, "NULL_RATE", 0.5)
         _, _, _, examples = world
         model = content_model()
         null_id = model.config.null_class_id
-        seen_class_ids = []
-        original = model.loss
+        step_states = [np.random.default_rng(123).bit_generator.state]
+        seen_class_ids = seen_loss_class_ids(model, step_states)
+        cfg = TrainConfig(steps=4, batch_size=8, base_lr=0.0, warmup_steps=0, seed=123)
+        train_content(examples, model, cfg)
+        masks = []
+        for class_ids, state in zip(seen_class_ids, step_states):
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            rng.integers(0, len(examples), size=8)
+            rng.integers(0, LAST + 1, size=8)
+            masks.append(rng.random(8) < 0.5)
+            assert np.array_equal(class_ids == null_id, masks[-1])
+        assert len(masks) == 4 and any(m.any() for m in masks)
 
-        def instrumented(batch, rng=None):
-            seen_class_ids.append(np.array([item.class_id for item in batch]))
-            return original(batch, rng=rng)
-
-        model.loss = instrumented
-        cfg = TrainConfig(steps=4, batch_size=8, base_lr=0.0, warmup_steps=0,
-                          null_rate=0.5, seed=123)
-        result = train_content(examples, model, cfg)
-        assert any(mask.any() for mask in result.null_masks)
-        for class_ids, mask in zip(seen_class_ids, result.null_masks):
-            assert np.array_equal(class_ids == null_id, mask)
-
-    def test_first_step_null_mask_matches_seeded_rng(self, world):
+    def test_first_step_null_mask_matches_seeded_rng(self, world, monkeypatch):
+        monkeypatch.setattr(training, "NULL_RATE", 0.5)
         _, _, _, examples = world
         model = content_model()
-        cfg = TrainConfig(steps=1, batch_size=8, base_lr=0.0, warmup_steps=0,
-                          null_rate=0.5, seed=123)
-        result = train_content(examples, model, cfg)
+        seen = seen_loss_class_ids(model)
+        cfg = TrainConfig(steps=1, batch_size=8, base_lr=0.0, warmup_steps=0, seed=123)
+        train_content(examples, model, cfg)
         rng = np.random.default_rng(123)
         rng.integers(0, len(examples), size=8)
         rng.integers(0, LAST + 1, size=8)
         expected = rng.random(8) < 0.5
-        assert np.array_equal(result.null_masks[0], expected)
+        assert np.array_equal(seen[0] == model.config.null_class_id, expected)
 
     def test_null_fraction_converges(self, world):
         _, _, _, examples = world
         model = content_model()
-        cfg = TrainConfig(steps=60, batch_size=16, base_lr=0.0, warmup_steps=0,
-                          null_rate=0.10, seed=3)
-        result = train_content(examples, model, cfg)
-        frac = np.concatenate(result.null_masks).mean()
+        seen = seen_loss_class_ids(model)
+        cfg = TrainConfig(steps=60, batch_size=16, base_lr=0.0, warmup_steps=0, seed=3)
+        train_content(examples, model, cfg)
+        frac = (np.concatenate(seen) == model.config.null_class_id).mean()
         assert abs(frac - 0.10) <= 0.02
 
     def test_determinism(self, world):
@@ -271,10 +292,10 @@ class TestTrainStructure:
         # columns; the trainer must report exactly this value (dropout is
         # disabled so the training forward is deterministic)
         monkeypatch.setattr(ModelConfig, "dropout", property(lambda self: 0.0))
+        monkeypatch.setattr(training, "NULL_RATE", 0.0)
         _, _, _, examples = world
         model = structure_model()
-        cfg = TrainConfig(steps=1, batch_size=4, base_lr=0.0, warmup_steps=0,
-                          null_rate=0.0, seed=5)
+        cfg = TrainConfig(steps=1, batch_size=4, base_lr=0.0, warmup_steps=0, seed=5)
         result = train_structure(examples, model, cfg)
         rng = np.random.default_rng(5)
         idx = rng.integers(0, len(examples), size=4)
@@ -297,6 +318,29 @@ class TestTrainStructure:
             total += float((((vel.data[0] - target) ** 2) * mask).sum())
             weight += float(mask.sum())
         assert result.losses[0] == pytest.approx(total / weight, rel=1e-4)
+
+    def test_exactly_the_first_steps_null_draws_use_the_null_class(self, world, monkeypatch):
+        monkeypatch.setattr(training, "NULL_RATE", 0.5)
+        _, _, _, examples = world
+        model = structure_model()
+        seen = []
+        original = model.velocity
+
+        def instrumented(class_ids, *args, **kwargs):
+            seen.append(np.array(class_ids))
+            return original(class_ids, *args, **kwargs)
+
+        model.velocity = instrumented
+        cfg = TrainConfig(steps=1, batch_size=8, base_lr=0.0, warmup_steps=0, seed=123)
+        train_structure(examples, model, cfg)
+        rng = np.random.default_rng(123)
+        rng.integers(0, len(examples), size=8)    # examples
+        rng.integers(1, LAST, size=8)             # stages
+        rng.random(8)                             # times
+        expected = rng.random(8) < 0.5
+        assert expected.any() and not expected.all()
+        assert len(seen) == 1
+        assert np.array_equal(seen[0] == model.config.null_class_id, expected)
 
     def test_training_reduces_eval_loss(self, world):
         _, _, _, examples = world
