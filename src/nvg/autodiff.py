@@ -300,7 +300,9 @@ def reduce_mean(a) -> Tensor:
 
 def silu(a) -> Tensor:
     a = _wrap(a)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
+    # exp(-a) overflows to inf below a = -88 in float32; 1 / inf = 0 is exact
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-a.data))
 
     def bw(g):
         a._accum(g * sig * (1.0 + a.data * (1.0 - sig)))

@@ -3,9 +3,10 @@
 `Generator` is the skeleton both models are built on: class and stage
 embeddings, the block stack, the final modulated rmsnorm and the output head,
 plus parameter access and checkpoint state. It also owns the one forward,
-`Generator._forward`: it checks the class and stage ids, builds the rotary
-tables, conditions on class + stage, prepends the class token to the token
-runs it is given, runs the blocks and returns the head on the last run.
+`Generator._forward`: it checks the class ids and the structure maps, reads
+each row's stage and rotary structure ids from its map, conditions on class +
+stage, prepends the class token to the token runs it is given, runs the
+blocks and returns the head on the last run.
 `ContentModel` and `StructureModel` add only their input and output
 parameters, the token runs they pass in and the reshape of what comes out.
 
@@ -19,7 +20,9 @@ count exact. The tests check the count from the shapes `params()` returns.
 Rotary ids split the 64-dim head as 8 dims for token-kind, 2 dims for each of
 8 structure levels, and 20 dims per spatial axis. Tokens sharing a cluster at
 some level share that level's id, so attention sees the whole cluster tree.
-There is one rotary path: `rope_tables` turns integer ids into cos/sin
+`Generator._forward` reads a row's structure ids from its `StructureMap`
+through the one bit rule, `structcode.embed_structure_map`; no caller builds
+them. There is one rotary path: `rope_tables` turns integer ids into cos/sin
 tables, `Generator._rope_tables` builds them for a whole batch in one call,
 and the tape op `autodiff.rope` rotates the queries and keys with them.
 """
@@ -33,6 +36,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InvariantError
+from .grid import StructureMap
+from .structcode import PAD, embed_structure_map
 
 __all__ = [
     "HEAD_DIM",
@@ -197,13 +202,15 @@ class Block:
 class Generator:
     """Base of both generators: everything but the per-kind adapters.
 
-    A subclass sets `kind`, creates its input and output parameters in
-    `_make_inputs` and `_make_outputs`, and feeds its token runs to
-    `_forward`. Creation order fixes the RNG draw order: embeddings, inputs,
-    blocks, final modulation and head, outputs.
+    A subclass sets `kind` (and `map_lag`, when its rows read an earlier
+    stage's map), creates its input and output parameters in `_make_inputs`
+    and `_make_outputs`, and feeds its token runs and maps to `_forward`.
+    Creation order fixes the RNG draw order: embeddings, inputs, blocks,
+    final modulation and head, outputs.
     """
 
     kind = ""
+    map_lag = 0     # a row's stage minus the stage of the map it reads
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         if config.kind != self.kind:
@@ -255,23 +262,21 @@ class Generator:
     def _rope_tables(self, struct_ids: np.ndarray, grid_w: int, runs: int):
         """cos/sin (B, 1, L, 32) for [class] + `runs` runs of the grid tokens.
 
-        struct_ids is (B, hw, K), padded here to the 8 rotary slots; run s
-        has token kind s + 1, and every run repeats the grid's structure and
-        spatial ids. One `rope_tables` call covers the whole batch. The last
-        result is memoized on the exact ids, so the Euler steps of one flow
-        stage, whose known columns do not change, build the tables once. The
-        memoized tables are read-only.
+        struct_ids is (B, hw, STRUCT_SLOTS), one row per map; the class token
+        reads PAD in every slot. Run s has token kind s + 1, and every run
+        repeats the grid's structure and spatial ids. One `rope_tables` call
+        covers the whole batch. The last result is memoized on the exact ids,
+        so the Euler steps of one flow stage, which all read the same parent
+        map, build the tables once. The memoized tables are read-only.
         """
         key = (struct_ids.dtype.str, struct_ids.shape, struct_ids.tobytes(), grid_w, runs)
         if self._rope_memo is not None and self._rope_memo[0] == key:
             return self._rope_memo[1]
-        b_sz, hw, k = struct_ids.shape
-        pad = np.ones((b_sz, hw, STRUCT_SLOTS - k), dtype=struct_ids.dtype)
-        struct_ids = np.concatenate([struct_ids, pad], axis=-1)
+        b_sz, hw, _ = struct_ids.shape
         yy, xx = np.divmod(np.arange(hw), grid_w)
         kind = np.concatenate([[0]] + [np.full(hw, s + 1) for s in range(runs)])
         spatial = np.concatenate([[[0, 0]]] + [np.stack([yy, xx], axis=1)] * runs)
-        class_ids = np.ones((b_sz, 1, STRUCT_SLOTS), dtype=np.int64)
+        class_ids = np.full((b_sz, 1, STRUCT_SLOTS), PAD, dtype=np.int64)
         struct = np.concatenate([class_ids] + [struct_ids] * runs, axis=1)
         cos, sin = rope_tables(np.broadcast_to(kind, (b_sz,) + kind.shape), struct,
                                np.broadcast_to(spatial, (b_sz,) + spatial.shape),
@@ -282,34 +287,38 @@ class Generator:
         self._rope_memo = (key, tables)
         return tables
 
-    def _forward(self, class_ids, stages, struct_ids, runs, cond_extra: Tensor | None = None,
+    def _forward(self, class_ids, smaps, runs, cond_extra: Tensor | None = None,
                  rng: np.random.Generator | None = None) -> Tensor:
         """The forward both generators share; returns the head on the last run.
 
-        class_ids, stages: (B,) ints, the null class allowed. struct_ids:
-        (B, h, w, K) integer structure ids of the grid, K the configured last
-        stage. runs: the token runs after the class token, each an (input
-        (B, h, w, c), weight (c, width), bias) triple. cond_extra is added to
-        the class + stage conditioning.
+        class_ids: (B,) ints, the null class allowed. smaps: one
+        `StructureMap` per row, of the grid's shape; a row runs at its map's
+        stage plus `map_lag`, and its rotary structure ids are the map's
+        `embed_structure_map` over STRUCT_SLOTS. runs: the token runs after
+        the class token, each an (input (B, h, w, c), weight (c, width),
+        bias) triple. cond_extra is added to the class + stage conditioning.
         A given rng is the training switch: the blocks draw dropout from it.
         Returns (B, h*w, head_channels).
         """
-        class_ids, stages = np.asarray(class_ids), np.asarray(stages)
-        if struct_ids.ndim != 4 or struct_ids.shape[-1] != self.config.last_stage:
-            raise InvariantError(f"structure ids must be (B, h, w, {self.config.last_stage}), "
-                                 f"got {struct_ids.shape}")
-        b_sz, h, w_grid, _ = struct_ids.shape
-        if class_ids.shape != (b_sz,) or stages.shape != (b_sz,):
-            raise InvariantError(f"need one class id and one stage per row of {b_sz}")
+        class_ids, smaps = np.asarray(class_ids), list(smaps)
+        if class_ids.ndim != 1 or len(smaps) != class_ids.size:
+            raise InvariantError(f"need one structure map per class id, got {len(smaps)} "
+                                 f"maps for class ids of shape {class_ids.shape}")
+        b_sz, grid = class_ids.size, runs[0][0].shape[1:3]
+        for data, weight, _ in runs:
+            if data.shape != (b_sz, *grid, weight.shape[0]):
+                raise InvariantError(f"input must be {(b_sz, *grid, weight.shape[0])}, "
+                                     f"got {data.shape}")
+        if not all(isinstance(m, StructureMap) and m.labels.shape == grid for m in smaps):
+            raise InvariantError(f"need StructureMaps of the grid's shape {grid}")
+        stages = np.array([m.stage + self.map_lag for m in smaps], dtype=np.int64)
         if class_ids.min(initial=0) < 0 or class_ids.max(initial=0) > self.config.null_class_id:
             raise InvariantError(f"class id out of range 0..{self.config.null_class_id}")
-        if stages.min(initial=0) < 0 or stages.max(initial=0) > self.config.last_stage:
+        if stages.max(initial=0) > self.config.last_stage:
             raise InvariantError(f"stage out of range 0..{self.config.last_stage}")
-        for data, weight, _ in runs:
-            if data.shape != (b_sz, h, w_grid, weight.shape[0]):
-                raise InvariantError(f"input must be {(b_sz, h, w_grid, weight.shape[0])}, "
-                                     f"got {data.shape}")
-        hw, width = h * w_grid, self.config.width
+        (h, w_grid), width = grid, self.config.width
+        hw = h * w_grid
+        struct_ids = np.stack([embed_structure_map(m, STRUCT_SLOTS) for m in smaps])
         cos, sin = self._rope_tables(struct_ids.reshape(b_sz, hw, -1), w_grid, len(runs))
 
         cls = self.class_emb[class_ids]                                # (B, w)
@@ -324,4 +333,3 @@ class Generator:
         fmod = ad.reshape(ad.matmul(ad.silu(cond), self.w_final_mod), (b_sz, 1, 2 * width))
         x = ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
         return ad.matmul(x[:, 1 + (len(runs) - 1) * hw:, :], self.w_head) + self.b_head
-

@@ -195,10 +195,7 @@ def cmd_generate(args) -> int:
             stage = int(stage_text)
         except ValueError as exc:
             raise FormatError(f"--override-structure wants STAGE:FILE, got {spec_text!r}") from exc
-        gray = io.read_pgm(path)
-        if gray.shape != (h, w):
-            raise InvariantError(f"override image is {gray.shape}, latent is {(h, w)}")
-        overrides[stage] = io.gray_to_structure_map(gray, stage=stage)
+        overrides[stage] = io.gray_to_structure_map(io.read_pgm(path), stage=stage)
     schedule = ScheduleParams(flow_steps=args.steps,
                               cfg_constant=args.cfg_override,
                               top_p_constant=args.top_p_override)

@@ -1,19 +1,18 @@
 """Stage-conditioned transformer that refines the running canvas.
 
-Given the class, the stage and the canvas accumulated so far, the model
-predicts the final canvas. The difference between prediction and input
-canvas, averaged within each cluster of the stage's structure map, feeds a
-linear head that scores every codebook row per cluster.
+Given the class, the stage's structure map and the canvas accumulated so far,
+the model predicts the final canvas. The difference between prediction and
+input canvas, averaged within each cluster of the stage's structure map,
+feeds a linear head that scores every codebook row per cluster.
 
 `ContentModel` is an adapter on `backbone.Generator`, whose one forward does
-the conditioning, the rotary ids, the blocks and the output head. The adapter
-adds one token run, the canvas, and turns the head's output into the
-predicted canvas and the codebook logits.
+the conditioning, the rotary ids, the blocks and the output head. Each row's
+stage and rotary structure ids come from its map there. The adapter adds one
+token run, the canvas, and turns the head's output into the predicted canvas
+and the codebook logits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,25 +24,7 @@ from .backbone import rope_tables  # noqa: F401
 from .errors import InvariantError
 from .grid import StructureMap
 
-__all__ = ["ContentBatch", "ContentModel", "cross_entropy_mean",
-           "cluster_mean_matrix"]
-
-
-@dataclass(frozen=True, eq=False)
-class ContentBatch:
-    """One teacher-forced training example at a single stage.
-
-    canvas must be the accumulated reconstruction of stages before `stage`;
-    target_canvas is the full-depth reconstruction the model should reach.
-    """
-
-    class_id: int
-    stage: int
-    canvas: np.ndarray          # (h, w, e)
-    struct_emb: np.ndarray      # (h, w, K) embedding of the stage's map
-    smap: StructureMap
-    target_canvas: np.ndarray   # (h, w, e)
-    target_tokens: np.ndarray   # (2**stage,) codebook indices
+__all__ = ["ContentModel", "cross_entropy_mean", "cluster_mean_matrix"]
 
 
 def cluster_mean_matrix(smap: StructureMap, dtype=np.float32) -> np.ndarray:
@@ -73,17 +54,17 @@ class ContentModel(Generator):
         self.w_logit = self._init(self.config.latent_channels, self.config.codebook_size)
         self.b_logit = self._zeros(self.config.codebook_size)
 
-    def forward_final_canvas(self, class_ids, stages, canvases, struct_embs,
+    def forward_final_canvas(self, class_ids, smaps, canvases,
                              rng: np.random.Generator | None = None) -> Tensor:
         """Predict the final canvas for a batch.
 
-        class_ids: (B,) ints (null id allowed); stages: (B,) ints;
-        canvases: (B, h, w, e); struct_embs: (B, h, w, K) integer embeddings.
-        A given rng turns dropout on (training). Returns a (B, h, w, e) tensor.
+        class_ids: (B,) ints (null id allowed); smaps: each row's
+        `StructureMap`, whose stage is the row's stage; canvases:
+        (B, h, w, e). A given rng turns dropout on (training). Returns a
+        (B, h, w, e) tensor.
         """
         canvases = np.asarray(canvases, dtype=self.dtype)
-        delta = self._forward(class_ids, stages, np.asarray(struct_embs),
-                              [(canvases, self.w_in, self.b_in)], rng=rng)
+        delta = self._forward(class_ids, smaps, [(canvases, self.w_in, self.b_in)], rng=rng)
         # residual parameterization: the head emits what is still missing from
         # the input canvas, and the sum is the predicted final canvas
         return ad.reshape(delta, canvases.shape) + Tensor(canvases)
@@ -102,22 +83,24 @@ class ContentModel(Generator):
         means = ad.matmul(Tensor(cluster_mean_matrix(smap, self.dtype)), diff)
         return ad.matmul(means, self.w_logit) + self.b_logit
 
-    def loss(self, batch: list, rng: np.random.Generator | None = None) -> Tensor:
-        """Mean of Eq-style per-sample losses: canvas MSE + token CE. A given
-        rng turns dropout on (training)."""
-        if not batch:
+    def loss(self, class_ids, smaps, canvases, target_canvases, target_tokens,
+             rng: np.random.Generator | None = None) -> Tensor:
+        """Mean of Eq-style per-sample losses: canvas MSE + token CE. Row b is
+        sample b: class id, stage map, running canvas, full-depth target
+        canvas and (2**stage,) codebook indices. A given rng turns dropout on."""
+        smaps = list(smaps)
+        if not smaps:
             raise InvariantError("empty batch")
-        class_ids = np.array([item.class_id for item in batch])
-        stages = np.array([item.stage for item in batch])
-        canvases = np.stack([item.canvas for item in batch])
-        struct_embs = np.stack([item.struct_emb for item in batch])
-        targets = np.stack([item.target_canvas for item in batch]).astype(self.dtype)
+        if len(target_tokens) != len(smaps):
+            raise InvariantError(f"need one token target per map, got {len(target_tokens)} "
+                                 f"for {len(smaps)}")
+        canvases = np.asarray(canvases, dtype=self.dtype)
+        targets = np.asarray(target_canvases, dtype=self.dtype)
 
-        pred = self.forward_final_canvas(class_ids, stages, canvases, struct_embs, rng=rng)
+        pred = self.forward_final_canvas(class_ids, smaps, canvases, rng=rng)
         err = pred - targets
         mse = (err * err).mean()
-        ce_terms = [cross_entropy_mean(self.token_logits(pred[b], item.canvas, item.smap),
-                                       item.target_tokens)
-                    for b, item in enumerate(batch)]
+        ce_terms = [cross_entropy_mean(self.token_logits(pred[b], canvases[b], smap), tokens)
+                    for b, (smap, tokens) in enumerate(zip(smaps, target_tokens))]
         ce = sum(ce_terms[1:], ce_terms[0])     # term 0 + term 1 + ..., in order
         return mse + ce * (1.0 / len(ce_terms))

@@ -188,10 +188,12 @@ def generate(req: GenerationRequest, content_model: ContentModel,
     """Run the full staged loop and return (sequence, canvas, step counters).
 
     Runs without a tape. Every flow step and content step goes through
-    `cfg_forward`, so a guided step is one B=2 forward. The flow at stage k
-    starts from the structure embedding of the realized stage-(k-1) map, the
-    same `embed_structure_map` rule the trainers use; with canonical nesting
-    its column j is 2 * (stage-(j+1) label & 1).
+    `cfg_forward`, so a guided step is one B=2 forward. Both models are
+    given the realized maps, never ids: the flow at stage k reads the
+    stage-(k-1) map, and the content step reads the stage-k map. The flow's
+    known columns are the stage-(k-1) map's embedding, the same
+    `embed_structure_map` rule the trainers' flow target follows; with
+    canonical nesting its column j is 2 * (stage-(j+1) label & 1).
     """
     last = req.last_stage
     h, w_grid, e = req.h, req.w, req.e
@@ -239,7 +241,7 @@ def generate(req: GenerationRequest, content_model: ContentModel,
                 def rows(classes):
                     n = len(classes)
                     return structure_model.velocity(
-                        classes, np.full(n, k), np.repeat(x[None], n, axis=0),
+                        classes, [maps[-1]] * n, np.repeat(x[None], n, axis=0),
                         np.repeat(z[None], n, axis=0), np.full(n, t)).data
                 return cfg_forward(rows, req.class_id, null_id, scale)
 
@@ -253,7 +255,6 @@ def generate(req: GenerationRequest, content_model: ContentModel,
         if k in req.content_overrides:
             tokens = req.content_overrides[k]
         else:
-            emb = embed_structure_map(smap, last)
             scale = sched.cfg_constant if sched.cfg_constant is not None else \
                 cfg_schedule(k, "content", last)
             p = sched.top_p_constant if sched.top_p_constant is not None else \
@@ -262,8 +263,7 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             def logit_rows(classes):
                 n = len(classes)
                 pred = content_model.forward_final_canvas(
-                    classes, np.full(n, k), np.repeat(x[None], n, axis=0),
-                    np.repeat(emb[None], n, axis=0))
+                    classes, [smap] * n, np.repeat(x[None], n, axis=0))
                 return [content_model.token_logits(pred[b], x, smap).data for b in range(n)]
 
             logits = cfg_forward(logit_rows, req.class_id, null_id, scale)

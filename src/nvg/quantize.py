@@ -78,7 +78,9 @@ class Refiner:
         h, w, e = data.shape
         if e != self.channels:
             raise InvariantError(f"refiner expects {self.channels} channels, got {e}")
-        flat = _conv_patches(data) @ self.weight.reshape(9 * e, e) + self.bias
+        # a non-finite result is the caller's to report, as NumericError
+        with np.errstate(over="ignore", invalid="ignore"):
+            flat = _conv_patches(data) @ self.weight.reshape(9 * e, e) + self.bias
         return flat.reshape(h, w, e)
 
 

@@ -9,10 +9,11 @@ exactly balanced child map.
 
 `StructureModel` is an adapter on `backbone.Generator`, whose one forward
 does the conditioning, the rotary ids, the blocks and the output head. The
-adapter adds a time term to the conditioning and two token runs, canvas then
-noised embedding. It derives the rotary structure ids from the known columns
-of the noised grid, and the head's output on the embedding run is the
-velocity.
+velocity of stage k reads the realized stage-(k-1) map: the row's stage is
+that map's stage plus one, and its rotary structure ids are that map's
+embedding. The adapter adds a time term to the conditioning and two token
+runs, canvas then noised embedding; the head's output on the embedding run
+is the velocity.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ def noised_input(s_e_grid: np.ndarray, t: float, noise: np.ndarray,
 
 class StructureModel(Generator):
     kind = "structure"
+    map_lag = 1
 
     def _make_inputs(self):
         w, e, k = self.config.width, self.config.latent_channels, self.config.last_stage
@@ -59,26 +61,23 @@ class StructureModel(Generator):
         self.w_in_struct = self._init(k, w)
         self.b_in_struct = self._zeros(w)
 
-    def velocity(self, class_ids, stages, canvases, zs, ts,
+    def velocity(self, class_ids, parents, canvases, zs, ts,
                  rng: np.random.Generator | None = None) -> Tensor:
         """Velocity prediction for a batch of flow states, shape (B, h, w, K).
 
-        At stage s >= 1 the first s - 1 columns of z are known; their rounded
-        values are the rotary structure ids, and the other slots read as 1.
-        A given rng turns dropout on (training).
+        parents: each row's realized stage-(k-1) `StructureMap` for a flow
+        at stage k; z's first k - 1 columns are that map's known bits. ts:
+        one time per row. A given rng turns dropout on (training).
         """
-        stages, ts = np.asarray(stages), np.asarray(ts, dtype=np.float64)
-        if stages.min(initial=1) < 1:
-            raise InvariantError("velocity needs stages >= 1")
-        if ts.shape != stages.shape:
-            raise InvariantError(f"need one time per stage, got {ts.shape} and {stages.shape}")
+        ts = np.asarray(ts, dtype=np.float64)
+        if ts.shape != np.shape(class_ids):
+            raise InvariantError(f"need one time per row, got {ts.shape} for class ids "
+                                 f"of shape {np.shape(class_ids)}")
         canvases = np.asarray(canvases, dtype=self.dtype)
         zs = np.asarray(zs, dtype=self.dtype)
-        known = np.arange(zs.shape[-1]) < (stages - 1).reshape(-1, 1, 1, 1)
-        struct_ids = np.where(known, np.rint(zs), 1.0).astype(np.int64)
         t_feat = time_features(ts, self.config.width)
         t_cond = ad.matmul(Tensor(t_feat.astype(self.dtype)), self.w_time) + self.b_time
-        out = self._forward(class_ids, stages, struct_ids,
+        out = self._forward(class_ids, parents,
                             [(canvases, self.w_in_canvas, self.b_in_canvas),
                              (zs, self.w_in_struct, self.b_in_struct)],
                             cond_extra=t_cond, rng=rng)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Adam, Tensor, no_grad
-from .content_model import ContentBatch, ContentModel
+from .content_model import ContentModel
 from .errors import InvariantError, NumericError
 from .grid import Codebook, LatentGrid, VGSequence, canvas_prefixes
 from .hierarchy import build_hierarchy
@@ -79,15 +79,15 @@ def _batch_lr(step: int, config: TrainConfig) -> float:
 @dataclass(frozen=True, eq=False)
 class TokenizedExample:
     """One dataset item with everything the trainers need precomputed: the
-    running canvases of `grid.canvas_prefixes` and every stage's embedding."""
+    running canvases of `grid.canvas_prefixes` and the flow target. The
+    models read each stage's structure from `sequence`'s maps."""
 
     class_id: int
     grid: LatentGrid
     sequence: VGSequence
     canvases: tuple          # canvases[i]: accumulated stages < i, (h, w, e)
     target_canvas: np.ndarray
-    struct_embs: tuple       # per-stage (h, w, K) integer embeddings
-    flow_target: np.ndarray  # full-depth embedding, float32 (h, w, K)
+    flow_target: np.ndarray  # the finest map's embedding, float32 (h, w, K)
 
 
 def tokenize_dataset(dataset, codebook: Codebook, refiners) -> list:
@@ -97,10 +97,9 @@ def tokenize_dataset(dataset, codebook: Codebook, refiners) -> list:
         hierarchy = build_hierarchy(grid)
         seq, _ = build_contents(grid, hierarchy, codebook, refiners)
         *canvases, target = (p.data for p in canvas_prefixes(seq, codebook, refiners))
-        struct_embs = tuple(embed_structure_map(smap, seq.last_stage)
-                            for _, smap in seq.stages)
+        flow_target = embed_structure_map(seq.stages[-1][1], seq.last_stage)
         out.append(TokenizedExample(class_id, grid, seq, tuple(canvases), target,
-                                    struct_embs, struct_embs[-1].astype(np.float32)))
+                                    flow_target.astype(np.float32)))
     return out
 
 
@@ -146,21 +145,14 @@ def train_content(examples: list, model: ContentModel, config: TrainConfig) -> T
         idx = rng.integers(0, len(examples), size=config.batch_size)
         stages = rng.integers(0, last + 1, size=config.batch_size)
         null_mask = rng.random(config.batch_size) < NULL_RATE
-        batch = []
-        for b in range(config.batch_size):
-            ex = examples[int(idx[b])]
-            stage = int(stages[b])
-            tokens, smap = ex.sequence.stages[stage]
-            batch.append(ContentBatch(
-                class_id=null_id if null_mask[b] else ex.class_id,
-                stage=stage,
-                canvas=ex.canvases[stage],
-                struct_emb=ex.struct_embs[stage],
-                smap=smap,
-                target_canvas=ex.target_canvas,
-                target_tokens=tokens.indices,
-            ))
-        return model.loss(batch, rng=rng)
+        rows = [(examples[int(i)], int(stage)) for i, stage in zip(idx, stages)]
+        class_ids = np.array([null_id if null else ex.class_id
+                              for (ex, _), null in zip(rows, null_mask)])
+        smaps = [ex.sequence.stages[stage][1] for ex, stage in rows]
+        canvases = np.stack([ex.canvases[stage] for ex, stage in rows])
+        targets = np.stack([ex.target_canvas for ex, _ in rows])
+        tokens = [ex.sequence.stages[stage][0].indices for ex, stage in rows]
+        return model.loss(class_ids, smaps, canvases, targets, tokens, rng=rng)
 
     return _fit(model, config, batch_loss)
 
@@ -190,6 +182,7 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
         canvases = np.empty((config.batch_size, h, w_grid, e), dtype=np.float32)
         targets = np.empty_like(zs)
         mask = np.zeros_like(zs)
+        parents = []
         for b in range(config.batch_size):
             ex = examples[int(idx[b])]
             stage = int(stages[b])
@@ -199,8 +192,9 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
             targets[b] = noise[b] - ex.flow_target
             mask[b, :, :, known:] = 1.0
             class_ids[b] = null_id if null_mask[b] else ex.class_id
+            parents.append(ex.sequence.stages[known][1])
 
-        vel = model.velocity(class_ids, stages, canvases, zs, ts, rng=rng)
+        vel = model.velocity(class_ids, parents, canvases, zs, ts, rng=rng)
         diff = vel - Tensor(targets)
         return (diff * diff * mask).sum() / float(mask.sum())
 
@@ -225,8 +219,7 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
             tokens, smap = ex.sequence.stages[stage]
             used[tokens.indices] = True
             pred = content_model.forward_final_canvas(
-                np.array([ex.class_id]), np.array([stage]),
-                ex.canvases[stage][None], ex.struct_embs[stage][None])
+                np.array([ex.class_id]), [smap], ex.canvases[stage][None])
             logits = content_model.token_logits(pred[0], ex.canvases[stage], smap)
             hits = int((np.argmax(logits.data, axis=1) == tokens.indices).sum())
             token_acc[stage][0] += hits
@@ -238,7 +231,7 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
         for stage in range(1, last):
             def velocity_fn(z, t):
                 out = structure_model.velocity(
-                    np.array([ex.class_id]), np.array([stage]),
+                    np.array([ex.class_id]), [ex.sequence.stages[stage - 1][1]],
                     ex.canvases[stage][None], z[None], np.array([t]))
                 return out.data[0]
 

@@ -46,6 +46,16 @@ class TestAutodiffOps:
         num = numeric_grad(lambda: float(op(Tensor(t.data)).data), t.data)
         assert np.allclose(t.grad, num, atol=1e-5)
 
+    def test_silu_saturates_without_warning(self):
+        # float32 exp(100) overflows to inf, and 1 / (1 + inf) is the exact
+        # limit 0: silu(-100) is -0 and its grad 0, with no RuntimeWarning
+        t = Tensor(np.array([-100.0, 0.0, 100.0], dtype=np.float32), requires_grad=True)
+        out = ad.silu(t)
+        out.sum().backward()
+        assert out.data.dtype == np.float32
+        assert np.array_equal(out.data, [0.0, 0.0, 100.0])
+        assert np.array_equal(t.grad, [0.0, 0.5, 1.0])
+
     def test_matmul_both_sides(self):
         rng = np.random.default_rng(1)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

@@ -24,7 +24,7 @@ from nvg.content_model import ContentModel
 from nvg.grid import LatentGrid, StructureMap
 from nvg.hierarchy import build_hierarchy
 from nvg.io import structure_map_to_gray, write_pgm, write_sequence, write_tensor
-from nvg.quantize import build_contents, fit_codebook, identity_refiners
+from nvg.quantize import Refiner, build_contents, fit_codebook, identity_refiners
 from nvg.structure_model import StructureModel
 
 DATA = ["--latent", "4,4,3", "--count", "2", "--classes", "2"]
@@ -271,6 +271,35 @@ def test_bad_refiner_arguments_exit_3_and_write_nothing(files, options, capsys, 
         code, err = run(argv + options, capsys)
     assert code == 3 and "refiner" in err
     assert not any(path.exists() for path in outs)
+
+
+def test_override_of_another_shape_exits_3_and_writes_nothing(files, capsys, tmp_path):
+    # 2x8 has the 16 locations of a 4x4 latent, so the image is a valid
+    # stage-1 map; the request's own shape check is the one that rejects it
+    argv, inputs, outputs = commands(files)["generate"]
+    pgm = tmp_path / "wide.pgm"
+    write_pgm(pgm, structure_map_to_gray(StructureMap(1, np.repeat([0, 1], 8).reshape(2, 8))))
+    argv = _swap(_swap(argv, inputs[4], pgm), outputs[0], tmp_path / "out")
+    code, err = run(argv, capsys)
+    assert code == 3 and "override at stage 1 has wrong shape" in err
+    assert list(tmp_path.iterdir()) == [pgm]
+
+
+def test_tokenize_with_an_overflowing_refiner_exits_4_without_warning(files, capsys,
+                                                                      tmp_path):
+    # the refiner conv overflows to inf; NumericError must be the only report
+    argv, inputs, outputs = commands(files)["tokenize"]
+    codebook, refiners = tmp_path / "cb.nvgt", tmp_path / "ref.nvgc"
+    write_tensor(codebook, np.full((8, 3), 1e20, dtype=np.float32))
+    save_refiners(refiners, [Refiner(1e20 * r.weight, r.bias) for r in identity_refiners(4, 3)])
+    argv = _swap(_swap(_swap(argv, inputs[1], codebook), inputs[2], refiners),
+                 outputs[0], tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = run(argv, capsys)
+    assert code == 4 and err.startswith("nvg: error code=4 kind=numeric:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_inspect_json_reads_the_structure_ids_back(files, capsys):

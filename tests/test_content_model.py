@@ -3,12 +3,7 @@ import pytest
 
 from nvg.autodiff import Adam, Tensor
 from nvg.backbone import ModelConfig
-from nvg.content_model import (
-    ContentBatch,
-    ContentModel,
-    cluster_mean_matrix,
-    cross_entropy_mean,
-)
+from nvg.content_model import ContentModel, cluster_mean_matrix, cross_entropy_mean
 from nvg.errors import InvariantError
 from nvg.grid import StructureMap
 from nvg.quantize import identity_refiners
@@ -20,6 +15,22 @@ from oracles import gradient_check
 def small_model(depth=2, e=3, n=8, classes=3, last_stage=4, seed=0, dtype=np.float32):
     cfg = ModelConfig(depth, "content", e, n, classes, last_stage)
     return ContentModel(cfg, seed=seed, dtype=dtype)
+
+
+def loss_args(rows):
+    """ContentModel.loss's arrays for (example, stage) rows, as train_content
+    builds them."""
+    return (np.array([ex.class_id for ex, _ in rows]),
+            [ex.sequence.stages[s][1] for ex, s in rows],
+            np.stack([ex.canvases[s] for ex, s in rows]),
+            np.stack([ex.target_canvas for ex, _ in rows]),
+            [ex.sequence.stages[s][0].indices for ex, s in rows])
+
+
+def stage_map(stage, h=4, w=4):
+    """The stage-`stage` map whose clusters are runs of row-major locations."""
+    shift = (h * w).bit_length() - 1 - stage
+    return StructureMap(stage, np.arange(h * w).reshape(h, w) >> shift)
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +48,7 @@ class TestForward:
     def test_output_shape_matches_canvas(self):
         model = small_model()
         canvas = np.zeros((1, 4, 4, 3), dtype=np.float32)
-        emb = np.ones((1, 4, 4, 4), dtype=np.int64)
-        out = model.forward_final_canvas(np.array([0]), np.array([0]), canvas, emb)
+        out = model.forward_final_canvas(np.array([0]), [stage_map(1)], canvas)
         assert out.shape == (1, 4, 4, 3)
 
     def test_core_params_equal_formula(self):
@@ -48,51 +58,54 @@ class TestForward:
                        if name.startswith("block"))
             assert core == 15 * depth * model.config.width ** 2
 
-    @pytest.mark.parametrize("shape", [(1, 4, 4, 2), (1, 4, 4, 7), (4, 4, 4)],
-                             ids=["K2", "K7", "no-batch-axis"])
-    def test_structure_ids_need_one_column_per_stage(self, shape):
-        # at last_stage 4, fewer or more columns used to be padded to 8 slots,
-        # and a missing batch axis escaped as a bare ValueError
-        model = small_model()
-        canvas = np.zeros((1, 4, 4, 3), dtype=np.float32)
-        emb = np.ones(shape, dtype=np.int64)
-        with pytest.raises(InvariantError, match="structure ids"):
-            model.forward_final_canvas(np.array([0]), np.array([0]), canvas, emb)
-
     def test_class_conditioning_reaches_output_after_training(self, tokenized_example):
         examples, codebook = tokenized_example
         model = small_model(e=3, n=codebook.size, classes=2, last_stage=4, seed=1)
         ex = examples[0]
-        batch = [ContentBatch(ex.class_id, 2, ex.canvases[2], ex.struct_embs[2],
-                              ex.sequence.stages[2][1], ex.target_canvas,
-                              ex.sequence.stages[2][0].indices)]
+        args = loss_args([(ex, 2)])
         opt = Adam(model.params())
         for _ in range(5):
-            loss = model.loss(batch)
+            loss = model.loss(*args)
             opt.zero_grad()
             loss.backward()
             opt.step(1e-2)
-        cond = model.forward_final_canvas(
-            np.array([0]), np.array([2]), ex.canvases[2][None], ex.struct_embs[2][None])
+        smap = ex.sequence.stages[2][1]
+        cond = model.forward_final_canvas(np.array([0]), [smap], ex.canvases[2][None])
         uncond = model.forward_final_canvas(
-            np.array([model.config.null_class_id]), np.array([2]),
-            ex.canvases[2][None], ex.struct_embs[2][None])
+            np.array([model.config.null_class_id]), [smap], ex.canvases[2][None])
         assert not np.allclose(cond.data, uncond.data)
 
 
 class TestInputContract:
-    @pytest.mark.parametrize("class_ids, stages, channels", [
-        ([-1], [2], 3), ([4], [2], 3), ([0], [-1], 3), ([0], [5], 3), ([0], [2], 4),
-        ([0, 1], [2], 3), ([0], [2, 2], 3),
-    ], ids=["class-negative", "class-above-null", "stage-negative", "stage-above-last",
-            "canvas-channels", "two-classes-one-row", "two-stages-one-row"])
-    def test_bad_input_is_invariant_error(self, class_ids, stages, channels):
-        # ids index embedding tables, where row -1 is the null class or last stage
+    @pytest.mark.parametrize("class_ids, smaps, canvas_shape", [
+        ([-1], [stage_map(2)], (1, 4, 4, 3)),
+        ([4], [stage_map(2)], (1, 4, 4, 3)),
+        ([0], [stage_map(5, 8, 8)], (1, 8, 8, 3)),
+        ([0], [stage_map(2)], (1, 4, 4, 4)),
+        ([0, 1], [stage_map(2)], (1, 4, 4, 3)),
+        ([0], [stage_map(2), stage_map(2)], (1, 4, 4, 3)),
+        ([0], [stage_map(1, 2, 8)], (1, 4, 4, 3)),
+        ([0], [stage_map(2).labels], (1, 4, 4, 3)),
+        ([0], [], (1, 4, 4, 3)),
+    ], ids=["class-negative", "class-above-null", "stage-above-last", "canvas-channels",
+            "two-classes-one-row", "two-stages-one-row", "map-wrong-shape", "not-a-map",
+            "no-map"])
+    def test_bad_input_is_invariant_error(self, class_ids, smaps, canvas_shape):
+        # ids index embedding tables, where row -1 is the null class or last
+        # stage; each row's stage is its map's, so an 8x8 grid's stage-5 map
+        # is past this model's last stage
         model = small_model()           # classes 0..2, null id 3, stages 0..4, e = 3
         with pytest.raises(InvariantError):
-            model.forward_final_canvas(np.array(class_ids), np.array(stages),
-                                       np.zeros((1, 4, 4, channels), np.float32),
-                                       np.ones((1, 4, 4, 4), np.int64))
+            model.forward_final_canvas(np.array(class_ids), smaps,
+                                       np.zeros(canvas_shape, np.float32))
+
+    def test_loss_needs_one_token_target_per_map(self, tokenized_example):
+        examples, codebook = tokenized_example
+        model = small_model(e=3, n=codebook.size, classes=2, last_stage=4)
+        class_ids, smaps, canvases, targets, tokens = loss_args(
+            [(examples[0], 1), (examples[1], 2)])
+        with pytest.raises(InvariantError, match="one token target per map"):
+            model.loss(class_ids, smaps, canvases, targets, tokens[:1])
 
 
 class TestTokenLogits:
@@ -147,10 +160,7 @@ class TestLossPieces:
         examples, codebook = tokenized_example
         model = small_model(e=3, n=codebook.size, classes=2, last_stage=4)
         ex = examples[0]
-        batch = [ContentBatch(ex.class_id, s, ex.canvases[s], ex.struct_embs[s],
-                              ex.sequence.stages[s][1], ex.target_canvas,
-                              ex.sequence.stages[s][0].indices) for s in (0, 3)]
-        loss = model.loss(batch)
+        loss = model.loss(*loss_args([(ex, 0), (ex, 3)]))
         assert isinstance(loss, Tensor)
         assert loss.shape == ()
         assert np.isfinite(float(loss.data))
@@ -164,29 +174,22 @@ class TestLossPieces:
         rng = np.random.default_rng(3)
         for p in model.params().values():
             p.data = 0.1 * rng.standard_normal(p.data.shape)
-        batch = [ContentBatch(ex.class_id, s, ex.canvases[s], ex.struct_embs[s],
-                              ex.sequence.stages[s][1], ex.target_canvas,
-                              ex.sequence.stages[s][0].indices)
-                 for ex, s in ((examples[0], 0), (examples[1], 2), (examples[0], 4))]
-        pred = model.forward_final_canvas(
-            np.array([item.class_id for item in batch]),
-            np.array([item.stage for item in batch]),
-            np.stack([item.canvas for item in batch]),
-            np.stack([item.struct_emb for item in batch])).data
-        targets = np.stack([item.target_canvas for item in batch]).astype(np.float64)
-        mse = np.mean((pred - targets) ** 2)
+        class_ids, smaps, canvases, targets, tokens = loss_args(
+            [(examples[0], 0), (examples[1], 2), (examples[0], 4)])
+        pred = model.forward_final_canvas(class_ids, smaps, canvases).data
+        mse = np.mean((pred - targets.astype(np.float64)) ** 2)
         ces = []
-        for b, item in enumerate(batch):
-            labels = item.smap.labels.ravel()
-            diff = (pred[b] - item.canvas).reshape(labels.size, -1)
-            means = np.zeros((item.smap.num_clusters, diff.shape[1]))
+        for b, (smap, target_tokens) in enumerate(zip(smaps, tokens)):
+            labels = smap.labels.ravel()
+            diff = (pred[b] - canvases[b]).reshape(labels.size, -1)
+            means = np.zeros((smap.num_clusters, diff.shape[1]))
             np.add.at(means, labels, diff)
-            means /= item.smap.cluster_size
+            means /= smap.cluster_size
             logits = means @ model.w_logit.data + model.b_logit.data
             shifted = logits - logits.max(axis=1, keepdims=True)
             log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            ces.append(-log_probs[np.arange(labels.max() + 1), item.target_tokens].mean())
-        loss = model.loss(batch)
+            ces.append(-log_probs[np.arange(labels.max() + 1), target_tokens].mean())
+        loss = model.loss(class_ids, smaps, canvases, targets, tokens)
         assert loss.data.dtype == np.float64
         assert float(loss.data) == pytest.approx(mse + np.mean(ces), rel=1e-12, abs=0)
 
@@ -198,9 +201,7 @@ def test_full_content_loss_gradient_check(tokenized_example):
     for p in model.params().values():
         p.data = 0.05 * rng.standard_normal(p.data.shape)
     ex = examples[0]
-    batch = [ContentBatch(ex.class_id, 2, ex.canvases[2], ex.struct_embs[2],
-                          ex.sequence.stages[2][1], ex.target_canvas,
-                          ex.sequence.stages[2][0].indices)]
+    args = loss_args([(ex, 2)])
 
-    err = gradient_check(lambda: model.loss(batch), model.params(), seed=0, samples=60)
+    err = gradient_check(lambda: model.loss(*args), model.params(), seed=0, samples=60)
     assert err <= 1e-3

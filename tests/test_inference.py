@@ -9,6 +9,7 @@ from nvg import backbone, pipeline
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
 from nvg.errors import InvariantError
+from nvg.grid import StructureMap
 from nvg.pipeline import GenerationRequest, ScheduleParams, generate
 from nvg.quantize import fit_codebook, identity_refiners
 from nvg.structure_model import StructureModel
@@ -29,27 +30,28 @@ def structure_model(seed=0):
     return StructureModel(ModelConfig(2, "structure", E, 8, CLASSES, LAST), seed=seed)
 
 
-def content_forward(model, classes, canvas, emb, stage=2):
+def content_forward(model, classes, canvas, smap):
     n = len(classes)
-    return model.forward_final_canvas(np.array(classes), np.full(n, stage),
-                                      np.repeat(canvas[None], n, axis=0),
-                                      np.repeat(emb[None], n, axis=0))
+    return model.forward_final_canvas(np.array(classes), [smap] * n,
+                                      np.repeat(canvas[None], n, axis=0))
 
 
-def velocity(model, classes, canvas, z, t=0.6, stage=2):
+def velocity(model, classes, canvas, parent, z, t=0.6):
     n = len(classes)
-    return model.velocity(np.array(classes), np.full(n, stage),
+    return model.velocity(np.array(classes), [parent] * n,
                           np.repeat(canvas[None], n, axis=0), np.repeat(z[None], n, axis=0),
                           np.full(n, t))
 
 
 @pytest.fixture(scope="module")
 def inputs():
+    """A canvas, a stage-2 map, its stage-1 parent and a noised grid."""
     rng = np.random.default_rng(0)
     canvas = rng.standard_normal((H, W, E)).astype(np.float32)
-    emb = rng.integers(0, 3, size=(H, W, LAST))
+    labels = rng.permutation(np.arange(H * W) >> 2).reshape(H, W)
+    smap, parent = StructureMap(2, labels), StructureMap(1, labels >> 1)
     z = rng.standard_normal((H, W, LAST)).astype(np.float32)
-    return canvas, emb, z
+    return canvas, smap, parent, z
 
 
 @pytest.fixture(scope="module")
@@ -63,31 +65,31 @@ def world():
 
 class TestNoGrad:
     def test_outputs_carry_no_tape(self, inputs):
-        canvas, emb, _ = inputs
+        canvas, smap, _, _ = inputs
         model = content_model()
         with ad.no_grad():
-            out = content_forward(model, [0], canvas, emb)
+            out = content_forward(model, [0], canvas, smap)
         assert out._parents == () and out._backward is None and not out.requires_grad
         assert all(p.requires_grad for p in model.params().values())
-        assert content_forward(model, [0], canvas, emb)._parents != ()
+        assert content_forward(model, [0], canvas, smap)._parents != ()
 
     def test_nested_blocks_restore_the_outer_mode(self, inputs):
-        canvas, emb, _ = inputs
+        canvas, smap, _, _ = inputs
         model = content_model()
         with ad.no_grad():
             with ad.no_grad():
                 pass
-            assert content_forward(model, [0], canvas, emb)._parents == ()
-        assert content_forward(model, [0], canvas, emb)._parents != ()
+            assert content_forward(model, [0], canvas, smap)._parents == ()
+        assert content_forward(model, [0], canvas, smap)._parents != ()
 
     def test_mode_restored_after_generate_raises(self, inputs, world):
-        canvas, emb, _ = inputs
+        canvas, smap, _, _ = inputs
         codebook, refiners, _ = world
         model = content_model()
         req = GenerationRequest(class_id=CLASSES, seed=0, h=H, w=W, e=E)
         with pytest.raises(InvariantError, match="class id"):
             generate(req, model, structure_model(), codebook, refiners)
-        assert content_forward(model, [0], canvas, emb)._parents != ()
+        assert content_forward(model, [0], canvas, smap)._parents != ()
 
     def test_training_after_generate_still_gets_gradients(self, world):
         codebook, refiners, examples = world
@@ -126,10 +128,10 @@ class TestBatchedGuidance:
 
     @staticmethod
     def run(kind, model, classes, inputs):
-        canvas, emb, z = inputs
+        canvas, smap, parent, z = inputs
         if kind == "content":
-            return content_forward(model, classes, canvas, emb).data
-        return velocity(model, classes, canvas, z).data
+            return content_forward(model, classes, canvas, smap).data
+        return velocity(model, classes, canvas, parent, z).data
 
     @pytest.mark.parametrize("kind", ["content", "structure"])
     def test_rows_equal_single_calls(self, inputs, kind):
@@ -155,7 +157,7 @@ class TestBatchedGuidance:
 
 class TestRopeMemo:
     def test_tables_built_once_while_known_columns_stay(self, inputs, monkeypatch):
-        canvas, _, z = inputs
+        canvas, _, parent, z = inputs
         model = structure_model()
         real = backbone.rope_tables
         built = []
@@ -165,7 +167,7 @@ class TestRopeMemo:
             for t in (1.0, 0.8, 0.6):          # free columns move, the known one stays
                 z_t = z.copy()
                 z_t[..., 1:] *= t
-                velocity(model, [0, CLASSES], canvas, z_t, t=t)
+                velocity(model, [0, CLASSES], canvas, parent, z_t, t=t)
         assert len(built) == 1                  # one build for the batch, at the first step
         ids = np.ones((2, H * W, 8), dtype=np.int64)
         first = model._rope_tables(ids, W, runs=2)
@@ -214,12 +216,12 @@ def test_generate_batches_the_class_row_before_the_null_row(world, monkeypatch):
     codebook, refiners, _ = world
     calls = {"velocity": [], "content": []}
 
-    def fake_velocity(self, class_ids, stages, canvases, zs, *args, **kwargs):
+    def fake_velocity(self, class_ids, parents, canvases, zs, *args, **kwargs):
         calls["velocity"].append(list(class_ids))
         return ad.Tensor(np.asarray(class_ids, np.float32)[:, None, None, None]
                          * np.ones_like(zs))
 
-    def fake_canvas(self, class_ids, stages, canvases, struct_embs, **kwargs):
+    def fake_canvas(self, class_ids, smaps, canvases, **kwargs):
         calls["content"].append(list(class_ids))
         return ad.Tensor(np.asarray(class_ids, np.float32)[:, None, None, None]
                          * np.ones_like(canvases))

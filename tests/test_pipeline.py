@@ -298,7 +298,6 @@ class TestGenerate:
         with pytest.raises(NumericError, match="flow velocity"):
             generate(req, content, structure, codebook, refiners)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_canvas_raises_numeric_error(self, setup):
         _, _, _, content, structure = setup
         codebook = Codebook(np.full((16, E), 1e20, dtype=np.float32))

@@ -6,6 +6,7 @@ from nvg.autodiff import Tensor
 from nvg.errors import InvariantError, NumericError
 from nvg.grid import StructureMap
 from nvg.pipeline import cfg_forward
+from nvg.structcode import embed_structure_map
 from nvg.structure_model import (
     StructureModel,
     flow_sample,
@@ -18,6 +19,12 @@ from oracles import gradient_check
 def small_model(depth=2, e=3, classes=3, last_stage=4, seed=0, dtype=np.float32):
     cfg = ModelConfig(depth, "structure", e, 1, classes, last_stage)
     return StructureModel(cfg, seed=seed, dtype=dtype)
+
+
+def stage_map(stage, h=4, w=4):
+    """The stage-`stage` map whose clusters are runs of row-major locations."""
+    shift = (h * w).bit_length() - 1 - stage
+    return StructureMap(stage, np.arange(h * w).reshape(h, w) >> shift)
 
 
 def random_embedding(rng, h=4, w=4, k=4):
@@ -81,7 +88,7 @@ class TestVelocityForward:
         rng = np.random.default_rng(5)
         canvas = rng.normal(size=(2, 4, 4, 3)).astype(np.float32)
         zs = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
-        out = model.velocity(np.array([0, 1]), np.array([1, 2]), canvas, zs,
+        out = model.velocity(np.array([0, 1]), [stage_map(0), stage_map(1)], canvas, zs,
                              np.array([0.3, 0.9]))
         assert out.shape == (2, 4, 4, 4)
 
@@ -90,49 +97,57 @@ class TestVelocityForward:
         rng = np.random.default_rng(6)
         canvas = rng.normal(size=(4, 4, 3)).astype(np.float32)
         z = rng.normal(size=(4, 4, 4)).astype(np.float32)
-        out = model.velocity(np.array([0]), np.array([2]), canvas[None], z[None],
+        out = model.velocity(np.array([0]), [stage_map(1)], canvas[None], z[None],
                              np.array([0.5]))
         assert out.shape == (1, 4, 4, 4)
 
     def test_rotary_ids_are_each_rows_known_columns(self, monkeypatch):
-        # loop reference: row b keeps its first stage_b - 1 columns, rounded,
-        # and reads 1 in the others
+        # loop reference: row b, a flow at stage_b, reads its parent map's
+        # embedding, which is its first stage_b - 1 columns of a z clamped to
+        # them, and 1 in the other slots up to the 8 rotary slots
         model = small_model()
         rng = np.random.default_rng(17)
-        stages = np.array([1, 2, 4])
+        parents = [StructureMap(s, rng.permutation(np.arange(16) >> (4 - s)).reshape(4, 4))
+                   for s in (0, 1, 3)]
         zs = (2.0 * rng.standard_normal((3, 4, 4, 4))).astype(np.float32)
+        for b, parent in enumerate(parents):
+            zs[b, ..., :parent.stage] = embed_structure_map(parent, 4)[..., :parent.stage]
         seen = []
         real = model._rope_tables
         monkeypatch.setattr(model, "_rope_tables",
                             lambda ids, *args: seen.append(ids.copy()) or real(ids, *args))
-        model.velocity(np.zeros(3, dtype=np.int64), stages,
+        model.velocity(np.zeros(3, dtype=np.int64), parents,
                        np.zeros((3, 4, 4, 3), np.float32), zs, np.full(3, 0.5))
-        want = np.ones((3, 16, 4), dtype=np.int64)
-        for b, stage in enumerate(stages):
-            want[b, :, :stage - 1] = np.rint(zs[b, ..., :stage - 1]).reshape(16, stage - 1)
+        want = np.ones((3, 16, 8), dtype=np.int64)
+        for b, parent in enumerate(parents):
+            known = parent.stage
+            want[b, :, :known] = np.rint(zs[b, ..., :known]).reshape(16, known)
         assert len(seen) == 1 and np.array_equal(seen[0], want)
 
 
 class TestInputContract:
-    @pytest.mark.parametrize("class_ids, stages, channels, depth", [
-        ([-1], [2], 3, 4), ([4], [2], 3, 4), ([0], [-1], 3, 4), ([0], [0], 3, 4),
-        ([0], [5], 3, 4), ([0], [2], 4, 4), ([0], [2], 3, 5), ([0, 1], [2], 3, 4),
-        ([0], [2, 2], 3, 4),
-    ], ids=["class-negative", "class-above-null", "stage-negative", "stage-zero",
-            "stage-above-last", "canvas-channels", "noised-grid-depth",
-            "two-classes-one-row", "two-stages-one-row"])
-    def test_bad_input_is_invariant_error(self, class_ids, stages, channels, depth):
-        # stage 0 has no flow step: the velocity of stage s knows s - 1 columns
+    @pytest.mark.parametrize("class_ids, parents, channels, depth", [
+        ([-1], [stage_map(1)], 3, 4), ([4], [stage_map(1)], 3, 4),
+        ([0], [stage_map(4)], 3, 4), ([0], [stage_map(1)], 4, 4),
+        ([0], [stage_map(1)], 3, 5), ([0, 1], [stage_map(1)], 3, 4),
+        ([0], [stage_map(1), stage_map(1)], 3, 4), ([0], [stage_map(1, 2, 8)], 3, 4),
+        ([0], [stage_map(1).labels], 3, 4), ([0], [], 3, 4),
+    ], ids=["class-negative", "class-above-null", "stage-above-last", "canvas-channels",
+            "noised-grid-depth", "two-classes-one-row", "two-stages-one-row",
+            "map-wrong-shape", "not-a-map", "no-map"])
+    def test_bad_input_is_invariant_error(self, class_ids, parents, channels, depth):
+        # the velocity of stage s reads the stage s - 1 map, so a stage-4
+        # parent asks for stage 5, past this model's last stage
         model = small_model()           # classes 0..2, null id 3, stages 0..4, e = 3
         with pytest.raises(InvariantError):
-            model.velocity(np.array(class_ids), np.array(stages),
+            model.velocity(np.array(class_ids), parents,
                            np.zeros((1, 4, 4, channels), np.float32),
                            np.zeros((1, 4, 4, depth), np.float32), np.array([0.5]))
 
     def test_needs_one_time_per_row(self):
         # one time for two rows used to broadcast silently over the batch
         with pytest.raises(InvariantError):
-            small_model().velocity(np.array([0, 1]), np.array([2, 2]),
+            small_model().velocity(np.array([0, 1]), [stage_map(1)] * 2,
                                    np.zeros((2, 4, 4, 3), np.float32),
                                    np.zeros((2, 4, 4, 4), np.float32), np.array([0.5]))
 
@@ -303,6 +318,7 @@ def test_masked_flow_loss_gradient_check():
     s_e = (2.0 * rng.integers(0, 2, size=(1, 4, 4, 4))).astype(np.float64)
     noise = rng.standard_normal((1, 4, 4, 4))
     stage = 2
+    parent = stage_map(stage - 1)
     z = 0.4 * noise + 0.6 * s_e
     z[..., :stage - 1] = s_e[..., :stage - 1]
     target = noise - s_e
@@ -310,8 +326,7 @@ def test_masked_flow_loss_gradient_check():
     mask[..., stage - 1:] = 1.0
 
     def loss_fn():
-        vel = model.velocity(np.array([0]), np.array([stage]), canvas, z,
-                             np.array([0.4]))
+        vel = model.velocity(np.array([0]), [parent], canvas, z, np.array([0.4]))
         diff = vel - Tensor(target)
         return (diff * diff * mask).sum() / float(mask.sum())
 

@@ -39,9 +39,8 @@ def structure_eval_loss(examples, model, seed=0, samples=32):
         t = float(rng.random())
         noise = rng.standard_normal((h, w_grid, last)).astype(np.float32)
         z = noised_input(ex.flow_target, t, noise, stage - 1)
-        vel = model.velocity(np.array([ex.class_id]), np.array([stage]),
-                             ex.canvases[stage][None], z[None],
-                             np.array([t]))
+        vel = model.velocity(np.array([ex.class_id]), [ex.sequence.stages[stage - 1][1]],
+                             ex.canvases[stage][None], z[None], np.array([t]))
         target = noise - ex.flow_target
         mask = np.zeros_like(target)
         mask[:, :, stage - 1:] = 1.0
@@ -75,9 +74,9 @@ def seen_loss_class_ids(model, states=None) -> list:
     seen = []
     original = model.loss
 
-    def instrumented(batch, rng=None):
-        seen.append(np.array([item.class_id for item in batch]))
-        loss = original(batch, rng=rng)
+    def instrumented(class_ids, *args, rng=None):
+        seen.append(np.array(class_ids))
+        loss = original(class_ids, *args, rng=rng)
         if states is not None:
             states.append(rng.bit_generator.state)
         return loss
@@ -181,6 +180,17 @@ class TestTokenizeDataset:
             expected = embed_structure_map(ex.sequence.stages[LAST][1], LAST)
             assert ex.flow_target.dtype == np.float32
             assert np.array_equal(ex.flow_target, expected.astype(np.float32))
+
+    def test_each_parent_embedding_is_the_flow_targets_known_columns(self, world):
+        # the velocity of stage k reads the stage-(k-1) map's embedding as its
+        # rotary ids; with canonical nesting those are exactly the k - 1
+        # columns of the flow target that the noised grid keeps clamped
+        _, _, _, examples = world
+        for ex in examples:
+            for k in range(1, LAST):
+                parent = embed_structure_map(ex.sequence.stages[k - 1][1], LAST)
+                assert np.array_equal(parent[..., :k - 1], ex.flow_target[..., :k - 1])
+                assert np.all(parent[..., k - 1:] == 1)
 
     def test_empty_examples_rejected_by_both_trainers(self):
         cfg = TrainConfig(steps=1, batch_size=1)
@@ -309,7 +319,7 @@ class TestTrainStructure:
             ex = examples[int(idx[b])]
             stage = int(stages[b])
             z = noised_input(ex.flow_target, float(ts[b]), noise[b], stage - 1)
-            vel = model.velocity(np.array([ex.class_id]), np.array([stage]),
+            vel = model.velocity(np.array([ex.class_id]), [ex.sequence.stages[stage - 1][1]],
                                  ex.canvases[stage][None], z[None],
                                  np.array([float(ts[b])]))
             target = noise[b] - ex.flow_target
