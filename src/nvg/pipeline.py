@@ -171,14 +171,20 @@ def sample_token(logits: np.ndarray, p: float, rng) -> int:
     return int(kept[min(pick, kept.size - 1)])
 
 
+def _canonical_child(parent_map: StructureMap, child_flat: np.ndarray) -> StructureMap:
+    """The child map that halves each parent cluster as child_flat does,
+    labelled as training maps are: the half holding the smaller row-major
+    location gets 2j."""
+    child = _canonical_split(parent_map.labels.ravel(), child_flat, parent_map.stage)
+    return StructureMap(parent_map.stage + 1, child.reshape(parent_map.labels.shape))
+
+
 def forced_final_split(parent_map: StructureMap) -> StructureMap:
     """Deterministic split of 2-element clusters into singletons; the child
     holding the smaller row-major location gets label 2j."""
     if parent_map.cluster_size != 2:
         raise InvariantError("forced split needs clusters of exactly two locations")
-    parent_flat = parent_map.labels.ravel()
-    child = _canonical_split(parent_flat, np.arange(parent_flat.size), parent_map.stage)
-    return StructureMap(parent_map.stage + 1, child.reshape(parent_map.labels.shape))
+    return _canonical_child(parent_map, np.arange(parent_map.labels.size))
 
 
 @no_grad()
@@ -248,7 +254,11 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             known = embed_structure_map(maps[-1], last).astype(np.float32)
             pred = flow_sample(velocity_fn, known, stage=k, n_steps=sched.flow_steps, rng=rng)
             stats.flow_steps += sched.flow_steps
-            smap = gumbel_balanced_split(maps[k - 1], pred[:, :, k - 1], rng)
+            # the flow predicts column k-1 as 2 * (label & 1), so its high
+            # scores mark 2j + 1, where the split puts 2j: keep the split's
+            # halves and label them canonically, as every training map is
+            split = gumbel_balanced_split(maps[k - 1], pred[:, :, k - 1], rng)
+            smap = _canonical_child(maps[k - 1], split.labels.ravel())
         maps.append(smap)
 
         # ---- content ----

@@ -37,8 +37,8 @@ from nvg.training import TrainConfig, tokenize_dataset, train_content, train_str
 GOLDEN = {
     "content.nvgc": "92608b7fe120b34a24f244ed6ef2b5f6e3345c90a9ac267a183bd86d2d0928b8",
     "structure.nvgc": "2f03b33b9512acfde9169f2b8d889d8731079868ba49c113ce14f4a07f83ba8b",
-    "gen.sequence.json": "686fe7d7ded1e77f06beaf3057fa16b9702c0e01f87a5b6b06f1f29535bc5fd0",
-    "gen.latent.nvgt": "716261671f87c4c3302f2d1a6ae9318da610fd433fe0a21ece78d3c14407f247",
+    "gen.sequence.json": "eb9271d4c9bdc3cebd0e5304f70fd705ed5a84ec8c2b6b83d676e8cfb3b5c39b",
+    "gen.latent.nvgt": "78e07795850b4f7f181b455873ae70cf0e449d76437411508211d966556a610f",
 }
 GOLDEN_ARRAYS = {
     "content.nvgc": "36c4320db02aba41a89b73bcbe639c5967672b3d82bca9b90aea5bfac5a76391",

@@ -232,6 +232,20 @@ class TestGenerate:
             counts = np.bincount(smap.labels.ravel(), minlength=2 ** i)
             assert np.all(counts == hw // 2 ** i)
 
+    def test_flow_sampled_maps_are_canonical(self, setup):
+        # as every training map is: child 2j holds its parent cluster j's
+        # smallest row-major location, so the next stage and the content
+        # model are conditioned on ids of the kind they were trained on
+        _, codebook, refiners, content, structure = setup
+        for seed in range(4):
+            req = GenerationRequest(class_id=seed % CLASSES, seed=seed, h=H, w=W, e=E,
+                                    schedule=ScheduleParams(flow_steps=2))
+            result = generate(req, content, structure, codebook, refiners)
+            maps = [smap.labels.ravel() for _, smap in result.sequence.stages]
+            for parent, child in zip(maps, maps[1:]):
+                first = [np.flatnonzero(parent == j)[0] for j in range(parent.max() + 1)]
+                assert child[first].tolist() == [2 * j for j in range(len(first))]
+
     def test_prefix_override_keeps_parent_consistency(self, setup):
         data, codebook, refiners, content, structure = setup
         cls, grid = data[1]
