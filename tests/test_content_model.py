@@ -58,6 +58,24 @@ class TestForward:
                        if name.startswith("block"))
             assert core == 15 * depth * model.config.width ** 2
 
+    @pytest.mark.parametrize("stage, h, w", [(2, 4, 4), (7, 8, 16)], ids=["K2", "K7"])
+    def test_structure_ids_need_one_column_per_stage(self, monkeypatch, stage, h, w):
+        # the rotary structure ids the model builds from a stage-K map hold one
+        # column per split stage, bit j of each location's label read from
+        # the top as 0 or 2, and the pad id 1 in the other of the 8 slots
+        model = small_model(last_stage=7)
+        smap = stage_map(stage, h, w)
+        seen = []
+        real = model._rope_tables
+        monkeypatch.setattr(model, "_rope_tables",
+                            lambda ids, *args: seen.append(ids.copy()) or real(ids, *args))
+        model.forward_final_canvas(np.array([0]), [smap], np.zeros((1, h, w, 3), np.float32))
+        labels = smap.labels.reshape(-1)
+        want = np.ones((1, h * w, 8), dtype=np.int64)
+        for j in range(stage):
+            want[0, :, j] = 2 * ((labels >> (stage - 1 - j)) & 1)
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
+
     def test_class_conditioning_reaches_output_after_training(self, tokenized_example):
         examples, codebook = tokenized_example
         model = small_model(e=3, n=codebook.size, classes=2, last_stage=4, seed=1)
