@@ -304,6 +304,8 @@ class Generator:
         if class_ids.ndim != 1 or len(smaps) != class_ids.size:
             raise InvariantError(f"need one structure map per class id, got {len(smaps)} "
                                  f"maps for class ids of shape {class_ids.shape}")
+        if not smaps:
+            raise InvariantError("empty batch")
         b_sz, grid = class_ids.size, runs[0][0].shape[1:3]
         for data, weight, _ in runs:
             if data.shape != (b_sz, *grid, weight.shape[0]):

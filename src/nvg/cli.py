@@ -164,7 +164,6 @@ def cmd_train_generator(args, kind: str) -> int:
     dataset, (h, w, e) = _make_dataset(args)
     codebook = _load_codebook(args.codebook)
     refiners = checkpoints.load_refiners(args.refiners)
-    examples = tokenize_dataset(dataset, codebook, refiners)
     last = (h * w).bit_length() - 1
     config = TrainConfig(steps=args.steps, batch_size=args.batch, base_lr=args.lr,
                          warmup_steps=args.warmup,
@@ -173,6 +172,8 @@ def cmd_train_generator(args, kind: str) -> int:
                         "structure": (StructureModel, train_structure)}[kind]
     model = model_cls(ModelConfig(args.depth, kind, e, codebook.size, args.classes, last),
                       seed=args.seed)
+    # tokenized last, so a bad option costs no tokenization
+    examples = tokenize_dataset(dataset, codebook, refiners)
     losses = train(examples, model, config).losses
     checkpoints.save_model(args.output, model)
     final = f"final loss {losses[-1]:.6f}" if losses else "no loss"

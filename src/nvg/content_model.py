@@ -89,8 +89,6 @@ class ContentModel(Generator):
         sample b: class id, stage map, running canvas, full-depth target
         canvas and (2**stage,) codebook indices. A given rng turns dropout on."""
         smaps = list(smaps)
-        if not smaps:
-            raise InvariantError("empty batch")
         if len(target_tokens) != len(smaps):
             raise InvariantError(f"need one token target per map, got {len(target_tokens)} "
                                  f"for {len(smaps)}")

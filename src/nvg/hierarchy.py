@@ -3,11 +3,14 @@
 The finest stage gives every location its own cluster; each coarser stage
 merges cluster pairs greedily by squared l2 distance between cluster means
 until one cluster covers the grid. Labels are then rewritten into canonical
-parent-child form (label j splits into 2j and 2j+1). A Hierarchy is those
-maps and nothing else; whether a build was greedy can be checked from the
-maps and the grid alone, because each stage's clusters, averaged from the
-grid, must pair up as 2j with 2j+1 under a fresh greedy scan (barring exact
-distance ties, which the scan breaks by label order).
+parent-child form by `canonical_child`, the one labelling rule: cluster j
+splits into 2j, the half holding its smallest row-major location, and 2j+1.
+Sampled, forced and image-read maps are labelled by it too, and API
+overrides are checked against it. A Hierarchy is the maps and nothing else;
+whether a build was greedy can be checked from the maps and the grid alone,
+because each stage's clusters, averaged from the grid, must pair up as 2j
+with 2j+1 under a fresh greedy scan (barring exact distance ties, which the
+scan breaks by label order).
 
 A stage's members are one (clusters, size) array of grid locations, so its
 labels and cluster means come from one scatter and one gather per stage. A
@@ -32,6 +35,7 @@ from .grid import LatentGrid, StructureMap, check_map_chain
 __all__ = [
     "Hierarchy",
     "build_hierarchy",
+    "canonical_child",
     "reindex_hierarchy",
 ]
 
@@ -155,57 +159,47 @@ def build_hierarchy(grid: LatentGrid) -> Hierarchy:
     return reindex_hierarchy(maps)
 
 
-def _canonical_split(parent: np.ndarray, child: np.ndarray, stage: int):
-    """Canonical child labels under flat canonical stage-`stage` labels.
-
-    child is any flat labeling that splits each parent cluster j into two
-    equal halves; the half holding the smaller row-major location gets 2j,
-    the other 2j+1. Returns None when some cluster does not split that way.
-    """
-    n = 1 << stage
-    size = parent.size // n
-    # parent is a balanced stage-`stage` labeling, so a stable sort lays the
-    # clusters out as n rows of locations in row-major order: column 0 of each
-    # row is the cluster's smallest location.
-    order = np.argsort(parent, kind="stable")
-    old = child[order].reshape(n, size)
+def canonical_child(parent: StructureMap, halves) -> StructureMap:
+    """The stage-(k+1) map that halves each cluster of the stage-k `parent`
+    as the flat or (h, w) labeling `halves` does, labelled canonically: the
+    half holding cluster j's smallest row-major location gets 2j, the other
+    2j+1. Raises InvariantError when some cluster does not split into two
+    equal halves."""
+    halves = np.asarray(halves).ravel()
+    if halves.size != parent.labels.size:
+        raise InvariantError(f"{halves.size} child labels for {parent.labels.size} locations")
+    n, size = parent.num_clusters, parent.cluster_size
+    # parent is balanced, so a stable sort lays its clusters out as n rows of
+    # locations in row-major order: column 0 of each row is the cluster's
+    # smallest location
+    order = np.argsort(parent.labels.ravel(), kind="stable")
+    old = halves[order].reshape(n, size)
     second = old != old[:, :1]
-    if np.any(second.sum(axis=1) * 2 != size):
-        return None
-    rest = old[second].reshape(n, size // 2)
-    if np.any(rest != rest[:, :1]):
-        return None
-    out = np.empty(parent.size, dtype=np.int32)
-    out[order] = (2 * np.arange(n)[:, None] + second).ravel()
-    return out
+    other = old[np.arange(n), second.argmax(axis=1)]
+    if np.any(second.sum(axis=1) * 2 != size) or np.any(second & (old != other[:, None])):
+        raise InvariantError(f"stage {parent.stage + 1} labels do not halve "
+                             f"every stage-{parent.stage} cluster")
+    child = np.empty(parent.labels.size, dtype=np.int32)
+    child[order] = (2 * np.arange(n)[:, None] + second).ravel()
+    return StructureMap(parent.stage + 1, child.reshape(parent.labels.shape))
 
 
 def reindex_hierarchy(maps) -> Hierarchy:
     """Rewrite labels top-down into canonical 2j/2j+1 form.
 
     Takes a sequence of per-stage StructureMaps whose cluster memberships are
-    parent-consistent under any labeling. Of the two children of label j, the
-    one containing the smallest row-major location gets label 2j. Idempotent
-    on already-canonical maps.
+    parent-consistent under any labeling, and relabels each stage as the
+    `canonical_child` of the canonical stage before. Idempotent on
+    already-canonical maps.
     """
     maps = tuple(maps)
     if not maps:
         raise InvariantError("nothing to reindex")
-    grid_h, grid_w = maps[0].labels.shape
-    hw = grid_h * grid_w
+    shape = maps[0].labels.shape
     for i, smap in enumerate(maps):
-        if smap.stage != i or smap.labels.shape != (grid_h, grid_w):
+        if smap.stage != i or smap.labels.shape != shape:
             raise InvariantError(f"map {i} is tagged stage {smap.stage} or has a foreign shape")
-
-    new_flat = [np.zeros(hw, dtype=np.int32)]
-    for i in range(len(maps) - 1):
-        child_new = _canonical_split(new_flat[i], maps[i + 1].labels.ravel(), i)
-        if child_new is None:
-            raise InvariantError(
-                f"stage {i + 1} memberships are not parent-consistent with stage {i}"
-            )
-        new_flat.append(child_new)
-    new_maps = tuple(
-        StructureMap(i, flat.reshape(grid_h, grid_w)) for i, flat in enumerate(new_flat)
-    )
-    return Hierarchy(new_maps)
+    new_maps = [StructureMap(0, np.zeros(shape, dtype=np.int32))]
+    for smap in maps[1:]:
+        new_maps.append(canonical_child(new_maps[-1], smap.labels))
+    return Hierarchy(tuple(new_maps))

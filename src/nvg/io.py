@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import FormatError, InvariantError
 from .grid import Codebook, ContentTokens, StructureMap, VGSequence
+from .hierarchy import canonical_child
 
 __all__ = [
     "write_tensor", "read_tensor", "tensor_bytes",
@@ -269,12 +270,12 @@ def structure_map_to_gray(smap: StructureMap) -> np.ndarray:
 
 def gray_to_structure_map(gray: np.ndarray, stage: int = 1) -> StructureMap:
     """Parse a binary image as a stage-1 override: exactly two pixel values
-    with equal populations; the darker value becomes label 0."""
+    with equal populations, labelled by `canonical_child`, so the level at
+    location (0, 0) becomes label 0."""
     if stage != 1:
         raise InvariantError("binary overrides are supported at stage 1 only")
     values = np.unique(gray)
     if values.size != 2:
         raise InvariantError(f"override image must use exactly 2 gray levels, "
                              f"found {values.size}")
-    labels = (gray == values[1]).astype(np.int64)
-    return StructureMap(1, labels)  # StructureMap enforces the equal split
+    return canonical_child(StructureMap(0, np.zeros(gray.shape, dtype=np.int32)), gray)

@@ -6,7 +6,8 @@ Guidance and nucleus schedules sharpen over the stages: top-p decays
 log-linearly from 1.0 to 0.5 and the guidance scale grows linearly to 2.5
 (structure) or 3.5 (content); `cfg_forward` applies guidance to both the flow
 velocity and the token logits. User overrides replace sampling per stage and
-mix freely with generated stages as long as parent-consistency holds.
+mix freely with generated stages as long as each is the canonical child of
+the realized stage before it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .grid import (
     assign,
     parent_consistent,
 )
-from .hierarchy import _canonical_split
+from .hierarchy import canonical_child
 from .structcode import embed_structure_map
 from .structure_model import StructureModel, flow_sample, gumbel_balanced_split
 
@@ -171,20 +172,12 @@ def sample_token(logits: np.ndarray, p: float, rng) -> int:
     return int(kept[min(pick, kept.size - 1)])
 
 
-def _canonical_child(parent_map: StructureMap, child_flat: np.ndarray) -> StructureMap:
-    """The child map that halves each parent cluster as child_flat does,
-    labelled as training maps are: the half holding the smaller row-major
-    location gets 2j."""
-    child = _canonical_split(parent_map.labels.ravel(), child_flat, parent_map.stage)
-    return StructureMap(parent_map.stage + 1, child.reshape(parent_map.labels.shape))
-
-
 def forced_final_split(parent_map: StructureMap) -> StructureMap:
-    """Deterministic split of 2-element clusters into singletons; the child
-    holding the smaller row-major location gets label 2j."""
+    """Deterministic split of 2-element clusters into singletons, labelled by
+    `canonical_child`: the smaller row-major location gets 2j."""
     if parent_map.cluster_size != 2:
         raise InvariantError("forced split needs clusters of exactly two locations")
-    return _canonical_child(parent_map, np.arange(parent_map.labels.size))
+    return canonical_child(parent_map, np.arange(parent_map.labels.size))
 
 
 @no_grad()
@@ -199,7 +192,9 @@ def generate(req: GenerationRequest, content_model: ContentModel,
     stage-(k-1) map, and the content step reads the stage-k map. The flow's
     known columns are the stage-(k-1) map's embedding, the same
     `embed_structure_map` rule the trainers' flow target follows; with
-    canonical nesting its column j is 2 * (stage-(j+1) label & 1).
+    canonical nesting its column j is 2 * (stage-(j+1) label & 1). Sampled
+    and forced maps are labelled by `canonical_child`, as training maps are,
+    and an override that is not already so labelled raises InvariantError.
     """
     last = req.last_stage
     h, w_grid, e = req.h, req.w, req.e
@@ -233,10 +228,11 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             smap = StructureMap(0, np.zeros((h, w_grid), dtype=np.int32))
         elif k in req.structure_overrides:
             smap = req.structure_overrides[k]
-            if not parent_consistent(maps[k - 1], smap):
-                raise InvariantError(
-                    f"structure override at stage {k} is not parent-consistent "
-                    f"with the realized stage {k - 1}")
+            # rejected, not relabelled: a relabelled stage k would no longer
+            # nest the overrides below it that the request has checked
+            if not np.array_equal(canonical_child(maps[k - 1], smap.labels).labels, smap.labels):
+                raise InvariantError(f"structure override at stage {k} is not the "
+                                     f"canonical child of the realized stage {k - 1}")
         elif k == last:
             smap = forced_final_split(maps[k - 1])
         else:
@@ -254,11 +250,7 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             known = embed_structure_map(maps[-1], last).astype(np.float32)
             pred = flow_sample(velocity_fn, known, stage=k, n_steps=sched.flow_steps, rng=rng)
             stats.flow_steps += sched.flow_steps
-            # the flow predicts column k-1 as 2 * (label & 1), so its high
-            # scores mark 2j + 1, where the split puts 2j: keep the split's
-            # halves and label them canonically, as every training map is
-            split = gumbel_balanced_split(maps[k - 1], pred[:, :, k - 1], rng)
-            smap = _canonical_child(maps[k - 1], split.labels.ravel())
+            smap = gumbel_balanced_split(maps[k - 1], pred[:, :, k - 1], rng)
         maps.append(smap)
 
         # ---- content ----

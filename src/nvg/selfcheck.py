@@ -118,6 +118,9 @@ def _check_schedules():
 
 
 def _check_gumbel(seed):
+    # canonical labels put location 0 in child 0 every time; under a uniformly
+    # random halving of 16 locations, each other one joins it with
+    # probability 7/15
     rng = np.random.default_rng(seed)
     parent = StructureMap(0, np.zeros((4, 4), dtype=np.int64))
     hits = np.zeros(16)
@@ -127,10 +130,12 @@ def _check_gumbel(seed):
         counts = np.bincount(child.labels.ravel(), minlength=2)
         if counts[0] != 8 or counts[1] != 8:
             return False, "split not balanced"
+        if child.labels[0, 0] != 0:
+            return False, "location 0 is not in child 0"
         hits += child.labels.ravel() == 0
-    if np.abs(hits / n - 0.5).max() > 0.05:
+    if np.abs(hits[1:] / n - 7 / 15).max() > 0.05:
         return False, "uniform scores do not split evenly"
-    return True, f"{n} splits balanced; frequencies near 1/2"
+    return True, f"{n} splits balanced and canonical; frequencies near 7/15"
 
 
 def _check_flow_oracle(seed):

@@ -5,7 +5,8 @@ The embedding grid is noised along a straight path z(t) = t*noise +
 values at every t, so generation is an inpainting problem. The network
 predicts the path velocity (noise - target) and an Euler sampler walks t from
 1 to 0. A Gumbel-perturbed top-half split turns the predicted column into an
-exactly balanced child map.
+exactly balanced child map, labelled by `hierarchy.canonical_child` as every
+training map is.
 
 `StructureModel` is an adapter on `backbone.Generator`, whose one forward
 does the conditioning, the rotary ids, the blocks and the output head. The
@@ -27,6 +28,7 @@ from .backbone import Generator, time_features
 from .backbone import rope_tables  # noqa: F401
 from .errors import InvariantError, NumericError
 from .grid import StructureMap
+from .hierarchy import canonical_child
 
 __all__ = ["noised_input", "StructureModel", "flow_sample", "gumbel_balanced_split"]
 
@@ -119,8 +121,10 @@ def gumbel_balanced_split(parent_map: StructureMap, scores: np.ndarray,
     """Split every parent cluster exactly in half by Gumbel-perturbed scores.
 
     Per parent label j, the half of its locations with the largest
-    score + Gumbel(0, 1) noise gets child label 2j, the rest 2j+1; equal
-    noisy scores go to the smaller row-major location first.
+    score + Gumbel(0, 1) noise forms one child, the rest the other; equal
+    noisy scores go to the smaller row-major location first. The children
+    are labelled by `canonical_child`: 2j holds j's smallest location,
+    whichever half that is.
     """
     rng = np.random.default_rng(rng)
     scores = np.asarray(scores, dtype=np.float64)
@@ -129,12 +133,10 @@ def gumbel_balanced_split(parent_map: StructureMap, scores: np.ndarray,
     if parent_map.cluster_size % 2:
         raise InvariantError("parent clusters must have even size to split")
     noisy = (scores + rng.gumbel(size=scores.shape)).ravel()
-    parent_flat = parent_map.labels.ravel()
     n, size = parent_map.num_clusters, parent_map.cluster_size
     # row j holds parent j's locations in row-major order (the map is balanced)
-    locs = np.argsort(parent_flat, kind="stable").reshape(n, size)
+    locs = np.argsort(parent_map.labels.ravel(), kind="stable").reshape(n, size)
     ranked = np.take_along_axis(locs, np.argsort(-noisy[locs], axis=1, kind="stable"), axis=1)
-    child = np.empty_like(parent_flat)
-    child[ranked] = 2 * np.arange(n)[:, None] + (np.arange(size) >= size // 2)
-    return StructureMap(parent_map.stage + 1, child.reshape(parent_map.labels.shape))
-
+    top = np.empty(noisy.size, dtype=bool)
+    top[ranked] = np.arange(size) < size // 2
+    return canonical_child(parent_map, top)

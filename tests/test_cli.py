@@ -23,7 +23,7 @@ from nvg.checkpoints import load_model, save_model, save_refiners
 from nvg.content_model import ContentModel
 from nvg.grid import LatentGrid, StructureMap
 from nvg.hierarchy import build_hierarchy
-from nvg.io import structure_map_to_gray, write_pgm, write_sequence, write_tensor
+from nvg.io import read_sequence, structure_map_to_gray, write_pgm, write_sequence, write_tensor
 from nvg.quantize import Refiner, build_contents, fit_codebook, identity_refiners
 from nvg.structure_model import StructureModel
 
@@ -283,6 +283,33 @@ def test_override_of_another_shape_exits_3_and_writes_nothing(files, capsys, tmp
     code, err = run(argv, capsys)
     assert code == 3 and "override at stage 1 has wrong shape" in err
     assert list(tmp_path.iterdir()) == [pgm]
+
+
+def test_bright_top_override_is_labelled_canonically(files, capsys, tmp_path):
+    # the override image's bright top half holds location (0, 0), so it is
+    # child 0, as in every training map; it used to come back as label 1
+    argv, inputs, outputs = commands(files)["generate"]
+    pgm = tmp_path / "bright-top.pgm"
+    write_pgm(pgm, np.repeat([255, 0], 8).astype(np.uint8).reshape(4, 4))
+    out = tmp_path / "out"
+    code, _ = run(_swap(_swap(argv, inputs[4], pgm), outputs[0], out), capsys)
+    assert code == 0
+    stage1 = read_sequence(f"{out}.sequence.json").stages[1][1]
+    assert stage1.labels.ravel().tolist() == [0] * 8 + [1] * 8
+
+
+def test_odd_structure_depth_exits_3_before_tokenizing(files, capsys, tmp_path, monkeypatch):
+    # the configs are built before the dataset is tokenized, so a bad option
+    # costs no tokenization
+    def no_tokenizing(*args):
+        raise AssertionError("tokenize_dataset ran before the configs were checked")
+
+    monkeypatch.setattr(cli, "tokenize_dataset", no_tokenizing)
+    argv, _, outputs = commands(files)["train-structure"]
+    out = tmp_path / "model.nvgc"
+    code, err = run(_swap(argv, outputs[0], out) + ["--depth", "3"], capsys)
+    assert code == 3 and "even depth" in err
+    assert not out.exists()
 
 
 def test_tokenize_with_an_overflowing_refiner_exits_4_without_warning(files, capsys,

@@ -105,9 +105,10 @@ class TestInputContract:
         ([0], [stage_map(1, 2, 8)], (1, 4, 4, 3)),
         ([0], [stage_map(2).labels], (1, 4, 4, 3)),
         ([0], [], (1, 4, 4, 3)),
+        ([], [], (0, 4, 4, 3)),
     ], ids=["class-negative", "class-above-null", "stage-above-last", "canvas-channels",
             "two-classes-one-row", "two-stages-one-row", "map-wrong-shape", "not-a-map",
-            "no-map"])
+            "no-map", "empty-batch"])
     def test_bad_input_is_invariant_error(self, class_ids, smaps, canvas_shape):
         # ids index embedding tables, where row -1 is the null class or last
         # stage; each row's stage is its map's, so an 8x8 grid's stage-5 map

@@ -2,7 +2,9 @@
 imports may not name something that was renamed or deleted. And every name a
 module imports is read: no linter is a dependency, so an `ast` pass stands in
 for the unused-import check. Another `ast` pass keeps every test under
-`pyproject.toml`'s `error::RuntimeWarning`: no test may ignore a warning."""
+`pyproject.toml`'s `error::RuntimeWarning`: no test may ignore a warning. A
+third keeps each module's underscore names its own: no module in `nvg`
+imports one from another."""
 
 import ast
 import importlib
@@ -74,6 +76,25 @@ def test_unused_import_check_sees_each_kind_of_import():
     source = ("import os\nimport numpy as np\nfrom a import b, c as d\n"
               "from e import f  # noqa: F401\nprint(np, c)\n")
     assert unused_imports(source) == ["b", "d", "os"]
+
+
+def private_imports(source: str) -> list:
+    """Underscore names the source imports from a module, `from m import _x`."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_no_module_imports_a_private_name():
+    found = {path.name: private_imports(path.read_text())
+             for path in sorted(Path(nvg.__file__).parent.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_private_import_check_sees_from_imports():
+    source = ("import os as _os\nfrom .a import _b, c\nfrom d import _e as f\n"
+              "from . import g\n")
+    assert private_imports(source) == ["_b", "_e"]
 
 
 PERFBENCH = Path(nvg.__file__).parents[2] / "perfbench"

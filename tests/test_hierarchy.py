@@ -6,7 +6,7 @@ import pytest
 from nvg import hierarchy
 from nvg.errors import InvariantError, NumericError
 from nvg.grid import LatentGrid, StructureMap
-from nvg.hierarchy import Hierarchy, build_hierarchy, reindex_hierarchy
+from nvg.hierarchy import Hierarchy, build_hierarchy, canonical_child, reindex_hierarchy
 
 
 def greedy_pair_step(vectors):
@@ -60,8 +60,8 @@ def oracle_vectors(kind, m, e, rng):
 
 
 def reference_canonical_split(parent, child, stage):
-    """One flatnonzero scan per parent cluster; hierarchy._canonical_split
-    must agree with it, None included."""
+    """One flatnonzero scan per parent cluster; hierarchy.canonical_child
+    must agree with it, and raise InvariantError where it returns None."""
     out = np.empty(parent.size, dtype=np.int32)
     for j in range(1 << stage):
         locs = np.flatnonzero(parent == j)
@@ -381,11 +381,15 @@ class TestReindexHierarchy:
                 child[[a, b]] = child[[b, a]]
             elif trial % 3 == 2:
                 child[rng.integers(0, hw)] = rng.integers(0, 2 * n)
-            got = hierarchy._canonical_split(parent, child, stage)
+            parent_map = StructureMap(stage, parent.reshape(1, hw))
             want = reference_canonical_split(parent, child, stage)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert np.array_equal(got, want) and got.dtype == want.dtype
+            if want is None:
+                with pytest.raises(InvariantError):
+                    canonical_child(parent_map, child)
+                continue
+            got = canonical_child(parent_map, child)
+            assert got.stage == stage + 1
+            assert np.array_equal(got.labels.ravel(), want) and got.labels.dtype == want.dtype
 
     @pytest.mark.parametrize("bad_row", [
         [0, 1, 2, 2, 0, 1, 3, 3],     # first label of cluster 0 holds 1 of its 4

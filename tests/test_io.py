@@ -151,11 +151,17 @@ class TestPgm:
         gray = structure_map_to_gray(smap)
         assert set(np.unique(gray).tolist()) == {0, 255}
 
-    def test_binary_override_parses_darker_as_zero(self):
-        gray = np.zeros((2, 4), dtype=np.uint8)
-        gray[:, 2:] = 255
+    @pytest.mark.parametrize("shape, bright, want", [
+        ((2, 4), np.s_[:, 2:], [[0, 0, 1, 1], [0, 0, 1, 1]]),
+        ((4, 4), np.s_[:2], [[0] * 4] * 2 + [[1] * 4] * 2),
+    ], ids=["dark-left", "bright-top"])
+    def test_binary_override_gives_location_0_label_0(self, shape, bright, want):
+        # labelled as every training map is: the level at location (0, 0) is
+        # child 0, whether it is the darker or the brighter one
+        gray = np.zeros(shape, dtype=np.uint8)
+        gray[bright] = 255
         smap = gray_to_structure_map(gray)
-        assert np.array_equal(smap.labels, np.array([[0, 0, 1, 1], [0, 0, 1, 1]]))
+        assert smap.stage == 1 and np.array_equal(smap.labels, np.array(want))
 
     def test_unbalanced_override_rejected(self):
         gray = np.zeros((2, 4), dtype=np.uint8)

@@ -275,6 +275,17 @@ class TestGenerate:
             GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
                               structure_overrides={1: a, 2: StructureMap(2, b_labels)})
 
+    def test_anti_canonical_override_rejected(self, setup):
+        # nested and balanced, but location 0 is in child 1: no training map
+        # is labelled so, and relabelling it would unnest deeper overrides
+        _, codebook, refiners, content, structure = setup
+        flipped = StructureMap(1, np.repeat([1, 0], H * W // 2).reshape(H, W))
+        req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
+                                structure_overrides={1: flipped},
+                                schedule=ScheduleParams(flow_steps=2))
+        with pytest.raises(InvariantError, match="not the canonical child of the realized"):
+            generate(req, content, structure, codebook, refiners)
+
     @pytest.mark.parametrize("h, w", [(-4, -4), (0, 4), (4, 3)])
     def test_grid_shape_must_be_positive_with_power_of_two_area(self, h, w):
         with pytest.raises(InvariantError):

@@ -1,16 +1,18 @@
 """The `selfcheck` oracle suite: every check passes, in the library and
-through the CLI, and the tokenizer check fails on a broken tokenizer."""
+through the CLI, the tokenizer check fails on a broken tokenizer, and the
+Gumbel check fails on a split that labels by score rather than canonically."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nvg
 from nvg import selfcheck
-from nvg.grid import LatentGrid
+from nvg.grid import LatentGrid, StructureMap
 from nvg.selfcheck import run_selfcheck
 
 
@@ -50,4 +52,27 @@ def test_tokenize_reconstruct_fails_on_a_broken_tokenizer(monkeypatch, name, bre
     monkeypatch.setattr(selfcheck, name, breakage(getattr(selfcheck, name)))
     results = {check: ok for check, ok, _ in run_selfcheck(0)}
     assert results.pop("tokenize-reconstruct") is False
+    assert all(results.values())
+
+
+def _top_half_gets_2j(parent_map, scores, rng):
+    """The split's old rule: the higher-scoring half gets 2j, wherever the
+    cluster's smallest location lies."""
+    noisy = (np.asarray(scores, dtype=np.float64)
+             + np.random.default_rng(rng).gumbel(size=scores.shape)).ravel()
+    parent_flat = parent_map.labels.ravel()
+    child = np.empty_like(parent_flat)
+    half = parent_map.cluster_size // 2
+    for j in range(parent_map.num_clusters):
+        locs = np.flatnonzero(parent_flat == j)
+        order = np.argsort(-noisy[locs], kind="stable")
+        child[locs[order[:half]]] = 2 * j
+        child[locs[order[half:]]] = 2 * j + 1
+    return StructureMap(parent_map.stage + 1, child.reshape(parent_map.labels.shape))
+
+
+def test_gumbel_check_fails_on_score_ordered_labels(monkeypatch):
+    monkeypatch.setattr(selfcheck, "gumbel_balanced_split", _top_half_gets_2j)
+    results = {check: ok for check, ok, _ in run_selfcheck(0)}
+    assert results.pop("gumbel-balanced-split") is False
     assert all(results.values())

@@ -131,18 +131,20 @@ class TestInputContract:
         ([0], [stage_map(4)], 3, 4), ([0], [stage_map(1)], 4, 4),
         ([0], [stage_map(1)], 3, 5), ([0, 1], [stage_map(1)], 3, 4),
         ([0], [stage_map(1), stage_map(1)], 3, 4), ([0], [stage_map(1, 2, 8)], 3, 4),
-        ([0], [stage_map(1).labels], 3, 4), ([0], [], 3, 4),
+        ([0], [stage_map(1).labels], 3, 4), ([0], [], 3, 4), ([], [], 3, 4),
     ], ids=["class-negative", "class-above-null", "stage-above-last", "canvas-channels",
             "noised-grid-depth", "two-classes-one-row", "two-stages-one-row",
-            "map-wrong-shape", "not-a-map", "no-map"])
+            "map-wrong-shape", "not-a-map", "no-map", "empty-batch"])
     def test_bad_input_is_invariant_error(self, class_ids, parents, channels, depth):
         # the velocity of stage s reads the stage s - 1 map, so a stage-4
-        # parent asks for stage 5, past this model's last stage
+        # parent asks for stage 5, past this model's last stage; the grids
+        # and times have one row per class id
         model = small_model()           # classes 0..2, null id 3, stages 0..4, e = 3
+        rows = len(class_ids)
         with pytest.raises(InvariantError):
             model.velocity(np.array(class_ids), parents,
-                           np.zeros((1, 4, 4, channels), np.float32),
-                           np.zeros((1, 4, 4, depth), np.float32), np.array([0.5]))
+                           np.zeros((rows, 4, 4, channels), np.float32),
+                           np.zeros((rows, 4, 4, depth), np.float32), np.full(rows, 0.5))
 
     def test_needs_one_time_per_row(self):
         # one time for two rows used to broadcast silently over the batch
@@ -246,6 +248,9 @@ class TestGumbelSplit:
         assert counts.tolist() == [4, 4]
 
     def test_uniform_scores_halve_evenly(self):
+        # canonical labels put location 0 in child 0 every time; under a
+        # uniformly random halving of 8 locations, each other one joins it
+        # with probability 3/7
         parent = StructureMap(0, np.zeros((2, 4), dtype=np.int64))
         scores = np.zeros((2, 4))
         rng = np.random.default_rng(13)
@@ -255,7 +260,8 @@ class TestGumbelSplit:
             child = gumbel_balanced_split(parent, scores, rng)
             hits += (child.labels.ravel() == 0)
         freq = hits / n
-        assert np.all(np.abs(freq - 0.5) <= 0.02)
+        assert freq[0] == 1
+        assert np.all(np.abs(freq[1:] - 3 / 7) <= 0.02)
 
     def test_strong_scores_dominate(self):
         parent = StructureMap(0, np.zeros((2, 4), dtype=np.int64))
@@ -276,7 +282,8 @@ class TestGumbelSplit:
 
     @staticmethod
     def loop_split(parent_map, scores, seed):
-        """Reference: one stable argsort per parent cluster."""
+        """Reference: one stable argsort per parent cluster; the half holding
+        the cluster's first row-major location gets 2j."""
         noisy = (scores + np.random.default_rng(seed).gumbel(size=scores.shape)).ravel()
         parent_flat = parent_map.labels.ravel()
         child = np.empty_like(parent_flat)
@@ -284,8 +291,11 @@ class TestGumbelSplit:
         for j in range(parent_map.num_clusters):
             locs = np.flatnonzero(parent_flat == j)
             order = np.argsort(-noisy[locs], kind="stable")
-            child[locs[order[:half]]] = 2 * j
-            child[locs[order[half:]]] = 2 * j + 1
+            top, rest = locs[order[:half]], locs[order[half:]]
+            if locs[0] in rest:
+                top, rest = rest, top
+            child[top] = 2 * j
+            child[rest] = 2 * j + 1
         return child.reshape(parent_map.labels.shape)
 
     @pytest.mark.parametrize("side", [4, 8, 16])
