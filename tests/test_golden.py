@@ -2,7 +2,9 @@
 
 A synthetic 4x4x4 dataset goes through the whole system: codebook and
 refiner fitting, tokenization, two steps of each trainer, a round trip of
-both models through checkpoint files and one generation with 4 flow steps.
+both models through checkpoint files and two generations with 4 flow steps:
+a free one, and one whose structure is fixed through stage 2 and whose
+content is fixed at stages 0-1.
 The SHA-256 of every file the run writes is pinned, so a change that keeps
 these hashes keeps initial weights, RNG draw order, training, the checkpoint
 layout and sampling bit-identical. Re-pin only for a change that is meant to
@@ -39,6 +41,8 @@ GOLDEN = {
     "structure.nvgc": "2f03b33b9512acfde9169f2b8d889d8731079868ba49c113ce14f4a07f83ba8b",
     "gen.sequence.json": "eb9271d4c9bdc3cebd0e5304f70fd705ed5a84ec8c2b6b83d676e8cfb3b5c39b",
     "gen.latent.nvgt": "78e07795850b4f7f181b455873ae70cf0e449d76437411508211d966556a610f",
+    "override.sequence.json": "42f5a4612402aafa483793d3cf2ddf64002fa6356f534270670547f699bb70cf",
+    "override.latent.nvgt": "2d5ff4cdf3ad46e8aa13fddb20141487309f3a332146a3e8ba704b66255b9f1a",
 }
 GOLDEN_ARRAYS = {
     "content.nvgc": "36c4320db02aba41a89b73bcbe639c5967672b3d82bca9b90aea5bfac5a76391",
@@ -73,11 +77,23 @@ def run_pipeline(workdir) -> tuple:
     save_model(workdir / "structure.nvgc", structure)
     content = load_model(workdir / "content.nvgc")
     structure = load_model(workdir / "structure.nvgc")
-    req = GenerationRequest(class_id=1, seed=4, h=4, w=4, e=4,
-                            schedule=ScheduleParams(flow_steps=4))
-    result = generate(req, content, structure, codebook, refiners)
-    write_sequence(workdir / "gen.sequence.json", result.sequence, codebook)
-    write_tensor(workdir / "gen.latent.nvgt", result.canvas.data)
+    schedule = ScheduleParams(flow_steps=4)
+    # the override run fixes examples[1]'s structure through stage 2 and its
+    # content at stages 0-1, so the flow runs at stage 3 alone
+    fixed = examples[1]
+    m1, m2 = fixed.sequence.stages[1][1], fixed.sequence.stages[2][1]
+    requests = {
+        "gen": GenerationRequest(class_id=1, seed=4, h=4, w=4, e=4, schedule=schedule),
+        "override": GenerationRequest(
+            class_id=fixed.class_id, seed=4, h=4, w=4, e=4,
+            structure_overrides={1: m1, 2: m2},
+            content_overrides={i: fixed.sequence.stages[i][0] for i in (0, 1)},
+            schedule=schedule),
+    }
+    for name, req in requests.items():
+        result = generate(req, content, structure, codebook, refiners)
+        write_sequence(workdir / f"{name}.sequence.json", result.sequence, codebook)
+        write_tensor(workdir / f"{name}.latent.nvgt", result.canvas.data)
     files = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
              for name in GOLDEN}
     return files, {name: arrays_sha256(workdir / name) for name in GOLDEN_ARRAYS}
