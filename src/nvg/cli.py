@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=25, help="flow steps per structure stage")
     p.add_argument("--override-structure", action="append", default=[],
                    metavar="STAGE:FILE.pgm",
-                   help="fix one stage's structure map from a PGM (stage 1 only)")
+                   help="fix the structure of stages 0..STAGE from a PGM (stage 1 only)")
     p.add_argument("--top-p-override", type=float, default=None,
                    help="constant top-p instead of the schedule")
     p.add_argument("--cfg-override", type=float, default=None,
@@ -189,19 +189,19 @@ def cmd_generate(args) -> int:
     codebook = _load_codebook(args.codebook)
     refiners = checkpoints.load_refiners(args.refiners)
     h, w, e = _parse_latent(args.latent)
-    overrides = {}
+    prefix = None
     for spec_text in args.override_structure:
         try:
             stage_text, path = spec_text.split(":", 1)
             stage = int(stage_text)
         except ValueError as exc:
             raise FormatError(f"--override-structure wants STAGE:FILE, got {spec_text!r}") from exc
-        overrides[stage] = io.gray_to_structure_map(io.read_pgm(path), stage=stage)
+        prefix = io.gray_to_structure_map(io.read_pgm(path), stage=stage)
     schedule = ScheduleParams(flow_steps=args.steps,
                               cfg_constant=args.cfg_override,
                               top_p_constant=args.top_p_override)
     req = GenerationRequest(class_id=args.class_id, seed=args.seed, h=h, w=w, e=e,
-                            structure_overrides=overrides, schedule=schedule)
+                            structure_prefix=prefix, schedule=schedule)
     result = generate(req, content, structure, codebook, refiners)
     io.write_sequence(f"{args.output}.sequence.json", result.sequence, codebook)
     io.write_tensor(f"{args.output}.latent.nvgt", result.canvas.data)

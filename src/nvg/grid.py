@@ -296,5 +296,7 @@ def canvas_prefixes(seq: VGSequence, codebook: Codebook, refiners) -> tuple:
     prefixes = [LatentGrid(x)]
     for refiner, (tokens, smap) in zip(refiners, seq.stages):
         x = x + refiner.apply(assign(tokens, smap, codebook).data)
+        if not np.all(np.isfinite(x)):
+            raise NumericError(f"canvas turned non-finite after the stage-{smap.stage} refiner")
         prefixes.append(LatentGrid(x))
     return tuple(prefixes)

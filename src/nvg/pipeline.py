@@ -5,9 +5,9 @@ top-p filtered logits, and add the refined placement onto the canvas.
 Guidance and nucleus schedules sharpen over the stages: top-p decays
 log-linearly from 1.0 to 0.5 and the guidance scale grows linearly to 2.5
 (structure) or 3.5 (content); `cfg_forward` applies guidance to both the flow
-velocity and the token logits. User overrides replace sampling per stage and
-mix freely with generated stages as long as each is the canonical child of
-the realized stage before it.
+velocity and the token logits. A request may fix a structure prefix, the
+maps of stages 0..k given by one canonical stage-k map, and the tokens of any
+stages; the generators sample the rest.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .grid import (
     StructureMap,
     VGSequence,
     assign,
-    parent_consistent,
 )
 from .hierarchy import canonical_child
 from .structcode import embed_structure_map
@@ -54,37 +53,41 @@ class ScheduleParams:
 
 @dataclass(frozen=True, eq=False)
 class GenerationRequest:
+    """One sample. A stage-k `structure_prefix` fixes stages 0..k: stage i is
+    `labels >> (k - i)`, the only map it nests in. `fixed_maps` holds those
+    maps, and each must be the `canonical_child` of the one before, as every
+    training map is. Without a prefix only the stage-0 map is fixed."""
+
     class_id: int
     seed: int
     h: int
     w: int
     e: int
-    structure_overrides: dict = field(default_factory=dict)   # stage -> StructureMap
+    structure_prefix: StructureMap | None = None
     content_overrides: dict = field(default_factory=dict)     # stage -> ContentTokens
     schedule: ScheduleParams = field(default_factory=ScheduleParams)
+    fixed_maps: tuple = field(init=False)
 
     def __post_init__(self):
         hw = self.h * self.w
         if min(self.h, self.w) < 1 or hw & (hw - 1):
             raise InvariantError("h and w must be positive and h*w a power of two")
-        last = hw.bit_length() - 1
-        for stage, smap in self.structure_overrides.items():
-            if not isinstance(smap, StructureMap) or smap.stage != stage:
-                raise InvariantError(f"override at stage {stage} has wrong stage tag")
-            if smap.labels.shape != (self.h, self.w):
-                raise InvariantError(f"override at stage {stage} has wrong shape")
-            if stage < 0 or stage > last:
-                raise InvariantError(f"override stage {stage} outside [0, {last}]")
-        # overridden stages must nest with each other (ancestor labels agree)
-        stages = sorted(self.structure_overrides)
-        for a, b in zip(stages, stages[1:]):
-            if not parent_consistent(self.structure_overrides[a],
-                                     self.structure_overrides[b]):
-                raise InvariantError(
-                    f"structure overrides at stages {a} and {b} are not nested")
+        maps = [StructureMap(0, np.zeros((self.h, self.w), dtype=np.int32))]
+        prefix = self.structure_prefix or maps[0]
+        if prefix.labels.shape != (self.h, self.w):
+            raise InvariantError(f"override at stage {prefix.stage} has wrong shape")
+        for i in range(1, prefix.stage + 1):
+            labels = prefix.labels >> (prefix.stage - i)
+            maps.append(canonical_child(maps[-1], labels))
+            if not np.array_equal(maps[-1].labels, labels):
+                raise InvariantError(f"structure prefix at stage {i} is not the "
+                                     f"canonical child of its stage {i - 1}")
+        object.__setattr__(self, "fixed_maps", tuple(maps))
         for stage, tokens in self.content_overrides.items():
             if not isinstance(tokens, ContentTokens) or tokens.stage != stage:
                 raise InvariantError(f"token override at stage {stage} has wrong stage tag")
+            if stage > self.last_stage:
+                raise InvariantError(f"token override at stage {stage} is past the last stage")
 
     @property
     def last_stage(self) -> int:
@@ -192,9 +195,9 @@ def generate(req: GenerationRequest, content_model: ContentModel,
     stage-(k-1) map, and the content step reads the stage-k map. The flow's
     known columns are the stage-(k-1) map's embedding, the same
     `embed_structure_map` rule the trainers' flow target follows; with
-    canonical nesting its column j is 2 * (stage-(j+1) label & 1). Sampled
-    and forced maps are labelled by `canonical_child`, as training maps are,
-    and an override that is not already so labelled raises InvariantError.
+    canonical nesting its column j is 2 * (stage-(j+1) label & 1). A stage's
+    map is the request's fixed one, `forced_final_split`'s at the last stage
+    or the flow's; all are labelled by `canonical_child`, as training maps are.
     """
     last = req.last_stage
     h, w_grid, e = req.h, req.w, req.e
@@ -224,15 +227,8 @@ def generate(req: GenerationRequest, content_model: ContentModel,
 
     for k in range(last + 1):
         # ---- structure ----
-        if k == 0:
-            smap = StructureMap(0, np.zeros((h, w_grid), dtype=np.int32))
-        elif k in req.structure_overrides:
-            smap = req.structure_overrides[k]
-            # rejected, not relabelled: a relabelled stage k would no longer
-            # nest the overrides below it that the request has checked
-            if not np.array_equal(canonical_child(maps[k - 1], smap.labels).labels, smap.labels):
-                raise InvariantError(f"structure override at stage {k} is not the "
-                                     f"canonical child of the realized stage {k - 1}")
+        if k < len(req.fixed_maps):
+            smap = req.fixed_maps[k]
         elif k == last:
             smap = forced_final_split(maps[k - 1])
         else:

@@ -112,6 +112,8 @@ def build_contents(grid: LatentGrid, hierarchy: Hierarchy, codebook: Codebook,
         tokens = ContentTokens(i, quantize_nearest_batch(means, codebook))
         placed = place(codebook.vectors[tokens.indices], smap)
         residual = residual - refiners[i].apply(placed)
+        if not np.all(np.isfinite(residual)):
+            raise NumericError(f"residual turned non-finite after the stage-{i} refiner")
         residuals.append(residual)
         stages.append((tokens, smap))
     return VGSequence(tuple(stages)), tuple(LatentGrid(r) for r in residuals)

@@ -85,8 +85,7 @@ class TokenizedExample:
     class_id: int
     grid: LatentGrid
     sequence: VGSequence
-    canvases: tuple          # canvases[i]: accumulated stages < i, (h, w, e)
-    target_canvas: np.ndarray
+    canvases: tuple          # the K+2 canvas_prefixes; [-1] is the target
     flow_target: np.ndarray  # the finest map's embedding, float32 (h, w, K)
 
 
@@ -96,9 +95,9 @@ def tokenize_dataset(dataset, codebook: Codebook, refiners) -> list:
     for class_id, grid in dataset:
         hierarchy = build_hierarchy(grid)
         seq, _ = build_contents(grid, hierarchy, codebook, refiners)
-        *canvases, target = (p.data for p in canvas_prefixes(seq, codebook, refiners))
+        canvases = tuple(p.data for p in canvas_prefixes(seq, codebook, refiners))
         flow_target = embed_structure_map(seq.stages[-1][1], seq.last_stage)
-        out.append(TokenizedExample(class_id, grid, seq, tuple(canvases), target,
+        out.append(TokenizedExample(class_id, grid, seq, canvases,
                                     flow_target.astype(np.float32)))
     return out
 
@@ -150,7 +149,7 @@ def train_content(examples: list, model: ContentModel, config: TrainConfig) -> T
                               for (ex, _), null in zip(rows, null_mask)])
         smaps = [ex.sequence.stages[stage][1] for ex, stage in rows]
         canvases = np.stack([ex.canvases[stage] for ex, stage in rows])
-        targets = np.stack([ex.target_canvas for ex, _ in rows])
+        targets = np.stack([ex.canvases[-1] for ex, _ in rows])
         tokens = [ex.sequence.stages[stage][0].indices for ex, stage in rows]
         return model.loss(class_ids, smaps, canvases, targets, tokens, rng=rng)
 
@@ -214,7 +213,6 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
     rng = np.random.default_rng(seed)
 
     for ex in examples:
-        prefixes = ex.canvases[1:] + (ex.target_canvas,)   # [i]: stages <= i
         for stage in range(last + 1):
             tokens, smap = ex.sequence.stages[stage]
             used[tokens.indices] = True
@@ -224,7 +222,7 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
             hits = int((np.argmax(logits.data, axis=1) == tokens.indices).sum())
             token_acc[stage][0] += hits
             token_acc[stage][1] += tokens.indices.size
-            recon_mse[stage] += float(np.mean((prefixes[stage] - ex.grid.data) ** 2))
+            recon_mse[stage] += float(np.mean((ex.canvases[stage + 1] - ex.grid.data) ** 2))
 
     bit_hits = bit_total = 0
     for ex in examples:

@@ -368,3 +368,20 @@ def test_stdout_closed_by_its_reader_exits_2(files, command):
     assert proc.stderr.startswith("nvg: error code=2 kind=format:")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["tokenize", "reconstruct", "train-content"])
+def test_finite_refiner_whose_conv_overflows_exits_4(files, command, capsys, tmp_path):
+    # every weight is finite, but the stage-4 conv overflows, so the canvas
+    # or residual turns non-finite: a numeric failure, not an invalid input
+    argv, _, outputs = commands(files)[command]
+    refiners = identity_refiners(4, 3)
+    refiners[4] = Refiner(np.full((3, 3, 3, 3), 3e38, dtype=np.float32), refiners[4].bias)
+    bad, out = tmp_path / "ref.nvgc", tmp_path / "out"
+    save_refiners(bad, refiners)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = run(_swap(_swap(argv, files["ref.nvgc"], bad), outputs[0], out), capsys)
+    assert code == 4 and err.startswith("nvg: error code=4 kind=numeric:")
+    assert "stage-4 refiner" in err and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [bad]

@@ -23,7 +23,7 @@ def loss_args(rows):
     return (np.array([ex.class_id for ex, _ in rows]),
             [ex.sequence.stages[s][1] for ex, s in rows],
             np.stack([ex.canvases[s] for ex, s in rows]),
-            np.stack([ex.target_canvas for ex, _ in rows]),
+            np.stack([ex.canvases[-1] for ex, _ in rows]),
             [ex.sequence.stages[s][0].indices for ex, s in rows])
 
 

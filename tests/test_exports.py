@@ -98,7 +98,7 @@ def test_private_import_check_sees_from_imports():
 
 
 PERFBENCH = Path(nvg.__file__).parents[2] / "perfbench"
-# public with no reader yet: ROADMAP item 6's flow-step oracle is to call it
+# public with no reader yet: ROADMAP item 2's quality oracle is to call it
 UNREAD_EXPORTS = {"training.evaluate"}
 
 

@@ -81,12 +81,11 @@ def run_pipeline(workdir) -> tuple:
     # the override run fixes examples[1]'s structure through stage 2 and its
     # content at stages 0-1, so the flow runs at stage 3 alone
     fixed = examples[1]
-    m1, m2 = fixed.sequence.stages[1][1], fixed.sequence.stages[2][1]
     requests = {
         "gen": GenerationRequest(class_id=1, seed=4, h=4, w=4, e=4, schedule=schedule),
         "override": GenerationRequest(
             class_id=fixed.class_id, seed=4, h=4, w=4, e=4,
-            structure_overrides={1: m1, 2: m2},
+            structure_prefix=fixed.sequence.stages[2][1],
             content_overrides={i: fixed.sequence.stages[i][0] for i in (0, 1)},
             schedule=schedule),
     }

@@ -12,7 +12,7 @@ from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
 from nvg.errors import InvariantError, NumericError
 from nvg.checkpoints import save_model, save_refiners
-from nvg.grid import Codebook, StructureMap
+from nvg.grid import Codebook, ContentTokens, StructureMap
 from nvg.hierarchy import build_hierarchy
 from nvg.pipeline import (
     GenerationRequest,
@@ -147,10 +147,11 @@ class TestGenerate:
         seq, _ = build_contents(grid, hierarchy, codebook, refiners)
         req = GenerationRequest(
             class_id=cls, seed=9, h=H, w=W, e=E,
-            structure_overrides={i: smap for i, (_, smap) in enumerate(seq.stages)},
+            structure_prefix=seq.stages[LAST][1],
             content_overrides={i: tok for i, (tok, _) in enumerate(seq.stages)},
             schedule=ScheduleParams(flow_steps=2),
         )
+        assert len(req.fixed_maps) == LAST + 1
         result = generate(req, content, structure, codebook, refiners)
         recon = reconstruct(seq, codebook, refiners)
         assert np.array_equal(result.canvas.data, recon.data)
@@ -161,7 +162,7 @@ class TestGenerate:
         _, codebook, refiners, content, structure = setup
         half = StructureMap(1, np.repeat([0, 1], H * W // 2).reshape(H, W))
         req = GenerationRequest(class_id=0, seed=3, h=H, w=W, e=E,
-                                structure_overrides={1: half},
+                                structure_prefix=half,
                                 schedule=ScheduleParams(flow_steps=2))
         result = generate(req, content, structure, codebook, refiners)
         assert np.array_equal(result.sequence.stages[1][1].labels, half.labels)
@@ -198,14 +199,14 @@ class TestGenerate:
         monkeypatch.setattr(pipeline, "flow_sample", spy)
         half = StructureMap(1, np.repeat([0, 1], H * W // 2).reshape(H, W))
         req = GenerationRequest(class_id=1, seed=4, h=H, w=W, e=E,
-                                structure_overrides={"none": {}, "stage1": {1: half}}[overrides],
+                                structure_prefix={"none": None, "stage1": half}[overrides],
                                 schedule=ScheduleParams(flow_steps=2))
         result = generate(req, content, structure, codebook, refiners)
         maps = [smap for _, smap in result.sequence.stages]
         s_e = np.ones((H, W, LAST), dtype=np.float32)
         expected = []
         for k in range(1, LAST):
-            if k not in req.structure_overrides:
+            if k >= len(req.fixed_maps):
                 expected.append((k, s_e.copy()))
             s_e[:, :, k - 1] = (2 * (maps[k].labels & 1)).astype(np.float32)
         assert [k for k, _ in seen] == [k for k, _ in expected]
@@ -252,7 +253,7 @@ class TestGenerate:
         seq, _ = build_contents(grid, build_hierarchy(grid), codebook, refiners)
         req = GenerationRequest(
             class_id=cls, seed=2, h=H, w=W, e=E,
-            structure_overrides={i: seq.stages[i][1] for i in (0, 1, 2)},
+            structure_prefix=seq.stages[2][1],
             content_overrides={i: seq.stages[i][0] for i in (0, 1, 2)},
             schedule=ScheduleParams(flow_steps=2),
         )
@@ -264,27 +265,32 @@ class TestGenerate:
             assert np.array_equal(result.sequence.stages[i + 1][1].labels >> 1,
                                   result.sequence.stages[i][1].labels)
 
-    def test_non_nested_overrides_rejected(self, setup):
-        a = StructureMap(1, np.repeat([0, 1], H * W // 2).reshape(H, W))
-        b_labels = np.zeros((H, W), dtype=np.int64)
-        b_labels[0, :] = 2  # stage-2 cluster under the wrong parent
-        b_labels[1, :] = 3
-        b_labels[2, :] = 0
-        b_labels[3, :] = 1
-        with pytest.raises(InvariantError):
-            GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
-                              structure_overrides={1: a, 2: StructureMap(2, b_labels)})
-
-    def test_anti_canonical_override_rejected(self, setup):
-        # nested and balanced, but location 0 is in child 1: no training map
-        # is labelled so, and relabelling it would unnest deeper overrides
+    def test_stage3_prefix_alone_fixes_stages_1_to_3(self, setup):
+        # the stage-3 map fixes the stages it nests in, so no flow runs
         _, codebook, refiners, content, structure = setup
+        stage3 = StructureMap(3, np.arange(H * W).reshape(H, W) >> 1)
+        for seed in range(3):
+            req = GenerationRequest(class_id=0, seed=seed, h=H, w=W, e=E,
+                                    structure_prefix=stage3,
+                                    schedule=ScheduleParams(flow_steps=2))
+            result = generate(req, content, structure, codebook, refiners)
+            assert result.stats.flow_steps == 0
+            for i in range(1, 4):
+                assert np.array_equal(result.sequence.stages[i][1].labels,
+                                      stage3.labels >> (3 - i))
+
+    def test_anti_canonical_override_rejected(self):
+        # nested and balanced, but location 0 is in child 1: no training map
+        # is labelled so; rejected when the request is built
         flipped = StructureMap(1, np.repeat([1, 0], H * W // 2).reshape(H, W))
-        req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
-                                structure_overrides={1: flipped},
-                                schedule=ScheduleParams(flow_steps=2))
-        with pytest.raises(InvariantError, match="not the canonical child of the realized"):
-            generate(req, content, structure, codebook, refiners)
+        with pytest.raises(InvariantError, match="stage 1 is not the canonical child"):
+            GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E, structure_prefix=flipped)
+
+    def test_content_override_past_the_last_stage_rejected(self):
+        tokens = ContentTokens(LAST + 3, np.zeros(1 << (LAST + 3), dtype=np.int32))
+        with pytest.raises(InvariantError, match="past the last stage"):
+            GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
+                              content_overrides={LAST + 3: tokens})
 
     @pytest.mark.parametrize("h, w", [(-4, -4), (0, 4), (4, 3)])
     def test_grid_shape_must_be_positive_with_power_of_two_area(self, h, w):

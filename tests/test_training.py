@@ -168,11 +168,9 @@ class TestTokenizeDataset:
                             0.1 * rng.standard_normal(3)) for _ in range(LAST + 1)]
         for ex in tokenize_dataset(data, codebook, refiners):
             seq = ex.sequence
-            assert len(ex.canvases) == LAST + 1
+            assert len(ex.canvases) == LAST + 2     # [-1] is the target canvas
             for i, canvas in enumerate(ex.canvases):
                 assert np.array_equal(canvas, accumulate_canvas(seq, i - 1, codebook, refiners))
-            assert np.array_equal(ex.target_canvas,
-                                  accumulate_canvas(seq, LAST, codebook, refiners))
 
     def test_flow_target_is_the_last_embedding(self, world):
         _, _, _, examples = world
