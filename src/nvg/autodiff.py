@@ -9,6 +9,13 @@ gradients. Model parameters always do, so every forward builds a tape unless
 it runs under `no_grad()`, where each op returns a bare `Tensor`. There is no
 training flag: a model forward applies dropout exactly when it is given an
 rng, which only the trainers do.
+
+`Tensor.backward` consumes the tape. It walks the nodes in reverse
+topological order, and once a node's closure has run it drops that node's
+gradient, closure and parents, so each intermediate array is freed as soon as
+nothing later reads it. Only leaves (tensors with no closure, such as the
+parameters) keep their gradients, and no node's `.data` is touched. A graph
+therefore runs backward once.
 """
 
 from __future__ import annotations
@@ -100,9 +107,15 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue        # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            # the tape is consumed: drop the node's gradient, closure and
+            # parents so each intermediate is freed once its last reader ran
+            node.grad, node._backward, node._parents = None, None, ()
 
     # -- arithmetic --------------------------------------------------------
 

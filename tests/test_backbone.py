@@ -56,6 +56,20 @@ class TestAutodiffOps:
         assert np.array_equal(out.data, [0.0, 0.0, 100.0])
         assert np.array_equal(t.grad, [0.0, 0.5, 1.0])
 
+    def test_backward_consumes_the_tape(self):
+        rng = np.random.default_rng(11)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3)))
+        hidden = ad.silu(ad.matmul(x, w))
+        data = hidden.data.copy()
+        loss = (hidden * hidden).sum()
+        loss.backward()
+        assert w.grad is not None and w.grad.shape == (3, 2)
+        assert x.grad is None       # an input that needs no gradient gets none
+        for node in (hidden, loss):
+            assert node.grad is None and node._backward is None and node._parents == ()
+        assert np.array_equal(hidden.data, data)
+
     def test_matmul_both_sides(self):
         rng = np.random.default_rng(1)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
