@@ -23,8 +23,13 @@ some level share that level's id, so attention sees the whole cluster tree.
 `Generator._forward` reads a row's structure ids from its `StructureMap`
 through the one bit rule, `structcode.embed_structure_map`; no caller builds
 them. There is one rotary path: `rope_tables` turns integer ids into cos/sin
-tables, `Generator._rope_tables` builds them for a whole batch in one call,
-and the tape op `autodiff.rope` rotates the queries and keys with them.
+tables, `Generator._rope_tables` builds them for a whole batch in one call and
+lays them out per head, the query heads' copies times the exact score scale
+2^-3, and one `autodiff.rope` per block rotates the queries and keys together
+as the fused projection's q|k columns.
+
+The last block builds only the rows the head reads: earlier rows serve it as
+keys and values alone (`Block.forward`'s `first`).
 """
 
 from __future__ import annotations
@@ -166,36 +171,42 @@ class Block:
         }
 
     def forward(self, x: Tensor, cos: np.ndarray, sin: np.ndarray, cond: Tensor,
-                dropout: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
-        """x: (B, L, w); cos/sin: (B, 1, L, 32); cond: (B, w) modulation input.
-        Dropout applies to the block output only when an rng is given."""
+                dropout: float = 0.0, rng: np.random.Generator | None = None,
+                first: int = 0) -> Tensor:
+        """x: (B, L, w); cond: (B, w) modulation input.
+
+        cos/sin: (B, L, 2H, 32), one table per query head and then one per key
+        head; the query tables carry the score scale 1/sqrt(HEAD_DIM) = 2^-3,
+        which is exact, so the scores need no scale op. Rows before `first`
+        are context: they serve only as keys and values, and the block returns
+        rows first: alone, (B, L - first, w), never building the context rows'
+        attention, MLP or output projection. Dropout applies to the block
+        output only when an rng is given; its mask is drawn for all L rows.
+        """
         b_sz, length, w = x.shape
-        heads = self.heads
+        heads, rows = self.heads, length - first
         mod = ad.matmul(ad.silu(cond), self.w_mod)          # (B, 3w)
         mod = ad.reshape(mod, (b_sz, 1, 3 * w))
         scale, shift, gate = mod[:, :, 0:w], mod[:, :, w:2 * w], mod[:, :, 2 * w:3 * w]
 
         normed = ad.rmsnorm(x) * (1.0 + scale) + shift
-        fused = ad.matmul(normed, self.w_fused)             # (B, L, 7w)
-        q, k, v, m = (fused[:, :, 0:w], fused[:, :, w:2 * w],
-                      fused[:, :, 2 * w:3 * w], fused[:, :, 3 * w:7 * w])
+        fused = ad.matmul(normed, self.w_fused)             # (B, L, 7w): q k v m
+        qk = ad.rope(ad.reshape(fused[:, :, 0:2 * w], (b_sz, length, 2 * heads, HEAD_DIM)),
+                     cos, sin)                              # (B, L, 2H, 64)
+        q = ad.transpose(qk[:, first:, :heads], (0, 2, 1, 3))      # (B, H, rows, 64)
+        k_t = ad.transpose(qk[:, :, heads:], (0, 2, 3, 1))         # (B, H, 64, L)
+        v = ad.transpose(ad.reshape(fused[:, :, 2 * w:3 * w], (b_sz, length, heads, HEAD_DIM)),
+                         (0, 2, 1, 3))                      # (B, H, L, 64)
+        attn = ad.matmul(ad.softmax(ad.matmul(q, k_t)), v)  # (B, H, rows, 64)
+        attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (b_sz, rows, w))
 
-        def split_heads(t):
-            return ad.transpose(ad.reshape(t, (b_sz, length, heads, HEAD_DIM)),
-                                (0, 2, 1, 3))               # (B, H, L, 64)
-
-        q = ad.rope(split_heads(q), cos, sin)
-        k = ad.rope(split_heads(k), cos, sin)
-        v = split_heads(v)
-        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(HEAD_DIM))
-        attn = ad.matmul(ad.softmax(scores), v)             # (B, H, L, 64)
-        attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (b_sz, length, w))
-
-        merged = ad.concat([attn, ad.silu(m)], axis=2)      # (B, L, 5w)
-        out = ad.matmul(merged, self.w_out)
+        merged = ad.concat([attn, ad.silu(fused[:, first:, 3 * w:7 * w])], axis=2)
+        out = ad.matmul(merged, self.w_out)                 # (B, rows, w)
         if rng is not None and dropout > 0.0:
-            keep = (rng.random(out.shape, dtype=np.float32) >= dropout)
+            keep = rng.random((b_sz, length, w), dtype=np.float32)[:, first:] >= dropout
             out = out * (keep.astype(out.data.dtype) / (1.0 - dropout))
+        if first:
+            x = x[:, first:, :]
         return x + (1.0 + gate) * out
 
 
@@ -260,14 +271,17 @@ class Generator:
             p.data = arrays[k].astype(self.dtype)
 
     def _rope_tables(self, struct_ids: np.ndarray, grid_w: int, runs: int):
-        """cos/sin (B, 1, L, 32) for [class] + `runs` runs of the grid tokens.
+        """cos/sin (B, L, 2H, 32) for [class] + `runs` runs of the grid tokens.
 
         struct_ids is (B, hw, STRUCT_SLOTS), one row per map; the class token
         reads PAD in every slot. Run s has token kind s + 1, and every run
         repeats the grid's structure and spatial ids. One `rope_tables` call
-        covers the whole batch. The last result is memoized on the exact ids,
-        so the Euler steps of one flow stage, which all read the same parent
-        map, build the tables once. The memoized tables are read-only.
+        covers the whole batch; axis 2 then repeats its tables for each of the
+        H query heads, times the exact score scale 2^-3 = 1/sqrt(HEAD_DIM),
+        and for each of the H key heads, the layout `Block.forward` rotates
+        its fused q|k columns with. The last result is memoized on the exact
+        ids, so the Euler steps of one flow stage, which all read the same
+        parent map, build the tables once. The memoized tables are read-only.
         """
         key = (struct_ids.dtype.str, struct_ids.shape, struct_ids.tobytes(), grid_w, runs)
         if self._rope_memo is not None and self._rope_memo[0] == key:
@@ -281,7 +295,10 @@ class Generator:
         cos, sin = rope_tables(np.broadcast_to(kind, (b_sz,) + kind.shape), struct,
                                np.broadcast_to(spatial, (b_sz,) + spatial.shape),
                                dtype=self.dtype)
-        tables = cos[:, None], sin[:, None]
+        heads = self.config.heads
+        head_scale = np.repeat(np.array([1.0 / np.sqrt(HEAD_DIM), 1.0], dtype=self.dtype),
+                               heads)[:, None]          # (2H, 1): queries, then keys
+        tables = cos[:, :, None] * head_scale, sin[:, :, None] * head_scale
         for table in tables:
             table.flags.writeable = False
         self._rope_memo = (key, tables)
@@ -298,6 +315,8 @@ class Generator:
         the class token, each an (input (B, h, w, c), weight (c, width),
         bias) triple. cond_extra is added to the class + stage conditioning.
         A given rng is the training switch: the blocks draw dropout from it.
+        The last block takes every earlier row as context only (`first`), so
+        it, the final norm and the head run on the last run's rows alone.
         Returns (B, h*w, head_channels).
         """
         class_ids, smaps = np.asarray(class_ids), list(smaps)
@@ -330,8 +349,12 @@ class Generator:
         tokens = [ad.matmul(Tensor(data.reshape(b_sz, hw, -1)), weight) + bias
                   for data, weight, bias in runs]
         x = ad.concat([ad.reshape(cls, (b_sz, 1, width))] + tokens, axis=1)
-        for block in self.blocks:
+        *inner, last = self.blocks
+        for block in inner:
             x = block.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng)
+        # the head reads only the last run: earlier rows are the last block's context
+        x = last.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng,
+                         first=1 + (len(runs) - 1) * hw)
         fmod = ad.reshape(ad.matmul(ad.silu(cond), self.w_final_mod), (b_sz, 1, 2 * width))
         x = ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
-        return ad.matmul(x[:, 1 + (len(runs) - 1) * hw:, :], self.w_head) + self.b_head
+        return ad.matmul(x, self.w_head) + self.b_head

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+import nvg.autodiff as ad
+from nvg.backbone import HEAD_DIM
+
 
 def gradient_check(loss_fn, params: dict, seed: int = 0, samples: int = 120,
                    step: float = 1e-5) -> float:
@@ -43,3 +46,32 @@ def gradient_check(loss_fn, params: dict, seed: int = 0, samples: int = 120,
         err = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-6)
         worst = max(worst, err)
     return worst
+
+
+def reference_block_forward(block, x, cos, sin, cond):
+    """`Block.forward` computed the plain way: two ropes over (B, H, L, 64)
+    head views with shared (B, 1, L, 32) tables, an explicit 1/sqrt(HEAD_DIM)
+    on the L x L scores, and every row computed. No dropout."""
+    b_sz, length, w = x.shape
+    heads = block.heads
+    mod = ad.matmul(ad.silu(cond), block.w_mod)
+    mod = ad.reshape(mod, (b_sz, 1, 3 * w))
+    scale, shift, gate = mod[:, :, 0:w], mod[:, :, w:2 * w], mod[:, :, 2 * w:3 * w]
+
+    normed = ad.rmsnorm(x) * (1.0 + scale) + shift
+    fused = ad.matmul(normed, block.w_fused)
+    q, k, v, m = (fused[:, :, 0:w], fused[:, :, w:2 * w],
+                  fused[:, :, 2 * w:3 * w], fused[:, :, 3 * w:7 * w])
+
+    def split_heads(t):
+        return ad.transpose(ad.reshape(t, (b_sz, length, heads, HEAD_DIM)), (0, 2, 1, 3))
+
+    q = ad.rope(split_heads(q), cos, sin)
+    k = ad.rope(split_heads(k), cos, sin)
+    v = split_heads(v)
+    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(HEAD_DIM))
+    attn = ad.matmul(ad.softmax(scores), v)
+    attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (b_sz, length, w))
+
+    merged = ad.concat([attn, ad.silu(m)], axis=2)
+    return x + (1.0 + gate) * ad.matmul(merged, block.w_out)

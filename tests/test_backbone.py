@@ -5,7 +5,7 @@ import nvg.autodiff as ad
 from nvg.autodiff import Tensor
 from nvg.backbone import HEAD_DIM, Block, ModelConfig, rope_tables
 from nvg.errors import InvariantError
-from oracles import gradient_check
+from oracles import gradient_check, reference_block_forward
 
 
 def numeric_grad(f, x, step=1e-6):
@@ -191,12 +191,19 @@ class TestRope:
             assert abs(d1 - d2) <= 1e-4
 
 
+def head_tables(cos, sin, heads):
+    """`Block.forward`'s (B, L, 2H, 32) tables from shared (B, L, 32) ones:
+    H query-head tables times 2^-3, then H key-head tables."""
+    scale = np.repeat([1.0 / np.sqrt(HEAD_DIM), 1.0], heads).astype(cos.dtype)[:, None]
+    return cos[:, :, None] * scale, sin[:, :, None] * scale
+
+
 class TestBlock:
-    def make_inputs(self, rng, width, length=6, batch=2):
+    def make_inputs(self, rng, width, heads=2, length=6, batch=2):
         x = Tensor(rng.normal(size=(batch, length, width)), requires_grad=True)
-        angles = rng.normal(size=(batch, 1, length, 32))
+        angles = rng.normal(size=(batch, length, 32))
         cond = Tensor(rng.normal(size=(batch, width)), requires_grad=True)
-        return x, np.cos(angles), np.sin(angles), cond
+        return (x, *head_tables(np.cos(angles), np.sin(angles), heads), cond)
 
     def test_zero_out_projection_gives_identity(self):
         rng = np.random.default_rng(8)
@@ -212,31 +219,93 @@ class TestBlock:
         block = Block(128, 2, rng, dtype=np.float64)
         x, cos, sin, cond = self.make_inputs(rng, 128)
         assert np.array_equal(block.forward(x, cos, sin, cond).data, x.data)
+        assert np.array_equal(block.forward(x, cos, sin, cond, first=4).data, x.data[:, 4:])
 
     def test_block_param_count_is_15_w_squared(self):
         block = Block(128, 2, np.random.default_rng(0))
         assert sum(p.data.size for p in block.params("b").values()) == 15 * 128 * 128
 
     def test_block_gradients_match_finite_differences(self):
+        # all rows, then rows 2: with rows 0-1 as context
+        for first in (0, 2):
+            self.check_gradients(first)
+
+    def check_gradients(self, first):
         rng = np.random.default_rng(10)
         block = Block(128, 2, rng, dtype=np.float64)
         # randomize all weights so every path carries gradient
         for p in (block.w_mod, block.w_fused, block.w_out):
             p.data = 0.05 * rng.standard_normal(p.data.shape)
-        x_data = rng.normal(size=(1, 6, 128))
+        x = Tensor(rng.normal(size=(1, 6, 128)), requires_grad=True)
         cond_data = rng.normal(size=(1, 128))
-        angles = rng.normal(size=(1, 1, 6, 32))
-        cos, sin = np.cos(angles), np.sin(angles)
-        probe = rng.normal(size=(1, 6, 128))
+        angles = rng.normal(size=(1, 6, 32))
+        cos, sin = head_tables(np.cos(angles), np.sin(angles), 2)
+        probe = rng.normal(size=(1, 6 - first, 128))
 
         params = block.params("block0")
 
         def loss_fn():
-            out = block.forward(Tensor(x_data), cos, sin, Tensor(cond_data))
+            out = block.forward(x, cos, sin, Tensor(cond_data), first=first)
             return (out * probe).sum()
 
         err = gradient_check(loss_fn, params, seed=0, samples=90)
         assert err <= 1e-3
+
+        # every entry of x, the context rows included
+        x.grad = None
+        loss_fn().backward()
+        num = numeric_grad(lambda: float(loss_fn().data), x.data)
+        assert np.allclose(x.grad, num, atol=1e-5)
+        if first:
+            # context rows reach the output only as keys and values: with the
+            # k and v columns of the fused projection zeroed they get none
+            assert np.abs(x.grad[:, :first]).min() > 0.0
+            block.w_fused.data[:, 128:384] = 0.0
+            x.grad = None
+            loss_fn().backward()
+            assert not x.grad[:, :first].any() and x.grad[:, first:].any()
+
+
+class TestBlockOracle:
+    """`Block.forward` against the all-rows, scaled-scores reference block on
+    the product's float32 no-grad path.
+
+    With every row kept the folded score scale is exact, so the two agree bit
+    for bit. With context rows the block's matmuls run on fewer rows, and
+    OpenBLAS's sgemm rounds a row differently at some small row counts (and
+    numpy takes gemv for a single row): rows then agree bit for bit at the
+    8x8 grids the pipeline runs, and within float32 rounding on 4x4 and 1x1
+    grids, where up to 1.6e-6 was seen with OpenBLAS 0.3.31 on x86-64."""
+
+    @pytest.mark.parametrize("kind", ["content", "structure"])
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    @pytest.mark.parametrize("side", [8, 4, 1])
+    def test_rows_equal_the_reference(self, kind, batch, side):
+        # the generators' layout: [class] + runs of side^2 tokens, and the
+        # head reads the last run; a 1x1 grid keeps a single row per batch row
+        cfg = ModelConfig(4, kind, 4, 8, 4, 6)
+        runs = 1 if kind == "content" else 2
+        length, first = 1 + runs * side * side, 1 + (runs - 1) * side * side
+        rng = np.random.default_rng(20 + batch + side)
+        block = Block(cfg.width, cfg.heads, rng)
+        for p in (block.w_mod, block.w_out):
+            p.data = (0.05 * rng.standard_normal(p.data.shape)).astype(np.float32)
+        x = Tensor(rng.normal(size=(batch, length, cfg.width)).astype(np.float32))
+        cond = Tensor(rng.normal(size=(batch, cfg.width)).astype(np.float32))
+        cos, sin = rope_tables(rng.integers(0, 3, size=(batch, length)),
+                               rng.integers(0, 3, size=(batch, length, 8)),
+                               rng.integers(0, 8, size=(batch, length, 2)))
+        tables = head_tables(cos, sin, cfg.heads)
+        with ad.no_grad():
+            want = reference_block_forward(block, x, cos[:, None], sin[:, None], cond).data
+            every_row = block.forward(x, *tables, cond).data
+            last_run = block.forward(x, *tables, cond, first=first).data
+        assert every_row.dtype == last_run.dtype == np.float32
+        assert np.array_equal(every_row, want)
+        if side == 8:
+            assert np.array_equal(last_run, want[:, first:])
+        else:
+            np.testing.assert_allclose(last_run, want[:, first:], rtol=0, atol=1e-5)
 
 
 class TestGradientCheck:

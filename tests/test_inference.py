@@ -181,7 +181,8 @@ class TestRopeMemo:
         ids = np.ones((3, H * W, 8), dtype=np.int64)
         ids[:, :, :3] = 2 * rng.integers(0, 2, size=(3, H * W, 3))
         batch = model._rope_tables(ids, W, runs=runs)
-        assert batch[0].shape == (3, 1, 1 + runs * H * W, 32)
+        heads = model.config.heads
+        assert batch[0].shape == (3, 1 + runs * H * W, 2 * heads, 32)
         # the per-row layout, built by hand: the class token, then `runs` runs
         # of the grid with token kind 1, 2, ...
         yx = np.stack(np.divmod(np.arange(H * W), W), axis=1)
@@ -194,7 +195,10 @@ class TestRopeMemo:
             by_hand = backbone.rope_tables(kind_ids, struct, spatial)
             for table, single_table, hand_table in zip(batch, single, by_hand):
                 assert np.array_equal(table[b], single_table[0])
-                assert np.array_equal(table[b, 0], hand_table)
+                # axis 2: H query-head tables scaled by 2^-3, then H key-head tables
+                for head in range(heads):
+                    assert np.array_equal(table[b, :, heads + head], hand_table)
+                    assert np.array_equal(table[b, :, head], 0.125 * hand_table)
 
     def test_tables_recomputed_when_known_columns_change(self):
         model = structure_model()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nvg import autodiff as ad
 from nvg.backbone import ModelConfig
 from nvg.autodiff import Tensor
 from nvg.errors import InvariantError, NumericError
@@ -100,6 +101,22 @@ class TestVelocityForward:
         out = model.velocity(np.array([0]), [stage_map(1)], canvas[None], z[None],
                              np.array([0.5]))
         assert out.shape == (1, 4, 4, 4)
+
+    def test_only_the_last_block_drops_the_context_queries(self, monkeypatch):
+        # L = class token + canvas run + embedding run; the head reads the hw
+        # embedding-run rows, so only they attend in the last block
+        model = small_model(depth=4)
+        rng = np.random.default_rng(7)
+        shapes = []
+        real = ad.softmax
+        monkeypatch.setattr(ad, "softmax", lambda t: shapes.append(t.shape) or real(t))
+        out = model.velocity(np.array([0, 1]), [stage_map(0), stage_map(1)],
+                             rng.normal(size=(2, 4, 4, 3)).astype(np.float32),
+                             rng.normal(size=(2, 4, 4, 4)).astype(np.float32),
+                             np.array([0.3, 0.9]))
+        heads, hw, length = model.config.heads, 16, 1 + 2 * 16
+        assert shapes == [(2, heads, length, length)] * 3 + [(2, heads, hw, length)]
+        assert out.shape == (2, 4, 4, 4)
 
     def test_rotary_ids_are_each_rows_known_columns(self, monkeypatch):
         # loop reference: row b, a flow at stage_b, reads its parent map's
