@@ -189,6 +189,9 @@ def cmd_generate(args) -> int:
     codebook = _load_codebook(args.codebook)
     refiners = checkpoints.load_refiners(args.refiners)
     h, w, e = _parse_latent(args.latent)
+    if len(args.override_structure) > 1:
+        raise FormatError(f"--override-structure given {len(args.override_structure)} "
+                          "times; a request takes one structure prefix")
     prefix = None
     for spec_text in args.override_structure:
         try:

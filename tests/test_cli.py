@@ -285,6 +285,19 @@ def test_override_of_another_shape_exits_3_and_writes_nothing(files, capsys, tmp
     assert list(tmp_path.iterdir()) == [pgm]
 
 
+def test_repeated_override_exits_2_and_writes_nothing(files, capsys, tmp_path):
+    # a request holds one structure prefix; every image but the last used
+    # to be read, checked and then dropped without a word
+    argv, inputs, outputs = commands(files)["generate"]
+    pgm = tmp_path / "left.pgm"
+    write_pgm(pgm, structure_map_to_gray(StructureMap(1, np.tile([0, 0, 1, 1], (4, 1)))))
+    argv = _swap(argv, outputs[0], tmp_path / "out")
+    code, err = run(argv + ["--override-structure", f"1:{pgm}"], capsys)
+    assert code == 2 and "--override-structure" in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [pgm]
+
+
 def test_bright_top_override_is_labelled_canonically(files, capsys, tmp_path):
     # the override image's bright top half holds location (0, 0), so it is
     # child 0, as in every training map; it used to come back as label 1
