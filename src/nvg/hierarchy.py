@@ -14,17 +14,20 @@ scan breaks by label order).
 
 A stage's members are one (clusters, size) array of grid locations, so its
 labels and cluster means come from one scatter and one gather per stage. A
-stage with m clusters costs O(m^2) in practice: the i < j distance matrix
-is built once, in row blocks, and each merge takes the smallest of per-row
-cached minima, rescanning only the rows whose cached partner was just merged.
-The matrix is never written after it is built: a rescan masks the merged
-(dead) columns in its own copy of the rescanned rows. Ties break on the
+stage with m clusters builds the i < j distance matrix once, in row blocks,
+in O(m^2 e); a grid whose 8 (hw)^2-byte matrix would pass `_DIST_MAX_BYTES`
+is refused before anything is allocated. The merges then pop a lazy heap of
+per-row cached minima, rescanning a row only when it reaches the top with a
+merged (dead) partner: O((m + rescans) log m + rescans m), a few hundred
+rescans at m = 1024. The matrix is never written after it is built: a
+rescan masks the dead columns in its own copy of the row. Ties break on the
 smallest (i, j), exactly as a full row-major rescan of the matrix per merge
 would.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +62,10 @@ class Hierarchy:
 # Rows of the distance matrix built per block: bounds the (rows, m, e) diff
 # temporary to a few MB at m = 1024.
 _DIST_BLOCK_ROWS = 64
+
+# Largest distance matrix build_hierarchy allocates, in bytes: 128x128 grids
+# (8 * 16384^2 bytes) fit, 256x256 grids (32 GiB) are refused.
+_DIST_MAX_BYTES = 2 << 30
 
 
 def _pairwise_sq_dists(vectors: np.ndarray) -> np.ndarray:
@@ -101,33 +108,34 @@ def _greedy_pairs(vectors: np.ndarray):
     if not np.all(np.isfinite(vectors)):
         raise NumericError("cannot pair non-finite vectors")
     d = _pairwise_sq_dists(vectors)
-    # Each live row caches its first argmin column over the live columns. The
-    # first row holding the smallest cached minimum, paired with that row's
-    # cached column, is the row-major first minimum of the whole masked matrix:
-    # the lexicographic (i, j) tie-break. Killing a column only raises entries
-    # to inf, so a row's first minimum moves only when its own cached column
-    # dies; those rows alone are rescanned, over a copy with the dead columns
-    # masked to inf. No column of d is ever written: only the rescanned rows
-    # read the dead columns again. A merge then costs O(m) per rescanned row,
-    # and about two rows per merge are rescanned on Gaussian vectors at
-    # m = 1024, so the loop is O(m^2) in practice.
-    rows = np.arange(m)
+    # A lazy min-heap of (cached row minimum, row), as exact Python floats and
+    # ints. Each live row has one entry and caches its first argmin column over
+    # the columns live when it was last scanned. Killing a column only raises
+    # entries to inf, so a key is a lower bound on its row's minimum, and exact
+    # while its column lives. A popped dead row is dropped; a row whose column
+    # died is rescanned over a copy with the dead columns masked to inf, and
+    # pushed back. Any other pop is the row-major first minimum of the masked
+    # matrix, the (i, j) tie-break: every other row's minimum is at least its
+    # key, which sorts after the popped one. d is never written. A row is
+    # rescanned only on reaching the top, not once per death of its partner:
+    # about 400 rescans in all on Gaussian vectors at m = 1024.
     live = np.ones(m, dtype=bool)
-    best_j = np.argmin(d, axis=1)
-    best_d = d[rows, best_j]
+    best_j = np.argmin(d, axis=1).tolist()
+    heap = list(zip(d[range(m), best_j].tolist(), range(m)))
+    heapq.heapify(heap)
     pairs = []
-    for _ in range(m // 2):
-        i = int(np.argmin(best_d))
-        j = int(best_j[i])
+    while len(pairs) < m // 2:
+        _, i = heapq.heappop(heap)
+        j = best_j[i]
+        if not live[i]:
+            continue
+        if not live[j]:
+            row = np.where(live, d[i], np.inf)
+            best_j[i] = j = int(np.argmin(row))
+            heapq.heappush(heap, (float(row[j]), i))
+            continue
         pairs.append((i, j))
         live[i] = live[j] = False
-        best_d[i] = best_d[j] = np.inf
-        stale = rows[live & ((best_j == i) | (best_j == j))]
-        if stale.size:
-            sub = np.where(live, d[stale], np.inf)
-            cols = np.argmin(sub, axis=1)
-            best_j[stale] = cols
-            best_d[stale] = sub[rows[:stale.size], cols]
     return pairs
 
 
@@ -137,10 +145,16 @@ def build_hierarchy(grid: LatentGrid) -> Hierarchy:
     Each stage keeps its clusters' grid locations as one (clusters, size)
     array; a merged pair's row is i's members followed by j's, and its
     representative is the mean of those members' grid vectors, summed in that
-    row order. Output labels are canonical (see reindex_hierarchy).
+    row order. Output labels are canonical (see reindex_hierarchy). Raises
+    InvariantError, before allocating, when the finest stage's distance
+    matrix would exceed `_DIST_MAX_BYTES`.
     """
     h, w = grid.h, grid.w
     hw = h * w
+    need = 8 * hw * hw
+    if need > _DIST_MAX_BYTES:
+        raise InvariantError(f"a {h}x{w} grid needs a {need}-byte distance matrix, "
+                             f"over the {_DIST_MAX_BYTES}-byte cap")
     last = grid.last_stage
     flat = grid.data.reshape(hw, grid.e).astype(np.float64)
 

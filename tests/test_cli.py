@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import nvg
-from nvg import cli
+from nvg import cli, hierarchy
 from nvg.backbone import ModelConfig
 from nvg.checkpoints import load_model, save_model, save_refiners
 from nvg.content_model import ContentModel
@@ -339,6 +339,16 @@ def test_tokenize_with_an_overflowing_refiner_exits_4_without_warning(files, cap
         code, err = run(argv, capsys)
     assert code == 4 and err.startswith("nvg: error code=4 kind=numeric:")
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_tokenize_over_the_distance_matrix_cap_exits_3(files, capsys, monkeypatch, tmp_path):
+    # the 4x4 grid's 16x16 float64 distance matrix is 2048 bytes
+    monkeypatch.setattr(hierarchy, "_DIST_MAX_BYTES", 2047)
+    argv, _, outputs = commands(files)["tokenize"]
+    code, err = run(_swap(argv, outputs[0], tmp_path / "out"), capsys)
+    assert code == 3 and err.startswith("nvg: error code=3 kind=invariant:")
+    assert "2048-byte" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 

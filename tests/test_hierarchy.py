@@ -194,6 +194,39 @@ class TestGreedyPairsOracle:
         vectors = oracle_vectors(kind, 1024, 4, np.random.default_rng(1025))
         assert hierarchy._greedy_pairs(vectors) == reference_greedy_pairs(vectors)
 
+    @pytest.mark.parametrize("kind", ["all-equal", "duplicated"])
+    def test_equals_full_rescan_at_32x32_on_degenerate_sets(self, kind):
+        vectors = oracle_vectors(kind, 1024, 3, np.random.default_rng(1026))
+        assert hierarchy._greedy_pairs(vectors) == reference_greedy_pairs(vectors)
+
+    def test_rescanned_row_wins_a_tie_on_its_lower_index(self):
+        # (1, 2) merges first at 0 and kills row 0's cached partner 1. Row 0's
+        # rescanned minimum, 1 at column 3, ties row 4's still-valid cached
+        # minimum, 1 at column 5; row 0 is the lower row, so it merges first.
+        vectors = np.array([[0.0], [1.0], [1.0], [-1.0], [10.0], [11.0]])
+        want = [(1, 2), (0, 3), (4, 5)]
+        assert reference_greedy_pairs(vectors) == want
+        assert hierarchy._greedy_pairs(vectors) == want
+
+    @pytest.mark.parametrize("m", [4, 64, 256])
+    def test_every_merge_kills_the_next_rows_partner(self, m):
+        # gaps m-1, m-2, ..., 1 along a line: the rightmost pair merges first,
+        # and each merge kills the cached partner of the row to its left, whose
+        # rescan then finds no live column at all
+        vectors = np.concatenate([[0.0], np.cumsum(np.arange(m - 1, 0, -1.0))])[:, None]
+        want = [(i, i + 1) for i in range(m - 2, -1, -2)]
+        assert reference_greedy_pairs(vectors) == want
+        assert hierarchy._greedy_pairs(vectors) == want
+
+    def test_merge_order_follows_distances_one_ulp_apart(self):
+        # d(0, 1) = 1 + 2^-52 is one ulp above d(2, 3) = 1, so (2, 3) merges
+        # first; a float32 or rounded key would tie them and take (0, 1)
+        vectors = np.array([[0.0, 0.0], [1.0, 2.0 ** -26], [100.0, 0.0], [101.0, 0.0]])
+        d = hierarchy._pairwise_sq_dists(vectors)
+        assert d[0, 1] == np.nextafter(d[2, 3], np.inf) and d[2, 3] == 1.0
+        assert hierarchy._greedy_pairs(vectors) == [(2, 3), (0, 1)]
+        assert reference_greedy_pairs(vectors) == [(2, 3), (0, 1)]
+
     @staticmethod
     def check_blocked_distances(vectors):
         m = len(vectors)
@@ -265,6 +298,23 @@ class TestBuildHierarchy:
         order = rng.permutation(64).reshape(8, 8)
         h = reindex_hierarchy([StructureMap(s, order >> (6 - s)) for s in range(7)])
         assert greedy_audit(g, h) != []
+
+    def test_distance_matrix_over_the_cap_is_refused_before_pairing(self, monkeypatch):
+        def no_pairing(vectors):
+            raise AssertionError("paired a grid over the cap")
+
+        g = LatentGrid(np.random.default_rng(11).normal(size=(8, 8, 4)).astype(np.float32))
+        monkeypatch.setattr(hierarchy, "_greedy_pairs", no_pairing)
+        monkeypatch.setattr(hierarchy, "_DIST_MAX_BYTES", 8 * 64 ** 2 - 1)
+        with pytest.raises(InvariantError, match=f"needs a {8 * 64 ** 2}-byte"):
+            build_hierarchy(g)
+
+    def test_distance_matrix_at_the_cap_is_built(self, monkeypatch):
+        g = LatentGrid(np.random.default_rng(11).normal(size=(8, 8, 4)).astype(np.float32))
+        want = build_hierarchy(g)
+        monkeypatch.setattr(hierarchy, "_DIST_MAX_BYTES", 8 * 64 ** 2)
+        for a, b in zip(build_hierarchy(g).maps, want.maps, strict=True):
+            assert np.array_equal(a.labels, b.labels)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
