@@ -22,7 +22,7 @@ from .grid import (  # noqa: E402
     canvas_prefixes,
     cluster_average,
 )
-from .hierarchy import Hierarchy, build_hierarchy, reindex_hierarchy  # noqa: E402
+from .hierarchy import build_hierarchy, reindex_hierarchy  # noqa: E402
 from .structcode import embed_structure_map  # noqa: E402
 
 __version__ = "0.1.0"

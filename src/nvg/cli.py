@@ -135,8 +135,7 @@ def cmd_tokenize(args) -> int:
     grid = LatentGrid(io.read_tensor(args.input))
     codebook = _load_codebook(args.codebook)
     refiners = checkpoints.load_refiners(args.refiners)
-    hierarchy = build_hierarchy(grid)
-    seq, _ = build_contents(grid, hierarchy, codebook, refiners)
+    seq, _ = build_contents(grid, build_hierarchy(grid), codebook, refiners)
     io.write_sequence(args.output, seq, codebook)
     return 0
 

@@ -27,7 +27,6 @@ __all__ = [
     "ContentTokens",
     "VGSequence",
     "parent_consistent",
-    "check_map_chain",
     "assign",
     "place",
     "cluster_average",
@@ -176,20 +175,31 @@ class ContentTokens:
 
 @dataclass(frozen=True, eq=False)
 class VGSequence:
-    """The full per-stage (tokens, map) decomposition of one latent grid.
-
-    Stage i uses exactly 2**i unique tokens; maps are parent-consistent, i.e.
-    label j at stage i covers exactly labels 2j and 2j+1 at stage i+1.
-    """
+    """The full per-stage (tokens, map) decomposition of one latent grid, and
+    the one check of a map chain: stage i has 2**i tokens and a stage-i map,
+    all maps share one shape with h*w == 2**K, and they are parent-consistent,
+    i.e. label j at stage i covers exactly labels 2j and 2j+1 at stage i+1."""
 
     stages: tuple
 
     def __post_init__(self):
         stages = tuple(self.stages)
-        for i, (tokens, _) in enumerate(stages):
+        if not stages:
+            raise InvariantError("need at least the single-cluster stage")
+        maps = [smap for _, smap in stages]
+        for i, (tokens, smap) in enumerate(stages):
             if not isinstance(tokens, ContentTokens) or tokens.stage != i:
                 raise InvariantError(f"stage {i} needs ContentTokens tagged stage {i}")
-        check_map_chain([smap for _, smap in stages])
+            if not isinstance(smap, StructureMap) or smap.stage != i:
+                raise InvariantError(f"map {i} must be a StructureMap tagged stage {i}")
+            if smap.labels.shape != maps[0].labels.shape:
+                raise InvariantError("all structure maps must share one grid shape")
+        hw = maps[0].labels.size
+        if hw != 1 << (len(maps) - 1):
+            raise InvariantError(f"{hw} locations need {hw.bit_length()} stages, got {len(maps)}")
+        for i in range(len(maps) - 1):
+            if not parent_consistent(maps[i], maps[i + 1]):
+                raise InvariantError(f"stages {i} and {i + 1} are not parent-consistent")
         object.__setattr__(self, "stages", stages)
 
     @property
@@ -209,24 +219,6 @@ def parent_consistent(coarse: StructureMap, fine: StructureMap) -> bool:
     """True when fine label l lies inside coarse label l >> (stage gap), the
     canonical 2j/2j+1 nesting applied once per stage between the maps."""
     return np.array_equal(fine.labels >> (fine.stage - coarse.stage), coarse.labels)
-
-
-def check_map_chain(maps) -> None:
-    """Raise InvariantError unless maps[i] is a stage-i StructureMap, all share
-    one shape with h*w == 2**(len(maps) - 1), and each nests in the one before."""
-    if not maps:
-        raise InvariantError("need at least the single-cluster stage")
-    for i, smap in enumerate(maps):
-        if not isinstance(smap, StructureMap) or smap.stage != i:
-            raise InvariantError(f"map {i} must be a StructureMap tagged stage {i}")
-        if smap.labels.shape != maps[0].labels.shape:
-            raise InvariantError("all structure maps must share one grid shape")
-    hw = maps[0].labels.size
-    if hw != 1 << (len(maps) - 1):
-        raise InvariantError(f"{hw} locations need {hw.bit_length()} stages, got {len(maps)}")
-    for i in range(len(maps) - 1):
-        if not parent_consistent(maps[i], maps[i + 1]):
-            raise InvariantError(f"stages {i} and {i + 1} are not parent-consistent")
 
 
 def place(vectors: np.ndarray, smap: StructureMap) -> np.ndarray:

@@ -6,8 +6,8 @@ until one cluster covers the grid. Labels are then rewritten into canonical
 parent-child form by `canonical_child`, the one labelling rule: cluster j
 splits into 2j, the half holding its smallest row-major location, and 2j+1.
 Sampled, forced and image-read maps are labelled by it too, and API
-overrides are checked against it. A Hierarchy is the maps and nothing else;
-whether a build was greedy can be checked from the maps and the grid alone,
+overrides are checked against it through `reindex_hierarchy`. A hierarchy is
+its tuple of canonical maps; whether a build was greedy can be checked from the maps and the grid alone,
 because each stage's clusters, averaged from the grid, must pair up as 2j
 with 2j+1 under a fresh greedy scan (barring exact distance ties, which the
 scan breaks by label order).
@@ -28,35 +28,17 @@ would.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantError, NumericError
-from .grid import LatentGrid, StructureMap, check_map_chain
+from .grid import LatentGrid, StructureMap
 
 __all__ = [
-    "Hierarchy",
     "build_hierarchy",
     "canonical_child",
     "reindex_hierarchy",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Hierarchy:
-    """Canonical stage-0..K structure maps, balanced and nested."""
-
-    maps: tuple
-
-    def __post_init__(self):
-        maps = tuple(self.maps)
-        check_map_chain(maps)
-        object.__setattr__(self, "maps", maps)
-
-    @property
-    def last_stage(self) -> int:
-        return len(self.maps) - 1
 
 
 # Rows of the distance matrix built per block: bounds the (rows, m, e) diff
@@ -139,8 +121,8 @@ def _greedy_pairs(vectors: np.ndarray):
     return pairs
 
 
-def build_hierarchy(grid: LatentGrid) -> Hierarchy:
-    """Cluster the grid bottom-up, halving the cluster count per stage.
+def build_hierarchy(grid: LatentGrid) -> tuple:
+    """The grid's canonical stage-0..K StructureMaps, clustered bottom-up.
 
     Each stage keeps its clusters' grid locations as one (clusters, size)
     array; a merged pair's row is i's members followed by j's, and its
@@ -198,13 +180,14 @@ def canonical_child(parent: StructureMap, halves) -> StructureMap:
     return StructureMap(parent.stage + 1, child.reshape(parent.labels.shape))
 
 
-def reindex_hierarchy(maps) -> Hierarchy:
+def reindex_hierarchy(maps) -> tuple:
     """Rewrite labels top-down into canonical 2j/2j+1 form.
 
     Takes a sequence of per-stage StructureMaps whose cluster memberships are
-    parent-consistent under any labeling, and relabels each stage as the
-    `canonical_child` of the canonical stage before. Idempotent on
-    already-canonical maps.
+    parent-consistent under any labeling, and returns the tuple of each stage
+    relabelled as the `canonical_child` of the canonical stage before, so it
+    nests by construction. Idempotent on already-canonical maps. Built
+    hierarchies and a request's structure prefix are canonicalised here.
     """
     maps = tuple(maps)
     if not maps:
@@ -216,4 +199,4 @@ def reindex_hierarchy(maps) -> Hierarchy:
     new_maps = [StructureMap(0, np.zeros(shape, dtype=np.int32))]
     for smap in maps[1:]:
         new_maps.append(canonical_child(new_maps[-1], smap.labels))
-    return Hierarchy(tuple(new_maps))
+    return tuple(new_maps)

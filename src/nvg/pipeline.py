@@ -27,7 +27,7 @@ from .grid import (
     VGSequence,
     assign,
 )
-from .hierarchy import canonical_child
+from .hierarchy import canonical_child, reindex_hierarchy
 from .structcode import embed_structure_map
 from .structure_model import StructureModel, flow_sample, gumbel_balanced_split
 
@@ -55,8 +55,9 @@ class ScheduleParams:
 class GenerationRequest:
     """One sample. A stage-k `structure_prefix` fixes stages 0..k: stage i is
     `labels >> (k - i)`, the only map it nests in. `fixed_maps` holds those
-    maps, and each must be the `canonical_child` of the one before, as every
-    training map is. Without a prefix only the stage-0 map is fixed."""
+    maps, and `reindex_hierarchy` must leave each unchanged: each is the
+    `canonical_child` of the one before, as every training map is. Without a
+    prefix only the stage-0 map is fixed."""
 
     class_id: int
     seed: int
@@ -72,17 +73,16 @@ class GenerationRequest:
         hw = self.h * self.w
         if min(self.h, self.w) < 1 or hw & (hw - 1):
             raise InvariantError("h and w must be positive and h*w a power of two")
-        maps = [StructureMap(0, np.zeros((self.h, self.w), dtype=np.int32))]
-        prefix = self.structure_prefix or maps[0]
+        prefix = self.structure_prefix or StructureMap(0, np.zeros((self.h, self.w), np.int32))
         if prefix.labels.shape != (self.h, self.w):
             raise InvariantError(f"override at stage {prefix.stage} has wrong shape")
-        for i in range(1, prefix.stage + 1):
-            labels = prefix.labels >> (prefix.stage - i)
-            maps.append(canonical_child(maps[-1], labels))
-            if not np.array_equal(maps[-1].labels, labels):
+        chain = [StructureMap(i, prefix.labels >> (prefix.stage - i))
+                 for i in range(prefix.stage + 1)]
+        object.__setattr__(self, "fixed_maps", reindex_hierarchy(chain))
+        for i, (smap, given) in enumerate(zip(self.fixed_maps, chain)):
+            if not np.array_equal(smap.labels, given.labels):
                 raise InvariantError(f"structure prefix at stage {i} is not the "
                                      f"canonical child of its stage {i - 1}")
-        object.__setattr__(self, "fixed_maps", tuple(maps))
         for stage, tokens in self.content_overrides.items():
             if not isinstance(tokens, ContentTokens) or tokens.stage != stage:
                 raise InvariantError(f"token override at stage {stage} has wrong stage tag")

@@ -26,7 +26,7 @@ from .grid import (
     place,
     quantize_nearest_batch,
 )
-from .hierarchy import Hierarchy, build_hierarchy
+from .hierarchy import build_hierarchy
 
 __all__ = [
     "Refiner",
@@ -91,23 +91,23 @@ def identity_refiners(last_stage: int, channels: int) -> list:
     return [Refiner(weight.copy(), np.zeros(channels)) for _ in range(last_stage + 1)]
 
 
-def build_contents(grid: LatentGrid, hierarchy: Hierarchy, codebook: Codebook,
-                   refiners) -> tuple:
+def build_contents(grid: LatentGrid, maps, codebook: Codebook, refiners) -> tuple:
     """Tokenize: per stage, quantize residual cluster means, refine and subtract.
 
-    Returns (VGSequence, residual grids R_0..R_{K+1}); R_0 is the input.
+    `maps` are stage-0..K maps (`build_hierarchy`'s); the VGSequence checks
+    they nest. Returns (VGSequence, residual grids R_0..R_{K+1}); R_0 is the input.
     """
-    if hierarchy.maps[0].labels.shape != (grid.h, grid.w):
-        raise InvariantError(f"hierarchy shape {hierarchy.maps[0].labels.shape} does not "
+    if maps[0].labels.shape != (grid.h, grid.w):
+        raise InvariantError(f"hierarchy shape {maps[0].labels.shape} does not "
                              f"match grid {(grid.h, grid.w)}")
-    if len(refiners) != hierarchy.last_stage + 1:
-        raise InvariantError(f"need {hierarchy.last_stage + 1} refiners, got {len(refiners)}")
+    if len(refiners) != len(maps):
+        raise InvariantError(f"need {len(maps)} refiners, got {len(refiners)}")
     if codebook.dim != grid.e:
         raise InvariantError(f"codebook dim {codebook.dim} != grid channels {grid.e}")
     residual = grid.data
     residuals = [residual]
     stages = []
-    for i, smap in enumerate(hierarchy.maps):
+    for i, smap in enumerate(maps):
         means = cluster_average(residual, smap)
         tokens = ContentTokens(i, quantize_nearest_batch(means, codebook))
         placed = place(codebook.vectors[tokens.indices], smap)
@@ -173,7 +173,7 @@ def fit_codebook(grids, n: int, iterations: int = 25, seed: int = 0) -> Codebook
     for grid in grids:
         residual = grid.data
         chunks.append(residual.reshape(-1, grid.e))
-        for smap in build_hierarchy(grid).maps:
+        for smap in build_hierarchy(grid):
             means = cluster_average(residual, smap)
             chunks.append(means)
             residual = residual - place(means, smap)

@@ -29,10 +29,10 @@ def _check_structure_embedding(seed):
     count and the parent's prefix, and one distinct id per finest cluster."""
     rng = np.random.default_rng(seed)
     for _ in range(5):
-        h = build_hierarchy(LatentGrid(rng.normal(size=(8, 8, 4)).astype(np.float32)))
-        if not bit_rule_holds(h.maps, h.last_stage):
+        maps = build_hierarchy(LatentGrid(rng.normal(size=(8, 8, 4)).astype(np.float32)))
+        if not bit_rule_holds(maps, len(maps) - 1):
             return False, "a pad count or a parent prefix breaks the bit rule"
-        finest = embed_structure_map(h.maps[-1], h.last_stage).reshape(64, -1)
+        finest = embed_structure_map(maps[-1], len(maps) - 1).reshape(64, -1)
         if np.unique(finest, axis=0).shape[0] != 64:
             return False, "two finest-stage locations share an id"
     return True, "pad counts, parent prefixes and 64 distinct finest ids on 5 grids"
@@ -60,14 +60,16 @@ def _check_hierarchy(seed):
     rng = np.random.default_rng(seed)
     for _ in range(5):
         grid = LatentGrid(rng.normal(size=(8, 8, 4)).astype(np.float32))
-        h = build_hierarchy(grid)
-        for i, smap in enumerate(h.maps):
+        maps = build_hierarchy(grid)
+        for i, smap in enumerate(maps):
             counts = np.bincount(smap.labels.ravel(), minlength=2 ** i)
             if not np.all(counts == 64 // 2 ** i):
                 return False, f"stage {i} imbalance"
         flat = grid.data.reshape(64, 4).astype(np.float64)
-        for s in range(h.last_stage):
-            order = np.argsort(h.maps[s + 1].labels.ravel(), kind="stable")
+        for s, fine in enumerate(maps[1:]):
+            if not np.array_equal(fine.labels >> 1, maps[s].labels):
+                return False, f"stage {s + 1} does not nest in stage {s}"
+            order = np.argsort(fine.labels.ravel(), kind="stable")
             means = flat[order].reshape(2 ** (s + 1), -1, 4).mean(axis=1)
             if any(i % 2 or j != i + 1 for i, j in _naive_greedy_pairs(means)):
                 return False, f"stage {s} merges are not globally greedy"

@@ -93,8 +93,7 @@ def tokenize_dataset(dataset, codebook: Codebook, refiners) -> list:
     """Tokenize (class_id, LatentGrid) pairs into teacher-forcing material."""
     out = []
     for class_id, grid in dataset:
-        hierarchy = build_hierarchy(grid)
-        seq, _ = build_contents(grid, hierarchy, codebook, refiners)
+        seq, _ = build_contents(grid, build_hierarchy(grid), codebook, refiners)
         canvases = tuple(p.data for p in canvas_prefixes(seq, codebook, refiners))
         flow_target = embed_structure_map(seq.stages[-1][1], seq.last_stage)
         out.append(TokenizedExample(class_id, grid, seq, canvases,

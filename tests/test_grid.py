@@ -74,6 +74,20 @@ class TestTypes:
         with pytest.raises(InvariantError):
             VGSequence(((t0, s0), (t0, s0)))
 
+    def test_sequence_enforces_2j_relation(self):
+        s0 = StructureMap(0, np.zeros((2, 2), dtype=np.int64))
+        s1 = StructureMap(1, np.array([[0, 0], [1, 1]]))
+        tokens = [ContentTokens(i, np.zeros(1 << i, dtype=np.int32)) for i in range(3)]
+
+        def sequence(s2):
+            return VGSequence(tuple(zip(tokens, (s0, s1, StructureMap(2, np.array(s2))))))
+
+        # swapped child order still satisfies the 2j/2j+1 relation
+        sequence([[1, 0], [2, 3]])
+        # a child whose label pair belongs to the other parent does not
+        with pytest.raises(InvariantError, match="stages 1 and 2 are not parent-consistent"):
+            sequence([[2, 3], [0, 1]])
+
 
 class TestAssign:
     def test_stage0_fills_grid(self):
@@ -136,7 +150,7 @@ class TestClusterAverage:
         rng = np.random.default_rng(11)
         g = grid_from(rng.normal(size=(4, 4, 3)))
         h = build_hierarchy(g)
-        for smap in h.maps:
+        for smap in h:
             centered = g.data - place(cluster_average(g, smap), smap)
             for j in range(smap.num_clusters):
                 mask = smap.labels == j
@@ -155,7 +169,7 @@ def add_at_cluster_average(data, smap):
 @functools.lru_cache(maxsize=None)
 def greedy_maps(h, w):
     grid = LatentGrid(np.random.default_rng(h * w).normal(size=(h, w, 4)).astype(np.float32))
-    return build_hierarchy(grid).maps
+    return build_hierarchy(grid)
 
 
 def averaging_grid(kind, h, w, e, rng):

@@ -6,7 +6,7 @@ import pytest
 from nvg import hierarchy
 from nvg.errors import InvariantError, NumericError
 from nvg.grid import LatentGrid, StructureMap
-from nvg.hierarchy import Hierarchy, build_hierarchy, canonical_child, reindex_hierarchy
+from nvg.hierarchy import build_hierarchy, canonical_child, reindex_hierarchy
 
 
 def greedy_pair_step(vectors):
@@ -116,8 +116,8 @@ def greedy_audit(grid, h):
     of the stage-(s+1) clusters must pair up as {2j, 2j+1} under the naive
     full-rescan greedy scan. Returns the stages where they do not."""
     bad = []
-    for s in range(h.last_stage):
-        pairs = reference_greedy_pairs(grid_cluster_means(grid, h.maps[s + 1]))
+    for s in range(len(h) - 1):
+        pairs = reference_greedy_pairs(grid_cluster_means(grid, h[s + 1]))
         if sorted(pairs) != [(2 * j, 2 * j + 1) for j in range(1 << s)]:
             bad.append(s)
     return bad
@@ -253,23 +253,23 @@ class TestBuildHierarchy:
     def test_forced_1x2(self):
         g = LatentGrid(np.array([[[1.0], [2.0]]], dtype=np.float32))
         h = build_hierarchy(g)
-        assert h.last_stage == 1
-        assert np.array_equal(h.maps[0].labels, np.zeros((1, 2), dtype=np.int32))
-        assert np.array_equal(h.maps[1].labels, np.array([[0, 1]]))
+        assert len(h) == 2
+        assert np.array_equal(h[0].labels, np.zeros((1, 2), dtype=np.int32))
+        assert np.array_equal(h[1].labels, np.array([[0, 1]]))
 
     def test_2x2_split_follows_similarity(self):
         data = np.array([[[0.0], [0.1]], [[10.0], [10.1]]], dtype=np.float32)
         h = build_hierarchy(LatentGrid(data))
         # enumerate all balanced 2-cluster splits of 4 locations: the greedy
         # merge pairs (0,1) then (2,3), which reindexes to [[0,0],[1,1]]
-        assert np.array_equal(h.maps[1].labels, np.array([[0, 0], [1, 1]]))
+        assert np.array_equal(h[1].labels, np.array([[0, 0], [1, 1]]))
 
     def test_16x16_stage_counts(self):
         rng = np.random.default_rng(2)
         g = LatentGrid(rng.normal(size=(16, 16, 4)).astype(np.float32))
         h = build_hierarchy(g)
-        assert len(h.maps) == 9
-        for i, smap in enumerate(h.maps):
+        assert len(h) == 9
+        for i, smap in enumerate(h):
             labels = smap.labels.ravel()
             assert np.unique(labels).size == 2 ** i
 
@@ -278,11 +278,11 @@ class TestBuildHierarchy:
         g = LatentGrid(rng.normal(size=(4, 8, 3)).astype(np.float32))
         h = build_hierarchy(g)
         hw = 32
-        for i, smap in enumerate(h.maps):
+        for i, smap in enumerate(h):
             counts = np.bincount(smap.labels.ravel(), minlength=2 ** i)
             assert np.all(counts == hw // 2 ** i)
-        for i in range(h.last_stage):
-            assert np.array_equal(h.maps[i + 1].labels >> 1, h.maps[i].labels)
+        for i in range(len(h) - 1):
+            assert np.array_equal(h[i + 1].labels >> 1, h[i].labels)
 
     def test_hierarchy_is_globally_greedy(self):
         rng = np.random.default_rng(4)
@@ -313,7 +313,7 @@ class TestBuildHierarchy:
         g = LatentGrid(np.random.default_rng(11).normal(size=(8, 8, 4)).astype(np.float32))
         want = build_hierarchy(g)
         monkeypatch.setattr(hierarchy, "_DIST_MAX_BYTES", 8 * 64 ** 2)
-        for a, b in zip(build_hierarchy(g).maps, want.maps, strict=True):
+        for a, b in zip(build_hierarchy(g), want, strict=True):
             assert np.array_equal(a.labels, b.labels)
 
     def test_deterministic(self):
@@ -321,7 +321,7 @@ class TestBuildHierarchy:
         data = rng.normal(size=(8, 8, 4)).astype(np.float32)
         h1 = build_hierarchy(LatentGrid(data))
         h2 = build_hierarchy(LatentGrid(data.copy()))
-        for a, b in zip(h1.maps, h2.maps):
+        for a, b in zip(h1, h2):
             assert np.array_equal(a.labels, b.labels)
 
 
@@ -341,7 +341,7 @@ class TestMemberArrayOracle:
         monkeypatch.setattr(hierarchy, "_greedy_pairs", spy)
         got = build_hierarchy(grid)
         want, want_paired = reference_build_hierarchy(grid)
-        for a, b in zip(got.maps, want.maps, strict=True):
+        for a, b in zip(got, want, strict=True):
             assert np.array_equal(a.labels, b.labels) and a.labels.dtype == b.labels.dtype
         assert len(paired) == len(want_paired)
         for a, b in zip(paired, want_paired):
@@ -365,8 +365,8 @@ class TestReindexHierarchy:
         rng = np.random.default_rng(6)
         g = LatentGrid(rng.normal(size=(4, 4, 2)).astype(np.float32))
         h = build_hierarchy(g)
-        again = reindex_hierarchy(h.maps)
-        for a, b in zip(h.maps, again.maps):
+        again = reindex_hierarchy(h)
+        for a, b in zip(h, again):
             assert np.array_equal(a.labels, b.labels)
 
     def test_swapped_labels_restored(self):
@@ -374,15 +374,15 @@ class TestReindexHierarchy:
         swapped = StructureMap(1, np.array([[1, 0]]))
         h = reindex_hierarchy([s0, swapped])
         # location 0 is the smallest row-major index, so its cluster gets 0
-        assert np.array_equal(h.maps[1].labels, np.array([[0, 1]]))
+        assert np.array_equal(h[1].labels, np.array([[0, 1]]))
 
     def test_random_8x8_passes_membership_union_oracle(self):
         rng = np.random.default_rng(7)
         g = LatentGrid(rng.normal(size=(8, 8, 4)).astype(np.float32))
         h = build_hierarchy(g)
-        for i in range(h.last_stage):
-            parent = h.maps[i].labels
-            child = h.maps[i + 1].labels
+        for i in range(len(h) - 1):
+            parent = h[i].labels
+            child = h[i + 1].labels
             for j in range(2 ** i):
                 members = parent == j
                 child_labels = set(np.unique(child[members]).tolist())
@@ -394,11 +394,11 @@ class TestReindexHierarchy:
         h = build_hierarchy(g)
         # scramble each stage's labels with a random permutation, then reindex
         scrambled = []
-        for i, smap in enumerate(h.maps):
+        for i, smap in enumerate(h):
             perm = rng.permutation(2 ** i)
             scrambled.append(StructureMap(i, perm[smap.labels]))
         restored = reindex_hierarchy(scrambled)
-        for a, b in zip(h.maps, restored.maps):
+        for a, b in zip(h, restored):
             assert np.array_equal(a.labels, b.labels)
 
     def test_inconsistent_membership_rejected(self):
@@ -452,12 +452,3 @@ class TestReindexHierarchy:
         s3 = StructureMap(3, np.arange(8).reshape(1, 8))
         with pytest.raises(InvariantError):
             reindex_hierarchy([s0, s1, s2, s3])
-
-    def test_type_enforces_2j_relation(self):
-        s0 = StructureMap(0, np.zeros((2, 2), dtype=np.int64))
-        s1 = StructureMap(1, np.array([[0, 0], [1, 1]]))
-        # swapped child order still satisfies the 2j/2j+1 relation
-        Hierarchy((s0, s1, StructureMap(2, np.array([[1, 0], [2, 3]]))))
-        # a child whose label pair belongs to the other parent does not
-        with pytest.raises(InvariantError):
-            Hierarchy((s0, s1, StructureMap(2, np.array([[2, 3], [0, 1]]))))

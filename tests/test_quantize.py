@@ -38,11 +38,11 @@ def reference_kmeans_input(grids):
     for grid in grids:
         hierarchy = build_hierarchy(grid)
         residual, residuals = grid.data, []
-        for refiner, smap in zip(identity_refiners(hierarchy.last_stage, grid.e), hierarchy.maps):
+        for refiner, smap in zip(identity_refiners(len(hierarchy) - 1, grid.e), hierarchy):
             residuals.append(residual)
             residual = residual - refiner.apply(place(cluster_average(residual, smap), smap))
         chunks.append(grid.data.reshape(-1, grid.e))
-        chunks += [cluster_average(r, smap) for r, smap in zip(residuals, hierarchy.maps)]
+        chunks += [cluster_average(r, smap) for r, smap in zip(residuals, hierarchy)]
     return np.concatenate(chunks, axis=0).astype(np.float64)
 
 
@@ -86,7 +86,7 @@ class TestBuildContents:
         refiners = identity_refiners(2, 2)
         seq, residuals = build_contents(grid, hierarchy, codebook, refiners)
         assert seq.stages[0][0].indices.tolist() == [1]
-        means_r1 = cluster_average(residuals[1].data, hierarchy.maps[0])
+        means_r1 = cluster_average(residuals[1].data, hierarchy[0])
         assert np.allclose(means_r1, 0.0, atol=1e-6)
 
     def test_trace_starts_at_input(self):

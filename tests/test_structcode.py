@@ -69,40 +69,40 @@ class TestStackedEmbedding:
         return build_hierarchy(LatentGrid(rng.normal(size=(4, 4, 3)).astype(np.float32)))
 
     def test_stage0_all_ones(self, hierarchy):
-        emb = embed_structure_map(hierarchy.maps[0], hierarchy.last_stage)
+        emb = embed_structure_map(hierarchy[0], len(hierarchy) - 1)
         assert np.all(emb == 1)
         assert emb.shape == (4, 4, 4)
 
     def test_bijective_stage_all_distinct_no_padding(self, hierarchy):
-        emb = embed_structure_map(hierarchy.maps[hierarchy.last_stage], hierarchy.last_stage)
+        emb = embed_structure_map(hierarchy[-1], len(hierarchy) - 1)
         assert not np.any(emb == 1)
         flat = {tuple(row) for row in emb.reshape(-1, emb.shape[2])}
         assert len(flat) == 16
 
     def test_matches_per_location_encode(self, hierarchy):
-        depth = hierarchy.last_stage
+        depth = len(hierarchy) - 1
         for stage in range(depth + 1):
-            emb = embed_structure_map(hierarchy.maps[stage], hierarchy.last_stage)
-            labels = hierarchy.maps[stage].labels
+            emb = embed_structure_map(hierarchy[stage], len(hierarchy) - 1)
+            labels = hierarchy[stage].labels
             for y in range(4):
                 for x in range(4):
                     expected = encode_structure(int(labels[y, x]), stage, depth)
                     assert np.array_equal(emb[y, x], expected)
 
     def test_prefix_inherited_from_parent(self, hierarchy):
-        for stage in range(1, hierarchy.last_stage + 1):
-            child = embed_structure_map(hierarchy.maps[stage], hierarchy.last_stage)
-            parent = embed_structure_map(hierarchy.maps[stage - 1], hierarchy.last_stage)
+        for stage in range(1, len(hierarchy)):
+            child = embed_structure_map(hierarchy[stage], len(hierarchy) - 1)
+            parent = embed_structure_map(hierarchy[stage - 1], len(hierarchy) - 1)
             assert np.array_equal(child[:, :, :stage - 1], parent[:, :, :stage - 1])
 
     def test_embed_structure_map_shape(self, hierarchy):
-        emb = embed_structure_map(hierarchy.maps[2], 6)
+        emb = embed_structure_map(hierarchy[2], 6)
         assert emb.shape == (4, 4, 6)
         assert np.all(emb[:, :, 2:] == 1)
 
     def test_bit_rule_holds_on_a_built_hierarchy(self, hierarchy):
-        assert bit_rule_holds(hierarchy.maps, hierarchy.last_stage)
-        assert bit_rule_holds(hierarchy.maps[:3], 6)
+        assert bit_rule_holds(hierarchy, len(hierarchy) - 1)
+        assert bit_rule_holds(hierarchy[:3], 6)
 
 
 def test_bit_rule_fails_when_a_child_leaves_its_parent():
