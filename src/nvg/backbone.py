@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import errors
 from .autodiff import Tensor
 from .errors import InvariantError
 from .grid import StructureMap
@@ -67,7 +68,8 @@ class ModelConfig:
 
     kind "content": width 64 d, d heads; kind "structure": width 32 d, d/2
     heads. Either way the per-head dim is 64 and the block-core parameter
-    count is 15 d width^2.
+    count is 15 d width^2, whose float32 bytes must fit
+    `errors.MAX_ALLOC_BYTES`: content depth <= 20, structure depth <= 32.
     """
 
     depth: int
@@ -92,6 +94,10 @@ class ModelConfig:
             )
         if self.width % self.heads or self.width // self.heads != HEAD_DIM:
             raise InvariantError("width/heads must give 64-dim heads")
+        need = 4 * 15 * self.depth * self.width ** 2     # float32 block weights
+        if need > errors.MAX_ALLOC_BYTES:
+            raise InvariantError(f"a depth-{self.depth} {self.kind} model needs {need} bytes "
+                                 f"of block weights, over the {errors.MAX_ALLOC_BYTES}-byte cap")
 
     @property
     def width(self) -> int:

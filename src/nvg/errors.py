@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types and the allocation cap shared across the package.
 
 The CLI maps these onto exit codes: FormatError -> 2, InvariantError -> 3,
 NumericError -> 4.
 """
+
+# Largest array, in bytes, that caller-chosen sizes may ask for: the tokenizer's
+# distance matrix, block weights, a training step's attention scores. Over it,
+# InvariantError before allocating. Read as errors.MAX_ALLOC_BYTES: one cap for all.
+MAX_ALLOC_BYTES = 2 << 30
 
 
 class NvgError(Exception):

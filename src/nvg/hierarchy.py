@@ -7,22 +7,22 @@ parent-child form by `canonical_child`, the one labelling rule: cluster j
 splits into 2j, the half holding its smallest row-major location, and 2j+1.
 Sampled, forced and image-read maps are labelled by it too, and API
 overrides are checked against it through `reindex_hierarchy`. A hierarchy is
-its tuple of canonical maps; whether a build was greedy can be checked from the maps and the grid alone,
-because each stage's clusters, averaged from the grid, must pair up as 2j
-with 2j+1 under a fresh greedy scan (barring exact distance ties, which the
-scan breaks by label order).
+its tuple of canonical maps; whether a build was greedy can be checked from
+the maps and the grid alone, because each stage's clusters, averaged from
+the grid, must pair up as 2j with 2j+1 under a fresh greedy scan (barring
+exact distance ties, which the scan breaks by label order).
 
 A stage's members are one (clusters, size) array of grid locations, so its
 labels and cluster means come from one scatter and one gather per stage. A
 stage with m clusters builds the i < j distance matrix once, in row blocks,
-in O(m^2 e); a grid whose 8 (hw)^2-byte matrix would pass `_DIST_MAX_BYTES`
-is refused before anything is allocated. The merges then pop a lazy heap of
-per-row cached minima, rescanning a row only when it reaches the top with a
-merged (dead) partner: O((m + rescans) log m + rescans m), a few hundred
-rescans at m = 1024. The matrix is never written after it is built: a
-rescan masks the dead columns in its own copy of the row. Ties break on the
-smallest (i, j), exactly as a full row-major rescan of the matrix per merge
-would.
+in O(m^2 e); a grid whose 8 (hw)^2-byte matrix would pass the allocation cap
+(128x128 fits, 256x256 does not) is refused before anything is allocated.
+The merges then pop a lazy heap of per-row cached minima, rescanning a row
+only when it reaches the top with a merged (dead) partner: O((m + rescans)
+log m + rescans m), a few hundred rescans at m = 1024. The matrix is never
+written after it is built: a rescan masks the dead columns in its own copy
+of the row. Ties break on the smallest (i, j), exactly as a full row-major
+rescan of the matrix per merge would.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import heapq
 
 import numpy as np
 
+from . import errors
 from .errors import InvariantError, NumericError
 from .grid import LatentGrid, StructureMap
 
@@ -44,10 +45,6 @@ __all__ = [
 # Rows of the distance matrix built per block: bounds the (rows, m, e) diff
 # temporary to a few MB at m = 1024.
 _DIST_BLOCK_ROWS = 64
-
-# Largest distance matrix build_hierarchy allocates, in bytes: 128x128 grids
-# (8 * 16384^2 bytes) fit, 256x256 grids (32 GiB) are refused.
-_DIST_MAX_BYTES = 2 << 30
 
 
 def _pairwise_sq_dists(vectors: np.ndarray) -> np.ndarray:
@@ -129,14 +126,14 @@ def build_hierarchy(grid: LatentGrid) -> tuple:
     representative is the mean of those members' grid vectors, summed in that
     row order. Output labels are canonical (see reindex_hierarchy). Raises
     InvariantError, before allocating, when the finest stage's distance
-    matrix would exceed `_DIST_MAX_BYTES`.
+    matrix would exceed `errors.MAX_ALLOC_BYTES`.
     """
     h, w = grid.h, grid.w
     hw = h * w
     need = 8 * hw * hw
-    if need > _DIST_MAX_BYTES:
+    if need > errors.MAX_ALLOC_BYTES:
         raise InvariantError(f"a {h}x{w} grid needs a {need}-byte distance matrix, "
-                             f"over the {_DIST_MAX_BYTES}-byte cap")
+                             f"over the {errors.MAX_ALLOC_BYTES}-byte cap")
     last = grid.last_stage
     flat = grid.data.reshape(hw, grid.e).astype(np.float64)
 

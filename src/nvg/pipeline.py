@@ -12,6 +12,7 @@ stages; the generators sample the rest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,10 @@ class ScheduleParams:
     def __post_init__(self):
         if self.flow_steps < 1:
             raise InvariantError("flow_steps must be positive")
+        if self.cfg_constant is not None and not math.isfinite(self.cfg_constant):
+            raise InvariantError(f"guidance scale must be finite, got {self.cfg_constant}")
+        if self.top_p_constant is not None and not 0.0 < self.top_p_constant <= 1.0:
+            raise InvariantError(f"top-p must lie in (0, 1], got {self.top_p_constant}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +208,9 @@ def generate(req: GenerationRequest, content_model: ContentModel,
     h, w_grid, e = req.h, req.w, req.e
     if codebook.dim != e:
         raise InvariantError("codebook dim does not match the request")
+    if content_model.config.codebook_size != codebook.size:
+        raise InvariantError(f"content model scores {content_model.config.codebook_size} "
+                             f"codebook rows, the codebook has {codebook.size}")
     if content_model.config.last_stage != last or structure_model.config.last_stage != last:
         raise InvariantError("model stage depth does not match the request")
     if len(refiners) != last + 1:

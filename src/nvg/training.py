@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import errors
 from .autodiff import Adam, Tensor, no_grad
 from .content_model import ContentModel
 from .errors import InvariantError, NumericError
@@ -112,9 +113,15 @@ def _last_stage(examples: list) -> int:
     return examples[0].sequence.last_stage
 
 
-def _fit(model, config: TrainConfig, batch_loss) -> TrainResult:
+def _fit(model, config: TrainConfig, batch_loss, length: int) -> TrainResult:
     """The step loop of both trainers: batch_loss(rng) returns the step's
-    loss; a non-finite loss raises NumericError before any parameter moves."""
+    loss; a non-finite loss raises NumericError before any parameter moves.
+    First it refuses a batch whose float32 attention scores over rows of
+    `length` tokens, per head and block, would pass `errors.MAX_ALLOC_BYTES`."""
+    need = 4 * config.batch_size * model.config.heads * length ** 2 * model.config.depth
+    if need > errors.MAX_ALLOC_BYTES:
+        raise InvariantError(f"batch {config.batch_size} needs {need} bytes of {model.kind} "
+                             f"attention scores a step, over the {errors.MAX_ALLOC_BYTES}-byte cap")
     rng = np.random.default_rng(config.seed)
     opt = Adam(model.params())
     result = TrainResult()
@@ -152,7 +159,7 @@ def train_content(examples: list, model: ContentModel, config: TrainConfig) -> T
         tokens = [ex.sequence.stages[stage][0].indices for ex, stage in rows]
         return model.loss(class_ids, smaps, canvases, targets, tokens, rng=rng)
 
-    return _fit(model, config, batch_loss)
+    return _fit(model, config, batch_loss, 1 + examples[0].grid.h * examples[0].grid.w)
 
 
 def train_structure(examples: list, model: StructureModel, config: TrainConfig) -> TrainResult:
@@ -196,7 +203,7 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
         diff = vel - Tensor(targets)
         return (diff * diff * mask).sum() / float(mask.sum())
 
-    return _fit(model, config, batch_loss)
+    return _fit(model, config, batch_loss, 1 + 2 * h * w_grid)
 
 
 @no_grad()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nvg.autodiff as ad
+from nvg import errors
 from nvg.autodiff import Tensor
 from nvg.backbone import HEAD_DIM, Block, ModelConfig, rope_tables
 from nvg.errors import InvariantError
@@ -134,7 +135,26 @@ class TestModelConfig:
         assert core(ModelConfig(4, "content", 4, 64, 4, 6)) == 3_932_160
 
     def test_dropout_scales_with_depth(self):
-        assert ModelConfig(24, "content", 4, 64, 4, 6).dropout == pytest.approx(0.1)
+        # depth 24 passes the byte cap only as a structure model
+        assert ModelConfig(24, "structure", 4, 1, 4, 6).dropout == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("kind, fits, refused, per_cube", [
+        ("content", 20, 21, 245_760),       # 4 bytes * 15 d (64 d)^2
+        ("structure", 32, 34, 61_440),      # 4 bytes * 15 d (32 d)^2; 33 is odd
+    ])
+    def test_block_weights_over_the_byte_cap_are_refused(self, kind, fits, refused, per_cube):
+        # a config allocates nothing, so the real 2 GiB cap is safe to test
+        assert 4 * 15 * fits * ModelConfig(fits, kind, 4, 1, 4, 6).width ** 2 \
+            == per_cube * fits ** 3 <= errors.MAX_ALLOC_BYTES
+        with pytest.raises(InvariantError, match=f"needs {per_cube * refused ** 3} bytes"):
+            ModelConfig(refused, kind, 4, 1, 4, 6)
+
+    def test_block_weights_read_the_cap_at_construction(self, monkeypatch):
+        monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 4 * 15 * 64 ** 2 - 1)
+        with pytest.raises(InvariantError, match="over the 245759-byte cap"):
+            ModelConfig(1, "content", 4, 1, 4, 6)
+        monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 4 * 15 * 64 ** 2)
+        ModelConfig(1, "content", 4, 1, 4, 6)
 
     def test_structure_depth_must_be_even(self):
         with pytest.raises(InvariantError):

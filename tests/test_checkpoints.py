@@ -44,7 +44,12 @@ class TestModelMeta:
 
     def test_depth_far_beyond_the_file_fails_before_counting_to_it(self, tmp_path):
         path = tmp_path / "deep.nvgc"
+        # the config's byte cap refuses this depth before anything is counted
         write_checkpoint(path, {**GOOD_META, "depth": 10 ** 12}, {})
+        with pytest.raises(FormatError, match="bytes of block weights"):
+            load_model(path)
+        # the deepest content config under the cap, in a file of no blocks
+        write_checkpoint(path, {**GOOD_META, "depth": 20}, {})
         with pytest.raises(FormatError, match="holds 0 blocks"):
             load_model(path)
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import nvg
-from nvg import cli, hierarchy
+from nvg import cli, errors
 from nvg.backbone import ModelConfig
 from nvg.checkpoints import load_model, save_model, save_refiners
 from nvg.content_model import ContentModel
@@ -344,12 +344,77 @@ def test_tokenize_with_an_overflowing_refiner_exits_4_without_warning(files, cap
 
 def test_tokenize_over_the_distance_matrix_cap_exits_3(files, capsys, monkeypatch, tmp_path):
     # the 4x4 grid's 16x16 float64 distance matrix is 2048 bytes
-    monkeypatch.setattr(hierarchy, "_DIST_MAX_BYTES", 2047)
+    monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 2047)
     argv, _, outputs = commands(files)["tokenize"]
     code, err = run(_swap(argv, outputs[0], tmp_path / "out"), capsys)
     assert code == 3 and err.startswith("nvg: error code=3 kind=invariant:")
     assert "2048-byte" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_reconstruct_on_an_unnested_sequence_exits_3_and_writes_nothing(files, capsys,
+                                                                       tmp_path):
+    # stage-2 labels 1 and 2 swapped: still balanced, no longer nested
+    argv, inputs, outputs = commands(files)["reconstruct"]
+    obj = json.loads(Path(inputs[0]).read_text())
+    obj["stages"][2]["labels"] = [{1: 2, 2: 1}.get(v, v) for v in obj["stages"][2]["labels"]]
+    bad = tmp_path / "unnested.json"
+    bad.write_text(json.dumps(obj))
+    code, err = run(_swap(_swap(argv, inputs[0], bad), outputs[0], tmp_path / "out"), capsys)
+    assert code == 3 and "stages 1 and 2 are not parent-consistent" in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("option", ["--cfg-override=nan", "--cfg-override=inf",
+                                    "--top-p-override=0", "--top-p-override=1.5"])
+def test_bad_schedule_override_exits_3_before_any_model_runs(files, option, capsys,
+                                                             tmp_path, monkeypatch):
+    # a NaN guidance scale used to exit 4 after the models ran, and a top-p of
+    # 0 to exit 3 at the first content step
+    def no_generating(*args):
+        raise AssertionError("generate ran before the schedule was checked")
+
+    monkeypatch.setattr(cli, "generate", no_generating)
+    argv, _, outputs = commands(files)["generate"]
+    code, err = run(_swap(argv, outputs[0], tmp_path / "out") + [option], capsys)
+    assert code == 3 and err.startswith("nvg: error code=3 kind=invariant:")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_content_model_for_another_codebook_size_exits_3(files, capsys, tmp_path):
+    # the codebook has 8 rows; a 16-row content model used to sample from them
+    argv, inputs, outputs = commands(files)["generate"]
+    content = tmp_path / "content16.nvgc"
+    save_model(content, ContentModel(ModelConfig(1, "content", 3, 16, 2, 4)))
+    argv = _swap(_swap(argv, inputs[0], content), outputs[0], tmp_path / "out")
+    code, err = run(argv, capsys)
+    assert code == 3 and "scores 16 codebook rows, the codebook has 8" in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [content]
+
+
+# the float32 block weights of the depth-2 structure model (width 64), twice
+# those of the depth-1 content model: both fit, deeper models do not
+SMALL_CAP = 4 * 15 * 2 * 64 ** 2
+
+
+@pytest.mark.parametrize("command, options, what", [
+    ("train-content", ["--depth", "2"], "block weights"),
+    ("train-structure", ["--depth", "4"], "block weights"),
+    ("train-content", ["--batch", "512"], "attention scores"),
+    ("train-structure", ["--batch", "64"], "attention scores"),
+])
+def test_model_or_batch_over_the_byte_cap_exits_3_and_writes_nothing(
+        files, command, options, what, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", SMALL_CAP)
+    argv, _, outputs = commands(files)[command]
+    out = tmp_path / "model.nvgc"
+    code, err = run(_swap(argv, outputs[0], out) + options, capsys)
+    assert code == 3 and what in err and f"over the {SMALL_CAP}-byte cap" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_inspect_json_reads_the_structure_ids_back(files, capsys):

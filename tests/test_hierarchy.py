@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nvg import hierarchy
+from nvg import errors, hierarchy
 from nvg.errors import InvariantError, NumericError
 from nvg.grid import LatentGrid, StructureMap
 from nvg.hierarchy import build_hierarchy, canonical_child, reindex_hierarchy
@@ -305,14 +305,14 @@ class TestBuildHierarchy:
 
         g = LatentGrid(np.random.default_rng(11).normal(size=(8, 8, 4)).astype(np.float32))
         monkeypatch.setattr(hierarchy, "_greedy_pairs", no_pairing)
-        monkeypatch.setattr(hierarchy, "_DIST_MAX_BYTES", 8 * 64 ** 2 - 1)
+        monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 8 * 64 ** 2 - 1)
         with pytest.raises(InvariantError, match=f"needs a {8 * 64 ** 2}-byte"):
             build_hierarchy(g)
 
     def test_distance_matrix_at_the_cap_is_built(self, monkeypatch):
         g = LatentGrid(np.random.default_rng(11).normal(size=(8, 8, 4)).astype(np.float32))
         want = build_hierarchy(g)
-        monkeypatch.setattr(hierarchy, "_DIST_MAX_BYTES", 8 * 64 ** 2)
+        monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 8 * 64 ** 2)
         for a, b in zip(build_hierarchy(g), want, strict=True):
             assert np.array_equal(a.labels, b.labels)
 

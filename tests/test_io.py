@@ -100,6 +100,18 @@ class TestSequenceFile:
         with pytest.raises(InvariantError):
             read_sequence(path, codebook)
 
+    def test_balanced_but_unnested_labels_fail_validation(self, tmp_path, seq_and_codebook):
+        # swapping stage-2 labels 1 and 2 keeps every cluster's size, but puts
+        # label 2 inside stage-1 cluster 0
+        seq, codebook = seq_and_codebook
+        path = tmp_path / "seq.json"
+        write_sequence(path, seq, codebook)
+        obj = json.loads(path.read_text())
+        obj["stages"][2]["labels"] = [{1: 2, 2: 1}.get(v, v) for v in obj["stages"][2]["labels"]]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InvariantError, match="stages 1 and 2 are not parent-consistent"):
+            read_sequence(path, codebook)
+
     def test_not_json_is_format_error(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{nope")

@@ -68,6 +68,20 @@ class TestSchedules:
         assert top_p_schedule(8, 8) == pytest.approx(0.5)
         assert top_p_schedule(4, 8) == pytest.approx(0.7071, abs=1e-4)
 
+    @pytest.mark.parametrize("override", [
+        {"cfg_constant": np.nan}, {"cfg_constant": np.inf}, {"cfg_constant": -np.inf},
+        {"top_p_constant": 0.0}, {"top_p_constant": -0.5}, {"top_p_constant": 1.5},
+        {"top_p_constant": np.nan},
+    ], ids=["cfg-nan", "cfg-inf", "cfg-minus-inf", "top-p-0", "top-p-negative",
+            "top-p-over-1", "top-p-nan"])
+    def test_bad_constant_overrides_rejected_when_built(self, override):
+        # they used to fail only when a stage first used them, after the models ran
+        with pytest.raises(InvariantError, match="guidance scale must be finite|top-p must"):
+            ScheduleParams(**override)
+
+    def test_negative_guidance_and_full_nucleus_stay_legal(self):
+        ScheduleParams(cfg_constant=-2.0, top_p_constant=1.0)
+
 
 class TestCfgForward:
     @staticmethod
@@ -302,6 +316,23 @@ class TestGenerate:
         structure = StructureModel(ModelConfig(2, "structure", E + 1, 1, CLASSES, LAST))
         req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E)
         with pytest.raises(InvariantError, match="structure model expects"):
+            generate(req, content, structure, codebook, refiners)
+
+    @pytest.mark.parametrize("rows", [8, 64])
+    def test_content_model_for_another_codebook_size_rejected(self, setup, monkeypatch, rows):
+        # 8 rows used to sample silently from the codebook's first 8; 64 rows
+        # failed on an out-of-range token after the flow stages had run
+        _, codebook, refiners, _, structure = setup
+        content = ContentModel(ModelConfig(2, "content", E, rows, CLASSES, LAST))
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a model ran before the codebook size was checked")
+
+        monkeypatch.setattr(ContentModel, "forward_final_canvas", no_forward)
+        monkeypatch.setattr(StructureModel, "velocity", no_forward)
+        req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E)
+        with pytest.raises(InvariantError, match=f"scores {rows} codebook rows, the "
+                                                 f"codebook has {codebook.size}"):
             generate(req, content, structure, codebook, refiners)
 
     def test_structure_model_with_other_class_count_rejected(self, setup):

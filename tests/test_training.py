@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nvg import training
+from nvg import errors, training
 from nvg.autodiff import no_grad
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
@@ -196,6 +196,29 @@ class TestTokenizeDataset:
             train_content([], content_model(), cfg)
         with pytest.raises(InvariantError, match="no training examples"):
             train_structure([], structure_model(), cfg)
+
+
+@pytest.mark.parametrize("make, train, step_bytes", [
+    # 4 bytes * batch 4 * 2 heads * L^2 * 2 blocks, L = 1 + 16 tokens a run
+    (content_model, train_content, 4 * 4 * 2 * 17 ** 2 * 2),
+    (structure_model, train_structure, 4 * 4 * 1 * 33 ** 2 * 2),
+], ids=["content", "structure"])
+def test_batch_over_the_byte_cap_is_refused_before_the_first_draw(world, monkeypatch, make,
+                                                                  train, step_bytes):
+    _, _, _, examples = world
+    model = make()
+    cfg = TrainConfig(steps=1, batch_size=4)
+
+    def no_draw(seed):
+        raise AssertionError("reached the first draw")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", step_bytes - 1)
+    with pytest.raises(InvariantError, match=f"batch 4 needs {step_bytes} bytes"):
+        train(examples, model, cfg)
+    monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", step_bytes)
+    with pytest.raises(AssertionError, match="reached the first draw"):
+        train(examples, model, cfg)
 
 
 @pytest.mark.parametrize("kind, make, train", [
