@@ -68,8 +68,14 @@ class ModelConfig:
 
     kind "content": width 64 d, d heads; kind "structure": width 32 d, d/2
     heads. Either way the per-head dim is 64 and the block-core parameter
-    count is 15 d width^2, whose float32 bytes must fit
-    `errors.MAX_ALLOC_BYTES`: content depth <= 20, structure depth <= 32.
+    count is 15 d width^2.
+
+    Memory policy, against the one cap `errors.MAX_ALLOC_BYTES` (2 GiB): a
+    config, and so a loaded or generating model, holds its float32 block
+    weights once, which must fit: content depth <= 20, structure depth <= 32.
+    Training also holds a gradient and two Adam moments per weight, so
+    `training.check_training_budget` refuses it when 4x those bytes pass the
+    cap: content depth <= 12, structure depth <= 20.
     """
 
     depth: int
@@ -94,7 +100,7 @@ class ModelConfig:
             )
         if self.width % self.heads or self.width // self.heads != HEAD_DIM:
             raise InvariantError("width/heads must give 64-dim heads")
-        need = 4 * 15 * self.depth * self.width ** 2     # float32 block weights
+        need = self.block_weight_bytes
         if need > errors.MAX_ALLOC_BYTES:
             raise InvariantError(f"a depth-{self.depth} {self.kind} model needs {need} bytes "
                                  f"of block weights, over the {errors.MAX_ALLOC_BYTES}-byte cap")
@@ -102,6 +108,10 @@ class ModelConfig:
     @property
     def width(self) -> int:
         return (64 if self.kind == "content" else 32) * self.depth
+
+    @property
+    def block_weight_bytes(self) -> int:
+        return 4 * 15 * self.depth * self.width ** 2     # float32
 
     @property
     def heads(self) -> int:

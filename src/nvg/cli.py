@@ -29,7 +29,13 @@ from .selfcheck import run_selfcheck
 from .structcode import bit_rule_holds
 from .structure_model import StructureModel
 from .synthetic import SyntheticSpec, make_synthetic_dataset
-from .training import TrainConfig, tokenize_dataset, train_content, train_structure
+from .training import (
+    TrainConfig,
+    check_training_budget,
+    tokenize_dataset,
+    train_content,
+    train_structure,
+)
 
 
 def _parse_latent(text: str):
@@ -169,9 +175,10 @@ def cmd_train_generator(args, kind: str) -> int:
                          decay_start_fraction=args.decay_start, seed=args.seed)
     model_cls, train = {"content": (ContentModel, train_content),
                         "structure": (StructureModel, train_structure)}[kind]
-    model = model_cls(ModelConfig(args.depth, kind, e, codebook.size, args.classes, last),
-                      seed=args.seed)
-    # tokenized last, so a bad option costs no tokenization
+    model_config = ModelConfig(args.depth, kind, e, codebook.size, args.classes, last)
+    # checked from the configs alone, so a bad option costs no model and no tokenization
+    check_training_budget(model_config, config)
+    model = model_cls(model_config, seed=args.seed)
     examples = tokenize_dataset(dataset, codebook, refiners)
     losses = train(examples, model, config).losses
     checkpoints.save_model(args.output, model)

@@ -10,6 +10,19 @@ Array conventions used everywhere in this package:
   holds the token of cluster label j.
 
 All functions here are pure; none mutate their inputs.
+
+Every squared-distance computation in the package (k-means assignment,
+token quantization, the hierarchy's pairing matrix) runs through one kernel,
+`sq_dist_blocks`. It works in row blocks of at most SQ_DIST_BLOCK_ELEMENTS
+difference elements (every block has at least one row), so its working set
+is a few MB whatever the row count; `nearest_rows` keeps only each row's
+argmin and its distance, O(m) memory. A block's (rows, n, e) differences are
+filled in two contiguous passes, a tile of the rows and a subtract of the
+flattened centres, and summed over e by one einsum on that contiguous
+buffer. einsum's summation order over e depends on the buffer's layout (at
+e = 4 it adds (s0+s2)+(s1+s3)), and a contiguous buffer gets the same order
+as the broadcast form `einsum(d, d)` with d = rows[:, None] - centres[None]:
+every distance, and with it every argmin tie, is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -32,7 +45,14 @@ __all__ = [
     "cluster_average",
     "quantize_nearest_batch",
     "canvas_prefixes",
+    "sq_dist_blocks",
+    "nearest_rows",
 ]
+
+# Difference elements one distance block fills: 2 MB of float64, 64 rows
+# against a 32x32 grid's 1024 4-channel vectors or 256 rows against a
+# 256-row codebook.
+SQ_DIST_BLOCK_ELEMENTS = 1 << 18
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -264,13 +284,49 @@ def cluster_average(grid, smap: StructureMap) -> np.ndarray:
     return (sums / smap.cluster_size).astype(np.float32)
 
 
+def sq_dist_blocks(rows: np.ndarray, centres: np.ndarray, upper: bool = False):
+    """Yield (r0, r1, d) over row blocks of the (m, e) `rows`: d[i, j] is the
+    squared l2 distance from rows[r0 + i] to centres[j], or, when `upper`, to
+    centres[r0 + j] (the columns before a block's first row are skipped).
+
+    A block holds max(1, SQ_DIST_BLOCK_ELEMENTS // (n e)) rows, so its
+    (rows, n, e) difference buffer stays under the budget unless one row
+    alone is larger. The values equal the broadcast form's bit for bit (see
+    the module docstring). Arithmetic runs in the inputs' common dtype; an
+    overflow is the caller's to report.
+    """
+    m, e = rows.shape
+    step = max(1, SQ_DIST_BLOCK_ELEMENTS // max(1, len(centres) * e))
+    for r0 in range(0, m, step):
+        r1 = min(r0 + step, m)
+        cols = centres[r0:] if upper else centres
+        diff = np.tile(rows[r0:r1], (1, len(cols)))
+        np.subtract(diff, cols.reshape(-1), out=diff)
+        diff = diff.reshape(r1 - r0, len(cols), e)
+        block = np.einsum("ijk,ijk->ij", diff, diff)
+        del diff        # freed before the next block's buffer is filled
+        yield r0, r1, block
+
+
+def nearest_rows(rows: np.ndarray, centres: np.ndarray) -> tuple:
+    """Per row, the index of its nearest centre in squared l2 (ties go to the
+    lowest index) and that squared distance, block by block: O(m) memory
+    beyond one block."""
+    idx = np.empty(len(rows), dtype=np.intp)
+    dist = np.empty(len(rows), dtype=np.result_type(rows, centres))
+    for r0, r1, d in sq_dist_blocks(rows, centres):
+        best = np.argmin(d, axis=1)
+        idx[r0:r1] = best
+        dist[r0:r1] = d[np.arange(r1 - r0), best]
+    return idx, dist
+
+
 def quantize_nearest_batch(vs: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Per row of vs, the nearest codebook row index in l2; ties go to the lowest."""
     vs = np.asarray(vs, dtype=np.float32)
     if vs.ndim != 2 or vs.shape[1] != codebook.dim:
         raise InvariantError(f"batch of shape {vs.shape} does not match codebook dim {codebook.dim}")
-    d = vs[:, None, :] - codebook.vectors[None, :, :]
-    return np.argmin(np.einsum("mnj,mnj->mn", d, d), axis=1).astype(np.int32)
+    return nearest_rows(vs, codebook.vectors)[0].astype(np.int32)
 
 
 def canvas_prefixes(seq: VGSequence, codebook: Codebook, refiners) -> tuple:

@@ -14,9 +14,11 @@ exact distance ties, which the scan breaks by label order).
 
 A stage's members are one (clusters, size) array of grid locations, so its
 labels and cluster means come from one scatter and one gather per stage. A
-stage with m clusters builds the i < j distance matrix once, in row blocks,
-in O(m^2 e); a grid whose 8 (hw)^2-byte matrix would pass the allocation cap
-(128x128 fits, 256x256 does not) is refused before anything is allocated.
+stage with m clusters builds the i < j distance matrix once, in O(m^2 e),
+through the package's one distance kernel, `grid.sq_dist_blocks`, whose row
+blocks keep every temporary to a few MB. Only the stored matrix grows as
+m^2: a grid whose 8 (hw)^2-byte matrix would pass the allocation cap (128x128
+fits, 256x256 does not) is refused before anything is allocated.
 The merges then pop a lazy heap of per-row cached minima, rescanning a row
 only when it reaches the top with a merged (dead) partner: O((m + rescans)
 log m + rescans m), a few hundred rescans at m = 1024. The matrix is never
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import errors
 from .errors import InvariantError, NumericError
-from .grid import LatentGrid, StructureMap
+from .grid import LatentGrid, StructureMap, sq_dist_blocks
 
 __all__ = [
     "build_hierarchy",
@@ -42,38 +44,21 @@ __all__ = [
 ]
 
 
-# Rows of the distance matrix built per block: bounds the (rows, m, e) diff
-# temporary to a few MB at m = 1024.
-_DIST_BLOCK_ROWS = 64
-
-
 def _pairwise_sq_dists(vectors: np.ndarray) -> np.ndarray:
     """Squared l2 distances d[i, j] for i < j; every j <= i entry is inf.
 
-    Built in row blocks against the columns from the block's first row on.
-    Each block's (rows, columns, e) diff is filled one channel at a time:
-    a broadcast subtract over all channels at once runs numpy's inner loop
-    over only e elements, a per-channel one over a whole row of columns. The
-    block is a contiguous prefix of one flat buffer, so the einsum over e
-    takes the same path, and sums in the same order, as a whole-matrix
-    einsum on a fresh diff array would; the values, and with them every tie,
-    are bit-identical to it. (A strided view of a 3-D buffer would send the
-    einsum down another, slower path.)
+    Built by `grid.sq_dist_blocks` in row blocks against the columns from
+    each block's first row on; the values, and with them every tie, are
+    bit-identical to a whole-matrix einsum over a broadcast diff.
     """
-    m, e = vectors.shape
+    m = len(vectors)
     d = np.full((m, m), np.inf)
-    buf = np.empty(min(_DIST_BLOCK_ROWS, m) * m * e)
-    for r0 in range(0, m, _DIST_BLOCK_ROWS):
-        r1 = min(r0 + _DIST_BLOCK_ROWS, m)
-        diff = buf[:(r1 - r0) * (m - r0) * e].reshape(r1 - r0, m - r0, e)
-        with np.errstate(over="ignore"):    # reported below as NumericError
-            for c in range(e):
-                np.subtract(vectors[r0:r1, None, c], vectors[None, r0:, c], out=diff[..., c])
-            block = np.einsum("ijk,ijk->ij", diff, diff)
-        if not np.all(np.isfinite(block)):
-            raise NumericError("squared distances overflow to non-finite values")
-        block[:, :r1 - r0][np.tri(r1 - r0, dtype=bool)] = np.inf
-        d[r0:r1, r0:] = block
+    with np.errstate(over="ignore"):    # reported below as NumericError
+        for r0, r1, block in sq_dist_blocks(vectors, vectors, upper=True):
+            if not np.all(np.isfinite(block)):
+                raise NumericError("squared distances overflow to non-finite values")
+            block[:, :r1 - r0][np.tri(r1 - r0, dtype=bool)] = np.inf
+            d[r0:r1, r0:] = block
     return d
 
 

@@ -23,6 +23,7 @@ from .grid import (
     VGSequence,
     canvas_prefixes,
     cluster_average,
+    nearest_rows,
     place,
     quantize_nearest_batch,
 )
@@ -127,8 +128,14 @@ def reconstruct(seq: VGSequence, codebook: Codebook, refiners) -> LatentGrid:
 def kmeans(data: np.ndarray, n: int, iterations: int, seed: int) -> np.ndarray:
     """Plain Lloyd k-means, deterministic under the seed.
 
-    An empty cluster is re-seeded from the point currently farthest from its
-    assigned centroid (distinct points for multiple empties).
+    Each iteration assigns every point to its nearest centroid through
+    `grid.nearest_rows`, block by block, so its memory is O(m) beyond one
+    distance block. Cluster c's new centroid is the mean of its points in
+    index order: one stable argsort of the assignments lays each cluster's
+    points out as one run, the same rows in the same order as a boolean mask
+    would select. An empty cluster is re-seeded from the point currently
+    farthest from its assigned centroid (distinct points for multiple
+    empties).
     """
     data = np.asarray(data, dtype=np.float64)
     if n < 1:
@@ -143,14 +150,12 @@ def kmeans(data: np.ndarray, n: int, iterations: int, seed: int) -> np.ndarray:
     centroids = data[rng.choice(len(data), size=n, replace=False)].copy()
     prev_assign = None
     for _ in range(iterations):
-        diff = data[:, None, :] - centroids[None]
-        d2 = np.einsum("mnj,mnj->mn", diff, diff)
-        assign_idx = np.argmin(d2, axis=1)
-        own_dist = d2[np.arange(len(data)), assign_idx].copy()
-        for c in range(n):
-            mask = assign_idx == c
-            if mask.any():
-                centroids[c] = data[mask].mean(axis=0)
+        assign_idx, own_dist = nearest_rows(data, centroids)
+        order = np.argsort(assign_idx, kind="stable")
+        ends = np.cumsum(np.bincount(assign_idx, minlength=n)).tolist()
+        for c, (start, end) in enumerate(zip([0] + ends[:-1], ends)):
+            if end > start:
+                centroids[c] = data[order[start:end]].mean(axis=0)
             else:
                 far = int(np.argmax(own_dist))
                 centroids[c] = data[far]

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import errors
 from .autodiff import Adam, Tensor, no_grad
+from .backbone import ModelConfig
 from .content_model import ContentModel
 from .errors import InvariantError, NumericError
 from .grid import Codebook, LatentGrid, VGSequence, canvas_prefixes
@@ -24,6 +25,7 @@ __all__ = [
     "TrainResult",
     "TokenizedExample",
     "tokenize_dataset",
+    "check_training_budget",
     "wsd_lr",
     "train_content",
     "train_structure",
@@ -107,21 +109,42 @@ class TrainResult:
     losses: list = field(default_factory=list)
 
 
+def check_training_budget(model: ModelConfig, config: TrainConfig) -> None:
+    """Refuse, from the two configs alone, a training run whose arrays would
+    pass `errors.MAX_ALLOC_BYTES`: a step's float32 attention scores, batch x
+    heads x L^2 per block, with L = 1 + runs 2^last_stage tokens a row (one
+    token run for content, a canvas and a structure run for structure); or
+    the weights a step holds, 4x the float32 block weights (the weights, their
+    gradients and Adam's two moments). Needs no data, so the CLI runs it
+    before tokenizing, and `_fit` before its first draw."""
+    runs = 1 if model.kind == "content" else 2
+    length = 1 + runs * (1 << model.last_stage)
+    need = 4 * config.batch_size * model.heads * length ** 2 * model.depth
+    if need > errors.MAX_ALLOC_BYTES:
+        raise InvariantError(f"batch {config.batch_size} needs {need} bytes of {model.kind} "
+                             f"attention scores a step, over the {errors.MAX_ALLOC_BYTES}-byte cap")
+    need = 4 * model.block_weight_bytes
+    if need > errors.MAX_ALLOC_BYTES:
+        raise InvariantError(f"training a depth-{model.depth} {model.kind} model needs {need} "
+                             f"bytes of block weights, gradients and Adam moments, over the "
+                             f"{errors.MAX_ALLOC_BYTES}-byte cap")
+
+
 def _last_stage(examples: list) -> int:
     if not examples:
         raise InvariantError("no training examples")
     return examples[0].sequence.last_stage
 
 
-def _fit(model, config: TrainConfig, batch_loss, length: int) -> TrainResult:
+def _fit(model, config: TrainConfig, batch_loss, last: int) -> TrainResult:
     """The step loop of both trainers: batch_loss(rng) returns the step's
     loss; a non-finite loss raises NumericError before any parameter moves.
-    First it refuses a batch whose float32 attention scores over rows of
-    `length` tokens, per head and block, would pass `errors.MAX_ALLOC_BYTES`."""
-    need = 4 * config.batch_size * model.config.heads * length ** 2 * model.config.depth
-    if need > errors.MAX_ALLOC_BYTES:
-        raise InvariantError(f"batch {config.batch_size} needs {need} bytes of {model.kind} "
-                             f"attention scores a step, over the {errors.MAX_ALLOC_BYTES}-byte cap")
+    First it refuses examples that reach past the model's last stage, whose
+    rows the budget counts, then runs `check_training_budget`."""
+    if last > model.config.last_stage:
+        raise InvariantError(f"examples reach stage {last}, past the {model.kind} model's "
+                             f"last stage {model.config.last_stage}")
+    check_training_budget(model.config, config)
     rng = np.random.default_rng(config.seed)
     opt = Adam(model.params())
     result = TrainResult()
@@ -159,7 +182,7 @@ def train_content(examples: list, model: ContentModel, config: TrainConfig) -> T
         tokens = [ex.sequence.stages[stage][0].indices for ex, stage in rows]
         return model.loss(class_ids, smaps, canvases, targets, tokens, rng=rng)
 
-    return _fit(model, config, batch_loss, 1 + examples[0].grid.h * examples[0].grid.w)
+    return _fit(model, config, batch_loss, last)
 
 
 def train_structure(examples: list, model: StructureModel, config: TrainConfig) -> TrainResult:
@@ -203,7 +226,7 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
         diff = vel - Tensor(targets)
         return (diff * diff * mask).sum() / float(mask.sum())
 
-    return _fit(model, config, batch_loss, 1 + 2 * h * w_grid)
+    return _fit(model, config, batch_loss, last)
 
 
 @no_grad()

@@ -75,3 +75,37 @@ def reference_block_forward(block, x, cos, sin, cond):
 
     merged = ad.concat([attn, ad.silu(m)], axis=2)
     return x + (1.0 + gate) * ad.matmul(merged, block.w_out)
+
+
+def reference_kmeans(data: np.ndarray, n: int, iterations: int, seed: int) -> np.ndarray:
+    """`quantize.kmeans` as first written: the whole (m, n, e) diff tensor per
+    Lloyd iteration, and one boolean mask scan of the assignments per
+    centroid. Input checks are left to the library."""
+    data = np.asarray(data, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    centroids = data[rng.choice(len(data), size=n, replace=False)].copy()
+    prev_assign = None
+    for _ in range(iterations):
+        diff = data[:, None, :] - centroids[None]
+        d2 = np.einsum("mnj,mnj->mn", diff, diff)
+        assign_idx = np.argmin(d2, axis=1)
+        own_dist = d2[np.arange(len(data)), assign_idx].copy()
+        for c in range(n):
+            mask = assign_idx == c
+            if mask.any():
+                centroids[c] = data[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(own_dist))
+                centroids[c] = data[far]
+                own_dist[far] = -1.0
+        if prev_assign is not None and np.array_equal(assign_idx, prev_assign):
+            break
+        prev_assign = assign_idx
+    return centroids
+
+
+def reference_quantize_nearest(vs: np.ndarray, codebook_vectors: np.ndarray) -> np.ndarray:
+    """`grid.quantize_nearest_batch` as first written: the whole float32
+    (m, n, e) diff tensor and one argmin."""
+    d = vs[:, None, :] - codebook_vectors[None, :, :]
+    return np.argmin(np.einsum("mnj,mnj->mn", d, d), axis=1).astype(np.int32)

@@ -417,6 +417,44 @@ def test_model_or_batch_over_the_byte_cap_exits_3_and_writes_nothing(
     assert not out.exists()
 
 
+def _spy_on_tokenize(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(cli, "tokenize_dataset", lambda *a: calls.append(a) or [])
+    return calls
+
+
+@pytest.mark.parametrize("command", ["train-content", "train-structure"])
+def test_batch_over_the_real_cap_exits_3_before_tokenizing(files, command, capsys, tmp_path,
+                                                           monkeypatch):
+    calls = _spy_on_tokenize(monkeypatch)
+    argv, _, outputs = commands(files)[command]
+    out = tmp_path / "model.nvgc"
+    code, err = run(_swap(argv, outputs[0], out) + ["--batch", "2000000"], capsys)
+    assert code == 3 and "attention scores" in err and len(err.splitlines()) == 1
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-content", "train-structure"])
+def test_training_weights_over_the_cap_exit_3_before_tokenizing(files, command, capsys,
+                                                                tmp_path, monkeypatch):
+    # the depth-2 structure model's block weights (the larger of the two):
+    # each model fits once, not with its gradients and Adam moments
+    monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", SMALL_CAP)
+    calls = _spy_on_tokenize(monkeypatch)
+    argv, _, outputs = commands(files)[command]
+    out = tmp_path / "model.nvgc"
+    code, err = run(_swap(argv, outputs[0], out), capsys)
+    assert code == 3 and "gradients and Adam moments" in err and len(err.splitlines()) == 1
+    assert calls == [] and not out.exists()
+
+
+def test_generation_keeps_the_one_times_weights_policy(files, capsys, tmp_path, monkeypatch):
+    # the cap that refuses training either model still loads and samples both
+    monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", SMALL_CAP)
+    argv, _, outputs = commands(files)["generate"]
+    assert run(_swap(argv, outputs[0], tmp_path / "out"), capsys)[0] == 0
+
+
 def test_inspect_json_reads_the_structure_ids_back(files, capsys):
     assert cli.main(["inspect", "--json", files["seq.json"]]) == 0
     assert json.loads(capsys.readouterr().out)["codec_roundtrip"] == "OK"

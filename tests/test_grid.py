@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nvg.grid import (
 )
 from nvg.hierarchy import build_hierarchy
 from nvg.quantize import build_contents, identity_refiners
+from oracles import reference_quantize_nearest
 
 
 def grid_from(values):
@@ -221,6 +223,61 @@ class TestQuantizeNearest:
         cb = Codebook(np.array([[9.0], [1.0], [5.0], [9.0], [-1.0]]))
         # rows 1 and 4 both at distance 1 from v = 0
         assert quantize_nearest_batch(np.array([[0.0]]), cb).tolist() == [1]
+
+
+def nearest_case(kind, m, n, e, rng):
+    """(batch, codebook) float32 pairs that stress exact equality."""
+    if kind == "gaussian":
+        vs, cb = rng.normal(size=(m, e)), rng.normal(size=(n, e))
+    elif kind == "duplicated":  # repeated batch and codebook rows: exact ties
+        vs = rng.normal(size=(4, e))[rng.integers(0, 4, size=m)]
+        cb = np.concatenate([vs[:n // 2], vs[:n - n // 2]])
+    elif kind == "integer":     # small integers: many equal distances
+        vs = rng.integers(-2, 3, size=(m, e))
+        cb = rng.integers(-2, 3, size=(n, e))
+    else:                       # magnitudes 1e-12..1e12
+        vs = rng.normal(size=(m, e)) * 10.0 ** rng.uniform(-12, 12, size=(m, e))
+        cb = rng.normal(size=(n, e)) * 10.0 ** rng.uniform(-12, 12, size=(n, e))
+    return np.asarray(vs, dtype=np.float32), Codebook(cb)
+
+
+class TestQuantizeNearestOracle:
+    """`quantize_nearest_batch` against the whole-tensor broadcast form."""
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 8, 16])
+    @pytest.mark.parametrize("kind", ["gaussian", "duplicated", "integer", "wide"])
+    def test_matches_the_reference(self, kind, e):
+        vs, cb = nearest_case(kind, 200, 24, e, np.random.default_rng(10 * e + len(kind)))
+        assert np.array_equal(quantize_nearest_batch(vs, cb),
+                              reference_quantize_nearest(vs, cb.vectors))
+
+    @pytest.mark.parametrize("rows", [0, 1, 7], ids=["under-one-row", "one-row", "ragged"])
+    @pytest.mark.parametrize("kind", ["gaussian", "duplicated", "integer"])
+    def test_matches_the_reference_in_small_blocks(self, kind, rows, monkeypatch):
+        # 7-row blocks do not divide 200 rows
+        monkeypatch.setattr("nvg.grid.SQ_DIST_BLOCK_ELEMENTS", rows * 24 * 4)
+        vs, cb = nearest_case(kind, 200, 24, 4, np.random.default_rng(rows))
+        assert np.array_equal(quantize_nearest_batch(vs, cb),
+                              reference_quantize_nearest(vs, cb.vectors))
+
+    def test_tie_breaks_to_lowest_index_in_every_block(self, monkeypatch):
+        # codebook rows 1 and 4 tie for every batch row; one-row blocks
+        monkeypatch.setattr("nvg.grid.SQ_DIST_BLOCK_ELEMENTS", 1)
+        cb = Codebook(np.array([[9.0], [1.0], [5.0], [9.0], [-1.0]]))
+        assert quantize_nearest_batch(np.zeros((5, 1)), cb).tolist() == [1] * 5
+
+    def test_large_batch_stays_in_a_few_megabytes(self):
+        # the whole float32 (m, n, e) diff tensor would be 64 MB
+        rng = np.random.default_rng(0)
+        vs = rng.normal(size=(4096, 4)).astype(np.float32)
+        cb = Codebook(rng.normal(size=(1024, 4)))
+        tracemalloc.start()
+        try:
+            quantize_nearest_batch(vs, cb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestAccumulateCanvas:

@@ -235,18 +235,28 @@ class TestGreedyPairsOracle:
         assert np.array_equal(d[upper], whole_matrix_sq_dists(vectors)[upper])
         assert np.all(d[np.tril_indices(m)] == np.inf)
 
+    # 133 rows in blocks of 64: two full blocks and a ragged one
+    BLOCK_ROWS, M = 64, 133
+
     @pytest.mark.parametrize("e", [1, 3, 4, 8, 16])
-    def test_blocked_distances_equal_whole_einsum(self, e):
-        m = 2 * hierarchy._DIST_BLOCK_ROWS + 5
-        self.check_blocked_distances(np.random.default_rng(e).normal(size=(m, e)) * 3.0)
+    def test_blocked_distances_equal_whole_einsum(self, e, monkeypatch):
+        monkeypatch.setattr("nvg.grid.SQ_DIST_BLOCK_ELEMENTS", self.BLOCK_ROWS * self.M * e)
+        self.check_blocked_distances(np.random.default_rng(e).normal(size=(self.M, e)) * 3.0)
 
     @pytest.mark.parametrize("e", [1, 4, 16])
-    def test_blocked_distances_equal_whole_einsum_on_wide_range(self, e):
+    def test_blocked_distances_equal_whole_einsum_on_wide_range(self, e, monkeypatch):
         # magnitudes 1e-12..1e12 make every rounding of the sum over e visible
-        m = 2 * hierarchy._DIST_BLOCK_ROWS + 5
+        monkeypatch.setattr("nvg.grid.SQ_DIST_BLOCK_ELEMENTS", self.BLOCK_ROWS * self.M * e)
         rng = np.random.default_rng(100 + e)
-        scale = 10.0 ** rng.uniform(-12, 12, size=(m, e))
-        self.check_blocked_distances(rng.normal(size=(m, e)) * scale)
+        scale = 10.0 ** rng.uniform(-12, 12, size=(self.M, e))
+        self.check_blocked_distances(rng.normal(size=(self.M, e)) * scale)
+
+    @pytest.mark.parametrize("budget", [1, 10 * M * 4])
+    def test_one_row_and_ragged_blocks_equal_whole_einsum(self, budget, monkeypatch):
+        # a budget below one row still builds one-row blocks; 10-row blocks
+        # leave a last block of 3 rows
+        monkeypatch.setattr("nvg.grid.SQ_DIST_BLOCK_ELEMENTS", budget)
+        self.check_blocked_distances(np.random.default_rng(budget).normal(size=(self.M, 4)))
 
 
 class TestBuildHierarchy:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from nvg.quantize import (
     reconstruct,
     train_refiners,
 )
+from oracles import reference_kmeans
 
 
 def final_residual_mse(grids, hierarchies, codebook, refiners):
@@ -184,6 +187,73 @@ class TestKMeans:
         assert len(np.unique(np.round(centroids, 6))) == 3
 
 
+def kmeans_data(kind, m, e, rng):
+    """k-means inputs that stress exact equality with the reference."""
+    if kind == "gaussian":
+        return rng.normal(size=(m, e))
+    if kind == "duplicated":    # every point repeated: equal distances everywhere
+        return rng.normal(size=(m // 4, e))[rng.integers(0, m // 4, size=m)]
+    if kind == "integer":       # small integers: exact ties between centroids
+        return rng.integers(-2, 3, size=(m, e)).astype(np.float64)
+    # magnitudes 1e-12..1e12 make every rounding of the sum over e visible
+    return rng.normal(size=(m, e)) * 10.0 ** rng.uniform(-12, 12, size=(m, e))
+
+
+class TestKMeansOracle:
+    """`kmeans` against `oracles.reference_kmeans`, the whole-tensor,
+    mask-per-centroid form it replaced: centroids equal bit for bit."""
+
+    @staticmethod
+    def check(data, n, iterations, seed):
+        want = reference_kmeans(data, n, iterations, seed)
+        got = kmeans(data, n, iterations=iterations, seed=seed)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 8, 16])
+    @pytest.mark.parametrize("kind", ["gaussian", "duplicated", "integer", "wide"])
+    def test_matches_the_reference(self, kind, e):
+        rng = np.random.default_rng(100 * e + len(kind))
+        self.check(kmeans_data(kind, 300, e, rng), 16, 10, seed=e)
+
+    @pytest.mark.parametrize("rows", [0, 1, 7],
+                             ids=["under-one-row", "one-row", "ragged"])
+    @pytest.mark.parametrize("kind", ["gaussian", "integer"])
+    def test_matches_the_reference_in_small_blocks(self, kind, rows, monkeypatch):
+        # 7-row blocks do not divide 300 rows; a budget under one row still
+        # gives one-row blocks
+        monkeypatch.setattr("nvg.grid.SQ_DIST_BLOCK_ELEMENTS", rows * 16 * 4)
+        self.check(kmeans_data(kind, 300, 4, np.random.default_rng(rows)), 16, 10, seed=3)
+
+    def test_empty_clusters_reseed_as_the_reference(self):
+        # 5 distinct points and 12 centroids: at least 7 clusters are empty
+        # after the first assignment, so the farthest-point re-seed runs
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(5, 3))[rng.integers(0, 5, size=40)]
+        self.check(data, 12, 6, seed=0)
+
+    def test_ties_across_a_block_boundary(self, monkeypatch):
+        # seed 3 starts at centroids 1, -1, 1, -1. Each point's tie goes to
+        # the lower centroid, so clusters 2 and 3 are empty, and the 0s are the
+        # farthest points, rows 2 and 3, one on each side of a 3-row block
+        # boundary: the re-seed's argmax takes the lower row first
+        monkeypatch.setattr("nvg.grid.SQ_DIST_BLOCK_ELEMENTS", 3 * 4 * 1)
+        data = np.array([[-1.0], [1.0], [0.0], [0.0], [-1.0], [1.0], [-1.0], [1.0]])
+        assert kmeans(data, 4, iterations=1, seed=3)[:, 0].tolist() == [3 / 5, -1.0, 0.0, 0.0]
+        self.check(data, 4, 1, seed=3)
+        self.check(data, 4, 5, seed=3)
+
+    def test_one_iteration_stays_in_a_few_megabytes(self):
+        # the whole (m, n, e) float64 diff tensor would be 164 MB
+        data = np.random.default_rng(0).normal(size=(20_000, 4))
+        tracemalloc.start()
+        try:
+            kmeans(data, 256, iterations=1, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+
 class TestFitCodebook:
     def test_constant_grid_rows_cover_value_and_zero(self):
         # training vectors are the locations (all 1.5) plus residual cluster
@@ -201,7 +271,7 @@ class TestFitCodebook:
                  "integer": lambda: [LatentGrid(rng.integers(-2, 3, size=(8, 8, 4))
                                                 .astype(np.float32)) for _ in range(4)],
                  "32x32": lambda: [random_grid(rng, 32, 32, 4)]}[kind]()
-        want = kmeans(reference_kmeans_input(grids), 16, iterations=25, seed=7)
+        want = reference_kmeans(reference_kmeans_input(grids), 16, iterations=25, seed=7)
         got = fit_codebook(grids, 16, iterations=25, seed=7)
         assert got.vectors.tobytes() == want.astype(np.float32).tobytes()
 

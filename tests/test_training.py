@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nvg import errors, training
+from nvg import backbone, errors, training
 from nvg.autodiff import no_grad
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
@@ -15,6 +15,7 @@ from nvg.structure_model import StructureModel, noised_input
 from nvg.synthetic import BASE_SCALE, SyntheticSpec, class_base_colors, make_synthetic_dataset
 from nvg.training import (
     TrainConfig,
+    check_training_budget,
     evaluate,
     tokenize_dataset,
     train_content,
@@ -198,27 +199,99 @@ class TestTokenizeDataset:
             train_structure([], structure_model(), cfg)
 
 
-@pytest.mark.parametrize("make, train, step_bytes", [
-    # 4 bytes * batch 4 * 2 heads * L^2 * 2 blocks, L = 1 + 16 tokens a run
-    (content_model, train_content, 4 * 4 * 2 * 17 ** 2 * 2),
-    (structure_model, train_structure, 4 * 4 * 1 * 33 ** 2 * 2),
+@pytest.mark.parametrize("make, train, batch, step_bytes", [
+    # 4 bytes * batch * 2 heads * L^2 * 2 blocks, L = 1 + 16 tokens a run; the
+    # batches are large enough that the scores, not the 4x block weights
+    # (7,864,320 and 1,966,080 bytes), meet the cap first
+    (content_model, train_content, 2048, 4 * 2048 * 2 * 17 ** 2 * 2),
+    (structure_model, train_structure, 256, 4 * 256 * 1 * 33 ** 2 * 2),
 ], ids=["content", "structure"])
 def test_batch_over_the_byte_cap_is_refused_before_the_first_draw(world, monkeypatch, make,
-                                                                  train, step_bytes):
+                                                                  train, batch, step_bytes):
     _, _, _, examples = world
     model = make()
-    cfg = TrainConfig(steps=1, batch_size=4)
+    cfg = TrainConfig(steps=1, batch_size=batch)
 
     def no_draw(seed):
         raise AssertionError("reached the first draw")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", step_bytes - 1)
-    with pytest.raises(InvariantError, match=f"batch 4 needs {step_bytes} bytes"):
+    with pytest.raises(InvariantError, match=f"batch {batch} needs {step_bytes} bytes"):
         train(examples, model, cfg)
     monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", step_bytes)
     with pytest.raises(AssertionError, match="reached the first draw"):
         train(examples, model, cfg)
+
+
+@pytest.mark.parametrize("make, train", [(content_model, train_content),
+                                         (structure_model, train_structure)],
+                         ids=["content", "structure"])
+def test_the_budget_counts_every_row_a_step_runs(world, monkeypatch, make, train):
+    _, _, _, examples = world
+    model = make()
+    lengths = []
+    forward = backbone.Block.forward
+
+    def spy(self, x, *args, **kwargs):
+        lengths.append(x.shape[1])
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(backbone.Block, "forward", spy)
+    train(examples, model, TrainConfig(steps=1, batch_size=2))
+    length = max(lengths)
+    cfg = TrainConfig(steps=1, batch_size=2)
+    need = 4 * 2 * model.config.heads * length ** 2 * model.config.depth
+    # the scores of the rows the step ran, one byte over the cap, are refused
+    monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", need - 1)
+    with pytest.raises(InvariantError, match="attention scores"):
+        check_training_budget(model.config, cfg)
+
+
+@pytest.mark.parametrize("kind, trains, refused", [("content", 12, 13),
+                                                   ("structure", 20, 22)])
+def test_training_counts_block_weights_four_times(kind, trains, refused):
+    # configs allocate nothing, so the real 2 GiB cap is safe to test: the
+    # refused depth still builds, for loading and generating
+    cfg = TrainConfig(steps=1, batch_size=1)
+    check_training_budget(ModelConfig(trains, kind, 4, 1, 4, LAST), cfg)
+    config = ModelConfig(refused, kind, 4, 1, 4, LAST)
+    with pytest.raises(InvariantError, match=f"needs {4 * config.block_weight_bytes} bytes "
+                                             "of block weights, gradients and Adam moments"):
+        check_training_budget(config, cfg)
+
+
+@pytest.mark.parametrize("make, train", [(content_model, train_content),
+                                         (structure_model, train_structure)],
+                         ids=["content", "structure"])
+def test_training_weights_over_the_cap_are_refused_before_the_first_draw(
+        world, monkeypatch, make, train):
+    _, _, _, examples = world
+    model = make()
+    held = 4 * model.config.block_weight_bytes
+    cfg = TrainConfig(steps=1, batch_size=1)
+
+    def no_draw(seed):
+        raise AssertionError("reached the first draw")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", held - 1)
+    ModelConfig(**vars(model.config))       # one copy of the weights still fits
+    with pytest.raises(InvariantError, match=f"needs {held} bytes of block weights"):
+        train(examples, model, cfg)
+    monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", held)
+    with pytest.raises(AssertionError, match="reached the first draw"):
+        train(examples, model, cfg)
+
+
+@pytest.mark.parametrize("kind, train", [("content", train_content),
+                                         ("structure", train_structure)])
+def test_examples_past_the_models_last_stage_are_refused(world, kind, train):
+    _, _, _, examples = world
+    model = {"content": ContentModel, "structure": StructureModel}[kind](
+        ModelConfig(2, kind, 3, 16, 2, LAST - 1))
+    with pytest.raises(InvariantError, match=f"examples reach stage {LAST}, past"):
+        train(examples, model, TrainConfig(steps=1, batch_size=1))
 
 
 @pytest.mark.parametrize("kind, make, train", [
