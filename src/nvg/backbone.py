@@ -169,15 +169,15 @@ def time_features(t: np.ndarray, width: int) -> np.ndarray:
 class Block:
     """One parallel attention+MLP block with modulation; 15 w^2 weights."""
 
-    def __init__(self, width: int, heads: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, width: int, heads: int, rng: np.random.Generator):
         self.heads = heads
         w = width
-        init = lambda *shape: (0.02 * rng.standard_normal(shape)).astype(dtype)
         # zero output projection -> the block starts as the identity, while
         # the unit gate (1 + modulation) lets gradients reach it directly
-        self.w_mod = Tensor(np.zeros((w, 3 * w), dtype=dtype), requires_grad=True)
-        self.w_fused = Tensor(init(w, 7 * w), requires_grad=True)
-        self.w_out = Tensor(np.zeros((5 * w, w), dtype=dtype), requires_grad=True)
+        self.w_mod = Tensor(np.zeros((w, 3 * w), dtype=np.float32), requires_grad=True)
+        self.w_fused = Tensor((0.02 * rng.standard_normal((w, 7 * w))).astype(np.float32),
+                              requires_grad=True)
+        self.w_out = Tensor(np.zeros((5 * w, w), dtype=np.float32), requires_grad=True)
 
     def params(self, prefix: str) -> dict:
         return {
@@ -239,17 +239,16 @@ class Generator:
     kind = ""
     map_lag = 0     # a row's stage minus the stage of the map it reads
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         if config.kind != self.kind:
             raise InvariantError(f"{type(self).__name__} needs a {self.kind}-kind config")
         self.config = config
-        self.dtype = dtype
         self._rng = np.random.default_rng(seed)
         w = config.width
         self.class_emb = self._init(config.num_classes + 1, w)   # last row: null condition
         self.stage_emb = self._init(config.last_stage + 1, w)
         self._make_inputs()
-        self.blocks = [Block(w, config.heads, self._rng, dtype) for _ in range(config.depth)]
+        self.blocks = [Block(w, config.heads, self._rng) for _ in range(config.depth)]
         self.w_final_mod = self._zeros(w, 2 * w)
         self.w_head = self._init(w, config.head_channels)
         self.b_head = self._zeros(config.head_channels)
@@ -258,11 +257,11 @@ class Generator:
         self._rope_memo = None      # (key, tables) of the last _rope_tables call
 
     def _init(self, *shape) -> Tensor:
-        return Tensor((0.02 * self._rng.standard_normal(shape)).astype(self.dtype),
+        return Tensor((0.02 * self._rng.standard_normal(shape)).astype(np.float32),
                       requires_grad=True)
 
     def _zeros(self, *shape) -> Tensor:
-        return Tensor(np.zeros(shape, dtype=self.dtype), requires_grad=True)
+        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
 
     def _make_outputs(self):
         pass
@@ -284,7 +283,7 @@ class Generator:
         for k, p in params.items():
             if arrays[k].shape != p.data.shape:
                 raise InvariantError(f"checkpoint shape mismatch for {k}")
-            p.data = arrays[k].astype(self.dtype)
+            p.data = arrays[k].astype(np.float32)
 
     def _rope_tables(self, struct_ids: np.ndarray, grid_w: int, runs: int):
         """cos/sin (B, L, 2H, 32) for [class] + `runs` runs of the grid tokens.
@@ -309,10 +308,9 @@ class Generator:
         class_ids = np.full((b_sz, 1, STRUCT_SLOTS), PAD, dtype=np.int64)
         struct = np.concatenate([class_ids] + [struct_ids] * runs, axis=1)
         cos, sin = rope_tables(np.broadcast_to(kind, (b_sz,) + kind.shape), struct,
-                               np.broadcast_to(spatial, (b_sz,) + spatial.shape),
-                               dtype=self.dtype)
+                               np.broadcast_to(spatial, (b_sz,) + spatial.shape))
         heads = self.config.heads
-        head_scale = np.repeat(np.array([1.0 / np.sqrt(HEAD_DIM), 1.0], dtype=self.dtype),
+        head_scale = np.repeat(np.array([1.0 / np.sqrt(HEAD_DIM), 1.0], dtype=np.float32),
                                heads)[:, None]          # (2H, 1): queries, then keys
         tables = cos[:, :, None] * head_scale, sin[:, :, None] * head_scale
         for table in tables:

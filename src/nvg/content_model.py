@@ -27,10 +27,10 @@ from .grid import StructureMap
 __all__ = ["ContentModel", "cross_entropy_mean", "cluster_mean_matrix"]
 
 
-def cluster_mean_matrix(smap: StructureMap, dtype=np.float32) -> np.ndarray:
-    """(2**i, h*w) matrix averaging grid locations into their clusters."""
+def cluster_mean_matrix(smap: StructureMap) -> np.ndarray:
+    """(2**i, h*w) float32 matrix averaging grid locations into their clusters."""
     m = smap.num_clusters
-    out = np.zeros((m, smap.labels.size), dtype=dtype)
+    out = np.zeros((m, smap.labels.size), dtype=np.float32)
     out[smap.labels.ravel(), np.arange(smap.labels.size)] = 1.0 / smap.cluster_size
     return out
 
@@ -63,24 +63,23 @@ class ContentModel(Generator):
         (B, h, w, e). A given rng turns dropout on (training). Returns a
         (B, h, w, e) tensor.
         """
-        canvases = np.asarray(canvases, dtype=self.dtype)
+        canvases = np.asarray(canvases, dtype=np.float32)
         delta = self._forward(class_ids, smaps, [(canvases, self.w_in, self.b_in)], rng=rng)
         # residual parameterization: the head emits what is still missing from
         # the input canvas, and the sum is the predicted final canvas
         return ad.reshape(delta, canvases.shape) + Tensor(canvases)
 
-    def token_logits(self, pred_final, canvas, smap: StructureMap) -> Tensor:
+    def token_logits(self, pred_final: Tensor, canvas, smap: StructureMap) -> Tensor:
         """Per-cluster logits over the codebook from one sample's canvases.
 
-        diff = predicted final canvas minus input canvas; cluster means of
-        diff go through the shared linear head. Shape (2**i, n).
+        diff = the predicted final canvas tensor minus the input canvas;
+        cluster means of diff go through the shared linear head. Shape (2**i, n).
         """
-        pred = pred_final if isinstance(pred_final, Tensor) else Tensor(np.asarray(pred_final, self.dtype))
-        canvas = np.asarray(canvas, dtype=self.dtype)
+        canvas = np.asarray(canvas, dtype=np.float32)
         hw = smap.labels.size
         e = self.config.latent_channels
-        diff = ad.reshape(pred - canvas, (hw, e))
-        means = ad.matmul(Tensor(cluster_mean_matrix(smap, self.dtype)), diff)
+        diff = ad.reshape(pred_final - canvas, (hw, e))
+        means = ad.matmul(Tensor(cluster_mean_matrix(smap)), diff)
         return ad.matmul(means, self.w_logit) + self.b_logit
 
     def loss(self, class_ids, smaps, canvases, target_canvases, target_tokens,
@@ -92,8 +91,8 @@ class ContentModel(Generator):
         if len(target_tokens) != len(smaps):
             raise InvariantError(f"need one token target per map, got {len(target_tokens)} "
                                  f"for {len(smaps)}")
-        canvases = np.asarray(canvases, dtype=self.dtype)
-        targets = np.asarray(target_canvases, dtype=self.dtype)
+        canvases = np.asarray(canvases, dtype=np.float32)
+        targets = np.asarray(target_canvases, dtype=np.float32)
 
         pred = self.forward_final_canvas(class_ids, smaps, canvases, rng=rng)
         err = pred - targets

@@ -16,9 +16,11 @@ token quantization, the hierarchy's pairing matrix) runs through one kernel,
 `sq_dist_blocks`. It works in row blocks of at most SQ_DIST_BLOCK_ELEMENTS
 difference elements (every block has at least one row), so its working set
 is a few MB whatever the row count; `nearest_rows` keeps only each row's
-argmin and its distance, O(m) memory. A block's (rows, n, e) differences are
-filled in two contiguous passes, a tile of the rows and a subtract of the
-flattened centres, and summed over e by one einsum on that contiguous
+argmin and its distance, O(m) memory. It alone refuses non-finite
+distances: a block holding an overflow or a non-finite input raises
+NumericError before any caller reads it. A block's (rows, n, e) differences
+are filled in two contiguous passes, a tile of the rows and a subtract of
+the flattened centres, and summed over e by one einsum on that contiguous
 buffer. einsum's summation order over e depends on the buffer's layout (at
 e = 4 it adds (s0+s2)+(s1+s3)), and a contiguous buffer gets the same order
 as the broadcast form `einsum(d, d)` with d = rows[:, None] - centres[None]:
@@ -292,26 +294,29 @@ def sq_dist_blocks(rows: np.ndarray, centres: np.ndarray, upper: bool = False):
     A block holds max(1, SQ_DIST_BLOCK_ELEMENTS // (n e)) rows, so its
     (rows, n, e) difference buffer stays under the budget unless one row
     alone is larger. The values equal the broadcast form's bit for bit (see
-    the module docstring). Arithmetic runs in the inputs' common dtype; an
-    overflow is the caller's to report.
+    the module docstring), in the inputs' common dtype. A block holding a
+    non-finite distance raises NumericError instead of being yielded.
     """
     m, e = rows.shape
     step = max(1, SQ_DIST_BLOCK_ELEMENTS // max(1, len(centres) * e))
     for r0 in range(0, m, step):
         r1 = min(r0 + step, m)
         cols = centres[r0:] if upper else centres
-        diff = np.tile(rows[r0:r1], (1, len(cols)))
-        np.subtract(diff, cols.reshape(-1), out=diff)
-        diff = diff.reshape(r1 - r0, len(cols), e)
-        block = np.einsum("ijk,ijk->ij", diff, diff)
+        with np.errstate(over="ignore", invalid="ignore"):     # reported below
+            diff = np.tile(rows[r0:r1], (1, len(cols)))
+            np.subtract(diff, cols.reshape(-1), out=diff)
+            diff = diff.reshape(r1 - r0, len(cols), e)
+            block = np.einsum("ijk,ijk->ij", diff, diff)
         del diff        # freed before the next block's buffer is filled
+        if not np.all(np.isfinite(block)):
+            raise NumericError("squared distances overflow or meet a non-finite input")
         yield r0, r1, block
 
 
 def nearest_rows(rows: np.ndarray, centres: np.ndarray) -> tuple:
     """Per row, the index of its nearest centre in squared l2 (ties go to the
     lowest index) and that squared distance, block by block: O(m) memory
-    beyond one block."""
+    beyond one block. Raises NumericError when a distance is not finite."""
     idx = np.empty(len(rows), dtype=np.intp)
     dist = np.empty(len(rows), dtype=np.result_type(rows, centres))
     for r0, r1, d in sq_dist_blocks(rows, centres):
@@ -322,7 +327,8 @@ def nearest_rows(rows: np.ndarray, centres: np.ndarray) -> tuple:
 
 
 def quantize_nearest_batch(vs: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Per row of vs, the nearest codebook row index in l2; ties go to the lowest."""
+    """Per row of vs, the nearest codebook row index in l2; ties go to the lowest.
+    A float32 distance that overflows raises NumericError (`sq_dist_blocks`)."""
     vs = np.asarray(vs, dtype=np.float32)
     if vs.ndim != 2 or vs.shape[1] != codebook.dim:
         raise InvariantError(f"batch of shape {vs.shape} does not match codebook dim {codebook.dim}")

@@ -34,7 +34,7 @@ import heapq
 import numpy as np
 
 from . import errors
-from .errors import InvariantError, NumericError
+from .errors import InvariantError
 from .grid import LatentGrid, StructureMap, sq_dist_blocks
 
 __all__ = [
@@ -53,24 +53,19 @@ def _pairwise_sq_dists(vectors: np.ndarray) -> np.ndarray:
     """
     m = len(vectors)
     d = np.full((m, m), np.inf)
-    with np.errstate(over="ignore"):    # reported below as NumericError
-        for r0, r1, block in sq_dist_blocks(vectors, vectors, upper=True):
-            if not np.all(np.isfinite(block)):
-                raise NumericError("squared distances overflow to non-finite values")
-            block[:, :r1 - r0][np.tri(r1 - r0, dtype=bool)] = np.inf
-            d[r0:r1, r0:] = block
+    for r0, r1, block in sq_dist_blocks(vectors, vectors, upper=True):
+        block[:, :r1 - r0][np.tri(r1 - r0, dtype=bool)] = np.inf
+        d[r0:r1, r0:] = block
     return d
 
 
 def _greedy_pairs(vectors: np.ndarray):
     """Disjoint index pairs of float64 (m, e) vectors, chosen by repeatedly
     taking the globally nearest unpaired pair (squared l2); ties break on the
-    smallest (i, j). Raises NumericError on non-finite vectors or distances."""
+    smallest (i, j). `sq_dist_blocks` refuses non-finite vectors and distances."""
     m = len(vectors)
     if m < 2 or m % 2:
         raise InvariantError(f"greedy pairing needs an even count >= 2, got {m}")
-    if not np.all(np.isfinite(vectors)):
-        raise NumericError("cannot pair non-finite vectors")
     d = _pairwise_sq_dists(vectors)
     # A lazy min-heap of (cached row minimum, row), as exact Python floats and
     # ints. Each live row has one entry and caches its first argmin column over

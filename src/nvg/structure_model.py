@@ -75,10 +75,10 @@ class StructureModel(Generator):
         if ts.shape != np.shape(class_ids):
             raise InvariantError(f"need one time per row, got {ts.shape} for class ids "
                                  f"of shape {np.shape(class_ids)}")
-        canvases = np.asarray(canvases, dtype=self.dtype)
-        zs = np.asarray(zs, dtype=self.dtype)
+        canvases = np.asarray(canvases, dtype=np.float32)
+        zs = np.asarray(zs, dtype=np.float32)
         t_feat = time_features(ts, self.config.width)
-        t_cond = ad.matmul(Tensor(t_feat.astype(self.dtype)), self.w_time) + self.b_time
+        t_cond = ad.matmul(Tensor(t_feat.astype(np.float32)), self.w_time) + self.b_time
         out = self._forward(class_ids, parents,
                             [(canvases, self.w_in_canvas, self.b_in_canvas),
                              (zs, self.w_in_struct, self.b_in_struct)],

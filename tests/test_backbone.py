@@ -227,7 +227,7 @@ class TestBlock:
 
     def test_zero_out_projection_gives_identity(self):
         rng = np.random.default_rng(8)
-        block = Block(128, 2, rng, dtype=np.float64)
+        block = Block(128, 2, rng)
         block.w_out.data[:] = 0.0
         block.w_mod.data[:] = rng.normal(size=block.w_mod.data.shape)
         x, cos, sin, cond = self.make_inputs(rng, 128)
@@ -236,7 +236,7 @@ class TestBlock:
 
     def test_fresh_block_is_identity_via_zero_gate(self):
         rng = np.random.default_rng(9)
-        block = Block(128, 2, rng, dtype=np.float64)
+        block = Block(128, 2, rng)
         x, cos, sin, cond = self.make_inputs(rng, 128)
         assert np.array_equal(block.forward(x, cos, sin, cond).data, x.data)
         assert np.array_equal(block.forward(x, cos, sin, cond, first=4).data, x.data[:, 4:])
@@ -252,7 +252,7 @@ class TestBlock:
 
     def check_gradients(self, first):
         rng = np.random.default_rng(10)
-        block = Block(128, 2, rng, dtype=np.float64)
+        block = Block(128, 2, rng)
         # randomize all weights so every path carries gradient
         for p in (block.w_mod, block.w_fused, block.w_out):
             p.data = 0.05 * rng.standard_normal(p.data.shape)

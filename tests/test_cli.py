@@ -325,20 +325,39 @@ def test_odd_structure_depth_exits_3_before_tokenizing(files, capsys, tmp_path, 
     assert not out.exists()
 
 
-def test_tokenize_with_an_overflowing_refiner_exits_4_without_warning(files, capsys,
-                                                                      tmp_path):
-    # the refiner conv overflows to inf; NumericError must be the only report
+def tokenize_with(files, capsys, tmp_path, codebook_value, refiner_scale):
+    """Run `nvg tokenize` with every codebook entry `codebook_value` and the
+    identity refiners scaled by `refiner_scale`, warnings as errors."""
     argv, inputs, outputs = commands(files)["tokenize"]
     codebook, refiners = tmp_path / "cb.nvgt", tmp_path / "ref.nvgc"
-    write_tensor(codebook, np.full((8, 3), 1e20, dtype=np.float32))
-    save_refiners(refiners, [Refiner(1e20 * r.weight, r.bias) for r in identity_refiners(4, 3)])
+    write_tensor(codebook, np.full((8, 3), codebook_value, dtype=np.float32))
+    save_refiners(refiners, [Refiner(refiner_scale * r.weight, r.bias)
+                             for r in identity_refiners(4, 3)])
     argv = _swap(_swap(_swap(argv, inputs[1], codebook), inputs[2], refiners),
                  outputs[0], tmp_path / "out")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, err = run(argv, capsys)
+        return run(argv, capsys)
+
+
+def test_tokenize_with_an_overflowing_refiner_exits_4_without_warning(files, capsys,
+                                                                      tmp_path):
+    # the distances to a codebook of 10s are finite, but the refiner conv
+    # overflows to inf; NumericError must be the only report
+    code, err = tokenize_with(files, capsys, tmp_path, 10.0, 1e38)
     assert code == 4 and err.startswith("nvg: error code=4 kind=numeric:")
+    assert "residual turned non-finite after the stage-0 refiner" in err
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_tokenize_with_an_overflowing_codebook_exits_4_and_writes_nothing(files, capsys,
+                                                                          tmp_path):
+    # every float32 distance to a codebook of 1e20s is inf; quantization used
+    # to pick row 0 for every cluster and write the sequence
+    code, err = tokenize_with(files, capsys, tmp_path, 1e20, 1.0)
+    assert code == 4 and err.startswith("nvg: error code=4 kind=numeric:")
+    assert "squared distances overflow" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -12,9 +12,9 @@ from nvg.training import tokenize_dataset
 from oracles import gradient_check
 
 
-def small_model(depth=2, e=3, n=8, classes=3, last_stage=4, seed=0, dtype=np.float32):
+def small_model(depth=2, e=3, n=8, classes=3, last_stage=4, seed=0):
     cfg = ModelConfig(depth, "content", e, n, classes, last_stage)
-    return ContentModel(cfg, seed=seed, dtype=dtype)
+    return ContentModel(cfg, seed=seed)
 
 
 def loss_args(rows):
@@ -132,7 +132,7 @@ class TestTokenLogits:
         model = small_model()
         canvas = np.random.default_rng(0).normal(size=(4, 4, 3)).astype(np.float32)
         smap = StructureMap(2, np.repeat(np.arange(4), 4).reshape(4, 4))
-        logits = model.token_logits(canvas, canvas, smap)
+        logits = model.token_logits(Tensor(canvas), canvas, smap)
         assert logits.shape == (4, 8)
         assert np.allclose(logits.data, logits.data[0])
 
@@ -142,7 +142,7 @@ class TestTokenLogits:
         pred = rng.normal(size=(4, 4, 3)).astype(np.float32)
         canvas = rng.normal(size=(4, 4, 3)).astype(np.float32)
         smap = StructureMap(0, np.zeros((4, 4), dtype=np.int64))
-        assert model.token_logits(pred, canvas, smap).shape == (1, 8)
+        assert model.token_logits(Tensor(pred), canvas, smap).shape == (1, 8)
 
     def test_permutation_equivariance(self):
         model = small_model()
@@ -151,8 +151,8 @@ class TestTokenLogits:
         canvas = rng.normal(size=(4, 4, 3)).astype(np.float32)
         labels = np.repeat(np.arange(4), 4).reshape(4, 4)
         perm = np.array([2, 0, 3, 1])
-        base = model.token_logits(pred, canvas, StructureMap(2, labels)).data
-        permuted = model.token_logits(pred, canvas, StructureMap(2, perm[labels])).data
+        base = model.token_logits(Tensor(pred), canvas, StructureMap(2, labels)).data
+        permuted = model.token_logits(Tensor(pred), canvas, StructureMap(2, perm[labels])).data
         # row perm[j] of the permuted logits is row j of the base logits
         assert np.allclose(permuted[perm], base, atol=1e-6)
 
@@ -188,8 +188,7 @@ class TestLossPieces:
         # float64 oracle: the canvas MSE over the batch plus the mean over
         # samples of each sample's mean token cross entropy, from numpy alone
         examples, codebook = tokenized_example
-        model = small_model(e=3, n=codebook.size, classes=2, last_stage=4,
-                            dtype=np.float64)
+        model = small_model(e=3, n=codebook.size, classes=2, last_stage=4)
         rng = np.random.default_rng(3)
         for p in model.params().values():
             p.data = 0.1 * rng.standard_normal(p.data.shape)
@@ -215,7 +214,7 @@ class TestLossPieces:
 
 def test_full_content_loss_gradient_check(tokenized_example):
     examples, codebook = tokenized_example
-    model = small_model(e=3, n=codebook.size, classes=2, last_stage=4, dtype=np.float64)
+    model = small_model(e=3, n=codebook.size, classes=2, last_stage=4)
     rng = np.random.default_rng(7)
     for p in model.params().values():
         p.data = 0.05 * rng.standard_normal(p.data.shape)

@@ -4,7 +4,8 @@ module imports is read: no linter is a dependency, so an `ast` pass stands in
 for the unused-import check. Another `ast` pass keeps every test under
 `pyproject.toml`'s `error::RuntimeWarning`: no test may ignore a warning. A
 third keeps each module's underscore names its own: no module in `nvg`
-imports one from another."""
+imports one from another. A fourth keeps `einsum` in `grid.py`, home of the
+one squared-distance kernel and its non-finite rule."""
 
 import ast
 import importlib
@@ -125,6 +126,14 @@ def test_read_names_skips_definitions_and_all():
     source = ('__all__ = ["f", "g"]\ndef f():\n    pass\nclass C:\n    pass\n'
               'x = 1\ng(m.h, x)\n')
     assert read_names(source) == {"g", "m", "h", "x"}
+
+
+def test_only_the_distance_kernel_reads_einsum():
+    # `grid.sq_dist_blocks` refuses non-finite distances; a private einsum
+    # distance path in another module would skip that rule
+    readers = {path.name for path in Path(nvg.__file__).parent.glob("*.py")
+               if "einsum" in read_names(path.read_text())}
+    assert readers == {"grid.py"}
 
 
 def silenced_warnings(source: str) -> list:

@@ -16,6 +16,7 @@ from nvg.grid import (
     cluster_average,
     place,
     quantize_nearest_batch,
+    sq_dist_blocks,
 )
 from nvg.hierarchy import build_hierarchy
 from nvg.quantize import build_contents, identity_refiners
@@ -278,6 +279,27 @@ class TestQuantizeNearestOracle:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+
+class TestNonFiniteDistances:
+    """`sq_dist_blocks` refuses a block holding an overflowed or non-finite
+    distance before any caller reads it, without a RuntimeWarning."""
+
+    @pytest.mark.parametrize("v, rows", [
+        (-1e20, [[1e20], [-2e20]]),     # both float32 distances inf: argmin picked row 0
+        (0.5, [[0.0], [2e19]]),         # the nearest is finite, the far row's is inf
+    ], ids=["all-overflow", "far-row-overflows"])
+    def test_overflowing_distance_raises(self, v, rows):
+        with pytest.raises(NumericError):
+            quantize_nearest_batch(np.array([[v]]), Codebook(np.array(rows)))
+
+    def test_overflow_in_the_second_block_raises_before_it_is_yielded(self, monkeypatch):
+        monkeypatch.setattr("nvg.grid.SQ_DIST_BLOCK_ELEMENTS", 2 * 3)      # 2-row blocks
+        rows = np.array([[0.0], [1.0], [2.0], [1e200]])
+        blocks = sq_dist_blocks(rows, np.array([[0.0], [1.0], [2.0]]))
+        assert next(blocks)[:2] == (0, 2)
+        with pytest.raises(NumericError):
+            next(blocks)
 
 
 class TestAccumulateCanvas:

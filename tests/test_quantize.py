@@ -186,6 +186,13 @@ class TestKMeans:
             assert np.isfinite(c).all()
         assert len(np.unique(np.round(centroids, 6))) == 3
 
+    def test_overflowing_distance_raises(self):
+        # the float64 squared distance to a row at 1e200 overflows to inf
+        data = np.random.default_rng(5).normal(size=(20, 2))
+        data[7] = [1e200, 0.0]
+        with pytest.raises(NumericError):
+            kmeans(data, 3, iterations=5, seed=0)
+
 
 def kmeans_data(kind, m, e, rng):
     """k-means inputs that stress exact equality with the reference."""

@@ -17,9 +17,9 @@ from nvg.structure_model import (
 from oracles import gradient_check
 
 
-def small_model(depth=2, e=3, classes=3, last_stage=4, seed=0, dtype=np.float32):
+def small_model(depth=2, e=3, classes=3, last_stage=4, seed=0):
     cfg = ModelConfig(depth, "structure", e, 1, classes, last_stage)
-    return StructureModel(cfg, seed=seed, dtype=dtype)
+    return StructureModel(cfg, seed=seed)
 
 
 def stage_map(stage, h=4, w=4):
@@ -337,7 +337,7 @@ class TestGumbelSplit:
 
 
 def test_masked_flow_loss_gradient_check():
-    model = small_model(dtype=np.float64)
+    model = small_model()
     rng = np.random.default_rng(16)
     for p in model.params().values():
         p.data = 0.05 * rng.standard_normal(p.data.shape)
