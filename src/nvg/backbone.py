@@ -142,9 +142,9 @@ _STRUCT_FREQS = _sub_freqs(2)            # one rotation plane per level
 _SPATIAL_FREQS = _sub_freqs(SPATIAL_DIMS)
 
 
-def rope_tables(kind_ids, struct_ids, spatial_ids, dtype=np.float32):
-    """cos/sin tables (..., 32) of a token batch's integer rotary ids, for the
-    tape-level rope op."""
+def rope_tables(kind_ids, struct_ids, spatial_ids):
+    """float32 cos/sin tables (..., 32) of a token batch's integer rotary ids,
+    for the tape-level rope op."""
     kind_ids = np.asarray(kind_ids, dtype=np.float64)
     struct_ids = np.asarray(struct_ids, dtype=np.float64)
     spatial_ids = np.asarray(spatial_ids, dtype=np.float64)
@@ -154,7 +154,7 @@ def rope_tables(kind_ids, struct_ids, spatial_ids, dtype=np.float32):
         spatial_ids[..., 0:1] * _SPATIAL_FREQS,
         spatial_ids[..., 1:2] * _SPATIAL_FREQS,
     ], axis=-1)
-    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
 def time_features(t: np.ndarray, width: int) -> np.ndarray:

@@ -21,10 +21,10 @@ from . import checkpoints, io
 from .backbone import ModelConfig
 from .content_model import ContentModel
 from .errors import FormatError, InvariantError, NumericError, NvgError
-from .grid import Codebook, LatentGrid
+from .grid import Codebook, LatentGrid, canvas_prefixes
 from .hierarchy import build_hierarchy
 from .pipeline import GenerationRequest, ScheduleParams, generate
-from .quantize import build_contents, fit_codebook, reconstruct, train_refiners
+from .quantize import build_contents, fit_codebook, train_refiners
 from .selfcheck import run_selfcheck
 from .structcode import bit_rule_holds
 from .structure_model import StructureModel
@@ -56,11 +56,10 @@ def _dataset_args(sub):
                      help="seed of the synthetic dataset (distinct from --seed)")
 
 
-def _make_dataset(args):
-    h, w, e = _parse_latent(args.latent)
+def _make_dataset(args, h, w, e):
     spec = SyntheticSpec(count=args.count, h=h, w=w, e=e,
                          num_classes=args.classes, seed=args.data_seed)
-    return make_synthetic_dataset(spec), (h, w, e)
+    return make_synthetic_dataset(spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,13 +149,12 @@ def cmd_reconstruct(args) -> int:
     codebook = _load_codebook(args.codebook)
     refiners = checkpoints.load_refiners(args.refiners)
     seq = io.read_sequence(args.sequence, codebook)
-    io.write_tensor(args.output, reconstruct(seq, codebook, refiners).data)
+    io.write_tensor(args.output, canvas_prefixes(seq, codebook, refiners)[-1].data)
     return 0
 
 
 def cmd_train_codebook(args) -> int:
-    dataset, _ = _make_dataset(args)
-    grids = [g for _, g in dataset]
+    grids = [g for _, g in _make_dataset(args, *_parse_latent(args.latent))]
     codebook = fit_codebook(grids, args.size, iterations=args.iters, seed=args.seed)
     refiners = train_refiners(grids, build_hierarchy, codebook,
                               steps=args.refiner_steps, lr=args.refiner_lr)
@@ -166,7 +164,7 @@ def cmd_train_codebook(args) -> int:
 
 
 def cmd_train_generator(args, kind: str) -> int:
-    dataset, (h, w, e) = _make_dataset(args)
+    h, w, e = _parse_latent(args.latent)
     codebook = _load_codebook(args.codebook)
     refiners = checkpoints.load_refiners(args.refiners)
     last = (h * w).bit_length() - 1
@@ -176,10 +174,10 @@ def cmd_train_generator(args, kind: str) -> int:
     model_cls, train = {"content": (ContentModel, train_content),
                         "structure": (StructureModel, train_structure)}[kind]
     model_config = ModelConfig(args.depth, kind, e, codebook.size, args.classes, last)
-    # checked from the configs alone, so a bad option costs no model and no tokenization
+    # checked from the configs alone, so a bad option costs no dataset and no model
     check_training_budget(model_config, config)
     model = model_cls(model_config, seed=args.seed)
-    examples = tokenize_dataset(dataset, codebook, refiners)
+    examples = tokenize_dataset(_make_dataset(args, h, w, e), codebook, refiners)
     losses = train(examples, model, config).losses
     checkpoints.save_model(args.output, model)
     final = f"final loss {losses[-1]:.6f}" if losses else "no loss"

@@ -5,8 +5,9 @@ NumericError -> 4.
 """
 
 # Largest array, in bytes, that caller-chosen sizes may ask for: the tokenizer's
-# distance matrix, block weights, a training step's attention scores. Over it,
-# InvariantError before allocating. Read as errors.MAX_ALLOC_BYTES: one cap for all.
+# distance matrix, block weights, a training step's attention scores, a synthetic
+# dataset. Over it, InvariantError before allocating. Read as
+# errors.MAX_ALLOC_BYTES: one cap for all.
 MAX_ALLOC_BYTES = 2 << 30
 
 

@@ -11,6 +11,10 @@ Array conventions used everywhere in this package:
 
 All functions here are pure; none mutate their inputs.
 
+There is one decoder step, `add_stage`, which `canvas_prefixes` and the
+generator both run: it adds a stage's refined placement to a canvas, and it
+alone refuses a non-finite canvas, raising NumericError with no numpy warning.
+
 Every squared-distance computation in the package (k-means assignment,
 token quantization, the hierarchy's pairing matrix) runs through one kernel,
 `sq_dist_blocks`. It works in row blocks of at most SQ_DIST_BLOCK_ELEMENTS
@@ -46,6 +50,7 @@ __all__ = [
     "place",
     "cluster_average",
     "quantize_nearest_batch",
+    "add_stage",
     "canvas_prefixes",
     "sq_dist_blocks",
     "nearest_rows",
@@ -335,6 +340,17 @@ def quantize_nearest_batch(vs: np.ndarray, codebook: Codebook) -> np.ndarray:
     return nearest_rows(vs, codebook.vectors)[0].astype(np.int32)
 
 
+def add_stage(canvas: np.ndarray, tokens: ContentTokens, smap: StructureMap,
+              codebook: Codebook, refiner) -> np.ndarray:
+    """The decoder's one step: the (h, w, e) canvas plus the stage's refined
+    placement. Raises NumericError when the sum is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):     # reported below
+        x = canvas + refiner.apply(assign(tokens, smap, codebook).data)
+    if not np.all(np.isfinite(x)):
+        raise NumericError(f"canvas turned non-finite after the stage-{smap.stage} refiner")
+    return x
+
+
 def canvas_prefixes(seq: VGSequence, codebook: Codebook, refiners) -> tuple:
     """The K+2 running canvases of a sequence, in one left-to-right pass.
 
@@ -349,8 +365,6 @@ def canvas_prefixes(seq: VGSequence, codebook: Codebook, refiners) -> tuple:
     x = np.zeros((seq.h, seq.w, codebook.dim), dtype=np.float32)
     prefixes = [LatentGrid(x)]
     for refiner, (tokens, smap) in zip(refiners, seq.stages):
-        x = x + refiner.apply(assign(tokens, smap, codebook).data)
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"canvas turned non-finite after the stage-{smap.stage} refiner")
+        x = add_stage(x, tokens, smap, codebook, refiner)
         prefixes.append(LatentGrid(x))
     return tuple(prefixes)

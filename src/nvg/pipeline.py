@@ -1,6 +1,7 @@
 """Staged generation: per stage, realize the structure map (trivial, flow
 sampled, forced, or user-supplied), sample that stage's tokens from guided
-top-p filtered logits, and add the refined placement onto the canvas.
+top-p filtered logits, and add the refined placement onto the canvas
+(`grid.add_stage`, the decoder's one step).
 
 Guidance and nucleus schedules sharpen over the stages: top-p decays
 log-linearly from 1.0 to 0.5 and the guidance scale grows linearly to 2.5
@@ -18,16 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import no_grad
+from .backbone import STRUCT_SLOTS
 from .content_model import ContentModel
 from .errors import InvariantError, NumericError
-from .grid import (
-    Codebook,
-    ContentTokens,
-    LatentGrid,
-    StructureMap,
-    VGSequence,
-    assign,
-)
+from .grid import Codebook, ContentTokens, LatentGrid, StructureMap, VGSequence, add_stage
 from .hierarchy import canonical_child, reindex_hierarchy
 from .structcode import embed_structure_map
 from .structure_model import StructureModel, flow_sample, gumbel_balanced_split
@@ -78,6 +73,9 @@ class GenerationRequest:
         hw = self.h * self.w
         if min(self.h, self.w) < 1 or hw & (hw - 1):
             raise InvariantError("h and w must be positive and h*w a power of two")
+        if hw > 1 << STRUCT_SLOTS:      # before the stage-0 map is allocated
+            raise InvariantError(f"{hw} locations exceed the {1 << STRUCT_SLOTS} "
+                                 "any model supports")
         prefix = self.structure_prefix or StructureMap(0, np.zeros((self.h, self.w), np.int32))
         if prefix.labels.shape != (self.h, self.w):
             raise InvariantError(f"override at stage {prefix.stage} has wrong shape")
@@ -223,6 +221,10 @@ def generate(req: GenerationRequest, content_model: ContentModel,
         if model.config.latent_channels != e:
             raise InvariantError(f"{model.config.kind} model expects "
                                  f"{model.config.latent_channels} latent channels, not {e}")
+    for stage, tokens in req.content_overrides.items():
+        if int(tokens.indices.max()) >= codebook.size:
+            raise InvariantError(f"token override at stage {stage} indexes past "
+                                 f"the codebook of {codebook.size}")
 
     rng = np.random.default_rng(req.seed)
     sched = req.schedule
@@ -230,7 +232,6 @@ def generate(req: GenerationRequest, content_model: ContentModel,
     stats = GenerationStats()
 
     x = np.zeros((h, w_grid, e), dtype=np.float32)
-    maps: list[StructureMap] = []
     stages = []
 
     for k in range(last + 1):
@@ -238,8 +239,9 @@ def generate(req: GenerationRequest, content_model: ContentModel,
         if k < len(req.fixed_maps):
             smap = req.fixed_maps[k]
         elif k == last:
-            smap = forced_final_split(maps[k - 1])
+            smap = forced_final_split(stages[-1][1])
         else:
+            parent = stages[-1][1]
             scale = sched.cfg_constant if sched.cfg_constant is not None else \
                 cfg_schedule(k, "structure", last)
 
@@ -247,15 +249,14 @@ def generate(req: GenerationRequest, content_model: ContentModel,
                 def rows(classes):
                     n = len(classes)
                     return structure_model.velocity(
-                        classes, [maps[-1]] * n, np.repeat(x[None], n, axis=0),
+                        classes, [parent] * n, np.repeat(x[None], n, axis=0),
                         np.repeat(z[None], n, axis=0), np.full(n, t)).data
                 return cfg_forward(rows, req.class_id, null_id, scale)
 
-            known = embed_structure_map(maps[-1], last).astype(np.float32)
+            known = embed_structure_map(parent, last).astype(np.float32)
             pred = flow_sample(velocity_fn, known, stage=k, n_steps=sched.flow_steps, rng=rng)
             stats.flow_steps += sched.flow_steps
-            smap = gumbel_balanced_split(maps[k - 1], pred[:, :, k - 1], rng)
-        maps.append(smap)
+            smap = gumbel_balanced_split(parent, pred[:, :, k - 1], rng)
 
         # ---- content ----
         if k in req.content_overrides:
@@ -278,9 +279,7 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             tokens = ContentTokens(k, indices)
             stats.content_steps += 1
 
-        x = x + refiners[k].apply(assign(tokens, smap, codebook).data)
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"canvas turned non-finite after the stage-{k} refiner")
+        x = add_stage(x, tokens, smap, codebook, refiners[k])
         stages.append((tokens, smap))
 
     return GenerationResult(VGSequence(tuple(stages)), LatentGrid(x), stats)

@@ -21,7 +21,6 @@ from .grid import (
     ContentTokens,
     LatentGrid,
     VGSequence,
-    canvas_prefixes,
     cluster_average,
     nearest_rows,
     place,
@@ -33,7 +32,6 @@ __all__ = [
     "Refiner",
     "identity_refiners",
     "build_contents",
-    "reconstruct",
     "fit_codebook",
     "train_refiners",
 ]
@@ -118,11 +116,6 @@ def build_contents(grid: LatentGrid, maps, codebook: Codebook, refiners) -> tupl
         residuals.append(residual)
         stages.append((tokens, smap))
     return VGSequence(tuple(stages)), tuple(LatentGrid(r) for r in residuals)
-
-
-def reconstruct(seq: VGSequence, codebook: Codebook, refiners) -> LatentGrid:
-    """Sum of refined stage placements over all stages."""
-    return canvas_prefixes(seq, codebook, refiners)[-1]
 
 
 def kmeans(data: np.ndarray, n: int, iterations: int, seed: int) -> np.ndarray:

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .backbone import rope_tables
-from .grid import Codebook, LatentGrid, StructureMap
+from .grid import Codebook, LatentGrid, StructureMap, canvas_prefixes
 from .hierarchy import build_hierarchy
 from .pipeline import cfg_forward, cfg_schedule, top_p_schedule
-from .quantize import Refiner, build_contents, identity_refiners, reconstruct
+from .quantize import Refiner, build_contents, identity_refiners
 from .structcode import bit_rule_holds, embed_structure_map
 from .structure_model import flow_sample, gumbel_balanced_split
 
@@ -87,7 +87,7 @@ def _check_tokenize_reconstruct(seed):
         refiners = [Refiner(centre + 0.1 * rng.normal(size=centre.shape), 0.1 * rng.normal(size=4))
                     for _ in range(7)]
         seq, residuals = build_contents(grid, build_hierarchy(grid), codebook, refiners)
-        back = reconstruct(seq, codebook, refiners).data + residuals[-1].data
+        back = canvas_prefixes(seq, codebook, refiners)[-1].data + residuals[-1].data
         rel = np.linalg.norm(back - grid.data) / np.linalg.norm(grid.data)
         if rel > 1e-5:
             return False, f"reconstruction plus final residual is off by {rel:.2e} (relative)"
@@ -99,7 +99,7 @@ def _check_rope(seed):
     rng = np.random.default_rng(seed)
     vecs = rng.normal(size=(100, 64))
     cos, sin = rope_tables(rng.integers(0, 3, size=100), rng.integers(0, 3, size=(100, 8)),
-                           rng.integers(0, 16, size=(100, 2)), dtype=np.float64)
+                           rng.integers(0, 16, size=(100, 2)))
     out = ad.rope(vecs, cos, sin).data
     err = np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(vecs, axis=1)).max()
     if err > 1e-6:

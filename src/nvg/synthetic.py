@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import InvariantError
 from .grid import LatentGrid
 
@@ -37,6 +38,11 @@ class SyntheticSpec:
             raise InvariantError(
                 f"need 1..{2 ** self.e} classes for {self.e} channels, got {self.num_classes}"
             )
+        # float64: the two coordinate grids and the images, checked before any is built
+        need = 8 * self.h * self.w * (2 + self.count * self.e)
+        if need > errors.MAX_ALLOC_BYTES:
+            raise InvariantError(f"{self.count} {self.h}x{self.w}x{self.e} images need "
+                                 f"{need} bytes, over the {errors.MAX_ALLOC_BYTES}-byte cap")
 
 
 def class_base_colors(spec: SyntheticSpec) -> np.ndarray:

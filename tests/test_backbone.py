@@ -172,7 +172,7 @@ class TestModelConfig:
 
 def rotate(vecs, kind, struct, spatial):
     """The rotary path every forward runs: rope_tables, then the tape op."""
-    cos, sin = rope_tables(kind, struct, spatial, dtype=np.float64)
+    cos, sin = rope_tables(kind, struct, spatial)
     return ad.rope(np.asarray(vecs, dtype=np.float64), cos, sin).data
 
 

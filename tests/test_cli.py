@@ -385,6 +385,51 @@ def test_reconstruct_on_an_unnested_sequence_exits_3_and_writes_nothing(files, c
     assert list(tmp_path.iterdir()) == [bad]
 
 
+def test_reconstruct_whose_canvas_overflows_exits_4_without_warning(files, capsys, tmp_path):
+    # each refined placement is finite (about 2e38), the stage-1 sum is not;
+    # it used to print numpy's overflow warning before the error line
+    argv, inputs, outputs = commands(files)["reconstruct"]
+    bad, out = tmp_path / "ref.nvgc", tmp_path / "out"
+    save_refiners(bad, [Refiner(r.weight, np.full(3, 2e38)) for r in identity_refiners(4, 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = run(_swap(_swap(argv, inputs[2], bad), outputs[0], out), capsys)
+    assert code == 4 and err.startswith("nvg: error code=4 kind=numeric:")
+    assert "canvas turned non-finite after the stage-1 refiner" in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def no_dataset(*args):
+    raise AssertionError("the dataset was built before the sizes were checked")
+
+
+@pytest.mark.parametrize("command", ["train-content", "train-structure"])
+def test_train_past_the_rotary_layout_exits_3_before_any_dataset(files, command, capsys,
+                                                                  tmp_path, monkeypatch):
+    # a 2048x2048 dataset used to take 4.8 s and 704 MB before this refusal
+    monkeypatch.setattr(cli, "make_synthetic_dataset", no_dataset)
+    argv, _, outputs = commands(files)[command]
+    argv = _swap(_swap(argv, outputs[0], tmp_path / "out"), "4,4,3", "2048,2048,3")
+    code, err = run(argv, capsys)
+    assert code == 3 and "rotary layout supports at most 8 stages, got 22" in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_codebook_over_the_dataset_cap_exits_3_before_any_dataset(files, capsys,
+                                                                       tmp_path, monkeypatch):
+    # the 65536x65536 coordinate grids alone would take 64 GiB
+    monkeypatch.setattr(cli, "make_synthetic_dataset", no_dataset)
+    argv, _, outputs = commands(files)["train-codebook"]
+    argv = _swap(_swap(_swap(argv, outputs[0], tmp_path / "out"), outputs[1],
+                       tmp_path / "out.ref"), "4,4,3", "65536,65536,4")
+    code, err = run(argv, capsys)
+    assert code == 3 and f"over the {errors.MAX_ALLOC_BYTES}-byte cap" in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("option", ["--cfg-override=nan", "--cfg-override=inf",
                                     "--top-p-override=0", "--top-p-override=1.5"])
 def test_bad_schedule_override_exits_3_before_any_model_runs(files, option, capsys,

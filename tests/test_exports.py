@@ -5,7 +5,9 @@ for the unused-import check. Another `ast` pass keeps every test under
 `pyproject.toml`'s `error::RuntimeWarning`: no test may ignore a warning. A
 third keeps each module's underscore names its own: no module in `nvg`
 imports one from another. A fourth keeps `einsum` in `grid.py`, home of the
-one squared-distance kernel and its non-finite rule."""
+one squared-distance kernel and its non-finite rule, and a fifth keeps the
+refiners' `apply` in `grid.add_stage`, the one decoder step, and the
+tokenizer."""
 
 import ast
 import importlib
@@ -134,6 +136,14 @@ def test_only_the_distance_kernel_reads_einsum():
     readers = {path.name for path in Path(nvg.__file__).parent.glob("*.py")
                if "einsum" in read_names(path.read_text())}
     assert readers == {"grid.py"}
+
+
+def test_only_the_decoder_step_and_the_tokenizer_read_apply():
+    # `grid.add_stage` adds a refined placement to a canvas and refuses a
+    # non-finite sum; a second copy of that step would skip the rule
+    readers = {path.name for path in Path(nvg.__file__).parent.glob("*.py")
+               if "apply" in read_names(path.read_text())}
+    assert readers == {"grid.py", "quantize.py"}
 
 
 def silenced_warnings(source: str) -> list:

@@ -19,7 +19,7 @@ from nvg.grid import (
     sq_dist_blocks,
 )
 from nvg.hierarchy import build_hierarchy
-from nvg.quantize import build_contents, identity_refiners
+from nvg.quantize import Refiner, build_contents, identity_refiners
 from oracles import reference_quantize_nearest
 
 
@@ -340,6 +340,14 @@ class TestAccumulateCanvas:
         _, seq, cb, refs = tokenized
         with pytest.raises(InvariantError):
             canvas_prefixes(seq, cb, refs[:-1])
+
+    def test_overflowing_sum_raises_numeric_error_alone(self, tokenized):
+        # each refined placement is finite (about 2e38) and their float32 sum
+        # is not; under the repo's error filter a numpy warning would fail here
+        _, seq, cb, refs = tokenized
+        huge = [Refiner(r.weight, np.full(3, 2e38)) for r in refs]
+        with pytest.raises(NumericError, match="non-finite after the stage-1 refiner"):
+            canvas_prefixes(seq, cb, huge)
 
 
 def test_place_then_average_is_identity_on_bijective_stage():

@@ -12,7 +12,7 @@ from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
 from nvg.errors import InvariantError, NumericError
 from nvg.checkpoints import save_model, save_refiners
-from nvg.grid import Codebook, ContentTokens, StructureMap
+from nvg.grid import Codebook, ContentTokens, StructureMap, canvas_prefixes
 from nvg.hierarchy import build_hierarchy
 from nvg.pipeline import (
     GenerationRequest,
@@ -25,7 +25,7 @@ from nvg.pipeline import (
     top_p_schedule,
 )
 from nvg.io import write_tensor
-from nvg.quantize import Refiner, build_contents, fit_codebook, identity_refiners, reconstruct
+from nvg.quantize import Refiner, build_contents, fit_codebook, identity_refiners
 from nvg.structure_model import StructureModel
 from nvg.synthetic import SyntheticSpec, make_synthetic_dataset
 
@@ -33,6 +33,10 @@ H = W = 4
 E = 3
 LAST = 4
 CLASSES = 2
+
+
+def no_model(*args, **kwargs):
+    raise AssertionError("a model ran before the request was checked")
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +171,7 @@ class TestGenerate:
         )
         assert len(req.fixed_maps) == LAST + 1
         result = generate(req, content, structure, codebook, refiners)
-        recon = reconstruct(seq, codebook, refiners)
+        recon = canvas_prefixes(seq, codebook, refiners)[-1]
         assert np.array_equal(result.canvas.data, recon.data)
         assert result.stats.content_steps == 0
         assert result.stats.flow_steps == 0
@@ -306,10 +310,25 @@ class TestGenerate:
             GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
                               content_overrides={LAST + 3: tokens})
 
-    @pytest.mark.parametrize("h, w", [(-4, -4), (0, 4), (4, 3)])
+    # past 256 locations (8 stages) no ModelConfig fits; a 4096x4096 request
+    # used to allocate its 349 MB stage-0 map before any model was checked
+    @pytest.mark.parametrize("h, w", [(-4, -4), (0, 4), (4, 3), (32, 32), (1, 512)])
     def test_grid_shape_must_be_positive_with_power_of_two_area(self, h, w):
         with pytest.raises(InvariantError):
             GenerationRequest(class_id=0, seed=0, h=h, w=w, e=E)
+
+    def test_override_past_the_codebook_rejected_before_any_model(self, setup, monkeypatch):
+        # index 99 at stage 3 used to fail at that stage's assign, after
+        # three content forwards
+        _, codebook, refiners, content, structure = setup
+        monkeypatch.setattr(ContentModel, "forward_final_canvas", no_model)
+        monkeypatch.setattr(StructureModel, "velocity", no_model)
+        tokens = ContentTokens(3, np.array([0] * 7 + [99], dtype=np.int32))
+        req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
+                                content_overrides={3: tokens})
+        with pytest.raises(InvariantError, match="override at stage 3 indexes past "
+                                                 f"the codebook of {codebook.size}"):
+            generate(req, content, structure, codebook, refiners)
 
     def test_structure_model_with_wrong_latent_channels_rejected(self, setup):
         _, codebook, refiners, content, _ = setup
@@ -368,6 +387,22 @@ class TestGenerate:
         req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E)
         with pytest.raises(NumericError, match="stage-0 refiner"):
             generate(req, content, structure, codebook, refiners)
+
+    def test_overflowing_canvas_sum_raises_numeric_error_alone(self, setup, monkeypatch):
+        # structure fixed through stage 3 and content at every stage, so no
+        # model runs; each refined placement is finite (about 2e38), the
+        # stage-1 sum is not, and a numpy warning would fail under the filter
+        data, codebook, refiners, content, structure = setup
+        grid = data[0][1]
+        seq, _ = build_contents(grid, build_hierarchy(grid), codebook, refiners)
+        monkeypatch.setattr(ContentModel, "forward_final_canvas", no_model)
+        monkeypatch.setattr(StructureModel, "velocity", no_model)
+        req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
+                                structure_prefix=seq.stages[3][1],
+                                content_overrides=dict(enumerate(t for t, _ in seq.stages)))
+        huge = [Refiner(r.weight, np.full(E, 2e38)) for r in refiners]
+        with pytest.raises(NumericError, match="non-finite after the stage-1 refiner"):
+            generate(req, content, structure, codebook, huge)
 
 
 def test_cli_generate_with_nan_structure_weights_exits_4(tmp_path, setup):

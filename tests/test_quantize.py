@@ -5,7 +5,7 @@ import pytest
 
 from nvg import quantize
 from nvg.errors import InvariantError, NumericError
-from nvg.grid import Codebook, LatentGrid, cluster_average, place
+from nvg.grid import Codebook, LatentGrid, canvas_prefixes, cluster_average, place
 from nvg.hierarchy import build_hierarchy
 from nvg.quantize import (
     kmeans,
@@ -13,7 +13,6 @@ from nvg.quantize import (
     build_contents,
     fit_codebook,
     identity_refiners,
-    reconstruct,
     train_refiners,
 )
 from oracles import reference_kmeans
@@ -138,7 +137,7 @@ class TestReconstruct:
         codebook = Codebook(rng.normal(size=(32, 4)).astype(np.float32))
         refiners = identity_refiners(6, 4)
         seq, residuals = build_contents(grid, hierarchy, codebook, refiners)
-        recon = reconstruct(seq, codebook, refiners)
+        recon = canvas_prefixes(seq, codebook, refiners)[-1]
         expected = grid.data - residuals[-1].data
         err = np.linalg.norm(recon.data - expected) / max(np.linalg.norm(expected), 1e-9)
         assert err <= 1e-5
@@ -150,7 +149,7 @@ class TestReconstruct:
         codebook = Codebook(np.zeros((1, 3), dtype=np.float32))
         refiners = identity_refiners(2, 3)
         seq, _ = build_contents(grid, hierarchy, codebook, refiners)
-        assert np.all(reconstruct(seq, codebook, refiners).data == 0.0)
+        assert np.all(canvas_prefixes(seq, codebook, refiners)[-1].data == 0.0)
 
     def test_unique_token_accounting_16x16(self):
         rng = np.random.default_rng(8)
@@ -346,7 +345,7 @@ class TestTrainRefiners:
             total = 0.0
             for g, h in zip(grids, hierarchies):
                 seq, _ = build_contents(g, h, codebook, refiners)
-                r = reconstruct(seq, codebook, refiners)
+                r = canvas_prefixes(seq, codebook, refiners)[-1]
                 total += float(np.mean((r.data - g.data) ** 2))
             return total
 

@@ -43,11 +43,12 @@ def _shifted_refiners(real):
 
 
 def _scaled_canvas(real):
-    return lambda seq, codebook, refiners: LatentGrid(1.0001 * real(seq, codebook, refiners).data)
+    return lambda seq, codebook, refiners: tuple(
+        LatentGrid(1.0001 * c.data) for c in real(seq, codebook, refiners))
 
 
 @pytest.mark.parametrize("name, breakage", [("build_contents", _shifted_refiners),
-                                            ("reconstruct", _scaled_canvas)])
+                                            ("canvas_prefixes", _scaled_canvas)])
 def test_tokenize_reconstruct_fails_on_a_broken_tokenizer(monkeypatch, name, breakage):
     monkeypatch.setattr(selfcheck, name, breakage(getattr(selfcheck, name)))
     results = {check: ok for check, ok, _ in run_selfcheck(0)}

@@ -123,6 +123,19 @@ class TestSyntheticDataset:
         with pytest.raises(InvariantError):
             SyntheticSpec(count=1, e=2, num_classes=5)
 
+    def test_dataset_past_the_allocation_cap_rejected_when_built(self, monkeypatch):
+        # float64: two 4x4 coordinate grids and two 4x4x3 images, 1024 bytes
+        monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 1024)
+        SyntheticSpec(count=2, h=4, w=4, e=3)
+        monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 1023)
+        with pytest.raises(InvariantError, match="need 1024 bytes, over the 1023-byte cap"):
+            SyntheticSpec(count=2, h=4, w=4, e=3)
+
+    def test_huge_grid_rejected_when_built(self):
+        # the coordinate grids alone would take 64 GiB
+        with pytest.raises(InvariantError, match="-byte cap"):
+            SyntheticSpec(count=8, h=65536, w=65536, e=4)
+
 
 class TestWsdSchedule:
     CFG = TrainConfig(steps=1000, batch_size=16, base_lr=1e-3, warmup_steps=100,
