@@ -24,6 +24,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .errors import NumericError
+
 __all__ = ["Tensor", "Adam", "no_grad", "concat", "matmul", "rope", "softmax",
            "log_softmax", "rmsnorm", "silu"]
 
@@ -350,10 +352,15 @@ def log_softmax(a) -> Tensor:
 
 
 def rmsnorm(a) -> Tensor:
-    """x / sqrt(mean(x^2) + 1e-6) over the last axis (no learned gain)."""
+    """x / sqrt(mean(x^2) + 1e-6) over the last axis (no learned gain).
+    Raises NumericError, with no numpy warning, when a mean square is not
+    finite: a huge but finite row overflows in float32."""
     a = _wrap(a)
     d = a.data.shape[-1]
-    ms = (a.data * a.data).mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ms = (a.data * a.data).mean(axis=-1, keepdims=True)
+    if not np.isfinite(ms).all():
+        raise NumericError("rmsnorm mean square is not finite")
     inv = 1.0 / np.sqrt(ms + 1e-6)
 
     def bw(g):

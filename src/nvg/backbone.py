@@ -70,7 +70,7 @@ class ModelConfig:
     heads. Either way the per-head dim is 64 and the block-core parameter
     count is 15 d width^2.
 
-    Memory policy, against the one cap `errors.MAX_ALLOC_BYTES` (2 GiB): a
+    Memory policy, checked by `errors.check_alloc` against the one 2 GiB cap: a
     config, and so a loaded or generating model, holds its float32 block
     weights once, which must fit: content depth <= 20, structure depth <= 32.
     Training also holds a gradient and two Adam moments per weight, so
@@ -100,10 +100,8 @@ class ModelConfig:
             )
         if self.width % self.heads or self.width // self.heads != HEAD_DIM:
             raise InvariantError("width/heads must give 64-dim heads")
-        need = self.block_weight_bytes
-        if need > errors.MAX_ALLOC_BYTES:
-            raise InvariantError(f"a depth-{self.depth} {self.kind} model needs {need} bytes "
-                                 f"of block weights, over the {errors.MAX_ALLOC_BYTES}-byte cap")
+        errors.check_alloc(self.block_weight_bytes, f"a depth-{self.depth} {self.kind} model",
+                           "block weights")
 
     @property
     def width(self) -> int:

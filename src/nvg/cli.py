@@ -21,7 +21,7 @@ from . import checkpoints, io
 from .backbone import ModelConfig
 from .content_model import ContentModel
 from .errors import FormatError, InvariantError, NumericError, NvgError
-from .grid import Codebook, LatentGrid, canvas_prefixes
+from .grid import Codebook, LatentGrid, canvas_prefixes, last_stage_of
 from .hierarchy import build_hierarchy
 from .pipeline import GenerationRequest, ScheduleParams, generate
 from .quantize import build_contents, fit_codebook, train_refiners
@@ -56,10 +56,10 @@ def _dataset_args(sub):
                      help="seed of the synthetic dataset (distinct from --seed)")
 
 
-def _make_dataset(args, h, w, e):
-    spec = SyntheticSpec(count=args.count, h=h, w=w, e=e,
+def _dataset_spec(args) -> SyntheticSpec:
+    h, w, e = _parse_latent(args.latent)
+    return SyntheticSpec(count=args.count, h=h, w=w, e=e,
                          num_classes=args.classes, seed=args.data_seed)
-    return make_synthetic_dataset(spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +154,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_train_codebook(args) -> int:
-    grids = [g for _, g in _make_dataset(args, *_parse_latent(args.latent))]
+    grids = [g for _, g in make_synthetic_dataset(_dataset_spec(args))]
     codebook = fit_codebook(grids, args.size, iterations=args.iters, seed=args.seed)
     refiners = train_refiners(grids, build_hierarchy, codebook,
                               steps=args.refiner_steps, lr=args.refiner_lr)
@@ -164,20 +164,23 @@ def cmd_train_codebook(args) -> int:
 
 
 def cmd_train_generator(args, kind: str) -> int:
-    h, w, e = _parse_latent(args.latent)
+    # every config is checked before anything is built, so a bad option costs
+    # no dataset and no model
+    spec = _dataset_spec(args)
     codebook = _load_codebook(args.codebook)
+    if spec.e != codebook.dim:
+        raise InvariantError(f"--latent has {spec.e} channels, the codebook {codebook.dim}")
     refiners = checkpoints.load_refiners(args.refiners)
-    last = (h * w).bit_length() - 1
     config = TrainConfig(steps=args.steps, batch_size=args.batch, base_lr=args.lr,
                          warmup_steps=args.warmup,
                          decay_start_fraction=args.decay_start, seed=args.seed)
     model_cls, train = {"content": (ContentModel, train_content),
                         "structure": (StructureModel, train_structure)}[kind]
-    model_config = ModelConfig(args.depth, kind, e, codebook.size, args.classes, last)
-    # checked from the configs alone, so a bad option costs no dataset and no model
+    model_config = ModelConfig(args.depth, kind, spec.e, codebook.size, args.classes,
+                               last_stage_of(spec.h, spec.w))
     check_training_budget(model_config, config)
     model = model_cls(model_config, seed=args.seed)
-    examples = tokenize_dataset(_make_dataset(args, h, w, e), codebook, refiners)
+    examples = tokenize_dataset(make_synthetic_dataset(spec), codebook, refiners)
     losses = train(examples, model, config).losses
     checkpoints.save_model(args.output, model)
     final = f"final loss {losses[-1]:.6f}" if losses else "no loss"

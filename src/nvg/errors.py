@@ -1,4 +1,4 @@
-"""Exception types and the allocation cap shared across the package.
+"""Exception types, and the allocation cap with its one check, shared across the package.
 
 The CLI maps these onto exit codes: FormatError -> 2, InvariantError -> 3,
 NumericError -> 4.
@@ -6,8 +6,8 @@ NumericError -> 4.
 
 # Largest array, in bytes, that caller-chosen sizes may ask for: the tokenizer's
 # distance matrix, block weights, a training step's attention scores, a synthetic
-# dataset. Over it, InvariantError before allocating. Read as
-# errors.MAX_ALLOC_BYTES: one cap for all.
+# dataset. One cap for all, and `check_alloc` is its one check: every size is
+# refused there, before anything is allocated.
 MAX_ALLOC_BYTES = 2 << 30
 
 
@@ -25,3 +25,10 @@ class InvariantError(NvgError, ValueError):
 
 class NumericError(NvgError, ArithmeticError):
     """A numeric failure such as a NaN loss during training."""
+
+
+def check_alloc(need: int, who: str, what: str) -> None:
+    """Raise InvariantError when `need` bytes pass MAX_ALLOC_BYTES."""
+    if need > MAX_ALLOC_BYTES:
+        raise InvariantError(f"{who} needs {need} bytes of {what}, "
+                             f"over the {MAX_ALLOC_BYTES}-byte cap")

@@ -40,6 +40,7 @@ import numpy as np
 from .errors import InvariantError, NumericError
 
 __all__ = [
+    "last_stage_of",
     "LatentGrid",
     "Codebook",
     "StructureMap",
@@ -62,8 +63,12 @@ __all__ = [
 SQ_DIST_BLOCK_ELEMENTS = 1 << 18
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def last_stage_of(h: int, w: int) -> int:
+    """log2(h*w), the one grid-shape rule: InvariantError unless h, w >= 1, h*w = 2^k."""
+    hw = h * w
+    if min(h, w) < 1 or hw & (hw - 1):
+        raise InvariantError(f"h and w must be positive and h*w a power of two, got {h}x{w}")
+    return hw.bit_length() - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +84,7 @@ class LatentGrid:
         h, w, e = data.shape
         if min(h, w, e) < 1:
             raise InvariantError("latent grid dimensions must be positive")
-        if not _is_power_of_two(h * w):
-            raise InvariantError(f"h*w must be a power of two, got {h}x{w}")
+        last_stage_of(h, w)
         if not np.all(np.isfinite(data)):
             raise InvariantError("latent grid contains non-finite values")
         object.__setattr__(self, "data", data)
@@ -100,7 +104,7 @@ class LatentGrid:
     @property
     def last_stage(self) -> int:
         """Number of pairwise halvings from single-token to per-location."""
-        return (self.h * self.w).bit_length() - 1
+        return last_stage_of(self.h, self.w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,9 +225,9 @@ class VGSequence:
                 raise InvariantError(f"map {i} must be a StructureMap tagged stage {i}")
             if smap.labels.shape != maps[0].labels.shape:
                 raise InvariantError("all structure maps must share one grid shape")
-        hw = maps[0].labels.size
-        if hw != 1 << (len(maps) - 1):
-            raise InvariantError(f"{hw} locations need {hw.bit_length()} stages, got {len(maps)}")
+        last = last_stage_of(*maps[0].labels.shape)
+        if last != len(maps) - 1:
+            raise InvariantError(f"{1 << last} locations need {last + 1} stages, got {len(maps)}")
         for i in range(len(maps) - 1):
             if not parent_consistent(maps[i], maps[i + 1]):
                 raise InvariantError(f"stages {i} and {i + 1} are not parent-consistent")

@@ -106,14 +106,11 @@ def build_hierarchy(grid: LatentGrid) -> tuple:
     representative is the mean of those members' grid vectors, summed in that
     row order. Output labels are canonical (see reindex_hierarchy). Raises
     InvariantError, before allocating, when the finest stage's distance
-    matrix would exceed `errors.MAX_ALLOC_BYTES`.
+    matrix fails `errors.check_alloc`.
     """
     h, w = grid.h, grid.w
     hw = h * w
-    need = 8 * hw * hw
-    if need > errors.MAX_ALLOC_BYTES:
-        raise InvariantError(f"a {h}x{w} grid needs a {need}-byte distance matrix, "
-                             f"over the {errors.MAX_ALLOC_BYTES}-byte cap")
+    errors.check_alloc(8 * hw * hw, f"a {h}x{w} grid", "pairwise distances")
     last = grid.last_stage
     flat = grid.data.reshape(hw, grid.e).astype(np.float64)
 

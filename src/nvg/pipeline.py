@@ -22,7 +22,8 @@ from .autodiff import no_grad
 from .backbone import STRUCT_SLOTS
 from .content_model import ContentModel
 from .errors import InvariantError, NumericError
-from .grid import Codebook, ContentTokens, LatentGrid, StructureMap, VGSequence, add_stage
+from .grid import (Codebook, ContentTokens, LatentGrid, StructureMap, VGSequence, add_stage,
+                   last_stage_of)
 from .hierarchy import canonical_child, reindex_hierarchy
 from .structcode import embed_structure_map
 from .structure_model import StructureModel, flow_sample, gumbel_balanced_split
@@ -68,14 +69,13 @@ class GenerationRequest:
     content_overrides: dict = field(default_factory=dict)     # stage -> ContentTokens
     schedule: ScheduleParams = field(default_factory=ScheduleParams)
     fixed_maps: tuple = field(init=False)
+    last_stage: int = field(init=False)
 
     def __post_init__(self):
-        hw = self.h * self.w
-        if min(self.h, self.w) < 1 or hw & (hw - 1):
-            raise InvariantError("h and w must be positive and h*w a power of two")
-        if hw > 1 << STRUCT_SLOTS:      # before the stage-0 map is allocated
-            raise InvariantError(f"{hw} locations exceed the {1 << STRUCT_SLOTS} "
-                                 "any model supports")
+        object.__setattr__(self, "last_stage", last_stage_of(self.h, self.w))
+        if self.last_stage > STRUCT_SLOTS:      # before the stage-0 map is allocated
+            raise InvariantError(f"rotary layout supports at most {STRUCT_SLOTS} stages, "
+                                 f"got {self.last_stage}")
         prefix = self.structure_prefix or StructureMap(0, np.zeros((self.h, self.w), np.int32))
         if prefix.labels.shape != (self.h, self.w):
             raise InvariantError(f"override at stage {prefix.stage} has wrong shape")
@@ -91,10 +91,6 @@ class GenerationRequest:
                 raise InvariantError(f"token override at stage {stage} has wrong stage tag")
             if stage > self.last_stage:
                 raise InvariantError(f"token override at stage {stage} is past the last stage")
-
-    @property
-    def last_stage(self) -> int:
-        return (self.h * self.w).bit_length() - 1
 
 
 @dataclass

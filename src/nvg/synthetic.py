@@ -11,7 +11,7 @@ import numpy as np
 
 from . import errors
 from .errors import InvariantError
-from .grid import LatentGrid
+from .grid import LatentGrid, last_stage_of
 
 __all__ = ["SyntheticSpec", "make_synthetic_dataset", "class_base_colors"]
 
@@ -38,11 +38,11 @@ class SyntheticSpec:
             raise InvariantError(
                 f"need 1..{2 ** self.e} classes for {self.e} channels, got {self.num_classes}"
             )
+        last_stage_of(self.h, self.w)
         # float64: the two coordinate grids and the images, checked before any is built
-        need = 8 * self.h * self.w * (2 + self.count * self.e)
-        if need > errors.MAX_ALLOC_BYTES:
-            raise InvariantError(f"{self.count} {self.h}x{self.w}x{self.e} images need "
-                                 f"{need} bytes, over the {errors.MAX_ALLOC_BYTES}-byte cap")
+        errors.check_alloc(8 * self.h * self.w * (2 + self.count * self.e),
+                           f"a dataset of {self.count} {self.h}x{self.w}x{self.e} images",
+                           "float64 arrays")
 
 
 def class_base_colors(spec: SyntheticSpec) -> np.ndarray:

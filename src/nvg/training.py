@@ -111,7 +111,7 @@ class TrainResult:
 
 def check_training_budget(model: ModelConfig, config: TrainConfig) -> None:
     """Refuse, from the two configs alone, a training run whose arrays would
-    pass `errors.MAX_ALLOC_BYTES`: a step's float32 attention scores, batch x
+    fail `errors.check_alloc`: a step's float32 attention scores, batch x
     heads x L^2 per block, with L = 1 + runs 2^last_stage tokens a row (one
     token run for content, a canvas and a structure run for structure); or
     the weights a step holds, 4x the float32 block weights (the weights, their
@@ -119,15 +119,11 @@ def check_training_budget(model: ModelConfig, config: TrainConfig) -> None:
     before tokenizing, and `_fit` before its first draw."""
     runs = 1 if model.kind == "content" else 2
     length = 1 + runs * (1 << model.last_stage)
-    need = 4 * config.batch_size * model.heads * length ** 2 * model.depth
-    if need > errors.MAX_ALLOC_BYTES:
-        raise InvariantError(f"batch {config.batch_size} needs {need} bytes of {model.kind} "
-                             f"attention scores a step, over the {errors.MAX_ALLOC_BYTES}-byte cap")
-    need = 4 * model.block_weight_bytes
-    if need > errors.MAX_ALLOC_BYTES:
-        raise InvariantError(f"training a depth-{model.depth} {model.kind} model needs {need} "
-                             f"bytes of block weights, gradients and Adam moments, over the "
-                             f"{errors.MAX_ALLOC_BYTES}-byte cap")
+    errors.check_alloc(4 * config.batch_size * model.heads * length ** 2 * model.depth,
+                       f"batch {config.batch_size}", f"{model.kind} attention scores a step")
+    errors.check_alloc(4 * model.block_weight_bytes,
+                       f"training a depth-{model.depth} {model.kind} model",
+                       "block weights, gradients and Adam moments")
 
 
 def _last_stage(examples: list) -> int:

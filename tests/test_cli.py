@@ -367,7 +367,8 @@ def test_tokenize_over_the_distance_matrix_cap_exits_3(files, capsys, monkeypatc
     argv, _, outputs = commands(files)["tokenize"]
     code, err = run(_swap(argv, outputs[0], tmp_path / "out"), capsys)
     assert code == 3 and err.startswith("nvg: error code=3 kind=invariant:")
-    assert "2048-byte" in err and len(err.splitlines()) == 1
+    assert "needs 2048 bytes of pairwise distances, over the 2047-byte cap" in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -414,6 +415,44 @@ def test_train_past_the_rotary_layout_exits_3_before_any_dataset(files, command,
     code, err = run(argv, capsys)
     assert code == 3 and "rotary layout supports at most 8 stages, got 22" in err
     assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def no_model(*args, **kwargs):
+    raise AssertionError("a model was built before the options were checked")
+
+
+@pytest.mark.parametrize("command", ["train-codebook", "train-content", "train-structure"])
+def test_train_on_a_grid_without_power_of_two_area_exits_3_before_any_image(
+        files, command, capsys, tmp_path, monkeypatch):
+    # train-content used to build its model and then fail at the first image
+    for name in ("make_synthetic_dataset", "ContentModel", "StructureModel"):
+        monkeypatch.setattr(cli, name, no_model)
+    argv, _, outputs = commands(files)[command]
+    argv = _swap(_swap(argv, outputs[0], tmp_path / "out"), "4,4,3", "3,3,4")
+    code, err = run(argv, capsys)
+    assert code == 3 and "h*w a power of two, got 3x3" in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--classes", "9", "need 1..8 classes for 3 channels, got 9"),
+    # a (1e8 + 1) x 256 float64 class table, about 200 GB, used to be drawn
+    ("--classes", "100000000", "need 1..8 classes for 3 channels, got 100000000"),
+    ("--latent", "8,8,1000000", "--latent has 1000000 channels, the codebook 3"),
+], ids=["classes-9", "classes-1e8", "channels-1e6"])
+@pytest.mark.parametrize("command", ["train-content", "train-structure"])
+def test_train_refuses_dataset_options_before_any_model(files, command, option, value,
+                                                        message, capsys, tmp_path,
+                                                        monkeypatch):
+    for name in ("make_synthetic_dataset", "ModelConfig", "ContentModel", "StructureModel"):
+        monkeypatch.setattr(cli, name, no_model)
+    argv, _, outputs = commands(files)[command]
+    argv = _swap(argv, outputs[0], tmp_path / "out")
+    argv[argv.index(option) + 1] = value
+    code, err = run(argv, capsys)
+    assert code == 3 and message in err and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
 
 

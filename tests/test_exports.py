@@ -7,7 +7,9 @@ third keeps each module's underscore names its own: no module in `nvg`
 imports one from another. A fourth keeps `einsum` in `grid.py`, home of the
 one squared-distance kernel and its non-finite rule, and a fifth keeps the
 refiners' `apply` in `grid.add_stage`, the one decoder step, and the
-tokenizer."""
+tokenizer. Two more keep one size rule per limit: only `errors.check_alloc`
+reads the allocation cap, and only `grid.last_stage_of` turns a grid shape
+into a stage count with `bit_length`."""
 
 import ast
 import importlib
@@ -144,6 +146,22 @@ def test_only_the_decoder_step_and_the_tokenizer_read_apply():
     readers = {path.name for path in Path(nvg.__file__).parent.glob("*.py")
                if "apply" in read_names(path.read_text())}
     assert readers == {"grid.py", "quantize.py"}
+
+
+def test_only_the_cap_check_reads_the_allocation_cap():
+    # `errors.check_alloc` is the cap's one comparison; a module that read the
+    # cap itself would hold a second copy of the rule and its message
+    readers = {path.name for path in Path(nvg.__file__).parent.glob("*.py")
+               if "MAX_ALLOC_BYTES" in read_names(path.read_text())}
+    assert readers == {"errors.py"}
+
+
+def test_only_the_grid_shape_rule_reads_bit_length():
+    # `grid.last_stage_of` refuses a shape whose area is not a power of two;
+    # a private log2 of h*w elsewhere would skip that rule
+    readers = {path.name for path in Path(nvg.__file__).parent.glob("*.py")
+               if "bit_length" in read_names(path.read_text())}
+    assert readers == {"grid.py"}
 
 
 def silenced_warnings(source: str) -> list:

@@ -316,7 +316,8 @@ class TestBuildHierarchy:
         g = LatentGrid(np.random.default_rng(11).normal(size=(8, 8, 4)).astype(np.float32))
         monkeypatch.setattr(hierarchy, "_greedy_pairs", no_pairing)
         monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 8 * 64 ** 2 - 1)
-        with pytest.raises(InvariantError, match=f"needs a {8 * 64 ** 2}-byte"):
+        with pytest.raises(InvariantError, match=f"needs {8 * 64 ** 2} bytes of pairwise "
+                           f"distances, over the {8 * 64 ** 2 - 1}-byte cap"):
             build_hierarchy(g)
 
     def test_distance_matrix_at_the_cap_is_built(self, monkeypatch):

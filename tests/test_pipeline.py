@@ -404,6 +404,17 @@ class TestGenerate:
         with pytest.raises(NumericError, match="non-finite after the stage-1 refiner"):
             generate(req, content, structure, codebook, huge)
 
+    @pytest.mark.parametrize("bias", [1e20, 1e30, 2e38])
+    def test_huge_finite_canvas_raises_numeric_error_in_the_models(self, setup, bias):
+        # the canvas stays finite, but its float32 squares overflow in the
+        # models' rmsnorm, which would normalize those rows to zero
+        _, codebook, refiners, content, structure = setup
+        huge = [Refiner(r.weight, np.full(E, bias)) for r in refiners]
+        req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
+                                schedule=ScheduleParams(flow_steps=2))
+        with pytest.raises(NumericError, match="rmsnorm mean square is not finite"):
+            generate(req, content, structure, codebook, huge)
+
 
 def test_cli_generate_with_nan_structure_weights_exits_4(tmp_path, setup):
     _, codebook, refiners, content, _ = setup
@@ -422,3 +433,23 @@ def test_cli_generate_with_nan_structure_weights_exits_4(tmp_path, setup):
     assert proc.returncode == 4
     assert "code=4 kind=numeric" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_generate_on_a_huge_finite_canvas_exits_4_and_writes_nothing(tmp_path, setup):
+    _, codebook, refiners, content, structure = setup
+    save_model(tmp_path / "content.nvgc", content)
+    save_model(tmp_path / "structure.nvgc", structure)
+    write_tensor(tmp_path / "cb.nvgt", codebook.vectors)
+    save_refiners(tmp_path / "ref.nvgc", [Refiner(r.weight, np.full(E, 1e20))
+                                          for r in refiners])
+    before = sorted(tmp_path.iterdir())
+    env = {**os.environ, "PYTHONPATH": str(Path(nvg.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nvg", "generate", *(str(tmp_path / f) for f in
+         ("content.nvgc", "structure.nvgc", "cb.nvgt", "ref.nvgc")),
+         "--latent", f"{H},{W},{E}", "--steps", "2", "-o", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == ["nvg: error code=4 kind=numeric: "
+                                        "rmsnorm mean square is not finite"]
+    assert sorted(tmp_path.iterdir()) == before

@@ -128,8 +128,14 @@ class TestSyntheticDataset:
         monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 1024)
         SyntheticSpec(count=2, h=4, w=4, e=3)
         monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 1023)
-        with pytest.raises(InvariantError, match="need 1024 bytes, over the 1023-byte cap"):
+        with pytest.raises(InvariantError, match="needs 1024 bytes of float64 arrays, "
+                                                   "over the 1023-byte cap"):
             SyntheticSpec(count=2, h=4, w=4, e=3)
+
+    @pytest.mark.parametrize("h, w", [(3, 3), (0, 4), (2, 6)])
+    def test_grid_without_power_of_two_area_rejected_when_built(self, h, w):
+        with pytest.raises(InvariantError, match=f"h\\*w a power of two, got {h}x{w}"):
+            SyntheticSpec(count=1, h=h, w=w)
 
     def test_huge_grid_rejected_when_built(self):
         # the coordinate grids alone would take 64 GiB
