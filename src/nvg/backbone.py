@@ -34,6 +34,7 @@ keys and values alone (`Block.forward`'s `first`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,13 @@ SPATIAL_DIMS = 20   # per spatial axis
 ROPE_BASE = 10000.0
 
 
+def _block_shapes(width: int) -> dict:
+    """The per-block table: each block tensor's name and shape, in creation
+    order; 3 + 7 + 5 = 15 width^2 weights."""
+    return {"w_mod": (width, 3 * width), "w_fused": (width, 7 * width),
+            "w_out": (5 * width, width)}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Depth-parameterized generator hyperparameters.
@@ -70,9 +78,13 @@ class ModelConfig:
     heads. Either way the per-head dim is 64 and the block-core parameter
     count is 15 d width^2.
 
+    `param_shapes` is the one statement of a model's tensor layout: the model
+    builds it, a checkpoint is checked against it and the cap counts it.
+
     Memory policy, checked by `errors.check_alloc` against the one 2 GiB cap: a
-    config, and so a loaded or generating model, holds its float32 block
-    weights once, which must fit: content depth <= 20, structure depth <= 32.
+    config, and so a loaded or generating model, holds every float32 weight
+    of its table once (`weight_bytes`), which must fit: content depth <= 20,
+    structure depth <= 32 at small class, codebook and channel counts.
     Training also holds a gradient and two Adam moments per weight, so
     `training.check_training_budget` refuses it when 4x those bytes pass the
     cap: content depth <= 12, structure depth <= 20.
@@ -100,16 +112,44 @@ class ModelConfig:
             )
         if self.width % self.heads or self.width // self.heads != HEAD_DIM:
             raise InvariantError("width/heads must give 64-dim heads")
-        errors.check_alloc(self.block_weight_bytes, f"a depth-{self.depth} {self.kind} model",
-                           "block weights")
+        errors.check_alloc(self.weight_bytes, f"a depth-{self.depth} {self.kind} model",
+                           "weights")
 
     @property
     def width(self) -> int:
         return (64 if self.kind == "content" else 32) * self.depth
 
+    def _outer_shapes(self) -> tuple:
+        """The tensors created before the blocks and after them, by name."""
+        w, e, c = self.width, self.latent_channels, self.head_channels
+        before = {"class_emb": (self.num_classes + 1, w),     # last row: null condition
+                  "stage_emb": (self.last_stage + 1, w)}
+        after = {"w_final_mod": (w, 2 * w), "w_head": (w, c), "b_head": (c,)}
+        if self.kind == "content":
+            before.update(w_in=(e, w), b_in=(w,))
+            after.update(w_logit=(e, self.codebook_size), b_logit=(self.codebook_size,))
+        else:
+            before.update(w_time=(w, w), b_time=(w,), w_in_canvas=(e, w), b_in_canvas=(w,),
+                          w_in_struct=(self.last_stage, w), b_in_struct=(w,))
+        return before, after
+
+    def param_shapes(self) -> dict:
+        """Each tensor's checkpoint name and shape, in creation order, which is
+        also the RNG draw order: embeddings and inputs, the blocks, the final
+        modulation and head, the outputs."""
+        before, after = self._outer_shapes()
+        blocks = {f"block{i}.{name}": shape for i in range(self.depth)
+                  for name, shape in _block_shapes(self.width).items()}
+        return {**before, **blocks, **after}
+
     @property
-    def block_weight_bytes(self) -> int:
-        return 4 * 15 * self.depth * self.width ** 2     # float32
+    def weight_bytes(self) -> int:
+        """float32 bytes of every tensor in `param_shapes`, counted without
+        listing the blocks, so any depth is counted at once."""
+        before, after = self._outer_shapes()
+        outer = sum(math.prod(shape) for shape in (*before.values(), *after.values()))
+        block = sum(math.prod(shape) for shape in _block_shapes(self.width).values())
+        return 4 * (outer + self.depth * block)
 
     @property
     def heads(self) -> int:
@@ -127,6 +167,19 @@ class ModelConfig:
     @property
     def null_class_id(self) -> int:
         return self.num_classes
+
+
+_ZERO_INIT = ("w_mod", "w_final_mod", "w_out")
+
+
+def _new_param(name: str, shape: tuple, rng: np.random.Generator) -> Tensor:
+    """The one init rule. Biases and the modulation and block output
+    projections start at zero: a zero output projection makes each block the
+    identity, while the unit gate (1 + modulation) lets gradients reach it
+    directly. Every other tensor draws 0.02 N(0, 1)."""
+    if name.startswith("b_") or name in _ZERO_INIT:
+        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+    return Tensor((0.02 * rng.standard_normal(shape)).astype(np.float32), requires_grad=True)
 
 
 def _sub_freqs(dims: int) -> np.ndarray:
@@ -169,20 +222,11 @@ class Block:
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator):
         self.heads = heads
-        w = width
-        # zero output projection -> the block starts as the identity, while
-        # the unit gate (1 + modulation) lets gradients reach it directly
-        self.w_mod = Tensor(np.zeros((w, 3 * w), dtype=np.float32), requires_grad=True)
-        self.w_fused = Tensor((0.02 * rng.standard_normal((w, 7 * w))).astype(np.float32),
-                              requires_grad=True)
-        self.w_out = Tensor(np.zeros((5 * w, w), dtype=np.float32), requires_grad=True)
+        for name, shape in _block_shapes(width).items():
+            setattr(self, name, _new_param(name, shape, rng))
 
     def params(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.w_mod": self.w_mod,
-            f"{prefix}.w_fused": self.w_fused,
-            f"{prefix}.w_out": self.w_out,
-        }
+        return {f"{prefix}.{k}": v for k, v in vars(self).items() if isinstance(v, Tensor)}
 
     def forward(self, x: Tensor, cos: np.ndarray, sin: np.ndarray, cond: Tensor,
                 dropout: float = 0.0, rng: np.random.Generator | None = None,
@@ -228,10 +272,10 @@ class Generator:
     """Base of both generators: everything but the per-kind adapters.
 
     A subclass sets `kind` (and `map_lag`, when its rows read an earlier
-    stage's map), creates its input and output parameters in `_make_inputs`
-    and `_make_outputs`, and feeds its token runs and maps to `_forward`.
-    Creation order fixes the RNG draw order: embeddings, inputs, blocks,
-    final modulation and head, outputs.
+    stage's map) and feeds its token runs and maps to `_forward`. Every
+    tensor, its own input and output parameters too, is built from the
+    config's `param_shapes` under the one init rule, each an attribute named
+    as in the table.
     """
 
     kind = ""
@@ -241,28 +285,14 @@ class Generator:
         if config.kind != self.kind:
             raise InvariantError(f"{type(self).__name__} needs a {self.kind}-kind config")
         self.config = config
-        self._rng = np.random.default_rng(seed)
-        w = config.width
-        self.class_emb = self._init(config.num_classes + 1, w)   # last row: null condition
-        self.stage_emb = self._init(config.last_stage + 1, w)
-        self._make_inputs()
-        self.blocks = [Block(w, config.heads, self._rng) for _ in range(config.depth)]
-        self.w_final_mod = self._zeros(w, 2 * w)
-        self.w_head = self._init(w, config.head_channels)
-        self.b_head = self._zeros(config.head_channels)
-        self._make_outputs()
-        del self._rng
+        rng = np.random.default_rng(seed)
+        before, after = config._outer_shapes()
+        for name, shape in before.items():
+            setattr(self, name, _new_param(name, shape, rng))
+        self.blocks = [Block(config.width, config.heads, rng) for _ in range(config.depth)]
+        for name, shape in after.items():
+            setattr(self, name, _new_param(name, shape, rng))
         self._rope_memo = None      # (key, tables) of the last _rope_tables call
-
-    def _init(self, *shape) -> Tensor:
-        return Tensor((0.02 * self._rng.standard_normal(shape)).astype(np.float32),
-                      requires_grad=True)
-
-    def _zeros(self, *shape) -> Tensor:
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-
-    def _make_outputs(self):
-        pass
 
     def params(self) -> dict:
         """Own tensors in creation order, then each block's."""
@@ -273,15 +303,6 @@ class Generator:
 
     def state_arrays(self) -> dict:
         return {k: v.data for k, v in self.params().items()}
-
-    def load_state_arrays(self, arrays: dict):
-        params = self.params()
-        if set(arrays) != set(params):
-            raise InvariantError("checkpoint parameter names do not match the model")
-        for k, p in params.items():
-            if arrays[k].shape != p.data.shape:
-                raise InvariantError(f"checkpoint shape mismatch for {k}")
-            p.data = arrays[k].astype(np.float32)
 
     def _rope_tables(self, struct_ids: np.ndarray, grid_w: int, runs: int):
         """cos/sin (B, L, 2H, 32) for [class] + `runs` runs of the grid tokens.

@@ -27,23 +27,6 @@ def save_model(path, model) -> None:
     write_checkpoint(path, meta, model.state_arrays())
 
 
-def _witness_shapes(config: ModelConfig) -> dict:
-    """Shapes of the arrays that pin each config size but the depth: the
-    width, the class and stage counts, the latent channels and, for the
-    content model, the codebook size. With the block count, they are checked
-    before the model is built, so a meta cannot make it allocate more than
-    its own arrays carry."""
-    w, e = config.width, config.latent_channels
-    shapes = {"block0.w_fused": (w, 7 * w),
-              "class_emb": (config.num_classes + 1, w),
-              "stage_emb": (config.last_stage + 1, w)}
-    if config.kind == "content":
-        shapes["w_logit"] = (e, config.codebook_size)
-    else:
-        shapes["w_in_canvas"] = (e, w)
-    return shapes
-
-
 def load_model(path):
     meta, arrays = read_checkpoint(path)
     if meta.get("type") != "model":
@@ -56,22 +39,18 @@ def load_model(path):
         config = ModelConfig(**{k: meta[k] for k in _CONFIG_FIELDS})
     except InvariantError as exc:
         raise FormatError(f"model checkpoint at {path} has an invalid config: {exc}") from exc
-    blocks = {k.split(".", 1)[0] for k in arrays if k.startswith("block")}
-    # the count first: a meta's depth may be far larger than the file
-    if len(blocks) != config.depth or blocks != {f"block{i}" for i in range(config.depth)}:
-        raise FormatError(f"model checkpoint at {path} holds {len(blocks)} blocks, "
-                          f"its meta says depth {config.depth}")
-    for name, shape in _witness_shapes(config).items():
-        got = arrays[name].shape if name in arrays else None
-        if got != shape:
-            raise FormatError(f"model checkpoint at {path}: {name} is {got}, "
-                              f"its meta implies {shape}")
-    cls = ContentModel if config.kind == "content" else StructureModel
-    model = cls(config, seed=0)
-    try:
-        model.load_state_arrays(arrays)
-    except InvariantError as exc:
-        raise FormatError(f"model checkpoint at {path} does not fit its meta: {exc}") from exc
+    # the table before the model: a meta cannot make it allocate more than
+    # its own arrays carry, and the config's cap already bounds the table
+    want = config.param_shapes()
+    got = {name: array.shape for name, array in arrays.items()}
+    if got != want:
+        name = next(n for n in (*want, *got) if got.get(n) != want.get(n))
+        raise FormatError(f"model checkpoint at {path}: {name} is "
+                          f"{got.get(name, 'missing')}, its meta implies "
+                          f"{want.get(name, 'no such array')}")
+    model = (ContentModel if config.kind == "content" else StructureModel)(config, seed=0)
+    for name, param in model.params().items():
+        param.data = arrays[name].astype(np.float32)
     return model
 
 

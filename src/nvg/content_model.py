@@ -46,14 +46,6 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
 class ContentModel(Generator):
     kind = "content"
 
-    def _make_inputs(self):
-        self.w_in = self._init(self.config.latent_channels, self.config.width)
-        self.b_in = self._zeros(self.config.width)
-
-    def _make_outputs(self):
-        self.w_logit = self._init(self.config.latent_channels, self.config.codebook_size)
-        self.b_logit = self._zeros(self.config.codebook_size)
-
     def forward_final_canvas(self, class_ids, smaps, canvases,
                              rng: np.random.Generator | None = None) -> Tensor:
         """Predict the final canvas for a batch.

@@ -54,15 +54,6 @@ class StructureModel(Generator):
     kind = "structure"
     map_lag = 1
 
-    def _make_inputs(self):
-        w, e, k = self.config.width, self.config.latent_channels, self.config.last_stage
-        self.w_time = self._init(w, w)
-        self.b_time = self._zeros(w)
-        self.w_in_canvas = self._init(e, w)
-        self.b_in_canvas = self._zeros(w)
-        self.w_in_struct = self._init(k, w)
-        self.b_in_struct = self._zeros(w)
-
     def velocity(self, class_ids, parents, canvases, zs, ts,
                  rng: np.random.Generator | None = None) -> Tensor:
         """Velocity prediction for a batch of flow states, shape (B, h, w, K).

@@ -121,9 +121,9 @@ def check_training_budget(model: ModelConfig, config: TrainConfig) -> None:
     length = 1 + runs * (1 << model.last_stage)
     errors.check_alloc(4 * config.batch_size * model.heads * length ** 2 * model.depth,
                        f"batch {config.batch_size}", f"{model.kind} attention scores a step")
-    errors.check_alloc(4 * model.block_weight_bytes,
+    errors.check_alloc(4 * model.weight_bytes,
                        f"training a depth-{model.depth} {model.kind} model",
-                       "block weights, gradients and Adam moments")
+                       "weights, gradients and Adam moments")
 
 
 def _last_stage(examples: list) -> int:

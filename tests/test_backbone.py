@@ -5,7 +5,10 @@ import nvg.autodiff as ad
 from nvg import errors
 from nvg.autodiff import Tensor
 from nvg.backbone import HEAD_DIM, Block, ModelConfig, rope_tables
+from nvg.content_model import ContentModel
 from nvg.errors import InvariantError
+from nvg.grid import last_stage_of
+from nvg.structure_model import StructureModel
 from oracles import gradient_check, reference_block_forward
 
 
@@ -138,23 +141,49 @@ class TestModelConfig:
         # depth 24 passes the byte cap only as a structure model
         assert ModelConfig(24, "structure", 4, 1, 4, 6).dropout == pytest.approx(0.1)
 
-    @pytest.mark.parametrize("kind, fits, refused, per_cube", [
-        ("content", 20, 21, 245_760),       # 4 bytes * 15 d (64 d)^2
-        ("structure", 32, 34, 61_440),      # 4 bytes * 15 d (32 d)^2; 33 is odd
+    # 4 bytes x every array of the built model. Models this deep are too
+    # large to build here: their figures come from the cubic in depth (the
+    # width is linear in depth) through four built models, depths 1-4 content
+    # and 2-8 structure, and that cubic reproduces built depth-6 content and
+    # depth-12 structure models exactly.
+    @pytest.mark.parametrize("kind, fits, refused, held, needed", [
+        ("content", 20, 21, 1_979_294_756, 2_290_546_980),
+        ("structure", 32, 34, 2_025_975_832, 2_429_177_624),     # 33 is odd
     ])
-    def test_block_weights_over_the_byte_cap_are_refused(self, kind, fits, refused, per_cube):
+    def test_block_weights_over_the_byte_cap_are_refused(self, kind, fits, refused, held,
+                                                         needed):
         # a config allocates nothing, so the real 2 GiB cap is safe to test
-        assert 4 * 15 * fits * ModelConfig(fits, kind, 4, 1, 4, 6).width ** 2 \
-            == per_cube * fits ** 3 <= errors.MAX_ALLOC_BYTES
-        with pytest.raises(InvariantError, match=f"needs {per_cube * refused ** 3} bytes"):
+        assert ModelConfig(fits, kind, 4, 1, 4, 6).weight_bytes == held
+        assert held <= errors.MAX_ALLOC_BYTES < needed
+        with pytest.raises(InvariantError, match=f"needs {needed} bytes of weights"):
             ModelConfig(refused, kind, 4, 1, 4, 6)
 
     def test_block_weights_read_the_cap_at_construction(self, monkeypatch):
-        monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 4 * 15 * 64 ** 2 - 1)
-        with pytest.raises(InvariantError, match="over the 245759-byte cap"):
+        config = ModelConfig(1, "content", 4, 1, 4, 6)
+        need = built_bytes(ContentModel(config))
+        assert need == 283_940
+        monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", need - 1)
+        with pytest.raises(InvariantError, match=f"needs {need} bytes of weights, "
+                                                 f"over the {need - 1}-byte cap"):
             ModelConfig(1, "content", 4, 1, 4, 6)
-        monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", 4 * 15 * 64 ** 2)
+        monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", need)
         ModelConfig(1, "content", 4, 1, 4, 6)
+
+    @pytest.mark.parametrize("depth, kind, latent, codebook, classes", [
+        (1, "content", 4, 16, 10 ** 8),         # the class table, 25.6 GB
+        (1, "content", 4, 1 << 30, 4),          # the logit head, 16 GiB
+        (8, "content", 1 << 20, 16, 4),         # the input projection, 2 GiB at width 512
+        (16, "structure", 1 << 20, 16, 4),      # the canvas projection, 2 GiB at width 512
+    ], ids=["classes", "codebook", "content-channels", "structure-channels"])
+    def test_tables_past_the_cap_are_refused_before_any_draw(self, monkeypatch, depth, kind,
+                                                             latent, codebook, classes):
+        def no_draw(seed):
+            raise AssertionError("drew parameters")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        cls = ContentModel if kind == "content" else StructureModel
+        with pytest.raises(InvariantError, match="bytes of weights, over the"):
+            cls(ModelConfig(depth, kind, latent, codebook, classes, 4))
 
     def test_structure_depth_must_be_even(self):
         with pytest.raises(InvariantError):
@@ -168,6 +197,34 @@ class TestModelConfig:
                 blocks = [Block(cfg.width, cfg.heads, rng) for _ in range(depth)]
                 total = sum(p.data.size for b in blocks for p in b.params("b").values())
                 assert total == 15 * depth * cfg.width ** 2
+
+
+
+def built_bytes(model) -> int:
+    """float32 bytes of a built model's arrays."""
+    return 4 * sum(p.data.size for p in model.params().values())
+
+
+class TestParamTable:
+    @pytest.mark.parametrize("kind, depth", [("content", 1), ("content", 3),
+                                             ("structure", 2), ("structure", 4)])
+    @pytest.mark.parametrize("grid", [(4, 4), (8, 8)])
+    def test_table_is_the_built_model(self, kind, depth, grid):
+        config = ModelConfig(depth, kind, 3, 16, 2, last_stage_of(*grid))
+        model = (ContentModel if kind == "content" else StructureModel)(config, seed=5)
+        built = model.state_arrays()
+        assert {k: v.shape for k, v in built.items()} == config.param_shapes()
+        assert config.weight_bytes == built_bytes(model)
+        # table order is the draw order: biases, modulations and block output
+        # projections start at zero, every other tensor draws 0.02 N(0, 1)
+        rng = np.random.default_rng(5)
+        for name, shape in config.param_shapes().items():
+            leaf = name.rsplit(".", 1)[-1]
+            if leaf.startswith("b_") or leaf in ("w_mod", "w_final_mod", "w_out"):
+                want = np.zeros(shape, dtype=np.float32)
+            else:
+                want = (0.02 * rng.standard_normal(shape)).astype(np.float32)
+            assert built[name].dtype == np.float32 and np.array_equal(built[name], want)
 
 
 def rotate(vecs, kind, struct, spatial):

@@ -46,11 +46,12 @@ class TestModelMeta:
         path = tmp_path / "deep.nvgc"
         # the config's byte cap refuses this depth before anything is counted
         write_checkpoint(path, {**GOOD_META, "depth": 10 ** 12}, {})
-        with pytest.raises(FormatError, match="bytes of block weights"):
+        with pytest.raises(FormatError, match="bytes of weights"):
             load_model(path)
-        # the deepest content config under the cap, in a file of no blocks
+        # the deepest content config under the cap, in a file of no arrays
         write_checkpoint(path, {**GOOD_META, "depth": 20}, {})
-        with pytest.raises(FormatError, match="holds 0 blocks"):
+        with pytest.raises(FormatError, match=r"class_emb is missing, its meta implies "
+                                              r"\(3, 1280\)"):
             load_model(path)
 
     def test_meta_must_be_an_object(self, tmp_path):
@@ -107,6 +108,22 @@ class TestModelShapes:
         path = tmp_path / "bad.nvgc"
         write_checkpoint(path, {**GOOD_META, **CONFIG}, bad)
         with pytest.raises(FormatError, match="block3.w_out"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("block4.w_out", "extra", r"block4.w_out is \(1280, 256\), its meta implies no such"),
+        ("b_logit", "missing", r"b_logit is missing, its meta implies \(4,\)"),
+    ])
+    def test_extra_or_missing_array_fails_before_allocation(
+            self, tmp_path, arrays, no_allocation, name, change, message):
+        bad = dict(arrays)
+        if change == "extra":
+            bad[name] = arrays["block3.w_out"]
+        else:
+            del bad[name]
+        path = tmp_path / "bad.nvgc"
+        write_checkpoint(path, {**GOOD_META, **CONFIG}, bad)
+        with pytest.raises(FormatError, match=message):
             load_model(path)
 
     def test_matching_arrays_load(self, tmp_path, arrays):

@@ -498,14 +498,15 @@ def test_content_model_for_another_codebook_size_exits_3(files, capsys, tmp_path
     assert list(tmp_path.iterdir()) == [content]
 
 
-# the float32 block weights of the depth-2 structure model (width 64), twice
-# those of the depth-1 content model: both fit, deeper models do not
-SMALL_CAP = 4 * 15 * 2 * 64 ** 2
+# float32 bytes of every array of the depth-2 structure model (width 64),
+# more than those of the depth-1 content model: both fit, deeper models do not
+SMALL_CAP = 4 * sum(p.data.size for p in
+                    StructureModel(ModelConfig(2, "structure", 3, 8, 2, 4)).params().values())
 
 
 @pytest.mark.parametrize("command, options, what", [
-    ("train-content", ["--depth", "2"], "block weights"),
-    ("train-structure", ["--depth", "4"], "block weights"),
+    ("train-content", ["--depth", "2"], "bytes of weights, over"),
+    ("train-structure", ["--depth", "4"], "bytes of weights, over"),
     ("train-content", ["--batch", "512"], "attention scores"),
     ("train-structure", ["--batch", "64"], "attention scores"),
 ])
@@ -540,7 +541,7 @@ def test_batch_over_the_real_cap_exits_3_before_tokenizing(files, command, capsy
 @pytest.mark.parametrize("command", ["train-content", "train-structure"])
 def test_training_weights_over_the_cap_exit_3_before_tokenizing(files, command, capsys,
                                                                 tmp_path, monkeypatch):
-    # the depth-2 structure model's block weights (the larger of the two):
+    # the depth-2 structure model's weights (the larger of the two):
     # each model fits once, not with its gradients and Adam moments
     monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", SMALL_CAP)
     calls = _spy_on_tokenize(monkeypatch)

@@ -7,6 +7,7 @@ import pytest
 
 from nvg import errors
 from nvg.backbone import ModelConfig
+from nvg.content_model import ContentModel
 from nvg.errors import InvariantError, check_alloc
 from nvg.grid import LatentGrid
 from nvg.hierarchy import build_hierarchy
@@ -16,7 +17,8 @@ from nvg.training import TrainConfig, check_training_budget
 CONTENT = dict(depth=1, kind="content", latent_channels=3, codebook_size=16,
                num_classes=2, last_stage=4)
 MODEL = ModelConfig(**CONTENT)
-WEIGHTS = 4 * 15 * 64 ** 2          # its depth-1 block weights, float32
+# float32 bytes of every array of the built model
+WEIGHTS = 4 * sum(p.data.size for p in ContentModel(MODEL).params().values())
 
 
 def test_check_alloc_passes_at_the_cap_and_refuses_one_byte_over(monkeypatch):

@@ -220,8 +220,8 @@ class TestTokenizeDataset:
 
 @pytest.mark.parametrize("make, train, batch, step_bytes", [
     # 4 bytes * batch * 2 heads * L^2 * 2 blocks, L = 1 + 16 tokens a run; the
-    # batches are large enough that the scores, not the 4x block weights
-    # (7,864,320 and 1,966,080 bytes), meet the cap first
+    # batches are large enough that the scores, not the 4x weights
+    # (8,420,400 and 2,185,280 bytes), meet the cap first
     (content_model, train_content, 2048, 4 * 2048 * 2 * 17 ** 2 * 2),
     (structure_model, train_structure, 256, 4 * 256 * 1 * 33 ** 2 * 2),
 ], ids=["content", "structure"])
@@ -271,12 +271,16 @@ def test_the_budget_counts_every_row_a_step_runs(world, monkeypatch, make, train
                                                    ("structure", 20, 22)])
 def test_training_counts_block_weights_four_times(kind, trains, refused):
     # configs allocate nothing, so the real 2 GiB cap is safe to test: the
-    # refused depth still builds, for loading and generating
+    # refused depth still builds, for loading and generating. 4x the float32
+    # bytes of every array of the model; too large to build here, the figures
+    # come from the cubic in depth through four small built models (see
+    # test_backbone's cap test)
+    needed = {"content": 2_182_143_120, "structure": 2_640_923_712}[kind]
     cfg = TrainConfig(steps=1, batch_size=1)
     check_training_budget(ModelConfig(trains, kind, 4, 1, 4, LAST), cfg)
     config = ModelConfig(refused, kind, 4, 1, 4, LAST)
-    with pytest.raises(InvariantError, match=f"needs {4 * config.block_weight_bytes} bytes "
-                                             "of block weights, gradients and Adam moments"):
+    with pytest.raises(InvariantError, match=f"needs {needed} bytes "
+                                             "of weights, gradients and Adam moments"):
         check_training_budget(config, cfg)
 
 
@@ -287,7 +291,7 @@ def test_training_weights_over_the_cap_are_refused_before_the_first_draw(
         world, monkeypatch, make, train):
     _, _, _, examples = world
     model = make()
-    held = 4 * model.config.block_weight_bytes
+    held = 4 * 4 * sum(p.data.size for p in model.params().values())     # float32, 4x
     cfg = TrainConfig(steps=1, batch_size=1)
 
     def no_draw(seed):
@@ -296,7 +300,7 @@ def test_training_weights_over_the_cap_are_refused_before_the_first_draw(
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", held - 1)
     ModelConfig(**vars(model.config))       # one copy of the weights still fits
-    with pytest.raises(InvariantError, match=f"needs {held} bytes of block weights"):
+    with pytest.raises(InvariantError, match=f"needs {held} bytes of weights"):
         train(examples, model, cfg)
     monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", held)
     with pytest.raises(AssertionError, match="reached the first draw"):
