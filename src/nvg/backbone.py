@@ -7,8 +7,14 @@ plus parameter access and checkpoint state. It also owns the one forward,
 each row's stage and rotary structure ids from its map, conditions on class +
 stage, prepends the class token to the token runs it is given, runs the
 blocks and returns the head on the last run.
-`ContentModel` and `StructureModel` add only their input and output
-parameters, the token runs they pass in and the reshape of what comes out.
+`ContentModel` and `StructureModel` add only the token runs they pass in
+and the reshape of what comes out.
+
+`ModelConfig.param_shapes` is the one parameter table, both kinds' input and
+output tensors included: `Generator` and `Block` build every tensor from it
+under one init rule, `checkpoints.load_model` checks a file's arrays against
+it before building anything, and `ModelConfig.weight_bytes`, the bytes the
+allocation cap counts, is 4 bytes times every entry.
 
 One block = pre-norm with scale/shift/gate modulation, a fused qkv+mlp-in
 projection (7 w^2 weights), attention under structure-aware rotary ids, and a

@@ -65,23 +65,28 @@ def save_refiners(path, refiners) -> None:
 
 
 def load_refiners(path) -> list:
+    """A refiner stack whose arrays are exactly the meta's `count` stages of
+    its `channels` channels, each a (3, 3, e, e) weight and an (e,) bias."""
     meta, arrays = read_checkpoint(path)
     if meta.get("type") != "refiners":
         raise FormatError(f"checkpoint at {path} is not a refiner stack")
-    count = meta.get("count")
-    if type(count) is not int or count < 0:
-        raise FormatError(f"refiner checkpoint at {path} needs a non-negative int "
-                          f"'count' in its meta")
-    out = []
-    for i in range(count):
+    for name in ("count", "channels"):
+        if type(meta.get(name)) is not int or meta[name] < 0:
+            raise FormatError(f"refiner checkpoint at {path} needs a non-negative int "
+                              f"{name!r} in its meta")
+    count, e = meta["count"], meta["channels"]
+    stages = []
+    for i in range(count):      # stops at the first missing stage, however large the count
         try:
-            weight = arrays[f"refiner{i}.weight"]
-            bias = arrays[f"refiner{i}.bias"]
+            stages.append((arrays.pop(f"refiner{i}.weight"), arrays.pop(f"refiner{i}.bias")))
         except KeyError as exc:
             raise FormatError(f"refiner stack misses stage {i}") from exc
-        e = bias.shape[0] if bias.ndim == 1 else -1
-        if weight.shape != (3, 3, e, e):
+    if arrays:
+        raise FormatError(f"refiner checkpoint at {path} holds {min(arrays)}, which its "
+                          f"meta's count of {count} does not name")
+    for i, (weight, bias) in enumerate(stages):
+        if weight.shape != (3, 3, e, e) or bias.shape != (e,):
             raise FormatError(f"refiner {i} at {path} has weight {weight.shape} and "
-                              f"bias {bias.shape}; want (3, 3, e, e) and (e,)")
-        out.append(Refiner(weight.astype(np.float32), bias.astype(np.float32)))
-    return out
+                              f"bias {bias.shape}; its meta's {e} channels want "
+                              f"{(3, 3, e, e)} and {(e,)}")
+    return [Refiner(w.astype(np.float32), b.astype(np.float32)) for w, b in stages]

@@ -24,7 +24,14 @@ from .errors import FormatError, InvariantError, NumericError, NvgError
 from .grid import Codebook, LatentGrid, canvas_prefixes, last_stage_of
 from .hierarchy import build_hierarchy
 from .pipeline import GenerationRequest, ScheduleParams, generate
-from .quantize import build_contents, fit_codebook, train_refiners
+from .quantize import (
+    build_contents,
+    check_fit_options,
+    check_refiner_options,
+    fit_codebook,
+    fit_vectors,
+    train_refiners,
+)
 from .selfcheck import run_selfcheck
 from .structcode import bit_rule_holds
 from .structure_model import StructureModel
@@ -154,7 +161,11 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_train_codebook(args) -> int:
-    grids = [g for _, g in make_synthetic_dataset(_dataset_spec(args))]
+    # every option is checked before the dataset is built
+    spec = _dataset_spec(args)
+    check_fit_options(args.size, args.iters, spec.count * fit_vectors(spec.h, spec.w))
+    check_refiner_options(args.refiner_steps, args.refiner_lr)
+    grids = [g for _, g in make_synthetic_dataset(spec)]
     codebook = fit_codebook(grids, args.size, iterations=args.iters, seed=args.seed)
     refiners = train_refiners(grids, build_hierarchy, codebook,
                               steps=args.refiner_steps, lr=args.refiner_lr)

@@ -5,9 +5,10 @@ NumericError -> 4.
 """
 
 # Largest array, in bytes, that caller-chosen sizes may ask for: the tokenizer's
-# distance matrix, block weights, a training step's attention scores, a synthetic
-# dataset. One cap for all, and `check_alloc` is its one check: every size is
-# refused there, before anything is allocated.
+# distance matrix, a model's weights (every tensor of its table), a training
+# step's attention scores, a synthetic dataset. One cap for all, and
+# `check_alloc` is its one check: every size is refused there, before anything
+# is allocated.
 MAX_ALLOC_BYTES = 2 << 30
 
 

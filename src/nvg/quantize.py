@@ -33,7 +33,10 @@ __all__ = [
     "identity_refiners",
     "build_contents",
     "fit_codebook",
+    "fit_vectors",
+    "check_fit_options",
     "train_refiners",
+    "check_refiner_options",
 ]
 
 
@@ -131,14 +134,9 @@ def kmeans(data: np.ndarray, n: int, iterations: int, seed: int) -> np.ndarray:
     empties).
     """
     data = np.asarray(data, dtype=np.float64)
-    if n < 1:
-        raise InvariantError("cluster count must be at least 1")
-    if iterations < 0:
-        raise InvariantError(f"iteration count must be non-negative, got {iterations}")
-    if data.ndim != 2 or len(data) == 0:
-        raise InvariantError("k-means needs a non-empty (m, e) matrix")
-    if n > len(data):
-        raise InvariantError(f"cluster count {n} exceeds {len(data)} data points")
+    if data.ndim != 2:
+        raise InvariantError("k-means needs an (m, e) matrix")
+    check_fit_options(n, iterations, len(data))
     rng = np.random.default_rng(seed)
     centroids = data[rng.choice(len(data), size=n, replace=False)].copy()
     prev_assign = None
@@ -159,14 +157,29 @@ def kmeans(data: np.ndarray, n: int, iterations: int, seed: int) -> np.ndarray:
     return centroids
 
 
+def fit_vectors(h: int, w: int) -> int:
+    """Training vectors an h x w grid gives `fit_codebook`: its hw locations
+    and the 2hw - 1 cluster means of its stages."""
+    return 3 * h * w - 1
+
+
+def check_fit_options(size: int, iterations: int, vectors: int) -> None:
+    """The one check of a codebook fit's options against its `vectors`
+    training vectors; needs no data, so a caller can run it before any."""
+    if vectors < 1:
+        raise InvariantError("cannot fit a codebook on an empty dataset")
+    if not 1 <= size <= vectors:
+        raise InvariantError(f"codebook size must lie in 1..{vectors}, the training "
+                             f"vectors, got {size}")
+    if iterations < 0:
+        raise InvariantError(f"k-means iteration count must be non-negative, got {iterations}")
+
+
 def fit_codebook(grids, n: int, iterations: int = 25, seed: int = 0) -> Codebook:
     """k-means codebook over the location vectors and every stage's residual
     cluster means, from one refiner-free, quantizer-bypassed pass per grid."""
     grids = list(grids)
-    if n < 1:
-        raise InvariantError("codebook size must be at least 1")
-    if not grids:
-        raise InvariantError("cannot fit a codebook on an empty grid list")
+    check_fit_options(n, iterations, sum(fit_vectors(g.h, g.w) for g in grids))
     chunks = []
     for grid in grids:
         residual = grid.data
@@ -176,9 +189,15 @@ def fit_codebook(grids, n: int, iterations: int = 25, seed: int = 0) -> Codebook
             chunks.append(means)
             residual = residual - place(means, smap)
     data = np.concatenate(chunks, axis=0).astype(np.float64)
-    if n > len(data):
-        raise InvariantError(f"codebook size {n} exceeds {len(data)} training vectors")
     return Codebook(kmeans(data, n, iterations=iterations, seed=seed).astype(np.float32))
+
+
+def check_refiner_options(steps: int, lr: float) -> None:
+    """The one check of `train_refiners`' options; needs no data."""
+    if steps < 0:
+        raise InvariantError(f"refiner steps must be non-negative, got {steps}")
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise InvariantError(f"refiner lr must be finite and non-negative, got {lr}")
 
 
 def train_refiners(grids, hierarchy_builder, codebook: Codebook, steps: int,
@@ -193,10 +212,7 @@ def train_refiners(grids, hierarchy_builder, codebook: Codebook, steps: int,
     grids = list(grids)
     if not grids:
         raise InvariantError("cannot train refiners on an empty grid list")
-    if steps < 0:
-        raise InvariantError(f"refiner steps must be non-negative, got {steps}")
-    if not (math.isfinite(lr) and lr >= 0.0):
-        raise InvariantError(f"refiner lr must be finite and non-negative, got {lr}")
+    check_refiner_options(steps, lr)
     last, e = grids[0].last_stage, grids[0].e
     refiners = identity_refiners(last, e)
     if steps == 0:

@@ -114,9 +114,10 @@ def check_training_budget(model: ModelConfig, config: TrainConfig) -> None:
     fail `errors.check_alloc`: a step's float32 attention scores, batch x
     heads x L^2 per block, with L = 1 + runs 2^last_stage tokens a row (one
     token run for content, a canvas and a structure run for structure); or
-    the weights a step holds, 4x the float32 block weights (the weights, their
-    gradients and Adam's two moments). Needs no data, so the CLI runs it
-    before tokenizing, and `_fit` before its first draw."""
+    the weights a step holds, 4x `ModelConfig.weight_bytes`, every float32
+    tensor of the model's table (the weights, their gradients and Adam's two
+    moments). Needs no data, so the CLI runs it before tokenizing, and `_fit`
+    before its first draw."""
     runs = 1 if model.kind == "content" else 2
     length = 1 + runs * (1 << model.last_stage)
     errors.check_alloc(4 * config.batch_size * model.heads * length ** 2 * model.depth,

@@ -175,6 +175,37 @@ class TestRefinerMeta:
         with pytest.raises(FormatError, match=f"refiner {stage}"):
             load_refiners(path)
 
+    @pytest.mark.parametrize("channels", [None, "3", True, 3.0, -1])
+    def test_bad_channels_is_format_error(self, tmp_path, channels):
+        path = tmp_path / "bad.nvgc"
+        save_refiners(path, identity_refiners(0, 3))
+        meta, arrays = read_checkpoint(path)
+        write_checkpoint(path, {**meta, "channels": channels}, arrays)
+        with pytest.raises(FormatError, match="'channels'"):
+            load_refiners(path)
+
+    @pytest.mark.parametrize("stack, stage", [((4, 3), 1), ((3, 3), 0)])
+    def test_refiner_of_other_channels_than_the_meta_is_format_error(self, tmp_path, stack,
+                                                                      stage):
+        # a 4-then-3-channel stack used to load and fail only in the tokenizer;
+        # the second case's meta says 4 channels over a 3-channel stack
+        path = tmp_path / "ref.nvgc"
+        save_refiners(path, [r for e in stack for r in identity_refiners(0, e)])
+        meta, arrays = read_checkpoint(path)
+        write_checkpoint(path, {**meta, "channels": 4}, arrays)
+        with pytest.raises(FormatError, match=f"refiner {stage} .+ its meta's 4 channels"):
+            load_refiners(path)
+
+    def test_array_the_count_does_not_name_is_format_error(self, tmp_path):
+        # a stray stage past the count used to be ignored
+        path = tmp_path / "ref.nvgc"
+        save_refiners(path, identity_refiners(1, 3))
+        meta, arrays = read_checkpoint(path)
+        write_checkpoint(path, meta, {**arrays, "refiner5.weight": arrays["refiner0.weight"]})
+        with pytest.raises(FormatError, match="holds refiner5.weight, which its meta's count "
+                                              "of 2 does not name"):
+            load_refiners(path)
+
     def test_round_trip(self, tmp_path):
         # distinct refiners, so a stack read back out of order shows
         rng = np.random.default_rng(0)

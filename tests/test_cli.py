@@ -23,7 +23,14 @@ from nvg.checkpoints import load_model, save_model, save_refiners
 from nvg.content_model import ContentModel
 from nvg.grid import LatentGrid, StructureMap
 from nvg.hierarchy import build_hierarchy
-from nvg.io import read_sequence, structure_map_to_gray, write_pgm, write_sequence, write_tensor
+from nvg.io import (
+    read_sequence,
+    read_tensor,
+    structure_map_to_gray,
+    write_pgm,
+    write_sequence,
+    write_tensor,
+)
 from nvg.quantize import Refiner, build_contents, fit_codebook, identity_refiners
 from nvg.structure_model import StructureModel
 
@@ -519,6 +526,46 @@ def test_model_or_batch_over_the_byte_cap_exits_3_and_writes_nothing(
     assert code == 3 and what in err and f"over the {SMALL_CAP}-byte cap" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+# the 2 4x4 grids of DATA give 2 (3 * 16 - 1) = 94 training vectors
+@pytest.mark.parametrize("option", ["--size=0", "--size=95", "--iters=-1",
+                                    "--refiner-steps=-1", "--refiner-lr=-1",
+                                    "--refiner-lr=nan", "--refiner-lr=inf", "--count=0"])
+def test_bad_codebook_option_exits_3_before_any_dataset(files, option, capsys, tmp_path,
+                                                        monkeypatch):
+    # each used to be refused only after the dataset, and the refiner options
+    # after the k-means fit too
+    monkeypatch.setattr(cli, "make_synthetic_dataset", no_dataset)
+    argv, _, (codebook, refiners) = commands(files)["train-codebook"]
+    argv = _swap(_swap(argv, codebook, tmp_path / "cb.nvgt"), refiners, tmp_path / "ref.nvgc")
+    code, err = run(argv + [option], capsys)
+    assert code == 3 and err.startswith("nvg: error code=3 kind=invariant:")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_codebook_of_every_training_vector_is_fitted(files, capsys, tmp_path):
+    argv, _, (codebook, refiners) = commands(files)["train-codebook"]
+    argv = _swap(_swap(argv, codebook, tmp_path / "cb.nvgt"), refiners, tmp_path / "ref.nvgc")
+    assert run(argv + ["--size=94"], capsys)[0] == 0
+    assert read_tensor(tmp_path / "cb.nvgt").shape == (94, 3)
+
+
+def test_tokenize_on_a_mixed_channel_refiner_stack_exits_2_before_the_hierarchy(
+        files, capsys, tmp_path, monkeypatch):
+    # a 3-then-4-channel stack under its meta's 3 used to load, build the
+    # hierarchy and exit 3 in the stage-1 refiner
+    def no_hierarchy(*args):
+        raise AssertionError("the hierarchy was built before the refiners were checked")
+
+    monkeypatch.setattr(cli, "build_hierarchy", no_hierarchy)
+    argv, inputs, outputs = commands(files)["tokenize"]
+    stack = tmp_path / "mixed.nvgc"
+    save_refiners(stack, identity_refiners(0, 3) + identity_refiners(3, 4))
+    code, err = run(_swap(_swap(argv, inputs[2], stack), outputs[0], tmp_path / "out"), capsys)
+    assert code == 2 and "refiner 1 at" in err and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [stack]
 
 
 def _spy_on_tokenize(monkeypatch) -> list:

@@ -9,7 +9,8 @@ one squared-distance kernel and its non-finite rule, and a fifth keeps the
 refiners' `apply` in `grid.add_stage`, the one decoder step, and the
 tokenizer. Two more keep one size rule per limit: only `errors.check_alloc`
 reads the allocation cap, and only `grid.last_stage_of` turns a grid shape
-into a stage count with `bit_length`."""
+into a stage count with `bit_length`. And only `backbone`, home of the one
+parameter table, makes a trainable `Tensor`."""
 
 import ast
 import importlib
@@ -162,6 +163,37 @@ def test_only_the_grid_shape_rule_reads_bit_length():
     readers = {path.name for path in Path(nvg.__file__).parent.glob("*.py")
                if "bit_length" in read_names(path.read_text())}
     assert readers == {"grid.py"}
+
+
+def trainable_tensors(source: str) -> list:
+    """Lines of the calls that make a trainable `Tensor`: `requires_grad`
+    given as anything but False, by keyword or as the second argument."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "Tensor":
+            continue
+        flags = node.args[1:2] + [k.value for k in node.keywords if k.arg == "requires_grad"]
+        if any(not (isinstance(f, ast.Constant) and f.value is False) for f in flags):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_parameter_table_makes_parameters():
+    # `backbone` builds every parameter from `ModelConfig.param_shapes` under
+    # the one init rule; a trainable tensor made elsewhere would be one the
+    # checkpoint check and the allocation cap do not count
+    makers = {path.name for path in Path(nvg.__file__).parent.glob("*.py")
+              if trainable_tensors(path.read_text())}
+    assert makers == {"backbone.py"}
+
+
+def test_trainable_tensor_check_sees_each_form():
+    source = ("Tensor(x)\nTensor(x, requires_grad=False)\nTensor(x, requires_grad=True)\n"
+              "ad.Tensor(x, True)\nTensor(x, requires_grad=flag)\nnp.zeros(x, True)\n")
+    assert trainable_tensors(source) == [3, 4, 5]
 
 
 def silenced_warnings(source: str) -> list:

@@ -12,6 +12,7 @@ from nvg.quantize import (
     Refiner,
     build_contents,
     fit_codebook,
+    fit_vectors,
     identity_refiners,
     train_refiners,
 )
@@ -289,6 +290,22 @@ class TestFitCodebook:
     def test_rejects_empty_input(self):
         with pytest.raises(InvariantError):
             fit_codebook([], 4)
+
+    def test_size_up_to_every_training_vector_is_checked_before_any_hierarchy(
+            self, monkeypatch):
+        # two 4x4 grids: 16 locations and 1 + 2 + ... + 16 = 31 cluster means each
+        rng = np.random.default_rng(14)
+        grids = [random_grid(rng, 4, 4, 3) for _ in range(2)]
+        assert sum(fit_vectors(g.h, g.w) for g in grids) == 94
+        assert fit_codebook(grids, 94, iterations=1).size == 94
+
+        def no_hierarchy(grid):
+            raise AssertionError("built a hierarchy before the options were checked")
+
+        monkeypatch.setattr(quantize, "build_hierarchy", no_hierarchy)
+        for size, iterations in ((95, 1), (0, 1), (4, -1)):
+            with pytest.raises(InvariantError):
+                fit_codebook(grids, size, iterations=iterations)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(10)
