@@ -54,9 +54,22 @@ def load_model(path):
     return model
 
 
+def _check_stack(path, stages, e: int) -> None:
+    """The one rule of a refiner file: every stage is a (3, 3, e, e) weight
+    and an (e,) bias, for the meta's e channels."""
+    for i, (weight, bias) in enumerate(stages):
+        if weight.shape != (3, 3, e, e) or bias.shape != (e,):
+            raise FormatError(f"refiner {i} at {path} has weight {weight.shape} and "
+                              f"bias {bias.shape}; its meta's {e} channels want "
+                              f"{(3, 3, e, e)} and {(e,)}")
+
+
 def save_refiners(path, refiners) -> None:
-    meta = {"type": "refiners", "count": len(refiners),
-            "channels": refiners[0].channels if refiners else 0}
+    """Write a stack whose meta's `channels` are the first refiner's; a stack
+    of mixed channel counts is refused before anything is written."""
+    e = refiners[0].channels if refiners else 0
+    _check_stack(path, [(r.weight, r.bias) for r in refiners], e)
+    meta = {"type": "refiners", "count": len(refiners), "channels": e}
     arrays = {}
     for i, r in enumerate(refiners):
         arrays[f"refiner{i}.weight"] = r.weight
@@ -80,13 +93,9 @@ def load_refiners(path) -> list:
         try:
             stages.append((arrays.pop(f"refiner{i}.weight"), arrays.pop(f"refiner{i}.bias")))
         except KeyError as exc:
-            raise FormatError(f"refiner stack misses stage {i}") from exc
+            raise FormatError(f"refiner stack at {path} misses stage {i}") from exc
     if arrays:
         raise FormatError(f"refiner checkpoint at {path} holds {min(arrays)}, which its "
                           f"meta's count of {count} does not name")
-    for i, (weight, bias) in enumerate(stages):
-        if weight.shape != (3, 3, e, e) or bias.shape != (e,):
-            raise FormatError(f"refiner {i} at {path} has weight {weight.shape} and "
-                              f"bias {bias.shape}; its meta's {e} channels want "
-                              f"{(3, 3, e, e)} and {(e,)}")
+    _check_stack(path, stages, e)
     return [Refiner(w.astype(np.float32), b.astype(np.float32)) for w, b in stages]

@@ -34,7 +34,7 @@ from .quantize import (
 )
 from .selfcheck import run_selfcheck
 from .structcode import bit_rule_holds
-from .structure_model import StructureModel
+from .structure_model import WARM_T, StructureModel
 from .synthetic import SyntheticSpec, make_synthetic_dataset
 from .training import (
     TrainConfig,
@@ -119,7 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latent", default="8,8,4", help="h,w,e of the latent grid")
     p.add_argument("--class-id", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=25, help="flow steps per structure stage")
+    p.add_argument("--steps", type=int, default=25,
+                   help="flow steps of a structure stage that starts from noise; each "
+                        f"later, warm-started stage runs {WARM_T:g} of them (at least one)")
     p.add_argument("--override-structure", action="append", default=[],
                    metavar="STAGE:FILE.pgm",
                    help="fix the structure of stages 0..STAGE from a PGM (stage 1 only)")

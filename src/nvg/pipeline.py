@@ -9,6 +9,12 @@ log-linearly from 1.0 to 0.5 and the guidance scale grows linearly to 2.5
 velocity and the token logits. A request may fix a structure prefix, the
 maps of stages 0..k given by one canonical stage-k map, and the tokens of any
 stages; the generators sample the rest.
+
+The first flow stage starts from noise at t = 1. Each later one is warm
+started from the stage before it, whose flow already predicted every column
+it inpaints: it starts at `structure_model.WARM_T` and runs that fraction of
+`ScheduleParams.flow_steps` (see `flow_sample`). A flow stage right after a
+fixed prefix has no prediction to start from and starts from noise.
 """
 
 from __future__ import annotations
@@ -96,7 +102,8 @@ class GenerationRequest:
 @dataclass
 class GenerationStats:
     """Sampling-step counters: one content step per generated stage, one flow
-    step per Euler update (guidance pairs count as one step)."""
+    step per Euler update that ran (guidance pairs count as one step; a
+    warm-started stage runs fewer than `ScheduleParams.flow_steps`)."""
 
     content_steps: int = 0
     flow_steps: int = 0
@@ -197,6 +204,8 @@ def generate(req: GenerationRequest, content_model: ContentModel,
     canonical nesting its column j is 2 * (stage-(j+1) label & 1). A stage's
     map is the request's fixed one, `forced_final_split`'s at the last stage
     or the flow's; all are labelled by `canonical_child`, as training maps are.
+    Each flow stage but the first is warm started from the previous flow
+    stage's prediction, `flow_pred`; a stage after a fixed prefix has none.
     """
     last = req.last_stage
     h, w_grid, e = req.h, req.w, req.e
@@ -229,6 +238,7 @@ def generate(req: GenerationRequest, content_model: ContentModel,
 
     x = np.zeros((h, w_grid, e), dtype=np.float32)
     stages = []
+    flow_pred = None     # the last flow stage's full-depth prediction
 
     for k in range(last + 1):
         # ---- structure ----
@@ -242,6 +252,8 @@ def generate(req: GenerationRequest, content_model: ContentModel,
                 cfg_schedule(k, "structure", last)
 
             def velocity_fn(z, t):
+                stats.flow_steps += 1
+
                 def rows(classes):
                     n = len(classes)
                     return structure_model.velocity(
@@ -250,9 +262,9 @@ def generate(req: GenerationRequest, content_model: ContentModel,
                 return cfg_forward(rows, req.class_id, null_id, scale)
 
             known = embed_structure_map(parent, last).astype(np.float32)
-            pred = flow_sample(velocity_fn, known, stage=k, n_steps=sched.flow_steps, rng=rng)
-            stats.flow_steps += sched.flow_steps
-            smap = gumbel_balanced_split(parent, pred[:, :, k - 1], rng)
+            flow_pred = flow_sample(velocity_fn, known, stage=k, n_steps=sched.flow_steps,
+                                    rng=rng, warm=flow_pred)
+            smap = gumbel_balanced_split(parent, flow_pred[:, :, k - 1], rng)
 
         # ---- content ----
         if k in req.content_overrides:

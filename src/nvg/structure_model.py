@@ -4,9 +4,11 @@ The embedding grid is noised along a straight path z(t) = t*noise +
 (1-t)*target; columns of already-decided stages stay clamped to their true
 values at every t, so generation is an inpainting problem. The network
 predicts the path velocity (noise - target) and an Euler sampler walks t from
-1 to 0. A Gumbel-perturbed top-half split turns the predicted column into an
-exactly balanced child map, labelled by `hierarchy.canonical_child` as every
-training map is.
+1 to 0. A warm-started stage walks from WARM_T instead: it noises the previous
+stage's prediction onto the path, the state the trainer samples at that time
+(cf. SDEdit, arXiv 2108.01073). A Gumbel-perturbed top-half split turns the
+predicted column into an exactly balanced child map, labelled by
+`hierarchy.canonical_child` as every training map is.
 
 `StructureModel` is an adapter on `backbone.Generator`, whose one forward
 does the conditioning, the rotary ids, the blocks and the output head. The
@@ -30,7 +32,10 @@ from .errors import InvariantError, NumericError
 from .grid import StructureMap
 from .hierarchy import canonical_child
 
-__all__ = ["noised_input", "StructureModel", "flow_sample", "gumbel_balanced_split"]
+__all__ = ["WARM_T", "noised_input", "StructureModel", "flow_sample",
+           "gumbel_balanced_split"]
+
+WARM_T = 0.4    # where a warm-started flow stage starts on the path
 
 
 def noised_input(s_e_grid: np.ndarray, t: float, noise: np.ndarray,
@@ -78,14 +83,20 @@ class StructureModel(Generator):
 
 
 def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int,
-                rng) -> np.ndarray:
-    """Euler-integrate the flow from pure noise back to an embedding grid.
+                rng, warm: np.ndarray | None = None) -> np.ndarray:
+    """Euler-integrate the flow back to an embedding grid.
+
+    Without `warm` the walk starts from pure noise at t = 1 and takes
+    n_steps steps. With a warm grid (the previous stage's prediction) it
+    starts from `noised_input(warm, WARM_T, noise, 0)` and takes
+    max(1, round(WARM_T * n_steps)) steps of WARM_T / steps each. Either way
+    it draws one normal grid, and the first stage-1 columns stay clamped to
+    s_e_grid from the start and after every step.
 
     velocity_fn(z, t) is called once per step and returns the (h, w, K)
     velocity; guidance, if any, is the caller's (see `pipeline.cfg_forward`).
-    A non-finite velocity raises NumericError. The first stage-1 columns stay
-    clamped to s_e_grid after every step. Returns the predicted full-depth
-    grid.
+    A non-finite velocity raises NumericError. Returns the predicted
+    full-depth grid.
     """
     if n_steps < 1:
         raise InvariantError("need at least one integration step")
@@ -94,11 +105,16 @@ def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int,
     rng = np.random.default_rng(rng)
     s_e = np.asarray(s_e_grid, dtype=np.float32)
     known = stage - 1
-    z = rng.standard_normal(s_e.shape).astype(np.float32)
+    noise = rng.standard_normal(s_e.shape).astype(np.float32)
+    if warm is None:
+        t0, steps, z = 1.0, n_steps, noise
+    else:
+        t0, steps = WARM_T, max(1, round(WARM_T * n_steps))
+        z = noised_input(warm, t0, noise, 0)
     z[..., :known] = s_e[..., :known]
-    dt = 1.0 / n_steps
-    for step in range(n_steps):
-        t = 1.0 - step * dt
+    dt = t0 / steps
+    for step in range(steps):
+        t = t0 - step * dt
         v = velocity_fn(z, t)
         if not np.all(np.isfinite(v)):
             raise NumericError(f"non-finite flow velocity at stage {stage}, t={t:.3f}")

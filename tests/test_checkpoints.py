@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,12 +189,32 @@ class TestRefinerMeta:
     def test_refiner_of_other_channels_than_the_meta_is_format_error(self, tmp_path, stack,
                                                                       stage):
         # a 4-then-3-channel stack used to load and fail only in the tokenizer;
-        # the second case's meta says 4 channels over a 3-channel stack
+        # the second case's meta says 4 channels over a 3-channel stack.
+        # save_refiners refuses a mixed stack, so the file is written raw
         path = tmp_path / "ref.nvgc"
-        save_refiners(path, [r for e in stack for r in identity_refiners(0, e)])
-        meta, arrays = read_checkpoint(path)
-        write_checkpoint(path, {**meta, "channels": 4}, arrays)
+        arrays = {}
+        for i, e in enumerate(stack):
+            (refiner,) = identity_refiners(0, e)
+            arrays[f"refiner{i}.weight"], arrays[f"refiner{i}.bias"] = refiner.weight, refiner.bias
+        write_checkpoint(path, {"type": "refiners", "count": len(stack), "channels": 4}, arrays)
         with pytest.raises(FormatError, match=f"refiner {stage} .+ its meta's 4 channels"):
+            load_refiners(path)
+
+    def test_mixed_channel_stack_is_refused_before_anything_is_written(self, tmp_path):
+        # save_refiners used to write it under the first refiner's channels,
+        # and load_refiners then refused the file
+        path = tmp_path / "ref.nvgc"
+        with pytest.raises(FormatError, match=f"refiner 1 at {re.escape(str(path))} .+ its meta's 3 channels"):
+            save_refiners(path, identity_refiners(0, 3) + identity_refiners(0, 4))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_stage_names_the_path(self, tmp_path):
+        path = tmp_path / "ref.nvgc"
+        save_refiners(path, identity_refiners(2, 3))
+        meta, arrays = read_checkpoint(path)
+        del arrays["refiner1.bias"]
+        write_checkpoint(path, meta, arrays)
+        with pytest.raises(FormatError, match=f"refiner stack at {re.escape(str(path))} misses stage 1"):
             load_refiners(path)
 
     def test_array_the_count_does_not_name_is_format_error(self, tmp_path):

@@ -27,6 +27,7 @@ from nvg.io import (
     read_sequence,
     read_tensor,
     structure_map_to_gray,
+    write_checkpoint,
     write_pgm,
     write_sequence,
     write_tensor,
@@ -562,7 +563,10 @@ def test_tokenize_on_a_mixed_channel_refiner_stack_exits_2_before_the_hierarchy(
     monkeypatch.setattr(cli, "build_hierarchy", no_hierarchy)
     argv, inputs, outputs = commands(files)["tokenize"]
     stack = tmp_path / "mixed.nvgc"
-    save_refiners(stack, identity_refiners(0, 3) + identity_refiners(3, 4))
+    refiners = identity_refiners(0, 3) + identity_refiners(3, 4)
+    write_checkpoint(stack, {"type": "refiners", "count": 5, "channels": 3},
+                     {f"refiner{i}.{name}": getattr(r, name)
+                      for i, r in enumerate(refiners) for name in ("weight", "bias")})
     code, err = run(_swap(_swap(argv, inputs[2], stack), outputs[0], tmp_path / "out"), capsys)
     assert code == 2 and "refiner 1 at" in err and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == [stack]

@@ -103,9 +103,9 @@ def test_private_import_check_sees_from_imports():
     assert private_imports(source) == ["_b", "_e"]
 
 
-PERFBENCH = Path(nvg.__file__).parents[2] / "perfbench"
-# public with no reader yet: ROADMAP item 2's quality oracle is to call it
-UNREAD_EXPORTS = {"training.evaluate"}
+# the offline scripts beside the library read it through its public names
+SCRIPTS = [Path(nvg.__file__).parents[2] / name for name in ("perfbench", "quality")]
+UNREAD_EXPORTS = set()
 
 
 def read_names(source: str) -> set:
@@ -119,7 +119,8 @@ def read_names(source: str) -> set:
 
 def test_every_export_has_a_reader_outside_the_tests():
     # a public name only the tests read is test code living in src/
-    paths = [*Path(nvg.__file__).parent.glob("*.py"), *PERFBENCH.glob("*.py")]
+    paths = [*Path(nvg.__file__).parent.glob("*.py"),
+             *(path for root in SCRIPTS for path in root.glob("*.py"))]
     read = set().union(*(read_names(path.read_text()) for path in paths))
     unread = {f"{name}.{export}" for name in MODULES
               for export in getattr(importlib.import_module(f"nvg.{name}"), "__all__", [])

@@ -39,8 +39,8 @@ from nvg.training import TrainConfig, tokenize_dataset, train_content, train_str
 GOLDEN = {
     "content.nvgc": "92608b7fe120b34a24f244ed6ef2b5f6e3345c90a9ac267a183bd86d2d0928b8",
     "structure.nvgc": "2f03b33b9512acfde9169f2b8d889d8731079868ba49c113ce14f4a07f83ba8b",
-    "gen.sequence.json": "eb9271d4c9bdc3cebd0e5304f70fd705ed5a84ec8c2b6b83d676e8cfb3b5c39b",
-    "gen.latent.nvgt": "78e07795850b4f7f181b455873ae70cf0e449d76437411508211d966556a610f",
+    "gen.sequence.json": "c760f1deb2ccffcf7668f82a8c787436b091205a1c1467260d109e5860f9d8c9",
+    "gen.latent.nvgt": "0fbbfc35f996d17149fb5b5cf951c50c0eb1fd3f0efb1e40ba7a96e9e66165a4",
     "override.sequence.json": "42f5a4612402aafa483793d3cf2ddf64002fa6356f534270670547f699bb70cf",
     "override.latent.nvgt": "2d5ff4cdf3ad46e8aa13fddb20141487309f3a332146a3e8ba704b66255b9f1a",
 }

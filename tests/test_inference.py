@@ -253,9 +253,11 @@ def test_generate_batches_the_class_row_before_the_null_row(world, monkeypatch):
     generate(req, content_model(), structure_model(), codebook, refiners)
 
     null = CLASSES
-    # 4x4: flow at stages 1-3 with guidance from stage 2; content at 0-4, guided from 1
-    assert calls["velocity"] == [[1]] * 3 + [[1, null]] * 6
+    # 4x4: flow at stages 1-3 with guidance from stage 2; stage 1 runs all 3
+    # steps from noise, the warm-started stages 2 and 3 round(0.4 * 3) = 1
+    # each. Content at 0-4, guided from 1
+    assert calls["velocity"] == [[1]] * 3 + [[1, null]] * 2
     assert calls["content"] == [[1]] + [[1, null]] * 4
-    assert len(pairs) == 6 + 4
+    assert len(pairs) == 2 + 4
     for cond, uncond in pairs:
         assert np.all(cond == 1) and np.all(uncond == null)

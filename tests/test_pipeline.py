@@ -238,7 +238,42 @@ class TestGenerate:
                                 schedule=ScheduleParams(flow_steps=3))
         result = generate(req, content, structure, codebook, refiners)
         assert result.stats.content_steps == LAST + 1
-        assert result.stats.flow_steps == (LAST - 1) * 3
+        # stage 1 from noise, stages 2..LAST-1 warm started: round(0.4 * 3) = 1
+        assert result.stats.flow_steps == 3 + (LAST - 2) * 1
+
+    @pytest.mark.parametrize("flow_steps", [1, 2])
+    def test_each_warm_started_stage_runs_at_least_one_step(self, setup, flow_steps):
+        _, codebook, refiners, content, structure = setup
+        req = GenerationRequest(class_id=0, seed=5, h=H, w=W, e=E,
+                                schedule=ScheduleParams(flow_steps=flow_steps))
+        result = generate(req, content, structure, codebook, refiners)
+        assert result.stats.flow_steps == flow_steps + (LAST - 2) * 1
+
+    @pytest.mark.parametrize("prefix_stage", [0, 1, 2])
+    def test_only_a_stage_after_a_flow_stage_is_warm_started(self, setup, monkeypatch,
+                                                             prefix_stage):
+        # stage 1, or the stage right after a fixed prefix, starts from
+        # noise; every later one from the previous flow stage's output
+        data, codebook, refiners, content, structure = setup
+        _, grid = data[1]
+        seq, _ = build_contents(grid, build_hierarchy(grid), codebook, refiners)
+        calls = []
+        real = pipeline.flow_sample
+
+        def spy(velocity_fn, s_e_grid, stage, n_steps, rng, warm=None):
+            out = real(velocity_fn, s_e_grid, stage, n_steps, rng, warm=warm)
+            calls.append((stage, warm, out))
+            return out
+
+        monkeypatch.setattr(pipeline, "flow_sample", spy)
+        req = GenerationRequest(class_id=0, seed=6, h=H, w=W, e=E,
+                                structure_prefix=seq.stages[prefix_stage][1],
+                                schedule=ScheduleParams(flow_steps=2))
+        generate(req, content, structure, codebook, refiners)
+        assert [stage for stage, _, _ in calls] == list(range(prefix_stage + 1, LAST))
+        assert calls[0][1] is None
+        for (_, _, before), (_, warm, _) in zip(calls, calls[1:]):
+            assert warm is before
 
     def test_generated_sequence_is_valid_and_balanced(self, setup):
         _, codebook, refiners, content, structure = setup

@@ -9,6 +9,7 @@ from nvg.grid import StructureMap
 from nvg.pipeline import cfg_forward
 from nvg.structcode import embed_structure_map
 from nvg.structure_model import (
+    WARM_T,
     StructureModel,
     flow_sample,
     gumbel_balanced_split,
@@ -254,6 +255,69 @@ class TestFlowSample:
         a = flow_sample(fn, target, stage=2, n_steps=5, rng=7)
         b = flow_sample(fn, target, stage=2, n_steps=5, rng=7)
         assert np.array_equal(a, b)
+
+
+class TestWarmStart:
+    """A warm-started stage walks from WARM_T to 0 in a WARM_T fraction of
+    the steps, from the warm grid noised onto the path."""
+
+    @pytest.mark.parametrize("n_steps", [5, 10, 25])
+    def test_oracle_model_recovers_target_from_any_grid(self, n_steps):
+        rng = np.random.default_rng(20)
+        target = random_embedding(rng)
+        warm = rng.normal(size=target.shape).astype(np.float32)
+        ts = []
+
+        def oracle(z, t):
+            ts.append(t)
+            return (z - target) / t
+
+        out = flow_sample(oracle, target, stage=2, n_steps=n_steps, rng=3, warm=warm)
+        assert np.allclose(out, target, atol=1e-3)
+        steps = round(WARM_T * n_steps)
+        assert np.allclose(ts, [WARM_T - i * WARM_T / steps for i in range(steps)])
+
+    def test_first_state_is_the_noised_warm_grid_with_known_columns_clamped(self):
+        rng = np.random.default_rng(21)
+        target = random_embedding(rng)
+        warm = rng.normal(size=target.shape).astype(np.float32)
+        seen = []
+
+        def probe(z, t):
+            seen.append(z.copy())
+            return np.zeros_like(z)
+
+        stage = 3
+        flow_sample(probe, target, stage=stage, n_steps=10, rng=4, warm=warm)
+        draws = np.random.default_rng(4)
+        noise = draws.standard_normal(target.shape).astype(np.float32)
+        want = noised_input(warm, WARM_T, noise, 0)
+        want[..., :stage - 1] = target[..., :stage - 1]
+        assert np.array_equal(seen[0], want)
+        # exactly one normal grid was drawn: a generator that has drawn it
+        # once agrees with the one flow_sample used on what comes next
+        stream = np.random.default_rng(4)
+        flow_sample(probe, target, stage=stage, n_steps=10, rng=stream, warm=warm)
+        assert stream.random() == draws.random()
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_few_steps_still_run_one_step(self, n_steps):
+        rng = np.random.default_rng(22)
+        target = random_embedding(rng)
+        ts = []
+
+        def probe(z, t):
+            ts.append(t)
+            return np.zeros_like(z)
+
+        flow_sample(probe, target, stage=2, n_steps=n_steps, rng=5, warm=target)
+        assert ts == [WARM_T]
+
+    def test_warm_grid_of_another_shape_is_refused(self):
+        target = random_embedding(np.random.default_rng(23))
+        with pytest.raises(InvariantError):
+            flow_sample(lambda z, t: np.zeros_like(z), target, stage=2, n_steps=4, rng=6,
+                        warm=target[..., :2])
 
 
 class TestGumbelSplit:
