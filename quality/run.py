@@ -71,7 +71,7 @@ class Sizes:
     eval_examples: int = 16
     codebook: int = 64
     depth: int = 4
-    steps: int = 400
+    steps: int = 2000
     batch: int = 8
     base_lr: float = 0.064
     warmup: int = 100
