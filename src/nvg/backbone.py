@@ -2,13 +2,15 @@
 
 `Generator` is the skeleton both models are built on: class and stage
 embeddings, the block stack, the final modulated rmsnorm and the output head,
-plus parameter access and checkpoint state. It also owns the one forward,
-`Generator._forward`: it checks the class ids and the structure maps, reads
-each row's stage and rotary structure ids from its map, conditions on class +
-stage, prepends the class token to the token runs it is given, runs the
-blocks and returns the head on the last run.
-`ContentModel` and `StructureModel` add only the token runs they pass in
-and the reshape of what comes out.
+plus parameter access and checkpoint state. `Generator._embed` is the one
+forward prelude: it checks the class ids and the structure maps, reads each
+row's stage and rotary structure ids from its map, conditions on class +
+stage and prepends the class token to the token runs it is given.
+`Generator._forward` runs it, the blocks and `_head` on the last run, which is
+the content forward; `StructureModel.context` runs the same prelude for its
+class and canvas rows and keeps their keys and values, which its
+`velocity` steps attend to. The adapters add only the token runs they pass
+in and the reshape of what comes out.
 
 `ModelConfig.param_shapes` is the one parameter table, both kinds' input and
 output tensors included: `Generator` and `Block` build every tensor from it
@@ -26,16 +28,19 @@ count exact. The tests check the count from the shapes `params()` returns.
 Rotary ids split the 64-dim head as 8 dims for token-kind, 2 dims for each of
 8 structure levels, and 20 dims per spatial axis. Tokens sharing a cluster at
 some level share that level's id, so attention sees the whole cluster tree.
-`Generator._forward` reads a row's structure ids from its `StructureMap`
+`Generator._embed` reads a row's structure ids from its `StructureMap`
 through the one bit rule, `structcode.embed_structure_map`; no caller builds
 them. There is one rotary path: `rope_tables` turns integer ids into cos/sin
 tables, `Generator._rope_tables` builds them for a whole batch in one call and
 lays them out per head, the query heads' copies times the exact score scale
 2^-3, and one `autodiff.rope` per block rotates the queries and keys together
-as the fused projection's q|k columns.
+as the fused projection's q|k columns (the keys alone in `Block.keys_values`).
 
 The last block builds only the rows the head reads: earlier rows serve it as
-keys and values alone (`Block.forward`'s `first`).
+keys and values alone (`Block.forward`'s `first`). Rows an earlier call ran
+serve the same way without being recomputed: `Block.forward` returns its
+rows' rotated keys and values, `Block.keys_values` computes only those, and
+a later call takes them as its `prefix`.
 """
 
 from __future__ import annotations
@@ -234,9 +239,17 @@ class Block:
     def params(self, prefix: str) -> dict:
         return {f"{prefix}.{k}": v for k, v in vars(self).items() if isinstance(v, Tensor)}
 
+    def _modulated(self, x: Tensor, cond: Tensor):
+        """rmsnorm(x) under the block's scale and shift from cond, and its gate."""
+        b_sz, _, w = x.shape
+        mod = ad.matmul(ad.silu(cond), self.w_mod)          # (B, 3w)
+        mod = ad.reshape(mod, (b_sz, 1, 3 * w))
+        scale, shift, gate = mod[:, :, 0:w], mod[:, :, w:2 * w], mod[:, :, 2 * w:3 * w]
+        return ad.rmsnorm(x) * (1.0 + scale) + shift, gate
+
     def forward(self, x: Tensor, cos: np.ndarray, sin: np.ndarray, cond: Tensor,
                 dropout: float = 0.0, rng: np.random.Generator | None = None,
-                first: int = 0) -> Tensor:
+                first: int = 0, prefix: tuple | None = None) -> tuple:
         """x: (B, L, w); cond: (B, w) modulation input.
 
         cos/sin: (B, L, 2H, 32), one table per query head and then one per key
@@ -244,16 +257,19 @@ class Block:
         which is exact, so the scores need no scale op. Rows before `first`
         are context: they serve only as keys and values, and the block returns
         rows first: alone, (B, L - first, w), never building the context rows'
-        attention, MLP or output projection. Dropout applies to the block
-        output only when an rng is given; its mask is drawn for all L rows.
+        attention, MLP or output projection. `prefix` is the (keys, values)
+        pair of rows an earlier call computed, as this call returns them or
+        `keys_values` does: the rows attend to them, placed before their own
+        keys and values, and do not recompute them. Dropout applies to the
+        block output only when an rng is given; its mask is drawn for all L
+        rows.
+
+        Returns (out, (keys, values)): the keys (B, H, 64, L), rotated, and
+        the values (B, H, L, 64) are those of x's own L rows, prefix left out.
         """
         b_sz, length, w = x.shape
         heads, rows = self.heads, length - first
-        mod = ad.matmul(ad.silu(cond), self.w_mod)          # (B, 3w)
-        mod = ad.reshape(mod, (b_sz, 1, 3 * w))
-        scale, shift, gate = mod[:, :, 0:w], mod[:, :, w:2 * w], mod[:, :, 2 * w:3 * w]
-
-        normed = ad.rmsnorm(x) * (1.0 + scale) + shift
+        normed, gate = self._modulated(x, cond)
         fused = ad.matmul(normed, self.w_fused)             # (B, L, 7w): q k v m
         qk = ad.rope(ad.reshape(fused[:, :, 0:2 * w], (b_sz, length, 2 * heads, HEAD_DIM)),
                      cos, sin)                              # (B, L, 2H, 64)
@@ -261,6 +277,9 @@ class Block:
         k_t = ad.transpose(qk[:, :, heads:], (0, 2, 3, 1))         # (B, H, 64, L)
         v = ad.transpose(ad.reshape(fused[:, :, 2 * w:3 * w], (b_sz, length, heads, HEAD_DIM)),
                          (0, 2, 1, 3))                      # (B, H, L, 64)
+        own = k_t, v
+        if prefix is not None:
+            k_t, v = ad.concat([prefix[0], k_t], axis=3), ad.concat([prefix[1], v], axis=2)
         attn = ad.matmul(ad.softmax(ad.matmul(q, k_t)), v)  # (B, H, rows, 64)
         attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (b_sz, rows, w))
 
@@ -271,14 +290,28 @@ class Block:
             out = out * (keep.astype(out.data.dtype) / (1.0 - dropout))
         if first:
             x = x[:, first:, :]
-        return x + (1.0 + gate) * out
+        return x + (1.0 + gate) * out, own
+
+    def keys_values(self, x: Tensor, cos: np.ndarray, sin: np.ndarray, cond: Tensor) -> tuple:
+        """The (keys, values) `forward` returns for x, computing only them:
+        the k and v columns of the fused projection, and the key heads'
+        rotation (the key half of cos/sin's axis 2)."""
+        b_sz, length, w = x.shape
+        heads = self.heads
+        normed, _ = self._modulated(x, cond)
+        kv = ad.matmul(normed, self.w_fused[:, w:3 * w])    # (B, L, 2w): k v
+        k = ad.rope(ad.reshape(kv[:, :, 0:w], (b_sz, length, heads, HEAD_DIM)),
+                    cos[:, :, heads:], sin[:, :, heads:])
+        v = ad.reshape(kv[:, :, w:2 * w], (b_sz, length, heads, HEAD_DIM))
+        return ad.transpose(k, (0, 2, 3, 1)), ad.transpose(v, (0, 2, 1, 3))
 
 
 class Generator:
     """Base of both generators: everything but the per-kind adapters.
 
     A subclass sets `kind` (and `map_lag`, when its rows read an earlier
-    stage's map) and feeds its token runs and maps to `_forward`. Every
+    stage's map) and feeds its token runs and maps to `_forward` or
+    `_embed`. Every
     tensor, its own input and output parameters too, is built from the
     config's `param_shapes` under the one init rule, each an attribute named
     as in the table.
@@ -298,7 +331,6 @@ class Generator:
         self.blocks = [Block(config.width, config.heads, rng) for _ in range(config.depth)]
         for name, shape in after.items():
             setattr(self, name, _new_param(name, shape, rng))
-        self._rope_memo = None      # (key, tables) of the last _rope_tables call
 
     def params(self) -> dict:
         """Own tensors in creation order, then each block's."""
@@ -319,13 +351,8 @@ class Generator:
         covers the whole batch; axis 2 then repeats its tables for each of the
         H query heads, times the exact score scale 2^-3 = 1/sqrt(HEAD_DIM),
         and for each of the H key heads, the layout `Block.forward` rotates
-        its fused q|k columns with. The last result is memoized on the exact
-        ids, so the Euler steps of one flow stage, which all read the same
-        parent map, build the tables once. The memoized tables are read-only.
+        its fused q|k columns with.
         """
-        key = (struct_ids.dtype.str, struct_ids.shape, struct_ids.tobytes(), grid_w, runs)
-        if self._rope_memo is not None and self._rope_memo[0] == key:
-            return self._rope_memo[1]
         b_sz, hw, _ = struct_ids.shape
         yy, xx = np.divmod(np.arange(hw), grid_w)
         kind = np.concatenate([[0]] + [np.full(hw, s + 1) for s in range(runs)])
@@ -337,26 +364,33 @@ class Generator:
         heads = self.config.heads
         head_scale = np.repeat(np.array([1.0 / np.sqrt(HEAD_DIM), 1.0], dtype=np.float32),
                                heads)[:, None]          # (2H, 1): queries, then keys
-        tables = cos[:, :, None] * head_scale, sin[:, :, None] * head_scale
-        for table in tables:
-            table.flags.writeable = False
-        self._rope_memo = (key, tables)
-        return tables
+        return cos[:, :, None] * head_scale, sin[:, :, None] * head_scale
 
-    def _forward(self, class_ids, smaps, runs, cond_extra: Tensor | None = None,
-                 rng: np.random.Generator | None = None) -> Tensor:
-        """The forward both generators share; returns the head on the last run.
+    @staticmethod
+    def _tokens(runs, b_sz: int, grid: tuple) -> list:
+        """Each run's token rows (B, hw, width): a run is an (input
+        (B, h, w, c), weight (c, width), bias) triple, and its input must have
+        the batch's size and the grid's shape."""
+        tokens = []
+        for data, weight, bias in runs:
+            if data.shape != (b_sz, *grid, weight.shape[0]):
+                raise InvariantError(f"input must be {(b_sz, *grid, weight.shape[0])}, "
+                                     f"got {data.shape}")
+            tokens.append(ad.matmul(Tensor(data.reshape(b_sz, grid[0] * grid[1], -1)), weight)
+                          + bias)
+        return tokens
+
+    def _embed(self, class_ids, smaps, runs, rotary_runs: int) -> tuple:
+        """The checks, rotary tables and conditioning of a forward.
 
         class_ids: (B,) ints, the null class allowed. smaps: one
         `StructureMap` per row, of the grid's shape; a row runs at its map's
         stage plus `map_lag`, and its rotary structure ids are the map's
         `embed_structure_map` over STRUCT_SLOTS. runs: the token runs after
-        the class token, each an (input (B, h, w, c), weight (c, width),
-        bias) triple. cond_extra is added to the class + stage conditioning.
-        A given rng is the training switch: the blocks draw dropout from it.
-        The last block takes every earlier row as context only (`first`), so
-        it, the final norm and the head run on the last run's rows alone.
-        Returns (B, h*w, head_channels).
+        the class token (see `_tokens`). Returns (x, cos, sin, cond): x the
+        (B, 1 + runs hw, width) rows [class] + runs, the tables of
+        [class] + `rotary_runs` runs, which may outnumber the runs given, and
+        cond the (B, width) class + stage conditioning.
         """
         class_ids, smaps = np.asarray(class_ids), list(smaps)
         if class_ids.ndim != 1 or len(smaps) != class_ids.size:
@@ -365,10 +399,6 @@ class Generator:
         if not smaps:
             raise InvariantError("empty batch")
         b_sz, grid = class_ids.size, runs[0][0].shape[1:3]
-        for data, weight, _ in runs:
-            if data.shape != (b_sz, *grid, weight.shape[0]):
-                raise InvariantError(f"input must be {(b_sz, *grid, weight.shape[0])}, "
-                                     f"got {data.shape}")
         if not all(isinstance(m, StructureMap) and m.labels.shape == grid for m in smaps):
             raise InvariantError(f"need StructureMaps of the grid's shape {grid}")
         stages = np.array([m.stage + self.map_lag for m in smaps], dtype=np.int64)
@@ -376,24 +406,36 @@ class Generator:
             raise InvariantError(f"class id out of range 0..{self.config.null_class_id}")
         if stages.max(initial=0) > self.config.last_stage:
             raise InvariantError(f"stage out of range 0..{self.config.last_stage}")
-        (h, w_grid), width = grid, self.config.width
-        hw = h * w_grid
+        tokens = self._tokens(runs, b_sz, grid)
         struct_ids = np.stack([embed_structure_map(m, STRUCT_SLOTS) for m in smaps])
-        cos, sin = self._rope_tables(struct_ids.reshape(b_sz, hw, -1), w_grid, len(runs))
-
+        cos, sin = self._rope_tables(struct_ids.reshape(b_sz, grid[0] * grid[1], -1), grid[1],
+                                     rotary_runs)
         cls = self.class_emb[class_ids]                                # (B, w)
         cond = cls + self.stage_emb[stages]
-        if cond_extra is not None:
-            cond = cond + cond_extra
-        tokens = [ad.matmul(Tensor(data.reshape(b_sz, hw, -1)), weight) + bias
-                  for data, weight, bias in runs]
-        x = ad.concat([ad.reshape(cls, (b_sz, 1, width))] + tokens, axis=1)
-        *inner, last = self.blocks
-        for block in inner:
-            x = block.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng)
-        # the head reads only the last run: earlier rows are the last block's context
-        x = last.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng,
-                         first=1 + (len(runs) - 1) * hw)
-        fmod = ad.reshape(ad.matmul(ad.silu(cond), self.w_final_mod), (b_sz, 1, 2 * width))
+        x = ad.concat([ad.reshape(cls, (b_sz, 1, self.config.width))] + tokens, axis=1)
+        return x, cos, sin, cond
+
+    def _head(self, x: Tensor, cond: Tensor) -> Tensor:
+        """The final modulated rmsnorm and the output head of rows x."""
+        width = self.config.width
+        fmod = ad.reshape(ad.matmul(ad.silu(cond), self.w_final_mod), (x.shape[0], 1, 2 * width))
         x = ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
         return ad.matmul(x, self.w_head) + self.b_head
+
+    def _forward(self, class_ids, smaps, runs, rng: np.random.Generator | None = None) -> Tensor:
+        """The forward of every row at once; returns the head on the last run.
+
+        Takes `_embed`'s arguments. A given rng is the training switch: the
+        blocks draw dropout from it. The last block takes every earlier row
+        as context only (`first`), so it, the final norm and the head run on
+        the last run's rows alone. Returns (B, h*w, head_channels).
+        """
+        x, cos, sin, cond = self._embed(class_ids, smaps, runs, len(runs))
+        *inner, last = self.blocks
+        for block in inner:
+            x, _ = block.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng)
+        # the head reads only the last run: earlier rows are the last block's context
+        hw = runs[-1][0].shape[1] * runs[-1][0].shape[2]
+        x, _ = last.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng,
+                            first=x.shape[1] - hw)
+        return self._head(x, cond)

@@ -9,7 +9,7 @@ from .content_model import ContentModel
 from .errors import FormatError, InvariantError
 from .io import read_checkpoint, write_checkpoint
 from .quantize import Refiner
-from .structure_model import StructureModel
+from .structure_model import LAYOUT, StructureModel
 
 __all__ = [
     "save_model", "load_model", "save_refiners", "load_refiners",
@@ -22,8 +22,14 @@ _CONFIG_FIELDS = {"kind": str, "depth": int, "latent_channels": int,
                   "codebook_size": int, "num_classes": int, "last_stage": int}
 
 
+# the attention layout each kind's files are tagged with; content files carry none
+_LAYOUTS = {"structure": LAYOUT}
+
+
 def save_model(path, model) -> None:
     meta = {"type": "model", **{k: getattr(model.config, k) for k in _CONFIG_FIELDS}}
+    if model.config.kind in _LAYOUTS:
+        meta["layout"] = _LAYOUTS[model.config.kind]
     write_checkpoint(path, meta, model.state_arrays())
 
 
@@ -39,6 +45,11 @@ def load_model(path):
         config = ModelConfig(**{k: meta[k] for k in _CONFIG_FIELDS})
     except InvariantError as exc:
         raise FormatError(f"model checkpoint at {path} has an invalid config: {exc}") from exc
+    # the same shapes trained for another attention layout would load silently
+    if meta.get("layout") != _LAYOUTS.get(config.kind):
+        raise FormatError(f"{config.kind} checkpoint at {path} has attention layout "
+                          f"{meta.get('layout')!r}, this version reads "
+                          f"{_LAYOUTS.get(config.kind)!r}; retrain it")
     # the table before the model: a meta cannot make it allocate more than
     # its own arrays carry, and the config's cap already bounds the table
     want = config.param_shapes()

@@ -15,6 +15,10 @@ started from the stage before it, whose flow already predicted every column
 it inpaints: it starts at `structure_model.WARM_T` and runs that fraction of
 `ScheduleParams.flow_steps` (see `flow_sample`). A flow stage right after a
 fixed prefix has no prediction to start from and starts from noise.
+
+A flow stage runs its class token and canvas rows once: it builds one
+`StructureModel.context` for the `guidance_classes` rows, and each Euler
+step's `velocity` runs only the noised rows against it.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .structcode import embed_structure_map
 from .structure_model import StructureModel, flow_sample, gumbel_balanced_split
 
 __all__ = ["ScheduleParams", "GenerationRequest", "GenerationStats",
-           "GenerationResult", "cfg_schedule", "top_p_schedule", "cfg_forward",
-           "sample_token", "forced_final_split", "generate"]
+           "GenerationResult", "cfg_schedule", "top_p_schedule", "guidance_classes",
+           "cfg_forward", "sample_token", "forced_final_split", "generate"]
 
 CFG_CONTENT_END = 3.5      # content guidance scale at the last stage
 CFG_STRUCTURE_END = 2.5    # structure guidance scale at the last flow stage
@@ -141,16 +145,22 @@ def top_p_schedule(stage: int, last_stage: int) -> float:
     return float(TOP_P_END ** (stage / last_stage))
 
 
+def guidance_classes(class_id: int, null_id: int, scale: float) -> np.ndarray:
+    """The rows a guided forward runs: [class_id] alone at scale 1, where the
+    null row would cancel, otherwise [class_id, null_id] as one B=2 batch."""
+    return np.array([class_id] if scale == 1.0 else [class_id, null_id])
+
+
 def cfg_forward(forward, class_id: int, null_id: int, scale: float) -> np.ndarray:
     """Classifier-free guidance: null + scale * (cond - null).
 
-    forward(class_ids) runs one batch and returns its rows in order. Scale 1
-    runs [class_id] alone and returns its row; any other scale runs
-    [class_id, null_id] as one B=2 batch and combines the two rows.
+    forward(class_ids) runs the `guidance_classes` batch and returns its rows
+    in order: the class row alone, or the class and null rows combined.
     """
-    if scale == 1.0:
-        return forward(np.array([class_id]))[0]
-    cond, null = forward(np.array([class_id, null_id]))
+    rows = forward(guidance_classes(class_id, null_id, scale))
+    if len(rows) == 1:
+        return rows[0]
+    cond, null = rows
     # a non-finite row is the caller's to report (as NumericError); numpy's
     # inf - inf warning would only precede that report
     with np.errstate(invalid="ignore", over="ignore"):
@@ -196,7 +206,8 @@ def generate(req: GenerationRequest, content_model: ContentModel,
     """Run the full staged loop and return (sequence, canvas, step counters).
 
     Runs without a tape. Every flow step and content step goes through
-    `cfg_forward`, so a guided step is one B=2 forward. Both models are
+    `cfg_forward`, so a guided step is one B=2 forward; a flow stage builds
+    one context for those rows, which its steps share. Both models are
     given the realized maps, never ids: the flow at stage k reads the
     stage-(k-1) map, and the content step reads the stage-k map. The flow's
     known columns are the stage-(k-1) map's embedding, the same
@@ -251,14 +262,18 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             scale = sched.cfg_constant if sched.cfg_constant is not None else \
                 cfg_schedule(k, "structure", last)
 
+            # one context per stage, for the rows every guided step runs
+            classes = guidance_classes(req.class_id, null_id, scale)
+            context = structure_model.context(classes, [parent] * len(classes),
+                                              np.repeat(x[None], len(classes), axis=0))
+
             def velocity_fn(z, t):
                 stats.flow_steps += 1
 
                 def rows(classes):
                     n = len(classes)
-                    return structure_model.velocity(
-                        classes, [parent] * n, np.repeat(x[None], n, axis=0),
-                        np.repeat(z[None], n, axis=0), np.full(n, t)).data
+                    return structure_model.velocity(context, np.repeat(z[None], n, axis=0),
+                                                    np.full(n, t)).data
                 return cfg_forward(rows, req.class_id, null_id, scale)
 
             known = embed_structure_map(parent, last).astype(np.float32)

@@ -10,16 +10,29 @@ stage's prediction onto the path, the state the trainer samples at that time
 predicted column into an exactly balanced child map, labelled by
 `hierarchy.canonical_child` as every training map is.
 
-`StructureModel` is an adapter on `backbone.Generator`, whose one forward
-does the conditioning, the rotary ids, the blocks and the output head. The
-velocity of stage k reads the realized stage-(k-1) map: the row's stage is
-that map's stage plus one, and its rotary structure ids are that map's
-embedding. The adapter adds a time term to the conditioning and two token
-runs, canvas then noised embedding; the head's output on the embedding run
-is the velocity.
+`StructureModel` is an adapter on `backbone.Generator`: `Generator._embed`
+does the checks, the conditioning and the rotary ids, and the adapter runs
+the generator's blocks and output head over its own rows. The velocity of stage k reads the realized
+stage-(k-1) map: the row's stage is that map's stage plus one, and its rotary
+structure ids are that map's embedding. The rows are the class token, a
+canvas run and a noised-embedding run, and the head's output on the last is
+the velocity. The model is split in two passes:
+
+- `context` runs the class token and canvas rows, which attend only among
+  themselves under the class + stage conditioning. They are the same at every
+  Euler step of a stage, so a stage runs them once and keeps each block's
+  keys and values (`FlowContext`).
+- `velocity` runs only the noised rows. They attend to every row, the cached
+  keys and values first, and alone take the time term in their conditioning.
+
+Training runs the same two passes on the tape, so the trained model and the
+sampled one are the same function; `LAYOUT` names this attention layout in
+structure checkpoints.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +45,13 @@ from .errors import InvariantError, NumericError
 from .grid import StructureMap
 from .hierarchy import canonical_child
 
-__all__ = ["WARM_T", "noised_input", "StructureModel", "flow_sample",
-           "gumbel_balanced_split"]
+__all__ = ["WARM_T", "LAYOUT", "noised_input", "FlowContext", "StructureModel",
+           "flow_sample", "gumbel_balanced_split"]
 
 WARM_T = 0.4    # where a warm-started flow stage starts on the path
+# the attention layout structure checkpoints are tagged with: context rows
+# see only context rows and take no time term (`checkpoints.load_model`)
+LAYOUT = "flow-context-v1"
 
 
 def noised_input(s_e_grid: np.ndarray, t: float, noise: np.ndarray,
@@ -55,31 +71,80 @@ def noised_input(s_e_grid: np.ndarray, t: float, noise: np.ndarray,
     return z
 
 
+@dataclass(frozen=True, eq=False)
+class FlowContext:
+    """What `StructureModel.context` computes once for a flow stage and each
+    of its Euler steps reads: the (B, width) class + stage conditioning
+    `cond`, each block's (keys, values) of the class token and canvas rows,
+    the rotary tables (B, hw, 2H, 32) of the noised rows, and the grid's
+    (h, w). Its len is its batch size. `velocity` reads it and never writes
+    it."""
+
+    cond: Tensor
+    keys_values: tuple
+    cos: np.ndarray
+    sin: np.ndarray
+    grid: tuple
+
+    def __len__(self) -> int:
+        return self.cond.shape[0]
+
+
 class StructureModel(Generator):
     kind = "structure"
     map_lag = 1
 
-    def velocity(self, class_ids, parents, canvases, zs, ts,
+    def context(self, class_ids, parents, canvases,
+                rng: np.random.Generator | None = None) -> FlowContext:
+        """Run the context rows of a batch, the class token and the canvas,
+        through every block once.
+
+        parents: each row's realized stage-(k-1) `StructureMap` for a flow at
+        stage k; canvases: (B, h, w, e). These rows attend among themselves
+        under the class + stage conditioning, so they are the same at every
+        Euler step of the stage. The last block builds only their keys and
+        values. A given rng turns dropout on (training).
+        """
+        canvases = np.asarray(canvases, dtype=np.float32)
+        x, cos, sin, cond = self._embed(class_ids, parents,
+                                        [(canvases, self.w_in_canvas, self.b_in_canvas)],
+                                        rotary_runs=2)
+        rows = x.shape[1]
+        ctx_cos, ctx_sin = cos[:, :rows], sin[:, :rows]
+        *inner, last = self.blocks
+        keys_values = []
+        for block in inner:
+            x, kv = block.forward(x, ctx_cos, ctx_sin, cond, dropout=self.config.dropout,
+                                  rng=rng)
+            keys_values.append(kv)
+        keys_values.append(last.keys_values(x, ctx_cos, ctx_sin, cond))
+        return FlowContext(cond, tuple(keys_values), cos[:, rows:], sin[:, rows:],
+                           canvases.shape[1:3])
+
+    def velocity(self, context: FlowContext, zs, ts,
                  rng: np.random.Generator | None = None) -> Tensor:
         """Velocity prediction for a batch of flow states, shape (B, h, w, K).
 
-        parents: each row's realized stage-(k-1) `StructureMap` for a flow
-        at stage k; z's first k - 1 columns are that map's known bits. ts:
-        one time per row. A given rng turns dropout on (training).
+        zs: (B, h, w, K) noised grids, whose first k - 1 columns are the
+        parent maps' known bits; ts: one time per row. Only the noised rows
+        run: in every block they attend to the context's keys and values and
+        their own, under the conditioning plus the time term. A given rng
+        turns dropout on (training).
         """
+        b_sz = len(context)
         ts = np.asarray(ts, dtype=np.float64)
-        if ts.shape != np.shape(class_ids):
-            raise InvariantError(f"need one time per row, got {ts.shape} for class ids "
-                                 f"of shape {np.shape(class_ids)}")
-        canvases = np.asarray(canvases, dtype=np.float32)
+        if ts.shape != (b_sz,):
+            raise InvariantError(f"need one time per row, got {ts.shape} for a context "
+                                 f"of {b_sz} rows")
         zs = np.asarray(zs, dtype=np.float32)
+        x, = self._tokens([(zs, self.w_in_struct, self.b_in_struct)], b_sz, context.grid)
         t_feat = time_features(ts, self.config.width)
-        t_cond = ad.matmul(Tensor(t_feat.astype(np.float32)), self.w_time) + self.b_time
-        out = self._forward(class_ids, parents,
-                            [(canvases, self.w_in_canvas, self.b_in_canvas),
-                             (zs, self.w_in_struct, self.b_in_struct)],
-                            cond_extra=t_cond, rng=rng)
-        return ad.reshape(out, zs.shape)
+        cond = context.cond + (ad.matmul(Tensor(t_feat.astype(np.float32)), self.w_time)
+                               + self.b_time)
+        for block, prefix in zip(self.blocks, context.keys_values):
+            x, _ = block.forward(x, context.cos, context.sin, cond,
+                                 dropout=self.config.dropout, rng=rng, prefix=prefix)
+        return ad.reshape(self._head(x, cond), zs.shape)
 
 
 def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int,

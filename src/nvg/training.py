@@ -187,7 +187,9 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
 
     Per sample: a stage uniform in [1, K-1], a time uniform in [0, 1], fresh
     noise, the clamped noised grid, and a squared error on the velocity
-    restricted to the unknown columns.
+    restricted to the unknown columns. The step runs the model as sampling
+    does, `context` then `velocity`, on the tape, so the trained function is
+    the sampled one.
     """
     last = _last_stage(examples)
     if last < 2:
@@ -219,7 +221,8 @@ def train_structure(examples: list, model: StructureModel, config: TrainConfig) 
             class_ids[b] = null_id if null_mask[b] else ex.class_id
             parents.append(ex.sequence.stages[known][1])
 
-        vel = model.velocity(class_ids, parents, canvases, zs, ts, rng=rng)
+        vel = model.velocity(model.context(class_ids, parents, canvases, rng=rng), zs, ts,
+                             rng=rng)
         diff = vel - Tensor(targets)
         return (diff * diff * mask).sum() / float(mask.sum())
 
@@ -231,7 +234,12 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
              examples: list, codebook: Codebook, seed: int = 0,
              flow_steps: int = 10) -> dict:
     """Teacher-forced token accuracy per stage, prefix reconstruction error,
-    codebook usage and structure bit agreement on unknown columns."""
+    codebook usage and structure bit agreement on unknown columns.
+
+    The structure flow samples as `generate` does, from each example's own
+    parent maps and canvases: one context per (example, stage), stage 1 from
+    noise and each later stage warm started from the previous prediction.
+    """
     last = _last_stage(examples)
     token_acc = {i: [0, 0] for i in range(last + 1)}
     recon_mse = np.zeros(last + 1, dtype=np.float64)
@@ -252,15 +260,17 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
 
     bit_hits = bit_total = 0
     for ex in examples:
+        pred = None     # the previous stage's prediction, as `generate` warm starts
         for stage in range(1, last):
-            def velocity_fn(z, t):
-                out = structure_model.velocity(
-                    np.array([ex.class_id]), [ex.sequence.stages[stage - 1][1]],
-                    ex.canvases[stage][None], z[None], np.array([t]))
-                return out.data[0]
+            context = structure_model.context(
+                np.array([ex.class_id]), [ex.sequence.stages[stage - 1][1]],
+                ex.canvases[stage][None])
 
-            pred = flow_sample(velocity_fn, ex.flow_target, stage,
-                               n_steps=flow_steps, rng=rng)
+            def velocity_fn(z, t):
+                return structure_model.velocity(context, z[None], np.array([t])).data[0]
+
+            pred = flow_sample(velocity_fn, ex.flow_target, stage, n_steps=flow_steps,
+                               rng=rng, warm=pred)
             unknown = slice(stage - 1, None)
             pred_bits = pred[:, :, unknown] > 1.0
             true_bits = ex.flow_target[:, :, unknown] > 1.0

@@ -3,7 +3,25 @@
 import numpy as np
 
 import nvg.autodiff as ad
-from nvg.backbone import HEAD_DIM
+from nvg.backbone import HEAD_DIM, STRUCT_SLOTS, rope_tables, time_features
+from nvg.structcode import PAD, embed_structure_map
+
+
+def numeric_grad(f, x, step=1e-6):
+    """Central differences of the scalar f() over every entry of array x,
+    which f reads in place."""
+    g = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gf = g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        up = f()
+        flat[i] = orig - step
+        down = f()
+        flat[i] = orig
+        gf[i] = (up - down) / (2 * step)
+    return g
 
 
 def gradient_check(loss_fn, params: dict, seed: int = 0, samples: int = 120,
@@ -48,14 +66,17 @@ def gradient_check(loss_fn, params: dict, seed: int = 0, samples: int = 120,
     return worst
 
 
-def reference_block_forward(block, x, cos, sin, cond):
+def reference_block_forward(block, x, cos, sin, cond, mask=None):
     """`Block.forward` computed the plain way: two ropes over (B, H, L, 64)
     head views with shared (B, 1, L, 32) tables, an explicit 1/sqrt(HEAD_DIM)
-    on the L x L scores, and every row computed. No dropout."""
+    on the L x L scores, and every row computed. No dropout. cond is (B, w),
+    or (B, L, w) for one conditioning per row; mask, when given, is an
+    (L, L) bool array of the keys each query row may attend to."""
     b_sz, length, w = x.shape
     heads = block.heads
     mod = ad.matmul(ad.silu(cond), block.w_mod)
-    mod = ad.reshape(mod, (b_sz, 1, 3 * w))
+    if len(cond.shape) == 2:
+        mod = ad.reshape(mod, (b_sz, 1, 3 * w))
     scale, shift, gate = mod[:, :, 0:w], mod[:, :, w:2 * w], mod[:, :, 2 * w:3 * w]
 
     normed = ad.rmsnorm(x) * (1.0 + scale) + shift
@@ -70,11 +91,56 @@ def reference_block_forward(block, x, cos, sin, cond):
     k = ad.rope(split_heads(k), cos, sin)
     v = split_heads(v)
     scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(HEAD_DIM))
+    if mask is not None:
+        scores = scores + np.where(mask, 0.0, -np.inf).astype(scores.data.dtype)
     attn = ad.matmul(ad.softmax(scores), v)
     attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (b_sz, length, w))
 
     merged = ad.concat([attn, ad.silu(m)], axis=2)
     return x + (1.0 + gate) * ad.matmul(merged, block.w_out)
+
+
+def reference_flow_velocity(model, class_ids, parents, canvases, zs, ts):
+    """`StructureModel.context` then `velocity` as one forward of every row:
+    the class token, the canvas run and the noised run go through each block
+    together as `reference_block_forward`, under a block mask (the class and
+    canvas rows attend only among themselves; the noised rows attend to every
+    row) and per-row modulation (class + stage on the context rows, plus the
+    time term on the noised rows). The final norm and head run on every row,
+    and the noised rows' outputs are the (B, h, w, K) velocities."""
+    b_sz, h, w_grid, _ = canvases.shape
+    hw, width = h * w_grid, model.config.width
+    canvases, zs = np.asarray(canvases, np.float32), np.asarray(zs, np.float32)
+    cls = model.class_emb[np.asarray(class_ids)]
+    cond = cls + model.stage_emb[np.array([p.stage + 1 for p in parents])]
+    t_feat = time_features(np.asarray(ts, np.float64), width).astype(np.float32)
+    t_cond = ad.matmul(ad.Tensor(t_feat), model.w_time) + model.b_time
+    row_cond = ad.concat([ad.reshape(cond, (b_sz, 1, width))] * (1 + hw)
+                         + [ad.reshape(cond + t_cond, (b_sz, 1, width))] * hw, axis=1)
+    x = ad.concat([ad.reshape(cls, (b_sz, 1, width)),
+                   ad.matmul(ad.Tensor(canvases.reshape(b_sz, hw, -1)), model.w_in_canvas)
+                   + model.b_in_canvas,
+                   ad.matmul(ad.Tensor(zs.reshape(b_sz, hw, -1)), model.w_in_struct)
+                   + model.b_in_struct], axis=1)
+
+    yx = np.stack(np.divmod(np.arange(hw), w_grid), axis=1)
+    kind = np.concatenate([[0], np.ones(hw), np.full(hw, 2)])
+    spatial = np.concatenate([[[0, 0]], yx, yx])
+    tables = [rope_tables(kind, np.concatenate([np.full((1, STRUCT_SLOTS), PAD)] + [ids] * 2),
+                          spatial)
+              for ids in (embed_structure_map(p, STRUCT_SLOTS).reshape(hw, -1)
+                          for p in parents)]
+    cos = np.stack([c for c, _ in tables])[:, None]
+    sin = np.stack([s for _, s in tables])[:, None]
+    rows = np.arange(1 + 2 * hw)
+    mask = (rows[None, :] <= hw) | (rows[:, None] > hw)
+
+    for block in model.blocks:
+        x = reference_block_forward(block, x, cos, sin, row_cond, mask)
+    fmod = ad.matmul(ad.silu(row_cond), model.w_final_mod)
+    x = ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
+    out = ad.matmul(x, model.w_head) + model.b_head
+    return out.data[:, 1 + hw:].reshape(zs.shape)
 
 
 def reference_kmeans(data: np.ndarray, n: int, iterations: int, seed: int) -> np.ndarray:

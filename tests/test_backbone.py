@@ -9,22 +9,7 @@ from nvg.content_model import ContentModel
 from nvg.errors import InvariantError
 from nvg.grid import last_stage_of
 from nvg.structure_model import StructureModel
-from oracles import gradient_check, reference_block_forward
-
-
-def numeric_grad(f, x, step=1e-6):
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        up = f()
-        flat[i] = orig - step
-        down = f()
-        flat[i] = orig
-        gf[i] = (up - down) / (2 * step)
-    return g
+from oracles import gradient_check, numeric_grad, reference_block_forward
 
 
 class TestAutodiffOps:
@@ -288,15 +273,15 @@ class TestBlock:
         block.w_out.data[:] = 0.0
         block.w_mod.data[:] = rng.normal(size=block.w_mod.data.shape)
         x, cos, sin, cond = self.make_inputs(rng, 128)
-        out = block.forward(x, cos, sin, cond)
+        out, _ = block.forward(x, cos, sin, cond)
         assert np.array_equal(out.data, x.data)
 
     def test_fresh_block_is_identity_via_zero_gate(self):
         rng = np.random.default_rng(9)
         block = Block(128, 2, rng)
         x, cos, sin, cond = self.make_inputs(rng, 128)
-        assert np.array_equal(block.forward(x, cos, sin, cond).data, x.data)
-        assert np.array_equal(block.forward(x, cos, sin, cond, first=4).data, x.data[:, 4:])
+        assert np.array_equal(block.forward(x, cos, sin, cond)[0].data, x.data)
+        assert np.array_equal(block.forward(x, cos, sin, cond, first=4)[0].data, x.data[:, 4:])
 
     def test_block_param_count_is_15_w_squared(self):
         block = Block(128, 2, np.random.default_rng(0))
@@ -322,7 +307,7 @@ class TestBlock:
         params = block.params("block0")
 
         def loss_fn():
-            out = block.forward(x, cos, sin, Tensor(cond_data), first=first)
+            out, _ = block.forward(x, cos, sin, Tensor(cond_data), first=first)
             return (out * probe).sum()
 
         err = gradient_check(loss_fn, params, seed=0, samples=90)
@@ -341,6 +326,61 @@ class TestBlock:
             x.grad = None
             loss_fn().backward()
             assert not x.grad[:, :first].any() and x.grad[:, first:].any()
+
+
+class TestBlockPrefix:
+    """A cached (keys, values) prefix stands for rows the block would
+    otherwise take as `first` context, under the same conditioning."""
+
+    @staticmethod
+    def make(rng, dtype):
+        block = Block(128, 2, rng)
+        for p in (block.w_mod, block.w_fused, block.w_out):
+            p.data = (0.05 * rng.standard_normal(p.data.shape)).astype(dtype)
+        x = Tensor(rng.normal(size=(2, 7, 128)).astype(dtype), requires_grad=True)
+        cond = Tensor(rng.normal(size=(2, 128)).astype(dtype))
+        angles = rng.normal(size=(2, 7, 32))
+        cos, sin = head_tables(np.cos(angles).astype(dtype), np.sin(angles).astype(dtype), 2)
+        return block, x, cos, sin, cond
+
+    def test_keys_values_are_the_forwards(self):
+        block, x, cos, sin, cond = self.make(np.random.default_rng(30), np.float64)
+        _, (keys, values) = block.forward(x, cos, sin, cond)
+        only_keys, only_values = block.keys_values(x, cos, sin, cond)
+        assert keys.shape == (2, 2, HEAD_DIM, 7) and values.shape == (2, 2, 7, HEAD_DIM)
+        np.testing.assert_allclose(only_keys.data, keys.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(only_values.data, values.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("source", ["forward", "keys_values"])
+    def test_prefix_equals_the_rows_as_first_context(self, source):
+        block, x, cos, sin, cond = self.make(np.random.default_rng(31), np.float32)
+        ctx, rows = 3, slice(3, None)
+        with ad.no_grad():
+            want, _ = block.forward(x, cos, sin, cond, first=ctx)
+            ctx_args = (x[:, :ctx], cos[:, :ctx], sin[:, :ctx], cond)
+            prefix = block.forward(*ctx_args)[1] if source == "forward" \
+                else block.keys_values(*ctx_args)
+            got, own = block.forward(x[:, rows], cos[:, rows], sin[:, rows], cond,
+                                     prefix=prefix)
+        assert own[0].shape[-1] == own[1].shape[-2] == 4       # its own rows alone
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-5)
+
+    def test_gradients_reach_the_prefix_rows(self):
+        rng = np.random.default_rng(32)
+        block, x, cos, sin, cond = self.make(rng, np.float64)
+        probe = rng.normal(size=(2, 4, 128))
+
+        def loss_fn():
+            prefix = block.keys_values(x[:, :3], cos[:, :3], sin[:, :3], cond)
+            out, _ = block.forward(x[:, 3:], cos[:, 3:], sin[:, 3:], cond, prefix=prefix)
+            return (out * probe).sum()
+
+        assert gradient_check(loss_fn, block.params("b"), seed=0, samples=60) <= 1e-3
+        x.grad = None
+        loss_fn().backward()
+        num = numeric_grad(lambda: float(loss_fn().data), x.data)
+        assert np.abs(x.grad[:, :3]).min() > 0.0
+        np.testing.assert_allclose(x.grad, num, rtol=0, atol=1e-5)
 
 
 class TestBlockOracle:
@@ -375,8 +415,8 @@ class TestBlockOracle:
         tables = head_tables(cos, sin, cfg.heads)
         with ad.no_grad():
             want = reference_block_forward(block, x, cos[:, None], sin[:, None], cond).data
-            every_row = block.forward(x, *tables, cond).data
-            last_run = block.forward(x, *tables, cond, first=first).data
+            every_row = block.forward(x, *tables, cond)[0].data
+            last_run = block.forward(x, *tables, cond, first=first)[0].data
         assert every_row.dtype == last_run.dtype == np.float32
         assert np.array_equal(every_row, want)
         if side == 8:

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 import nvg
-from nvg import checkpoints
+from nvg import checkpoints, cli
 from nvg.backbone import ModelConfig
 from nvg.checkpoints import load_model, load_refiners, save_model, save_refiners
 from nvg.content_model import ContentModel
 from nvg.errors import FormatError
 from nvg.io import read_checkpoint, write_checkpoint, write_tensor
 from nvg.quantize import Refiner, identity_refiners
-from nvg.structure_model import StructureModel
+from nvg.structure_model import LAYOUT, StructureModel
 
 # what save_model writes for a depth-1 content model
 GOOD_META = {"type": "model", "kind": "content", "depth": 1, "latent_channels": 2,
@@ -73,6 +73,53 @@ def test_cli_generate_on_meta_without_config_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "code=2 kind=format" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+class TestStructureLayout:
+    """A structure file saved before the flow's context rows were split from
+    its noised rows has the same array shapes but another function, so the
+    files carry the attention layout they were trained for."""
+
+    @staticmethod
+    def structure_file(path, **meta_changes):
+        save_model(path, StructureModel(ModelConfig(2, "structure", 3, 8, 2, 4), seed=1))
+        meta, arrays = read_checkpoint(path)
+        meta = {k: v for k, v in {**meta, **meta_changes}.items() if v is not None}
+        write_checkpoint(path, meta, arrays)
+        return path
+
+    def test_structure_files_carry_the_layout_and_content_files_none(self, tmp_path):
+        path = tmp_path / "content.nvgc"
+        save_model(path, ContentModel(ModelConfig(**CONFIG)))
+        assert "layout" not in read_checkpoint(path)[0]
+        path = self.structure_file(tmp_path / "structure.nvgc")
+        assert read_checkpoint(path)[0]["layout"] == LAYOUT
+        assert isinstance(load_model(path), StructureModel)
+
+    @pytest.mark.parametrize("layout", [None, "all-rows", 1])
+    def test_structure_file_of_another_layout_is_refused(self, tmp_path, layout):
+        path = self.structure_file(tmp_path / "old.nvgc", layout=layout)
+        with pytest.raises(FormatError, match=re.escape(f"structure checkpoint at {path} "
+                                                        f"has attention layout {layout!r}")):
+            load_model(path)
+
+    def test_content_file_with_a_layout_is_refused(self, tmp_path):
+        path = tmp_path / "content.nvgc"
+        save_model(path, ContentModel(ModelConfig(**CONFIG)))
+        meta, arrays = read_checkpoint(path)
+        write_checkpoint(path, {**meta, "layout": LAYOUT}, arrays)
+        with pytest.raises(FormatError, match="content checkpoint at .* has attention layout"):
+            load_model(path)
+
+    def test_cli_generate_on_an_untagged_structure_file_exits_2(self, tmp_path, capsys):
+        save_model(tmp_path / "content.nvgc", ContentModel(ModelConfig(2, "content", 3, 8, 2, 4)))
+        old = self.structure_file(tmp_path / "structure.nvgc", layout=None)
+        code = cli.main(["generate", str(tmp_path / "content.nvgc"), str(old), "cb.nvgt",
+                         "ref.nvgc", "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"nvg: error code=2 kind=format: structure checkpoint at {old}")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "content.nvgc", old]     # no output
 
 
 class TestModelShapes:

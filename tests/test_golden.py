@@ -38,15 +38,15 @@ from nvg.training import TrainConfig, tokenize_dataset, train_content, train_str
 
 GOLDEN = {
     "content.nvgc": "92608b7fe120b34a24f244ed6ef2b5f6e3345c90a9ac267a183bd86d2d0928b8",
-    "structure.nvgc": "2f03b33b9512acfde9169f2b8d889d8731079868ba49c113ce14f4a07f83ba8b",
-    "gen.sequence.json": "c760f1deb2ccffcf7668f82a8c787436b091205a1c1467260d109e5860f9d8c9",
-    "gen.latent.nvgt": "0fbbfc35f996d17149fb5b5cf951c50c0eb1fd3f0efb1e40ba7a96e9e66165a4",
+    "structure.nvgc": "4494b5c8e213dda9f4b963439f51edbb11f5bac49a36c3d0c424b5fd1eee6d9e",
+    "gen.sequence.json": "118bcec4f0f99537ad38cbca689a04341ba469da7ae538740941846f6c4c356d",
+    "gen.latent.nvgt": "77fa42646681587c00ef5f1aba63fff8e852cdadfde19f9cbd783e62e10f9a01",
     "override.sequence.json": "42f5a4612402aafa483793d3cf2ddf64002fa6356f534270670547f699bb70cf",
     "override.latent.nvgt": "2d5ff4cdf3ad46e8aa13fddb20141487309f3a332146a3e8ba704b66255b9f1a",
 }
 GOLDEN_ARRAYS = {
     "content.nvgc": "36c4320db02aba41a89b73bcbe639c5967672b3d82bca9b90aea5bfac5a76391",
-    "structure.nvgc": "cc4ccf720d21d29ee65aa5d303d2e6e19619625ea4d770fac932c01789299158",
+    "structure.nvgc": "e2b8c1ae558cc1d66d67f8375ed14c7acf21f057e3374490a2a9452900a4a0e8",
 }
 
 

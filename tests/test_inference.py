@@ -1,5 +1,6 @@
 """The inference fast path: tape-free forwards under `no_grad`, guided steps as
-one B=2 forward, and rope tables built once per batch and once per flow stage."""
+one B=2 forward, and rope tables built once per batch and once per flow stage,
+with the flow's context."""
 
 import numpy as np
 import pytest
@@ -36,11 +37,15 @@ def content_forward(model, classes, canvas, smap):
                                       np.repeat(canvas[None], n, axis=0))
 
 
-def velocity(model, classes, canvas, parent, z, t=0.6):
+def flow_context(model, classes, canvas, parent):
     n = len(classes)
-    return model.velocity(np.array(classes), [parent] * n,
-                          np.repeat(canvas[None], n, axis=0), np.repeat(z[None], n, axis=0),
-                          np.full(n, t))
+    return model.context(np.array(classes), [parent] * n, np.repeat(canvas[None], n, axis=0))
+
+
+def velocity(model, classes, canvas, parent, z, t=0.6, context=None):
+    n = len(classes)
+    context = context or flow_context(model, classes, canvas, parent)
+    return model.velocity(context, np.repeat(z[None], n, axis=0), np.full(n, t))
 
 
 @pytest.fixture(scope="module")
@@ -164,15 +169,12 @@ class TestRopeMemo:
         monkeypatch.setattr(backbone, "rope_tables",
                             lambda *a, **k: built.append(1) or real(*a, **k))
         with ad.no_grad():
+            context = flow_context(model, [0, CLASSES], canvas, parent)
             for t in (1.0, 0.8, 0.6):          # free columns move, the known one stays
                 z_t = z.copy()
                 z_t[..., 1:] *= t
-                velocity(model, [0, CLASSES], canvas, parent, z_t, t=t)
-        assert len(built) == 1                  # one build for the batch, at the first step
-        ids = np.ones((2, H * W, 8), dtype=np.int64)
-        first = model._rope_tables(ids, W, runs=2)
-        assert model._rope_tables(ids.copy(), W, runs=2) is first
-        assert not first[0].flags.writeable and not first[1].flags.writeable
+                velocity(model, [0, CLASSES], canvas, parent, z_t, t=t, context=context)
+        assert len(built) == 1                  # one build for the batch, with the context
 
     @pytest.mark.parametrize("kind,runs", [("content", 1), ("structure", 2)])
     def test_batched_rows_equal_single_builds(self, kind, runs):
@@ -218,12 +220,15 @@ def test_generate_batches_the_class_row_before_the_null_row(world, monkeypatch):
     """Fake models fill each output row with its class id, so every guided
     velocity pair and logit pair shows which condition it came from."""
     codebook, refiners, _ = world
-    calls = {"velocity": [], "content": []}
+    calls = {"context": [], "velocity": [], "content": []}
 
-    def fake_velocity(self, class_ids, parents, canvases, zs, *args, **kwargs):
-        calls["velocity"].append(list(class_ids))
-        return ad.Tensor(np.asarray(class_ids, np.float32)[:, None, None, None]
-                         * np.ones_like(zs))
+    def fake_context(self, class_ids, parents, canvases, **kwargs):
+        calls["context"].append(list(class_ids))
+        return np.asarray(class_ids, np.float32)
+
+    def fake_velocity(self, context, zs, *args, **kwargs):
+        calls["velocity"].append(context.tolist())
+        return ad.Tensor(context[:, None, None, None] * np.ones_like(zs))
 
     def fake_canvas(self, class_ids, smaps, canvases, **kwargs):
         calls["content"].append(list(class_ids))
@@ -244,6 +249,7 @@ def test_generate_batches_the_class_row_before_the_null_row(world, monkeypatch):
             return rows
         return real_cfg(recorded, class_id, null_id, scale)
 
+    monkeypatch.setattr(StructureModel, "context", fake_context)
     monkeypatch.setattr(StructureModel, "velocity", fake_velocity)
     monkeypatch.setattr(ContentModel, "forward_final_canvas", fake_canvas)
     monkeypatch.setattr(ContentModel, "token_logits", fake_logits)
@@ -256,6 +262,7 @@ def test_generate_batches_the_class_row_before_the_null_row(world, monkeypatch):
     # 4x4: flow at stages 1-3 with guidance from stage 2; stage 1 runs all 3
     # steps from noise, the warm-started stages 2 and 3 round(0.4 * 3) = 1
     # each. Content at 0-4, guided from 1
+    assert calls["context"] == [[1], [1, null], [1, null]]     # one per flow stage
     assert calls["velocity"] == [[1]] * 3 + [[1, null]] * 2
     assert calls["content"] == [[1]] + [[1, null]] * 4
     assert len(pairs) == 2 + 4

@@ -241,6 +241,38 @@ class TestGenerate:
         # stage 1 from noise, stages 2..LAST-1 warm started: round(0.4 * 3) = 1
         assert result.stats.flow_steps == 3 + (LAST - 2) * 1
 
+    @pytest.mark.parametrize("prefix_stage", [None, 1])
+    def test_one_context_per_flow_stage_and_one_velocity_per_step(self, setup, monkeypatch,
+                                                                 prefix_stage):
+        data, codebook, refiners, content, structure = setup
+        seq, _ = build_contents(data[2][1], build_hierarchy(data[2][1]), codebook, refiners)
+        calls = []
+        for name in ("context", "velocity"):
+            real = getattr(StructureModel, name)
+
+            def spy(self, first, *args, name=name, real=real, **kwargs):
+                calls.append((name, len(first)))
+                return real(self, first, *args, **kwargs)
+
+            monkeypatch.setattr(StructureModel, name, spy)
+        prefix = None if prefix_stage is None else seq.stages[prefix_stage][1]
+        req = GenerationRequest(class_id=1, seed=8, h=H, w=W, e=E, structure_prefix=prefix,
+                                schedule=ScheduleParams(flow_steps=5))
+        result = generate(req, content, structure, codebook, refiners)
+        flow_stages = range(1 if prefix_stage is None else prefix_stage + 1, LAST)
+        contexts = [rows for name, rows in calls if name == "context"]
+        velocities = [rows for name, rows in calls if name == "velocity"]
+        # guidance is off (one row) at stage 1 and on (two rows) later
+        assert contexts == [1 if k == 1 else 2 for k in flow_stages]
+        assert len(velocities) == result.stats.flow_steps
+        # each stage's context comes before its steps, whose rows are its rows
+        stage_rows = iter(contexts)
+        for name, rows in calls:
+            if name == "context":
+                current = next(stage_rows)
+            else:
+                assert rows == current
+
     @pytest.mark.parametrize("flow_steps", [1, 2])
     def test_each_warm_started_stage_runs_at_least_one_step(self, setup, flow_steps):
         _, codebook, refiners, content, structure = setup
@@ -357,6 +389,7 @@ class TestGenerate:
         # three content forwards
         _, codebook, refiners, content, structure = setup
         monkeypatch.setattr(ContentModel, "forward_final_canvas", no_model)
+        monkeypatch.setattr(StructureModel, "context", no_model)
         monkeypatch.setattr(StructureModel, "velocity", no_model)
         tokens = ContentTokens(3, np.array([0] * 7 + [99], dtype=np.int32))
         req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
@@ -383,6 +416,7 @@ class TestGenerate:
             raise AssertionError("a model ran before the codebook size was checked")
 
         monkeypatch.setattr(ContentModel, "forward_final_canvas", no_forward)
+        monkeypatch.setattr(StructureModel, "context", no_forward)
         monkeypatch.setattr(StructureModel, "velocity", no_forward)
         req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E)
         with pytest.raises(InvariantError, match=f"scores {rows} codebook rows, the "
@@ -431,6 +465,7 @@ class TestGenerate:
         grid = data[0][1]
         seq, _ = build_contents(grid, build_hierarchy(grid), codebook, refiners)
         monkeypatch.setattr(ContentModel, "forward_final_canvas", no_model)
+        monkeypatch.setattr(StructureModel, "context", no_model)
         monkeypatch.setattr(StructureModel, "velocity", no_model)
         req = GenerationRequest(class_id=0, seed=0, h=H, w=W, e=E,
                                 structure_prefix=seq.stages[3][1],

@@ -15,7 +15,7 @@ from nvg.structure_model import (
     gumbel_balanced_split,
     noised_input,
 )
-from oracles import gradient_check
+from oracles import gradient_check, numeric_grad, reference_flow_velocity
 
 
 def small_model(depth=2, e=3, classes=3, last_stage=4, seed=0):
@@ -90,8 +90,9 @@ class TestVelocityForward:
         rng = np.random.default_rng(5)
         canvas = rng.normal(size=(2, 4, 4, 3)).astype(np.float32)
         zs = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
-        out = model.velocity(np.array([0, 1]), [stage_map(0), stage_map(1)], canvas, zs,
-                             np.array([0.3, 0.9]))
+        context = model.context(np.array([0, 1]), [stage_map(0), stage_map(1)], canvas)
+        out = model.velocity(context, zs, np.array([0.3, 0.9]))
+        assert len(context) == 2
         assert out.shape == (2, 4, 4, 4)
 
     def test_single_sample_wrapper(self):
@@ -99,24 +100,25 @@ class TestVelocityForward:
         rng = np.random.default_rng(6)
         canvas = rng.normal(size=(4, 4, 3)).astype(np.float32)
         z = rng.normal(size=(4, 4, 4)).astype(np.float32)
-        out = model.velocity(np.array([0]), [stage_map(1)], canvas[None], z[None],
-                             np.array([0.5]))
+        out = model.velocity(model.context(np.array([0]), [stage_map(1)], canvas[None]),
+                             z[None], np.array([0.5]))
         assert out.shape == (1, 4, 4, 4)
 
     def test_only_the_last_block_drops_the_context_queries(self, monkeypatch):
-        # L = class token + canvas run + embedding run; the head reads the hw
-        # embedding-run rows, so only they attend in the last block
+        # the context's 1 + hw rows (class token + canvas run) attend among
+        # themselves in every block but the last, which builds only their
+        # keys and values; the hw noised rows attend to all 1 + 2 hw rows
         model = small_model(depth=4)
         rng = np.random.default_rng(7)
         shapes = []
         real = ad.softmax
         monkeypatch.setattr(ad, "softmax", lambda t: shapes.append(t.shape) or real(t))
-        out = model.velocity(np.array([0, 1]), [stage_map(0), stage_map(1)],
-                             rng.normal(size=(2, 4, 4, 3)).astype(np.float32),
-                             rng.normal(size=(2, 4, 4, 4)).astype(np.float32),
+        context = model.context(np.array([0, 1]), [stage_map(0), stage_map(1)],
+                                rng.normal(size=(2, 4, 4, 3)).astype(np.float32))
+        out = model.velocity(context, rng.normal(size=(2, 4, 4, 4)).astype(np.float32),
                              np.array([0.3, 0.9]))
-        heads, hw, length = model.config.heads, 16, 1 + 2 * 16
-        assert shapes == [(2, heads, length, length)] * 3 + [(2, heads, hw, length)]
+        heads, hw = model.config.heads, 16
+        assert shapes == [(2, heads, 1 + hw, 1 + hw)] * 3 + [(2, heads, hw, 1 + 2 * hw)] * 4
         assert out.shape == (2, 4, 4, 4)
 
     def test_rotary_ids_are_each_rows_known_columns(self, monkeypatch):
@@ -134,13 +136,101 @@ class TestVelocityForward:
         real = model._rope_tables
         monkeypatch.setattr(model, "_rope_tables",
                             lambda ids, *args: seen.append(ids.copy()) or real(ids, *args))
-        model.velocity(np.zeros(3, dtype=np.int64), parents,
-                       np.zeros((3, 4, 4, 3), np.float32), zs, np.full(3, 0.5))
+        model.velocity(model.context(np.zeros(3, dtype=np.int64), parents,
+                                     np.zeros((3, 4, 4, 3), np.float32)),
+                       zs, np.full(3, 0.5))
         want = np.ones((3, 16, 8), dtype=np.int64)
         for b, parent in enumerate(parents):
             known = parent.stage
             want[b, :, :known] = np.rint(zs[b, ..., :known]).reshape(16, known)
         assert len(seen) == 1 and np.array_equal(seen[0], want)
+
+
+def randomized(model, seed, dtype=np.float32):
+    """Random weights everywhere, the modulation too, so the per-row
+    conditioning and every attention path shape the output."""
+    rng = np.random.default_rng(seed)
+    for p in model.params().values():
+        p.data = (0.05 * rng.standard_normal(p.data.shape)).astype(dtype)
+    return model
+
+
+def flow_batch(rng, batch, side, e=3):
+    """Class ids, parent maps, canvases, noised grids and times for a batch
+    of flows at stages 1..K-1 on a side x side grid."""
+    last = (side * side).bit_length() - 1
+    stages = rng.integers(1, last, size=batch)
+    parents = [StructureMap(int(s) - 1, rng.permutation(
+        np.arange(side * side) >> (last - int(s) + 1)).reshape(side, side)) for s in stages]
+    canvases = rng.normal(size=(batch, side, side, e)).astype(np.float32)
+    zs = rng.normal(size=(batch, side, side, last)).astype(np.float32)
+    for b, parent in enumerate(parents):
+        zs[b, ..., :parent.stage] = embed_structure_map(parent, last)[..., :parent.stage]
+    return rng.integers(0, 4, size=batch), parents, canvases, zs, rng.random(batch)
+
+
+class TestFlowContext:
+    """`context` runs the class token and canvas rows once; `velocity` runs
+    the noised rows against them."""
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("side", [4, 8])
+    def test_split_equals_the_masked_all_rows_forward(self, batch, side):
+        # float32 on both sides: the split runs its matmuls on fewer rows
+        # than the reference, so the two agree to float32 rounding
+        last = (side * side).bit_length() - 1
+        model = randomized(small_model(depth=4, last_stage=last), seed=side + batch)
+        class_ids, parents, canvases, zs, ts = flow_batch(np.random.default_rng(batch),
+                                                          batch, side)
+        with ad.no_grad():
+            got = model.velocity(model.context(class_ids, parents, canvases), zs, ts).data
+            want = reference_flow_velocity(model, class_ids, parents, canvases, zs, ts)
+        assert got.dtype == np.float32 and got.shape == zs.shape
+        assert np.abs(want).max() > 0.1
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+    def test_a_reused_context_equals_a_fresh_one_at_every_step(self):
+        model = randomized(small_model(depth=4), seed=3)
+        class_ids, parents, canvases, zs, _ = flow_batch(np.random.default_rng(4), 2, 4)
+        with ad.no_grad():
+            context = model.context(class_ids, parents, canvases)
+            before = [np.array(a) for a in (context.cond.data, context.cos, context.sin)]
+            cached = [t.data.copy() for kv in context.keys_values for t in kv]
+            for step, t in enumerate((1.0, 0.6, 0.2)):
+                z = zs * np.float32(t) + np.float32(step)
+                reused = model.velocity(context, z, np.full(2, t)).data
+                fresh = model.velocity(model.context(class_ids, parents, canvases), z,
+                                       np.full(2, t)).data
+                assert np.array_equal(reused, fresh)
+        after = [context.cond.data, context.cos, context.sin]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert all(np.array_equal(a, t.data)
+                   for a, t in zip(cached, (t for kv in context.keys_values for t in kv)))
+
+    def test_finite_differences_through_both_passes(self):
+        # class_emb feeds both passes, b_in_canvas only the context's keys and
+        # values, b_time only the noised rows' conditioning
+        model = randomized(small_model(), seed=5, dtype=np.float64)
+        class_ids, parents, canvases, zs, ts = flow_batch(np.random.default_rng(6), 2, 4)
+        probe = np.random.default_rng(7).normal(size=zs.shape)
+
+        def loss_fn():
+            context = model.context(class_ids, parents, canvases)
+            return (model.velocity(context, zs, ts) * probe).sum()
+
+        loss_fn().backward()
+        for name in ("class_emb", "b_in_canvas", "b_time"):
+            param = getattr(model, name)
+            num = numeric_grad(lambda: float(loss_fn().data), param.data)
+            assert np.abs(num).max() > 1e-3
+            np.testing.assert_allclose(param.grad, num, rtol=1e-4, atol=1e-7)
+
+    def test_noised_grids_of_another_batch_are_refused(self):
+        model = small_model()
+        context = model.context(np.array([0, 1]), [stage_map(1)] * 2,
+                                np.zeros((2, 4, 4, 3), np.float32))
+        with pytest.raises(InvariantError, match="input must be"):
+            model.velocity(context, np.zeros((1, 4, 4, 4), np.float32), np.full(2, 0.5))
 
 
 class TestInputContract:
@@ -160,16 +250,18 @@ class TestInputContract:
         model = small_model()           # classes 0..2, null id 3, stages 0..4, e = 3
         rows = len(class_ids)
         with pytest.raises(InvariantError):
-            model.velocity(np.array(class_ids), parents,
-                           np.zeros((rows, 4, 4, channels), np.float32),
-                           np.zeros((rows, 4, 4, depth), np.float32), np.full(rows, 0.5))
+            context = model.context(np.array(class_ids), parents,
+                                    np.zeros((rows, 4, 4, channels), np.float32))
+            model.velocity(context, np.zeros((rows, 4, 4, depth), np.float32),
+                           np.full(rows, 0.5))
 
     def test_needs_one_time_per_row(self):
         # one time for two rows used to broadcast silently over the batch
+        model = small_model()
+        context = model.context(np.array([0, 1]), [stage_map(1)] * 2,
+                                np.zeros((2, 4, 4, 3), np.float32))
         with pytest.raises(InvariantError):
-            small_model().velocity(np.array([0, 1]), [stage_map(1)] * 2,
-                                   np.zeros((2, 4, 4, 3), np.float32),
-                                   np.zeros((2, 4, 4, 4), np.float32), np.array([0.5]))
+            model.velocity(context, np.zeros((2, 4, 4, 4), np.float32), np.array([0.5]))
 
 
 class TestFlowSample:
@@ -417,7 +509,8 @@ def test_masked_flow_loss_gradient_check():
     mask[..., stage - 1:] = 1.0
 
     def loss_fn():
-        vel = model.velocity(np.array([0]), [parent], canvas, z, np.array([0.4]))
+        vel = model.velocity(model.context(np.array([0]), [parent], canvas), z,
+                             np.array([0.4]))
         diff = vel - Tensor(target)
         return (diff * diff * mask).sum() / float(mask.sum())
 

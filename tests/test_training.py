@@ -40,8 +40,9 @@ def structure_eval_loss(examples, model, seed=0, samples=32):
         t = float(rng.random())
         noise = rng.standard_normal((h, w_grid, last)).astype(np.float32)
         z = noised_input(ex.flow_target, t, noise, stage - 1)
-        vel = model.velocity(np.array([ex.class_id]), [ex.sequence.stages[stage - 1][1]],
-                             ex.canvases[stage][None], z[None], np.array([t]))
+        context = model.context(np.array([ex.class_id]), [ex.sequence.stages[stage - 1][1]],
+                                ex.canvases[stage][None])
+        vel = model.velocity(context, z[None], np.array([t]))
         target = noise - ex.flow_target
         mask = np.zeros_like(target)
         mask[:, :, stage - 1:] = 1.0
@@ -436,9 +437,9 @@ class TestTrainStructure:
             ex = examples[int(idx[b])]
             stage = int(stages[b])
             z = noised_input(ex.flow_target, float(ts[b]), noise[b], stage - 1)
-            vel = model.velocity(np.array([ex.class_id]), [ex.sequence.stages[stage - 1][1]],
-                                 ex.canvases[stage][None], z[None],
-                                 np.array([float(ts[b])]))
+            context = model.context(np.array([ex.class_id]),
+                                    [ex.sequence.stages[stage - 1][1]], ex.canvases[stage][None])
+            vel = model.velocity(context, z[None], np.array([float(ts[b])]))
             target = noise[b] - ex.flow_target
             mask = np.zeros_like(target)
             mask[:, :, stage - 1:] = 1.0
@@ -451,13 +452,13 @@ class TestTrainStructure:
         _, _, _, examples = world
         model = structure_model()
         seen = []
-        original = model.velocity
+        original = model.context
 
         def instrumented(class_ids, *args, **kwargs):
             seen.append(np.array(class_ids))
             return original(class_ids, *args, **kwargs)
 
-        model.velocity = instrumented
+        model.context = instrumented
         cfg = TrainConfig(steps=1, batch_size=8, base_lr=0.0, warmup_steps=0, seed=123)
         train_structure(examples, model, cfg)
         rng = np.random.default_rng(123)
