@@ -432,10 +432,11 @@ class Generator:
         """
         x, cos, sin, cond = self._embed(class_ids, smaps, runs, len(runs))
         *inner, last = self.blocks
+        # [0]: the keys and values are dropped at once, with the arrays they view
         for block in inner:
-            x, _ = block.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng)
+            x = block.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng)[0]
         # the head reads only the last run: earlier rows are the last block's context
         hw = runs[-1][0].shape[1] * runs[-1][0].shape[2]
-        x, _ = last.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng,
-                            first=x.shape[1] - hw)
+        x = last.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng,
+                         first=x.shape[1] - hw)[0]
         return self._head(x, cond)

@@ -199,6 +199,27 @@ def forced_final_split(parent_map: StructureMap) -> StructureMap:
     return canonical_child(parent_map, np.arange(parent_map.labels.size))
 
 
+def _stage_velocity(structure_model: StructureModel, class_id: int, null_id: int,
+                    scale: float, parent: StructureMap, canvas: np.ndarray,
+                    stats: GenerationStats):
+    """The guided velocity_fn(z, t) of one flow stage. It builds the stage's
+    one context, for the `guidance_classes` rows every step runs, and counts
+    each step in `stats`."""
+    classes = guidance_classes(class_id, null_id, scale)
+    context = structure_model.context(classes, [parent] * len(classes),
+                                      np.repeat(canvas[None], len(classes), axis=0))
+
+    def velocity_fn(z, t):
+        stats.flow_steps += 1
+
+        def rows(classes):
+            n = len(classes)
+            return structure_model.velocity(context, np.repeat(z[None], n, axis=0),
+                                            np.full(n, t)).data
+        return cfg_forward(rows, class_id, null_id, scale)
+    return velocity_fn
+
+
 @no_grad()
 def generate(req: GenerationRequest, content_model: ContentModel,
              structure_model: StructureModel, codebook: Codebook,
@@ -261,24 +282,11 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             parent = stages[-1][1]
             scale = sched.cfg_constant if sched.cfg_constant is not None else \
                 cfg_schedule(k, "structure", last)
-
-            # one context per stage, for the rows every guided step runs
-            classes = guidance_classes(req.class_id, null_id, scale)
-            context = structure_model.context(classes, [parent] * len(classes),
-                                              np.repeat(x[None], len(classes), axis=0))
-
-            def velocity_fn(z, t):
-                stats.flow_steps += 1
-
-                def rows(classes):
-                    n = len(classes)
-                    return structure_model.velocity(context, np.repeat(z[None], n, axis=0),
-                                                    np.full(n, t)).data
-                return cfg_forward(rows, req.class_id, null_id, scale)
-
             known = embed_structure_map(parent, last).astype(np.float32)
-            flow_pred = flow_sample(velocity_fn, known, stage=k, n_steps=sched.flow_steps,
-                                    rng=rng, warm=flow_pred)
+            # the stage's context is freed with its velocity_fn, before the content step
+            flow_pred = flow_sample(
+                _stage_velocity(structure_model, req.class_id, null_id, scale, parent, x, stats),
+                known, stage=k, n_steps=sched.flow_steps, rng=rng, warm=flow_pred)
             smap = gumbel_balanced_split(parent, flow_pred[:, :, k - 1], rng)
 
         # ---- content ----

@@ -114,9 +114,11 @@ class StructureModel(Generator):
         *inner, last = self.blocks
         keys_values = []
         for block in inner:
-            x, kv = block.forward(x, ctx_cos, ctx_sin, cond, dropout=self.config.dropout,
-                                  rng=rng)
-            keys_values.append(kv)
+            x, (keys, values) = block.forward(x, ctx_cos, ctx_sin, cond,
+                                              dropout=self.config.dropout, rng=rng)
+            # one-input concats copy: the views would keep the block's whole
+            # projection alive for as long as the context lives
+            keys_values.append((ad.concat([keys], axis=3), ad.concat([values], axis=2)))
         keys_values.append(last.keys_values(x, ctx_cos, ctx_sin, cond))
         return FlowContext(cond, tuple(keys_values), cos[:, rows:], sin[:, rows:],
                            canvases.shape[1:3])
@@ -142,8 +144,8 @@ class StructureModel(Generator):
         cond = context.cond + (ad.matmul(Tensor(t_feat.astype(np.float32)), self.w_time)
                                + self.b_time)
         for block, prefix in zip(self.blocks, context.keys_values):
-            x, _ = block.forward(x, context.cos, context.sin, cond,
-                                 dropout=self.config.dropout, rng=rng, prefix=prefix)
+            x = block.forward(x, context.cos, context.sin, cond, dropout=self.config.dropout,
+                              rng=rng, prefix=prefix)[0]
         return ad.reshape(self._head(x, cond), zs.shape)
 
 
