@@ -311,10 +311,9 @@ class Generator:
 
     A subclass sets `kind` (and `map_lag`, when its rows read an earlier
     stage's map) and feeds its token runs and maps to `_forward` or
-    `_embed`. Every
-    tensor, its own input and output parameters too, is built from the
-    config's `param_shapes` under the one init rule, each an attribute named
-    as in the table.
+    `_embed`. Every tensor, its own input and output parameters too, is
+    built from the config's `param_shapes` under the one init rule, each an
+    attribute named as in the table.
     """
 
     kind = ""

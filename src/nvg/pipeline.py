@@ -212,8 +212,8 @@ def _stage_velocity(structure_model: StructureModel, class_id: int, null_id: int
     def velocity_fn(z, t):
         stats.flow_steps += 1
 
-        def rows(classes):
-            n = len(classes)
+        def rows(batch):        # the context's rows: `batch` is `classes`
+            n = len(batch)
             return structure_model.velocity(context, np.repeat(z[None], n, axis=0),
                                             np.full(n, t)).data
         return cfg_forward(rows, class_id, null_id, scale)

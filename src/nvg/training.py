@@ -111,9 +111,10 @@ class TrainResult:
 
 def check_training_budget(model: ModelConfig, config: TrainConfig) -> None:
     """Refuse, from the two configs alone, a training run whose arrays would
-    fail `errors.check_alloc`: a step's float32 attention scores, batch x
-    heads x L^2 per block, with L = 1 + runs 2^last_stage tokens a row (one
-    token run for content, a canvas and a structure run for structure); or
+    fail `errors.check_alloc`: a step's float32 attention scores, at most
+    batch x heads x L^2 per block, with L = 1 + runs 2^last_stage tokens a
+    row (one token run for content, a canvas and a structure run for
+    structure, whose context and velocity passes score fewer); or
     the weights a step holds, 4x `ModelConfig.weight_bytes`, every float32
     tensor of the model's table (the weights, their gradients and Adam's two
     moments). Needs no data, so the CLI runs it before tokenizing, and `_fit`
