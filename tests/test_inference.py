@@ -44,7 +44,8 @@ def flow_context(model, classes, canvas, parent):
 
 def velocity(model, classes, canvas, parent, z, t=0.6, context=None):
     n = len(classes)
-    context = context or flow_context(model, classes, canvas, parent)
+    if context is None:
+        context = flow_context(model, classes, canvas, parent)
     return model.velocity(context, np.repeat(z[None], n, axis=0), np.full(n, t))
 
 
