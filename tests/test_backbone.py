@@ -333,13 +333,13 @@ class TestBlockPrefix:
     otherwise take as `first` context, under the same conditioning."""
 
     @staticmethod
-    def make(rng, dtype):
+    def make(rng, dtype, batch=2):
         block = Block(128, 2, rng)
         for p in (block.w_mod, block.w_fused, block.w_out):
             p.data = (0.05 * rng.standard_normal(p.data.shape)).astype(dtype)
-        x = Tensor(rng.normal(size=(2, 7, 128)).astype(dtype), requires_grad=True)
-        cond = Tensor(rng.normal(size=(2, 128)).astype(dtype))
-        angles = rng.normal(size=(2, 7, 32))
+        x = Tensor(rng.normal(size=(batch, 7, 128)).astype(dtype), requires_grad=True)
+        cond = Tensor(rng.normal(size=(batch, 128)).astype(dtype))
+        angles = rng.normal(size=(batch, 7, 32))
         cos, sin = head_tables(np.cos(angles).astype(dtype), np.sin(angles).astype(dtype), 2)
         return block, x, cos, sin, cond
 
@@ -367,8 +367,8 @@ class TestBlockPrefix:
 
     def test_gradients_reach_the_prefix_rows(self):
         rng = np.random.default_rng(32)
-        block, x, cos, sin, cond = self.make(rng, np.float64)
-        probe = rng.normal(size=(2, 4, 128))
+        block, x, cos, sin, cond = self.make(rng, np.float64, batch=1)
+        probe = rng.normal(size=(1, 4, 128))
 
         def loss_fn():
             prefix = block.keys_values(x[:, :3], cos[:, :3], sin[:, :3], cond)
