@@ -5,12 +5,12 @@ embeddings, the block stack, the final modulated rmsnorm and the output head,
 plus parameter access and checkpoint state. `Generator._embed` is the one
 forward prelude: it checks the class ids and the structure maps, reads each
 row's stage and rotary structure ids from its map, conditions on class +
-stage and prepends the class token to the token runs it is given.
-`Generator._forward` runs it, the blocks and `_head` on the last run, which is
-the content forward; `StructureModel.context` runs the same prelude for its
-class and canvas rows and keeps their keys and values, which its
+stage and prepends the class token to the one token run it is given.
+`ContentModel.forward_final_canvas` runs it, every block on all its rows and
+`_head` on the canvas rows; `StructureModel.context` runs the same prelude
+for its class and canvas rows and keeps their keys and values, which its
 `velocity` steps attend to. The adapters add only the token runs they pass
-in and the reshape of what comes out.
+in, their block loops and the reshape of what comes out.
 
 `ModelConfig.param_shapes` is the one parameter table, both kinds' input and
 output tensors included: `Generator` and `Block` build every tensor from it
@@ -36,11 +36,11 @@ lays them out per head, the query heads' copies times the exact score scale
 2^-3, and one `autodiff.rope` per block rotates the queries and keys together
 as the fused projection's q|k columns (the keys alone in `Block.keys_values`).
 
-The last block builds only the rows the head reads: earlier rows serve it as
-keys and values alone (`Block.forward`'s `first`). Rows an earlier call ran
-serve the same way without being recomputed: `Block.forward` returns its
-rows' rotated keys and values, `Block.keys_values` computes only those, and
-a later call takes them as its `prefix`.
+A block computes every row it is given. Rows an earlier call ran serve a
+later call as keys and values alone, without being recomputed:
+`Block.forward` returns its rows' rotated keys and values,
+`Block.keys_values` computes only those, and a later call takes them as its
+`prefix`. That is the one way rows attend to rows a call does not compute.
 """
 
 from __future__ import annotations
@@ -249,47 +249,42 @@ class Block:
 
     def forward(self, x: Tensor, cos: np.ndarray, sin: np.ndarray, cond: Tensor,
                 dropout: float = 0.0, rng: np.random.Generator | None = None,
-                first: int = 0, prefix: tuple | None = None) -> tuple:
+                prefix: tuple | None = None) -> tuple:
         """x: (B, L, w); cond: (B, w) modulation input.
 
         cos/sin: (B, L, 2H, 32), one table per query head and then one per key
         head; the query tables carry the score scale 1/sqrt(HEAD_DIM) = 2^-3,
-        which is exact, so the scores need no scale op. Rows before `first`
-        are context: they serve only as keys and values, and the block returns
-        rows first: alone, (B, L - first, w), never building the context rows'
-        attention, MLP or output projection. `prefix` is the (keys, values)
-        pair of rows an earlier call computed, as this call returns them or
-        `keys_values` does: the rows attend to them, placed before their own
-        keys and values, and do not recompute them. Dropout applies to the
-        block output only when an rng is given; its mask is drawn for all L
-        rows.
+        which is exact, so the scores need no scale op. `prefix` is the
+        (keys, values) pair of rows an earlier call computed, as this call
+        returns them or `keys_values` does: the rows attend to them, placed
+        before their own keys and values, and do not recompute them. Dropout
+        applies to the block output only when an rng is given.
 
-        Returns (out, (keys, values)): the keys (B, H, 64, L), rotated, and
-        the values (B, H, L, 64) are those of x's own L rows, prefix left out.
+        Returns (out, (keys, values)): out is (B, L, w); the keys (B, H, 64, L),
+        rotated, and the values (B, H, L, 64) are those of x's own L rows,
+        prefix left out.
         """
         b_sz, length, w = x.shape
-        heads, rows = self.heads, length - first
+        heads = self.heads
         normed, gate = self._modulated(x, cond)
         fused = ad.matmul(normed, self.w_fused)             # (B, L, 7w): q k v m
         qk = ad.rope(ad.reshape(fused[:, :, 0:2 * w], (b_sz, length, 2 * heads, HEAD_DIM)),
                      cos, sin)                              # (B, L, 2H, 64)
-        q = ad.transpose(qk[:, first:, :heads], (0, 2, 1, 3))      # (B, H, rows, 64)
+        q = ad.transpose(qk[:, :, :heads], (0, 2, 1, 3))           # (B, H, L, 64)
         k_t = ad.transpose(qk[:, :, heads:], (0, 2, 3, 1))         # (B, H, 64, L)
         v = ad.transpose(ad.reshape(fused[:, :, 2 * w:3 * w], (b_sz, length, heads, HEAD_DIM)),
                          (0, 2, 1, 3))                      # (B, H, L, 64)
         own = k_t, v
         if prefix is not None:
             k_t, v = ad.concat([prefix[0], k_t], axis=3), ad.concat([prefix[1], v], axis=2)
-        attn = ad.matmul(ad.softmax(ad.matmul(q, k_t)), v)  # (B, H, rows, 64)
-        attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (b_sz, rows, w))
+        attn = ad.matmul(ad.softmax(ad.matmul(q, k_t)), v)  # (B, H, L, 64)
+        attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (b_sz, length, w))
 
-        merged = ad.concat([attn, ad.silu(fused[:, first:, 3 * w:7 * w])], axis=2)
-        out = ad.matmul(merged, self.w_out)                 # (B, rows, w)
+        merged = ad.concat([attn, ad.silu(fused[:, :, 3 * w:7 * w])], axis=2)
+        out = ad.matmul(merged, self.w_out)                 # (B, L, w)
         if rng is not None and dropout > 0.0:
-            keep = rng.random((b_sz, length, w), dtype=np.float32)[:, first:] >= dropout
+            keep = rng.random((b_sz, length, w), dtype=np.float32) >= dropout
             out = out * (keep.astype(out.data.dtype) / (1.0 - dropout))
-        if first:
-            x = x[:, first:, :]
         return x + (1.0 + gate) * out, own
 
     def keys_values(self, x: Tensor, cos: np.ndarray, sin: np.ndarray, cond: Tensor) -> tuple:
@@ -310,10 +305,10 @@ class Generator:
     """Base of both generators: everything but the per-kind adapters.
 
     A subclass sets `kind` (and `map_lag`, when its rows read an earlier
-    stage's map) and feeds its token runs and maps to `_forward` or
-    `_embed`. Every tensor, its own input and output parameters too, is
-    built from the config's `param_shapes` under the one init rule, each an
-    attribute named as in the table.
+    stage's map), feeds its token run and maps to `_embed`, runs the blocks
+    and reads `_head`. Every tensor, its own input and output parameters
+    too, is built from the config's `param_shapes` under the one init rule,
+    each an attribute named as in the table.
     """
 
     kind = ""
@@ -366,29 +361,26 @@ class Generator:
         return cos[:, :, None] * head_scale, sin[:, :, None] * head_scale
 
     @staticmethod
-    def _tokens(runs, b_sz: int, grid: tuple) -> list:
-        """Each run's token rows (B, hw, width): a run is an (input
+    def _tokens(run, b_sz: int, grid: tuple) -> Tensor:
+        """A token run's rows (B, hw, width): the run is an (input
         (B, h, w, c), weight (c, width), bias) triple, and its input must have
         the batch's size and the grid's shape."""
-        tokens = []
-        for data, weight, bias in runs:
-            if data.shape != (b_sz, *grid, weight.shape[0]):
-                raise InvariantError(f"input must be {(b_sz, *grid, weight.shape[0])}, "
-                                     f"got {data.shape}")
-            tokens.append(ad.matmul(Tensor(data.reshape(b_sz, grid[0] * grid[1], -1)), weight)
-                          + bias)
-        return tokens
+        data, weight, bias = run
+        if data.shape != (b_sz, *grid, weight.shape[0]):
+            raise InvariantError(f"input must be {(b_sz, *grid, weight.shape[0])}, "
+                                 f"got {data.shape}")
+        return ad.matmul(Tensor(data.reshape(b_sz, grid[0] * grid[1], -1)), weight) + bias
 
-    def _embed(self, class_ids, smaps, runs, rotary_runs: int) -> tuple:
+    def _embed(self, class_ids, smaps, run, rotary_runs: int) -> tuple:
         """The checks, rotary tables and conditioning of a forward.
 
         class_ids: (B,) ints, the null class allowed. smaps: one
         `StructureMap` per row, of the grid's shape; a row runs at its map's
         stage plus `map_lag`, and its rotary structure ids are the map's
-        `embed_structure_map` over STRUCT_SLOTS. runs: the token runs after
+        `embed_structure_map` over STRUCT_SLOTS. run: the token run after
         the class token (see `_tokens`). Returns (x, cos, sin, cond): x the
-        (B, 1 + runs hw, width) rows [class] + runs, the tables of
-        [class] + `rotary_runs` runs, which may outnumber the runs given, and
+        (B, 1 + hw, width) rows [class] + run, the tables of
+        [class] + `rotary_runs` runs, which may outnumber the one given, and
         cond the (B, width) class + stage conditioning.
         """
         class_ids, smaps = np.asarray(class_ids), list(smaps)
@@ -397,7 +389,7 @@ class Generator:
                                  f"maps for class ids of shape {class_ids.shape}")
         if not smaps:
             raise InvariantError("empty batch")
-        b_sz, grid = class_ids.size, runs[0][0].shape[1:3]
+        b_sz, grid = class_ids.size, run[0].shape[1:3]
         if not all(isinstance(m, StructureMap) and m.labels.shape == grid for m in smaps):
             raise InvariantError(f"need StructureMaps of the grid's shape {grid}")
         stages = np.array([m.stage + self.map_lag for m in smaps], dtype=np.int64)
@@ -405,13 +397,13 @@ class Generator:
             raise InvariantError(f"class id out of range 0..{self.config.null_class_id}")
         if stages.max(initial=0) > self.config.last_stage:
             raise InvariantError(f"stage out of range 0..{self.config.last_stage}")
-        tokens = self._tokens(runs, b_sz, grid)
+        tokens = self._tokens(run, b_sz, grid)
         struct_ids = np.stack([embed_structure_map(m, STRUCT_SLOTS) for m in smaps])
         cos, sin = self._rope_tables(struct_ids.reshape(b_sz, grid[0] * grid[1], -1), grid[1],
                                      rotary_runs)
         cls = self.class_emb[class_ids]                                # (B, w)
         cond = cls + self.stage_emb[stages]
-        x = ad.concat([ad.reshape(cls, (b_sz, 1, self.config.width))] + tokens, axis=1)
+        x = ad.concat([ad.reshape(cls, (b_sz, 1, self.config.width)), tokens], axis=1)
         return x, cos, sin, cond
 
     def _head(self, x: Tensor, cond: Tensor) -> Tensor:
@@ -420,22 +412,3 @@ class Generator:
         fmod = ad.reshape(ad.matmul(ad.silu(cond), self.w_final_mod), (x.shape[0], 1, 2 * width))
         x = ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
         return ad.matmul(x, self.w_head) + self.b_head
-
-    def _forward(self, class_ids, smaps, runs, rng: np.random.Generator | None = None) -> Tensor:
-        """The forward of every row at once; returns the head on the last run.
-
-        Takes `_embed`'s arguments. A given rng is the training switch: the
-        blocks draw dropout from it. The last block takes every earlier row
-        as context only (`first`), so it, the final norm and the head run on
-        the last run's rows alone. Returns (B, h*w, head_channels).
-        """
-        x, cos, sin, cond = self._embed(class_ids, smaps, runs, len(runs))
-        *inner, last = self.blocks
-        # [0]: the keys and values are dropped at once, with the arrays they view
-        for block in inner:
-            x = block.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng)[0]
-        # the head reads only the last run: earlier rows are the last block's context
-        hw = runs[-1][0].shape[1] * runs[-1][0].shape[2]
-        x = last.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng,
-                         first=x.shape[1] - hw)[0]
-        return self._head(x, cond)

@@ -5,11 +5,12 @@ the model predicts the final canvas. The difference between prediction and
 input canvas, averaged within each cluster of the stage's structure map,
 feeds a linear head that scores every codebook row per cluster.
 
-`ContentModel` is an adapter on `backbone.Generator`, whose one forward does
-the conditioning, the rotary ids, the blocks and the output head. Each row's
-stage and rotary structure ids come from its map there. The adapter adds one
-token run, the canvas, and turns the head's output into the predicted canvas
-and the codebook logits.
+`ContentModel` is an adapter on `backbone.Generator`, whose `_embed` does the
+checks, the conditioning and the rotary ids; each row's stage and rotary
+structure ids come from its map there. The adapter adds one token run, the
+canvas, runs every block on the class token and the canvas rows together,
+and turns the head's output on the canvas rows into the predicted canvas and
+the codebook logits.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ class ContentModel(Generator):
         (B, h, w, e) tensor.
         """
         canvases = np.asarray(canvases, dtype=np.float32)
-        delta = self._forward(class_ids, smaps, [(canvases, self.w_in, self.b_in)], rng=rng)
+        x, cos, sin, cond = self._embed(class_ids, smaps, (canvases, self.w_in, self.b_in),
+                                        rotary_runs=1)
+        for block in self.blocks:
+            # [0]: the keys and values are dropped at once, with the arrays they view
+            x = block.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng)[0]
+        delta = self._head(x[:, 1:], cond)      # the canvas rows; [class] is context only
         # residual parameterization: the head emits what is still missing from
         # the input canvas, and the sum is the predicted final canvas
         return ad.reshape(delta, canvases.shape) + Tensor(canvases)

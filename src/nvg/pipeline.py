@@ -40,7 +40,7 @@ from .structure_model import StructureModel, flow_sample, gumbel_balanced_split
 
 __all__ = ["ScheduleParams", "GenerationRequest", "GenerationStats",
            "GenerationResult", "cfg_schedule", "top_p_schedule", "guidance_classes",
-           "cfg_forward", "sample_token", "forced_final_split", "generate"]
+           "cfg_forward", "sample_token", "forced_final_split", "stage_velocity", "generate"]
 
 CFG_CONTENT_END = 3.5      # content guidance scale at the last stage
 CFG_STRUCTURE_END = 2.5    # structure guidance scale at the last flow stage
@@ -199,12 +199,13 @@ def forced_final_split(parent_map: StructureMap) -> StructureMap:
     return canonical_child(parent_map, np.arange(parent_map.labels.size))
 
 
-def _stage_velocity(structure_model: StructureModel, class_id: int, null_id: int,
-                    scale: float, parent: StructureMap, canvas: np.ndarray,
-                    stats: GenerationStats):
-    """The guided velocity_fn(z, t) of one flow stage. It builds the stage's
-    one context, for the `guidance_classes` rows every step runs, and counts
-    each step in `stats`."""
+def stage_velocity(structure_model: StructureModel, class_id: int, null_id: int,
+                   scale: float, parent: StructureMap, canvas: np.ndarray,
+                   stats: GenerationStats):
+    """The guided velocity_fn(z, t) of one flow stage, for `flow_sample`. It
+    builds the stage's one context, for the `guidance_classes` rows every
+    step runs, and counts each step in `stats`. At scale 1.0 it runs the
+    class row alone, unguided."""
     classes = guidance_classes(class_id, null_id, scale)
     context = structure_model.context(classes, [parent] * len(classes),
                                       np.repeat(canvas[None], len(classes), axis=0))
@@ -285,7 +286,7 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             known = embed_structure_map(parent, last).astype(np.float32)
             # the stage's context is freed with its velocity_fn, before the content step
             flow_pred = flow_sample(
-                _stage_velocity(structure_model, req.class_id, null_id, scale, parent, x, stats),
+                stage_velocity(structure_model, req.class_id, null_id, scale, parent, x, stats),
                 known, stage=k, n_steps=sched.flow_steps, rng=rng, warm=flow_pred)
             smap = gumbel_balanced_split(parent, flow_pred[:, :, k - 1], rng)
 

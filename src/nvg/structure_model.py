@@ -107,7 +107,7 @@ class StructureModel(Generator):
         """
         canvases = np.asarray(canvases, dtype=np.float32)
         x, cos, sin, cond = self._embed(class_ids, parents,
-                                        [(canvases, self.w_in_canvas, self.b_in_canvas)],
+                                        (canvases, self.w_in_canvas, self.b_in_canvas),
                                         rotary_runs=2)
         rows = x.shape[1]
         ctx_cos, ctx_sin = cos[:, :rows], sin[:, :rows]
@@ -139,7 +139,7 @@ class StructureModel(Generator):
             raise InvariantError(f"need one time per row, got {ts.shape} for a context "
                                  f"of {b_sz} rows")
         zs = np.asarray(zs, dtype=np.float32)
-        x, = self._tokens([(zs, self.w_in_struct, self.b_in_struct)], b_sz, context.grid)
+        x = self._tokens((zs, self.w_in_struct, self.b_in_struct), b_sz, context.grid)
         t_feat = time_features(ts, self.config.width)
         cond = context.cond + (ad.matmul(Tensor(t_feat.astype(np.float32)), self.w_time)
                                + self.b_time)

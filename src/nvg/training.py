@@ -16,6 +16,7 @@ from .content_model import ContentModel
 from .errors import InvariantError, NumericError
 from .grid import Codebook, LatentGrid, VGSequence, canvas_prefixes
 from .hierarchy import build_hierarchy
+from .pipeline import GenerationStats, stage_velocity
 from .quantize import build_contents
 from .structcode import embed_structure_map
 from .structure_model import StructureModel, flow_sample, noised_input
@@ -112,16 +113,17 @@ class TrainResult:
 def check_training_budget(model: ModelConfig, config: TrainConfig) -> None:
     """Refuse, from the two configs alone, a training run whose arrays would
     fail `errors.check_alloc`: a step's float32 attention scores, at most
-    batch x heads x L^2 per block, with L = 1 + runs 2^last_stage tokens a
-    row (one token run for content, a canvas and a structure run for
-    structure, whose context and velocity passes score fewer); or
-    the weights a step holds, 4x `ModelConfig.weight_bytes`, every float32
-    tensor of the model's table (the weights, their gradients and Adam's two
-    moments). Needs no data, so the CLI runs it before tokenizing, and `_fit`
-    before its first draw."""
-    runs = 1 if model.kind == "content" else 2
-    length = 1 + runs * (1 << model.last_stage)
-    errors.check_alloc(4 * config.batch_size * model.heads * length ** 2 * model.depth,
+    batch x heads x S per block, where a row has hw = 2^last_stage tokens
+    a run and S counts the scores the blocks run: (1 + hw)^2 for content's
+    class and canvas rows, and for structure those of its context pass plus
+    hw (1 + 2 hw) for its noised rows against every row; or the weights a
+    step holds, 4x `ModelConfig.weight_bytes`, every float32 tensor of the
+    model's table (the weights, their gradients and Adam's two moments).
+    Needs no data, so the CLI runs it before tokenizing, and `_fit` before
+    its first draw."""
+    hw = 1 << model.last_stage
+    scores = (1 + hw) ** 2 + (hw * (1 + 2 * hw) if model.kind == "structure" else 0)
+    errors.check_alloc(4 * config.batch_size * model.heads * scores * model.depth,
                        f"batch {config.batch_size}", f"{model.kind} attention scores a step")
     errors.check_alloc(4 * model.weight_bytes,
                        f"training a depth-{model.depth} {model.kind} model",
@@ -237,7 +239,8 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
     """Teacher-forced token accuracy per stage, prefix reconstruction error,
     codebook usage and structure bit agreement on unknown columns.
 
-    The structure flow samples as `generate` does, from each example's own
+    The structure flow samples as `generate` does, through
+    `pipeline.stage_velocity` unguided (scale 1.0), from each example's own
     parent maps and canvases: one context per (example, stage), stage 1 from
     noise and each later stage warm started from the previous prediction.
     """
@@ -263,13 +266,10 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
     for ex in examples:
         pred = None     # the previous stage's prediction, as `generate` warm starts
         for stage in range(1, last):
-            context = structure_model.context(
-                np.array([ex.class_id]), [ex.sequence.stages[stage - 1][1]],
-                ex.canvases[stage][None])
-
-            def velocity_fn(z, t):
-                return structure_model.velocity(context, z[None], np.array([t])).data[0]
-
+            velocity_fn = stage_velocity(structure_model, ex.class_id,
+                                         structure_model.config.null_class_id, 1.0,
+                                         ex.sequence.stages[stage - 1][1], ex.canvases[stage],
+                                         GenerationStats())
             pred = flow_sample(velocity_fn, ex.flow_target, stage, n_steps=flow_steps,
                                rng=rng, warm=pred)
             unknown = slice(stage - 1, None)

@@ -100,6 +100,41 @@ def reference_block_forward(block, x, cos, sin, cond, mask=None):
     return x + (1.0 + gate) * ad.matmul(merged, block.w_out)
 
 
+def reference_content_forward(model, class_ids, smaps, canvases):
+    """`ContentModel.forward_final_canvas` as one plain forward: the class
+    token and the canvas rows go through every block together as
+    `reference_block_forward`, no row left out of any block, under the
+    class + stage conditioning and shared (B, 1, L, 32) rotary tables. The
+    final norm and head run on the canvas rows, and their output plus the
+    input canvas is the (B, h, w, e) prediction."""
+    b_sz, h, w_grid, _ = canvases.shape
+    hw, width = h * w_grid, model.config.width
+    canvases = np.asarray(canvases, np.float32)
+    cls = model.class_emb[np.asarray(class_ids)]
+    cond = cls + model.stage_emb[np.array([m.stage for m in smaps])]
+    x = ad.concat([ad.reshape(cls, (b_sz, 1, width)),
+                   ad.matmul(ad.Tensor(canvases.reshape(b_sz, hw, -1)), model.w_in)
+                   + model.b_in], axis=1)
+
+    yx = np.stack(np.divmod(np.arange(hw), w_grid), axis=1)
+    kind = np.concatenate([[0], np.ones(hw)])
+    spatial = np.concatenate([[[0, 0]], yx])
+    tables = [rope_tables(kind, np.concatenate([np.full((1, STRUCT_SLOTS), PAD),
+                                                embed_structure_map(m, STRUCT_SLOTS)
+                                                .reshape(hw, -1)]), spatial)
+              for m in smaps]
+    cos = np.stack([c for c, _ in tables])[:, None]
+    sin = np.stack([s for _, s in tables])[:, None]
+
+    for block in model.blocks:
+        x = reference_block_forward(block, x, cos, sin, cond)
+    fmod = ad.reshape(ad.matmul(ad.silu(cond), model.w_final_mod), (b_sz, 1, 2 * width))
+    x = x[:, 1:]
+    x = ad.rmsnorm(x) * (1.0 + fmod[:, :, :width]) + fmod[:, :, width:]
+    out = ad.matmul(x, model.w_head) + model.b_head
+    return out.data.reshape(canvases.shape) + canvases
+
+
 def reference_flow_velocity(model, class_ids, parents, canvases, zs, ts):
     """`StructureModel.context` then `velocity` as one forward of every row:
     the class token, the canvas run and the noised run go through each block

@@ -281,18 +281,15 @@ class TestBlock:
         block = Block(128, 2, rng)
         x, cos, sin, cond = self.make_inputs(rng, 128)
         assert np.array_equal(block.forward(x, cos, sin, cond)[0].data, x.data)
-        assert np.array_equal(block.forward(x, cos, sin, cond, first=4)[0].data, x.data[:, 4:])
+        prefix = block.keys_values(x[:, :4], cos[:, :4], sin[:, :4], cond)
+        out, _ = block.forward(x[:, 4:], cos[:, 4:], sin[:, 4:], cond, prefix=prefix)
+        assert np.array_equal(out.data, x.data[:, 4:])
 
     def test_block_param_count_is_15_w_squared(self):
         block = Block(128, 2, np.random.default_rng(0))
         assert sum(p.data.size for p in block.params("b").values()) == 15 * 128 * 128
 
     def test_block_gradients_match_finite_differences(self):
-        # all rows, then rows 2: with rows 0-1 as context
-        for first in (0, 2):
-            self.check_gradients(first)
-
-    def check_gradients(self, first):
         rng = np.random.default_rng(10)
         block = Block(128, 2, rng)
         # randomize all weights so every path carries gradient
@@ -302,35 +299,27 @@ class TestBlock:
         cond_data = rng.normal(size=(1, 128))
         angles = rng.normal(size=(1, 6, 32))
         cos, sin = head_tables(np.cos(angles), np.sin(angles), 2)
-        probe = rng.normal(size=(1, 6 - first, 128))
+        probe = rng.normal(size=(1, 6, 128))
 
         params = block.params("block0")
 
         def loss_fn():
-            out, _ = block.forward(x, cos, sin, Tensor(cond_data), first=first)
+            out, _ = block.forward(x, cos, sin, Tensor(cond_data))
             return (out * probe).sum()
 
         err = gradient_check(loss_fn, params, seed=0, samples=90)
         assert err <= 1e-3
 
-        # every entry of x, the context rows included
+        # every entry of x
         x.grad = None
         loss_fn().backward()
         num = numeric_grad(lambda: float(loss_fn().data), x.data)
         assert np.allclose(x.grad, num, atol=1e-5)
-        if first:
-            # context rows reach the output only as keys and values: with the
-            # k and v columns of the fused projection zeroed they get none
-            assert np.abs(x.grad[:, :first]).min() > 0.0
-            block.w_fused.data[:, 128:384] = 0.0
-            x.grad = None
-            loss_fn().backward()
-            assert not x.grad[:, :first].any() and x.grad[:, first:].any()
 
 
 class TestBlockPrefix:
     """A cached (keys, values) prefix stands for rows the block would
-    otherwise take as `first` context, under the same conditioning."""
+    otherwise run together with its own, under the same conditioning."""
 
     @staticmethod
     def make(rng, dtype, batch=2):
@@ -352,11 +341,11 @@ class TestBlockPrefix:
         np.testing.assert_allclose(only_values.data, values.data, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("source", ["forward", "keys_values"])
-    def test_prefix_equals_the_rows_as_first_context(self, source):
+    def test_prefix_equals_the_all_rows_forwards_last_rows(self, source):
         block, x, cos, sin, cond = self.make(np.random.default_rng(31), np.float32)
         ctx, rows = 3, slice(3, None)
         with ad.no_grad():
-            want, _ = block.forward(x, cos, sin, cond, first=ctx)
+            want = block.forward(x, cos, sin, cond)[0][:, rows]
             ctx_args = (x[:, :ctx], cos[:, :ctx], sin[:, :ctx], cond)
             prefix = block.forward(*ctx_args)[1] if source == "forward" \
                 else block.keys_values(*ctx_args)
@@ -381,28 +370,35 @@ class TestBlockPrefix:
         num = numeric_grad(lambda: float(loss_fn().data), x.data)
         assert np.abs(x.grad[:, :3]).min() > 0.0
         np.testing.assert_allclose(x.grad, num, rtol=0, atol=1e-5)
+        # prefix rows reach the output only as keys and values: with the k and
+        # v columns of the fused projection zeroed they get none
+        block.w_fused.data[:, 128:384] = 0.0
+        x.grad = None
+        loss_fn().backward()
+        assert not x.grad[:, :3].any() and x.grad[:, 3:].any()
 
 
 class TestBlockOracle:
     """`Block.forward` against the all-rows, scaled-scores reference block on
     the product's float32 no-grad path.
 
-    With every row kept the folded score scale is exact, so the two agree bit
-    for bit. With context rows the block's matmuls run on fewer rows, and
-    OpenBLAS's sgemm rounds a row differently at some small row counts (and
-    numpy takes gemv for a single row): rows then agree bit for bit at the
-    8x8 grids the pipeline runs, and within float32 rounding on 4x4 and 1x1
-    grids, where up to 1.6e-6 was seen with OpenBLAS 0.3.31 on x86-64."""
+    Every row is computed and the folded score scale is exact, so the two
+    agree bit for bit. Only the `prefix` path runs its matmuls on fewer rows
+    than such a reference, and OpenBLAS's sgemm rounds a row differently at
+    some small row counts (and numpy takes gemv for a single row): it is
+    checked within float32 rounding instead (`TestBlockPrefix`, and the
+    flow's split in `test_structure_model`). Up to 1.6e-6 was seen on 4x4
+    and 1x1 grids with OpenBLAS 0.3.31 on x86-64."""
 
     @pytest.mark.parametrize("kind", ["content", "structure"])
     @pytest.mark.parametrize("batch", [1, 2, 8])
     @pytest.mark.parametrize("side", [8, 4, 1])
     def test_rows_equal_the_reference(self, kind, batch, side):
-        # the generators' layout: [class] + runs of side^2 tokens, and the
-        # head reads the last run; a 1x1 grid keeps a single row per batch row
+        # the generators' layout: [class] + runs of side^2 tokens; a 1x1 grid
+        # keeps a single token per run
         cfg = ModelConfig(4, kind, 4, 8, 4, 6)
         runs = 1 if kind == "content" else 2
-        length, first = 1 + runs * side * side, 1 + (runs - 1) * side * side
+        length = 1 + runs * side * side
         rng = np.random.default_rng(20 + batch + side)
         block = Block(cfg.width, cfg.heads, rng)
         for p in (block.w_mod, block.w_out):
@@ -416,13 +412,8 @@ class TestBlockOracle:
         with ad.no_grad():
             want = reference_block_forward(block, x, cos[:, None], sin[:, None], cond).data
             every_row = block.forward(x, *tables, cond)[0].data
-            last_run = block.forward(x, *tables, cond, first=first)[0].data
-        assert every_row.dtype == last_run.dtype == np.float32
+        assert every_row.dtype == np.float32
         assert np.array_equal(every_row, want)
-        if side == 8:
-            assert np.array_equal(last_run, want[:, first:])
-        else:
-            np.testing.assert_allclose(last_run, want[:, first:], rtol=0, atol=1e-5)
 
 
 class TestGradientCheck:

@@ -516,7 +516,7 @@ SMALL_CAP = 4 * sum(p.data.size for p in
     ("train-content", ["--depth", "2"], "bytes of weights, over"),
     ("train-structure", ["--depth", "4"], "bytes of weights, over"),
     ("train-content", ["--batch", "512"], "attention scores"),
-    ("train-structure", ["--batch", "64"], "attention scores"),
+    ("train-structure", ["--batch", "128"], "attention scores"),
 ])
 def test_model_or_batch_over_the_byte_cap_exits_3_and_writes_nothing(
         files, command, options, what, capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nvg import autodiff as ad
 from nvg.autodiff import Adam, Tensor
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel, cluster_mean_matrix, cross_entropy_mean
@@ -9,7 +10,7 @@ from nvg.grid import StructureMap
 from nvg.quantize import identity_refiners
 from nvg.synthetic import SyntheticSpec, make_synthetic_dataset
 from nvg.training import tokenize_dataset
-from oracles import gradient_check
+from oracles import gradient_check, reference_content_forward
 
 
 def small_model(depth=2, e=3, n=8, classes=3, last_stage=4, seed=0):
@@ -92,6 +93,31 @@ class TestForward:
         uncond = model.forward_final_canvas(
             np.array([model.config.null_class_id]), [smap], ex.canvases[2][None])
         assert not np.allclose(cond.data, uncond.data)
+
+
+class TestContentOracle:
+    """`forward_final_canvas` against the plain all-rows reference on the
+    product's float32 no-grad path: every block runs the class token and the
+    canvas rows together, so the two agree bit for bit at every grid size."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    @pytest.mark.parametrize("side", [1, 2, 4, 8])
+    def test_prediction_equals_the_reference(self, batch, side):
+        last = (side * side).bit_length() - 1
+        model = small_model(depth=4, e=4, classes=4, last_stage=last)
+        rng = np.random.default_rng(40 + 10 * side + batch)
+        for p in model.params().values():
+            p.data = (0.05 * rng.standard_normal(p.data.shape)).astype(np.float32)
+        stages = rng.integers(0, last + 1, size=batch)
+        smaps = [stage_map(int(s), side, side) for s in stages]
+        class_ids = rng.integers(0, 5, size=batch)      # the null class 4 too
+        canvases = rng.normal(size=(batch, side, side, 4)).astype(np.float32)
+        with ad.no_grad():
+            got = model.forward_final_canvas(class_ids, smaps, canvases).data
+            want = reference_content_forward(model, class_ids, smaps, canvases)
+        assert got.dtype == want.dtype == np.float32
+        assert np.abs(want - canvases).max() > 0.1
+        assert np.array_equal(got, want)
 
 
 class TestInputContract:
