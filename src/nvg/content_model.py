@@ -62,7 +62,7 @@ class ContentModel(Generator):
         for block in self.blocks:
             # [0]: the keys and values are dropped at once, with the arrays they view
             x = block.forward(x, cos, sin, cond, dropout=self.config.dropout, rng=rng)[0]
-        delta = self._head(x[:, 1:], cond)      # the canvas rows; [class] is context only
+        delta = self._head(x[:, 1:], cond)      # the head reads the canvas rows alone
         # residual parameterization: the head emits what is still missing from
         # the input canvas, and the sum is the predicted final canvas
         return ad.reshape(delta, canvases.shape) + Tensor(canvases)
