@@ -10,6 +10,14 @@ it runs under `no_grad()`, where each op returns a bare `Tensor`. There is no
 training flag: a model forward applies dropout exactly when it is given an
 rng, which only the trainers do.
 
+An op keeps what only its backward reads inside its closure: an inverse
+permutation, split points, an index test, a saved exponential. So under
+`no_grad` an op is its numpy call and one bare `Tensor`, and the tape path and
+the no-grad path are the same function. Every op's `.data` is an `np.ndarray`:
+`_node` wraps it as given, and the ops whose numpy call can return a scalar
+(the two reductions, and arithmetic on two 0-d operands such as a loss's last
+scaling) wrap theirs in `np.asarray`.
+
 `Tensor.backward` consumes the tape. It walks the nodes in reverse
 topological order, and once a node's closure has run it drops that node's
 gradient, closure and parents, so each intermediate array is freed as soon as
@@ -166,12 +174,21 @@ def _operand(x, other) -> Tensor:
     return Tensor(arr)
 
 
-def _node(data, parents, backward) -> Tensor:
-    out = Tensor(data)
+def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    # an op's output: its ndarray as given (no `Tensor.__init__`, no
+    # np.asarray), with parents and the closure only when it will run
+    # backward; under no_grad this bare Tensor is all an op adds to numpy
+    out = object.__new__(Tensor)
+    out.data = data
+    out.grad = None
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
+        out._parents = parents
         out._backward = backward
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
     return out
 
 
@@ -184,7 +201,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(_sum_to_shape(g, b.data.shape))
 
-    return _node(a.data + b.data, (a, b), bw)
+    return _node(np.asarray(a.data + b.data), (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
@@ -196,7 +213,7 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(_sum_to_shape(g * a.data, b.data.shape))
 
-    return _node(a.data * b.data, (a, b), bw)
+    return _node(np.asarray(a.data * b.data), (a, b), bw)
 
 
 def div(a, b) -> Tensor:
@@ -208,7 +225,7 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(_sum_to_shape(-g * a.data / (b.data * b.data), b.data.shape))
 
-    return _node(a.data / b.data, (a, b), bw)
+    return _node(np.asarray(a.data / b.data), (a, b), bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -243,20 +260,18 @@ def matmul(a, b) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
-    old = a.data.shape
 
     def bw(g):
-        a._accum(g.reshape(old))
+        a._accum(g.reshape(a.data.shape))
 
     return _node(a.data.reshape(shape), (a,), bw)
 
 
 def transpose(a, axes) -> Tensor:
     a = _wrap(a)
-    inverse = np.argsort(axes)
 
     def bw(g):
-        a._accum(g.transpose(inverse))
+        a._accum(g.transpose(np.argsort(axes)))
 
     return _node(a.data.transpose(axes), (a,), bw)
 
@@ -268,11 +283,10 @@ def _is_basic_index(key) -> bool:
 
 def getitem(a, key) -> Tensor:
     a = _wrap(a)
-    basic = _is_basic_index(key)
 
     def bw(g):
         buf = a._grad_buffer()
-        if basic:
+        if _is_basic_index(key):
             buf[key] += g
         else:
             # integer-array indexing may repeat positions
@@ -282,16 +296,15 @@ def getitem(a, key) -> Tensor:
 
 
 def concat(tensors, axis: int) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    tensors = tuple([_wrap(t) for t in tensors])
 
     def bw(g):
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
                 t._accum(piece)
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
 
 def reduce_sum(a) -> Tensor:
@@ -300,17 +313,16 @@ def reduce_sum(a) -> Tensor:
     def bw(g):
         a._accum(np.broadcast_to(g, a.data.shape).copy())
 
-    return _node(a.data.sum(), (a,), bw)
+    return _node(np.asarray(a.data.sum()), (a,), bw)
 
 
 def reduce_mean(a) -> Tensor:
     a = _wrap(a)
-    count = a.data.size
 
     def bw(g):
-        a._accum(np.broadcast_to(g / count, a.data.shape).copy())
+        a._accum(np.broadcast_to(g / a.data.size, a.data.shape).copy())
 
-    return _node(a.data.mean(), (a,), bw)
+    return _node(np.asarray(a.data.mean()), (a,), bw)
 
 
 def silu(a) -> Tensor:
@@ -343,10 +355,9 @@ def log_softmax(a) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - log_z
-    soft = np.exp(out_data)
 
     def bw(g):
-        a._accum(g - soft * g.sum(axis=-1, keepdims=True))
+        a._accum(g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
     return _node(out_data, (a,), bw)
 
@@ -356,7 +367,6 @@ def rmsnorm(a) -> Tensor:
     Raises NumericError, with no numpy warning, when a mean square is not
     finite: a huge but finite row overflows in float32."""
     a = _wrap(a)
-    d = a.data.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         ms = (a.data * a.data).mean(axis=-1, keepdims=True)
     if not np.isfinite(ms).all():
@@ -365,7 +375,7 @@ def rmsnorm(a) -> Tensor:
 
     def bw(g):
         dot = (g * a.data).sum(axis=-1, keepdims=True)
-        a._accum(inv * g - (inv ** 3 / d) * a.data * dot)
+        a._accum(inv * g - (inv ** 3 / a.data.shape[-1]) * a.data * dot)
 
     return _node(a.data * inv, (a,), bw)
 

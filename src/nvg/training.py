@@ -112,18 +112,22 @@ class TrainResult:
 
 def check_training_budget(model: ModelConfig, config: TrainConfig) -> None:
     """Refuse, from the two configs alone, a training run whose arrays would
-    fail `errors.check_alloc`: a step's float32 attention scores, at most
-    batch x heads x S per block, where a row has hw = 2^last_stage tokens
-    a run and S counts the scores the blocks run: (1 + hw)^2 for content's
-    class and canvas rows, and for structure those of its context pass plus
-    hw (1 + 2 hw) for its noised rows against every row; or the weights a
-    step holds, 4x `ModelConfig.weight_bytes`, every float32 tensor of the
-    model's table (the weights, their gradients and Adam's two moments).
-    Needs no data, so the CLI runs it before tokenizing, and `_fit` before
-    its first draw."""
-    hw = 1 << model.last_stage
-    scores = (1 + hw) ** 2 + (hw * (1 + 2 * hw) if model.kind == "structure" else 0)
-    errors.check_alloc(4 * config.batch_size * model.heads * scores * model.depth,
+    fail `errors.check_alloc`: a step's float32 attention scores, batch x
+    heads x S, where a row has hw = 2^last_stage tokens a run and S counts
+    exactly the scores the step's blocks run: depth (1 + hw)^2 for content's
+    class and canvas rows; for structure (depth - 1)(1 + hw)^2 for its
+    context pass, whose last block builds only keys and values, plus
+    depth hw (1 + 2 hw) for its noised rows against every row; or the
+    weights a step holds, 4x `ModelConfig.weight_bytes`, every float32
+    tensor of the model's table (the weights, their gradients and Adam's two
+    moments). Needs no data, so the CLI runs it before tokenizing, and
+    `_fit` before its first draw."""
+    hw, depth = 1 << model.last_stage, model.depth
+    if model.kind == "structure":
+        scores = (depth - 1) * (1 + hw) ** 2 + depth * hw * (1 + 2 * hw)
+    else:
+        scores = depth * (1 + hw) ** 2
+    errors.check_alloc(4 * config.batch_size * model.heads * scores,
                        f"batch {config.batch_size}", f"{model.kind} attention scores a step")
     errors.check_alloc(4 * model.weight_bytes,
                        f"training a depth-{model.depth} {model.kind} model",

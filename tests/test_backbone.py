@@ -25,6 +25,12 @@ class TestAutodiffOps:
         (lambda t: ad.transpose(t, (1, 0))[0].sum(), (3, 4)),
         (lambda t: (t * t).mean(), (4, 5)),
         (lambda t: (t[1:, :2] * 3.0).sum(), (4, 4)),
+        # permutations that are not their own inverse; Block.forward's key
+        # layout is (0, 2, 3, 1)
+        (lambda t: ad.transpose(t, (0, 2, 3, 1))[1, 2].sum(), (2, 3, 4, 5)),
+        (lambda t: ad.transpose(t, (2, 0, 1))[3].sum(), (3, 4, 5)),
+        # one tensor read through a basic slice and a repeated integer index
+        (lambda t: (t[1:4] * 3.0).sum() + (t[np.array([0, 2, 2, 4])] * 2.0).sum(), (5, 3)),
     ])
     def test_unary_ops(self, op, shape):
         rng = np.random.default_rng(0)
@@ -103,6 +109,51 @@ class TestAutodiffOps:
             lambda: float(ad.reshape(ad.rope(Tensor(x.data), cos, sin), (-1,))[1::3].sum().data),
             x.data)
         assert np.allclose(x.grad, num, atol=1e-5)
+
+    def test_concat_of_unequal_pieces_along_a_middle_axis(self):
+        rng = np.random.default_rng(6)
+        pieces = [Tensor(rng.normal(size=(2, n, 3)), requires_grad=grad)
+                  for n, grad in ((3, True), (1, False), (4, True))]
+        weight = rng.normal(size=(2, 8, 3))
+
+        def loss(parts):
+            return (ad.concat(parts, axis=1) * weight).sum()
+
+        loss(pieces).backward()
+        assert pieces[1].grad is None       # the piece that needs no gradient
+        for i in (0, 2):
+            parts = [Tensor(p.data) for p in pieces]
+            num = numeric_grad(lambda: float(loss(parts).data), parts[i].data)
+            assert pieces[i].grad.shape == pieces[i].data.shape
+            assert np.allclose(pieces[i].grad, num, atol=1e-5)
+
+    def test_no_grad_ops_return_bare_tensors_of_arrays(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 3, 4)).astype(np.float32), requires_grad=True)
+        angles = rng.normal(size=(3, 2))
+        ops = {
+            "add": lambda: x + x, "sub": lambda: x - x, "mul": lambda: x * 2.0,
+            "div": lambda: x / x, "neg": lambda: -x,
+            "matmul": lambda: ad.matmul(x, Tensor(np.ones((4, 5), np.float32))),
+            "reshape": lambda: ad.reshape(x, (6, 4)),
+            "transpose": lambda: ad.transpose(x, (0, 2, 1)),
+            "basic index": lambda: x[:, 1:], "integer index": lambda: x[np.array([1, 1])],
+            "concat": lambda: ad.concat([x, x], axis=1),
+            "sum": lambda: x.sum(), "mean": lambda: x.mean(),
+            "silu": lambda: ad.silu(x), "softmax": lambda: ad.softmax(x),
+            "log_softmax": lambda: ad.log_softmax(x), "rmsnorm": lambda: ad.rmsnorm(x),
+            "rope": lambda: ad.rope(x, np.cos(angles), np.sin(angles)),
+            # numpy returns a scalar for arithmetic on two 0-d arrays
+            "0-d mul": lambda: -x.mean(), "0-d div": lambda: x.sum() / 3.0,
+            "0-d add": lambda: x.sum() + x.mean(),
+        }
+        with ad.no_grad():
+            for name, op in ops.items():
+                out = op()
+                assert type(out) is Tensor, name
+                assert type(out.data) is np.ndarray, name
+                assert not out.requires_grad and out.grad is None, name
+                assert out._parents == () and out._backward is None, name
 
 
 class TestModelConfig:

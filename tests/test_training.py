@@ -220,12 +220,14 @@ class TestTokenizeDataset:
 
 
 @pytest.mark.parametrize("make, train, batch, step_bytes", [
-    # 4 bytes * batch * heads * scores * 2 blocks, 16 tokens a run: content
-    # scores 17^2 a block, structure 17^2 + 16 * 33 (context, then noised rows
-    # against every row); the batches are large enough that the scores, not
-    # the 4x weights (8,420,400 and 2,185,280 bytes), meet the cap first
+    # 4 bytes * batch * heads * scores, 2 blocks, 16 tokens a run: content
+    # scores 17^2 a block; structure 17^2 in its one context block that
+    # attends (the last builds only keys and values), then 16 * 33 a block
+    # for the noised rows against every row; the batches are large enough
+    # that the scores, not the 4x weights (8,420,400 and 2,185,280 bytes),
+    # meet the cap first
     (content_model, train_content, 2048, 4 * 2048 * 2 * 17 ** 2 * 2),
-    (structure_model, train_structure, 512, 4 * 512 * 1 * (17 ** 2 + 16 * 33) * 2),
+    (structure_model, train_structure, 512, 4 * 512 * 1 * (17 ** 2 + 16 * 33 * 2)),
 ], ids=["content", "structure"])
 def test_batch_over_the_byte_cap_is_refused_before_the_first_draw(world, monkeypatch, make,
                                                                   train, batch, step_bytes):
@@ -260,30 +262,36 @@ def test_the_budget_counts_every_row_a_step_runs(world, monkeypatch, make, train
         return forward(self, x, *args, prefix=prefix, **kwargs)
 
     monkeypatch.setattr(backbone.Block, "forward", spy)
-    cfg = TrainConfig(steps=1, batch_size=2)
-    train(examples, model, cfg)
-    need = 4 * sum(scores)
-    # the float32 scores every block of the step ran, one byte over the cap,
-    # are refused
+    train(examples, model, TrainConfig(steps=1, batch_size=2))
+    # the float32 scores every block of the step ran grow linearly in the
+    # batch; at a batch whose scores outweigh the 4x weights, the budget is
+    # exactly those scores: accepted at a cap of need, refused one byte under
+    batch = 2 * -(-model.config.weight_bytes // sum(scores))      # rounded up
+    need = 4 * sum(scores) * batch // 2
+    cfg = TrainConfig(steps=1, batch_size=batch)
+    monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", need)
+    check_training_budget(model.config, cfg)
     monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", need - 1)
-    with pytest.raises(InvariantError, match="attention scores"):
+    with pytest.raises(InvariantError, match=f"^batch {batch} needs {need} bytes of "
+                                             f"{model.kind} attention scores a step"):
         check_training_budget(model.config, cfg)
 
 
 def test_structure_scores_count_the_split_not_every_row_against_every_row(monkeypatch):
-    # per block, 17^2 context scores and 16 noised rows against 33, not 33^2:
-    # at a cap between the two counts of batch 400 the batch is accepted, and
+    # 17^2 context scores in every block but the last, which builds only
+    # keys and values, and 16 noised rows against 33 in every block, not 33^2:
+    # at a cap between the two counts of batch 410 the batch is accepted, and
     # one more row is refused; the cap also holds the 4x weights
     config = ModelConfig(2, "structure", 3, 1, 2, LAST)
-    per_row = 4 * config.heads * (17 ** 2 + 16 * 33) * config.depth
-    cap = 400 * per_row
-    assert 4 * config.weight_bytes <= cap < 4 * 400 * config.heads * 33 ** 2 * config.depth
+    per_row = 4 * config.heads * ((config.depth - 1) * 17 ** 2 + config.depth * 16 * 33)
+    cap = 410 * per_row
+    assert 4 * config.weight_bytes <= cap < 4 * 410 * config.heads * 33 ** 2 * config.depth
     monkeypatch.setattr(errors, "MAX_ALLOC_BYTES", cap)
-    check_training_budget(config, TrainConfig(steps=1, batch_size=400))
-    with pytest.raises(InvariantError, match=f"^batch 401 needs {401 * per_row} bytes of "
+    check_training_budget(config, TrainConfig(steps=1, batch_size=410))
+    with pytest.raises(InvariantError, match=f"^batch 411 needs {411 * per_row} bytes of "
                                              "structure attention scores a step, over the "
                                              f"{cap}-byte cap$"):
-        check_training_budget(config, TrainConfig(steps=1, batch_size=401))
+        check_training_budget(config, TrainConfig(steps=1, batch_size=411))
 
 
 @pytest.mark.parametrize("kind, trains, refused", [("content", 12, 13),
