@@ -13,10 +13,9 @@ for its class and canvas rows and keeps their keys and values, which its
 in, their block loops and the reshape of what comes out.
 
 `ModelConfig.param_shapes` is the one parameter table, both kinds' input and
-output tensors included: `Generator` and `Block` build every tensor from it
-under one init rule, `checkpoints.load_model` checks a file's arrays against
-it before building anything, and `ModelConfig.weight_bytes`, the bytes the
-allocation cap counts, is 4 bytes times every entry.
+output tensors included: `Generator` checks the arrays it wraps, a file's or
+`ModelConfig.init_arrays`' draw, against it before making any tensor, and
+`ModelConfig.weight_bytes`, the bytes the cap counts, is 4 bytes per entry.
 
 One block = pre-norm with scale/shift/gate modulation, a fused qkv+mlp-in
 projection (7 w^2 weights), attention under structure-aware rotary ids, and a
@@ -89,8 +88,8 @@ class ModelConfig:
     heads. Either way the per-head dim is 64 and the block-core parameter
     count is 15 d width^2.
 
-    `param_shapes` is the one statement of a model's tensor layout: the model
-    builds it, a checkpoint is checked against it and the cap counts it.
+    `param_shapes` is the one statement of a model's tensor layout: a fresh
+    model draws it, `Generator` checks its arrays against it, the cap counts it.
 
     Memory policy, checked by `errors.check_alloc` against the one 2 GiB cap: a
     config, and so a loaded or generating model, holds every float32 weight
@@ -153,6 +152,11 @@ class ModelConfig:
                   for name, shape in _block_shapes(self.width).items()}
         return {**before, **blocks, **after}
 
+    def init_arrays(self, seed: int) -> dict:
+        """A fresh model's arrays, drawn in table order under the one init rule."""
+        rng = np.random.default_rng(seed)
+        return {name: _init_array(name, shape, rng) for name, shape in self.param_shapes().items()}
+
     @property
     def weight_bytes(self) -> int:
         """float32 bytes of every tensor in `param_shapes`, counted without
@@ -180,17 +184,14 @@ class ModelConfig:
         return self.num_classes
 
 
-_ZERO_INIT = ("w_mod", "w_final_mod", "w_out")
-
-
-def _new_param(name: str, shape: tuple, rng: np.random.Generator) -> Tensor:
+def _init_array(name: str, shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """The one init rule. Biases and the modulation and block output
     projections start at zero: a zero output projection makes each block the
     identity, while the unit gate (1 + modulation) lets gradients reach it
-    directly. Every other tensor draws 0.02 N(0, 1)."""
-    if name.startswith("b_") or name in _ZERO_INIT:
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-    return Tensor((0.02 * rng.standard_normal(shape)).astype(np.float32), requires_grad=True)
+    directly. Every other array draws float32 0.02 N(0, 1)."""
+    if name.startswith("b_") or name.rsplit(".", 1)[-1] in ("w_mod", "w_final_mod", "w_out"):
+        return np.zeros(shape, dtype=np.float32)
+    return (0.02 * rng.standard_normal(shape)).astype(np.float32)
 
 
 def _sub_freqs(dims: int) -> np.ndarray:
@@ -231,10 +232,10 @@ def time_features(t: np.ndarray, width: int) -> np.ndarray:
 class Block:
     """One parallel attention+MLP block with modulation; 15 w^2 weights."""
 
-    def __init__(self, width: int, heads: int, rng: np.random.Generator):
+    def __init__(self, heads: int, arrays: dict):
         self.heads = heads
-        for name, shape in _block_shapes(width).items():
-            setattr(self, name, _new_param(name, shape, rng))
+        for name, array in arrays.items():
+            setattr(self, name, Tensor(array, requires_grad=True))
 
     def params(self, prefix: str) -> dict:
         return {f"{prefix}.{k}": v for k, v in vars(self).items() if isinstance(v, Tensor)}
@@ -307,24 +308,31 @@ class Generator:
     A subclass sets `kind` (and `map_lag`, when its rows read an earlier
     stage's map), feeds its token run and maps to `_embed`, runs the blocks
     and reads `_head`. Every tensor, its own input and output parameters
-    too, is built from the config's `param_shapes` under the one init rule,
-    each an attribute named as in the table.
+    too, wraps one float32 array of `arrays`, else `config.init_arrays(seed)`:
+    a table checked against `param_shapes` before any tensor is made. Each
+    tensor is an attribute named as in the table.
     """
 
     kind = ""
     map_lag = 0     # a row's stage minus the stage of the map it reads
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, arrays: dict | None = None):
         if config.kind != self.kind:
             raise InvariantError(f"{type(self).__name__} needs a {self.kind}-kind config")
+        if arrays is None:
+            arrays = config.init_arrays(seed)
+        want, got = config.param_shapes(), {n: np.shape(a) for n, a in arrays.items()}
+        if got != want:
+            name = next(n for n in (*want, *got) if got.get(n) != want.get(n))
+            raise InvariantError(f"{name} is {got.get(name, 'missing')}, its config implies "
+                                 f"{want.get(name, 'no such array')}")
         self.config = config
-        rng = np.random.default_rng(seed)
         before, after = config._outer_shapes()
-        for name, shape in before.items():
-            setattr(self, name, _new_param(name, shape, rng))
-        self.blocks = [Block(config.width, config.heads, rng) for _ in range(config.depth)]
-        for name, shape in after.items():
-            setattr(self, name, _new_param(name, shape, rng))
+        for name in (*before, *after):
+            setattr(self, name, Tensor(arrays[name], requires_grad=True))
+        self.blocks = [Block(config.heads, {leaf: arrays[f"block{i}.{leaf}"]
+                                            for leaf in _block_shapes(config.width)})
+                       for i in range(config.depth)]
 
     def params(self) -> dict:
         """Own tensors in creation order, then each block's."""

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .backbone import ModelConfig
 from .content_model import ContentModel
 from .errors import FormatError, InvariantError
@@ -50,19 +48,12 @@ def load_model(path):
         raise FormatError(f"{config.kind} checkpoint at {path} has attention layout "
                           f"{meta.get('layout')!r}, this version reads "
                           f"{_LAYOUTS.get(config.kind)!r}; retrain it")
-    # the table before the model: a meta cannot make it allocate more than
-    # its own arrays carry, and the config's cap already bounds the table
-    want = config.param_shapes()
-    got = {name: array.shape for name, array in arrays.items()}
-    if got != want:
-        name = next(n for n in (*want, *got) if got.get(n) != want.get(n))
-        raise FormatError(f"model checkpoint at {path}: {name} is "
-                          f"{got.get(name, 'missing')}, its meta implies "
-                          f"{want.get(name, 'no such array')}")
-    model = (ContentModel if config.kind == "content" else StructureModel)(config, seed=0)
-    for name, param in model.params().items():
-        param.data = arrays[name].astype(np.float32)
-    return model
+    # checked before any tensor: a meta cannot allocate past its own arrays
+    model_cls = ContentModel if config.kind == "content" else StructureModel
+    try:
+        return model_cls(config, arrays=arrays)
+    except InvariantError as exc:
+        raise FormatError(f"model checkpoint at {path}: {exc}") from exc
 
 
 def _check_stack(path, stages, e: int) -> None:
@@ -109,4 +100,4 @@ def load_refiners(path) -> list:
         raise FormatError(f"refiner checkpoint at {path} holds {min(arrays)}, which its "
                           f"meta's count of {count} does not name")
     _check_stack(path, stages, e)
-    return [Refiner(w.astype(np.float32), b.astype(np.float32)) for w, b in stages]
+    return [Refiner(w, b) for w, b in stages]

@@ -61,7 +61,7 @@ def tensor_bytes(array: np.ndarray) -> bytes:
     array = np.asarray(array, dtype=np.float32)
     header = struct.pack("<4sII", TENSOR_MAGIC, FORMAT_VERSION, array.ndim)
     dims = struct.pack(f"<{array.ndim}I", *array.shape)
-    payload = array.astype("<f4").tobytes(order="C")
+    payload = array.astype("<f4", copy=False).tobytes(order="C")
     return header + dims + payload
 
 
@@ -81,7 +81,7 @@ def _decode_array(blob: bytes, off: int, rank: int, what: str) -> tuple[np.ndarr
     size = 4 * math.prod(dims)      # Python ints: no int64 wrap
     if len(blob) - off < size:
         raise FormatError(f"{what} payload holds {len(blob) - off} bytes, dims need {size}")
-    array = np.frombuffer(blob[off:off + size], dtype="<f4").reshape(dims)
+    array = np.frombuffer(blob, dtype="<f4", count=size // 4, offset=off).reshape(dims)
     return array.astype(np.float32), off + size
 
 
@@ -185,7 +185,7 @@ def write_checkpoint(path, meta: dict, arrays: dict) -> None:
         out.append(struct.pack("<H", len(blob)))
         out.append(blob)
         out.append(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
-        out.append(arr.astype("<f4").tobytes(order="C"))
+        out.append(arr.astype("<f4", copy=False).tobytes(order="C"))
     _write_bytes(path, b"".join(out))
 
 

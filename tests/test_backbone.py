@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nvg.autodiff as ad
-from nvg import errors
+from nvg import backbone, errors
 from nvg.autodiff import Tensor
 from nvg.backbone import HEAD_DIM, Block, ModelConfig, rope_tables
 from nvg.content_model import ContentModel
@@ -230,10 +230,27 @@ class TestModelConfig:
         for depth in (2, 4, 8):
             for kind in ("content", "structure"):
                 cfg = ModelConfig(depth, kind, 4, 8, 4, 6)
-                blocks = [Block(cfg.width, cfg.heads, rng) for _ in range(depth)]
+                blocks = [fresh_block(cfg.width, cfg.heads, rng) for _ in range(depth)]
                 total = sum(p.data.size for b in blocks for p in b.params("b").values())
                 assert total == 15 * depth * cfg.width ** 2
 
+
+
+def init_rule(name, shape, rng):
+    """The one init rule, stated apart from the library: biases, modulations
+    and block output projections start at zero, every other array draws
+    0.02 N(0, 1)."""
+    leaf = name.rsplit(".", 1)[-1]
+    if leaf.startswith("b_") or leaf in ("w_mod", "w_final_mod", "w_out"):
+        return np.zeros(shape, dtype=np.float32)
+    return (0.02 * rng.standard_normal(shape)).astype(np.float32)
+
+
+def fresh_block(width, heads, rng):
+    """A block on the arrays a model draws for one from rng, in table order."""
+    shapes = {"w_mod": (width, 3 * width), "w_fused": (width, 7 * width),
+              "w_out": (5 * width, width)}
+    return Block(heads, {name: init_rule(name, shape, rng) for name, shape in shapes.items()})
 
 
 def built_bytes(model) -> int:
@@ -251,16 +268,44 @@ class TestParamTable:
         built = model.state_arrays()
         assert {k: v.shape for k, v in built.items()} == config.param_shapes()
         assert config.weight_bytes == built_bytes(model)
-        # table order is the draw order: biases, modulations and block output
-        # projections start at zero, every other tensor draws 0.02 N(0, 1)
+        # table order is the draw order, under the one init rule
         rng = np.random.default_rng(5)
+        drawn = config.init_arrays(5)
+        assert list(drawn) == list(config.param_shapes())
         for name, shape in config.param_shapes().items():
-            leaf = name.rsplit(".", 1)[-1]
-            if leaf.startswith("b_") or leaf in ("w_mod", "w_final_mod", "w_out"):
-                want = np.zeros(shape, dtype=np.float32)
-            else:
-                want = (0.02 * rng.standard_normal(shape)).astype(np.float32)
-            assert built[name].dtype == np.float32 and np.array_equal(built[name], want)
+            want = init_rule(name, shape, rng)
+            assert built[name].dtype == drawn[name].dtype == np.float32
+            assert np.array_equal(built[name], want) and np.array_equal(drawn[name], want)
+
+    def test_the_model_wraps_the_arrays_it_is_given(self):
+        config = ModelConfig(2, "structure", 3, 16, 2, 4)
+        arrays = config.init_arrays(1)
+        model = StructureModel(config, arrays=arrays)
+        assert all(model.params()[name].data is array for name, array in arrays.items())
+
+    @pytest.mark.parametrize("change, message", [
+        ("missing", r"b_head is missing, its config implies \(3,\)"),
+        ("extra", r"block2.w_out is \(640, 128\), its config implies no such array"),
+        ("shape", r"block1.w_fused is \(128, 128\), its config implies \(128, 896\)"),
+    ], ids=["missing", "extra", "shape"])
+    def test_a_table_that_is_not_the_configs_is_refused_before_any_tensor(
+            self, monkeypatch, change, message):
+        config = ModelConfig(2, "content", 3, 16, 2, 4)
+        arrays = config.init_arrays(0)
+        if change == "missing":
+            del arrays["b_head"]
+        elif change == "extra":
+            arrays["block2.w_out"] = arrays["block1.w_out"]
+        else:
+            arrays["block1.w_fused"] = np.zeros((128, 128), dtype=np.float32)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tensor was made before the table was checked")
+
+        monkeypatch.setattr(backbone, "Tensor", refuse)
+        monkeypatch.setattr(backbone, "Block", refuse)
+        with pytest.raises(InvariantError, match=message):
+            ContentModel(config, arrays=arrays)
 
 
 def rotate(vecs, kind, struct, spatial):
@@ -320,7 +365,7 @@ class TestBlock:
 
     def test_zero_out_projection_gives_identity(self):
         rng = np.random.default_rng(8)
-        block = Block(128, 2, rng)
+        block = fresh_block(128, 2, rng)
         block.w_out.data[:] = 0.0
         block.w_mod.data[:] = rng.normal(size=block.w_mod.data.shape)
         x, cos, sin, cond = self.make_inputs(rng, 128)
@@ -329,7 +374,7 @@ class TestBlock:
 
     def test_fresh_block_is_identity_via_zero_gate(self):
         rng = np.random.default_rng(9)
-        block = Block(128, 2, rng)
+        block = fresh_block(128, 2, rng)
         x, cos, sin, cond = self.make_inputs(rng, 128)
         assert np.array_equal(block.forward(x, cos, sin, cond)[0].data, x.data)
         prefix = block.keys_values(x[:, :4], cos[:, :4], sin[:, :4], cond)
@@ -337,12 +382,12 @@ class TestBlock:
         assert np.array_equal(out.data, x.data[:, 4:])
 
     def test_block_param_count_is_15_w_squared(self):
-        block = Block(128, 2, np.random.default_rng(0))
+        block = fresh_block(128, 2, np.random.default_rng(0))
         assert sum(p.data.size for p in block.params("b").values()) == 15 * 128 * 128
 
     def test_block_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
-        block = Block(128, 2, rng)
+        block = fresh_block(128, 2, rng)
         # randomize all weights so every path carries gradient
         for p in (block.w_mod, block.w_fused, block.w_out):
             p.data = 0.05 * rng.standard_normal(p.data.shape)
@@ -374,7 +419,7 @@ class TestBlockPrefix:
 
     @staticmethod
     def make(rng, dtype, batch=2):
-        block = Block(128, 2, rng)
+        block = fresh_block(128, 2, rng)
         for p in (block.w_mod, block.w_fused, block.w_out):
             p.data = (0.05 * rng.standard_normal(p.data.shape)).astype(dtype)
         x = Tensor(rng.normal(size=(batch, 7, 128)).astype(dtype), requires_grad=True)
@@ -451,7 +496,7 @@ class TestBlockOracle:
         runs = 1 if kind == "content" else 2
         length = 1 + runs * side * side
         rng = np.random.default_rng(20 + batch + side)
-        block = Block(cfg.width, cfg.heads, rng)
+        block = fresh_block(cfg.width, cfg.heads, rng)
         for p in (block.w_mod, block.w_out):
             p.data = (0.05 * rng.standard_normal(p.data.shape)).astype(np.float32)
         x = Tensor(rng.normal(size=(batch, length, cfg.width)).astype(np.float32))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nvg
-from nvg import checkpoints, cli
+from nvg import backbone, cli
 from nvg.backbone import ModelConfig
 from nvg.checkpoints import load_model, load_refiners, save_model, save_refiners
 from nvg.content_model import ContentModel
@@ -51,8 +51,9 @@ class TestModelMeta:
             load_model(path)
         # the deepest content config under the cap, in a file of no arrays
         write_checkpoint(path, {**GOOD_META, "depth": 20}, {})
-        with pytest.raises(FormatError, match=r"class_emb is missing, its meta implies "
-                                              r"\(3, 1280\)"):
+        with pytest.raises(FormatError, match=re.escape(f"model checkpoint at {path}: class_emb "
+                                                        f"is missing, its config implies "
+                                                        f"(3, 1280)")):
             load_model(path)
 
     def test_meta_must_be_an_object(self, tmp_path):
@@ -128,12 +129,12 @@ class TestModelShapes:
         def refuse(*args, **kwargs):
             raise AssertionError("model built before its arrays were checked")
 
-        monkeypatch.setattr(checkpoints, "ContentModel", refuse)
-        monkeypatch.setattr(checkpoints, "StructureModel", refuse)
+        monkeypatch.setattr(backbone, "Tensor", refuse)
+        monkeypatch.setattr(backbone, "Block", refuse)
 
     @pytest.fixture(scope="class")
     def arrays(self):
-        return ContentModel(ModelConfig(**CONFIG), seed=0).state_arrays()
+        return ModelConfig(**CONFIG).init_arrays(0)
 
     @pytest.mark.parametrize("change", [
         {"depth": 1000},                    # far more blocks than the arrays hold
@@ -155,12 +156,13 @@ class TestModelShapes:
         bad = {**arrays, "block3.w_out": np.zeros((3, 3), dtype=np.float32)}
         path = tmp_path / "bad.nvgc"
         write_checkpoint(path, {**GOOD_META, **CONFIG}, bad)
-        with pytest.raises(FormatError, match="block3.w_out"):
+        with pytest.raises(FormatError, match=re.escape(f"model checkpoint at {path}: "
+                                                        f"block3.w_out is (3, 3)")):
             load_model(path)
 
     @pytest.mark.parametrize("name, change, message", [
-        ("block4.w_out", "extra", r"block4.w_out is \(1280, 256\), its meta implies no such"),
-        ("b_logit", "missing", r"b_logit is missing, its meta implies \(4,\)"),
+        ("block4.w_out", "extra", "block4.w_out is (1280, 256), its config implies no such"),
+        ("b_logit", "missing", "b_logit is missing, its config implies (4,)"),
     ])
     def test_extra_or_missing_array_fails_before_allocation(
             self, tmp_path, arrays, no_allocation, name, change, message):
@@ -171,7 +173,7 @@ class TestModelShapes:
             del bad[name]
         path = tmp_path / "bad.nvgc"
         write_checkpoint(path, {**GOOD_META, **CONFIG}, bad)
-        with pytest.raises(FormatError, match=message):
+        with pytest.raises(FormatError, match=re.escape(f"model checkpoint at {path}: {message}")):
             load_model(path)
 
     def test_matching_arrays_load(self, tmp_path, arrays):
@@ -179,6 +181,17 @@ class TestModelShapes:
         write_checkpoint(path, {**GOOD_META, **CONFIG}, arrays)
         model = load_model(path)
         assert all(np.array_equal(model.state_arrays()[k], v) for k, v in arrays.items())
+
+    def test_a_load_draws_no_random_numbers(self, tmp_path, arrays, monkeypatch):
+        path = tmp_path / "good.nvgc"
+        write_checkpoint(path, {**GOOD_META, **CONFIG}, arrays)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        state = load_model(path).state_arrays()
+        assert all(np.array_equal(state[k], v) for k, v in arrays.items())
 
     def test_meta_with_the_old_norm_key_loads_and_saves_without_it(self, tmp_path, arrays):
         # every model file written before the key was dropped carries it

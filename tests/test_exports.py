@@ -10,7 +10,7 @@ refiners' `apply` in `grid.add_stage`, the one decoder step, and the
 tokenizer. Two more keep one size rule per limit: only `errors.check_alloc`
 reads the allocation cap, and only `grid.last_stage_of` turns a grid shape
 into a stage count with `bit_length`. And only `backbone`, home of the one
-parameter table, makes a trainable `Tensor`."""
+parameter table, reads `param_shapes` and makes a trainable `Tensor`."""
 
 import ast
 import importlib
@@ -166,6 +166,14 @@ def test_only_the_grid_shape_rule_reads_bit_length():
     assert readers == {"grid.py"}
 
 
+def test_only_the_backbone_reads_the_parameter_table():
+    # `Generator` checks every table of arrays against `param_shapes` before
+    # it makes a tensor; a second comparison elsewhere would be a second rule
+    readers = {path.name for path in Path(nvg.__file__).parent.glob("*.py")
+               if "param_shapes" in read_names(path.read_text())}
+    assert readers == {"backbone.py"}
+
+
 def trainable_tensors(source: str) -> list:
     """Lines of the calls that make a trainable `Tensor`: `requires_grad`
     given as anything but False, by keyword or as the second argument."""
@@ -183,9 +191,9 @@ def trainable_tensors(source: str) -> list:
 
 
 def test_only_the_parameter_table_makes_parameters():
-    # `backbone` builds every parameter from `ModelConfig.param_shapes` under
-    # the one init rule; a trainable tensor made elsewhere would be one the
-    # checkpoint check and the allocation cap do not count
+    # `backbone` makes every parameter from a table its constructor checked
+    # against `ModelConfig.param_shapes`; a trainable tensor made elsewhere
+    # would be one that check and the allocation cap do not count
     makers = {path.name for path in Path(nvg.__file__).parent.glob("*.py")
               if trainable_tensors(path.read_text())}
     assert makers == {"backbone.py"}

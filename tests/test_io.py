@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nvg.backbone import ModelConfig
 from nvg.checkpoints import load_model, load_refiners
-from nvg.content_model import ContentModel
 from nvg.errors import FormatError, InvariantError
 from nvg.grid import Codebook, LatentGrid, StructureMap
 from nvg.hierarchy import build_hierarchy
@@ -127,7 +126,8 @@ class TestCheckpointFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         arrays = {"a.w": rng.normal(size=(3, 4)).astype(np.float32),
-                  "b": rng.normal(size=(5,)).astype(np.float32)}
+                  "b": rng.normal(size=(5,)).astype(np.float32),
+                  "c": np.zeros((2, 0), dtype=np.float32)}     # last, empty, at the end
         meta = {"type": "model", "depth": 2}
         path = tmp_path / "ck.nvgc"
         write_checkpoint(path, meta, arrays)
@@ -135,7 +135,8 @@ class TestCheckpointFile:
         assert m2 == meta
         assert set(a2) == set(arrays)
         for k in arrays:
-            assert np.array_equal(arrays[k], a2[k])
+            assert a2[k].dtype == np.float32 and a2[k].flags.writeable
+            assert a2[k].shape == arrays[k].shape and np.array_equal(arrays[k], a2[k])
 
     def test_write_is_deterministic(self, tmp_path):
         arrays = {"z": np.ones(3, dtype=np.float32), "a": np.zeros(2, dtype=np.float32)}
@@ -344,7 +345,7 @@ SEQUENCE_PATHS = ([[]] + [[k] for k in ("K", "h", "w", "e", "codebook_hash", "st
 # valid starting points the fuzz mutates one entry of
 MODEL_META = {"type": "model", "kind": "content", "depth": 1, "latent_channels": 2,
               "codebook_size": 4, "num_classes": 2, "last_stage": 2}
-MODEL_ARRAYS = ContentModel(ModelConfig(1, "content", 2, 4, 2, 2)).state_arrays()
+MODEL_ARRAYS = ModelConfig(1, "content", 2, 4, 2, 2).init_arrays(0)
 REFINER_META = {"type": "refiners", "count": 3, "channels": 2}
 REFINER_ARRAYS = {f"refiner{i}.{part}": getattr(r, part)
                   for i, r in enumerate(identity_refiners(2, 2)) for part in ("weight", "bias")}
