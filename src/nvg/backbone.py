@@ -309,8 +309,8 @@ class Generator:
     stage's map), feeds its token run and maps to `_embed`, runs the blocks
     and reads `_head`. Every tensor, its own input and output parameters
     too, wraps one float32 array of `arrays`, else `config.init_arrays(seed)`:
-    a table checked against `param_shapes` before any tensor is made. Each
-    tensor is an attribute named as in the table.
+    a table checked against `param_shapes`, and for float32, before any tensor
+    is made. Each tensor is an attribute named as in the table.
     """
 
     kind = ""
@@ -326,6 +326,9 @@ class Generator:
             name = next(n for n in (*want, *got) if got.get(n) != want.get(n))
             raise InvariantError(f"{name} is {got.get(name, 'missing')}, its config implies "
                                  f"{want.get(name, 'no such array')}")
+        for name, array in arrays.items():
+            if np.asarray(array).dtype != np.float32:
+                raise InvariantError(f"{name} is {np.asarray(array).dtype}, not float32")
         self.config = config
         before, after = config._outer_shapes()
         for name in (*before, *after):

@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,10 +34,15 @@ CHECKPOINT_MAGIC = b"NVGC"
 FORMAT_VERSION = 1
 
 
-def _read_bytes(path) -> bytes:
+@contextmanager
+def _reading(path):
+    """The open file and its size. An OSError becomes FormatError, and so does
+    a file the caller did not read to its end."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            yield fh, (end := os.fstat(fh.fileno()).st_size)
+            if fh.tell() != end:
+                raise FormatError(f"{path} has {end - fh.tell()} trailing bytes")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -69,35 +76,35 @@ def write_tensor(path, array: np.ndarray) -> None:
     _write_bytes(path, tensor_bytes(array))
 
 
-def _decode_array(blob: bytes, off: int, rank: int, what: str) -> tuple[np.ndarray, int]:
+def _read_array(fh, end: int, rank: int, what: str) -> np.ndarray:
     """The float32 array whose `rank` uint32 dims and little-endian payload
-    start at blob[off], and the offset just past it."""
+    come next in `fh`, a file of `end` bytes. The payload is checked against
+    the bytes left before its array is allocated, then read straight into it."""
     if rank > 8:
         raise FormatError(f"implausible {what} rank {rank}")
-    if len(blob) < off + 4 * rank:
+    raw = fh.read(4 * rank)
+    if len(raw) < 4 * rank:
         raise FormatError(f"{what} truncated in dims")
-    dims = struct.unpack_from(f"<{rank}I", blob, off)
-    off += 4 * rank
-    size = 4 * math.prod(dims)      # Python ints: no int64 wrap
-    if len(blob) - off < size:
-        raise FormatError(f"{what} payload holds {len(blob) - off} bytes, dims need {size}")
-    array = np.frombuffer(blob, dtype="<f4", count=size // 4, offset=off).reshape(dims)
-    return array.astype(np.float32), off + size
+    dims = struct.unpack(f"<{rank}I", raw)
+    size, left = 4 * math.prod(dims), end - fh.tell()      # Python ints: no int64 wrap
+    if left < size:
+        raise FormatError(f"{what} payload holds {left} bytes, dims need {size}")
+    array = np.empty(dims, dtype="<f4")
+    fh.readinto(array.reshape(-1).view(np.uint8))
+    return array.astype(np.float32, copy=False)
 
 
 def read_tensor(path) -> np.ndarray:
-    blob = _read_bytes(path)
-    if len(blob) < 12:
-        raise FormatError("tensor file truncated")
-    magic, version, rank = struct.unpack_from("<4sII", blob)
-    if magic != TENSOR_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported tensor format version {version}")
-    array, end = _decode_array(blob, 12, rank, "tensor")
-    if end != len(blob):
-        raise FormatError(f"tensor file has {len(blob) - end} trailing bytes")
-    return array
+    with _reading(path) as (fh, end):
+        head = fh.read(12)
+        if len(head) < 12:
+            raise FormatError("tensor file truncated")
+        magic, version, rank = struct.unpack("<4sII", head)
+        if magic != TENSOR_MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported tensor format version {version}")
+        return _read_array(fh, end, rank, "tensor")
 
 
 def codebook_hash(codebook: Codebook) -> str:
@@ -133,7 +140,8 @@ def _int_list(value) -> bool:
 
 
 def read_sequence(path, codebook: Codebook | None = None) -> VGSequence:
-    obj = _decode_json(_read_bytes(path), "sequence file")
+    with _reading(path) as (fh, _):
+        obj = _decode_json(fh.read(), "sequence file")
     try:
         dims = [obj[k] for k in ("K", "h", "w", "e")]
         raw_stages = obj["stages"]
@@ -190,31 +198,26 @@ def write_checkpoint(path, meta: dict, arrays: dict) -> None:
 
 
 def read_checkpoint(path):
-    blob = _read_bytes(path)
-    if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError("not a checkpoint file")
-    _, version, meta_len = struct.unpack_from("<4sII", blob)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    meta = _decode_json(blob[12:12 + meta_len], "checkpoint meta")
-    if not isinstance(meta, dict):
-        raise FormatError("checkpoint meta is not a JSON object")
-    off = 12 + meta_len
-    try:
-        (count,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        arrays = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            name = blob[off:off + name_len].decode()
-            off += name_len
-            (rank,) = struct.unpack_from("<I", blob, off)
-            arrays[name], off = _decode_array(blob, off + 4, rank, "checkpoint array")
-    except (struct.error, UnicodeDecodeError, ValueError) as exc:
-        raise FormatError(f"checkpoint file corrupt: {exc}") from exc
-    if off != len(blob):
-        raise FormatError("checkpoint has trailing bytes")
+    with _reading(path) as (fh, end):
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
+            raise FormatError("not a checkpoint file")
+        _, version, meta_len = struct.unpack("<4sII", head)
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version}")
+        meta = _decode_json(fh.read(min(meta_len, end - 12)), "checkpoint meta")
+        if not isinstance(meta, dict):
+            raise FormatError("checkpoint meta is not a JSON object")
+        try:
+            (count,) = struct.unpack("<I", fh.read(4))
+            arrays = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", fh.read(2))
+                name = fh.read(name_len).decode()
+                (rank,) = struct.unpack("<I", fh.read(4))
+                arrays[name] = _read_array(fh, end, rank, "checkpoint array")
+        except (struct.error, UnicodeDecodeError, ValueError) as exc:
+            raise FormatError(f"checkpoint file corrupt: {exc}") from exc
     return meta, arrays
 
 
@@ -229,7 +232,8 @@ def write_pgm(path, gray: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    blob = _read_bytes(path)
+    with _reading(path) as (fh, _):
+        blob = fh.read()
     if not blob.startswith(b"P5"):
         raise FormatError("not a binary (P5) PGM file")
     fields = []

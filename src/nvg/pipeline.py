@@ -3,22 +3,20 @@ sampled, forced, or user-supplied), sample that stage's tokens from guided
 top-p filtered logits, and add the refined placement onto the canvas
 (`grid.add_stage`, the decoder's one step).
 
-Guidance and nucleus schedules sharpen over the stages: top-p decays
-log-linearly from 1.0 to 0.5 and the guidance scale grows linearly to 2.5
-(structure) or 3.5 (content); `cfg_forward` applies guidance to both the flow
-velocity and the token logits. A request may fix a structure prefix, the
-maps of stages 0..k given by one canonical stage-k map, and the tokens of any
-stages; the generators sample the rest.
+Guidance and nucleus schedules (`ScheduleParams`) sharpen over the stages:
+top-p decays log-linearly from 1.0 to 0.5 and the guidance scale grows
+linearly to 2.5 (structure) or 3.5 (content). A guided step runs the
+`guidance_classes` rows and `guided` combines them. A flow stage runs its
+class token and canvas rows once, in one `StructureModel.context`, and each
+Euler step's `velocity` runs only the noised rows against it. A request may
+fix a structure prefix, the maps of stages 0..k given by one canonical
+stage-k map, and the tokens of any stages; the generators sample the rest.
 
 The first flow stage starts from noise at t = 1. Each later one is warm
 started from the stage before it, whose flow already predicted every column
 it inpaints: it starts at `structure_model.WARM_T` and runs that fraction of
 `ScheduleParams.flow_steps` (see `flow_sample`). A flow stage right after a
 fixed prefix has no prediction to start from and starts from noise.
-
-A flow stage runs its class token and canvas rows once: it builds one
-`StructureModel.context` for the `guidance_classes` rows, and each Euler
-step's `velocity` runs only the noised rows against it.
 """
 
 from __future__ import annotations
@@ -38,9 +36,9 @@ from .hierarchy import canonical_child, reindex_hierarchy
 from .structcode import embed_structure_map
 from .structure_model import StructureModel, flow_sample, gumbel_balanced_split
 
-__all__ = ["ScheduleParams", "GenerationRequest", "GenerationStats",
-           "GenerationResult", "cfg_schedule", "top_p_schedule", "guidance_classes",
-           "cfg_forward", "sample_token", "forced_final_split", "stage_velocity", "generate"]
+__all__ = ["ScheduleParams", "GenerationRequest", "GenerationStats", "GenerationResult",
+           "guidance_classes", "guided", "sample_token", "forced_final_split",
+           "stage_velocity", "generate"]
 
 CFG_CONTENT_END = 3.5      # content guidance scale at the last stage
 CFG_STRUCTURE_END = 2.5    # structure guidance scale at the last flow stage
@@ -49,6 +47,10 @@ TOP_P_END = 0.5            # nucleus width at the last stage
 
 @dataclass(frozen=True)
 class ScheduleParams:
+    """Per-stage guidance scales and nucleus widths: each method returns its
+    ramp, or the constant when one is set, and refuses a stage its generator
+    does not run (the flow runs at stages 1..last-1, content at 0..last)."""
+
     flow_steps: int = 25
     cfg_constant: float | None = None     # overrides both ramps when set
     top_p_constant: float | None = None
@@ -60,6 +62,30 @@ class ScheduleParams:
             raise InvariantError(f"guidance scale must be finite, got {self.cfg_constant}")
         if self.top_p_constant is not None and not 0.0 < self.top_p_constant <= 1.0:
             raise InvariantError(f"top-p must lie in (0, 1], got {self.top_p_constant}")
+
+    def content_scale(self, stage: int, last: int) -> float:
+        """1.0 at stage 0, rising linearly to CFG_CONTENT_END at the last."""
+        if not 0 <= stage <= last:
+            raise InvariantError(f"content runs at stages 0..{last}")
+        if self.cfg_constant is not None:
+            return self.cfg_constant
+        return 1.0 + (CFG_CONTENT_END - 1.0) * (stage / last if last else 0.0)
+
+    def structure_scale(self, stage: int, last: int) -> float:
+        """1.0 at stage 1, rising linearly to CFG_STRUCTURE_END at last - 1."""
+        if not 1 <= stage <= last - 1:
+            raise InvariantError(f"structure runs at stages 1..{last - 1}")
+        if self.cfg_constant is not None:
+            return self.cfg_constant
+        return 1.0 + (CFG_STRUCTURE_END - 1.0) * ((stage - 1) / (last - 2) if last > 2 else 0.0)
+
+    def top_p(self, stage: int, last: int) -> float:
+        """Log-linear: 1.0 at stage 0 down to TOP_P_END at the last."""
+        if not 0 <= stage <= last:
+            raise InvariantError(f"stage {stage} outside [0, {last}]")
+        if self.top_p_constant is not None:
+            return self.top_p_constant
+        return float(TOP_P_END ** (stage / last)) if last else 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,44 +146,15 @@ class GenerationResult:
     stats: GenerationStats
 
 
-def cfg_schedule(stage: int, kind: str, last_stage: int) -> float:
-    """Linearly rising guidance scale over the stages the generator runs."""
-    if kind == "content":
-        if not 0 <= stage <= last_stage:
-            raise InvariantError(f"content runs at stages 0..{last_stage}")
-        frac = stage / last_stage if last_stage else 0.0
-        return 1.0 + (CFG_CONTENT_END - 1.0) * frac
-    if kind == "structure":
-        if not 1 <= stage <= last_stage - 1:
-            raise InvariantError(f"structure runs at stages 1..{last_stage - 1}")
-        span = last_stage - 2
-        frac = (stage - 1) / span if span > 0 else 0.0
-        return 1.0 + (CFG_STRUCTURE_END - 1.0) * frac
-    raise InvariantError(f"unknown generator kind {kind!r}")
-
-
-def top_p_schedule(stage: int, last_stage: int) -> float:
-    """Log-linear nucleus width: 1.0 at stage 0 down to TOP_P_END at the end."""
-    if not 0 <= stage <= last_stage:
-        raise InvariantError(f"stage {stage} outside [0, {last_stage}]")
-    if last_stage == 0:
-        return 1.0
-    return float(TOP_P_END ** (stage / last_stage))
-
-
 def guidance_classes(class_id: int, null_id: int, scale: float) -> np.ndarray:
     """The rows a guided forward runs: [class_id] alone at scale 1, where the
     null row would cancel, otherwise [class_id, null_id] as one B=2 batch."""
     return np.array([class_id] if scale == 1.0 else [class_id, null_id])
 
 
-def cfg_forward(forward, class_id: int, null_id: int, scale: float) -> np.ndarray:
-    """Classifier-free guidance: null + scale * (cond - null).
-
-    forward(class_ids) runs the `guidance_classes` batch and returns its rows
-    in order: the class row alone, or the class and null rows combined.
-    """
-    rows = forward(guidance_classes(class_id, null_id, scale))
+def guided(rows, scale: float) -> np.ndarray:
+    """Classifier-free guidance of the `guidance_classes` rows, in order: the
+    class row alone, or null + scale * (cond - null)."""
     if len(rows) == 1:
         return rows[0]
     cond, null = rows
@@ -204,20 +201,15 @@ def stage_velocity(structure_model: StructureModel, class_id: int, null_id: int,
                    stats: GenerationStats):
     """The guided velocity_fn(z, t) of one flow stage, for `flow_sample`. It
     builds the stage's one context, for the `guidance_classes` rows every
-    step runs, and counts each step in `stats`. At scale 1.0 it runs the
-    class row alone, unguided."""
+    step runs, and counts each step in `stats`."""
     classes = guidance_classes(class_id, null_id, scale)
-    context = structure_model.context(classes, [parent] * len(classes),
-                                      np.repeat(canvas[None], len(classes), axis=0))
+    n = len(classes)
+    context = structure_model.context(classes, [parent] * n, np.repeat(canvas[None], n, axis=0))
 
     def velocity_fn(z, t):
         stats.flow_steps += 1
-
-        def rows(batch):        # the context's rows: `batch` is `classes`
-            n = len(batch)
-            return structure_model.velocity(context, np.repeat(z[None], n, axis=0),
-                                            np.full(n, t)).data
-        return cfg_forward(rows, class_id, null_id, scale)
+        return guided(structure_model.velocity(context, np.repeat(z[None], n, axis=0),
+                                               np.full(n, t)).data, scale)
     return velocity_fn
 
 
@@ -227,9 +219,10 @@ def generate(req: GenerationRequest, content_model: ContentModel,
              refiners) -> GenerationResult:
     """Run the full staged loop and return (sequence, canvas, step counters).
 
-    Runs without a tape. Every flow step and content step goes through
-    `cfg_forward`, so a guided step is one B=2 forward; a flow stage builds
-    one context for those rows, which its steps share. Both models are
+    Runs without a tape. Every flow step and content step runs the
+    `guidance_classes` rows and combines them with `guided`, so a guided step
+    is one B=2 forward; a flow stage builds one context for those rows, which
+    its steps share. Every scale and top-p is `req.schedule`'s. Both models are
     given the realized maps, never ids: the flow at stage k reads the
     stage-(k-1) map, and the content step reads the stage-k map. The flow's
     known columns are the stage-(k-1) map's embedding, the same
@@ -281,8 +274,7 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             smap = forced_final_split(stages[-1][1])
         else:
             parent = stages[-1][1]
-            scale = sched.cfg_constant if sched.cfg_constant is not None else \
-                cfg_schedule(k, "structure", last)
+            scale = sched.structure_scale(k, last)
             known = embed_structure_map(parent, last).astype(np.float32)
             # the stage's context is freed with its velocity_fn, before the content step
             flow_pred = flow_sample(
@@ -294,18 +286,13 @@ def generate(req: GenerationRequest, content_model: ContentModel,
         if k in req.content_overrides:
             tokens = req.content_overrides[k]
         else:
-            scale = sched.cfg_constant if sched.cfg_constant is not None else \
-                cfg_schedule(k, "content", last)
-            p = sched.top_p_constant if sched.top_p_constant is not None else \
-                top_p_schedule(k, last)
-
-            def logit_rows(classes):
-                n = len(classes)
-                pred = content_model.forward_final_canvas(
-                    classes, [smap] * n, np.repeat(x[None], n, axis=0))
-                return [content_model.token_logits(pred[b], x, smap).data for b in range(n)]
-
-            logits = cfg_forward(logit_rows, req.class_id, null_id, scale)
+            scale, p = sched.content_scale(k, last), sched.top_p(k, last)
+            classes = guidance_classes(req.class_id, null_id, scale)
+            n = len(classes)
+            pred = content_model.forward_final_canvas(classes, [smap] * n,
+                                                      np.repeat(x[None], n, axis=0))
+            logits = guided([content_model.token_logits(pred[b], x, smap).data
+                             for b in range(n)], scale)
             indices = np.array([sample_token(logits[j], p, rng)
                                 for j in range(smap.num_clusters)], dtype=np.int32)
             tokens = ContentTokens(k, indices)

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .backbone import rope_tables
 from .grid import Codebook, LatentGrid, StructureMap, canvas_prefixes
 from .hierarchy import build_hierarchy
-from .pipeline import cfg_forward, cfg_schedule, top_p_schedule
+from .pipeline import ScheduleParams, guidance_classes, guided
 from .quantize import Refiner, build_contents, identity_refiners
 from .structcode import bit_rule_holds, embed_structure_map
 from .structure_model import flow_sample, gumbel_balanced_split
@@ -108,10 +108,11 @@ def _check_rope(seed):
 
 
 def _check_schedules():
+    sched = ScheduleParams()
     checks = [
-        (top_p_schedule(0, 8), 1.0), (top_p_schedule(8, 8), 0.5),
-        (cfg_schedule(0, "content", 8), 1.0), (cfg_schedule(8, "content", 8), 3.5),
-        (cfg_schedule(1, "structure", 8), 1.0), (cfg_schedule(7, "structure", 8), 2.5),
+        (sched.top_p(0, 8), 1.0), (sched.top_p(8, 8), 0.5),
+        (sched.content_scale(0, 8), 1.0), (sched.content_scale(8, 8), 3.5),
+        (sched.structure_scale(1, 8), 1.0), (sched.structure_scale(7, 8), 2.5),
     ]
     for got, want in checks:
         if abs(got - want) > 1e-12:
@@ -164,10 +165,9 @@ def _check_guided_flow(seed):
     calls = []
 
     def oracle(z, t):
-        def rows(classes):
-            calls.append(classes.tolist())
-            return (z - targets[classes]) / t
-        return cfg_forward(rows, 0, 1, scale)
+        classes = guidance_classes(0, 1, scale)
+        calls.append(classes.tolist())
+        return guided((z - targets[classes]) / t, scale)
 
     out = flow_sample(oracle, a, stage=stage, n_steps=n_steps, rng=seed)
     if calls != [[0, 1]] * n_steps:

@@ -161,7 +161,7 @@ def flow_sample(velocity_fn, s_e_grid: np.ndarray, stage: int, n_steps: int,
     s_e_grid from the start and after every step.
 
     velocity_fn(z, t) is called once per step and returns the (h, w, K)
-    velocity; guidance, if any, is the caller's (see `pipeline.cfg_forward`).
+    velocity; guidance, if any, is the caller's (see `pipeline.guided`).
     A non-finite velocity raises NumericError. Returns the predicted
     full-depth grid.
     """

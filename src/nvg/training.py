@@ -249,6 +249,11 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
     noise and each later stage warm started from the previous prediction.
     """
     last = _last_stage(examples)
+    if content_model.config.codebook_size != codebook.size:
+        raise InvariantError(f"content model scores {content_model.config.codebook_size} "
+                             f"codebook rows, the codebook has {codebook.size}")
+    if any(int(t.indices.max()) >= codebook.size for ex in examples for t, _ in ex.sequence.stages):
+        raise InvariantError(f"an example's tokens index past the codebook of {codebook.size}")
     token_acc = {i: [0, 0] for i in range(last + 1)}
     recon_mse = np.zeros(last + 1, dtype=np.float64)
     used = np.zeros(codebook.size, dtype=bool)

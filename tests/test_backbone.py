@@ -287,7 +287,9 @@ class TestParamTable:
         ("missing", r"b_head is missing, its config implies \(3,\)"),
         ("extra", r"block2.w_out is \(640, 128\), its config implies no such array"),
         ("shape", r"block1.w_fused is \(128, 128\), its config implies \(128, 896\)"),
-    ], ids=["missing", "extra", "shape"])
+        ("float64", r"block0.w_out is float64, not float32"),
+        ("int32", r"block0.w_out is int32, not float32"),
+    ], ids=["missing", "extra", "shape", "float64", "int32"])
     def test_a_table_that_is_not_the_configs_is_refused_before_any_tensor(
             self, monkeypatch, change, message):
         config = ModelConfig(2, "content", 3, 16, 2, 4)
@@ -296,8 +298,10 @@ class TestParamTable:
             del arrays["b_head"]
         elif change == "extra":
             arrays["block2.w_out"] = arrays["block1.w_out"]
-        else:
+        elif change == "shape":
             arrays["block1.w_fused"] = np.zeros((128, 128), dtype=np.float32)
+        else:
+            arrays["block0.w_out"] = arrays["block0.w_out"].astype(change)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a tensor was made before the table was checked")

@@ -240,21 +240,18 @@ def test_generate_batches_the_class_row_before_the_null_row(world, monkeypatch):
         return ad.Tensor(np.full((smap.num_clusters, 8), pred_final.data.flat[0]))
 
     pairs = []
-    real_cfg = pipeline.cfg_forward
+    real_guided = pipeline.guided
 
-    def spy_cfg(forward, class_id, null_id, scale):
-        def recorded(classes):
-            rows = forward(classes)
-            if len(rows) == 2:
-                pairs.append((rows[0], rows[1]))
-            return rows
-        return real_cfg(recorded, class_id, null_id, scale)
+    def spy_guided(rows, scale):
+        if len(rows) == 2:
+            pairs.append((rows[0], rows[1]))
+        return real_guided(rows, scale)
 
     monkeypatch.setattr(StructureModel, "context", fake_context)
     monkeypatch.setattr(StructureModel, "velocity", fake_velocity)
     monkeypatch.setattr(ContentModel, "forward_final_canvas", fake_canvas)
     monkeypatch.setattr(ContentModel, "token_logits", fake_logits)
-    monkeypatch.setattr(pipeline, "cfg_forward", spy_cfg)
+    monkeypatch.setattr(pipeline, "guided", spy_guided)
     req = GenerationRequest(class_id=1, seed=0, h=H, w=W, e=E,
                             schedule=ScheduleParams(flow_steps=3))
     generate(req, content_model(), structure_model(), codebook, refiners)

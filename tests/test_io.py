@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ class TestTensorFile:
         path.write_bytes(b"XXXX" + b"\x00" * 20)
         with pytest.raises(FormatError):
             read_tensor(path)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 0, 3)])
+    def test_scalar_and_empty_roundtrip(self, tmp_path, shape):
+        path = tmp_path / "a.nvgt"
+        write_tensor(path, np.full(shape, 2.5, dtype=np.float32))
+        back = read_tensor(path)
+        assert back.shape == shape and back.dtype == np.float32 and np.all(back == 2.5)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "短.nvgt"
@@ -144,6 +152,42 @@ class TestCheckpointFile:
         write_checkpoint(p1, {"k": 1}, arrays)
         write_checkpoint(p2, {"k": 1}, dict(reversed(list(arrays.items()))))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("reader", ["tensor", "checkpoint"])
+    def test_each_array_is_read_straight_into_its_own_buffer(self, tmp_path, reader):
+        # reading the file whole first, then copying out, peaked at 2x the arrays
+        rng = np.random.default_rng(5)
+        arrays = {f"w{i}": rng.normal(size=(256, 1024)).astype(np.float32) for i in range(8)}
+        arrays.update({"empty": np.zeros((2, 0), np.float32), "scalar": np.float32(1.5)})
+        path = tmp_path / "big.bin"
+        if reader == "tensor":
+            arrays = {"all": np.stack([arrays[f"w{i}"] for i in range(8)])}
+            write_tensor(path, arrays["all"])
+        else:
+            write_checkpoint(path, {"k": 1}, arrays)
+        tracemalloc.start()
+        try:
+            back = read_tensor(path) if reader == "tensor" else read_checkpoint(path)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if reader == "tensor":
+            back = {"all": back}
+        assert all(np.array_equal(back[n], a) and back[n].shape == np.shape(a)
+                   and back[n].dtype == np.float32 for n, a in arrays.items())
+        nbytes = sum(np.asarray(a).nbytes for a in arrays.values())      # 8 MiB
+        assert peak < 1.25 * nbytes
+
+    @pytest.mark.parametrize("reader", [read_tensor, read_checkpoint])
+    def test_trailing_bytes_rejected(self, tmp_path, reader):
+        path = tmp_path / "t.bin"
+        if reader is read_tensor:
+            write_tensor(path, np.ones((2, 3), dtype=np.float32))
+        else:
+            write_checkpoint(path, {"k": 1}, {"a": np.ones(2, dtype=np.float32)})
+        path.write_bytes(path.read_bytes() + b"xy")
+        with pytest.raises(FormatError, match="has 2 trailing bytes"):
+            reader(path)
 
     def test_corrupt_rejected(self, tmp_path):
         path = tmp_path / "ck.nvgc"

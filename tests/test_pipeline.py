@@ -17,12 +17,11 @@ from nvg.hierarchy import build_hierarchy
 from nvg.pipeline import (
     GenerationRequest,
     ScheduleParams,
-    cfg_forward,
-    cfg_schedule,
     forced_final_split,
     generate,
+    guidance_classes,
+    guided,
     sample_token,
-    top_p_schedule,
 )
 from nvg.io import write_tensor
 from nvg.quantize import Refiner, build_contents, fit_codebook, identity_refiners
@@ -53,24 +52,70 @@ def setup():
 
 class TestSchedules:
     def test_cfg_content_endpoints(self):
-        assert cfg_schedule(0, "content", 8) == pytest.approx(1.0)
-        assert cfg_schedule(8, "content", 8) == pytest.approx(3.5)
-        assert cfg_schedule(4, "content", 8) == pytest.approx(2.25)
+        sched = ScheduleParams()
+        assert sched.content_scale(0, 8) == pytest.approx(1.0)
+        assert sched.content_scale(8, 8) == pytest.approx(3.5)
+        assert sched.content_scale(4, 8) == pytest.approx(2.25)
 
     def test_cfg_structure_endpoints(self):
-        assert cfg_schedule(1, "structure", 8) == pytest.approx(1.0)
-        assert cfg_schedule(7, "structure", 8) == pytest.approx(2.5)
+        assert ScheduleParams().structure_scale(1, 8) == pytest.approx(1.0)
+        assert ScheduleParams().structure_scale(7, 8) == pytest.approx(2.5)
 
     def test_cfg_structure_range_checked(self):
         with pytest.raises(InvariantError):
-            cfg_schedule(0, "structure", 8)
+            ScheduleParams().structure_scale(0, 8)
         with pytest.raises(InvariantError):
-            cfg_schedule(8, "structure", 8)
+            ScheduleParams().structure_scale(8, 8)
 
     def test_top_p_endpoints_and_midpoint(self):
-        assert top_p_schedule(0, 8) == pytest.approx(1.0)
-        assert top_p_schedule(8, 8) == pytest.approx(0.5)
-        assert top_p_schedule(4, 8) == pytest.approx(0.7071, abs=1e-4)
+        sched = ScheduleParams()
+        assert sched.top_p(0, 8) == pytest.approx(1.0)
+        assert sched.top_p(8, 8) == pytest.approx(0.5)
+        assert sched.top_p(4, 8) == pytest.approx(0.7071, abs=1e-4)
+
+    @pytest.mark.parametrize("override", [{"cfg_constant": -2.0}, {"top_p_constant": 0.3}],
+                             ids=["cfg", "top-p"])
+    def test_a_constant_replaces_both_ramps_at_every_stage(self, setup, monkeypatch,
+                                                           override):
+        sched = ScheduleParams(flow_steps=2, **override)
+        scale, p = override.get("cfg_constant"), override.get("top_p_constant")
+        if scale is not None:
+            assert [sched.content_scale(k, 8) for k in range(9)] == [scale] * 9
+            assert [sched.structure_scale(k, 8) for k in range(1, 8)] == [scale] * 7
+        else:
+            assert [sched.top_p(k, 8) for k in range(9)] == [p] * 9
+        for stage in (-1, 9):
+            for method in (sched.content_scale, sched.top_p):
+                with pytest.raises(InvariantError, match="stage"):
+                    method(stage, 8)
+        for stage in (0, 8):
+            with pytest.raises(InvariantError, match="structure runs at stages 1..7"):
+                sched.structure_scale(stage, 8)
+
+        # and generate reads them: every guided step and every draw uses the constant
+        scales, widths = [], []
+        real_guided, real_sample = pipeline.guided, pipeline.sample_token
+
+        def spy_guided(rows, s):
+            scales.append(s)
+            return real_guided(rows, s)
+
+        def spy_sample(logits, width, rng):
+            widths.append(width)
+            return real_sample(logits, width, rng)
+
+        monkeypatch.setattr(pipeline, "guided", spy_guided)
+        monkeypatch.setattr(pipeline, "sample_token", spy_sample)
+        _, codebook, refiners, content, structure = setup
+        result = generate(GenerationRequest(class_id=1, seed=0, h=H, w=W, e=E, schedule=sched),
+                          content, structure, codebook, refiners)
+        # flow stages 1..3 (2 steps, then 1 warm step each), content at 0..4
+        assert len(scales) == result.stats.flow_steps + result.stats.content_steps == 4 + 5
+        assert len(widths) == sum(smap.num_clusters for _, smap in result.sequence.stages)
+        if scale is not None:
+            assert scales == [scale] * 9 and len(set(widths)) > 1
+        else:
+            assert widths == [p] * len(widths) and len(set(scales)) > 1
 
     @pytest.mark.parametrize("override", [
         {"cfg_constant": np.nan}, {"cfg_constant": np.inf}, {"cfg_constant": -np.inf},
@@ -88,19 +133,21 @@ class TestSchedules:
 
 
 class TestCfgForward:
+    """Classifier-free guidance as a step runs it: the `guidance_classes` rows
+    of class 0 and null class 5, combined by `guided`."""
+
     @staticmethod
-    def rows_of(table, batches):
-        """A forward over class ids whose row for class c is table[c]."""
-        def forward(classes):
-            batches.append(classes.tolist())
-            return np.stack([table[c] for c in classes.tolist()])
-        return forward
+    def guided_step(table, scale, batches):
+        """One guided step of a forward whose row for class c is table[c]."""
+        classes = guidance_classes(0, 5, scale)
+        batches.append(classes.tolist())
+        return guided(np.stack([table[c] for c in classes.tolist()]), scale)
 
     def test_scale_one_returns_cond(self):
         rng = np.random.default_rng(3)
         cond, uncond = rng.normal(size=(2, 16))
         batches = []
-        out = cfg_forward(self.rows_of({0: cond, 5: uncond}, batches), 0, 5, 1.0)
+        out = self.guided_step({0: cond, 5: uncond}, 1.0, batches)
         assert np.array_equal(out, cond)
         assert batches == [[0]]                 # the null row is never run
 
@@ -108,13 +155,13 @@ class TestCfgForward:
         rng = np.random.default_rng(4)
         x = rng.normal(size=16)
         batches = []
-        assert np.allclose(cfg_forward(self.rows_of({0: x, 5: x}, batches), 0, 5, 3.5), x)
+        assert np.allclose(self.guided_step({0: x, 5: x}, 3.5, batches), x)
         assert batches == [[0, 5]]              # class row first, one B=2 batch
 
     def test_formula(self):
         cond = np.array([2.0])
         uncond = np.array([1.0])
-        out = cfg_forward(self.rows_of({0: cond, 5: uncond}, []), 0, 5, 3.5)
+        out = self.guided_step({0: cond, 5: uncond}, 3.5, [])
         assert out[0] == pytest.approx(1.0 + 3.5)
 
 

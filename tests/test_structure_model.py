@@ -6,7 +6,7 @@ from nvg.backbone import ModelConfig
 from nvg.autodiff import Tensor
 from nvg.errors import InvariantError, NumericError
 from nvg.grid import StructureMap
-from nvg.pipeline import cfg_forward
+from nvg.pipeline import guidance_classes, guided
 from nvg.structcode import embed_structure_map
 from nvg.structure_model import (
     WARM_T,
@@ -36,13 +36,13 @@ def random_embedding(rng, h=4, w=4, k=4):
 
 def guided_fn(row_fn, scale, batches):
     """A velocity_fn(z, t) that guides like `generate`: class 0 against the
-    null class 1 through `cfg_forward`. Every batch of class ids it runs is
-    appended to `batches`; row_fn(z, class_id) gives that class's velocity."""
+    null class 1, the `guidance_classes` rows combined by `guided`. Every batch
+    of class ids it runs is appended to `batches`; row_fn(z, class_id) gives
+    that class's velocity."""
     def velocity_fn(z, t):
-        def rows(classes):
-            batches.append(classes.tolist())
-            return np.stack([row_fn(z, c) for c in classes.tolist()])
-        return cfg_forward(rows, 0, 1, scale)
+        classes = guidance_classes(0, 1, scale).tolist()
+        batches.append(classes)
+        return guided(np.stack([row_fn(z, c) for c in classes]), scale)
     return velocity_fn
 
 

@@ -8,7 +8,7 @@ from nvg.autodiff import no_grad
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
 from nvg.errors import InvariantError, NumericError
-from nvg.grid import assign
+from nvg.grid import Codebook, assign
 from nvg.quantize import Refiner, fit_codebook, identity_refiners
 from nvg.structcode import embed_structure_map
 from nvg.structure_model import StructureModel, noised_input
@@ -530,6 +530,26 @@ class TestEvaluate:
         _, codebook, _, _ = world
         with pytest.raises(InvariantError, match="no training examples"):
             evaluate(content_model(), structure_model(), [], codebook)
+
+    @pytest.mark.parametrize("mismatch", ["model", "examples"])
+    def test_a_codebook_the_model_or_examples_do_not_match_is_refused_before_any_forward(
+            self, world, monkeypatch, mismatch):
+        _, codebook, _, examples = world
+        model = ContentModel(ModelConfig(2, "content", 3, 8, 2, LAST))      # scores 8 rows
+        assert max(int(t.indices.max()) for ex in examples for t, _ in ex.sequence.stages) >= 8
+        if mismatch == "model":         # it used to score the model against 16 rows
+            message = "content model scores 8 codebook rows, the codebook has 16"
+        else:                           # it used to raise a bare IndexError
+            codebook = Codebook(codebook.vectors[:8])
+            message = "an example's tokens index past the codebook of 8"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model ran before the codebook was checked")
+
+        monkeypatch.setattr(ContentModel, "forward_final_canvas", refuse)
+        monkeypatch.setattr(StructureModel, "context", refuse)
+        with pytest.raises(InvariantError, match=message):
+            evaluate(model, structure_model(), examples, codebook)
 
     def test_untrained_accuracy_near_chance(self, world):
         _, codebook, _, examples = world
