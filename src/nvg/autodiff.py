@@ -24,6 +24,10 @@ gradient, closure and parents, so each intermediate array is freed as soon as
 nothing later reads it. Only leaves (tensors with no closure, such as the
 parameters) keep their gradients, and no node's `.data` is touched. A graph
 therefore runs backward once.
+
+`Adam.step` consumes the gradients as backward consumes the tape: once a
+parameter's update is applied its `grad` is None, so no gradient lives
+through the next step's forward.
 """
 
 from __future__ import annotations
@@ -404,13 +408,15 @@ def rope(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 
 
 class Adam:
-    """Standard Adam over a dict of parameter Tensors; deterministic."""
+    """Standard Adam over a dict of parameter Tensors; deterministic. A
+    parameter's moments start, as zeros, at its first update with a gradient,
+    so a new optimizer holds no array; `step` consumes each gradient it reads."""
 
     def __init__(self, params: dict):
         self.params = params
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = {}
+        self.v = {}
 
     def step(self, lr: float):
         self.t += 1
@@ -420,7 +426,10 @@ class Adam:
             p = self.params[name]
             if p.grad is None:
                 continue
-            g = p.grad
+            g, p.grad = p.grad, None
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
             m, v = self.m[name], self.v[name]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
@@ -429,7 +438,3 @@ class Adam:
             denom = np.sqrt(v / b2c)
             denom += ADAM_EPS
             p.data = p.data - (lr / b1c) * (m / denom)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None

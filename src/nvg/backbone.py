@@ -95,7 +95,8 @@ class ModelConfig:
     config, and so a loaded or generating model, holds every float32 weight
     of its table once (`weight_bytes`), which must fit: content depth <= 20,
     structure depth <= 32 at small class, codebook and channel counts.
-    Training also holds a gradient and two Adam moments per weight, so
+    Training also holds a gradient and two Adam moments per weight: at its
+    update a parameter holds its weight, its gradient and both moments, so
     `training.check_training_budget` refuses it when 4x those bytes pass the
     cap: content depth <= 12, structure depth <= 20.
     """

@@ -214,6 +214,8 @@ def read_checkpoint(path):
             for _ in range(count):
                 (name_len,) = struct.unpack("<H", fh.read(2))
                 name = fh.read(name_len).decode()
+                if name in arrays:
+                    raise FormatError(f"{path} holds array {name!r} twice")
                 (rank,) = struct.unpack("<I", fh.read(4))
                 arrays[name] = _read_array(fh, end, rank, "checkpoint array")
         except (struct.error, UnicodeDecodeError, ValueError) as exc:

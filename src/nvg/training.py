@@ -119,9 +119,9 @@ def check_training_budget(model: ModelConfig, config: TrainConfig) -> None:
     context pass, whose last block builds only keys and values, plus
     depth hw (1 + 2 hw) for its noised rows against every row; or the
     weights a step holds, 4x `ModelConfig.weight_bytes`, every float32
-    tensor of the model's table (the weights, their gradients and Adam's two
-    moments). Needs no data, so the CLI runs it before tokenizing, and
-    `_fit` before its first draw."""
+    tensor of the model's table (at its update a parameter holds its weight,
+    its gradient and Adam's two moments). Needs no data, so the CLI runs it
+    before tokenizing, and `_fit` before its first draw."""
     hw, depth = 1 << model.last_stage, model.depth
     if model.kind == "structure":
         scores = (depth - 1) * (1 + hw) ** 2 + depth * hw * (1 + 2 * hw)
@@ -157,7 +157,6 @@ def _fit(model, config: TrainConfig, batch_loss, last: int) -> TrainResult:
         value = float(loss.data)
         if not np.isfinite(value):
             raise NumericError(f"{model.kind} training diverged at step {step} (loss {value})")
-        opt.zero_grad()
         loss.backward()
         opt.step(_batch_lr(step, config))
         result.losses.append(value)

@@ -1,8 +1,11 @@
-"""Reference checks shared by several test modules."""
+"""Reference checks, and hand-made files, shared by several test modules."""
+
+import struct
 
 import numpy as np
 
 import nvg.autodiff as ad
+from nvg.autodiff import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from nvg.backbone import HEAD_DIM, STRUCT_SLOTS, rope_tables, time_features
 from nvg.structcode import PAD, embed_structure_map
 
@@ -210,3 +213,44 @@ def reference_quantize_nearest(vs: np.ndarray, codebook_vectors: np.ndarray) -> 
     (m, n, e) diff tensor and one argmin."""
     d = vs[:, None, :] - codebook_vectors[None, :, :]
     return np.argmin(np.einsum("mnj,mnj->mn", d, d), axis=1).astype(np.int32)
+
+
+def reference_adam(params: dict, losses, lrs) -> None:
+    """`autodiff.Adam` as first written, eager: both moments are zeros for
+    every parameter at construction, and each step clears every gradient
+    (`zero_grad`), runs losses[i](params) backward and updates, at lrs[i],
+    each parameter that got a gradient. Gradients stay on the parameters."""
+    t = 0
+    m = {k: np.zeros_like(p.data) for k, p in params.items()}
+    v = {k: np.zeros_like(p.data) for k, p in params.items()}
+    for loss_fn, lr in zip(losses, lrs):
+        loss = loss_fn(params)
+        for p in params.values():
+            p.grad = None
+        loss.backward()
+        t += 1
+        b1c = 1.0 - ADAM_BETA1 ** t
+        b2c = 1.0 - ADAM_BETA2 ** t
+        for name in sorted(params):
+            p = params[name]
+            if p.grad is None:
+                continue
+            g = p.grad
+            m[name] *= ADAM_BETA1
+            m[name] += (1.0 - ADAM_BETA1) * g
+            v[name] *= ADAM_BETA2
+            v[name] += (1.0 - ADAM_BETA2) * (g * g)
+            denom = np.sqrt(v[name] / b2c)
+            denom += ADAM_EPS
+            p.data = p.data - (lr / b1c) * (m[name] / denom)
+
+
+def duplicate_name_checkpoint(path, cut: int = 0) -> None:
+    """A checkpoint whose count is 2, holding array `a` (2,) and then `a`
+    (3,), all ones; `cut` drops that many bytes off the second payload."""
+    def array(n):
+        return struct.pack("<H1sII", 1, b"a", 1, n) + np.ones(n, "<f4").tobytes()
+
+    second = array(3)
+    path.write_bytes(struct.pack("<4sII", b"NVGC", 1, 2) + b"{}" + struct.pack("<I", 2)
+                     + array(2) + second[:len(second) - cut])

@@ -9,7 +9,7 @@ from nvg.content_model import ContentModel
 from nvg.errors import InvariantError
 from nvg.grid import last_stage_of
 from nvg.structure_model import StructureModel
-from oracles import gradient_check, numeric_grad, reference_block_forward
+from oracles import gradient_check, numeric_grad, reference_adam, reference_block_forward
 
 
 class TestAutodiffOps:
@@ -154,6 +154,38 @@ class TestAutodiffOps:
                 assert type(out.data) is np.ndarray, name
                 assert not out.requires_grad and out.grad is None, name
                 assert out._parents == () and out._backward is None, name
+
+
+class TestAdam:
+    def test_equals_the_eager_reference_bit_for_bit(self):
+        # b gets no gradient at step 1: the reference holds zero moments for
+        # it from construction, Adam makes them at step 2, and both update
+        # from zeros
+        rng = np.random.default_rng(4)
+        start = {"a": rng.normal(size=(3, 2)).astype(np.float32),
+                 "b": rng.normal(size=(2,)).astype(np.float32)}
+        x = Tensor(rng.normal(size=(4, 3)).astype(np.float32))
+
+        def loss(params, with_b):
+            out = ad.matmul(x, params["a"])
+            out = out + params["b"] if with_b else out
+            return (out * out).mean()
+
+        losses = [lambda p: loss(p, False), lambda p: loss(p, True), lambda p: loss(p, True)]
+        lrs = [0.1, 0.05, 0.02]
+        want = {k: Tensor(a.copy(), requires_grad=True) for k, a in start.items()}
+        reference_adam(want, losses, lrs)
+        params = {k: Tensor(a.copy(), requires_grad=True) for k, a in start.items()}
+        opt = ad.Adam(params)
+        assert opt.m == {} and opt.v == {}
+        for i, (loss_fn, lr) in enumerate(zip(losses, lrs)):
+            loss_fn(params).backward()
+            opt.step(lr)
+            assert all(p.grad is None for p in params.values())
+            assert set(opt.m) == set(opt.v) == ({"a"} if i == 0 else {"a", "b"})
+        for k, p in params.items():
+            assert p.data.dtype == want[k].data.dtype == np.float32
+            assert p.data.tobytes() == want[k].data.tobytes()
 
 
 class TestModelConfig:

@@ -34,6 +34,7 @@ from nvg.io import (
 )
 from nvg.quantize import Refiner, build_contents, fit_codebook, identity_refiners
 from nvg.structure_model import StructureModel
+from oracles import duplicate_name_checkpoint
 
 DATA = ["--latent", "4,4,3", "--count", "2", "--classes", "2"]
 TRAIN = DATA + ["--steps", "1", "--batch", "2", "--warmup", "0"]
@@ -205,6 +206,15 @@ def test_generate_on_a_deeply_nested_checkpoint_meta_exits_2(files, capsys, tmp_
     bad = tmp_path / "deep.nvgc"
     _deep_checkpoint(bad)
     assert run(_swap(argv, inputs[0], bad), capsys)[0] == 2
+
+
+def test_generate_on_a_checkpoint_repeating_an_array_name_exits_2(files, capsys, tmp_path):
+    argv, inputs, outputs = commands(files)["generate"]
+    bad, out = tmp_path / "dup.nvgc", tmp_path / "out"
+    duplicate_name_checkpoint(bad)
+    code, err = run(_swap(_swap(argv, inputs[0], bad), outputs[0], out), capsys)
+    assert code == 2 and f"{bad} holds array 'a' twice" in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("which", [0, 1])

@@ -85,7 +85,6 @@ class TestForward:
         opt = Adam(model.params())
         for _ in range(5):
             loss = model.loss(*args)
-            opt.zero_grad()
             loss.backward()
             opt.step(1e-2)
         smap = ex.sequence.stages[2][1]

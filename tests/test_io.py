@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -26,6 +27,7 @@ from nvg.io import (
     write_tensor,
 )
 from nvg.quantize import build_contents, fit_codebook, identity_refiners
+from oracles import duplicate_name_checkpoint
 
 
 @pytest.fixture()
@@ -188,6 +190,16 @@ class TestCheckpointFile:
         path.write_bytes(path.read_bytes() + b"xy")
         with pytest.raises(FormatError, match="has 2 trailing bytes"):
             reader(path)
+
+    @pytest.mark.parametrize("cut", [0, 8], ids=["whole", "second-payload-cut"])
+    def test_a_repeated_array_name_is_refused_before_its_payload(self, tmp_path, cut):
+        # it read back as one array, the last ({'a': [1, 1, 1]}); a cut
+        # payload still reads as the repeat, so the name is checked first
+        path = tmp_path / "dup.nvgc"
+        duplicate_name_checkpoint(path, cut)
+        with pytest.raises(FormatError, match=f"^checkpoint file corrupt: {re.escape(str(path))} "
+                                              "holds array 'a' twice$"):
+            read_checkpoint(path)
 
     def test_corrupt_rejected(self, tmp_path):
         path = tmp_path / "ck.nvgc"

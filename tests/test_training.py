@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nvg import backbone, errors, training
+from nvg import autodiff, backbone, errors, training
 from nvg.autodiff import no_grad
 from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
@@ -357,6 +357,36 @@ def test_nan_head_diverges_at_step_zero_without_warning(world, kind, make, train
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericError, match=f"^{kind} training diverged at step 0 "):
             train(examples, model, cfg)
+
+
+@pytest.mark.parametrize("make, train", [(content_model, train_content),
+                                         (structure_model, train_structure)],
+                         ids=["content", "structure"])
+def test_a_step_holds_no_gradient_or_moment_before_it_reads_them(world, monkeypatch, make,
+                                                                  train):
+    # the forward is a step's peak: the last step's gradients and fresh
+    # zero moments would each be held through it unread
+    _, _, _, examples = world
+    model = make()
+    params = model.params().values()
+    held_at_backward, moments_at_step = [], []
+    backward, step = autodiff.Tensor.backward, autodiff.Adam.step
+
+    def backward_spy(self):
+        held_at_backward.append(sum(p.grad is not None for p in params))
+        return backward(self)
+
+    def step_spy(self, lr):
+        moments_at_step.append(len(self.m) + len(self.v))
+        return step(self, lr)
+
+    monkeypatch.setattr(autodiff.Tensor, "backward", backward_spy)
+    monkeypatch.setattr(autodiff.Adam, "step", step_spy)
+    train(examples, model, TrainConfig(steps=3, batch_size=2, base_lr=0.01,
+                                       warmup_steps=0, seed=0))
+    assert held_at_backward == [0, 0, 0]
+    assert moments_at_step[0] == 0 and moments_at_step[1] > 0
+    assert all(p.grad is None for p in params)
 
 
 class TestTrainContent:
