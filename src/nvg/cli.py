@@ -20,7 +20,7 @@ import numpy as np
 from . import checkpoints, io
 from .backbone import ModelConfig
 from .content_model import ContentModel
-from .errors import FormatError, InvariantError, NumericError, NvgError
+from .errors import FormatError, InvariantError, NumericError
 from .grid import Codebook, LatentGrid, canvas_prefixes, last_stage_of
 from .hierarchy import build_hierarchy
 from .pipeline import GenerationRequest, ScheduleParams, generate
@@ -219,7 +219,9 @@ def cmd_generate(args) -> int:
             stage = int(stage_text)
         except ValueError as exc:
             raise FormatError(f"--override-structure wants STAGE:FILE, got {spec_text!r}") from exc
-        prefix = io.gray_to_structure_map(io.read_pgm(path), stage=stage)
+        if stage != 1:
+            raise InvariantError("binary overrides are supported at stage 1 only")
+        prefix = io.gray_to_structure_map(io.read_pgm(path))
     schedule = ScheduleParams(flow_steps=args.steps,
                               cfg_constant=args.cfg_override,
                               top_p_constant=args.top_p_override)
@@ -312,9 +314,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"nvg: error code=4 kind=numeric: {exc}", file=sys.stderr)
         return 4
-    except NvgError as exc:
-        print(f"nvg: error code=3 kind=domain: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

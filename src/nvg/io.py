@@ -89,7 +89,10 @@ def _read_array(fh, end: int, rank: int, what: str) -> np.ndarray:
     size, left = 4 * math.prod(dims), end - fh.tell()      # Python ints: no int64 wrap
     if left < size:
         raise FormatError(f"{what} payload holds {left} bytes, dims need {size}")
-    array = np.empty(dims, dtype="<f4")
+    try:
+        array = np.empty(dims, dtype="<f4")
+    except ValueError as exc:       # dims whose product overflows, even beside a 0
+        raise FormatError(f"{what} dims {list(dims)} are too large: {exc}") from exc
     fh.readinto(array.reshape(-1).view(np.uint8))
     return array.astype(np.float32, copy=False)
 
@@ -218,7 +221,7 @@ def read_checkpoint(path):
                     raise FormatError(f"{path} holds array {name!r} twice")
                 (rank,) = struct.unpack("<I", fh.read(4))
                 arrays[name] = _read_array(fh, end, rank, "checkpoint array")
-        except (struct.error, UnicodeDecodeError, ValueError) as exc:
+        except (struct.error, UnicodeDecodeError) as exc:
             raise FormatError(f"checkpoint file corrupt: {exc}") from exc
     return meta, arrays
 
@@ -274,12 +277,10 @@ def structure_map_to_gray(smap: StructureMap) -> np.ndarray:
     return (smap.labels.astype(np.int64) * 255 // (m - 1)).astype(np.uint8)
 
 
-def gray_to_structure_map(gray: np.ndarray, stage: int = 1) -> StructureMap:
+def gray_to_structure_map(gray: np.ndarray) -> StructureMap:
     """Parse a binary image as a stage-1 override: exactly two pixel values
     with equal populations, labelled by `canonical_child`, so the level at
     location (0, 0) becomes label 0."""
-    if stage != 1:
-        raise InvariantError("binary overrides are supported at stage 1 only")
     values = np.unique(gray)
     if values.size != 2:
         raise InvariantError(f"override image must use exactly 2 gray levels, "

@@ -3,6 +3,9 @@ sampled, forced, or user-supplied), sample that stage's tokens from guided
 top-p filtered logits, and add the refined placement onto the canvas
 (`grid.add_stage`, the decoder's one step).
 
+The sampler's two steps are one function each, which `generate` and,
+unguided, `training.evaluate` call: `flow_stage` splits the parent map by
+the rectified flow, and `content_logits` scores each cluster's tokens.
 Guidance and nucleus schedules (`ScheduleParams`) sharpen over the stages:
 top-p decays log-linearly from 1.0 to 0.5 and the guidance scale grows
 linearly to 2.5 (structure) or 3.5 (content). A guided step runs the
@@ -38,7 +41,7 @@ from .structure_model import StructureModel, flow_sample, gumbel_balanced_split
 
 __all__ = ["ScheduleParams", "GenerationRequest", "GenerationStats", "GenerationResult",
            "guidance_classes", "guided", "sample_token", "forced_final_split",
-           "stage_velocity", "generate"]
+           "content_logits", "flow_stage", "generate"]
 
 CFG_CONTENT_END = 3.5      # content guidance scale at the last stage
 CFG_STRUCTURE_END = 2.5    # structure guidance scale at the last flow stage
@@ -196,21 +199,41 @@ def forced_final_split(parent_map: StructureMap) -> StructureMap:
     return canonical_child(parent_map, np.arange(parent_map.labels.size))
 
 
-def stage_velocity(structure_model: StructureModel, class_id: int, null_id: int,
-                   scale: float, parent: StructureMap, canvas: np.ndarray,
-                   stats: GenerationStats):
-    """The guided velocity_fn(z, t) of one flow stage, for `flow_sample`. It
-    builds the stage's one context, for the `guidance_classes` rows every
-    step runs, and counts each step in `stats`."""
-    classes = guidance_classes(class_id, null_id, scale)
+def content_logits(content_model: ContentModel, class_id: int, scale: float,
+                   smap: StructureMap, canvas: np.ndarray) -> np.ndarray:
+    """The guided (clusters, codebook) token logits of one content step: the
+    `guidance_classes` rows through `forward_final_canvas` and `token_logits`,
+    combined by `guided`."""
+    classes = guidance_classes(class_id, content_model.config.null_class_id, scale)
+    n = len(classes)
+    pred = content_model.forward_final_canvas(classes, [smap] * n,
+                                              np.repeat(canvas[None], n, axis=0))
+    return guided([content_model.token_logits(pred[b], canvas, smap).data
+                   for b in range(n)], scale)
+
+
+def flow_stage(structure_model: StructureModel, class_id: int, scale: float,
+               parent: StructureMap, canvas: np.ndarray, n_steps: int, rng,
+               warm: np.ndarray | None) -> tuple:
+    """One flow stage, the split of `parent`: `flow_sample` of the guided
+    velocity, from one context for the `guidance_classes` rows every Euler
+    step runs. The known columns are `parent`'s `embed_structure_map`. Returns
+    the full-depth prediction and the number of Euler steps that ran."""
+    classes = guidance_classes(class_id, structure_model.config.null_class_id, scale)
     n = len(classes)
     context = structure_model.context(classes, [parent] * n, np.repeat(canvas[None], n, axis=0))
+    steps = 0
 
     def velocity_fn(z, t):
-        stats.flow_steps += 1
+        nonlocal steps
+        steps += 1
         return guided(structure_model.velocity(context, np.repeat(z[None], n, axis=0),
                                                np.full(n, t)).data, scale)
-    return velocity_fn
+
+    known = embed_structure_map(parent, last_stage_of(*parent.labels.shape))
+    pred = flow_sample(velocity_fn, known.astype(np.float32), stage=parent.stage + 1,
+                       n_steps=n_steps, rng=rng, warm=warm)
+    return pred, steps
 
 
 @no_grad()
@@ -219,15 +242,9 @@ def generate(req: GenerationRequest, content_model: ContentModel,
              refiners) -> GenerationResult:
     """Run the full staged loop and return (sequence, canvas, step counters).
 
-    Runs without a tape. Every flow step and content step runs the
-    `guidance_classes` rows and combines them with `guided`, so a guided step
-    is one B=2 forward; a flow stage builds one context for those rows, which
-    its steps share. Every scale and top-p is `req.schedule`'s. Both models are
-    given the realized maps, never ids: the flow at stage k reads the
-    stage-(k-1) map, and the content step reads the stage-k map. The flow's
-    known columns are the stage-(k-1) map's embedding, the same
-    `embed_structure_map` rule the trainers' flow target follows; with
-    canonical nesting its column j is 2 * (stage-(j+1) label & 1). A stage's
+    Runs without a tape. Every scale and top-p is `req.schedule`'s. Both models
+    are given the realized maps, never ids: the flow at stage k reads the
+    stage-(k-1) map, and the content step reads the stage-k map. A stage's
     map is the request's fixed one, `forced_final_split`'s at the last stage
     or the flow's; all are labelled by `canonical_child`, as training maps are.
     Each flow stage but the first is warm started from the previous flow
@@ -259,7 +276,6 @@ def generate(req: GenerationRequest, content_model: ContentModel,
 
     rng = np.random.default_rng(req.seed)
     sched = req.schedule
-    null_id = content_model.config.null_class_id
     stats = GenerationStats()
 
     x = np.zeros((h, w_grid, e), dtype=np.float32)
@@ -274,12 +290,10 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             smap = forced_final_split(stages[-1][1])
         else:
             parent = stages[-1][1]
-            scale = sched.structure_scale(k, last)
-            known = embed_structure_map(parent, last).astype(np.float32)
-            # the stage's context is freed with its velocity_fn, before the content step
-            flow_pred = flow_sample(
-                stage_velocity(structure_model, req.class_id, null_id, scale, parent, x, stats),
-                known, stage=k, n_steps=sched.flow_steps, rng=rng, warm=flow_pred)
+            flow_pred, steps = flow_stage(structure_model, req.class_id,
+                                          sched.structure_scale(k, last), parent, x,
+                                          sched.flow_steps, rng, flow_pred)
+            stats.flow_steps += steps
             smap = gumbel_balanced_split(parent, flow_pred[:, :, k - 1], rng)
 
         # ---- content ----
@@ -287,12 +301,7 @@ def generate(req: GenerationRequest, content_model: ContentModel,
             tokens = req.content_overrides[k]
         else:
             scale, p = sched.content_scale(k, last), sched.top_p(k, last)
-            classes = guidance_classes(req.class_id, null_id, scale)
-            n = len(classes)
-            pred = content_model.forward_final_canvas(classes, [smap] * n,
-                                                      np.repeat(x[None], n, axis=0))
-            logits = guided([content_model.token_logits(pred[b], x, smap).data
-                             for b in range(n)], scale)
+            logits = content_logits(content_model, req.class_id, scale, smap, x)
             indices = np.array([sample_token(logits[j], p, rng)
                                 for j in range(smap.num_clusters)], dtype=np.int32)
             tokens = ContentTokens(k, indices)

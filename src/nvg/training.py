@@ -16,10 +16,10 @@ from .content_model import ContentModel
 from .errors import InvariantError, NumericError
 from .grid import Codebook, LatentGrid, VGSequence, canvas_prefixes
 from .hierarchy import build_hierarchy
-from .pipeline import GenerationStats, stage_velocity
+from .pipeline import content_logits, flow_stage
 from .quantize import build_contents
 from .structcode import embed_structure_map
-from .structure_model import StructureModel, flow_sample, noised_input
+from .structure_model import StructureModel, noised_input
 
 __all__ = [
     "TrainConfig",
@@ -242,10 +242,10 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
     """Teacher-forced token accuracy per stage, prefix reconstruction error,
     codebook usage and structure bit agreement on unknown columns.
 
-    The structure flow samples as `generate` does, through
-    `pipeline.stage_velocity` unguided (scale 1.0), from each example's own
-    parent maps and canvases: one context per (example, stage), stage 1 from
-    noise and each later stage warm started from the previous prediction.
+    Both steps run as in `generate`, through `pipeline.content_logits` and
+    `pipeline.flow_stage` unguided (scale 1.0), on each example's own maps
+    and canvases: the flow builds one context per (example, stage), stage 1
+    from noise and each later stage warm started from the previous prediction.
     """
     last = _last_stage(examples)
     if content_model.config.codebook_size != codebook.size:
@@ -259,14 +259,10 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
     rng = np.random.default_rng(seed)
 
     for ex in examples:
-        for stage in range(last + 1):
-            tokens, smap = ex.sequence.stages[stage]
+        for stage, (tokens, smap) in enumerate(ex.sequence.stages):
             used[tokens.indices] = True
-            pred = content_model.forward_final_canvas(
-                np.array([ex.class_id]), [smap], ex.canvases[stage][None])
-            logits = content_model.token_logits(pred[0], ex.canvases[stage], smap)
-            hits = int((np.argmax(logits.data, axis=1) == tokens.indices).sum())
-            token_acc[stage][0] += hits
+            logits = content_logits(content_model, ex.class_id, 1.0, smap, ex.canvases[stage])
+            token_acc[stage][0] += int((np.argmax(logits, axis=1) == tokens.indices).sum())
             token_acc[stage][1] += tokens.indices.size
             recon_mse[stage] += float(np.mean((ex.canvases[stage + 1] - ex.grid.data) ** 2))
 
@@ -274,17 +270,12 @@ def evaluate(content_model: ContentModel, structure_model: StructureModel,
     for ex in examples:
         pred = None     # the previous stage's prediction, as `generate` warm starts
         for stage in range(1, last):
-            velocity_fn = stage_velocity(structure_model, ex.class_id,
-                                         structure_model.config.null_class_id, 1.0,
-                                         ex.sequence.stages[stage - 1][1], ex.canvases[stage],
-                                         GenerationStats())
-            pred = flow_sample(velocity_fn, ex.flow_target, stage, n_steps=flow_steps,
-                               rng=rng, warm=pred)
-            unknown = slice(stage - 1, None)
-            pred_bits = pred[:, :, unknown] > 1.0
-            true_bits = ex.flow_target[:, :, unknown] > 1.0
-            bit_hits += int((pred_bits == true_bits).sum())
-            bit_total += pred_bits.size
+            pred, _ = flow_stage(structure_model, ex.class_id, 1.0,
+                                 ex.sequence.stages[stage - 1][1], ex.canvases[stage],
+                                 flow_steps, rng, pred)
+            agree = (pred[:, :, stage - 1:] > 1.0) == (ex.flow_target[:, :, stage - 1:] > 1.0)
+            bit_hits += int(agree.sum())
+            bit_total += agree.size
 
     return {
         "token_accuracy": {i: a / max(t, 1) for i, (a, t) in token_acc.items()},

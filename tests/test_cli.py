@@ -316,6 +316,17 @@ def test_repeated_override_exits_2_and_writes_nothing(files, capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [pgm]
 
 
+def test_override_past_stage_1_exits_3_before_its_image_is_read(files, capsys, tmp_path):
+    # the stage is refused as the option is parsed; it used to be refused
+    # only after the image was read, so a missing image exited 2
+    argv, _, outputs = commands(files)["generate"]
+    argv = _swap(argv, outputs[0], tmp_path / "out")
+    argv[argv.index("--override-structure") + 1] = f"2:{tmp_path / 'missing.pgm'}"
+    code, err = run(argv, capsys)
+    assert code == 3 and "binary overrides are supported at stage 1 only" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bright_top_override_is_labelled_canonically(files, capsys, tmp_path):
     # the override image's bright top half holds location (0, 0), so it is
     # child 0, as in every training map; it used to come back as label 1
@@ -623,6 +634,23 @@ def test_generation_keeps_the_one_times_weights_policy(files, capsys, tmp_path, 
 def test_inspect_json_reads_the_structure_ids_back(files, capsys):
     assert cli.main(["inspect", "--json", files["seq.json"]]) == 0
     assert json.loads(capsys.readouterr().out)["codec_roundtrip"] == "OK"
+
+
+EXIT_CODES = {errors.FormatError: (2, "format"), errors.InvariantError: (3, "invariant"),
+              errors.NumericError: (4, "numeric")}
+
+
+@pytest.mark.parametrize("kind", errors.NvgError.__subclasses__(), ids=lambda k: k.__name__)
+def test_every_package_error_exits_with_its_documented_code(kind, capsys, monkeypatch):
+    # `main` has one branch per subclass and no catch-all for NvgError, so a
+    # new subclass must be given its code there and here
+    def fail(args):
+        raise kind("the handler failed")
+
+    monkeypatch.setattr(cli, "cmd_inspect", fail)
+    code, err = run(["inspect", "unread.json"], capsys)
+    assert (code, err) == (EXIT_CODES[kind][0], f"nvg: error code={code} "
+                                                f"kind={EXIT_CODES[kind][1]}: the handler failed\n")
 
 
 def test_selfcheck_with_a_negative_seed_exits_2(capsys):

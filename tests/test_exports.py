@@ -10,7 +10,9 @@ refiners' `apply` in `grid.add_stage`, the one decoder step, and the
 tokenizer. Two more keep one size rule per limit: only `errors.check_alloc`
 reads the allocation cap, and only `grid.last_stage_of` turns a grid shape
 into a stage count with `bit_length`. And only `backbone`, home of the one
-parameter table, reads `param_shapes` and makes a trainable `Tensor`."""
+parameter table, reads `param_shapes` and makes a trainable `Tensor`. Last,
+`training` reaches the sampler only through `pipeline`'s two step
+functions."""
 
 import ast
 import importlib
@@ -172,6 +174,21 @@ def test_only_the_backbone_reads_the_parameter_table():
     readers = {path.name for path in Path(nvg.__file__).parent.glob("*.py")
                if "param_shapes" in read_names(path.read_text())}
     assert readers == {"backbone.py"}
+
+
+def imported_names(source: str) -> set:
+    """Every name the source imports, bare or from a module."""
+    return {alias.name.split(".")[-1] for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_evaluate_samples_through_the_pipelines_step_functions():
+    # `evaluate` runs `pipeline.content_logits` and `pipeline.flow_stage`, as
+    # `generate` does; a direct `flow_sample` call would be a second sampler
+    # wiring, and step counters belong to `generate` alone
+    source = (Path(nvg.__file__).parent / "training.py").read_text()
+    assert imported_names(source) & {"flow_sample", "GenerationStats"} == set()
+    assert imported_names(source) >= {"content_logits", "flow_stage"}
 
 
 def trainable_tensors(source: str) -> list:

@@ -4,14 +4,17 @@ A synthetic 4x4x4 dataset goes through the whole system: codebook and
 refiner fitting, tokenization, two steps of each trainer, a round trip of
 both models through checkpoint files and two generations with 4 flow steps:
 a free one, and one whose structure is fixed through stage 2 and whose
-content is fixed at stages 0-1.
+content is fixed at stages 0-1. `training.evaluate` then scores the loaded
+models on the training examples with 4 flow steps.
 The SHA-256 of every file the run writes is pinned, so a change that keeps
 these hashes keeps initial weights, RNG draw order, training, the checkpoint
 layout and sampling bit-identical. Re-pin only for a change that is meant to
 alter float rounding or draw order, and say so where the change is recorded.
 Each checkpoint's arrays are pinned apart from its file bytes, so a change to
 the checkpoint meta alone re-pins only the file hash, and a weight change
-cannot hide inside a meta re-pin.
+cannot hide inside a meta re-pin. The evaluation's metrics are pinned as
+exact floats: its token accuracy and its flow's bit agreement run the
+sampler's two steps, as generation does.
 
 A 4x4 grid pairs 16 vectors in one distance block, so the toy run never
 reaches the blocked, multi-rescan pairing of a full-size grid. Two 32x32x4
@@ -23,6 +26,7 @@ ties exercise every tie-break.
 import hashlib
 
 import numpy as np
+import pytest
 
 from nvg.backbone import ModelConfig
 from nvg.checkpoints import load_model, save_model
@@ -34,7 +38,8 @@ from nvg.pipeline import GenerationRequest, ScheduleParams, generate
 from nvg.quantize import build_contents, fit_codebook, identity_refiners, train_refiners
 from nvg.structure_model import StructureModel
 from nvg.synthetic import SyntheticSpec, make_synthetic_dataset
-from nvg.training import TrainConfig, tokenize_dataset, train_content, train_structure
+from nvg.training import (TrainConfig, evaluate, tokenize_dataset, train_content,
+                          train_structure)
 
 GOLDEN = {
     "content.nvgc": "92608b7fe120b34a24f244ed6ef2b5f6e3345c90a9ac267a183bd86d2d0928b8",
@@ -48,6 +53,15 @@ GOLDEN_ARRAYS = {
     "content.nvgc": "36c4320db02aba41a89b73bcbe639c5967672b3d82bca9b90aea5bfac5a76391",
     "structure.nvgc": "e2b8c1ae558cc1d66d67f8375ed14c7acf21f057e3374490a2a9452900a4a0e8",
 }
+GOLDEN_EVALUATE = {
+    "token_accuracy": {0: 0.25, 1: 0.0, 2: 0.125, 3: 0.0, 4: 0.015625},
+    "token_accuracy_overall": 0.03225806451612903,
+    "reconstruction_mse_by_prefix": [0.1184004358947277, 0.07957289554178715,
+                                     0.050240082666277885, 0.03189449943602085,
+                                     0.020823052618652582],
+    "codebook_usage": 0.6875,
+    "structure_bit_accuracy": 0.5017361111111112,
+}
 
 
 def arrays_sha256(path) -> str:
@@ -59,7 +73,7 @@ def arrays_sha256(path) -> str:
 
 def run_pipeline(workdir) -> tuple:
     """Run the toy pipeline in workdir; return {file name: sha256 hex} of the
-    files and of the checkpoints' arrays."""
+    files and of the checkpoints' arrays, and the evaluation's metrics."""
     data = make_synthetic_dataset(SyntheticSpec(count=4, h=4, w=4, e=4,
                                                 num_classes=2, seed=5))
     grids = [g for _, g in data]
@@ -95,13 +109,23 @@ def run_pipeline(workdir) -> tuple:
         write_tensor(workdir / f"{name}.latent.nvgt", result.canvas.data)
     files = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
              for name in GOLDEN}
-    return files, {name: arrays_sha256(workdir / name) for name in GOLDEN_ARRAYS}
+    metrics = evaluate(content, structure, examples, codebook, seed=6, flow_steps=4)
+    return files, {name: arrays_sha256(workdir / name) for name in GOLDEN_ARRAYS}, metrics
 
 
-def test_fixed_seed_pipeline_outputs_are_bit_identical(tmp_path):
-    files, arrays = run_pipeline(tmp_path)
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    return run_pipeline(tmp_path_factory.mktemp("golden"))
+
+
+def test_fixed_seed_pipeline_outputs_are_bit_identical(toy_run):
+    files, arrays, _ = toy_run
     assert arrays == GOLDEN_ARRAYS
     assert files == GOLDEN
+
+
+def test_evaluate_metrics_are_exact(toy_run):
+    assert toy_run[2] == GOLDEN_EVALUATE
 
 
 GOLDEN_32X32 = {

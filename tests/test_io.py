@@ -132,6 +132,16 @@ class TestSequenceFile:
         assert codebook_hash(codebook) == codebook_hash(Codebook(codebook.vectors.copy()))
 
 
+# what follows an array's rank word, for each of `_read_array`'s refusals
+ARRAY_REFUSALS = {
+    "rank": (9, b""),
+    "dims": (2, struct.pack("<I", 3)),
+    "payload": (2, struct.pack("<2I", 2, 3) + bytes(20)),
+    # numpy refuses these dims although the zero makes the payload empty
+    "dims-overflow": (4, struct.pack("<4I", 0, *(2 ** 32 - 1,) * 3)),
+}
+
+
 class TestCheckpointFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -197,9 +207,22 @@ class TestCheckpointFile:
         # payload still reads as the repeat, so the name is checked first
         path = tmp_path / "dup.nvgc"
         duplicate_name_checkpoint(path, cut)
-        with pytest.raises(FormatError, match=f"^checkpoint file corrupt: {re.escape(str(path))} "
-                                              "holds array 'a' twice$"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))} holds array 'a' twice$"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("rank, rest", ARRAY_REFUSALS.values(), ids=list(ARRAY_REFUSALS))
+    def test_an_array_refusal_reads_as_it_does_in_a_tensor_file(self, tmp_path, rank, rest):
+        # a checkpoint used to prefix each with "checkpoint file corrupt: "
+        tensor, checkpoint = tmp_path / "t.nvgt", tmp_path / "c.nvgc"
+        tensor.write_bytes(struct.pack("<4sII", b"NVGT", 1, rank) + rest)
+        checkpoint.write_bytes(struct.pack("<4sII", b"NVGC", 1, 2) + b"{}"
+                               + struct.pack("<IH1sI", 1, 1, b"a", rank) + rest)
+        with pytest.raises(FormatError) as from_tensor:
+            read_tensor(tensor)
+        with pytest.raises(FormatError) as from_checkpoint:
+            read_checkpoint(checkpoint)
+        assert str(from_checkpoint.value) == str(from_tensor.value).replace(
+            "tensor", "checkpoint array", 1)
 
     def test_corrupt_rejected(self, tmp_path):
         path = tmp_path / "ck.nvgc"
