@@ -3,27 +3,36 @@
 Covers exactly the ops the two generators need. Reductions are plain numpy
 calls in a fixed order, so losses and gradients are bit-reproducible run to
 run. `sum` and `mean` reduce the whole tensor; `softmax`, `log_softmax`,
-`rmsnorm` and `rope` work on the last axis. A node records its parents and a
-backward closure, and requires gradients, only when an input requires
-gradients. Model parameters always do, so every forward builds a tape unless
+`rmsnorm` and `rope` work on the last axis. A `Tensor` is an array and,
+exactly when it requires gradients, its tape node. An op's output gets a
+node, holding its inputs' nodes and a backward closure, only when an input
+has one. Model parameters always do, so every forward builds a tape unless
 it runs under `no_grad()`, where each op returns a bare `Tensor`. There is no
 training flag: a model forward applies dropout exactly when it is given an
 rng, which only the trainers do.
 
-An op keeps what only its backward reads inside its closure: an inverse
-permutation, split points, an index test, a saved exponential. So under
-`no_grad` an op is its numpy call and one bare `Tensor`, and the tape path and
-the no-grad path are the same function. Every op's `.data` is an `np.ndarray`:
-`_node` wraps it as given, and the ops whose numpy call can return a scalar
-(the two reductions, and arithmetic on two 0-d operands such as a loss's last
-scaling) wrap theirs in `np.asarray`.
+The tape rule: nodes hold no arrays, and a closure captures exactly what its
+backward reads. `add`, `reshape`, `transpose`, `getitem`, `concat` and the
+two reductions capture shapes; `mul`, `div` and `matmul` capture an operand's
+array only when the other operand's gradient reads it; `silu`, `softmax`,
+`log_softmax`, `rmsnorm` and `rope` capture the values their gradient
+formula reads. Each closure also captures its inputs' dtypes, the dtypes
+their gradients accumulate in. So an intermediate no backward reads (a
+block's raw scores, its rows' silu output) is freed during the forward, as
+soon as the model code drops it. The mode is checked before any node is
+made: under `no_grad` an op is its numpy call and one bare `Tensor`, and the
+tape path and the no-grad path are the same function. Every op's `.data` is
+an `np.ndarray`: `_out` wraps it as given, and the ops whose numpy call can
+return a scalar (the two reductions, and arithmetic on two 0-d operands such
+as a loss's last scaling) wrap theirs in `np.asarray`.
 
-`Tensor.backward` consumes the tape. It walks the nodes in reverse
-topological order, and once a node's closure has run it drops that node's
-gradient, closure and parents, so each intermediate array is freed as soon as
-nothing later reads it. Only leaves (tensors with no closure, such as the
-parameters) keep their gradients, and no node's `.data` is touched. A graph
-therefore runs backward once.
+`Tensor.backward` consumes the tape, and refuses a tensor with no node (one
+computed under `no_grad` or from inputs that need no gradient), whose
+gradient would reach nothing. It walks the nodes in reverse topological
+order, and once a node's closure has run it drops that node's gradient,
+closure and parents, so each saved array is freed as soon as nothing later
+reads it. Only leaves (nodes with no closure, such as the parameters') keep
+their gradients, read as `Tensor.grad`. A graph therefore runs backward once.
 
 `Adam.step` consumes the gradients as backward consumes the tape: once a
 parameter's update is applied its `grad` is None, so no gradient lives
@@ -50,9 +59,8 @@ _grad_enabled = True
 
 @contextmanager
 def no_grad():
-    """Record no tape inside the block: op outputs have no parents and no
-    backward closure. The previous mode is restored on exit, also when the
-    block raises, so blocks nest."""
+    """Record no tape inside the block: op outputs have no node. The previous
+    mode is restored on exit, also when the block raises, so blocks nest."""
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False
@@ -75,15 +83,35 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+class _Node:
+    """A tensor's place on the tape: its gradient, its parents' nodes (None
+    for an operand that needs no gradient) and its backward closure. A node
+    holds no forward array, and a leaf's node has no parents and no closure."""
+
+    __slots__ = ("grad", "parents", "backward")
+
+    def __init__(self, parents: tuple = (), backward=None):
+        self.grad = None
+        self.parents = parents
+        self.backward = backward
+
+    def accum(self, g: np.ndarray, dtype):
+        # dtype is the node's array's as the consuming op saw it: a leaf's
+        # array may be replaced by one of another dtype before a forward
+        if self.grad is None:
+            self.grad = g.astype(dtype, copy=True)
+        else:
+            self.grad += g
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """An array and, exactly when it requires gradients, its tape node."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = ()
-        self._backward = None
+        self._node = _Node() if requires_grad else None
 
     # -- plumbing ---------------------------------------------------------
 
@@ -91,23 +119,28 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accum(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad += g
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
 
-    def _grad_buffer(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
 
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
+        root = self._node
+        if root is None:
+            raise ValueError("backward() needs a tensor on the tape: this one was computed "
+                             "under no_grad or from inputs that need no gradient")
         topo = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -117,19 +150,19 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue        # a leaf keeps its gradient
             if node.grad is not None:
-                node._backward(node.grad)
+                node.backward(node.grad)
             # the tape is consumed: drop the node's gradient, closure and
-            # parents so each intermediate is freed once its last reader ran
-            node.grad, node._backward, node._parents = None, None, ()
+            # parents so each saved array is freed once its last reader ran
+            node.grad, node.backward, node.parents = None, None, ()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -178,58 +211,68 @@ def _operand(x, other) -> Tensor:
     return Tensor(arr)
 
 
-def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
+def _out(data: np.ndarray, parents: tuple | None = None, backward=None) -> Tensor:
     # an op's output: its ndarray as given (no `Tensor.__init__`, no
-    # np.asarray), with parents and the closure only when it will run
-    # backward; under no_grad this bare Tensor is all an op adds to numpy
+    # np.asarray), and a node only when the op passes its parents' nodes
     out = object.__new__(Tensor)
     out.data = data
-    out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    out._node = None if parents is None else _Node(parents, backward)
     return out
 
 
 def add(a, b) -> Tensor:
     a, b = _operand(a, b), _operand(b, a)
+    data = np.asarray(a.data + b.data)
+    if not _grad_enabled or a._node is None and b._node is None:
+        return _out(data)
+    na, sa, ta = a._node, a.data.shape, a.data.dtype
+    nb, sb, tb = b._node, b.data.shape, b.data.dtype
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_sum_to_shape(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_sum_to_shape(g, b.data.shape))
+        if na is not None:
+            na.accum(_sum_to_shape(g, sa), ta)
+        if nb is not None:
+            nb.accum(_sum_to_shape(g, sb), tb)
 
-    return _node(np.asarray(a.data + b.data), (a, b), bw)
+    return _out(data, (na, nb), bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _operand(a, b), _operand(b, a)
+    data = np.asarray(a.data * b.data)
+    if not _grad_enabled or a._node is None and b._node is None:
+        return _out(data)
+    na, sa, ta = a._node, a.data.shape, a.data.dtype
+    nb, sb, tb = b._node, b.data.shape, b.data.dtype
+    # each operand's array only when the other one's gradient reads it
+    da = a.data if nb is not None else None
+    db = b.data if na is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_sum_to_shape(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_sum_to_shape(g * a.data, b.data.shape))
+        if na is not None:
+            na.accum(_sum_to_shape(g * db, sa), ta)
+        if nb is not None:
+            nb.accum(_sum_to_shape(g * da, sb), tb)
 
-    return _node(np.asarray(a.data * b.data), (a, b), bw)
+    return _out(data, (na, nb), bw)
 
 
 def div(a, b) -> Tensor:
     a, b = _operand(a, b), _operand(b, a)
+    data = np.asarray(a.data / b.data)
+    if not _grad_enabled or a._node is None and b._node is None:
+        return _out(data)
+    na, sa, ta = a._node, a.data.shape, a.data.dtype
+    nb, sb, tb = b._node, b.data.shape, b.data.dtype
+    da, db = (a.data if nb is not None else None), b.data     # both gradients read b
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_sum_to_shape(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_sum_to_shape(-g * a.data / (b.data * b.data), b.data.shape))
+        if na is not None:
+            na.accum(_sum_to_shape(g / db, sa), ta)
+        if nb is not None:
+            nb.accum(_sum_to_shape(-g * da / (db * db), sb), tb)
 
-    return _node(np.asarray(a.data / b.data), (a, b), bw)
+    return _out(data, (na, nb), bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -241,43 +284,55 @@ def matmul(a, b) -> Tensor:
             .reshape(*lead, b.data.shape[-1])
     else:
         out_data = a.data @ b.data
+    if not _grad_enabled or a._node is None and b._node is None:
+        return _out(out_data)
+    na, sa, ta = a._node, a.data.shape, a.data.dtype
+    nb, sb, tb = b._node, b.data.shape, b.data.dtype
+    # each operand's array only when the other one's gradient reads it
+    da = a.data if nb is not None else None
+    db = b.data if na is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            if b.data.ndim == 2 and g.ndim > 2:
+        if na is not None:
+            if db.ndim == 2 and g.ndim > 2:
                 # batched activations against a shared weight: one flat gemm
-                ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.data.shape)
-                a._accum(ga)
+                na.accum((g.reshape(-1, g.shape[-1]) @ db.T).reshape(sa), ta)
             else:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                a._accum(_sum_to_shape(ga, a.data.shape))
-        if b.requires_grad:
-            if b.data.ndim == 2 and a.data.ndim > 2:
-                flat_a = a.data.reshape(-1, a.data.shape[-1])
-                b._accum(flat_a.T @ g.reshape(-1, g.shape[-1]))
+                na.accum(_sum_to_shape(g @ np.swapaxes(db, -1, -2), sa), ta)
+        if nb is not None:
+            if len(sb) == 2 and da.ndim > 2:
+                flat_a = da.reshape(-1, da.shape[-1])
+                nb.accum(flat_a.T @ g.reshape(-1, g.shape[-1]), tb)
             else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                b._accum(_sum_to_shape(gb, b.data.shape))
+                nb.accum(_sum_to_shape(np.swapaxes(da, -1, -2) @ g, sb), tb)
 
-    return _node(out_data, (a, b), bw)
+    return _out(out_data, (na, nb), bw)
 
 
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
+    data = a.data.reshape(shape)
+    if not _grad_enabled or a._node is None:
+        return _out(data)
+    na, sa, ta = a._node, a.data.shape, a.data.dtype
 
     def bw(g):
-        a._accum(g.reshape(a.data.shape))
+        na.accum(g.reshape(sa), ta)
 
-    return _node(a.data.reshape(shape), (a,), bw)
+    return _out(data, (na,), bw)
 
 
 def transpose(a, axes) -> Tensor:
     a = _wrap(a)
+    data = a.data.transpose(axes)
+    if not _grad_enabled or a._node is None:
+        return _out(data)
+    na, ta = a._node, a.data.dtype
 
     def bw(g):
-        a._accum(g.transpose(np.argsort(axes)))
+        na.accum(g.transpose(np.argsort(axes)), ta)
 
-    return _node(a.data.transpose(axes), (a,), bw)
+    return _out(data, (na,), bw)
 
 
 def _is_basic_index(key) -> bool:
@@ -287,58 +342,82 @@ def _is_basic_index(key) -> bool:
 
 def getitem(a, key) -> Tensor:
     a = _wrap(a)
+    data = a.data[key]
+    if not _grad_enabled or a._node is None:
+        return _out(data)
+    na, sa, ta = a._node, a.data.shape, a.data.dtype
 
     def bw(g):
-        buf = a._grad_buffer()
+        if na.grad is None:
+            na.grad = np.zeros(sa, ta)
         if _is_basic_index(key):
-            buf[key] += g
+            na.grad[key] += g
         else:
             # integer-array indexing may repeat positions
-            np.add.at(buf, key, g)
+            np.add.at(na.grad, key, g)
 
-    return _node(a.data[key], (a,), bw)
+    return _out(data, (na,), bw)
 
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = tuple([_wrap(t) for t in tensors])
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    if not _grad_enabled or all(t._node is None for t in tensors):
+        return _out(data)
+    nodes = tuple([t._node for t in tensors])
+    dtypes = [t.data.dtype for t in tensors]
+    sizes = [t.data.shape[axis] for t in tensors]
 
     def bw(g):
-        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t._accum(piece)
+        pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
+        for node, dtype, piece in zip(nodes, dtypes, pieces):
+            if node is not None:
+                node.accum(piece, dtype)
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
+    return _out(data, nodes, bw)
 
 
 def reduce_sum(a) -> Tensor:
     a = _wrap(a)
+    data = np.asarray(a.data.sum())
+    if not _grad_enabled or a._node is None:
+        return _out(data)
+    na, sa, ta = a._node, a.data.shape, a.data.dtype
 
     def bw(g):
-        a._accum(np.broadcast_to(g, a.data.shape).copy())
+        na.accum(np.broadcast_to(g, sa).copy(), ta)
 
-    return _node(np.asarray(a.data.sum()), (a,), bw)
+    return _out(data, (na,), bw)
 
 
 def reduce_mean(a) -> Tensor:
     a = _wrap(a)
+    data = np.asarray(a.data.mean())
+    if not _grad_enabled or a._node is None:
+        return _out(data)
+    na, sa, ta, size = a._node, a.data.shape, a.data.dtype, a.data.size
 
     def bw(g):
-        a._accum(np.broadcast_to(g / a.data.size, a.data.shape).copy())
+        na.accum(np.broadcast_to(g / size, sa).copy(), ta)
 
-    return _node(np.asarray(a.data.mean()), (a,), bw)
+    return _out(data, (na,), bw)
 
 
 def silu(a) -> Tensor:
     a = _wrap(a)
-    # exp(-a) overflows to inf below a = -88 in float32; 1 / inf = 0 is exact
+    x = a.data
+    # exp(-x) overflows to inf below x = -88 in float32; 1 / inf = 0 is exact
     with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-a.data))
+        sig = 1.0 / (1.0 + np.exp(-x))
+    data = x * sig
+    if not _grad_enabled or a._node is None:
+        return _out(data)
+    na = a._node
 
     def bw(g):
-        a._accum(g * sig * (1.0 + a.data * (1.0 - sig)))
+        na.accum(g * sig * (1.0 + x * (1.0 - sig)), x.dtype)
 
-    return _node(a.data * sig, (a,), bw)
+    return _out(data, (na,), bw)
 
 
 def softmax(a) -> Tensor:
@@ -346,12 +425,15 @@ def softmax(a) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
+    if not _grad_enabled or a._node is None:
+        return _out(out_data)
+    na, ta = a._node, a.data.dtype
 
     def bw(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        a._accum(out_data * (g - inner))
+        na.accum(out_data * (g - inner), ta)
 
-    return _node(out_data, (a,), bw)
+    return _out(out_data, (na,), bw)
 
 
 def log_softmax(a) -> Tensor:
@@ -359,11 +441,14 @@ def log_softmax(a) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - log_z
+    if not _grad_enabled or a._node is None:
+        return _out(out_data)
+    na, ta = a._node, a.data.dtype
 
     def bw(g):
-        a._accum(g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
+        na.accum(g - np.exp(out_data) * g.sum(axis=-1, keepdims=True), ta)
 
-    return _node(out_data, (a,), bw)
+    return _out(out_data, (na,), bw)
 
 
 def rmsnorm(a) -> Tensor:
@@ -371,17 +456,22 @@ def rmsnorm(a) -> Tensor:
     Raises NumericError, with no numpy warning, when a mean square is not
     finite: a huge but finite row overflows in float32."""
     a = _wrap(a)
+    x = a.data
     with np.errstate(over="ignore", invalid="ignore"):
-        ms = (a.data * a.data).mean(axis=-1, keepdims=True)
+        ms = (x * x).mean(axis=-1, keepdims=True)
     if not np.isfinite(ms).all():
         raise NumericError("rmsnorm mean square is not finite")
     inv = 1.0 / np.sqrt(ms + 1e-6)
+    data = x * inv
+    if not _grad_enabled or a._node is None:
+        return _out(data)
+    na = a._node
 
     def bw(g):
-        dot = (g * a.data).sum(axis=-1, keepdims=True)
-        a._accum(inv * g - (inv ** 3 / a.data.shape[-1]) * a.data * dot)
+        dot = (g * x).sum(axis=-1, keepdims=True)
+        na.accum(inv * g - (inv ** 3 / x.shape[-1]) * x * dot, x.dtype)
 
-    return _node(a.data * inv, (a,), bw)
+    return _out(data, (na,), bw)
 
 
 def rope(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -396,15 +486,18 @@ def rope(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     out_data = np.empty_like(x)
     out_data[..., 0::2] = cos * x_even - sin * x_odd
     out_data[..., 1::2] = sin * x_even + cos * x_odd
+    if not _grad_enabled or a._node is None:
+        return _out(out_data)
+    na, ta = a._node, x.dtype
 
     def bw(g):
         g_even, g_odd = g[..., 0::2], g[..., 1::2]
         gx = np.empty_like(g)
         gx[..., 0::2] = cos * g_even + sin * g_odd
         gx[..., 1::2] = -sin * g_even + cos * g_odd
-        a._accum(gx)
+        na.accum(gx, ta)
 
-    return _node(out_data, (a,), bw)
+    return _out(out_data, (na,), bw)
 
 
 class Adam:

@@ -61,9 +61,24 @@ class TestAutodiffOps:
         loss.backward()
         assert w.grad is not None and w.grad.shape == (3, 2)
         assert x.grad is None       # an input that needs no gradient gets none
-        for node in (hidden, loss):
-            assert node.grad is None and node._backward is None and node._parents == ()
+        for out in (hidden, loss):
+            node = out._node
+            assert node.grad is None and node.backward is None and node.parents == ()
         assert np.array_equal(hidden.data, data)
+
+    def test_backward_refuses_a_tensor_off_the_tape(self):
+        # a loss built under no_grad, or from inputs that need no gradient,
+        # reaches no parameter: backward refuses it instead of seeding it
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        x = Tensor(np.ones((4, 3)))
+        with ad.no_grad():
+            under_no_grad = ad.matmul(x, w).sum()
+        constant = (x * 2.0).sum()
+        for loss in (under_no_grad, constant):
+            with pytest.raises(ValueError, match="needs a tensor on the tape"):
+                loss.backward()
+            assert loss.grad is None
+        assert w.grad is None
 
     def test_matmul_both_sides(self):
         rng = np.random.default_rng(1)
@@ -153,7 +168,7 @@ class TestAutodiffOps:
                 assert type(out) is Tensor, name
                 assert type(out.data) is np.ndarray, name
                 assert not out.requires_grad and out.grad is None, name
-                assert out._parents == () and out._backward is None, name
+                assert out._node is None, name      # no parents and no closure
 
 
 class TestAdam:

@@ -14,7 +14,11 @@ Each checkpoint's arrays are pinned apart from its file bytes, so a change to
 the checkpoint meta alone re-pins only the file hash, and a weight change
 cannot hide inside a meta re-pin. The evaluation's metrics are pinned as
 exact floats: its token accuracy and its flow's bit agreement run the
-sampler's two steps, as generation does.
+sampler's two steps, as generation does. The free generation's two steps
+are pinned too, each guided logits array `pipeline.content_logits` returns
+and each prediction of `pipeline.flow_stage`: the sampled files depend on
+them only through nucleus draws and splits, which a small change in the
+sampler's arithmetic can pass unseen.
 
 A 4x4 grid pairs 16 vectors in one distance block, so the toy run never
 reaches the blocked, multi-rescan pairing of a full-size grid. Two 32x32x4
@@ -28,6 +32,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from nvg import pipeline
 from nvg.backbone import ModelConfig
 from nvg.checkpoints import load_model, save_model
 from nvg.content_model import ContentModel
@@ -63,6 +68,47 @@ GOLDEN_EVALUATE = {
     "structure_bit_accuracy": 0.5017361111111112,
 }
 
+GOLDEN_STEPS = {       # stages 0-4 and 1-3 of the free generation, computed at 714bfd6
+    "content_logits": [
+        "fc2ab975ec467c7697a84004c7e6642a5a306f55cc6f4f2e174c8c02de740fc9",
+        "1c40bf1615fee4c8191974e3093207aa437437452bf6f77ae9abbe1330e92f9a",
+        "fc0dd703aa66d135a2977c4a275a21e5b7fe39d943ab0a5fa2232825caaaaf57",
+        "30461038a107a9d9634b3bc213708157eda278b3abc68cb9443c3ba4f7a31184",
+        "bbc37aef4110de3b5ae60af940148a6d8829a465acca7041d4ad42cdce901013",
+    ],
+    "flow_stage": [
+        "24142fe98c85208d2370b528f3458c7e6a1bb349822b261be0e69e87f69b3780",
+        "6ece71b944eb0df2c10fd6c284e728095882d675b1d7e7bee90f4714c94e404b",
+        "04e81b3709f37639e9b84f3e116cf15ae953badca6aad4f304e510ca459c3fe8",
+    ],
+}
+
+
+def array_sha256(a: np.ndarray) -> str:
+    """SHA-256 of an array's dtype, shape and bytes."""
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+def spy_steps(monkeypatch) -> dict:
+    """Record `array_sha256` of every guided logits array `content_logits`
+    returns and of every prediction `flow_stage` returns, in call order."""
+    seen = {"content_logits": [], "flow_stage": []}
+    content_logits, flow_stage = pipeline.content_logits, pipeline.flow_stage
+
+    def logits_spy(*args, **kwargs):
+        logits = content_logits(*args, **kwargs)
+        seen["content_logits"].append(array_sha256(logits))
+        return logits
+
+    def flow_spy(*args, **kwargs):
+        pred, steps = flow_stage(*args, **kwargs)
+        seen["flow_stage"].append(array_sha256(pred))
+        return pred, steps
+
+    monkeypatch.setattr(pipeline, "content_logits", logits_spy)
+    monkeypatch.setattr(pipeline, "flow_stage", flow_spy)
+    return seen
+
 
 def arrays_sha256(path) -> str:
     """SHA-256 over a checkpoint's arrays, each name then its bytes, by name."""
@@ -73,7 +119,8 @@ def arrays_sha256(path) -> str:
 
 def run_pipeline(workdir) -> tuple:
     """Run the toy pipeline in workdir; return {file name: sha256 hex} of the
-    files and of the checkpoints' arrays, and the evaluation's metrics."""
+    files and of the checkpoints' arrays, the evaluation's metrics and the
+    free generation's `spy_steps` record."""
     data = make_synthetic_dataset(SyntheticSpec(count=4, h=4, w=4, e=4,
                                                 num_classes=2, seed=5))
     grids = [g for _, g in data]
@@ -104,13 +151,18 @@ def run_pipeline(workdir) -> tuple:
             schedule=schedule),
     }
     for name, req in requests.items():
-        result = generate(req, content, structure, codebook, refiners)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = spy_steps(monkeypatch)
+            result = generate(req, content, structure, codebook, refiners)
+        if name == "gen":
+            steps = seen
         write_sequence(workdir / f"{name}.sequence.json", result.sequence, codebook)
         write_tensor(workdir / f"{name}.latent.nvgt", result.canvas.data)
     files = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
              for name in GOLDEN}
     metrics = evaluate(content, structure, examples, codebook, seed=6, flow_steps=4)
-    return files, {name: arrays_sha256(workdir / name) for name in GOLDEN_ARRAYS}, metrics
+    return (files, {name: arrays_sha256(workdir / name) for name in GOLDEN_ARRAYS}, metrics,
+            steps)
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +171,17 @@ def toy_run(tmp_path_factory):
 
 
 def test_fixed_seed_pipeline_outputs_are_bit_identical(toy_run):
-    files, arrays, _ = toy_run
+    files, arrays, _, _ = toy_run
     assert arrays == GOLDEN_ARRAYS
     assert files == GOLDEN
 
 
 def test_evaluate_metrics_are_exact(toy_run):
     assert toy_run[2] == GOLDEN_EVALUATE
+
+
+def test_free_generation_logits_and_flow_predictions_are_bit_identical(toy_run):
+    assert toy_run[3] == GOLDEN_STEPS
 
 
 GOLDEN_32X32 = {

@@ -75,9 +75,9 @@ class TestNoGrad:
         model = content_model()
         with ad.no_grad():
             out = content_forward(model, [0], canvas, smap)
-        assert out._parents == () and out._backward is None and not out.requires_grad
+        assert out._node is None and not out.requires_grad
         assert all(p.requires_grad for p in model.params().values())
-        assert content_forward(model, [0], canvas, smap)._parents != ()
+        assert content_forward(model, [0], canvas, smap)._node.parents != ()
 
     def test_nested_blocks_restore_the_outer_mode(self, inputs):
         canvas, smap, _, _ = inputs
@@ -85,8 +85,8 @@ class TestNoGrad:
         with ad.no_grad():
             with ad.no_grad():
                 pass
-            assert content_forward(model, [0], canvas, smap)._parents == ()
-        assert content_forward(model, [0], canvas, smap)._parents != ()
+            assert content_forward(model, [0], canvas, smap)._node is None
+        assert content_forward(model, [0], canvas, smap)._node.parents != ()
 
     def test_mode_restored_after_generate_raises(self, inputs, world):
         canvas, smap, _, _ = inputs
@@ -95,7 +95,7 @@ class TestNoGrad:
         req = GenerationRequest(class_id=CLASSES, seed=0, h=H, w=W, e=E)
         with pytest.raises(InvariantError, match="class id"):
             generate(req, model, structure_model(), codebook, refiners)
-        assert content_forward(model, [0], canvas, smap)._parents != ()
+        assert content_forward(model, [0], canvas, smap)._node.parents != ()
 
     def test_training_after_generate_still_gets_gradients(self, world, monkeypatch):
         codebook, refiners, examples = world

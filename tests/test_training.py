@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -387,6 +388,51 @@ def test_a_step_holds_no_gradient_or_moment_before_it_reads_them(world, monkeypa
     assert held_at_backward == [0, 0, 0]
     assert moments_at_step[0] == 0 and moments_at_step[1] > 0
     assert all(p.grad is None for p in params)
+
+
+@pytest.mark.parametrize("make, train", [(content_model, train_content),
+                                         (structure_model, train_structure)],
+                         ids=["content", "structure"])
+def test_the_tape_frees_the_arrays_no_backward_reads(world, monkeypatch, make, train):
+    # at backward entry the loss's forward (content: `loss`; structure:
+    # `context` + `velocity`) has returned. No backward reads an attention
+    # block's raw scores or its rows' silu output, so both are gone; the
+    # softmax output and the conditioning's silu output, which the w_mod and
+    # w_final_mod gradients read, are kept
+    _, _, _, examples = world
+    model = make()
+    refs = {"scores": [], "probs": [], "row silu": [], "cond silu": []}
+    dead_at_backward = []
+    softmax, silu, backward = autodiff.softmax, autodiff.silu, autodiff.Tensor.backward
+
+    def softmax_spy(a):
+        out = softmax(a)
+        refs["scores"].append(weakref.ref(a.data))
+        refs["probs"].append(weakref.ref(out.data))
+        return out
+
+    def silu_spy(a):
+        out = silu(a)
+        refs["row silu" if a.data.ndim == 3 else "cond silu"].append(weakref.ref(out.data))
+        return out
+
+    def backward_spy(self):
+        dead_at_backward.append({k: [r() is None for r in v] for k, v in refs.items()})
+        return backward(self)
+
+    monkeypatch.setattr(autodiff, "softmax", softmax_spy)
+    monkeypatch.setattr(autodiff, "silu", silu_spy)
+    monkeypatch.setattr(autodiff.Tensor, "backward", backward_spy)
+    train(examples, model, TrainConfig(steps=1, batch_size=2, base_lr=0.01,
+                                       warmup_steps=0, seed=0))
+    (dead,) = dead_at_backward
+    depth = len(model.blocks)
+    # the structure context's last block builds keys and values alone
+    attention = depth if make is content_model else 2 * depth - 1
+    assert len(dead["scores"]) == len(dead["row silu"]) == attention
+    assert len(dead["cond silu"]) == attention + 1 + (make is structure_model)
+    assert all(dead["scores"]) and all(dead["row silu"])
+    assert not any(dead["probs"]) and not any(dead["cond silu"])
 
 
 class TestTrainContent:
