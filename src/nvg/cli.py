@@ -90,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=64, help="codebook rows")
     p.add_argument("--iters", type=int, default=25, help="k-means iterations")
     p.add_argument("--refiner-steps", type=int, default=0,
-                   help="refiner descent steps; 0 keeps the identity refiners")
-    p.add_argument("--refiner-lr", type=float, default=0.05)
+                   help="least-squares alternations; 0 keeps the identity refiners")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="codebook tensor path")
     p.add_argument("--refiners-out", required=True, help="refiner checkpoint path")
@@ -166,11 +165,10 @@ def cmd_train_codebook(args) -> int:
     # every option is checked before the dataset is built
     spec = _dataset_spec(args)
     check_fit_options(args.size, args.iters, spec.count * fit_vectors(spec.h, spec.w))
-    check_refiner_options(args.refiner_steps, args.refiner_lr)
+    check_refiner_options(args.refiner_steps)
     grids = [g for _, g in make_synthetic_dataset(spec)]
     codebook = fit_codebook(grids, args.size, iterations=args.iters, seed=args.seed)
-    refiners = train_refiners(grids, build_hierarchy, codebook,
-                              steps=args.refiner_steps, lr=args.refiner_lr)
+    refiners = train_refiners(grids, build_hierarchy, codebook, steps=args.refiner_steps)
     io.write_tensor(args.output, codebook.vectors)
     checkpoints.save_refiners(args.refiners_out, refiners)
     return 0

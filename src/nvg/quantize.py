@@ -3,6 +3,8 @@
 Stage i quantizes the cluster means of the running residual, places the
 chosen codebook rows back on the grid, refines them with a per-stage 3x3
 convolution and subtracts the result; `build_contents` is that recursion.
+`train_refiners` fits the refiners by alternating a tokenize pass with a
+least-squares solve of the final residual for the tokens it chose.
 `fit_codebook` fits the codebook to the locations and to the cluster means
 of the same recursion with the quantizer bypassed and no refiner: each stage
 subtracts its own placed means.
@@ -10,7 +12,6 @@ subtracts its own placed means.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,16 +29,10 @@ from .grid import (
 )
 from .hierarchy import build_hierarchy
 
-__all__ = [
-    "Refiner",
-    "identity_refiners",
-    "build_contents",
-    "fit_codebook",
-    "fit_vectors",
-    "check_fit_options",
-    "train_refiners",
-    "check_refiner_options",
-]
+__all__ = ["Refiner", "identity_refiners", "build_contents", "fit_codebook", "fit_vectors",
+           "check_fit_options", "train_refiners", "check_refiner_options"]
+
+RIDGE = 1.0     # the solve's pull toward the identity; 16x16 fits regressed at 1e-3
 
 
 def _conv_patches(data: np.ndarray) -> np.ndarray:
@@ -192,64 +187,69 @@ def fit_codebook(grids, n: int, iterations: int = 25, seed: int = 0) -> Codebook
     return Codebook(kmeans(data, n, iterations=iterations, seed=seed).astype(np.float32))
 
 
-def check_refiner_options(steps: int, lr: float) -> None:
+def check_refiner_options(steps: int) -> None:
     """The one check of `train_refiners`' options; needs no data."""
     if steps < 0:
         raise InvariantError(f"refiner steps must be non-negative, got {steps}")
-    if not (math.isfinite(lr) and lr >= 0.0):
-        raise InvariantError(f"refiner lr must be finite and non-negative, got {lr}")
 
 
-def train_refiners(grids, hierarchy_builder, codebook: Codebook, steps: int,
-                   lr: float = 0.05) -> list:
-    """Fit the per-stage refiners by gradient descent on the final residual.
+def _design(seq: VGSequence, codebook: Codebook) -> np.ndarray:
+    """A grid's float64 design for its fixed tokens, (hw, (K+1)(9e+1)): the
+    3x3 patches of every stage's placed codebook rows, taken at once with the
+    stages stacked as channels, then one ones column per stage."""
+    placed = np.concatenate([place(codebook.vectors[tokens.indices], smap)
+                             for tokens, smap in seq.stages], axis=2)
+    patches = _conv_patches(placed.astype(np.float64))
+    return np.hstack([patches, np.ones((len(patches), len(seq.stages)))])
 
-    Token choices are treated as fixed within each step (recomputed between
-    steps). The best-by-loss snapshot is returned, so the final loss never
-    exceeds the identity-refiner starting point; zero steps return the
-    identity refiners without a tokenize pass.
+
+def _solve_refiners(grids, sequences, codebook: Codebook) -> list:
+    """The refiners that minimise the grids' squared final residual for fixed
+    tokens, pulled toward the identity: (X^T X + RIDGE I) theta = X^T g +
+    RIDGE theta_identity, summed grid by grid. theta is in `_design`'s row
+    order: the kernels by (dy, dx, stage, input channel), then the biases."""
+    stages, e = sequences[0].last_stage + 1, grids[0].e
+    identity = np.zeros((3, 3, stages, e, e))
+    identity[1, 1] = np.eye(e)
+    identity = np.vstack([identity.reshape(-1, e), np.zeros((stages, e))])
+    gram, moment = RIDGE * np.eye(len(identity)), RIDGE * identity
+    for grid, seq in zip(grids, sequences):
+        x = _design(seq, codebook)
+        gram += x.T @ x
+        moment += x.T @ grid.data.reshape(-1, e)
+    theta = np.linalg.solve(gram, moment).astype(np.float32)
+    kernels = np.moveaxis(theta[:-stages].reshape(3, 3, stages, e, e), 2, 0).copy()
+    return [Refiner(k, b) for k, b in zip(kernels, theta[-stages:])]
+
+
+def train_refiners(grids, hierarchy_builder, codebook: Codebook, steps: int) -> list:
+    """Fit the per-stage refiners by `steps` least-squares alternations.
+
+    Each tokenizes every grid with the current refiners and, with those
+    tokens fixed, solves for the next: the final residual g - sum_i (P_i W_i
+    + b_i), P_i stage i's 3x3 patches, is linear in every kernel and bias.
+    RIDGE keeps the solve well posed with fewer pixels than parameters. One
+    tokenize pass gives each set its loss and the next solve its tokens. The
+    best-by-loss set is returned, so the loss never exceeds the identity
+    refiners'; zero steps return those without a pass.
     """
     grids = list(grids)
     if not grids:
         raise InvariantError("cannot train refiners on an empty grid list")
-    check_refiner_options(steps, lr)
-    last, e = grids[0].last_stage, grids[0].e
-    refiners = identity_refiners(last, e)
+    check_refiner_options(steps)
+    refiners = identity_refiners(grids[0].last_stage, grids[0].e)
     if steps == 0:
         return refiners
     hierarchies = [hierarchy_builder(g) for g in grids]
-
     best_loss, best = None, None
-    scale = lr / (len(grids) * grids[0].h * grids[0].w * e)
     for step in range(steps + 1):
-        if step:        # descend along the previous pass's gradient
-            for i, refiner in enumerate(refiners):
-                with np.errstate(over="ignore"):
-                    w = (refiner.weight.reshape(9 * e, e) - scale * grad_w[i]).astype(np.float32)
-                    b = (refiner.bias - scale * grad_b[i]).astype(np.float32)
-                if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                    raise NumericError("refiner training diverged (non-finite parameters)")
-                refiners[i] = Refiner(w.reshape(3, 3, e, e), b)
-        # one pass per refiner set: its loss, then the gradient toward the next set
-        loss = 0.0
-        grad_w = [np.zeros((9 * e, e), dtype=np.float64) for _ in range(last + 1)]
-        grad_b = [np.zeros(e, dtype=np.float64) for _ in range(last + 1)]
+        loss, sequences = 0.0, []
         for grid, hierarchy in zip(grids, hierarchies):
             seq, residuals = build_contents(grid, hierarchy, codebook, refiners)
-            final = residuals[-1].data.astype(np.float64)
-            loss += float(np.mean(final * final))
-            if step == steps:
-                continue
-            final = final.reshape(-1, e)
-            for i, (tokens, smap) in enumerate(seq.stages):
-                placed = place(codebook.vectors[tokens.indices], smap)
-                patches = _conv_patches(placed).astype(np.float64)
-                grad_w[i] += -2.0 * (patches.T @ final)
-                grad_b[i] += -2.0 * final.sum(axis=0)
-        loss /= len(grids)
-        if step and not np.isfinite(loss):
-            raise NumericError("refiner training diverged (non-finite loss)")
+            loss += float(np.mean(residuals[-1].data.astype(np.float64) ** 2))
+            sequences.append(seq)
         if best is None or loss < best_loss:
-            best_loss = loss
-            best = [(r.weight.copy(), r.bias.copy()) for r in refiners]
-    return [Refiner(w, b) for w, b in best]
+            best_loss, best = loss, refiners
+        if step < steps:
+            refiners = _solve_refiners(grids, sequences, codebook)
+    return best

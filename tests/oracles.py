@@ -215,6 +215,37 @@ def reference_quantize_nearest(vs: np.ndarray, codebook_vectors: np.ndarray) -> 
     return np.argmin(np.einsum("mnj,mnj->mn", d, d), axis=1).astype(np.int32)
 
 
+def reference_refiner_solve(grids, sequences, codebook_vectors: np.ndarray,
+                            ridge: float) -> np.ndarray:
+    """The least-squares refiners for fixed tokenizations, as one float64
+    ((K+1)(9e+1), e) matrix: per stage the (3, 3, e, e) kernel as (9e, e),
+    then the bias row. Each stage's design block is its placed codebook rows
+    shifted by every 3x3 offset under zero padding, then a ones column; the
+    ridge-augmented system [X; sqrt(ridge) I] theta = [g; sqrt(ridge)
+    theta_identity] is solved by `np.linalg.lstsq`, not the normal equations."""
+    e = codebook_vectors.shape[1]
+    rows, targets = [], []
+    for grid, seq in zip(grids, sequences):
+        h, w = grid.h, grid.w
+        blocks = []
+        for tokens, smap in seq.stages:
+            placed = codebook_vectors[tokens.indices][smap.labels].astype(np.float64)
+            padded = np.pad(placed, ((1, 1), (1, 1), (0, 0)))
+            for dy in range(3):
+                for dx in range(3):
+                    blocks.append(padded[dy:dy + h, dx:dx + w].reshape(h * w, e))
+            blocks.append(np.ones((h * w, 1)))
+        rows.append(np.concatenate(blocks, axis=1))
+        targets.append(grid.data.reshape(h * w, e).astype(np.float64))
+    identity = np.zeros((len(sequences[0].stages), 9 * e + 1, e))
+    identity[:, 4 * e:5 * e] = np.eye(e)      # the centre tap, offset (1, 1)
+    identity = identity.reshape(-1, e)
+    root = np.sqrt(ridge)
+    design = np.vstack(rows + [root * np.eye(len(identity))])
+    target = np.vstack(targets + [root * identity])
+    return np.linalg.lstsq(design, target, rcond=None)[0]
+
+
 def reference_adam(params: dict, losses, lrs) -> None:
     """`autodiff.Adam` as first written, eager: both moments are zeros for
     every parameter at construction, and each step clears every gradient

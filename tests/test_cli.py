@@ -274,13 +274,9 @@ def test_bad_learning_rate_exits_3_and_writes_nothing(files, command, lr, capsys
 
 @pytest.mark.parametrize("options", [
     ["--refiner-steps=-1"],
-    ["--refiner-steps=2", "--refiner-lr=-1"],
-    ["--refiner-steps=2", "--refiner-lr=nan"],
-    ["--refiner-steps=2", "--refiner-lr=inf"],
 ])
 def test_bad_refiner_arguments_exit_3_and_write_nothing(files, options, capsys, tmp_path):
-    # negative steps or a negative rate used to write identity refiners with
-    # exit 0, and a NaN or infinite rate to diverge with exit 4
+    # negative steps used to write identity refiners with exit 0
     argv, _, (codebook, refiners) = commands(files)["train-codebook"]
     outs = tmp_path / "cb.nvgt", tmp_path / "ref.nvgc"
     argv = _swap(_swap(argv, codebook, outs[0]), refiners, outs[1])
@@ -552,8 +548,7 @@ def test_model_or_batch_over_the_byte_cap_exits_3_and_writes_nothing(
 
 # the 2 4x4 grids of DATA give 2 (3 * 16 - 1) = 94 training vectors
 @pytest.mark.parametrize("option", ["--size=0", "--size=95", "--iters=-1",
-                                    "--refiner-steps=-1", "--refiner-lr=-1",
-                                    "--refiner-lr=nan", "--refiner-lr=inf", "--count=0"])
+                                    "--refiner-steps=-1", "--count=0"])
 def test_bad_codebook_option_exits_3_before_any_dataset(files, option, capsys, tmp_path,
                                                         monkeypatch):
     # each used to be refused only after the dataset, and the refiner options

@@ -1,9 +1,9 @@
 """Golden outputs of a fixed-seed toy pipeline.
 
 A synthetic 4x4x4 dataset goes through the whole system: codebook and
-refiner fitting, tokenization, two steps of each trainer, a round trip of
-both models through checkpoint files and two generations with 4 flow steps:
-a free one, and one whose structure is fixed through stage 2 and whose
+refiner fitting, a refiner checkpoint file, tokenization, two steps of each
+trainer, a round trip of both models through checkpoint files and two
+generations with 4 flow steps: a free one, and one whose structure is fixed through stage 2 and whose
 content is fixed at stages 0-1. `training.evaluate` then scores the loaded
 models on the training examples with 4 flow steps.
 The SHA-256 of every file the run writes is pinned, so a change that keeps
@@ -34,7 +34,7 @@ import pytest
 
 from nvg import pipeline
 from nvg.backbone import ModelConfig
-from nvg.checkpoints import load_model, save_model
+from nvg.checkpoints import load_model, save_model, save_refiners
 from nvg.content_model import ContentModel
 from nvg.grid import Codebook, LatentGrid
 from nvg.hierarchy import build_hierarchy
@@ -47,39 +47,41 @@ from nvg.training import (TrainConfig, evaluate, tokenize_dataset, train_content
                           train_structure)
 
 GOLDEN = {
-    "content.nvgc": "92608b7fe120b34a24f244ed6ef2b5f6e3345c90a9ac267a183bd86d2d0928b8",
-    "structure.nvgc": "4494b5c8e213dda9f4b963439f51edbb11f5bac49a36c3d0c424b5fd1eee6d9e",
-    "gen.sequence.json": "118bcec4f0f99537ad38cbca689a04341ba469da7ae538740941846f6c4c356d",
-    "gen.latent.nvgt": "77fa42646681587c00ef5f1aba63fff8e852cdadfde19f9cbd783e62e10f9a01",
-    "override.sequence.json": "42f5a4612402aafa483793d3cf2ddf64002fa6356f534270670547f699bb70cf",
-    "override.latent.nvgt": "2d5ff4cdf3ad46e8aa13fddb20141487309f3a332146a3e8ba704b66255b9f1a",
+    "content.nvgc": "4604784da2d0a72a9e9880ac6edcd3a90eaa8c35b6b6afda2f6d066ebc711aaf",
+    "structure.nvgc": "2bea9d2d044f4b419177cc828be89905d155baabe3fdc14263328a7a3b75aa29",
+    "gen.sequence.json": "07a8ca43661847e4118f13f8e8cef4d29afc950f157ca62e2ebd04975a70ccac",
+    "gen.latent.nvgt": "94463ac2981a9bdc5ae10a741fae4213391945a8950757d197bfbe84e4831089",
+    "override.sequence.json": "5e3421ebd97d27b88c2a53c2d810fa5ae6518ee3cb2e692c63378d2a853e4a56",
+    "override.latent.nvgt": "afd0ab273b0715a9c2358627f1a56492567f25acd7c87e281bb9e8320aa99a95",
+    "refiners.nvgc": "d01b91025efd29ff16627615a25484d53b6e674bf28c02853f0818c1f335c71e",
 }
 GOLDEN_ARRAYS = {
-    "content.nvgc": "36c4320db02aba41a89b73bcbe639c5967672b3d82bca9b90aea5bfac5a76391",
-    "structure.nvgc": "e2b8c1ae558cc1d66d67f8375ed14c7acf21f057e3374490a2a9452900a4a0e8",
+    "content.nvgc": "cc4c9a68b74c4ce5c6f5f9d6a8ec11041dabbb8f6890071c8c4da37e71c28dd4",
+    "structure.nvgc": "7ac3ec214dc426c9b8da6013042073d506712e9c0a409ccdbff26f33b6467721",
+    "refiners.nvgc": "e07d63754e14ac0d28e630cbc2f34f54308fbee904eeaccaa360ecfa954726e1",
 }
 GOLDEN_EVALUATE = {
-    "token_accuracy": {0: 0.25, 1: 0.0, 2: 0.125, 3: 0.0, 4: 0.015625},
-    "token_accuracy_overall": 0.03225806451612903,
-    "reconstruction_mse_by_prefix": [0.1184004358947277, 0.07957289554178715,
-                                     0.050240082666277885, 0.03189449943602085,
-                                     0.020823052618652582],
+    "token_accuracy": {0: 0.25, 1: 0.125, 2: 0.1875, 3: 0.03125, 4: 0.109375},
+    "token_accuracy_overall": 0.10483870967741936,
+    "reconstruction_mse_by_prefix": [0.12445917539298534, 0.08106881007552147,
+                                     0.05064503476023674, 0.03226091107353568,
+                                     0.02071431855438277],
     "codebook_usage": 0.6875,
     "structure_bit_accuracy": 0.5017361111111112,
 }
 
-GOLDEN_STEPS = {       # stages 0-4 and 1-3 of the free generation, computed at 714bfd6
+GOLDEN_STEPS = {       # stages 0-4 and 1-3 of the free generation
     "content_logits": [
-        "fc2ab975ec467c7697a84004c7e6642a5a306f55cc6f4f2e174c8c02de740fc9",
-        "1c40bf1615fee4c8191974e3093207aa437437452bf6f77ae9abbe1330e92f9a",
-        "fc0dd703aa66d135a2977c4a275a21e5b7fe39d943ab0a5fa2232825caaaaf57",
-        "30461038a107a9d9634b3bc213708157eda278b3abc68cb9443c3ba4f7a31184",
-        "bbc37aef4110de3b5ae60af940148a6d8829a465acca7041d4ad42cdce901013",
+        "d312156273c61cce5690087f6c8cbda165b7a852cd77480abaed0d97891d376d",
+        "93f2751cbb23b0d73a213fa4cc2e29191d4154343da0847bf7902945d7564721",
+        "1a59a66a79874fbe429857abfc01f928618cd8c92d74942937744e12966a3200",
+        "4494edcba1f8a169d7e698cb05c3d3a3bfeb1dbc21adc7680ff9d923073c1fbf",
+        "c88b1c53a33691d705dafef213c63cef9f4f930fef1c5d41f1b7524c3f1ad8dd",
     ],
     "flow_stage": [
-        "24142fe98c85208d2370b528f3458c7e6a1bb349822b261be0e69e87f69b3780",
-        "6ece71b944eb0df2c10fd6c284e728095882d675b1d7e7bee90f4714c94e404b",
-        "04e81b3709f37639e9b84f3e116cf15ae953badca6aad4f304e510ca459c3fe8",
+        "9ab9f0719b1fc015ccc459f2f37d0faf893f470a0a8dc28a8ef81147ea3647a4",
+        "22ff1563853451df0adc90b788bff7c7d7241b6c086a711bcfc59f3ff9f7bdb6",
+        "f957e2e787f73b713972fc38a6720cca624b42d9263184e363dc210fc3b241da",
     ],
 }
 
@@ -126,6 +128,7 @@ def run_pipeline(workdir) -> tuple:
     grids = [g for _, g in data]
     codebook = fit_codebook(grids, 16, seed=0)
     refiners = train_refiners(grids[:2], build_hierarchy, codebook, steps=2)
+    save_refiners(workdir / "refiners.nvgc", refiners)
     examples = tokenize_dataset(data, codebook, refiners)
     last = examples[0].sequence.last_stage
     content = ContentModel(ModelConfig(2, "content", 4, 16, 2, last), seed=1)
