@@ -16,15 +16,16 @@ backward reads. `add`, `reshape`, `transpose`, `getitem`, `concat` and the
 two reductions capture shapes; `mul`, `div` and `matmul` capture an operand's
 array only when the other operand's gradient reads it; `silu`, `softmax`,
 `log_softmax`, `rmsnorm` and `rope` capture the values their gradient
-formula reads. Each closure also captures its inputs' dtypes, the dtypes
-their gradients accumulate in. So an intermediate no backward reads (a
-block's raw scores, its rows' silu output) is freed during the forward, as
-soon as the model code drops it. The mode is checked before any node is
-made: under `no_grad` an op is its numpy call and one bare `Tensor`, and the
-tape path and the no-grad path are the same function. Every op's `.data` is
-an `np.ndarray`: `_out` wraps it as given, and the ops whose numpy call can
-return a scalar (the two reductions, and arithmetic on two 0-d operands such
-as a loss's last scaling) wrap theirs in `np.asarray`.
+formula reads. So an intermediate no backward reads (a block's raw scores,
+its rows' silu output) is freed during the forward, as soon as the model code
+drops it. The mode is checked before any node is made: under `no_grad` an op
+is its numpy call and one bare `Tensor`, and the tape path and the no-grad
+path are the same function. Every op's `.data` is an `np.ndarray`: `_out`
+wraps it as given, and the ops whose numpy call can return a scalar (the two
+reductions, and arithmetic on two 0-d operands such as a loss's last
+scaling) wrap theirs in `np.asarray`. A graph runs in one dtype: `_operand`
+gives a bare scalar the other operand's dtype, and `-` wraps its operand, so
+`accum` never casts (`tests/test_training.py` checks it on every op output).
 
 `Tensor.backward` consumes the tape, and refuses a tensor with no node (one
 computed under `no_grad` or from inputs that need no gradient), whose
@@ -95,11 +96,9 @@ class _Node:
         self.parents = parents
         self.backward = backward
 
-    def accum(self, g: np.ndarray, dtype):
-        # dtype is the node's array's as the consuming op saw it: a leaf's
-        # array may be replaced by one of another dtype before a forward
+    def accum(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = g.astype(dtype, copy=True)
+            self.grad = g.copy()
         else:
             self.grad += g
 
@@ -172,7 +171,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0))
+        return add(self, mul(_operand(other, self), -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -225,14 +224,14 @@ def add(a, b) -> Tensor:
     data = np.asarray(a.data + b.data)
     if not _grad_enabled or a._node is None and b._node is None:
         return _out(data)
-    na, sa, ta = a._node, a.data.shape, a.data.dtype
-    nb, sb, tb = b._node, b.data.shape, b.data.dtype
+    na, sa = a._node, a.data.shape
+    nb, sb = b._node, b.data.shape
 
     def bw(g):
         if na is not None:
-            na.accum(_sum_to_shape(g, sa), ta)
+            na.accum(_sum_to_shape(g, sa))
         if nb is not None:
-            nb.accum(_sum_to_shape(g, sb), tb)
+            nb.accum(_sum_to_shape(g, sb))
 
     return _out(data, (na, nb), bw)
 
@@ -242,17 +241,17 @@ def mul(a, b) -> Tensor:
     data = np.asarray(a.data * b.data)
     if not _grad_enabled or a._node is None and b._node is None:
         return _out(data)
-    na, sa, ta = a._node, a.data.shape, a.data.dtype
-    nb, sb, tb = b._node, b.data.shape, b.data.dtype
+    na, sa = a._node, a.data.shape
+    nb, sb = b._node, b.data.shape
     # each operand's array only when the other one's gradient reads it
     da = a.data if nb is not None else None
     db = b.data if na is not None else None
 
     def bw(g):
         if na is not None:
-            na.accum(_sum_to_shape(g * db, sa), ta)
+            na.accum(_sum_to_shape(g * db, sa))
         if nb is not None:
-            nb.accum(_sum_to_shape(g * da, sb), tb)
+            nb.accum(_sum_to_shape(g * da, sb))
 
     return _out(data, (na, nb), bw)
 
@@ -262,15 +261,15 @@ def div(a, b) -> Tensor:
     data = np.asarray(a.data / b.data)
     if not _grad_enabled or a._node is None and b._node is None:
         return _out(data)
-    na, sa, ta = a._node, a.data.shape, a.data.dtype
-    nb, sb, tb = b._node, b.data.shape, b.data.dtype
+    na, sa = a._node, a.data.shape
+    nb, sb = b._node, b.data.shape
     da, db = (a.data if nb is not None else None), b.data     # both gradients read b
 
     def bw(g):
         if na is not None:
-            na.accum(_sum_to_shape(g / db, sa), ta)
+            na.accum(_sum_to_shape(g / db, sa))
         if nb is not None:
-            nb.accum(_sum_to_shape(-g * da / (db * db), sb), tb)
+            nb.accum(_sum_to_shape(-g * da / (db * db), sb))
 
     return _out(data, (na, nb), bw)
 
@@ -286,8 +285,8 @@ def matmul(a, b) -> Tensor:
         out_data = a.data @ b.data
     if not _grad_enabled or a._node is None and b._node is None:
         return _out(out_data)
-    na, sa, ta = a._node, a.data.shape, a.data.dtype
-    nb, sb, tb = b._node, b.data.shape, b.data.dtype
+    na, sa = a._node, a.data.shape
+    nb, sb = b._node, b.data.shape
     # each operand's array only when the other one's gradient reads it
     da = a.data if nb is not None else None
     db = b.data if na is not None else None
@@ -296,15 +295,15 @@ def matmul(a, b) -> Tensor:
         if na is not None:
             if db.ndim == 2 and g.ndim > 2:
                 # batched activations against a shared weight: one flat gemm
-                na.accum((g.reshape(-1, g.shape[-1]) @ db.T).reshape(sa), ta)
+                na.accum((g.reshape(-1, g.shape[-1]) @ db.T).reshape(sa))
             else:
-                na.accum(_sum_to_shape(g @ np.swapaxes(db, -1, -2), sa), ta)
+                na.accum(_sum_to_shape(g @ np.swapaxes(db, -1, -2), sa))
         if nb is not None:
             if len(sb) == 2 and da.ndim > 2:
                 flat_a = da.reshape(-1, da.shape[-1])
-                nb.accum(flat_a.T @ g.reshape(-1, g.shape[-1]), tb)
+                nb.accum(flat_a.T @ g.reshape(-1, g.shape[-1]))
             else:
-                nb.accum(_sum_to_shape(np.swapaxes(da, -1, -2) @ g, sb), tb)
+                nb.accum(_sum_to_shape(np.swapaxes(da, -1, -2) @ g, sb))
 
     return _out(out_data, (na, nb), bw)
 
@@ -314,10 +313,10 @@ def reshape(a, shape) -> Tensor:
     data = a.data.reshape(shape)
     if not _grad_enabled or a._node is None:
         return _out(data)
-    na, sa, ta = a._node, a.data.shape, a.data.dtype
+    na, sa = a._node, a.data.shape
 
     def bw(g):
-        na.accum(g.reshape(sa), ta)
+        na.accum(g.reshape(sa))
 
     return _out(data, (na,), bw)
 
@@ -327,10 +326,10 @@ def transpose(a, axes) -> Tensor:
     data = a.data.transpose(axes)
     if not _grad_enabled or a._node is None:
         return _out(data)
-    na, ta = a._node, a.data.dtype
+    na = a._node
 
     def bw(g):
-        na.accum(g.transpose(np.argsort(axes)), ta)
+        na.accum(g.transpose(np.argsort(axes)))
 
     return _out(data, (na,), bw)
 
@@ -345,11 +344,11 @@ def getitem(a, key) -> Tensor:
     data = a.data[key]
     if not _grad_enabled or a._node is None:
         return _out(data)
-    na, sa, ta = a._node, a.data.shape, a.data.dtype
+    na, sa = a._node, a.data.shape
 
     def bw(g):
         if na.grad is None:
-            na.grad = np.zeros(sa, ta)
+            na.grad = np.zeros(sa, g.dtype)
         if _is_basic_index(key):
             na.grad[key] += g
         else:
@@ -365,14 +364,13 @@ def concat(tensors, axis: int) -> Tensor:
     if not _grad_enabled or all(t._node is None for t in tensors):
         return _out(data)
     nodes = tuple([t._node for t in tensors])
-    dtypes = [t.data.dtype for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
 
     def bw(g):
         pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-        for node, dtype, piece in zip(nodes, dtypes, pieces):
+        for node, piece in zip(nodes, pieces):
             if node is not None:
-                node.accum(piece, dtype)
+                node.accum(piece)
 
     return _out(data, nodes, bw)
 
@@ -382,10 +380,10 @@ def reduce_sum(a) -> Tensor:
     data = np.asarray(a.data.sum())
     if not _grad_enabled or a._node is None:
         return _out(data)
-    na, sa, ta = a._node, a.data.shape, a.data.dtype
+    na, sa = a._node, a.data.shape
 
     def bw(g):
-        na.accum(np.broadcast_to(g, sa).copy(), ta)
+        na.accum(np.broadcast_to(g, sa))
 
     return _out(data, (na,), bw)
 
@@ -395,10 +393,10 @@ def reduce_mean(a) -> Tensor:
     data = np.asarray(a.data.mean())
     if not _grad_enabled or a._node is None:
         return _out(data)
-    na, sa, ta, size = a._node, a.data.shape, a.data.dtype, a.data.size
+    na, sa, size = a._node, a.data.shape, a.data.size
 
     def bw(g):
-        na.accum(np.broadcast_to(g / size, sa).copy(), ta)
+        na.accum(np.broadcast_to(g / size, sa))
 
     return _out(data, (na,), bw)
 
@@ -415,7 +413,7 @@ def silu(a) -> Tensor:
     na = a._node
 
     def bw(g):
-        na.accum(g * sig * (1.0 + x * (1.0 - sig)), x.dtype)
+        na.accum(g * sig * (1.0 + x * (1.0 - sig)))
 
     return _out(data, (na,), bw)
 
@@ -427,11 +425,11 @@ def softmax(a) -> Tensor:
     out_data = e / e.sum(axis=-1, keepdims=True)
     if not _grad_enabled or a._node is None:
         return _out(out_data)
-    na, ta = a._node, a.data.dtype
+    na = a._node
 
     def bw(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        na.accum(out_data * (g - inner), ta)
+        na.accum(out_data * (g - inner))
 
     return _out(out_data, (na,), bw)
 
@@ -443,10 +441,10 @@ def log_softmax(a) -> Tensor:
     out_data = shifted - log_z
     if not _grad_enabled or a._node is None:
         return _out(out_data)
-    na, ta = a._node, a.data.dtype
+    na = a._node
 
     def bw(g):
-        na.accum(g - np.exp(out_data) * g.sum(axis=-1, keepdims=True), ta)
+        na.accum(g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
     return _out(out_data, (na,), bw)
 
@@ -469,7 +467,7 @@ def rmsnorm(a) -> Tensor:
 
     def bw(g):
         dot = (g * x).sum(axis=-1, keepdims=True)
-        na.accum(inv * g - (inv ** 3 / x.shape[-1]) * x * dot, x.dtype)
+        na.accum(inv * g - (inv ** 3 / x.shape[-1]) * x * dot)
 
     return _out(data, (na,), bw)
 
@@ -488,14 +486,14 @@ def rope(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     out_data[..., 1::2] = sin * x_even + cos * x_odd
     if not _grad_enabled or a._node is None:
         return _out(out_data)
-    na, ta = a._node, x.dtype
+    na = a._node
 
     def bw(g):
         g_even, g_odd = g[..., 0::2], g[..., 1::2]
         gx = np.empty_like(g)
         gx[..., 0::2] = cos * g_even + sin * g_odd
         gx[..., 1::2] = -sin * g_even + cos * g_odd
-        na.accum(gx, ta)
+        na.accum(gx)
 
     return _out(out_data, (na,), bw)
 

@@ -170,6 +170,16 @@ class TestAutodiffOps:
                 assert not out.requires_grad and out.grad is None, name
                 assert out._node is None, name      # no parents and no closure
 
+    @pytest.mark.parametrize("other", [
+        np.ones((2, 3), np.float32), 1.0, Tensor(np.ones((2, 3), np.float32))],
+        ids=["float32 ndarray", "float", "float32 Tensor"])
+    def test_float32_minus_a_float32_or_scalar_operand_is_float32(self, other):
+        x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
+        out = x - other
+        out.sum().backward()
+        assert out.data.dtype == np.float32
+        assert x.grad.dtype == np.float32
+
 
 class TestAdam:
     def test_equals_the_eager_reference_bit_for_bit(self):

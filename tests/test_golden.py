@@ -47,7 +47,7 @@ from nvg.training import (TrainConfig, evaluate, tokenize_dataset, train_content
                           train_structure)
 
 GOLDEN = {
-    "content.nvgc": "4604784da2d0a72a9e9880ac6edcd3a90eaa8c35b6b6afda2f6d066ebc711aaf",
+    "content.nvgc": "b1ae5661529dca149bb4906f73b5bfa945d4d01f0f31ab4897a1b79cf7d791bc",
     "structure.nvgc": "2bea9d2d044f4b419177cc828be89905d155baabe3fdc14263328a7a3b75aa29",
     "gen.sequence.json": "07a8ca43661847e4118f13f8e8cef4d29afc950f157ca62e2ebd04975a70ccac",
     "gen.latent.nvgt": "94463ac2981a9bdc5ae10a741fae4213391945a8950757d197bfbe84e4831089",
@@ -56,7 +56,7 @@ GOLDEN = {
     "refiners.nvgc": "d01b91025efd29ff16627615a25484d53b6e674bf28c02853f0818c1f335c71e",
 }
 GOLDEN_ARRAYS = {
-    "content.nvgc": "cc4c9a68b74c4ce5c6f5f9d6a8ec11041dabbb8f6890071c8c4da37e71c28dd4",
+    "content.nvgc": "074d050ad4400970d9d50c504e158b4f3735c5d94334543b12fd8900f510503d",
     "structure.nvgc": "7ac3ec214dc426c9b8da6013042073d506712e9c0a409ccdbff26f33b6467721",
     "refiners.nvgc": "e07d63754e14ac0d28e630cbc2f34f54308fbee904eeaccaa360ecfa954726e1",
 }
@@ -72,11 +72,11 @@ GOLDEN_EVALUATE = {
 
 GOLDEN_STEPS = {       # stages 0-4 and 1-3 of the free generation
     "content_logits": [
-        "d312156273c61cce5690087f6c8cbda165b7a852cd77480abaed0d97891d376d",
-        "93f2751cbb23b0d73a213fa4cc2e29191d4154343da0847bf7902945d7564721",
-        "1a59a66a79874fbe429857abfc01f928618cd8c92d74942937744e12966a3200",
-        "4494edcba1f8a169d7e698cb05c3d3a3bfeb1dbc21adc7680ff9d923073c1fbf",
-        "c88b1c53a33691d705dafef213c63cef9f4f930fef1c5d41f1b7524c3f1ad8dd",
+        "f3ff4e6fddc3dcf4260c18b7536e1f54c45c53ecdfe281f47cec1945344d3ca5",
+        "421542f07663ce9d162104efe276429f1aa99cc1d79d71df307016c3f9f013b8",
+        "66354082f15027ed4354d7108688c4fdeee1e879ed33424bffd861d8fd0ea11e",
+        "b8bb7091330b6540261d97fc3ac9be9c151f387a716bb4035b57ed561a543cf8",
+        "bee6e4905d3bc7766c477e75886b7e92dc2a2698743d2ea4f605087abb9d3f41",
     ],
     "flow_stage": [
         "9ab9f0719b1fc015ccc459f2f37d0faf893f470a0a8dc28a8ef81147ea3647a4",

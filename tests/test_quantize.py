@@ -349,7 +349,7 @@ class TestTrainRefiners:
         hierarchies = [build_hierarchy(g) for g in grids]
         base = final_residual_mse(grids, hierarchies, codebook,
                                   identity_refiners(4, 3))
-        trained = train_refiners(grids, build_hierarchy, codebook, steps=200)
+        trained = train_refiners(grids, build_hierarchy, codebook, steps=3)
         after = final_residual_mse(grids, hierarchies, codebook, trained)
         assert after <= base
 
@@ -357,7 +357,7 @@ class TestTrainRefiners:
         grids, codebook = setup
         hierarchies = [build_hierarchy(g) for g in grids]
         ident = identity_refiners(4, 3)
-        trained = train_refiners(grids, build_hierarchy, codebook, steps=200)
+        trained = train_refiners(grids, build_hierarchy, codebook, steps=3)
 
         def recon_mse(refiners):
             total = 0.0

@@ -10,6 +10,7 @@ from nvg.backbone import ModelConfig
 from nvg.content_model import ContentModel
 from nvg.errors import InvariantError, NumericError
 from nvg.grid import Codebook, assign
+from nvg.pipeline import GenerationRequest, ScheduleParams, generate
 from nvg.quantize import Refiner, fit_codebook, identity_refiners
 from nvg.structcode import embed_structure_map
 from nvg.structure_model import StructureModel, noised_input
@@ -433,6 +434,34 @@ def test_the_tape_frees_the_arrays_no_backward_reads(world, monkeypatch, make, t
     assert len(dead["cond silu"]) == attention + 1 + (make is structure_model)
     assert all(dead["scores"]) and all(dead["row silu"])
     assert not any(dead["probs"]) and not any(dead["cond silu"])
+
+
+def test_every_op_output_is_float32(world, monkeypatch):
+    # one dtype on the tape: a content step's loss tail, a structure step and
+    # a generation's logits all stay float32, so no gradient is ever cast
+    _, codebook, refiners, examples = world
+    content, structure = content_model(), structure_model()
+    config = TrainConfig(steps=1, batch_size=2, base_lr=0.01, warmup_steps=0, seed=0)
+    req = GenerationRequest(class_id=1, seed=0, h=4, w=4, e=3,
+                            schedule=ScheduleParams(flow_steps=2))
+    runs = {
+        "content step": lambda: train_content(examples, content, config),
+        "structure step": lambda: train_structure(examples, structure, config),
+        "generate": lambda: generate(req, content, structure, codebook, refiners),
+    }
+    dtypes = {}
+    out = autodiff._out
+
+    def out_spy(data, *args):
+        dtypes[name].append(data.dtype)
+        return out(data, *args)
+
+    monkeypatch.setattr(autodiff, "_out", out_spy)
+    for name, run in runs.items():
+        dtypes[name] = []
+        run()
+    assert {name: set(seen) for name, seen in dtypes.items()} == \
+        {name: {np.dtype(np.float32)} for name in runs}
 
 
 class TestTrainContent:
