@@ -98,6 +98,7 @@ class _Node:
 
     def accum(self, g: np.ndarray):
         if self.grad is None:
+            # g may be another parent's gradient too, or a read-only view
             self.grad = g.copy()
         else:
             self.grad += g
